@@ -68,6 +68,59 @@ func replayConfigs() map[string]Config {
 			Adversary: AdvSilent, Scheduler: SchedUniform,
 			Inputs: InputSplit, Seed: 47, MaxRounds: 60, MaxDeliveries: 400_000,
 		},
+		// The rest of the zoo, one entry per family, each under the
+		// adversary its property scenario pairs it with (so the rushed-
+		// Byzantine composition is live) and the default SchedParams — except
+		// adaptive-rush, which runs the searched adaptive-cliff point.
+		"bracha/common/reorder/liar": {
+			N: 7, F: 2, Byzantine: -1,
+			Protocol: ProtocolBracha, Coin: CoinCommon,
+			Adversary: AdvLiar, Scheduler: SchedReorder,
+			Inputs: InputRandom, Seed: 48,
+		},
+		"bracha/common/split-heal/equivocator": {
+			N: 7, F: 2, Byzantine: -1,
+			Protocol: ProtocolBracha, Coin: CoinCommon,
+			Adversary: AdvEquivocator, Scheduler: SchedSplitHeal,
+			Inputs: InputSplit, Seed: 49,
+		},
+		"bracha/common/rejoin/crash-midway": {
+			N: 7, F: 2, Byzantine: -1,
+			Protocol: ProtocolBracha, Coin: CoinCommon,
+			Adversary: AdvCrashMidway, Scheduler: SchedRejoin,
+			Inputs: InputSplit, Seed: 50,
+		},
+		"bracha/common/straggler/silent-spare": {
+			N: 7, F: 2, Byzantine: 1,
+			Protocol: ProtocolBracha, Coin: CoinCommon,
+			Adversary: AdvSilent, Scheduler: SchedStraggler,
+			Inputs: InputSplit, Seed: 51,
+		},
+		"bracha/common/lossy/equivocator": {
+			N: 7, F: 2, Byzantine: -1,
+			Protocol: ProtocolBracha, Coin: CoinCommon,
+			Adversary: AdvEquivocator, Scheduler: SchedLossy,
+			Inputs: InputSplit, Seed: 52,
+		},
+		"bracha/common/topology/equivocator": {
+			N: 7, F: 2, Byzantine: -1,
+			Protocol: ProtocolBracha, Coin: CoinCommon,
+			Adversary: AdvEquivocator, Scheduler: SchedTopology,
+			Inputs: InputSplit, Seed: 53,
+		},
+		"bracha/local/adaptive/silent": {
+			N: 4, F: 1, Byzantine: -1,
+			Protocol: ProtocolBracha, Coin: CoinLocal,
+			Adversary: AdvSilent, Scheduler: SchedAdaptive,
+			Inputs: InputSplit, Seed: 54,
+		},
+		"bracha/common/adaptive-rush/liar": {
+			N: 7, F: 2, Byzantine: -1,
+			Protocol: ProtocolBracha, Coin: CoinCommon,
+			Adversary: AdvLiar, Scheduler: SchedAdaptiveRush,
+			Sched:  SchedParams{TargetLag: 480},
+			Inputs: InputRandom, Seed: 55,
+		},
 	}
 }
 
@@ -104,6 +157,17 @@ var goldenTraceHashes = map[string]string{
 	"bracha/local/partition/equivocator": "61c9f757a4993504a47f5c91948d969e731ac26f51469e4392f67b3e154974db",
 	"bracha/ideal/uniform/crash-midway":  "489df161468e4dfc1658b7a2d75896030e120454c9faa18a8223f866a3cd83d8",
 	"benor/local/uniform":                "d7e05db40182d9f60969d085a179955a365e27cf3f1d11d5e1e8277321ef1a61",
+
+	// Recorded at PR 11's head, before the run-kernel refactor: the eight
+	// families that had no consensus golden.
+	"bracha/common/reorder/liar":           "7373031051b39dc5fd47e38c5cd28e52d3469297a574c0ee7b18dc91e2dc1451",
+	"bracha/common/split-heal/equivocator": "5ce55ccf01b415aa7a697b5bc13cd64cf3cc9c571c8e5392d094c8dc4d04d16e",
+	"bracha/common/rejoin/crash-midway":    "d8a7f4286855b6882e44f2b80c2a41e097a6687ad6baffdd58614726c54fc644",
+	"bracha/common/straggler/silent-spare": "81f3d5ee507370eba35bba6b89ec1251c9e05dbeb85b4b7e3923949bbf60962d",
+	"bracha/common/lossy/equivocator":      "c29bffd97775c7fb3c2ffd15bc263d02af298d41aef46879cab4573b22bc9ffb",
+	"bracha/common/topology/equivocator":   "18a4a88abc7e4118799e4e06f513ca4e5201a139375ab90598d36d0bc76a4d72",
+	"bracha/local/adaptive/silent":         "52cbccc047a609799efb18a0e70d83c9b1eaffab314d54373d84f51fd334c737",
+	"bracha/common/adaptive-rush/liar":     "9611366db9f6d666fc92c0bcad96473825f1bfac3fac50a68c6bd9efc2fa2370",
 }
 
 // TestReplayEqualityGolden proves the zero-allocation rewrite preserved
