@@ -911,7 +911,7 @@ func runTelemetryCmd(out io.Writer, o telemetryOpts) error {
 				cfgs[i].F = o.f
 			}
 		}
-		results, err := runner.Sweep(cfgs, o.workers)
+		results, err := runner.Sweep(cfgs, o.workers, runner.Run)
 		if err != nil {
 			return fmt.Errorf("telemetry family %s: %w", fam.Name, err)
 		}

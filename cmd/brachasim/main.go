@@ -7,6 +7,7 @@
 //	brachasim -n 7 -f 2 -adversary liar -coin common -seed 42
 //	brachasim -n 4 -f 1 -byzantine 2 -adversary split-brain -scheduler rush-byz
 //	brachasim -n 7 -f 2 -protocol benor -adversary equivocator -trace
+//	brachasim -n 7 -f 2 -adversary liar -scheduler adaptive-rush
 package main
 
 import (
@@ -14,10 +15,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 
 	"repro/internal/check"
 	"repro/internal/runner"
 	"repro/internal/trace"
+	"repro/internal/types"
 )
 
 func main() {
@@ -33,11 +36,11 @@ func run(args []string, out io.Writer) error {
 		n         = fs.Int("n", 7, "number of processes")
 		f         = fs.Int("f", 2, "assumed fault bound (thresholds derive from this)")
 		byz       = fs.Int("byzantine", -1, "actual faulty processes (-1 = f)")
-		protocol  = fs.String("protocol", "bracha", "protocol: bracha | benor")
-		coinKind  = fs.String("coin", "common", "coin: local | common | ideal")
-		adv       = fs.String("adversary", "silent", "adversary: none | silent | equivocator | liar | decide-forger | split-brain")
-		scheduler = fs.String("scheduler", "uniform", "scheduler: uniform | fifo | rush-byz | partition")
-		inputs    = fs.String("inputs", "split", "inputs: unanimous-0 | unanimous-1 | split | random")
+		protocol  = fs.String("protocol", "bracha", "protocol: "+runner.Protocols.Names())
+		coinKind  = fs.String("coin", "common", "coin: "+runner.Coins.Names())
+		adv       = fs.String("adversary", "silent", "adversary: "+runner.Adversaries.Names())
+		scheduler = fs.String("scheduler", "uniform", "scheduler: "+runner.Schedulers.Names())
+		inputs    = fs.String("inputs", "split", "inputs: "+runner.InputPatterns.Names())
 		seed      = fs.Int64("seed", 1, "run seed (replays are exact)")
 		maxDeliv  = fs.Int("max-deliveries", 0, "delivery budget (0 = default)")
 		maxRounds = fs.Int("max-rounds", 0, "round budget (0 = default)")
@@ -59,19 +62,19 @@ func run(args []string, out io.Writer) error {
 		DisableDecideGadget: *noGadget,
 	}
 	var err error
-	if cfg.Protocol, err = parseProtocol(*protocol); err != nil {
+	if cfg.Protocol, err = runner.Protocols.Parse(*protocol); err != nil {
 		return err
 	}
-	if cfg.Coin, err = parseCoin(*coinKind); err != nil {
+	if cfg.Coin, err = runner.Coins.Parse(*coinKind); err != nil {
 		return err
 	}
-	if cfg.Adversary, err = parseAdversary(*adv); err != nil {
+	if cfg.Adversary, err = runner.Adversaries.Parse(*adv); err != nil {
 		return err
 	}
-	if cfg.Scheduler, err = parseScheduler(*scheduler); err != nil {
+	if cfg.Scheduler, err = runner.Schedulers.Parse(*scheduler); err != nil {
 		return err
 	}
-	if cfg.Inputs, err = parseInputs(*inputs); err != nil {
+	if cfg.Inputs, err = runner.InputPatterns.Parse(*inputs); err != nil {
 		return err
 	}
 
@@ -108,4 +111,13 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("run violated %d properties", len(res.Violations))
 	}
 	return nil
+}
+
+func sortedKeys(m map[types.ProcessID]types.Value) []types.ProcessID {
+	keys := make([]types.ProcessID, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
 }

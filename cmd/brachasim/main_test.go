@@ -45,18 +45,26 @@ func TestRunTraceOutput(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFlags: an unknown name is rejected with the valid ones
+// listed, straight from the runner's name tables.
 func TestRunRejectsBadFlags(t *testing.T) {
-	tests := [][]string{
-		{"-protocol", "pbft"},
-		{"-coin", "quantum"},
-		{"-adversary", "gremlin"},
-		{"-scheduler", "psychic"},
-		{"-inputs", "all-sevens"},
+	tests := []struct {
+		args  []string
+		valid string // one valid name the error must offer
+	}{
+		{[]string{"-protocol", "pbft"}, "benor"},
+		{[]string{"-coin", "quantum"}, "ideal"},
+		{[]string{"-adversary", "gremlin"}, "crash-midway"},
+		{[]string{"-scheduler", "psychic"}, "adaptive-rush"},
+		{[]string{"-inputs", "all-sevens"}, "unanimous-1"},
 	}
-	for _, args := range tests {
+	for _, tt := range tests {
 		var sb strings.Builder
-		if err := run(args, &sb); err == nil {
-			t.Errorf("args %v accepted", args)
+		err := run(tt.args, &sb)
+		if err == nil {
+			t.Errorf("args %v accepted", tt.args)
+		} else if !strings.Contains(err.Error(), tt.valid) {
+			t.Errorf("args %v: error does not list %q: %v", tt.args, tt.valid, err)
 		}
 	}
 }
@@ -72,21 +80,17 @@ func TestRunBenOr(t *testing.T) {
 	}
 }
 
-func TestFlagParsers(t *testing.T) {
-	// Every accepted spelling round-trips through its parser.
-	if _, err := parseProtocol("bracha"); err != nil {
-		t.Error(err)
+// TestRunWholeZoo: every scheduler family the runner names is reachable from
+// the command line (the flag once knew 4 of the 12).
+func TestRunWholeZoo(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"-n", "7", "-f", "2", "-adversary", "liar", "-scheduler", "adaptive-rush", "-inputs", "random"}, &sb)
+	if err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, sb.String())
 	}
-	if _, err := parseCoin("local"); err != nil {
-		t.Error(err)
-	}
-	if _, err := parseAdversary("decide-forger"); err != nil {
-		t.Error(err)
-	}
-	if _, err := parseScheduler("partition"); err != nil {
-		t.Error(err)
-	}
-	if _, err := parseInputs("unanimous-0"); err != nil {
-		t.Error(err)
+	for _, want := range []string{"scheduler=adaptive-rush", "violations: none", "all-decided=true"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("output missing %q:\n%s", want, sb.String())
+		}
 	}
 }

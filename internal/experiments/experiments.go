@@ -56,7 +56,7 @@ func (o Options) sweepSeeds(cfg runner.Config) ([]*runner.Result, error) {
 
 // sweepRBC is sweep for broadcast experiments.
 func (o Options) sweepRBC(cfgs []runner.RBCConfig) ([]*runner.RBCResult, error) {
-	return runner.SweepRBC(cfgs, o.Workers)
+	return runner.Sweep(cfgs, o.Workers, runner.RunRBC)
 }
 
 func (o Options) sizes() []int {

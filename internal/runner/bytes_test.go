@@ -61,7 +61,7 @@ func byteBattery() []Config {
 func TestWireBytesDeterministic(t *testing.T) {
 	cfgs := byteBattery()
 
-	base, err := Sweep(cfgs, 1)
+	base, err := Sweep(cfgs, 1, Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestWireBytesDeterministic(t *testing.T) {
 	}
 
 	for _, workers := range []int{2, 4} {
-		results, err := Sweep(cfgs, workers)
+		results, err := Sweep(cfgs, workers, Run)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -98,7 +98,7 @@ func TestWireBytesDeterministic(t *testing.T) {
 	// GOMAXPROCS must not leak into the meter either: pin it to 1 (the
 	// harshest scheduling change) and sweep with the default worker count.
 	prev := runtime.GOMAXPROCS(1)
-	results, err := Sweep(cfgs, 0)
+	results, err := Sweep(cfgs, 0, Run)
 	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestWireBytesDeterministic(t *testing.T) {
 	// SweepStream folds results through emit in strict index order; the
 	// meters it observes must be the same bytes Sweep returned.
 	streamed := make([]byteMeter, len(cfgs))
-	err = SweepStream(len(cfgs), 4, func(i int) Config { return cfgs[i] }, func(i int, res *Result) error {
+	err = SweepStream(len(cfgs), 4, func(i int) (*Result, error) { return Run(cfgs[i]) }, func(i int, res *Result) error {
 		streamed[i] = meterOf(res)
 		return nil
 	})

@@ -95,7 +95,9 @@ func NewAggregate() *Aggregate {
 	}
 }
 
-// Observe folds one consensus run into the aggregate.
+// Observe folds one run into the aggregate. A broadcast run folds as a
+// consensus run that reports no decision (see SweepSeedRange), so Decided
+// and Rounds stay untouched by it.
 func (a *Aggregate) Observe(seed int64, res *Result) {
 	a.Runs++
 	if res.AllDecided {
@@ -105,16 +107,6 @@ func (a *Aggregate) Observe(seed int64, res *Result) {
 	if res.Exhausted {
 		a.Exhausted++
 	}
-	a.Messages.AddInt(res.Messages)
-	a.Deliveries.AddInt(res.Deliveries)
-	a.SimTime.Add(float64(res.EndTime))
-	a.Checks.Observe(seed, res.Violations)
-}
-
-// ObserveRBC folds one reliable-broadcast run into the aggregate (Decided
-// and Rounds do not apply).
-func (a *Aggregate) ObserveRBC(seed int64, res *RBCResult) {
-	a.Runs++
 	a.Messages.AddInt(res.Messages)
 	a.Deliveries.AddInt(res.Deliveries)
 	a.SimTime.Add(float64(res.EndTime))
@@ -173,14 +165,6 @@ type SweepSpec struct {
 	// Progress, when non-nil, is called after every reduced run with the
 	// completed and total run counts.
 	Progress func(done, total int64) `json:"-"`
-}
-
-// kind names the sweep's run type in the checkpoint manifest.
-func (s *SweepSpec) kind() string {
-	if s.RBC != nil {
-		return "rbc"
-	}
-	return "consensus"
 }
 
 // DefaultCheckpointEvery is the checkpoint cadence when SweepSpec.Every is 0.
@@ -258,40 +242,34 @@ func (c *Checkpoint) Save(path string) error {
 
 // matches reports whether the manifest was recorded for spec.
 func (c *Checkpoint) matches(spec *SweepSpec) error {
-	if c.Kind != spec.kind() {
-		return fmt.Errorf("%w: kind %q vs %q", ErrCheckpointMismatch, c.Kind, spec.kind())
+	want := checkpointFor(spec, nil, 0)
+	if c.Kind != want.Kind {
+		return fmt.Errorf("%w: kind %q vs %q", ErrCheckpointMismatch, c.Kind, want.Kind)
 	}
 	if c.Seeds != spec.Seeds {
 		return fmt.Errorf("%w: seeds %v vs %v", ErrCheckpointMismatch, c.Seeds, spec.Seeds)
 	}
-	if spec.RBC != nil {
-		want, _ := json.Marshal(spec.RBC)
-		got, _ := json.Marshal(c.RBCConfig)
-		if !bytes.Equal(want, got) {
-			return fmt.Errorf("%w: rbc config changed", ErrCheckpointMismatch)
-		}
-		return nil
-	}
-	want, _ := json.Marshal(spec.Cfg)
-	got, _ := json.Marshal(c.Config)
-	if !bytes.Equal(want, got) {
+	wantCfg, _ := json.Marshal([]any{want.Config, want.RBCConfig})
+	gotCfg, _ := json.Marshal([]any{c.Config, c.RBCConfig})
+	if !bytes.Equal(wantCfg, gotCfg) {
 		return fmt.Errorf("%w: config changed", ErrCheckpointMismatch)
 	}
 	return nil
 }
 
-// checkpointFor snapshots the sweep's state after `done` reduced runs.
+// checkpointFor snapshots the sweep's state after `done` reduced runs; the
+// manifest's kind names the run type and selects which config it records.
 func checkpointFor(spec *SweepSpec, agg *Aggregate, done int64) *Checkpoint {
 	ck := &Checkpoint{
 		Version:   checkpointVersion,
-		Kind:      spec.kind(),
+		Kind:      "consensus",
 		Seeds:     spec.Seeds,
 		Completed: SeedRange{From: spec.Seeds.From, To: spec.Seeds.From + done},
 		Aggregate: agg,
 	}
 	if spec.RBC != nil {
 		rbcCfg := *spec.RBC
-		ck.RBCConfig = &rbcCfg
+		ck.Kind, ck.RBCConfig = "rbc", &rbcCfg
 	} else {
 		cfg := spec.Cfg
 		ck.Config = &cfg
@@ -313,10 +291,26 @@ func SweepSeedRange(spec SweepSpec) (*Aggregate, error) {
 	// resume match so a caller-supplied Seed can never cause a spurious
 	// checkpoint mismatch (manifests always record the zeroed form).
 	spec.Cfg.Seed = 0
+	run := func(seed int64) (*Result, error) {
+		cfg := spec.Cfg
+		cfg.Seed = seed
+		return Run(cfg)
+	}
 	if spec.RBC != nil {
 		rbcCfg := *spec.RBC
 		rbcCfg.Seed = 0
 		spec.RBC = &rbcCfg
+		run = func(seed int64) (*Result, error) {
+			cfg := rbcCfg
+			cfg.Seed = seed
+			res, err := RunRBC(cfg)
+			if err != nil {
+				return nil, err
+			}
+			// Decided and Rounds do not apply to a broadcast: it reduces as
+			// a run that reports no decision.
+			return &Result{SimStats: res.SimStats, Violations: res.Violations}, nil
+		}
 	}
 
 	agg := NewAggregate()
@@ -363,27 +357,13 @@ func SweepSeedRange(spec SweepSpec) (*Aggregate, error) {
 		return nil
 	}
 
-	n := int(total - start)
-	var err error
-	if spec.RBC != nil {
-		err = SweepStreamRBC(n, spec.Workers, func(i int) RBCConfig {
-			cfg := *spec.RBC
-			cfg.Seed = spec.Seeds.From + start + int64(i)
-			return cfg
-		}, func(i int, res *RBCResult) error {
-			agg.ObserveRBC(spec.Seeds.From+start+int64(i), res)
-			return after()
-		})
-	} else {
-		err = SweepStream(n, spec.Workers, func(i int) Config {
-			cfg := spec.Cfg
-			cfg.Seed = spec.Seeds.From + start + int64(i)
-			return cfg
-		}, func(i int, res *Result) error {
-			agg.Observe(spec.Seeds.From+start+int64(i), res)
-			return after()
-		})
-	}
+	first := spec.Seeds.From + start
+	err := SweepStream(int(total-start), spec.Workers, func(i int) (*Result, error) {
+		return run(first + int64(i))
+	}, func(i int, res *Result) error {
+		agg.Observe(first+int64(i), res)
+		return after()
+	})
 	if err != nil {
 		if errors.Is(err, ErrStopped) {
 			return agg, err

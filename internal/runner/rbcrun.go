@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/check"
-	"repro/internal/quorum"
 	"repro/internal/rbc"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -59,10 +58,8 @@ type RBCConfig struct {
 
 // RBCResult is the outcome of one RBC run.
 type RBCResult struct {
-	Messages   int
-	Deliveries int
+	SimStats
 	Violations []check.Violation
-	EndTime    sim.Time
 	// Delivered maps each correct process to the bodies it delivered.
 	Delivered map[types.ProcessID][]string
 }
@@ -195,9 +192,9 @@ func RunRBC(cfg RBCConfig) (*RBCResult, error) {
 	if cfg.Byzantine < 0 {
 		cfg.Byzantine = cfg.F
 	}
-	spec, err := quorum.New(cfg.N, cfg.F)
+	spec, err := validate(cfg.N, cfg.F, cfg.Byzantine, 0)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+		return nil, err
 	}
 	if cfg.PayloadSize <= 0 {
 		cfg.PayloadSize = 32
@@ -207,7 +204,7 @@ func RunRBC(cfg RBCConfig) (*RBCResult, error) {
 	bodyA := strings.Repeat("a", cfg.PayloadSize)
 	bodyB := strings.Repeat("b", cfg.PayloadSize)
 
-	net, err := sim.New(sim.Config{Scheduler: sim.UniformDelay{Min: 1, Max: 20}, Seed: cfg.Seed})
+	cl, err := newCluster(newScheduler(SchedUniform, SchedParams{}, schedTopology{}), cfg.Seed, 0, false, false)
 	if err != nil {
 		return nil, err
 	}
@@ -226,6 +223,7 @@ func RunRBC(cfg RBCConfig) (*RBCResult, error) {
 	}
 
 	correct := make([]*rbcNode, 0, cfg.N-cfg.Byzantine)
+	members := make([]sim.Node, 0, cfg.N)
 	for _, p := range peers {
 		if byzSet[p] {
 			var adv sim.Node
@@ -244,9 +242,7 @@ func RunRBC(cfg RBCConfig) (*RBCResult, error) {
 					sender: cfg.SenderEquivocates && p == sender,
 				}
 			}
-			if err := net.Add(adv); err != nil {
-				return nil, err
-			}
+			members = append(members, adv)
 			continue
 		}
 		var b bcaster
@@ -263,21 +259,12 @@ func RunRBC(cfg RBCConfig) (*RBCResult, error) {
 			body:     bodyA,
 		}
 		correct = append(correct, node)
-		if err := net.Add(node); err != nil {
-			return nil, err
-		}
+		members = append(members, node)
 	}
 
-	stats, err := net.Run(nil)
-	if err != nil {
+	res := &RBCResult{Delivered: make(map[types.ProcessID][]string, len(correct))}
+	if res.SimStats, _, err = cl.run(members, nil); err != nil {
 		return nil, err
-	}
-
-	res := &RBCResult{
-		Messages:   stats.Sent,
-		Deliveries: stats.Delivered,
-		EndTime:    stats.End,
-		Delivered:  make(map[types.ProcessID][]string, len(correct)),
 	}
 	obs := check.RBCObservation{
 		SenderCorrect: !byzSender,

@@ -2,7 +2,9 @@
 // nodes of either protocol, Byzantine adversaries, a scheduler, a coin),
 // runs it on the simulator to quiescence, applies the invariant checkers,
 // and reports metrics. Every test sweep, benchmark, and cmd/bench experiment
-// goes through Run, so "0 violations" always means machine-checked.
+// goes through Run, so "0 violations" always means machine-checked. RunRBC
+// (one broadcast) and RunSMR (a replicated log) are put together the same
+// way: schedule.go is the one scheduler zoo, cluster.go the one assembly.
 //
 // Three layers build on Run:
 //
@@ -18,6 +20,8 @@ package runner
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/baseline"
@@ -28,8 +32,37 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/types"
-	"repro/internal/wire"
 )
+
+// EnumTable names the values of one of this package's enums — names[i]
+// names the value i+1 — and is the single source of both directions: every
+// enum's String method and every command line's parser read the same table.
+type EnumTable[E ~int] struct {
+	what  string // the enum, as error messages call it
+	names []string
+}
+
+// String names v, or renders an out-of-table value as "Type(v)".
+func (t EnumTable[E]) String(v E) string {
+	if i := int(v) - 1; i >= 0 && i < len(t.names) {
+		return t.names[i]
+	}
+	return fmt.Sprintf("%s(%d)", reflect.TypeOf(v).Name(), int(v))
+}
+
+// Parse is the inverse of String; an unknown name is an ErrBadConfig that
+// lists the valid ones.
+func (t EnumTable[E]) Parse(name string) (E, error) {
+	for i, n := range t.names {
+		if n == name {
+			return E(i + 1), nil
+		}
+	}
+	return 0, fmt.Errorf("%w: unknown %s %q (valid: %s)", ErrBadConfig, t.what, name, t.Names())
+}
+
+// Names lists the valid names, "a | b | c".
+func (t EnumTable[E]) Names() string { return strings.Join(t.names, " | ") }
 
 // Protocol selects the consensus implementation.
 type Protocol int
@@ -40,17 +73,11 @@ const (
 	ProtocolBenOr                      // the 1983 baseline (n > 5f)
 )
 
+// Protocols names the protocols, in declaration order.
+var Protocols = EnumTable[Protocol]{"protocol", []string{"bracha", "benor"}}
+
 // String implements fmt.Stringer.
-func (p Protocol) String() string {
-	switch p {
-	case ProtocolBracha:
-		return "bracha"
-	case ProtocolBenOr:
-		return "benor"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
-}
+func (p Protocol) String() string { return Protocols.String(p) }
 
 // CoinKind selects the randomization source.
 type CoinKind int
@@ -62,19 +89,11 @@ const (
 	CoinIdeal                      // test-only shared coin, no messages
 )
 
+// Coins names the coin kinds, in declaration order.
+var Coins = EnumTable[CoinKind]{"coin", []string{"local", "common", "ideal"}}
+
 // String implements fmt.Stringer.
-func (c CoinKind) String() string {
-	switch c {
-	case CoinLocal:
-		return "local"
-	case CoinCommon:
-		return "common"
-	case CoinIdeal:
-		return "ideal"
-	default:
-		return fmt.Sprintf("CoinKind(%d)", int(c))
-	}
-}
+func (c CoinKind) String() string { return Coins.String(c) }
 
 // Adversary selects the Byzantine behaviour of the faulty processes.
 type Adversary int
@@ -90,160 +109,13 @@ const (
 	AdvCrashMidway                       // correct participation, then mid-protocol crash
 )
 
-// String implements fmt.Stringer.
-func (a Adversary) String() string {
-	switch a {
-	case AdvNone:
-		return "none"
-	case AdvSilent:
-		return "silent"
-	case AdvEquivocator:
-		return "equivocator"
-	case AdvLiar:
-		return "liar"
-	case AdvDecideForger:
-		return "decide-forger"
-	case AdvSplitBrain:
-		return "split-brain"
-	case AdvCrashMidway:
-		return "crash-midway"
-	default:
-		return fmt.Sprintf("Adversary(%d)", int(a))
-	}
-}
-
-// SchedulerKind selects message scheduling.
-type SchedulerKind int
-
-// Scheduler kinds.
-const (
-	SchedUniform      SchedulerKind = iota + 1 // uniform random delays (fair async)
-	SchedFIFO                                  // uniform + per-link FIFO
-	SchedRushByz                               // uniform, Byzantine traffic rushed
-	SchedPartition                             // uniform, cross-partition traffic delayed
-	SchedReorder                               // adversarial newest-first reordering (+ rushed Byzantine)
-	SchedSplitHeal                             // network split between correct halves, healed mid-run
-	SchedRejoin                                // one correct process unreachable, rejoining mid-run
-	SchedStraggler                             // one correct process runs rounds behind on a continuously lagged inbox
-	SchedLossy                                 // lossy/duplicating/jittery links under ARQ (loss converts to delay)
-	SchedTopology                              // ring topology: traffic relayed along the overlay, HopLag per hop
-	SchedAdaptive                              // adaptive adversary: delay targeted at the decision frontier
-	SchedAdaptiveRush                          // adaptive + traffic-triggered rush of Byzantine traffic at the victim
-)
-
-// Default adversarial schedule timings (simulator ticks; base delays are
-// 1..20, so a consensus round typically spans a few dozen ticks — these land
-// the heal and the rejoin several rounds into the run). Each is the value a
-// zero SchedParams field resolves to, so configs predating the parameterized
-// zoo replay bitwise identically.
-const (
-	healTime     sim.Time = 240 // SchedSplitHeal: when cross-partition traffic thaws
-	rejoinTime   sim.Time = 300 // SchedRejoin: when the victim's inbox floods back
-	reorderSpan  sim.Time = 48  // SchedReorder: the newest-first reordering window
-	stragglerLag sim.Time = 300 // SchedStraggler: extra delay on all straggler-bound links
-	partitionLag sim.Time = 500 // SchedPartition: extra delay on cross-partition links
-
-	defaultLossPct                = 20  // SchedLossy: per-attempt loss probability, percent
-	defaultDupPct                 = 10  // SchedLossy: per-send duplication probability, percent
-	defaultRetransmitLag sim.Time = 40  // SchedLossy: delay per lost attempt
-	defaultTopoDegree             = 2   // SchedTopology: direct reach in ring hops
-	defaultHopLag        sim.Time = 12  // SchedTopology: delay per relay hop
-	defaultTargetLag     sim.Time = 120 // SchedAdaptive*: extra delay into the frontier process
-)
-
-// SchedParams parameterizes the scheduler zoo: every hardcoded timing of the
-// adversarial schedule families, lifted into one searchable coordinate
-// space. The zero value of every field means "the historical default", so a
-// zero SchedParams reproduces the pre-parameterization schedules bitwise —
-// the golden replay hashes pin this. internal/search walks this space
-// hunting liveness cliffs; a point it finds can be pinned verbatim on a
-// Scenario.
-type SchedParams struct {
-	HealTime     sim.Time `json:"healTime,omitempty"`     // SchedSplitHeal thaw time
-	RejoinTime   sim.Time `json:"rejoinTime,omitempty"`   // SchedRejoin flood time
-	ReorderSpan  sim.Time `json:"reorderSpan,omitempty"`  // SchedReorder window
-	StragglerLag sim.Time `json:"stragglerLag,omitempty"` // SchedStraggler inbound lag
-	PartitionLag sim.Time `json:"partitionLag,omitempty"` // SchedPartition cross-link lag
-
-	LossPct       int      `json:"lossPct,omitempty"`       // SchedLossy loss percent
-	DupPct        int      `json:"dupPct,omitempty"`        // SchedLossy duplication percent
-	RetransmitLag sim.Time `json:"retransmitLag,omitempty"` // SchedLossy per-loss delay
-
-	TopoDegree int      `json:"topoDegree,omitempty"` // SchedTopology ring reach
-	HopLag     sim.Time `json:"hopLag,omitempty"`     // SchedTopology per-hop delay
-
-	TargetLag sim.Time `json:"targetLag,omitempty"` // SchedAdaptive* frontier delay
-}
-
-// withDefaults resolves zero fields to the historical constants.
-func (p SchedParams) withDefaults() SchedParams {
-	if p.HealTime == 0 {
-		p.HealTime = healTime
-	}
-	if p.RejoinTime == 0 {
-		p.RejoinTime = rejoinTime
-	}
-	if p.ReorderSpan == 0 {
-		p.ReorderSpan = reorderSpan
-	}
-	if p.StragglerLag == 0 {
-		p.StragglerLag = stragglerLag
-	}
-	if p.PartitionLag == 0 {
-		p.PartitionLag = partitionLag
-	}
-	if p.LossPct == 0 {
-		p.LossPct = defaultLossPct
-	}
-	if p.DupPct == 0 {
-		p.DupPct = defaultDupPct
-	}
-	if p.RetransmitLag == 0 {
-		p.RetransmitLag = defaultRetransmitLag
-	}
-	if p.TopoDegree == 0 {
-		p.TopoDegree = defaultTopoDegree
-	}
-	if p.HopLag == 0 {
-		p.HopLag = defaultHopLag
-	}
-	if p.TargetLag == 0 {
-		p.TargetLag = defaultTargetLag
-	}
-	return p
-}
+// Adversaries names the adversary kinds, in declaration order.
+var Adversaries = EnumTable[Adversary]{"adversary", []string{
+	"none", "silent", "equivocator", "liar", "decide-forger", "split-brain", "crash-midway",
+}}
 
 // String implements fmt.Stringer.
-func (s SchedulerKind) String() string {
-	switch s {
-	case SchedUniform:
-		return "uniform"
-	case SchedFIFO:
-		return "fifo"
-	case SchedRushByz:
-		return "rush-byz"
-	case SchedPartition:
-		return "partition"
-	case SchedReorder:
-		return "reorder"
-	case SchedSplitHeal:
-		return "split-heal"
-	case SchedRejoin:
-		return "rejoin"
-	case SchedStraggler:
-		return "straggler"
-	case SchedLossy:
-		return "lossy"
-	case SchedTopology:
-		return "topology"
-	case SchedAdaptive:
-		return "adaptive"
-	case SchedAdaptiveRush:
-		return "adaptive-rush"
-	default:
-		return fmt.Sprintf("SchedulerKind(%d)", int(s))
-	}
-}
+func (a Adversary) String() string { return Adversaries.String(a) }
 
 // Inputs selects the proposal pattern of the correct processes.
 type Inputs int
@@ -256,21 +128,11 @@ const (
 	InputRandom // seeded random bits
 )
 
+// InputPatterns names the input patterns, in declaration order.
+var InputPatterns = EnumTable[Inputs]{"inputs", []string{"unanimous-0", "unanimous-1", "split", "random"}}
+
 // String implements fmt.Stringer.
-func (i Inputs) String() string {
-	switch i {
-	case InputUnanimous0:
-		return "unanimous-0"
-	case InputUnanimous1:
-		return "unanimous-1"
-	case InputSplit:
-		return "split"
-	case InputRandom:
-		return "random"
-	default:
-		return fmt.Sprintf("Inputs(%d)", int(i))
-	}
-}
+func (i Inputs) String() string { return InputPatterns.String(i) }
 
 // Config describes one experiment run.
 type Config struct {
@@ -363,19 +225,10 @@ type Result struct {
 	MaxRound int
 	// AllDecided reports whether every correct process decided.
 	AllDecided bool
-	// Messages / Deliveries / EndTime / Exhausted come from the simulator.
-	Messages   int
-	Deliveries int
-	EndTime    sim.Time
-	Exhausted  bool
-	// WireBytes is the wire.MessageSize total over every sent message — the
-	// run's bandwidth under the real codec, measured without encoding.
-	WireBytes int64
-	// Dropped counts messages the scheduler dropped or that expired when
-	// their destination finished; Spoofed counts sends rejected for a forged
-	// From (see sim.Stats).
-	Dropped int
-	Spoofed int
+	SimStats
+	// Exhausted reports that the delivery budget ran out before the run
+	// stopped — for a consensus run, a liveness failure.
+	Exhausted bool
 	// PrunedLate sums, over the correct Bracha nodes, the justified
 	// messages that arrived for rounds already released by per-round
 	// pruning and were dropped (see core.Stats.PrunedLate).
@@ -400,8 +253,6 @@ type Result struct {
 	DealerRoundsRetained int
 	// Recorder holds the trace when Config.Trace was set.
 	Recorder *trace.Recorder
-	// Telemetry holds the telemetry sink when Config.Telemetry was set.
-	Telemetry *sim.Telemetry
 }
 
 // node is the common read surface of both protocol implementations.
@@ -423,12 +274,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Byzantine < 0 {
 		cfg.Byzantine = cfg.F
 	}
-	spec, err := quorum.New(cfg.N, cfg.F)
+	spec, err := validate(cfg.N, cfg.F, cfg.Byzantine, cfg.Window)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if cfg.Byzantine >= cfg.N {
-		return nil, fmt.Errorf("%w: %d byzantine of %d processes", ErrBadConfig, cfg.Byzantine, cfg.N)
+		return nil, err
 	}
 	if cfg.Adversary == AdvNone {
 		cfg.Byzantine = 0
@@ -447,23 +295,17 @@ func Run(cfg Config) (*Result, error) {
 	correct := peers[:cfg.N-cfg.Byzantine]
 	byz := peers[cfg.N-cfg.Byzantine:]
 	groupA, groupB := splitGroups(correct)
-
-	var rec *trace.Recorder
-	if cfg.Trace {
-		rec = trace.New(0)
+	// The schedule's victim is the last correct process: SchedRejoin holds
+	// its inbox, SchedStraggler lags every link into it (loopback included)
+	// and none out of it — its own emissions travel normally, which is what
+	// makes them stale on arrival.
+	victim := correct[len(correct)-1]
+	top := schedTopology{n: cfg.N, rushed: byz, groupA: groupA, groupB: groupB, held: victim,
+		lagged: make([][2]types.ProcessID, 0, cfg.N)}
+	for _, p := range peers {
+		top.lagged = append(top.lagged, [2]types.ProcessID{p, victim})
 	}
-	var tele *sim.Telemetry
-	if cfg.Telemetry {
-		tele = sim.NewTelemetry()
-	}
-	net, err := sim.New(sim.Config{
-		Scheduler:     buildScheduler(cfg, byz, groupA, groupB),
-		Seed:          cfg.Seed,
-		MaxDeliveries: cfg.MaxDeliveries,
-		Recorder:      rec,
-		Telemetry:     tele,
-		Sizer:         wire.MessageSize,
-	})
+	cl, err := newCluster(newScheduler(cfg.Scheduler, cfg.Sched, top), cfg.Seed, cfg.MaxDeliveries, cfg.Trace, cfg.Telemetry)
 	if err != nil {
 		return nil, err
 	}
@@ -486,30 +328,26 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	nodes := make([]node, 0, len(correct))
+	members := make([]sim.Node, 0, cfg.N)
 	for i, p := range correct {
 		c, err := coinFor(p)
 		if err != nil {
 			return nil, err
 		}
-		nd, err := buildCorrect(cfg, spec, p, peers, c, proposalFor(cfg, i, p), rec, tele)
+		nd, err := buildCorrect(cfg, spec, p, peers, c, proposalFor(cfg, i, p), cl)
 		if err != nil {
 			return nil, err
 		}
 		nodes = append(nodes, nd)
-		if err := net.Add(nd); err != nil {
-			return nil, err
-		}
+		members = append(members, nd)
 	}
 	for _, p := range byz {
 		adv, err := buildAdversary(cfg, spec, p, peers, groupA, groupB)
 		if err != nil {
 			return nil, err
 		}
-		if adv == nil {
-			continue // silent processes need no node at all
-		}
-		if err := net.Add(adv); err != nil {
-			return nil, err
+		if adv != nil { // silent processes need no node at all
+			members = append(members, adv)
 		}
 	}
 
@@ -525,55 +363,55 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return true
 	}
-	if dealer != nil && !cfg.DisablePruning && len(nodes) > 0 {
-		// The dealer's memoized sharings are shared cluster state: prune
-		// them by the cluster low-watermark — the minimum current round
-		// across the correct nodes, a round no process will release or
-		// query again (rounds only advance; ShareFor is only called for a
-		// node's current round). Scanned every LowWatermarkEvery
-		// deliveries inside the existing stop callback; the cadence moves
-		// only retention, never behaviour, so it is exempt from the replay
-		// contract the same way pruning itself is.
-		every := cfg.LowWatermarkEvery
-		if every <= 0 {
-			every = DefaultLowWatermarkEvery
-		}
-		inner := stop
-		countdown := every
-		stop = func() bool {
-			if countdown--; countdown <= 0 {
-				countdown = every
-				low := nodes[0].Round()
-				for _, nd := range nodes[1:] {
-					if r := nd.Round(); r < low {
-						low = r
-					}
-				}
-				dealer.Prune(DealerFloor(low, cfg.Window))
-			}
-			return inner()
-		}
+	if dealer != nil && !cfg.DisablePruning {
+		stop = pruningDealer(cfg, dealer, nodes, stop)
 	}
-	stats, err := net.Run(stop)
-	if err != nil {
+	res := &Result{Config: cfg, Recorder: cl.rec}
+	if res.SimStats, res.Exhausted, err = cl.run(members, stop); err != nil {
 		return nil, err
 	}
-
-	res := &Result{
-		Config:     cfg,
-		Decisions:  make(map[types.ProcessID]types.Value, len(nodes)),
-		Rounds:     make(map[types.ProcessID]int, len(nodes)),
-		Messages:   stats.Sent,
-		Deliveries: stats.Delivered,
-		EndTime:    stats.End,
-		Exhausted:  stats.Exhausted,
-		WireBytes:  stats.Bytes,
-		Dropped:    stats.Dropped,
-		Spoofed:    stats.Spoofed,
-		Recorder:   rec,
-		Telemetry:  tele,
-		AllDecided: true,
+	res.observe(nodes)
+	if dealer != nil {
+		res.DealerRoundsRetained = dealer.RoundsRetained()
 	}
+	return res, nil
+}
+
+// pruningDealer wraps a stop predicate with the cluster low-watermark scan.
+// The dealer's memoized sharings are shared cluster state: prune them by the
+// minimum current round across the correct nodes, a round no process will
+// release or query again (rounds only advance; ShareFor is only called for a
+// node's current round). Scanned every LowWatermarkEvery deliveries inside
+// the existing stop callback; the cadence moves only retention, never
+// behaviour, so it is exempt from the replay contract the same way pruning
+// itself is.
+func pruningDealer(cfg Config, dealer *coin.Dealer, nodes []node, inner func() bool) func() bool {
+	every := cfg.LowWatermarkEvery
+	if every <= 0 {
+		every = DefaultLowWatermarkEvery
+	}
+	countdown := every
+	return func() bool {
+		if countdown--; countdown <= 0 {
+			countdown = every
+			low := nodes[0].Round()
+			for _, nd := range nodes[1:] {
+				if r := nd.Round(); r < low {
+					low = r
+				}
+			}
+			dealer.Prune(DealerFloor(low, cfg.Window))
+		}
+		return inner()
+	}
+}
+
+// observe folds the correct nodes' outcomes into the result and applies the
+// consensus checkers.
+func (res *Result) observe(nodes []node) {
+	res.Decisions = make(map[types.ProcessID]types.Value, len(nodes))
+	res.Rounds = make(map[types.ProcessID]int, len(nodes))
+	res.AllDecided = true
 	obs := check.ConsensusObservation{
 		Proposals: make(map[types.ProcessID]types.Value, len(nodes)),
 		Decisions: make(map[types.ProcessID][]types.Value, len(nodes)),
@@ -606,11 +444,7 @@ func Run(cfg Config) (*Result, error) {
 	if len(res.Rounds) > 0 {
 		res.MeanRounds = float64(roundSum) / float64(len(res.Rounds))
 	}
-	if dealer != nil {
-		res.DealerRoundsRetained = dealer.RoundsRetained()
-	}
 	res.Violations = check.Consensus(obs)
-	return res, nil
 }
 
 // proposalFor derives the i-th correct process's input.
@@ -645,13 +479,13 @@ func splitGroups(correct []types.ProcessID) (a, b []types.ProcessID) {
 
 // buildCorrect constructs a correct node of the configured protocol.
 func buildCorrect(cfg Config, spec quorum.Spec, p types.ProcessID, peers []types.ProcessID,
-	c coin.Coin, proposal types.Value, rec *trace.Recorder, tele *sim.Telemetry) (node, error) {
+	c coin.Coin, proposal types.Value, cl *cluster) (node, error) {
 	switch cfg.Protocol {
 	case ProtocolBracha:
 		return core.New(core.Config{
 			Me: p, Peers: peers, Spec: spec, Coin: c, Proposal: proposal,
-			Recorder:            rec,
-			Telemetry:           tele,
+			Recorder:            cl.rec,
+			Telemetry:           cl.tele,
 			Coded:               cfg.Coded,
 			DisableValidation:   cfg.DisableValidation,
 			DisableDecideGadget: cfg.DisableDecideGadget,
@@ -662,7 +496,7 @@ func buildCorrect(cfg Config, spec quorum.Spec, p types.ProcessID, peers []types
 	case ProtocolBenOr:
 		return baseline.New(baseline.Config{
 			Me: p, Peers: peers, Spec: spec, Coin: c, Proposal: proposal,
-			Recorder:            rec,
+			Recorder:            cl.rec,
 			DisableDecideGadget: cfg.DisableDecideGadget,
 			MaxRounds:           cfg.MaxRounds,
 		})
@@ -710,106 +544,5 @@ func buildAdversary(cfg Config, spec quorum.Spec, p types.ProcessID, peers []typ
 		}, budget)
 	default:
 		return nil, fmt.Errorf("%w: adversary %v", ErrBadConfig, cfg.Adversary)
-	}
-}
-
-// buildScheduler assembles the configured scheduler, resolving the family's
-// parameters through cfg.Sched (zero fields = historical defaults).
-func buildScheduler(cfg Config, byz, groupA, groupB []types.ProcessID) sim.Scheduler {
-	sp := cfg.Sched.withDefaults()
-	uniform := sim.UniformDelay{Min: 1, Max: 20}
-	base := sim.Scheduler(uniform)
-	// withRush composes rules with rushed Byzantine traffic (the strongest
-	// position for the adversary's own messages).
-	withRush := func(b sim.Scheduler, rules ...sim.Rule) sim.Scheduler {
-		if len(byz) > 0 {
-			rules = append(rules, sim.RushFrom(byz...))
-		}
-		if len(rules) == 0 {
-			return b
-		}
-		return sim.Compose{Base: b, Rules: rules}
-	}
-	switch cfg.Scheduler {
-	case SchedFIFO:
-		return sim.NewFIFODelay(1, 20)
-	case SchedRushByz:
-		return sim.Compose{Base: base, Rules: []sim.Rule{sim.RushFrom(byz...)}}
-	case SchedPartition:
-		var links [][2]types.ProcessID
-		for _, a := range groupA {
-			for _, b := range groupB {
-				links = append(links, [2]types.ProcessID{a, b}, [2]types.ProcessID{b, a})
-			}
-		}
-		return withRush(base, sim.DelayLinks(sp.PartitionLag, links...))
-	case SchedReorder:
-		return withRush(sim.ReorderDelay{Span: sp.ReorderSpan})
-	case SchedSplitHeal:
-		return withRush(base, sim.HealPartition(sp.HealTime, groupA, groupB))
-	case SchedLossy:
-		return withRush(sim.LossyDelay{
-			Base:          uniform,
-			LossPct:       sp.LossPct,
-			DupPct:        sp.DupPct,
-			RetransmitLag: sp.RetransmitLag,
-		})
-	case SchedTopology:
-		return withRush(sim.TopologyDelay{
-			Base:   uniform,
-			N:      cfg.N,
-			Degree: sp.TopoDegree,
-			HopLag: sp.HopLag,
-		})
-	case SchedAdaptive:
-		return sim.NewAdaptive(uniform, sp.TargetLag, false, byz)
-	case SchedAdaptiveRush:
-		return sim.NewAdaptive(uniform, sp.TargetLag, true, byz)
-	case SchedRejoin:
-		// The victim is the last correct process: unreachable until the
-		// rejoin time, then flooded with everything it missed. Rules apply
-		// in order, so the rush must come first — otherwise it would
-		// override the hold for Byzantine traffic and pierce the outage
-		// (rushed messages instead land at exactly the rejoin time).
-		victims := groupB
-		if len(victims) == 0 {
-			victims = groupA
-		}
-		if len(victims) == 0 {
-			return base
-		}
-		rules := []sim.Rule{sim.HoldUntil(sp.RejoinTime, victims[len(victims)-1])}
-		if len(byz) > 0 {
-			rules = append([]sim.Rule{sim.RushFrom(byz...)}, rules...)
-		}
-		return sim.Compose{Base: base, Rules: rules}
-	case SchedStraggler:
-		// Every link into the straggler (the last correct process,
-		// including its loopback) carries a constant extra lag worth
-		// several rounds, so it processes the protocol a fixed distance
-		// behind everyone else for the whole run. Combined with a spare
-		// fault slot (the pack's quorums never need the straggler) and
-		// the non-halting formulation (the decided pack keeps starting
-		// rounds until the straggler decides too), the pack stays rounds
-		// ahead — and every message the straggler emits reaches peers
-		// that pruned its round long ago, exercising the late-drop path
-		// continuously. Only inbound traffic lags: the straggler's own
-		// emissions travel normally, which is exactly what makes them
-		// stale on arrival.
-		victims := groupB
-		if len(victims) == 0 {
-			victims = groupA
-		}
-		if len(victims) == 0 {
-			return base
-		}
-		straggler := victims[len(victims)-1]
-		links := make([][2]types.ProcessID, 0, cfg.N)
-		for _, p := range types.Processes(cfg.N) {
-			links = append(links, [2]types.ProcessID{p, straggler})
-		}
-		return withRush(base, sim.DelayLinks(sp.StragglerLag, links...))
-	default: // SchedUniform and zero value
-		return base
 	}
 }

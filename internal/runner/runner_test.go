@@ -2,8 +2,10 @@ package runner
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/check"
 	"repro/internal/quorum"
 )
@@ -283,20 +285,53 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-func TestConfigErrors(t *testing.T) {
+// TestConfigValidation is the config contract of every driver: each row is
+// input a command line can produce, and each must come back as ErrBadConfig
+// — never a panic — through the drivers' shared validation step.
+func TestConfigValidation(t *testing.T) {
+	run := func(cfg Config) func() error {
+		return func() error { _, err := Run(cfg); return err }
+	}
+	rbc := func(cfg RBCConfig) func() error {
+		return func() error { _, err := RunRBC(cfg); return err }
+	}
+	smr := func(cfg SMRConfig) func() error {
+		return func() error { _, err := RunSMR(cfg); return err }
+	}
+	throughput := func(cfg ThroughputConfig) func() error {
+		return func() error { _, err := RunThroughput(cfg); return err }
+	}
+	restart := &SMRRestart{CrashAfter: 1, ReviveAfter: 1}
 	tests := []struct {
 		name string
-		cfg  Config
+		run  func() error
 	}{
-		{"bad n", Config{N: 0, F: 0, Protocol: ProtocolBracha, Coin: CoinIdeal}},
-		{"byzantine everyone", Config{N: 4, F: 1, Byzantine: 4, Protocol: ProtocolBracha, Coin: CoinIdeal, Adversary: AdvSilent}},
-		{"benor with validation ablation", Config{N: 4, F: 1, Protocol: ProtocolBenOr, Coin: CoinIdeal, DisableValidation: true}},
-		{"unknown protocol", Config{N: 4, F: 1, Coin: CoinIdeal}},
-		{"unknown coin", Config{N: 4, F: 1, Protocol: ProtocolBracha}},
+		{"Run: bad n", run(Config{N: 0, F: 0, Protocol: ProtocolBracha, Coin: CoinIdeal})},
+		{"Run: byzantine everyone", run(Config{N: 4, F: 1, Byzantine: 4, Protocol: ProtocolBracha, Coin: CoinIdeal, Adversary: AdvSilent})},
+		{"Run: negative window", run(Config{N: 4, F: 1, Protocol: ProtocolBracha, Coin: CoinIdeal, Window: -1})},
+		{"Run: benor with validation ablation", run(Config{N: 4, F: 1, Protocol: ProtocolBenOr, Coin: CoinIdeal, DisableValidation: true})},
+		{"Run: unknown protocol", run(Config{N: 4, F: 1, Coin: CoinIdeal})},
+		{"Run: unknown coin", run(Config{N: 4, F: 1, Protocol: ProtocolBracha})},
+
+		{"RunRBC: empty system", rbc(RBCConfig{N: 0, F: 0})},
+		{"RunRBC: byzantine > n", rbc(RBCConfig{N: 4, F: 1, Byzantine: 5})},
+
+		{"RunSMR: Slots = 0", smr(SMRConfig{N: 4, F: 1})},
+		{"RunSMR: restart without checkpointing", smr(SMRConfig{N: 4, F: 1, Slots: 8, Restart: restart})},
+		{"RunSMR: empty system", smr(SMRConfig{N: 0, F: 0, Slots: 8})},
+		{"RunSMR: single live replica", smr(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: 3})},
+		{"RunSMR: crashed < 0", smr(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: -1})},
+		{"RunSMR: crashed > n", smr(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: 5})},
+		{"RunSMR: negative window", smr(SMRConfig{N: 4, F: 1, Slots: 8, Window: -1})},
+		{"RunSMR: negative attackers", smr(SMRConfig{N: 4, F: 1, Slots: 8, CheckpointEvery: 4,
+			Attack: adversary.CkptStaleResponder, Byzantine: -3, Sched: SchedStraggler})},
+
+		{"RunThroughput: n = 0", throughput(ThroughputConfig{N: 0, F: 0, Entries: 4})},
+		{"RunThroughput: negative window", throughput(ThroughputConfig{N: 4, F: 1, Entries: 4, Window: -1})},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Run(tt.cfg); !errors.Is(err, ErrBadConfig) {
+			if err := tt.run(); !errors.Is(err, ErrBadConfig) {
 				t.Errorf("error = %v, want ErrBadConfig", err)
 			}
 		})
@@ -333,6 +368,34 @@ func TestEnumStrings(t *testing.T) {
 			t.Errorf("String() = %q, want %q", p.got, p.want)
 		}
 	}
+}
+
+// enumRoundTrip checks one name table: Parse inverts String for every named
+// value, the table ends exactly at the enum's last constant, and an unknown
+// name is an ErrBadConfig listing the valid ones.
+func enumRoundTrip[E interface {
+	~int
+	String() string
+}](t *testing.T, table EnumTable[E], last E) {
+	t.Helper()
+	for v := E(1); v <= last; v++ {
+		got, err := table.Parse(v.String())
+		if err != nil || got != v {
+			t.Errorf("Parse(%q) = %v, %v; want %v", v.String(), got, err, v)
+		}
+	}
+	if _, err := table.Parse((last + 1).String()); !errors.Is(err, ErrBadConfig) ||
+		!strings.Contains(err.Error(), last.String()) {
+		t.Errorf("name past the last constant %v: err = %v, want ErrBadConfig listing the valid names", last, err)
+	}
+}
+
+func TestEnumTablesRoundTrip(t *testing.T) {
+	enumRoundTrip(t, Protocols, ProtocolBenOr)
+	enumRoundTrip(t, Coins, CoinIdeal)
+	enumRoundTrip(t, Adversaries, AdvCrashMidway)
+	enumRoundTrip(t, Schedulers, SchedAdaptiveRush)
+	enumRoundTrip(t, InputPatterns, InputRandom)
 }
 
 func TestRunRBCModes(t *testing.T) {

@@ -3,6 +3,7 @@ package runner
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/adversary"
@@ -23,16 +24,8 @@ import (
 // replica killed mid-run and revived with empty state (sim.Restart), forced
 // to catch up through ckpt state transfer.
 //
-// The harness tails every replica's log per delivery through the LogLen/
-// LogSince accessors (O(new entries), not O(committed slots)), maintaining:
-//
-//   - a canonical entry per slot (first observer wins) against which every
-//     other replica's entries are checked — Mismatches counts cross-replica
-//     log disagreements, the SMR form of an agreement violation;
-//   - the chained log digest and a shadow state machine for the reference
-//     replica (p1), captured exactly at the Slots boundary — the run-to-run
-//     comparison point that must be bitwise identical whatever the
-//     checkpoint interval, which CI enforces via `bench -smr`.
+// A log auditor (smraudit.go) tails every replica's log per delivery for the
+// cross-replica agreement check and the reference digests.
 //
 // Replicas run unbounded (MaxSlots 0) and the harness stops the network
 // once every live replica's frontier reached Slots (and, in restart runs,
@@ -101,10 +94,9 @@ type SMRConfig struct {
 	// reference replica, early in every catching-up replica's responder
 	// rotation — so transfer requests actually reach them.
 	Byzantine int
-	// Sched selects the delivery schedule the attack composes with: 0 or
-	// SchedUniform (fair uniform delays), SchedReorder, SchedStraggler (the
-	// second live replica's links slowed until it lags past the checkpoint
-	// window), or SchedSplitHeal (half/half partition healed at healTime).
+	// Sched selects the delivery schedule — any SchedulerKind (0 =
+	// SchedUniform) — over the log's topology and parameters (smrTopology,
+	// smrSchedParams).
 	Sched SchedulerKind
 	// CkptDir, when set, gives every honest replica a durable snapshot
 	// store at <dir>/replica-<id>.ckpt (requires CheckpointEvery > 0):
@@ -122,42 +114,6 @@ type SMRConfig struct {
 	// checkpoint-plane phase histograms (vote→certify, request→install),
 	// surfaced as SMRResult.Telemetry.
 	Telemetry bool
-}
-
-// smrStragglerLag is the extra delay on every link touching the SMR
-// straggler — enough, against 1..20 base delays, to drop it a checkpoint
-// interval behind the frontier under load (the straggler-prune pressure
-// schedule) without pushing the run into its delivery budget.
-const smrStragglerLag sim.Time = 60
-
-// scheduler builds the sim scheduler for this config. The straggler is the
-// first honest live replica after the reference and the attackers (never
-// the reference, never an attacker — the point is an *honest* replica
-// lagging behind the checkpoint window), slowed on every link; the
-// partition splits the live replicas in half and heals at healTime, after
-// which the held cross-half traffic arrives in a burst.
-func (cfg SMRConfig) scheduler(live []types.ProcessID) sim.Scheduler {
-	base := sim.UniformDelay{Min: 1, Max: 20}
-	switch cfg.Sched {
-	case SchedReorder:
-		return sim.ReorderDelay{Span: 24}
-	case SchedStraggler:
-		straggler := live[(1+cfg.Byzantine)%len(live)]
-		var links [][2]types.ProcessID
-		for _, q := range live {
-			if q != straggler {
-				links = append(links, [2]types.ProcessID{straggler, q}, [2]types.ProcessID{q, straggler})
-			}
-		}
-		return sim.Compose{Base: base, Rules: []sim.Rule{sim.DelayLinks(smrStragglerLag, links...)}}
-	case SchedSplitHeal:
-		half := len(live) / 2
-		return sim.Compose{Base: base, Rules: []sim.Rule{
-			sim.HealPartition(healTime, live[:half], live[half:]),
-		}}
-	default:
-		return base
-	}
 }
 
 // SMRRestart is the deterministic kill/revive schedule of the victim (the
@@ -249,66 +205,36 @@ type SMRResult struct {
 	DealerSlots    int // per-slot dealers retained (CoinCommon)
 	DealerRounds   int // dealt rounds retained across them (CoinCommon)
 
-	Messages   int
-	Deliveries int
-	EndTime    sim.Time
-	Exhausted  bool
-	// WireBytes is the wire.MessageSize total over every sent message — the
-	// run's bandwidth under the real codec (the E14 measurement surface).
-	WireBytes int64
-	// Dropped counts messages the scheduler dropped or that expired when
-	// their destination finished; Spoofed counts sends rejected for a
-	// forged From (see sim.Stats).
-	Dropped int
-	Spoofed int
-	// Telemetry holds the telemetry sink when Config.Telemetry was set.
-	Telemetry *sim.Telemetry
+	// SimStats.WireBytes is the E14 measurement surface.
+	SimStats
+	// Exhausted reports that the delivery budget ran out before every live
+	// replica reached Slots: the run lost liveness. (A field of its own,
+	// not SimStats', because the perf module builds SMRResult literals that
+	// set it.)
+	Exhausted bool
 }
 
-// smrObserver tails one replica's log.
-type smrObserver struct {
-	rep     *smr.Replica
-	wrapper *sim.Restart // non-nil for the victim
-	next    int          // next absolute slot not yet observed
-	gapped  bool         // a truncation or install outran observation
-	revived bool         // the victim's revival was noticed (cursor reset)
-}
-
-// current returns the live replica behind this observer: nil while the
-// victim is down (the pre-crash instance is discarded state, not a replica
-// to read), the fresh instance after revival.
-func (o *smrObserver) current() *smr.Replica {
-	if o.wrapper != nil {
-		if o.wrapper.Down() {
-			return nil
-		}
-		if rep, ok := o.wrapper.Inner().(*smr.Replica); ok {
-			o.rep = rep
-		}
-	}
-	return o.rep
-}
-
-// RunSMR executes one replicated-log workload.
-func RunSMR(cfg SMRConfig) (*SMRResult, error) {
-	spec, err := quorum.New(cfg.N, cfg.F)
+// normalize validates the config and resolves its defaults, returning the
+// quorum arithmetic.
+func (cfg *SMRConfig) normalize() (quorum.Spec, error) {
+	spec, err := validate(cfg.N, cfg.F, cfg.Crashed, cfg.Window)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
+		return spec, err
 	}
 	if cfg.Slots <= 0 {
-		return nil, fmt.Errorf("%w: SMR run needs Slots > 0", ErrBadConfig)
+		return spec, fmt.Errorf("%w: SMR run needs Slots > 0", ErrBadConfig)
 	}
 	if cfg.Batch < 0 || cfg.Depth < 0 {
-		return nil, fmt.Errorf("%w: negative batch (%d) or pipeline depth (%d)", ErrBadConfig, cfg.Batch, cfg.Depth)
+		return spec, fmt.Errorf("%w: negative batch (%d) or pipeline depth (%d)", ErrBadConfig, cfg.Batch, cfg.Depth)
 	}
 	if cfg.CommandBytes < 0 || cfg.CommandBytes > wire.MaxBatchBytes {
-		return nil, fmt.Errorf("%w: CommandBytes %d outside [0, %d]", ErrBadConfig, cfg.CommandBytes, wire.MaxBatchBytes)
+		return spec, fmt.Errorf("%w: CommandBytes %d outside [0, %d]", ErrBadConfig, cfg.CommandBytes, wire.MaxBatchBytes)
 	}
 	if cfg.Restart != nil && cfg.CheckpointEvery <= 0 {
-		return nil, fmt.Errorf("%w: a restarted replica can only catch up via checkpoint state transfer; set CheckpointEvery", ErrBadConfig)
+		return spec, fmt.Errorf("%w: a restarted replica can only catch up via checkpoint state transfer; set CheckpointEvery", ErrBadConfig)
 	}
 	if (cfg.Attack != 0 || cfg.CkptDir != "") && cfg.CheckpointEvery <= 0 {
-		return nil, fmt.Errorf("%w: checkpoint attacks and durable stores need CheckpointEvery", ErrBadConfig)
+		return spec, fmt.Errorf("%w: checkpoint attacks and durable stores need CheckpointEvery", ErrBadConfig)
 	}
 	if cfg.Attack != 0 && cfg.Byzantine == 0 {
 		cfg.Byzantine = 1
@@ -316,374 +242,151 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 	if cfg.Attack == 0 {
 		cfg.Byzantine = 0
 	}
-	if cfg.Byzantine > cfg.F {
-		return nil, fmt.Errorf("%w: %d attackers exceed the fault bound f=%d", ErrBadConfig, cfg.Byzantine, cfg.F)
-	}
-	switch cfg.Sched {
-	case 0, SchedUniform, SchedReorder, SchedStraggler, SchedSplitHeal:
-	default:
-		return nil, fmt.Errorf("%w: SMR runs support uniform/reorder/straggler/split-heal schedules, not %v", ErrBadConfig, cfg.Sched)
+	if cfg.Byzantine < 0 || cfg.Byzantine > cfg.F {
+		return spec, fmt.Errorf("%w: %d attackers outside the fault bound f=%d", ErrBadConfig, cfg.Byzantine, cfg.F)
 	}
 	if cfg.Coin == 0 {
 		cfg.Coin = CoinLocal
 	}
-	peers := types.Processes(cfg.N)
-	live := peers[:cfg.N-cfg.Crashed]
-	if len(live) < 2 {
-		return nil, fmt.Errorf("%w: %d live replicas", ErrBadConfig, len(live))
-	}
-	rotation := live
-	var victim types.ProcessID
-	if cfg.Restart != nil {
-		victim = live[len(live)-1]
-	}
-	if cfg.Restart != nil || cfg.SpareRotation {
-		rotation = live[:len(live)-1] // the victim must not hold up slots
-	}
-	// Attackers occupy the live slots right after the reference replica: the
-	// reference (first live) stays honest, so the digest chain reads an
-	// honest log; the victim (last live) stays honest, so catch-up is tested
-	// against the attack rather than run by it; and sitting early in the
-	// responder rotation means a catching-up replica's transfer requests
-	// actually reach the attackers instead of always being rescued by honest
-	// peers first.
-	attacker := make([]bool, len(live))
-	if cfg.Byzantine > 0 {
-		hi := len(live)
-		if cfg.Restart != nil || cfg.SpareRotation {
-			hi--
-		}
-		if 1+cfg.Byzantine > hi {
-			return nil, fmt.Errorf("%w: %d attackers leave no honest reference replica", ErrBadConfig, cfg.Byzantine)
-		}
-		for k := 1; k <= cfg.Byzantine; k++ {
-			attacker[k] = true
-		}
-	}
+	return spec, nil
+}
 
-	budget := cfg.MaxDeliveries
-	if budget <= 0 {
-		// Each slot runs a full ACS — n parallel broadcasts of O(n²)
-		// deliveries each — so a healthy run costs ~n³ deliveries per slot
-		// (measured ~7·n³ at n=16..64). Budget roughly twice that, floored
-		// at the sim default so small-n runs keep generous headroom; a run
-		// that exhausts it has genuinely lost liveness.
-		//
-		// Calibration is per *slot*, deliberately not per committed entry:
-		// batching commits up to Batch entries per slot at the same ~7·n³
-		// delivery cost (the per-entry cost falls to ~7·n³/Batch — that is
-		// the whole throughput win), so scaling the budget by entries would
-		// overshoot by Batch×. Pipelining does add traffic past the stop
-		// frontier — up to Depth-1 proposing turns' dissemination is in
-		// flight when slot Slots decides — so those slots get headroom.
-		slots := cfg.Slots
-		if cfg.Depth > 1 {
-			slots += cfg.Depth - 1
-		}
-		budget = 16 * slots * cfg.N * cfg.N * cfg.N
-		if budget < sim.DefaultMaxDeliveries {
-			budget = sim.DefaultMaxDeliveries
+// budget is the run's delivery budget: MaxDeliveries, or a Slots- and
+// n-scaled default.
+//
+// Each slot runs a full ACS — n parallel broadcasts of O(n²) deliveries each
+// — so a healthy run costs ~n³ deliveries per slot (measured ~7·n³ at
+// n=16..64). Budget roughly twice that, floored at the sim default so
+// small-n runs keep generous headroom; a run that exhausts it has genuinely
+// lost liveness.
+//
+// Calibration is per *slot*, deliberately not per committed entry: batching
+// commits up to Batch entries per slot at the same ~7·n³ delivery cost (the
+// per-entry cost falls to ~7·n³/Batch — that is the whole throughput win),
+// so scaling the budget by entries would overshoot by Batch×. Pipelining
+// does add traffic past the stop frontier — up to Depth-1 proposing turns'
+// dissemination is in flight when slot Slots decides — so those slots get
+// headroom.
+func (cfg SMRConfig) budget() int {
+	if cfg.MaxDeliveries > 0 {
+		return cfg.MaxDeliveries
+	}
+	slots := cfg.Slots
+	if cfg.Depth > 1 {
+		slots += cfg.Depth - 1
+	}
+	return max(16*slots*cfg.N*cfg.N*cfg.N, sim.DefaultMaxDeliveries)
+}
+
+// smrPlacement is who runs where in one SMR run.
+type smrPlacement struct {
+	peers    []types.ProcessID
+	live     []types.ProcessID // peers minus the Crashed trailing ones; live[0] is the reference
+	rotation []types.ProcessID // the proposers: live, minus the victim or spare
+	victim   types.ProcessID   // the restarted replica (last live), 0 without Restart
+	attacker []bool            // per live index
+}
+
+// place assigns the replicas their roles. Attackers occupy the live slots
+// right after the reference replica: the reference (first live) stays
+// honest, so the digest chain reads an honest log; the victim (last live)
+// stays honest, so catch-up is tested against the attack rather than run by
+// it; and sitting early in the responder rotation means a catching-up
+// replica's transfer requests actually reach the attackers instead of always
+// being rescued by honest peers first.
+func (cfg SMRConfig) place() (smrPlacement, error) {
+	peers := types.Processes(cfg.N)
+	pl := smrPlacement{peers: peers, live: peers[:cfg.N-cfg.Crashed]}
+	if len(pl.live) < 2 {
+		return pl, fmt.Errorf("%w: %d live replicas", ErrBadConfig, len(pl.live))
+	}
+	eligible := len(pl.live) // the reference plus the replicas attackers may be: all but a victim or spare
+	pl.rotation = pl.live
+	if cfg.Restart != nil || cfg.SpareRotation {
+		eligible--
+		pl.rotation = pl.live[:eligible] // the victim must not hold up slots
+	}
+	if cfg.Restart != nil {
+		pl.victim = pl.live[len(pl.live)-1]
+	}
+	pl.attacker = make([]bool, len(pl.live))
+	if cfg.Byzantine > 0 && 1+cfg.Byzantine > eligible {
+		return pl, fmt.Errorf("%w: %d attackers leave no honest reference replica", ErrBadConfig, cfg.Byzantine)
+	}
+	for k := 1; k <= cfg.Byzantine; k++ {
+		pl.attacker[k] = true
+	}
+	return pl, nil
+}
+
+// smrSchedParams are the log's schedule parameters where they differ from
+// the consensus defaults: its recorded reordering window, and a lag of 60 —
+// enough, against 1..20 base delays, to drop the straggler a checkpoint
+// interval behind the frontier under load without pushing the run into its
+// delivery budget.
+var smrSchedParams = SchedParams{ReorderSpan: 24, StragglerLag: 60}
+
+// topology is the log's schedule topology. One honest replica is the slow
+// one — the first live replica after the reference and the attackers, so
+// never the reference (whose log the digests read) and never an attacker
+// (the point is an *honest* replica falling behind the checkpoint window)
+// unless every other live replica is an attacker, a cluster with no quorum
+// anyway: SchedStraggler lags every link touching it, both directions, and
+// SchedRejoin holds its inbox. The two groups are the halves of the live
+// replicas. No sender is rushed: the log's attackers run honest replicas
+// underneath and attack the checkpoint plane, not the schedule — so
+// SchedRushByz is SchedUniform here and SchedAdaptiveRush is SchedAdaptive.
+func (pl smrPlacement) topology(cfg SMRConfig) schedTopology {
+	half := len(pl.live) / 2
+	slow := pl.live[(1+cfg.Byzantine)%len(pl.live)]
+	top := schedTopology{n: cfg.N, groupA: pl.live[:half], groupB: pl.live[half:], held: slow}
+	for _, q := range pl.live {
+		if q != slow {
+			top.lagged = append(top.lagged, [2]types.ProcessID{slow, q}, [2]types.ProcessID{q, slow})
 		}
 	}
-	var tele *sim.Telemetry
-	if cfg.Telemetry {
-		tele = sim.NewTelemetry()
-	}
-	net, err := sim.New(sim.Config{
-		Scheduler:     cfg.scheduler(live),
-		Seed:          cfg.Seed,
-		MaxDeliveries: budget,
-		Telemetry:     tele,
-		Sizer:         wire.MessageSize,
-	})
+	return top
+}
+
+// smrRun is the state one RunSMR call threads through its pieces.
+type smrRun struct {
+	cfg     SMRConfig
+	spec    quorum.Spec
+	pl      smrPlacement
+	cl      *cluster
+	audit   *logAuditor
+	dealers *coin.DealerSet // nil unless CoinCommon
+	cuts    []int           // per-replica certified cut (monotone)
+	secret  []byte
+}
+
+// RunSMR executes one replicated-log workload.
+func RunSMR(cfg SMRConfig) (*SMRResult, error) {
+	spec, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
-
-	var dealers *coin.DealerSet
+	pl, err := cfg.place()
+	if err != nil {
+		return nil, err
+	}
+	cl, err := newCluster(newScheduler(cfg.Sched, smrSchedParams, pl.topology(cfg)),
+		cfg.Seed, cfg.budget(), false, cfg.Telemetry)
+	if err != nil {
+		return nil, err
+	}
+	r := &smrRun{
+		cfg: cfg, spec: spec, pl: pl, cl: cl,
+		audit:  newLogAuditor(cfg.Slots, len(pl.live)),
+		cuts:   make([]int, len(pl.live)),
+		secret: []byte(fmt.Sprintf("smr-ckpt-%d", cfg.Seed)),
+	}
 	if cfg.Coin == CoinCommon {
-		dealers = coin.NewDealerSet(spec, cfg.Seed+1)
+		r.dealers = coin.NewDealerSet(spec, cfg.Seed+1)
 	}
-	newCoin := func(p types.ProcessID) func(int) coin.Coin {
-		switch cfg.Coin {
-		case CoinIdeal:
-			return func(slot int) coin.Coin { return coin.NewIdeal(cfg.Seed + int64(slot)) }
-		case CoinCommon:
-			return func(slot int) coin.Coin { return coin.NewCommon(p, peers, dealers.For(slot)) }
-		default: // CoinLocal
-			return func(slot int) coin.Coin {
-				return coin.NewLocal(cfg.Seed + int64(p)*1000 + int64(slot))
-			}
-		}
-	}
-	secret := []byte(fmt.Sprintf("smr-ckpt-%d", cfg.Seed))
-
-	observers := make([]*smrObserver, len(live))
-	machines := make([]*smr.KVMachine, len(live)) // each replica's live machine
-	cuts := make([]int, len(live))                // per-replica certified cut (monotone)
-	releaseDealers := func() {
-		if dealers == nil {
-			return
-		}
-		low := cuts[0]
-		for _, c := range cuts[1:] {
-			if c < low {
-				low = c
-			}
-		}
-		// The dealer set is cluster-shared: release by the minimum certified
-		// cut across replicas, the same low-watermark shape as round-level
-		// dealer pruning (and re-creation below the floor is deterministic
-		// anyway; see coin.DealerSet).
-		dealers.ReleaseBelow(low)
-	}
-
-	// canonical holds the first-observed committed entry per log position;
-	// batching commits several entries per slot, so positions are keyed by
-	// (slot, index within the slot's batch).
-	type entryKey struct{ slot, index int }
-	canonical := make(map[entryKey]smr.Entry, cfg.Slots)
-	mismatches := 0
-	refDigest := ckpt.InitialLogDigest
-	refMachine := smr.NewKVMachine()
-	refCount := 0 // slots fully folded into the reference chain
-	var digestAt, stateAt uint64
-	capture := func() {
-		digestAt = refDigest
-		stateAt = ckpt.Digest(refMachine.Snapshot())
-	}
-	victimCommitted := 0
-
-	// drain tails one replica's new entries into the canonical map and the
-	// reference digest chain. Called per delivery and from OnCertified
-	// (pre-truncation), so no entry is released unobserved. A slot's whole
-	// batch commits within one delivery, so ents always holds complete
-	// slots — which is what lets refCount advance per slot below.
-	drain := func(i int) {
-		o := observers[i]
-		if o == nil {
-			return
-		}
-		rep := o.current()
-		if rep == nil {
-			return // victim is down
-		}
-		if o.wrapper != nil && o.wrapper.Restarted() && !o.revived {
-			// Fresh victim: restart the tail from slot 0 so everything it
-			// commits — including slots its pre-crash self already committed
-			// — is checked against the canonical log.
-			o.revived = true
-			o.next = 0
-		}
-		ents := rep.LogSince(o.next)
-		if len(ents) == 0 {
-			if b := rep.Base(); b > o.next {
-				// The replica jumped past slots this observer never saw
-				// (state transfer installed a cut). Expected for the victim;
-				// the reference replica's chain re-seeds from the installed
-				// certificate — its LogDigest is the full-history digest at
-				// the cut and the machine was just restored to the certified
-				// state — and is voided only if no certificate explains the
-				// jump.
-				if i == 0 && !o.gapped && refCount < cfg.Slots {
-					cert, ok := rep.LatestCert()
-					if ok && cert.Slot == b && b <= cfg.Slots &&
-						refMachine.Restore(machines[0].Snapshot()) == nil {
-						refDigest = cert.LogDigest
-						refCount = b
-						if refCount == cfg.Slots {
-							capture()
-						}
-					} else {
-						o.gapped = true
-					}
-				}
-				o.next = b
-			}
-			return
-		}
-		if ents[0].Slot > o.next && i == 0 {
-			o.gapped = true
-		}
-		for idx, e := range ents {
-			k := entryKey{e.Slot, e.Index}
-			if have, ok := canonical[k]; ok {
-				if have != e {
-					mismatches++
-				}
-			} else {
-				canonical[k] = e
-			}
-			if i == 0 && !o.gapped && e.Slot >= refCount {
-				refDigest = ckpt.FoldEntry(refDigest, e.Slot, e.Proposer, e.Command)
-				if e.Command != "" && e.Command != smr.Noop {
-					refMachine.Apply(e.Command)
-				}
-				// The slot is fully folded once its last entry is (the next
-				// entry belongs to a later slot, or the tail ends — slots are
-				// complete). Capture the reference digests exactly when the
-				// fold frontier lands on the Slots boundary, before any entry
-				// of a later slot folds in.
-				if idx == len(ents)-1 || ents[idx+1].Slot != e.Slot {
-					refCount = e.Slot + 1
-					if refCount == cfg.Slots {
-						capture()
-					}
-				}
-			}
-			if o.wrapper != nil && o.wrapper.Restarted() {
-				victimCommitted++
-			}
-		}
-		o.next = ents[len(ents)-1].Slot + 1
-	}
-
-	buildCfg := func(i int, p types.ProcessID) smr.Config {
-		machines[i] = smr.NewKVMachine()
-		rcfg := smr.Config{
-			Me: p, Peers: peers, Spec: spec,
-			NewCoin:  newCoin(p),
-			Rotation: rotation,
-			Machine:  machines[i],
-			Window:   cfg.Window,
-			Batch:    cfg.Batch,
-			Depth:    cfg.Depth,
-			Coded:    cfg.Coded,
-
-			Telemetry: tele,
-		}
-		if cfg.Commands > smr.DefaultQueueLimit {
-			// The harness preloads every command up front; keep the queue
-			// bounded but sized to the workload so a well-formed run never
-			// drops (drops would surface in SubmitDropped).
-			rcfg.QueueLimit = cfg.Commands
-		}
-		if cfg.CheckpointEvery > 0 {
-			rcfg.CheckpointEvery = cfg.CheckpointEvery
-			rcfg.CheckpointSecret = secret
-			rcfg.MaxPendingCuts = cfg.MaxPendingCuts
-			if cfg.CkptDir != "" {
-				rcfg.Store = ckpt.NewStore(filepath.Join(cfg.CkptDir, fmt.Sprintf("replica-%d.ckpt", p)))
-			}
-			rcfg.OnCertified = func(cut int) {
-				drain(i)
-				if cut > cuts[i] {
-					cuts[i] = cut
-					releaseDealers()
-				}
-			}
-		}
-		return rcfg
-	}
-	build := func(i int, p types.ProcessID) (*smr.Replica, error) {
-		return smr.New(buildCfg(i, p))
-	}
-
-	commandsFor := func(p types.ProcessID) []string {
-		cmds := make([]string, cfg.Commands)
-		for c := range cmds {
-			cmds[c] = fmt.Sprintf("set k%d-%d v%d-%d", p, c, p, c)
-			if pad := cfg.CommandBytes - len(cmds[c]); pad > 0 {
-				// Deterministic filler in the value field: the command still
-				// parses as a KV set, just with a body-sized value.
-				cmds[c] += strings.Repeat("x", pad)
-			}
-		}
-		return cmds
-	}
-
-	for i, p := range live {
-		i, p := i, p
-		if p == victim && cfg.Restart != nil {
-			observers[i] = &smrObserver{}
-			wrapper := sim.NewRestart(func() sim.Node {
-				rep, err := build(i, p)
-				if err != nil {
-					// The identical config already built every other
-					// replica; a failure here is a harness bug, not input.
-					panic(fmt.Sprintf("runner: building victim %v: %v", p, err))
-				}
-				observers[i].rep = rep
-				return rep
-			}, cfg.Restart.CrashAfter, cfg.Restart.ReviveAfter)
-			observers[i].wrapper = wrapper
-			if err := net.Add(wrapper); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if attacker[i] {
-			rcfg := buildCfg(i, p)
-			// Attackers never persist: their honest inner replica exists to
-			// keep the cluster comparable, not to exercise the store.
-			rcfg.Store = nil
-			byz, err := adversary.NewCkptByzantine(cfg.Attack, rcfg)
-			if err != nil {
-				return nil, err
-			}
-			// The inner replica commits honestly, so its log joins the
-			// cross-replica agreement check like any other.
-			observers[i] = &smrObserver{rep: byz.Inner()}
-			for _, cmd := range commandsFor(p) {
-				byz.Inner().Submit(cmd)
-			}
-			if err := net.Add(byz); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		rep, err := build(i, p)
-		if err != nil {
-			return nil, err
-		}
-		o := &smrObserver{rep: rep}
-		observers[i] = o
-		cmds := commandsFor(p)
-		if b := rep.Base(); b > 0 {
-			// The replica booted from its durable record and resumes at the
-			// cut: the observer tails from there, the reference digest chain
-			// re-seeds from the restored certificate and machine, and the
-			// command queue drops the proposals the pre-crash self already
-			// consumed (so re-proposed slots carry the same commands an
-			// uninterrupted run would).
-			o.next = b
-			if i == 0 {
-				if b <= cfg.Slots && refMachine.Restore(machines[0].Snapshot()) == nil {
-					refDigest = rep.LogDigest()
-					refCount = b
-					if refCount == cfg.Slots {
-						digestAt = refDigest
-						stateAt = ckpt.Digest(refMachine.Snapshot())
-					}
-				} else {
-					o.gapped = true
-				}
-			}
-			// Each pre-cut proposing turn consumed a full take: one command
-			// unbatched, up to Batch with batching (the harness's short
-			// commands never hit the batch byte caps, so the take is exactly
-			// min(Batch, remaining) — mirroring smr's proposalTake).
-			take := 1
-			if cfg.Batch > 1 {
-				take = cfg.Batch
-			}
-			consumed := 0
-			for s := 0; s < b; s++ {
-				if rotation[s%len(rotation)] == p {
-					consumed += take
-				}
-			}
-			if consumed > len(cmds) {
-				consumed = len(cmds)
-			}
-			cmds = cmds[consumed:]
-		}
-		for _, cmd := range cmds {
-			rep.Submit(cmd)
-		}
-		if err := net.Add(rep); err != nil {
-			return nil, err
-		}
+	members, err := r.boot()
+	if err != nil {
+		return nil, err
 	}
 
 	minCommits := 0
@@ -695,44 +398,189 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 	}
 	stop := func() bool {
 		done := true
-		for i := range observers {
-			drain(i)
-			rep := observers[i].current()
+		for i, o := range r.audit.observers {
+			r.audit.drain(i)
+			rep := o.current()
 			if rep == nil || rep.Slot() < cfg.Slots {
 				done = false
 			}
 		}
-		if cfg.Restart != nil && victimCommitted < minCommits {
-			done = false
-		}
-		return done
+		return done && r.audit.victimCommitted >= minCommits
 	}
-	stats, err := net.Run(stop)
-	if err != nil {
+	res := &SMRResult{Config: cfg, Committed: make([]int, len(pl.live)), VictimID: pl.victim}
+	if res.SimStats, res.Exhausted, err = cl.run(members, stop); err != nil {
 		return nil, err
 	}
-	for i := range observers {
-		drain(i)
+	for i := range r.audit.observers {
+		r.audit.drain(i)
 	}
+	r.audit.report(res)
+	r.harvest(res)
+	return res, nil
+}
 
-	res := &SMRResult{
-		Config:      cfg,
-		LogDigest:   digestAt,
-		StateDigest: stateAt,
-		FullStream:  !observers[0].gapped && refCount >= cfg.Slots,
-		Mismatches:  mismatches,
-		Committed:   make([]int, len(live)),
-		VictimID:    victim,
-		Messages:    stats.Sent,
-		Deliveries:  stats.Delivered,
-		EndTime:     stats.End,
-		Exhausted:   stats.Exhausted,
-		WireBytes:   stats.Bytes,
-		Dropped:     stats.Dropped,
-		Spoofed:     stats.Spoofed,
-		Telemetry:   tele,
+// coinFor returns replica p's per-slot coin constructor.
+func (r *smrRun) coinFor(p types.ProcessID) func(int) coin.Coin {
+	seed := r.cfg.Seed
+	switch r.cfg.Coin {
+	case CoinIdeal:
+		return func(slot int) coin.Coin { return coin.NewIdeal(seed + int64(slot)) }
+	case CoinCommon:
+		return func(slot int) coin.Coin { return coin.NewCommon(p, r.pl.peers, r.dealers.For(slot)) }
+	default: // CoinLocal
+		return func(slot int) coin.Coin { return coin.NewLocal(seed + int64(p)*1000 + int64(slot)) }
 	}
-	for i, o := range observers {
+}
+
+// replicaConfig is the smr.Config of live replica i, with a fresh state
+// machine registered with the auditor.
+func (r *smrRun) replicaConfig(i int, p types.ProcessID) smr.Config {
+	cfg := r.cfg
+	r.audit.machines[i] = smr.NewKVMachine()
+	rcfg := smr.Config{
+		Me: p, Peers: r.pl.peers, Spec: r.spec,
+		NewCoin:  r.coinFor(p),
+		Rotation: r.pl.rotation,
+		Machine:  r.audit.machines[i],
+		Window:   cfg.Window,
+		Batch:    cfg.Batch,
+		Depth:    cfg.Depth,
+		Coded:    cfg.Coded,
+
+		Telemetry: r.cl.tele,
+	}
+	if cfg.Commands > smr.DefaultQueueLimit {
+		// The harness preloads every command up front; keep the queue
+		// bounded but sized to the workload so a well-formed run never
+		// drops (drops would surface in SubmitDropped).
+		rcfg.QueueLimit = cfg.Commands
+	}
+	if cfg.CheckpointEvery > 0 {
+		rcfg.CheckpointEvery = cfg.CheckpointEvery
+		rcfg.CheckpointSecret = r.secret
+		rcfg.MaxPendingCuts = cfg.MaxPendingCuts
+		if cfg.CkptDir != "" {
+			rcfg.Store = ckpt.NewStore(filepath.Join(cfg.CkptDir, fmt.Sprintf("replica-%d.ckpt", p)))
+		}
+		rcfg.OnCertified = func(cut int) { r.certified(i, cut) }
+	}
+	return rcfg
+}
+
+// certified is replica i's OnCertified hook: tail its log before the
+// truncation, then release the per-slot dealers below the cluster's minimum
+// certified cut. The dealer set is cluster-shared, so it is released by the
+// same low-watermark shape as round-level dealer pruning (and re-creation
+// below the floor is deterministic anyway; see coin.DealerSet).
+func (r *smrRun) certified(i, cut int) {
+	r.audit.drain(i)
+	if cut <= r.cuts[i] {
+		return
+	}
+	r.cuts[i] = cut
+	if r.dealers != nil {
+		r.dealers.ReleaseBelow(slices.Min(r.cuts))
+	}
+}
+
+// commandsFor is the workload replica p preloads.
+func (r *smrRun) commandsFor(p types.ProcessID) []string {
+	cmds := make([]string, r.cfg.Commands)
+	for c := range cmds {
+		cmds[c] = fmt.Sprintf("set k%d-%d v%d-%d", p, c, p, c)
+		if pad := r.cfg.CommandBytes - len(cmds[c]); pad > 0 {
+			// Deterministic filler in the value field: the command still
+			// parses as a KV set, just with a body-sized value.
+			cmds[c] += strings.Repeat("x", pad)
+		}
+	}
+	return cmds
+}
+
+// boot builds every live replica — the restart victim behind its kill/revive
+// wrapper, the attackers around honest inner replicas, the rest plain — each
+// with an observer and its preloaded commands, in the order they start.
+func (r *smrRun) boot() ([]sim.Node, error) {
+	members := make([]sim.Node, 0, len(r.pl.live))
+	for i, p := range r.pl.live {
+		o := &smrObserver{}
+		r.audit.observers[i] = o
+		switch {
+		case p == r.pl.victim:
+			o.wrapper = sim.NewRestart(func() sim.Node {
+				rep, err := smr.New(r.replicaConfig(i, p))
+				if err != nil {
+					// The identical config already built every other
+					// replica; a failure here is a harness bug, not input.
+					panic(fmt.Sprintf("runner: building victim %v: %v", p, err))
+				}
+				o.rep = rep
+				return rep
+			}, r.cfg.Restart.CrashAfter, r.cfg.Restart.ReviveAfter)
+			members = append(members, o.wrapper)
+		case r.pl.attacker[i]:
+			rcfg := r.replicaConfig(i, p)
+			// Attackers never persist: their honest inner replica exists to
+			// keep the cluster comparable, not to exercise the store.
+			rcfg.Store = nil
+			byz, err := adversary.NewCkptByzantine(r.cfg.Attack, rcfg)
+			if err != nil {
+				return nil, err
+			}
+			// The inner replica commits honestly, so its log joins the
+			// cross-replica agreement check like any other.
+			o.rep = byz.Inner()
+			for _, cmd := range r.commandsFor(p) {
+				o.rep.Submit(cmd)
+			}
+			members = append(members, byz)
+		default:
+			rep, err := smr.New(r.replicaConfig(i, p))
+			if err != nil {
+				return nil, err
+			}
+			o.rep = rep
+			for _, cmd := range r.resume(i, p, r.commandsFor(p)) {
+				rep.Submit(cmd)
+			}
+			members = append(members, rep)
+		}
+	}
+	return members, nil
+}
+
+// resume handles a replica that booted from its durable record and resumes
+// at the cut: the observer tails from there, the reference digest chain
+// re-seeds from the restored certificate and machine, and the returned
+// command queue drops the proposals the pre-crash self already consumed (so
+// re-proposed slots carry the same commands an uninterrupted run would).
+func (r *smrRun) resume(i int, p types.ProcessID, cmds []string) []string {
+	o := r.audit.observers[i]
+	b := o.rep.Base()
+	if b == 0 {
+		return cmds
+	}
+	o.next = b
+	if i == 0 && !r.audit.reseed(o.rep.LogDigest(), b) {
+		o.gapped = true
+	}
+	// Each pre-cut proposing turn consumed a full take: one command
+	// unbatched, up to Batch with batching (the harness's short commands
+	// never hit the batch byte caps, so the take is exactly min(Batch,
+	// remaining) — mirroring smr's proposalTake).
+	take := max(r.cfg.Batch, 1)
+	consumed := 0
+	for s := 0; s < b; s++ {
+		if r.pl.rotation[s%len(r.pl.rotation)] == p {
+			consumed += take
+		}
+	}
+	return cmds[min(consumed, len(cmds)):]
+}
+
+// harvest reads the end-of-run state of every live replica into the result.
+func (r *smrRun) harvest(res *SMRResult) {
+	for i, o := range r.audit.observers {
 		rep := o.current()
 		if rep == nil {
 			// The victim was still down at the end (typically the budget ran
@@ -744,9 +592,7 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 			continue
 		}
 		res.Committed[i] = rep.Slot()
-		if cut := rep.CertifiedCut(); cut > res.CertifiedCut {
-			res.CertifiedCut = cut
-		}
+		res.CertifiedCut = max(res.CertifiedCut, rep.CertifiedCut())
 		res.SubmitDropped += rep.Dropped()
 		res.RBCDigestBytes += rep.RBCDigestBytes()
 		res.RBCRecords += rep.RBCCompacted()
@@ -758,9 +604,7 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 		res.UnverifiableResponses += rep.UnverifiableResponses()
 		res.StoreErrors += rep.StoreErrors()
 		res.SuffixDivergence += rep.SuffixDivergence()
-		if pc := rep.PendingCuts(); pc > res.PendingCutsMax {
-			res.PendingCutsMax = pc
-		}
+		res.PendingCutsMax = max(res.PendingCutsMax, rep.PendingCuts())
 		if rep.RestoredCut() > 0 {
 			res.RestoredCuts++
 		}
@@ -773,31 +617,10 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 			res.VictimStateDigest, _ = rep.StateDigest()
 		}
 	}
-	res.VictimCommitted = victimCommitted
-	// Throughput numerator and the exactly-once check: count the canonical
-	// entries inside the measured frontier, and flag any non-noop command
-	// observed at two log positions (a consumed command re-proposed — the
-	// install-jump bug class — or a duplicate submission).
-	seenCmd := make(map[string]entryKey, len(canonical))
-	for k, e := range canonical {
-		if k.slot >= cfg.Slots {
-			continue
-		}
-		res.Entries++
-		if e.Command == "" || e.Command == smr.Noop {
-			continue
-		}
-		if _, dup := seenCmd[e.Command]; dup {
-			res.DuplicateCommands++
-		} else {
-			seenCmd[e.Command] = k
-		}
+	if r.dealers != nil {
+		res.DealerSlots = r.dealers.DealersRetained()
+		res.DealerRounds = r.dealers.RoundsRetained()
 	}
-	if dealers != nil {
-		res.DealerSlots = dealers.DealersRetained()
-		res.DealerRounds = dealers.RoundsRetained()
-	}
-	return res, nil
 }
 
 // RestartCatchupSpec is the canonical restart-catchup scenario: n replicas

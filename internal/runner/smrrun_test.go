@@ -215,19 +215,3 @@ func TestSMRCheckpointBoundsResidue(t *testing.T) {
 		t.Error("residue workload digests diverged between checkpointed and not")
 	}
 }
-
-// TestRunSMRConfigValidation: the config contract.
-func TestRunSMRConfigValidation(t *testing.T) {
-	if _, err := RunSMR(SMRConfig{N: 4, F: 1}); err == nil {
-		t.Error("Slots = 0 accepted")
-	}
-	if _, err := RunSMR(SMRConfig{N: 4, F: 1, Slots: 8, Restart: &SMRRestart{CrashAfter: 1, ReviveAfter: 1}}); err == nil {
-		t.Error("restart without checkpointing accepted")
-	}
-	if _, err := RunSMR(SMRConfig{N: 0, F: 0, Slots: 8}); err == nil {
-		t.Error("empty system accepted")
-	}
-	if _, err := RunSMR(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: 3}); err == nil {
-		t.Error("single live replica accepted")
-	}
-}

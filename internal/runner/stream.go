@@ -12,12 +12,20 @@ import (
 // O(sweep length).
 const streamWindowPerWorker = 4
 
-// SweepStream executes cfgAt(i) for every i in [0, n) across a worker pool
-// and calls emit(i, result) in strict index order — the constant-memory
-// streaming form of Sweep. Results are handed to emit as soon as the in-order
-// prefix completes and are never accumulated: at most
-// streamWindowPerWorker×workers results are alive at any moment, so a
-// million-run sweep costs the same memory as a hundred-run one.
+// streamItem is one completed run in flight between a worker and the
+// in-order consumer.
+type streamItem[T any] struct {
+	i   int
+	res T
+	err error
+}
+
+// SweepStream executes run(i) for every i in [0, n) across a worker pool and
+// calls emit(i, result) in strict index order — the constant-memory streaming
+// form of Sweep. Results are handed to emit as soon as the in-order prefix
+// completes and are never accumulated: at most streamWindowPerWorker×workers
+// results are alive at any moment, so a million-run sweep costs the same
+// memory as a hundred-run one.
 //
 // Determinism contract (the streaming extension of Sweep's): because emit
 // observes results in input order, any state emit folds them into — the
@@ -29,32 +37,11 @@ const streamWindowPerWorker = 4
 // of scheduling), emit is never called for indices at or beyond the failing
 // one, and an error returned by emit stops the sweep with that error. In
 // every case all workers have exited before SweepStream returns.
-func SweepStream(n, workers int, cfgAt func(int) Config, emit func(int, *Result) error) error {
-	return sweepStream(n, workers, func(i int) (*Result, error) {
-		return Run(cfgAt(i))
-	}, emit)
-}
-
-// SweepStreamRBC is SweepStream for reliable-broadcast runs.
-func SweepStreamRBC(n, workers int, cfgAt func(int) RBCConfig, emit func(int, *RBCResult) error) error {
-	return sweepStream(n, workers, func(i int) (*RBCResult, error) {
-		return RunRBC(cfgAt(i))
-	}, emit)
-}
-
-// streamItem is one completed run in flight between a worker and the
-// in-order consumer.
-type streamItem[T any] struct {
-	i   int
-	res T
-	err error
-}
-
-// sweepStream is the generic engine behind SweepStream and SweepStreamRBC: a
-// worker pool pulling indices from an atomic counter, a ticket semaphore
-// bounding how many results may be in flight, and a single consumer emitting
-// in index order through a reorder buffer.
-func sweepStream[T any](n, workers int, run func(int) (T, error), emit func(int, T) error) error {
+//
+// The engine: a worker pool pulling indices from an atomic counter, a ticket
+// semaphore bounding how many results may be in flight, and a single
+// consumer emitting in index order through a reorder buffer.
+func SweepStream[T any](n, workers int, run func(int) (T, error), emit func(int, T) error) error {
 	if n <= 0 {
 		return nil
 	}

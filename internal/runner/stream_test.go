@@ -13,13 +13,13 @@ import (
 // worker count.
 func TestSweepStreamMatchesSweep(t *testing.T) {
 	cfgs := sweepMatrix()
-	want, err := Sweep(cfgs, 1)
+	want, err := Sweep(cfgs, 1, Run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		next := 0
-		err := SweepStream(len(cfgs), workers, func(i int) Config { return cfgs[i] },
+		err := SweepStream(len(cfgs), workers, func(i int) (*Result, error) { return Run(cfgs[i]) },
 			func(i int, res *Result) error {
 				if i != next {
 					t.Fatalf("workers=%d: emit index %d, want %d (out of order)", workers, i, next)
@@ -49,7 +49,7 @@ func TestSweepStreamErrorSemantics(t *testing.T) {
 	cfgs[9] = bad
 	for _, workers := range []int{1, 4} {
 		var got []int
-		err := SweepStream(len(cfgs), workers, func(i int) Config { return cfgs[i] },
+		err := SweepStream(len(cfgs), workers, func(i int) (*Result, error) { return Run(cfgs[i]) },
 			func(i int, _ *Result) error {
 				got = append(got, i)
 				return nil
@@ -63,7 +63,7 @@ func TestSweepStreamErrorSemantics(t *testing.T) {
 	}
 
 	sentinel := errors.New("emit says stop")
-	err := SweepStream(12, 4, func(i int) Config { return sweepMatrix()[i] },
+	err := SweepStream(12, 4, func(i int) (*Result, error) { return Run(sweepMatrix()[i]) },
 		func(i int, _ *Result) error {
 			if i == 3 {
 				return sentinel
@@ -99,10 +99,10 @@ func TestSweepStreamConstantMemory(t *testing.T) {
 	limit := before.HeapAlloc + 64<<20
 
 	emitted := 0
-	err := SweepStream(runs, 4, func(i int) Config {
+	err := SweepStream(runs, 4, func(i int) (*Result, error) {
 		c := cfg
 		c.Seed = int64(i + 1)
-		return c
+		return Run(c)
 	}, func(i int, res *Result) error {
 		if res.Recorder == nil || res.Recorder.Len() == 0 {
 			return fmt.Errorf("run %d: missing trace", i)
@@ -129,11 +129,11 @@ func TestSweepStreamConstantMemory(t *testing.T) {
 
 // TestSweepStreamEmptyAndTiny: degenerate sizes work.
 func TestSweepStreamEmptyAndTiny(t *testing.T) {
-	if err := SweepStream(0, 8, nil, nil); err != nil {
+	if err := SweepStream[*Result](0, 8, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	calls := 0
-	err := SweepStream(1, 8, func(int) Config { return sweepMatrix()[0] },
+	err := SweepStream(1, 8, func(int) (*Result, error) { return Run(sweepMatrix()[0]) },
 		func(i int, res *Result) error {
 			calls++
 			if res == nil {

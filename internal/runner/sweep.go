@@ -6,8 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// Sweep executes every configuration concurrently across a worker pool and
-// returns the results in input order. workers <= 0 means GOMAXPROCS.
+// Sweep executes run on every configuration concurrently across a worker
+// pool and returns the results in input order — Sweep(cfgs, workers, Run)
+// for consensus runs, RunRBC for broadcast ones. workers <= 0 means
+// GOMAXPROCS.
 //
 // Each run owns its simulator, RNG, and nodes outright (the sim package's
 // determinism contract), so runs share no mutable state and the output is a
@@ -16,15 +18,11 @@ import (
 // count, GOMAXPROCS, and goroutine scheduling. If any run fails, the error
 // of the lowest-index failing configuration is returned (again independent
 // of scheduling); results are discarded on error.
-func Sweep(cfgs []Config, workers int) ([]*Result, error) {
-	results := make([]*Result, len(cfgs))
-	err := parallelFor(len(cfgs), workers, func(i int) error {
-		res, err := Run(cfgs[i])
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
+func Sweep[C, R any](cfgs []C, workers int, run func(C) (*R, error)) ([]*R, error) {
+	results := make([]*R, len(cfgs))
+	err := parallelFor(len(cfgs), workers, func(i int) (err error) {
+		results[i], err = run(cfgs[i])
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -41,24 +39,7 @@ func SweepSeeds(cfg Config, seeds []int64, workers int) ([]*Result, error) {
 		cfgs[i] = cfg
 		cfgs[i].Seed = s
 	}
-	return Sweep(cfgs, workers)
-}
-
-// SweepRBC is Sweep for reliable-broadcast experiments (E1, A4).
-func SweepRBC(cfgs []RBCConfig, workers int) ([]*RBCResult, error) {
-	results := make([]*RBCResult, len(cfgs))
-	err := parallelFor(len(cfgs), workers, func(i int) error {
-		res, err := RunRBC(cfgs[i])
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
+	return Sweep(cfgs, workers, Run)
 }
 
 // parallelFor applies fn to every index in [0, n) using a pool of worker

@@ -48,7 +48,7 @@ func TestSweepMatchesRun(t *testing.T) {
 		}
 		want[i] = res
 	}
-	got, err := Sweep(cfgs, 4)
+	got, err := Sweep(cfgs, 4, Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +63,12 @@ func TestSweepMatchesRun(t *testing.T) {
 // every worker count — completion order must never leak into the output.
 func TestSweepWorkerCountIndependence(t *testing.T) {
 	cfgs := sweepMatrix()
-	base, err := Sweep(cfgs, 1)
+	base, err := Sweep(cfgs, 1, Run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, 32} {
-		got, err := Sweep(cfgs, workers)
+		got, err := Sweep(cfgs, workers, Run)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -86,12 +86,12 @@ func TestSweepGOMAXPROCSIndependence(t *testing.T) {
 	cfgs := sweepMatrix()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(1)
-	base, err := Sweep(cfgs, 0)
+	base, err := Sweep(cfgs, 0, Run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	runtime.GOMAXPROCS(4)
-	got, err := Sweep(cfgs, 0)
+	got, err := Sweep(cfgs, 0, Run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSweepErrorDeterministic(t *testing.T) {
 		t.Fatal("expected bad config to fail")
 	}
 	for _, workers := range []int{1, 4} {
-		res, err := Sweep(cfgs, workers)
+		res, err := Sweep(cfgs, workers, Run)
 		if err == nil || err.Error() != wantErr.Error() {
 			t.Errorf("workers=%d: error = %v, want %v", workers, err, wantErr)
 		}

@@ -54,7 +54,7 @@ func telemetryConfigs(tb testing.TB, runs int) []runner.Config {
 // telemetry report as JSON.
 func mergedReportJSON(tb testing.TB, cfgs []runner.Config, workers int) []byte {
 	tb.Helper()
-	results, err := runner.Sweep(cfgs, workers)
+	results, err := runner.Sweep(cfgs, workers, runner.Run)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestTelemetryWorkerIndependence(t *testing.T) {
 // over pure integer state.
 func TestTelemetryMergeOrderIndependence(t *testing.T) {
 	cfgs := telemetryConfigs(t, 2)
-	results, err := runner.Sweep(cfgs, 2)
+	results, err := runner.Sweep(cfgs, 2, runner.Run)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,6 +95,11 @@ func (p *ThroughputPoint) EntriesPerKDeliveries() float64 {
 // RunThroughput executes the grid and returns one point per (batch, depth)
 // pair, batch-major in input order.
 func RunThroughput(cfg ThroughputConfig) ([]*ThroughputPoint, error) {
+	// The grid sizes its workload by dividing by n: validate before any
+	// point does.
+	if _, err := validate(cfg.N, cfg.F, 0, cfg.Window); err != nil {
+		return nil, err
+	}
 	if cfg.Entries <= 0 {
 		return nil, fmt.Errorf("%w: throughput sweep needs Entries > 0", ErrBadConfig)
 	}

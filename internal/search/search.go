@@ -46,11 +46,7 @@ import (
 	"strings"
 
 	"repro/internal/runner"
-	"repro/internal/sim"
 )
-
-// timeOf converts an axis value to simulator ticks.
-func timeOf(v int64) sim.Time { return sim.Time(v) }
 
 // ExhaustPenaltyRounds is the rounds-to-decide equivalent charged to a run
 // that failed to decide within its delivery budget. It dominates any real
@@ -162,32 +158,9 @@ var (
 )
 
 // Apply sets the named parameter on p. The vocabulary is exactly the
-// searchable fields of runner.SchedParams.
+// searchable fields of runner.SchedParams, declared beside them.
 func Apply(p *runner.SchedParams, name string, v int64) error {
-	switch name {
-	case "heal-time":
-		p.HealTime = timeOf(v)
-	case "rejoin-time":
-		p.RejoinTime = timeOf(v)
-	case "reorder-span":
-		p.ReorderSpan = timeOf(v)
-	case "straggler-lag":
-		p.StragglerLag = timeOf(v)
-	case "partition-lag":
-		p.PartitionLag = timeOf(v)
-	case "loss-pct":
-		p.LossPct = int(v)
-	case "dup-pct":
-		p.DupPct = int(v)
-	case "retransmit-lag":
-		p.RetransmitLag = timeOf(v)
-	case "topo-degree":
-		p.TopoDegree = int(v)
-	case "hop-lag":
-		p.HopLag = timeOf(v)
-	case "target-lag":
-		p.TargetLag = timeOf(v)
-	default:
+	if err := p.Set(name, v); err != nil {
 		return fmt.Errorf("%w: unknown axis %q", ErrBadSpec, name)
 	}
 	return nil
