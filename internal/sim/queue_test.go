@@ -3,82 +3,221 @@ package sim
 import (
 	"container/heap"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/types"
 )
 
-// TestQueuePopsTotalOrder: the 4-ary heap must pop the unique ascending
-// (at, seq) sequence for any insertion pattern — the property that makes it
-// a drop-in replacement for the seed's container/heap queue (same total
-// order, therefore byte-identical executions).
-func TestQueuePopsTotalOrder(t *testing.T) {
+// queueSpan is the tick distance the named cases below straddle — the width
+// of a bucket ring's near tier. A plain heap has no such boundary and must
+// pass them all the same.
+const queueSpan = 256
+
+// queueStep is one move of a queue script: push one event delay ticks past
+// the clock, then pop up to pops events. A script obeys the discipline
+// Network.send and Network.Run impose on the real queue — seq ascending with
+// every push, every push at or after the last popped event's time — which is
+// all an event queue has to support.
+type queueStep struct {
+	delay Time
+	pops  int
+}
+
+// runQueueScript plays the script on an eventQueue and on the retained
+// container/heap oracle, holds every pop and every Len equal, then drains
+// both. It returns how many events were popped and the final clock.
+func runQueueScript(t testing.TB, steps []queueStep) (int, Time) {
+	t.Helper()
+	var (
+		q      eventQueue
+		oracle boxedQueue
+		now    Time
+		seq    uint64
+		popped int
+	)
+	pop := func() {
+		got, want := q.pop(), heap.Pop(&oracle).(event)
+		if got != want {
+			t.Fatalf("pop %d at clock %d: got (at %d, seq %d), want (at %d, seq %d)",
+				popped, now, got.at, got.seq, want.at, want.seq)
+		}
+		if got.at < now {
+			t.Fatalf("pop %d went back in time: at %d, clock %d", popped, got.at, now)
+		}
+		now = got.at
+		popped++
+	}
+	for i, s := range steps {
+		seq++
+		e := event{at: now + s.delay, seq: seq, sent: now}
+		q.push(e)
+		heap.Push(&oracle, e)
+		for p := 0; p < s.pops && oracle.Len() > 0; p++ {
+			pop()
+		}
+		if q.Len() != oracle.Len() {
+			t.Fatalf("step %d: Len %d, oracle %d", i, q.Len(), oracle.Len())
+		}
+	}
+	for oracle.Len() > 0 {
+		pop()
+	}
+	if q.Len() != 0 {
+		t.Fatalf("queue still holds %d events after the oracle drained", q.Len())
+	}
+	return popped, now
+}
+
+// randomQueueScript draws a script from the traffic the zoo produces: mostly
+// the 1..20-tick default delays, with same-tick sends, delays around the
+// span boundary and far-future holds (straggler lag, heal times) mixed in,
+// and pop runs long enough to drain the queue and jump the clock.
+func randomQueueScript(rng *rand.Rand, n int) []queueStep {
+	steps := make([]queueStep, n)
+	for i := range steps {
+		var d Time
+		switch c := rng.Intn(20); {
+		case c < 12:
+			d = 1 + Time(rng.Intn(20))
+		case c < 14:
+			d = 0
+		case c < 16:
+			d = queueSpan - 2 + Time(rng.Intn(5))
+		case c < 18:
+			d = Time(rng.Intn(3 * queueSpan))
+		default:
+			d = Time(rng.Intn(20 * queueSpan))
+		}
+		pops := rng.Intn(3)
+		if rng.Intn(50) == 0 {
+			pops = rng.Intn(400)
+		}
+		steps[i] = queueStep{delay: d, pops: pops}
+	}
+	return steps
+}
+
+// TestQueueMatchesOracle is the differential test: random scripts under the
+// loop's discipline must pop exactly what container/heap pops.
+func TestQueueMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		var q eventQueue
-		n := 1 + rng.Intn(300)
-		events := make([]event, n)
-		for i := range events {
-			events[i] = event{at: Time(rng.Intn(40)), seq: uint64(i + 1)}
-		}
-		rng.Shuffle(n, func(i, j int) { events[i], events[j] = events[j], events[i] })
-		// Interleave pushes and pops to stress the reusable backing array.
-		popped := make([]event, 0, n)
-		for _, e := range events {
-			q.push(e)
-			if rng.Intn(4) == 0 && q.Len() > 0 {
-				popped = append(popped, q.pop())
-			}
-		}
-		for q.Len() > 0 {
-			popped = append(popped, q.pop())
-		}
-		if len(popped) != n {
-			t.Fatalf("popped %d of %d events", len(popped), n)
-		}
-		// An interleaved pop may legitimately precede a later push of an
-		// earlier event, but any suffix popped after all pushes must be
-		// sorted; the all-pushed-then-popped tail dominates, so check the
-		// global order on a second, pop-only pass instead.
-		var q2 eventQueue
-		for _, e := range events {
-			q2.push(e)
-		}
-		got := make([]event, 0, n)
-		for q2.Len() > 0 {
-			got = append(got, q2.pop())
-		}
-		want := append([]event(nil), events...)
-		sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: pop %d = %+v, want %+v", trial, i, got[i], want[i])
-			}
+	for trial := 0; trial < 200; trial++ {
+		steps := randomQueueScript(rng, 1+rng.Intn(3000))
+		if got, _ := runQueueScript(t, steps); got != len(steps) {
+			t.Fatalf("trial %d: popped %d of %d events", trial, got, len(steps))
 		}
 	}
 }
 
-// TestQueueMatchesBoxedHeap cross-checks the 4-ary heap against a replica
-// of the seed's container/heap implementation on identical random input.
-func TestQueueMatchesBoxedHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var q eventQueue
-	var b boxedQueue
-	for i := 0; i < 2000; i++ {
-		e := event{at: Time(rng.Intn(100)), seq: uint64(i + 1)}
-		q.push(e)
-		heap.Push(&b, e)
+// repeatStep returns n copies of one step.
+func repeatStep(s queueStep, n int) []queueStep {
+	steps := make([]queueStep, n)
+	for i := range steps {
+		steps[i] = s
 	}
-	for q.Len() > 0 {
-		got, want := q.pop(), heap.Pop(&b).(event)
-		if got != want {
-			t.Fatalf("4-ary pop %+v, container/heap pop %+v", got, want)
+	return steps
+}
+
+// queueCases are the named scripts: each aims at one boundary of a two-tier
+// (bucket ring + far heap) queue. The short ones double as fuzz seeds.
+func queueCases() map[string][]queueStep {
+	cases := map[string][]queueStep{
+		// Three events share tick 5; after the first pops (clock 5) a
+		// zero-delay send joins the bucket being drained and must pop after
+		// the two already there and before tick 6.
+		"delay-0-into-draining-bucket": {
+			{5, 0}, {5, 0}, {5, 0}, {6, 1}, {0, 0}, {0, 1}, {0, 0},
+		},
+		// The last near tick, the first far tick and the one after it, from
+		// clock 0 and again from a clock that is not a multiple of the span.
+		"span-boundary": {
+			{queueSpan - 1, 0}, {queueSpan, 0}, {queueSpan + 1, 0}, {7, 1},
+			{queueSpan + 1, 0}, {queueSpan, 0}, {queueSpan - 1, 0}, {0, 0},
+		},
+		// Tick 300 is far when the first event is pushed at clock 0 and near
+		// when the later ones are pushed at clock 100: two tiers, one tick,
+		// seq order. The fifth event (tick 400) enters far again and pops last.
+		"same-tick-through-both-tiers": {
+			{300, 0}, {100, 1}, {200, 0}, {200, 0}, {300, 0}, {200, 0},
+		},
+		// Nothing within a span of the clock, twice over: the clock must
+		// jump to the far tier's head, and pushes after the jump are near.
+		"idle-gap-far-only": {
+			{1000, 0}, {1023, 0}, {1000, 3}, {3 * queueSpan, 0}, {2, 1}, {queueSpan + 1, 1}, {1, 0},
+		},
+	}
+	// Steady 1..20 traffic against a standing backlog of 50, long enough for
+	// the clock to pass ten spans (a pop advances it ~0.2 ticks): every ring
+	// slot is reused ten times over while its neighbours are occupied.
+	turns := make([]queueStep, 0, 15_050)
+	for i := 0; i < cap(turns); i++ {
+		turns = append(turns, queueStep{Time(1 + (7*i)%20), min(i/50, 1)})
+	}
+	cases["ten-turns-of-the-ring"] = turns
+	// 10⁵ events at one tick (a rushed broadcast storm), drained through a
+	// trickle of further same-tick sends.
+	cases["one-tick-100k"] = append(repeatStep(queueStep{3, 0}, 100_000), repeatStep(queueStep{0, 2}, 1000)...)
+	return cases
+}
+
+func TestQueueNamedCases(t *testing.T) {
+	for name, steps := range queueCases() {
+		t.Run(name, func(t *testing.T) {
+			got, end := runQueueScript(t, steps)
+			if got != len(steps) {
+				t.Fatalf("popped %d of %d events", got, len(steps))
+			}
+			if name == "ten-turns-of-the-ring" && end < 10*queueSpan {
+				t.Fatalf("the clock stopped at %d, short of ten spans", end)
+			}
+		})
+	}
+}
+
+// Fuzz inputs are scripts of 3-byte steps: a 10-bit delay (0..1023 ticks,
+// four spans) and a pop count 0..3, or — one code in 64 — a long drain.
+const fuzzStepBytes = 3
+
+func decodeQueueScript(data []byte) []queueStep {
+	steps := make([]queueStep, 0, len(data)/fuzzStepBytes)
+	for ; len(data) >= fuzzStepBytes; data = data[fuzzStepBytes:] {
+		s := queueStep{delay: Time(data[0]) | Time(data[1]&3)<<8, pops: int(data[2] & 3)}
+		if data[2]>>2 == 63 {
+			s.pops = 500
+		}
+		steps = append(steps, s)
+	}
+	return steps
+}
+
+// encodeQueueScript is decodeQueueScript's inverse for scripts that fit the
+// encoding; ok is false for the ones that do not.
+func encodeQueueScript(steps []queueStep) (data []byte, ok bool) {
+	for _, s := range steps {
+		if s.delay > 1023 || s.pops > 3 {
+			return nil, false
+		}
+		data = append(data, byte(s.delay), byte(s.delay>>8), byte(s.pops))
+	}
+	return data, true
+}
+
+// FuzzQueueOrder runs the differential driver over fuzzer-built scripts,
+// seeded with the named cases that fit the encoding and the checked-in
+// corpus (testdata/fuzz/FuzzQueueOrder: two random zoo scripts and six turns
+// of the ring); CI fuzzes on from there.
+func FuzzQueueOrder(f *testing.F) {
+	for _, steps := range queueCases() {
+		if data, ok := encodeQueueScript(steps); ok && len(data) < 1<<14 {
+			f.Add(data)
 		}
 	}
-	if b.Len() != 0 {
-		t.Fatalf("boxed heap still holds %d events", b.Len())
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		steps := decodeQueueScript(data)
+		if got, _ := runQueueScript(t, steps); got != len(steps) {
+			t.Fatalf("popped %d of %d events", got, len(steps))
+		}
+	})
 }
 
 // TestDenseLookupFallback: IDs beyond the dense table must still resolve
@@ -133,8 +272,7 @@ func (s *sinkNode) Deliver(types.Message) []types.Message { s.got++; return nil 
 func (s *sinkNode) Done() bool                            { return false }
 
 // boxedQueue replicates the seed implementation's container/heap event
-// queue: the comparison baseline for both the cross-check test above and
-// the allocation microbenchmarks.
+// queue: the oracle of the differential tests above.
 type boxedQueue []event
 
 func (q boxedQueue) Len() int { return len(q) }
