@@ -12,8 +12,8 @@
 // directory shows the public API in use.
 //
 // Performance architecture: the per-run delivery loop is allocation-free
-// (concrete-typed 4-ary event heap, dense node table, recycled output
-// slices, append-style wire codec — see internal/sim and internal/wire),
+// (tick-bucketed event queue, dense node table, recycled output slices,
+// append-style wire codec — see internal/sim and internal/wire),
 // and independent (config, seed) runs fan out across all cores through
 // runner.Sweep. Both optimizations lean on one invariant, documented in
 // internal/sim: a run is a pure function of (nodes, scheduler, seed), so

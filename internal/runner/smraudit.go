@@ -4,11 +4,13 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/sim"
 	"repro/internal/smr"
+	"repro/internal/types"
 )
 
-// This file is the log auditor of an SMR run: it tails every replica's log
-// per delivery through the LogLen/LogSince accessors (O(new entries), not
-// O(committed slots)) and owns the two things the tail feeds —
+// This file is the log auditor of an SMR run: it tails a replica's log after
+// every delivery to that replica (nothing else can make it commit) — O(1)
+// while its frontier stands still, one LogSince of the new entries when it
+// moved — and owns the things the tail feeds —
 //
 //   - a canonical entry per log position (first observer wins) against which
 //     every other replica's entries are checked: mismatches counts
@@ -17,7 +19,9 @@ import (
 //   - the chained log digest and a shadow state machine for the reference
 //     replica (the first live one), captured exactly at the Slots boundary —
 //     the run-to-run comparison point that must be bitwise identical
-//     whatever the checkpoint interval, which CI enforces via `bench -smr`.
+//     whatever the checkpoint interval, which CI enforces via `bench -smr`;
+//   - the count of replicas at the Slots frontier, which is the run's stop
+//     test.
 
 // smrObserver tails one replica's log.
 type smrObserver struct {
@@ -26,6 +30,7 @@ type smrObserver struct {
 	next    int          // next absolute slot not yet observed
 	gapped  bool         // a truncation or install outran observation
 	revived bool         // the victim's revival was noticed (cursor reset)
+	arrived bool         // the replica is up with its frontier at Slots or beyond
 }
 
 // current returns the live replica behind this observer: nil while the
@@ -57,6 +62,7 @@ type logAuditor struct {
 
 	canonical  map[entryKey]smr.Entry // first-observed committed entry per position
 	mismatches int
+	arrived    int // observers whose replica is up with its frontier at Slots or beyond
 
 	refDigest         uint64
 	refMachine        *smr.KVMachine
@@ -101,14 +107,54 @@ func (a *logAuditor) capture() {
 	a.stateAt = ckpt.Digest(a.refMachine.Snapshot())
 }
 
+// member is what every live replica of an SMR run is: a node of the
+// zero-allocation delivery loop.
+type member interface {
+	sim.Node
+	sim.Recycler
+}
+
+// audited is the node the network runs for live replica i: the member
+// itself, drained after every delivery to it. Observing from outside the
+// delivery is what keeps the entries a restart victim commits inside its
+// crashing delivery unobserved — by the time Deliver returns, the victim is
+// down.
+type audited struct {
+	member
+	audit *logAuditor
+	i     int
+}
+
+func (n *audited) Deliver(m types.Message) []types.Message {
+	out := n.member.Deliver(m)
+	n.audit.drain(n.i)
+	return out
+}
+
+// drainAll drains every replica in index order: once before the run, so the
+// frontier count starts from the booted replicas, and once after it.
+func (a *logAuditor) drainAll() {
+	for i := range a.observers {
+		a.drain(i)
+	}
+}
+
 // drain tails replica i's new entries into the canonical map and the
-// reference digest chain. Called per delivery and from OnCertified
-// (pre-truncation), so no entry is released unobserved. A slot's whole
-// batch commits within one delivery, so ents always holds complete slots —
-// which is what lets refCount advance per slot below.
+// reference digest chain. Called after every delivery to the replica and
+// from OnCertified (pre-truncation), so no entry is released unobserved. A
+// slot's whole batch commits within one delivery, so ents always holds
+// complete slots — which is what lets refCount advance per slot below.
 func (a *logAuditor) drain(i int) {
 	o := a.observers[i]
 	rep := o.current()
+	if arrived := rep != nil && rep.Slot() >= a.slots; arrived != o.arrived {
+		o.arrived = arrived
+		if arrived {
+			a.arrived++
+		} else {
+			a.arrived-- // the victim went down
+		}
+	}
 	if rep == nil {
 		return // victim is down
 	}
@@ -118,6 +164,9 @@ func (a *logAuditor) drain(i int) {
 		// is checked against the canonical log.
 		o.revived = true
 		o.next = 0
+	}
+	if rep.Slot() == o.next {
+		return // nothing committed, nothing installed
 	}
 	ents := rep.LogSince(o.next)
 	if len(ents) == 0 {

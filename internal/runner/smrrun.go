@@ -24,8 +24,9 @@ import (
 // replica killed mid-run and revived with empty state (sim.Restart), forced
 // to catch up through ckpt state transfer.
 //
-// A log auditor (smraudit.go) tails every replica's log per delivery for the
-// cross-replica agreement check and the reference digests.
+// A log auditor (smraudit.go) tails each replica's log after the deliveries
+// to it for the cross-replica agreement check, the reference digests and the
+// stop test.
 //
 // Replicas run unbounded (MaxSlots 0) and the harness stops the network
 // once every live replica's frontier reached Slots (and, in restart runs,
@@ -397,23 +398,14 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 		}
 	}
 	stop := func() bool {
-		done := true
-		for i, o := range r.audit.observers {
-			r.audit.drain(i)
-			rep := o.current()
-			if rep == nil || rep.Slot() < cfg.Slots {
-				done = false
-			}
-		}
-		return done && r.audit.victimCommitted >= minCommits
+		return r.audit.arrived == len(pl.live) && r.audit.victimCommitted >= minCommits
 	}
 	res := &SMRResult{Config: cfg, Committed: make([]int, len(pl.live)), VictimID: pl.victim}
+	r.audit.drainAll()
 	if res.SimStats, res.Exhausted, err = cl.run(members, stop); err != nil {
 		return nil, err
 	}
-	for i := range r.audit.observers {
-		r.audit.drain(i)
-	}
+	r.audit.drainAll()
 	r.audit.report(res)
 	r.harvest(res)
 	return res, nil
@@ -505,6 +497,7 @@ func (r *smrRun) boot() ([]sim.Node, error) {
 	for i, p := range r.pl.live {
 		o := &smrObserver{}
 		r.audit.observers[i] = o
+		var m member
 		switch {
 		case p == r.pl.victim:
 			o.wrapper = sim.NewRestart(func() sim.Node {
@@ -517,7 +510,7 @@ func (r *smrRun) boot() ([]sim.Node, error) {
 				o.rep = rep
 				return rep
 			}, r.cfg.Restart.CrashAfter, r.cfg.Restart.ReviveAfter)
-			members = append(members, o.wrapper)
+			m = o.wrapper
 		case r.pl.attacker[i]:
 			rcfg := r.replicaConfig(i, p)
 			// Attackers never persist: their honest inner replica exists to
@@ -533,7 +526,7 @@ func (r *smrRun) boot() ([]sim.Node, error) {
 			for _, cmd := range r.commandsFor(p) {
 				o.rep.Submit(cmd)
 			}
-			members = append(members, byz)
+			m = byz
 		default:
 			rep, err := smr.New(r.replicaConfig(i, p))
 			if err != nil {
@@ -543,8 +536,9 @@ func (r *smrRun) boot() ([]sim.Node, error) {
 			for _, cmd := range r.resume(i, p, r.commandsFor(p)) {
 				rep.Submit(cmd)
 			}
-			members = append(members, rep)
+			m = rep
 		}
+		members = append(members, &audited{member: m, audit: r.audit, i: i})
 	}
 	return members, nil
 }

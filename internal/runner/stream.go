@@ -96,6 +96,7 @@ func SweepStream[T any](n, workers int, run func(int) (T, error), emit func(int,
 				}
 				res, err := run(i)
 				items <- streamItem[T]{i: i, res: res, err: err}
+				runtime.Gosched() // as in parallelFor: let the GC's mark workers in
 			}
 		}()
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/types"
 )
@@ -32,7 +31,6 @@ type AdaptiveDelay struct {
 	targetLag Time
 	rush      bool
 
-	mu          sync.Mutex
 	byz         map[types.ProcessID]bool
 	round       map[types.ProcessID]int
 	victim      types.ProcessID // 0 until any round is observed
@@ -59,8 +57,6 @@ func NewAdaptive(base UniformDelay, targetLag Time, rush bool, byz []types.Proce
 
 // Deliver implements Scheduler.
 func (s *AdaptiveDelay) Deliver(m types.Message, now Time, seq uint64, rng *rand.Rand) Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if r, ok := payloadRound(m.Payload); ok && !s.byz[m.From] {
 		if r > s.round[m.From] {
 			s.round[m.From] = r

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/types"
 )
@@ -31,7 +30,6 @@ func (s UniformDelay) Deliver(_ types.Message, now Time, _ uint64, rng *rand.Ran
 type FIFODelay struct {
 	Min, Max Time
 
-	mu   sync.Mutex
 	last map[link]Time
 }
 
@@ -45,8 +43,6 @@ func NewFIFODelay(min, max Time) *FIFODelay {
 // Deliver implements Scheduler.
 func (s *FIFODelay) Deliver(m types.Message, now Time, seq uint64, rng *rand.Rand) Time {
 	at := UniformDelay{Min: s.Min, Max: s.Max}.Deliver(m, now, seq, rng)
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	l := link{from: m.From, to: m.To}
 	if prev, ok := s.last[l]; ok && at <= prev {
 		at = prev + 1

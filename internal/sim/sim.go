@@ -11,11 +11,13 @@
 //
 // # Determinism contract
 //
-// A run is a pure function of (registered nodes, scheduler, seed): the event
-// queue is a strict total order on (delivery time, send sequence), nodes are
-// started in registration order, and the only randomness is the run's seeded
-// RNG. Nothing in a Network reads clocks, goroutine identity, or global
-// state. This contract is what makes executions replayable byte for byte,
+// A run is a pure function of (registered nodes, scheduler, seed): events are
+// delivered in the strict total order (delivery time, send sequence), nodes
+// are started in registration order, and the only randomness is the run's
+// seeded RNG. The order is the contract, not the structure that produces it:
+// the queue is a ring of per-tick buckets with a heap for far-future events
+// (queue.go argues why it pops what a heap pops). Nothing in a Network reads
+// clocks, goroutine identity, or global state. This contract is what makes executions replayable byte for byte,
 // and it is what runner.Sweep relies on to fan independent runs across
 // worker goroutines: each run owns its Network outright, so runs scheduled
 // on different workers — in any order, at any parallelism — produce
@@ -99,6 +101,11 @@ func (b *OutBuffer) Take() []types.Message {
 // delivered, or Drop to discard it. seq is a unique, monotonically increasing
 // per-send number schedulers may use for deterministic tie-breaking; rng is
 // the run's seeded randomness.
+//
+// A scheduler is owned by one run: the network calls it from the run's one
+// goroutine and hands it the run's unsynchronized rng, so stateful families
+// (FIFODelay, AdaptiveDelay) keep plain fields and a value must never be
+// shared between concurrent runs — build one per run, as runner does.
 type Scheduler interface {
 	Deliver(m types.Message, now Time, seq uint64, rng *rand.Rand) Time
 }

@@ -485,3 +485,57 @@ func TestUniformDelaySwappedBounds(t *testing.T) {
 		t.Errorf("self delivery missing")
 	}
 }
+
+// pastScheduler answers with times no scheduler should: five ticks before
+// the send, the tick below Drop, and — so that the clock moves and "five
+// ticks before" is sometimes positive — three ticks ahead.
+type pastScheduler struct{}
+
+func (pastScheduler) Deliver(_ types.Message, now Time, seq uint64, _ *rand.Rand) Time {
+	switch seq % 3 {
+	case 0:
+		return now - 5
+	case 1:
+		return Drop - 1
+	default:
+		return now + 3
+	}
+}
+
+// TestSchedulerCannotReachThePast: the event queue panics on an event before
+// its clock, and send clamps every scheduler answer below now (other than
+// Drop itself) to now — so no Scheduler, however wrong, can reach that panic,
+// and a clamped message is delivered at the tick it was sent.
+func TestSchedulerCannotReachThePast(t *testing.T) {
+	rec := trace.New(0)
+	n := newNet(t, Config{Scheduler: pastScheduler{}, Seed: 1, Recorder: rec})
+	ps := types.Processes(4)
+	for _, p := range ps {
+		if err := n.Add(&pingNode{id: p, peers: ps, chatty: true, budget: 40}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := n.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Sent != 16+4*40 || stats.Delivered+stats.Dropped != stats.Sent || stats.End < 5 {
+		t.Fatalf("stats %+v: want %d sent, each delivered or dropped, and a clock past 5", stats, 16+4*40)
+	}
+	sentAt := make(map[uint64]int64)
+	last := int64(0)
+	for _, e := range rec.Events() {
+		switch e.Kind {
+		case trace.KindSend:
+			sentAt[e.Seq] = e.Time
+		case trace.KindDeliver:
+			if e.Time < last || e.Time < sentAt[e.Seq] {
+				t.Fatalf("seq %d delivered at %d: sent at %d, previous delivery at %d", e.Seq, e.Time, sentAt[e.Seq], last)
+			}
+			if e.Seq%3 != 2 && e.Time != sentAt[e.Seq] {
+				t.Fatalf("seq %d: a past answer was delivered at %d, not at its send time %d", e.Seq, e.Time, sentAt[e.Seq])
+			}
+			last = e.Time
+		}
+	}
+}
