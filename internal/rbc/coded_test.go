@@ -2,6 +2,7 @@ package rbc
 
 import (
 	"crypto/sha256"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -414,6 +415,95 @@ func TestCodedPoisonedKeyNeverDelivers(t *testing.T) {
 	set := ci.sets[key]
 	if set == nil || !set.poisoned {
 		t.Fatalf("decode verdict not poisoned: %+v", set)
+	}
+}
+
+// TestCodedDecodeVerdictIndependentOfHeldSet: the decode verdict is a
+// function of the dispersal's Sums alone, never of which k fragments a
+// process happens to hold. An honest dispersal delivers the identical body
+// from data-only, parity-only and mixed subsets; a dispersal with one parity
+// shard swapped (its digest recomputed, so every fragment verifies on its
+// own) is poisoned whether or not the decoder holds the swapped shard. A
+// decoder that skipped the re-encode when its k fragments are all systematic
+// would deliver the poisoned data-only case while the others never deliver,
+// breaking totality. Shards are ~5.5 KiB, well past one 32-byte vector block.
+func TestCodedDecodeVerdictIndependentOfHeldSet(t *testing.T) {
+	n, f := 16, 5
+	spec := quorum.MustNew(n, f)
+	peers := types.Processes(n)
+	if k := CodedDataShards(spec); k != 6 {
+		t.Fatalf("k = %d, want 6 (the subsets below are sized for it)", k)
+	}
+	body := make([]byte, 32<<10)
+	rand.New(rand.NewSource(1)).Read(body)
+	tag := types.Tag{Seq: 1}
+	id := types.InstanceID{Sender: 1, Tag: tag}
+
+	honest := make([]*types.RBCFragPayload, n)
+	for _, m := range NewCoded(1, peers, spec).Broadcast(tag, string(body)) {
+		p := m.Payload.(*types.RBCFragPayload)
+		honest[p.Index] = p
+	}
+	const swapped = 15 // the last parity shard
+	evil := []byte(honest[swapped].Frag)
+	evil[len(evil)/2] ^= 0x5A
+	evilDigest := sha256.Sum256(evil)
+	sums := []byte(honest[0].Sums)
+	copy(sums[swapped*sumLen:], evilDigest[:])
+	poisoned := make([]*types.RBCFragPayload, n)
+	for i, p := range honest {
+		q := *p
+		q.Sums = string(sums)
+		if i == swapped {
+			q.Frag = string(evil)
+		}
+		poisoned[i] = &q
+	}
+
+	// decode hands a fresh process exactly the held fragments, as echoes
+	// from their owners, then a ready quorum; it returns the deliveries and
+	// the key's fragment set.
+	decode := func(frags []*types.RBCFragPayload, held []int) ([]Delivery, *fragSet) {
+		target := NewCoded(types.ProcessID(n), peers, spec)
+		var got []Delivery
+		for _, i := range held {
+			_, ds := target.HandleFrag(peers[i], frags[i])
+			got = append(got, ds...)
+		}
+		ci := target.codedInsts[id]
+		key := target.internKey(ci, frags[0].TotalLen, frags[0].Sums)
+		for _, from := range peers[:spec.Decide()] {
+			_, ds := target.HandleSum(from, &types.RBCSumPayload{ID: id, Sum: key})
+			got = append(got, ds...)
+		}
+		return got, ci.sets[key]
+	}
+
+	for _, tc := range []struct {
+		name string
+		held []int
+	}{
+		{"data-only", []int{0, 1, 2, 3, 4, 5}},
+		{"parity-only", []int{10, 11, 12, 13, 14, 15}},
+		{"mixed-holding-swapped", []int{0, 2, 4, 11, 13, 15}},
+		{"mixed-without-swapped", []int{1, 3, 5, 6, 8, 10}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, set := decode(honest, tc.held)
+			if len(got) != 1 || got[0].Body != string(body) {
+				t.Fatalf("honest dispersal: %d deliveries, want the body once", len(got))
+			}
+			if set.have != len(tc.held) {
+				t.Fatalf("decoder held %d fragments, want exactly %v", set.have, tc.held)
+			}
+			got, set = decode(poisoned, tc.held)
+			if len(got) != 0 {
+				t.Fatalf("poisoned dispersal delivered %d bodies", len(got))
+			}
+			if set == nil || !set.poisoned {
+				t.Fatal("poisoned dispersal's key not poisoned")
+			}
+		})
 	}
 }
 

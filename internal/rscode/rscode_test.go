@@ -86,7 +86,7 @@ func TestShardsArePolynomialEvaluations(t *testing.T) {
 	const n, k = 9, 4
 	c := mustCode(t, n, k)
 	rng := rand.New(rand.NewSource(99))
-	body := make([]byte, 4*k+3)
+	body := make([]byte, 67*k+3) // 68-byte shards: two vector blocks and a tail
 	rng.Read(body)
 	shards := c.Split(body)
 	sl := c.ShardLen(len(body))
@@ -155,13 +155,20 @@ func solveVandermonde(t *testing.T, k int, y func(int) byte) []byte {
 	return coeffs
 }
 
+// TestRoundTripProperty: any k-subset in any order reconstructs the body.
+// Odd trials draw bodies up to 8 KiB, so shards cross the slice kernel's
+// 32-byte vector blocks and end in every tail length.
 func TestRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(20)
 		k := 1 + rng.Intn(n)
 		c := mustCode(t, n, k)
-		body := make([]byte, rng.Intn(64))
+		size := rng.Intn(64)
+		if trial%2 == 1 {
+			size = rng.Intn(8<<10 + 1)
+		}
+		body := make([]byte, size)
 		rng.Read(body)
 		shards := c.Split(body)
 		// Random k-subset in random order.
