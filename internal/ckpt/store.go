@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -59,6 +60,9 @@ const (
 	// maxSuffixEntries bounds the decoded suffix before any allocation, like
 	// every other hostile-length guard in the wire codec.
 	maxSuffixEntries = 1 << 20
+	// maxEntryField bounds a suffix entry's slot, index and proposer: 2⁴⁰,
+	// or the largest int on a 32-bit host.
+	maxEntryField = min(1<<40, math.MaxInt)
 )
 
 var storeMagic = [4]byte{'R', 'C', 'K', 'P'}
@@ -236,15 +240,15 @@ func readRecord(buf []byte) (*Record, []byte, error) {
 		rec.Suffix = make([]LogEntry, 0, min(count, 4096))
 	}
 	for i := 0; i < count; i++ {
-		slot, rest, err := readLen(buf, 1<<40)
+		slot, rest, err := readLen(buf, maxEntryField)
 		if err != nil {
 			return nil, nil, err
 		}
-		index, rest, err := readLen(rest, 1<<40)
+		index, rest, err := readLen(rest, maxEntryField)
 		if err != nil {
 			return nil, nil, err
 		}
-		proposer, rest, err := readLen(rest, 1<<40)
+		proposer, rest, err := readLen(rest, maxEntryField)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/coin"
@@ -122,7 +123,7 @@ func runMemoryWorkload(n, rounds int, seed int64, window int, disablePruning boo
 		Scheduler: sim.UniformDelay{Min: 1, Max: 20},
 		Seed:      seed,
 		// The workload is bounded by MaxRounds, not the delivery budget.
-		MaxDeliveries: 1 << 62,
+		MaxDeliveries: math.MaxInt,
 	})
 	if err != nil {
 		return nil, err

@@ -1,11 +1,19 @@
 // Package gf256 implements arithmetic in the finite field GF(2^8) with the
 // AES reduction polynomial x^8 + x^4 + x^3 + x + 1 (0x11B). It is the
 // algebraic substrate for the Shamir secret sharing used by the Rabin-style
-// common coin dealer (internal/shamir, internal/coin).
+// common coin dealer (internal/shamir, internal/coin) and for the
+// Reed–Solomon code under coded reliable broadcast (internal/rscode).
 //
-// Multiplication and inversion are table-driven via discrete logarithms with
-// the generator 0x03, so all operations are constant-time-ish table lookups —
-// plenty fast for coin reconstruction, which handles n shares per round.
+// Scalar multiplication and inversion are table-driven via discrete
+// logarithms with the generator 0x03: a few lookups per operation, which is
+// all the coin's per-share work needs. Bulk coding work goes through one
+// slice kernel instead, MulAddSlice (dst ^= c·src), which never touches the
+// log tables. It reads a 32-byte table per coefficient c (c times each low
+// nibble, c times each high nibble), so a product is two lookups and a XOR:
+// c·s = c·(s & 15) ^ c·(s & 0xF0). On amd64 CPUs with AVX2 the two lookups
+// are VPSHUFB over 32 bytes at a time (mul_amd64.s, selected once at package
+// init from CPUID); elsewhere, and for the tail, a pure-Go loop does them a
+// byte at a time.
 package gf256
 
 // poly is the AES reduction polynomial (without the x^8 term, applied during
@@ -72,6 +80,46 @@ func Mul(a, b byte) byte {
 
 // MulSlow exposes the reference multiplication for cross-checking in tests.
 func MulSlow(a, b byte) byte { return mulSlow(a, b) }
+
+// nibbleTable holds one coefficient's products with every nibble:
+// [0][x] = c·x and [1][x] = c·(x<<4) for x < 16. The layout (low half, then
+// high half, 16 bytes each) is what mul_amd64.s loads.
+type nibbleTable [2][16]byte
+
+// mulTables[c] is c's nibble table: 256 × 32 bytes = 8 KiB, built at init.
+var mulTables = buildMulTables()
+
+func buildMulTables() *[256]nibbleTable {
+	t := new([256]nibbleTable)
+	for c := 1; c < 256; c++ {
+		for x := 1; x < 16; x++ {
+			t[c][0][x] = Mul(byte(c), byte(x))
+			t[c][1][x] = Mul(byte(c), byte(x<<4))
+		}
+	}
+	return t
+}
+
+// MulAddSlice computes dst[i] ^= c·src[i] for every i < len(src): the one
+// multiply-accumulate Reed–Solomon encoding and decoding are built from. It
+// panics if dst is shorter than src.
+func MulAddSlice(c byte, src, dst []byte) {
+	dst = dst[:len(src)]
+	if c == 0 {
+		return
+	}
+	mulAddSlice(&mulTables[c], src, dst)
+}
+
+// mulAddGeneric is the portable kernel: the tail of every vector pass, the
+// whole pass on hosts without AVX2, and the reference the tests compare the
+// vector path against. len(dst) must equal len(src).
+func mulAddGeneric(t *nibbleTable, src, dst []byte) {
+	dst = dst[:len(src)]
+	for i, s := range src {
+		dst[i] ^= t[0][s&15] ^ t[1][s>>4]
+	}
+}
 
 // Inv returns the multiplicative inverse of a. Inv(0) returns 0; callers
 // dividing by field elements must guard the zero case themselves (Div does).

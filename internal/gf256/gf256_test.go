@@ -1,6 +1,8 @@
 package gf256
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -15,6 +17,53 @@ func TestMulMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// kernels are the two slice kernels: the dispatching one (the VPSHUFB loop
+// plus the pure-Go tail on AVX2 hosts) and the pure-Go loop alone.
+var kernels = []struct {
+	name string
+	run  func(t *nibbleTable, src, dst []byte)
+}{
+	{"dispatch", mulAddSlice},
+	{"generic", mulAddGeneric},
+}
+
+// FuzzMulAddSlice checks both kernels, and MulAddSlice over a longer dst,
+// against a Mul loop: any coefficient, lengths 0–4096, source and
+// destination at any offset mod 32, and no byte written past the product.
+// The seeds cover every coefficient at spread lengths and offsets.
+func FuzzMulAddSlice(f *testing.F) {
+	for c := 0; c < 256; c++ {
+		f.Add(byte(c), uint16(c*16+c%33), byte(c), byte(c>>3), int64(c))
+	}
+	f.Fuzz(func(t *testing.T, c byte, n uint16, srcOff, dstOff byte, seed int64) {
+		length, so, do := int(n)%4097, int(srcOff%32), int(dstOff%32)
+		const guard = 64
+		rng := rand.New(rand.NewSource(seed))
+		src := make([]byte, so+length)
+		rng.Read(src)
+		src = src[so:]
+		orig := make([]byte, do+length+guard)
+		rng.Read(orig)
+		want := append([]byte(nil), orig...)
+		for i, s := range src {
+			want[do+i] ^= Mul(c, s)
+		}
+		for _, k := range kernels {
+			got := append([]byte(nil), orig...)
+			k.run(&mulTables[c], src, got[do:do+length])
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s kernel (avx2=%v): c=%#x len=%d srcOff=%d dstOff=%d differs from the Mul loop",
+					k.name, useAVX2, c, length, so, do)
+			}
+		}
+		got := append([]byte(nil), orig...)
+		MulAddSlice(c, src, got[do:])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("MulAddSlice: c=%#x len=%d differs from the Mul loop", c, length)
+		}
+	})
 }
 
 func TestKnownProducts(t *testing.T) {
@@ -276,4 +325,20 @@ func hasDup(xs []byte) bool {
 		seen[x] = true
 	}
 	return false
+}
+
+// BenchmarkMulAddSlice times both kernels on one shard of a 32 KiB body at
+// k = 6.
+func BenchmarkMulAddSlice(b *testing.B) {
+	src := make([]byte, 5462)
+	dst := make([]byte, len(src))
+	rand.New(rand.NewSource(1)).Read(src)
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(int64(len(src)))
+			for b.Loop() {
+				k.run(&mulTables[0x57], src, dst)
+			}
+		})
+	}
 }

@@ -77,7 +77,7 @@ func CodedDataShards(spec quorum.Spec) int {
 // NewCoded creates a Broadcaster in coded-dissemination mode: broadcasts
 // disperse Reed–Solomon fragments ((n, CodedDataShards) code over the peer
 // list) and instance traffic arrives via AppendHandleFrag/AppendHandleSum.
-// Deliveries, digests, and the windowing contract are identical to New's.
+// Deliveries and the windowing contract are identical to New's.
 // It panics if the peer set cannot carry a GF(2^8) code (more than 255
 // peers); callers size clusters long before this bound.
 func NewCoded(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Broadcaster {
@@ -130,8 +130,6 @@ type codedInst struct {
 	// exactly as in the plain instance.
 	readyQuorum bool
 	t0          sim.Time
-
-	deliveredDigest uint64
 
 	echoPayload  types.RBCFragPayload
 	readyPayload types.RBCSumPayload
@@ -333,7 +331,6 @@ func (b *Broadcaster) maybeCodedReadyAndDeliver(out []types.Message, ci *codedIn
 	if !ci.delivered && readies >= b.spec.Decide() {
 		if body, ok := b.tryDecode(ci, key); ok {
 			ci.delivered = true
-			ci.deliveredDigest = digest(body)
 			b.tele.Observe(sim.PhaseRBCDeliver, ci.t0)
 			deliveries = append(deliveries, Delivery{ID: id, Body: body})
 		}
@@ -377,9 +374,17 @@ func (b *Broadcaster) tryDecode(ci *codedInst, key string) (string, bool) {
 	}
 	// Re-encode and verify the full digest vector: the k fragments we used
 	// are digest-bound already, and this check extends the binding to every
-	// shard a straggler might decode from instead.
+	// shard a straggler might decode from instead. It runs whatever k we
+	// held — skipping it for an all-systematic set would let that set accept
+	// a dispersal other sets reject. A held fragment passed fragValid against
+	// this same Sums entry, so a re-encoded shard byte-equal to it has that
+	// digest; only the other shards are hashed, and the verdict is the one
+	// hashing all n would give.
 	reShards := b.code.Split(body)
 	for i, s := range reShards {
+		if f := set.frags[i]; f != "" && f == string(s) {
+			continue
+		}
 		d := sha256.Sum256(s)
 		off := i * sumLen
 		for j := 0; j < sumLen; j++ {

@@ -58,8 +58,8 @@ func TestDropSeqBelowReleasesRecordsAndLiveInstances(t *testing.T) {
 	if b.Delivered(ids[0]) {
 		t.Error("dropped record still answers Delivered")
 	}
-	if _, ok := b.DeliveredDigest(ids[1]); ok {
-		t.Error("dropped record still answers DeliveredDigest")
+	if b.Delivered(ids[1]) {
+		t.Error("dropped live instance still answers Delivered")
 	}
 	out, ds := b.Handle(peers[0], &types.RBCPayload{Phase: types.KindRBCSend, ID: ids[2], Body: "body"})
 	if len(out) != 0 || len(ds) != 0 {

@@ -34,15 +34,16 @@
 // provably emits nothing ever again: a late SEND is ignored (already
 // echoed), late ECHOs and READYs only update tallies that no threshold will
 // read (already readied, already delivered). Compaction therefore replaces
-// the full state (per-body tallies, payloads) with a compact delivered-
-// digest record, and message handling for a compacted instance is a silent
-// no-op — byte-for-byte the messages an uncompacted broadcaster would have
-// sent, which is why the golden replay hashes pin it.
+// the full state (per-body tallies, payloads) with a bare delivered record
+// (the instance ID, nothing else), and message handling for a compacted
+// instance is a silent no-op — byte-for-byte the messages an uncompacted
+// broadcaster would have sent, which is why the golden replay hashes pin it.
 //
 // What a pruned (compacted) instance promises late messages: nothing is
-// sent in response, exactly as before compaction; Delivered(id) stays true
-// and DeliveredDigest(id) still answers which body was delivered, so a
-// catch-up layer can serve stragglers from the record. Totality for a
+// sent in response, exactly as before compaction, and Delivered(id) stays
+// true. The record does not say which body was delivered: the owner that
+// consumed the delivery keeps that (a committed log entry, an accepted
+// step). Totality for a
 // straggler that has not delivered yet is unaffected: every correct process
 // sent its READY broadcast before its instance became terminal, and
 // asynchronous reliable links deliver those in-flight READYs eventually —
@@ -80,12 +81,12 @@ type Broadcaster struct {
 	peers     []types.ProcessID
 	spec      quorum.Spec
 	instances map[types.InstanceID]*instance
-	// compacted holds the delivered-body digest of every instance released
-	// by Compact/PruneBelow (see the windowing contract in the package doc):
-	// a few bytes instead of tallies and payloads. Handling a message for a
-	// compacted instance is a silent no-op, identical to what the retained
-	// terminal state would have done.
-	compacted map[types.InstanceID]uint64
+	// compacted records every instance released by Compact/PruneBelow (see
+	// the windowing contract in the package doc): a map key instead of
+	// tallies and payloads. Handling a message for a compacted instance is a
+	// silent no-op, identical to what the retained terminal state would have
+	// done.
+	compacted map[types.InstanceID]struct{}
 	// peerIdx maps a peer to its dense bitset index; words is the bitset
 	// length every tally uses. Together they turn the per-(body, sender)
 	// bookkeeping of the counting path into a bit test, replacing the
@@ -94,7 +95,7 @@ type Broadcaster struct {
 	words   int
 	// seqFloor and roundFloor are the protocol-level drop watermarks (see
 	// DropSeqBelow/DropRoundBelow): instances below them hold no state at
-	// all, not even a digest record, and all their traffic is a silent no-op.
+	// all, not even a delivered record, and all their traffic is a silent no-op.
 	seqFloor   int
 	roundFloor int
 	// code switches the broadcaster into AVID-style coded dissemination when
@@ -134,7 +135,7 @@ func New(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Broadca
 		peers:     append([]types.ProcessID(nil), peers...),
 		spec:      spec,
 		instances: make(map[types.InstanceID]*instance),
-		compacted: make(map[types.InstanceID]uint64),
+		compacted: make(map[types.InstanceID]struct{}),
 		peerIdx:   idx,
 		words:     (len(peers) + 63) / 64,
 	}
@@ -169,11 +170,6 @@ type instance struct {
 	readyQuorum bool
 	t0          sim.Time
 
-	// deliveredDigest fingerprints the delivered body (set at delivery):
-	// what survives compaction, so Delivered/DeliveredDigest keep answering
-	// after the tallies and payloads are released.
-	deliveredDigest uint64
-
 	echoPayload  types.RBCPayload
 	readyPayload types.RBCPayload
 
@@ -185,15 +181,6 @@ type instance struct {
 // readied, and delivered, so every remaining handler path is a silent tally
 // update. Only terminal instances may be compacted.
 func (in *instance) terminal() bool { return in.echoed && in.readied && in.delivered }
-
-// digest is the repository's shared FNV-1a over the body — the compact
-// fingerprint kept for compacted instances. Not cryptographic: agreement is
-// enforced by the echo quorum intersection before delivery ever happens;
-// the digest only lets a catch-up layer identify what was delivered without
-// retaining the body.
-func digest(body string) uint64 {
-	return types.FNV1aString(types.FNV1aInit, body)
-}
 
 func (b *Broadcaster) inst(id types.InstanceID) *instance {
 	in, ok := b.instances[id]
@@ -245,8 +232,7 @@ func (b *Broadcaster) Broadcast(tag types.Tag, body string) []types.Message {
 
 // AppendBroadcast is Broadcast appending into a caller-provided slice. In
 // coded mode the SEND is replaced by a per-peer fragment dispersal (see
-// appendDisperse); deliveries and digests are unchanged, only the wire
-// format differs.
+// appendDisperse); deliveries are unchanged, only the wire format differs.
 func (b *Broadcaster) AppendBroadcast(out []types.Message, tag types.Tag, body string) []types.Message {
 	if b.code != nil {
 		return b.appendDisperse(out, tag, body)
@@ -353,7 +339,6 @@ func (b *Broadcaster) maybeReadyAndDeliver(out []types.Message, in *instance, id
 	}
 	if !in.delivered && readies >= b.spec.Decide() {
 		in.delivered = true
-		in.deliveredDigest = digest(body)
 		b.tele.Observe(sim.PhaseRBCDeliver, in.t0)
 		deliveries = append(deliveries, Delivery{ID: id, Body: body})
 	}
@@ -374,36 +359,19 @@ func (b *Broadcaster) Delivered(id types.InstanceID) bool {
 	return ok && ci.delivered
 }
 
-// DeliveredDigest returns the FNV-1a fingerprint of the body this instance
-// delivered (false if it has not delivered). It keeps answering after
-// compaction — the record a catch-up layer serves to stragglers asking what
-// a pruned instance agreed on.
-func (b *Broadcaster) DeliveredDigest(id types.InstanceID) (uint64, bool) {
-	if d, done := b.compacted[id]; done {
-		return d, true
-	}
-	if in, ok := b.instances[id]; ok && in.delivered {
-		return in.deliveredDigest, true
-	}
-	if ci, ok := b.codedInsts[id]; ok && ci.delivered {
-		return ci.deliveredDigest, true
-	}
-	return 0, false
-}
-
 // Compact releases one instance's tallies and payloads if it is terminal
 // (echoed, readied, delivered — it can never emit again), leaving only the
-// delivered-digest record. Reports whether compaction happened; non-terminal
+// delivered record. Reports whether compaction happened; non-terminal
 // instances are left untouched so late echoes still amplify. Per-slot owners
 // (the SMR log, ACS input dissemination) call this when a slot commits.
 func (b *Broadcaster) Compact(id types.InstanceID) bool {
 	if in, ok := b.instances[id]; ok && in.terminal() {
-		b.compacted[id] = in.deliveredDigest
+		b.compacted[id] = struct{}{}
 		delete(b.instances, id)
 		return true
 	}
 	if ci, ok := b.codedInsts[id]; ok && ci.terminal() {
-		b.compacted[id] = ci.deliveredDigest
+		b.compacted[id] = struct{}{}
 		delete(b.codedInsts, id)
 		return true
 	}
@@ -423,7 +391,7 @@ func (b *Broadcaster) PruneBelow(round int) int {
 		if id.Tag.Round == 0 || id.Tag.Round >= round || !in.terminal() {
 			continue
 		}
-		b.compacted[id] = in.deliveredDigest
+		b.compacted[id] = struct{}{}
 		delete(b.instances, id)
 		released++
 	}
@@ -431,7 +399,7 @@ func (b *Broadcaster) PruneBelow(round int) int {
 		if id.Tag.Round == 0 || id.Tag.Round >= round || !ci.terminal() {
 			continue
 		}
-		b.compacted[id] = ci.deliveredDigest
+		b.compacted[id] = struct{}{}
 		delete(b.codedInsts, id)
 		released++
 	}
@@ -445,25 +413,25 @@ func (b *Broadcaster) PruneBelow(round int) int {
 // freely, so memory pressure is observable here.
 func (b *Broadcaster) Instances() int { return len(b.instances) + len(b.codedInsts) }
 
-// Compacted returns how many instances have been released to delivered-
-// digest records (diagnostics; each record costs a map entry and 8 bytes,
-// not tallies and payloads).
+// Compacted returns how many instances have been released to delivered
+// records (diagnostics; each record costs a map entry, not tallies and
+// payloads).
 func (b *Broadcaster) Compacted() int { return len(b.compacted) }
 
-// compactedRecordBytes is the accounted cost of one delivered-digest record:
-// the InstanceID key (sender + three tag ints) plus the uint64 digest. Map
-// overhead is excluded — the counter tracks growth shape, not allocator
-// detail.
+// compactedRecordBytes is the accounted cost of one delivered record: the
+// 32-byte InstanceID key (sender + three tag ints) plus one word of map
+// entry, a flat figure E12's residue table is denominated in.
+// The counter tracks growth shape, not allocator detail.
 const compactedRecordBytes = 40
 
-// DigestBytes returns the bytes retained by the compact delivered-digest
-// records — the residue windowed pruning deliberately keeps forever, growing
-// one record per terminal instance. A checkpointing owner retires it with
+// DigestBytes returns the bytes retained by the compact delivered records —
+// the residue windowed pruning deliberately keeps forever, growing one
+// record per terminal instance. A checkpointing owner retires it with
 // DropSeqBelow/DropRoundBelow; without one it is the measurable unbounded
 // remainder on infinite executions (experiment E12).
 func (b *Broadcaster) DigestBytes() int { return len(b.compacted) * compactedRecordBytes }
 
-// DropSeqBelow releases every instance and delivered-digest record in the
+// DropSeqBelow releases every instance and delivered record in the
 // roundless (sequence) namespace with Tag.Seq below seq, live or compacted,
 // terminal or not, and returns how many it dropped. The bound becomes a
 // watermark: later traffic for the released range is a silent no-op and
@@ -472,7 +440,7 @@ func (b *Broadcaster) DigestBytes() int { return len(b.compacted) * compactedRec
 // record gives).
 //
 // This is a *protocol-level* release, stronger than the windowing contract:
-// a dropped instance no longer answers Delivered/DeliveredDigest, and a
+// a dropped instance no longer answers Delivered, and a
 // half-finished broadcast below the bound is abandoned. The caller must hold
 // a checkpoint certificate covering the dropped range — a quorum's statement
 // that the slots below seq are settled and any process still missing them

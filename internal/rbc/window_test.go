@@ -1,10 +1,10 @@
 package rbc
 
-// Windowing tests: compaction of terminal instances to delivered-digest
-// records must be invisible to the protocol (late messages get the exact
-// silence the retained terminal state would have produced), must actually
-// release the full-fidelity state, and must refuse to touch instances that
-// could still emit.
+// Windowing tests: compaction of terminal instances to delivered records
+// must be invisible to the protocol (late messages get the exact silence the
+// retained terminal state would have produced), must actually release the
+// full-fidelity state, and must refuse to touch instances that could still
+// emit.
 
 import (
 	"testing"
@@ -29,9 +29,8 @@ func TestCompactReleasesTerminalInstance(t *testing.T) {
 	c := runInstance(t, 4, 1, tag, "payload")
 	b := c.correct[2]
 
-	wantDigest, ok := b.DeliveredDigest(id)
-	if !ok {
-		t.Fatal("DeliveredDigest unavailable before compaction on a delivered instance")
+	if !b.Delivered(id) {
+		t.Fatal("instance not delivered before compaction")
 	}
 	if b.Instances() != 1 || b.Compacted() != 0 {
 		t.Fatalf("live/compacted = %d/%d before compaction, want 1/0", b.Instances(), b.Compacted())
@@ -44,9 +43,6 @@ func TestCompactReleasesTerminalInstance(t *testing.T) {
 	}
 	if !b.Delivered(id) {
 		t.Error("Delivered(id) lost by compaction")
-	}
-	if d, ok := b.DeliveredDigest(id); !ok || d != wantDigest {
-		t.Errorf("DeliveredDigest after compaction = %x/%v, want %x/true", d, ok, wantDigest)
 	}
 	if b.Compact(id) {
 		t.Error("Compact reported success on an already-compacted instance")
@@ -165,30 +161,5 @@ func TestPruneBelowWindowsByRound(t *testing.T) {
 	// Idempotent: nothing below the floor is left to release.
 	if got := b.PruneBelow(3); got != 0 {
 		t.Errorf("second PruneBelow(3) released %d instances, want 0", got)
-	}
-}
-
-// TestDigestDistinguishesBodies: the delivered-digest record identifies what
-// was agreed — two instances delivering different bodies keep different
-// digests across compaction.
-func TestDigestDistinguishesBodies(t *testing.T) {
-	tagA := types.Tag{Round: 1, Step: types.Step1}
-	tagB := types.Tag{Round: 2, Step: types.Step1}
-	c := newCluster(t, 4, 1, types.Processes(4))
-	c.enqueue(c.correct[1].Broadcast(tagA, "alpha"))
-	c.enqueue(c.correct[1].Broadcast(tagB, "beta"))
-	c.pump()
-	b := c.correct[3]
-	b.PruneBelow(100)
-	da, okA := b.DeliveredDigest(types.InstanceID{Sender: 1, Tag: tagA})
-	db, okB := b.DeliveredDigest(types.InstanceID{Sender: 1, Tag: tagB})
-	if !okA || !okB {
-		t.Fatal("digest lost by windowing")
-	}
-	if da == db {
-		t.Errorf("digests collide across different bodies: %x", da)
-	}
-	if da != digest("alpha") || db != digest("beta") {
-		t.Errorf("digests %x/%x do not match recomputation %x/%x", da, db, digest("alpha"), digest("beta"))
 	}
 }

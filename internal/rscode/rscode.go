@@ -11,9 +11,12 @@
 // any k of the n shards reconstruct every column by Lagrange
 // interpolation. n is capped at 255 by the field size.
 //
-// The per-column work is O(n·k) for Encode and O(k²) for Decode, with the
-// Lagrange coefficients hoisted out of the column loop — one basis
-// computation serves every byte of the shards.
+// Both directions are sums of shards scaled by Lagrange coefficients, so
+// the byte work is done shard-at-a-time by gf256.MulAddSlice (dst ^= c·src,
+// vectorised where the CPU allows): Split makes one pass per (parity shard,
+// data shard) pair with coefficients precomputed in New, and Reconstruct
+// makes k passes per missing data shard with coefficients computed once per
+// call. Only the coefficients use scalar field arithmetic.
 package rscode
 
 import (
@@ -111,16 +114,8 @@ func (c *Code) Split(body []byte) [][]byte {
 		copy(shards[d], body[min(d*shardLen, len(body)):min((d+1)*shardLen, len(body))])
 	}
 	for p, basis := range c.parityBasis {
-		out := shards[c.k+p]
-		for d := 0; d < c.k; d++ {
-			coef := basis[d]
-			if coef == 0 {
-				continue
-			}
-			data := shards[d]
-			for b := 0; b < shardLen; b++ {
-				out[b] = gf256.Add(out[b], gf256.Mul(data[b], coef))
-			}
+		for d, coef := range basis {
+			gf256.MulAddSlice(coef, shards[d], shards[c.k+p])
 		}
 	}
 	return shards
@@ -187,25 +182,20 @@ func (c *Code) Reconstruct(indices []int, shards [][]byte, bodyLen int) ([]byte,
 		}
 		return body, nil
 	}
-	// General path: for each missing data shard d, interpolate the column
-	// polynomials at x = d+1 from the k available points. Hoist the Lagrange
-	// coefficients out of the byte loop.
+	// General path: each missing data shard d is the column polynomials
+	// interpolated at x = d+1 from the k available points — k slice passes
+	// into the zeroed body, one Lagrange coefficient each.
 	for d := 0; d < c.k; d++ {
 		if d*shardLen >= bodyLen {
 			break
 		}
-		dst := body[d*shardLen:min((d+1)*shardLen, bodyLen)]
+		dst := body[d*shardLen : min((d+1)*shardLen, bodyLen)]
 		if dataAt[d] != nil {
 			copy(dst, dataAt[d])
 			continue
 		}
-		basis := lagrangeAt(point(d), useIdx)
-		for b := range dst {
-			var acc byte
-			for i := range useIdx {
-				acc = gf256.Add(acc, gf256.Mul(useShard[i][b], basis[i]))
-			}
-			dst[b] = acc
+		for i, coef := range lagrangeAt(point(d), useIdx) {
+			gf256.MulAddSlice(coef, useShard[i][:len(dst)], dst)
 		}
 	}
 	return body, nil
