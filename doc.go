@@ -22,8 +22,8 @@
 // internal/runner enforce the invariant against golden trace hashes.
 //
 // Memory architecture: long-lived runs keep a sliding window of per-round
-// state — accepted lists, terminal RBC instances (compacted to delivered-
-// digest records), validator dedup entries, per-node coin state, and the
+// state — accepted lists, terminal RBC instances (compacted to delivered
+// records), validator dedup entries, per-node coin state, and the
 // cluster-shared dealer table under a low-watermark. ARCHITECTURE.md is the
 // memory-lifecycle map: every per-round structure, its owner, its release
 // trigger, its catch-up path for stragglers, and the test that pins the

@@ -2,7 +2,7 @@
 // layered on the replicated log (internal/smr). It is what lets an infinite
 // execution run in bounded memory: the windowed pruning of PR 4 bounds every
 // *per-round* retainer, but the residue it deliberately keeps — compact RBC
-// delivered-digest records, per-round justification digests, per-slot coin
+// delivered records, per-round justification digests, per-slot coin
 // dealers — still grows linearly with slots committed. Checkpointing retires
 // that residue at quorum-certified cuts, the same shape production
 // asynchronous BFT systems use (PBFT's stable checkpoints, PARSEC's
@@ -85,11 +85,11 @@ type Certificate struct {
 // friends): it is never an acceptance gate for adversary-supplied bytes —
 // entries fold in as they commit through consensus, and a transferred
 // replica installs the certificate's digest as an opaque continuation
-// value — so, like RBC's delivered-digest records, it only needs to make
-// accidental divergence loud. The *state* digest is different: state
-// transfer accepts a snapshot byte string from a single untrusted
-// responder if and only if it digests to the quorum-certified value, which
-// makes second-preimage resistance load-bearing — FNV-1a is algebraically
+// value — so it only needs to make accidental divergence loud. The *state*
+// digest is different: state transfer accepts a snapshot byte string from a
+// single untrusted responder if and only if it digests to the
+// quorum-certified value, which makes second-preimage resistance
+// load-bearing — FNV-1a is algebraically
 // invertible and would let a Byzantine responder craft a poisoned snapshot
 // matching an honest digest. Digest therefore truncates SHA-256: finding a
 // second preimage of a value fixed by honest voters costs ~2^64 work (the

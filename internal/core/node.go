@@ -90,7 +90,7 @@ type Config struct {
 	// invariant "state for round r is released once r+1 decides" allows).
 	// On entering round r the node releases everything below r−Window:
 	// accepted lists, coin share state, terminal RBC instances (compacted
-	// to delivered-digest records), and the validator's seen entries.
+	// to delivered records), and the validator's seen entries.
 	// Window never changes behaviour, only retention; ARCHITECTURE.md maps
 	// every structure it governs.
 	Window int
@@ -353,13 +353,13 @@ func (n *Node) AcceptedRetained() int { return n.accepted.retained() }
 
 // RBCLiveInstances returns how many reliable-broadcast instances the node
 // retains at full fidelity (tallies and payloads); RBCCompacted returns how
-// many it has released to compact delivered-digest records. With pruning on
+// many it has released to compact delivered records. With pruning on
 // the live count stays bounded by the window plus non-terminal stragglers;
 // without it, every instance of the execution stays live (diagnostics for
 // the windowing tests and the E11 memory experiment).
 func (n *Node) RBCLiveInstances() int { return n.bcast.Instances() }
 
-// RBCCompacted returns the count of compact delivered-digest records held
+// RBCCompacted returns the count of compact delivered records held
 // for pruned RBC instances.
 func (n *Node) RBCCompacted() int { return n.bcast.Compacted() }
 
@@ -369,7 +369,7 @@ func (n *Node) RBCCompacted() int { return n.bcast.Compacted() }
 func (n *Node) ValidatorSeenRetained() int { return n.val.SeenRetained() }
 
 // RBCDigestBytes returns the bytes this node's broadcaster retains in
-// compact delivered-digest records — the residue windowed pruning keeps
+// compact delivered records — the residue windowed pruning keeps
 // forever, one record per terminal instance (see rbc.Broadcaster.DigestBytes).
 func (n *Node) RBCDigestBytes() int { return n.bcast.DigestBytes() }
 
@@ -379,7 +379,7 @@ func (n *Node) RBCDigestBytes() int { return n.bcast.DigestBytes() }
 func (n *Node) JustificationsRetained() int { return n.val.JustificationsRetained() }
 
 // ReleaseResidueBelow retires the residue windowed pruning keeps forever:
-// the compact RBC delivered-digest records of rounds below floor and the
+// the compact RBC delivered records of rounds below floor and the
 // validator's justification digests below floor−1 (round floor's step-1
 // justification reads round floor−1's digest, so that one stays). Late
 // messages for the released rounds are silently refused rather than judged.
@@ -544,7 +544,7 @@ func (n *Node) enterRound(out []types.Message, r int) []types.Message {
 		// default Window of 1 everything below r−1 is released — accepted
 		// lists recycle their backing arrays, a pruning-aware coin drops its
 		// per-round share state (and any straggler shares that arrive
-		// later), terminal RBC instances compact to delivered-digest
+		// later), terminal RBC instances compact to delivered
 		// records, and the validator releases its per-sender seen entries.
 		// The validator's per-round justification digests are deliberately
 		// retained: justification of in-flight messages recurses into

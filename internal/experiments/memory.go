@@ -26,7 +26,7 @@ import (
 //     (constant (Window+1)·3·n per node pruned; rounds·3·n unpruned);
 //   - rbc live inst: full-fidelity reliable-broadcast instances (tallies and
 //     payloads — the dominant retainer before windowing), with rbc digests
-//     counting the compact delivered-digest records that replaced pruned
+//     counting the compact delivered records that replaced pruned
 //     ones;
 //   - val seen: the validators' per-sender dedup entries, windowed behind
 //     the decided frontier;
@@ -94,7 +94,7 @@ type memoryResult struct {
 	deliveries       int
 	retainedAccepted int    // accepted messages still held (deterministic)
 	rbcLive          int    // full-fidelity RBC instances still held
-	rbcDigests       int    // compact delivered-digest records
+	rbcDigests       int    // compact delivered records
 	valSeen          int    // validator per-sender dedup entries still held
 	dealerRounds     int    // dealer sharings still memoized
 	retainedHeap     uint64 // live heap after run + forced GC, nodes alive

@@ -12,14 +12,14 @@ import (
 // state-transfer subsystem (internal/ckpt) buys on long replicated-log
 // executions. Windowed pruning (E11) bounds every per-round retainer but
 // deliberately leaves a residue that grows with slots committed: one RBC
-// delivered-digest record per slot per replica, one coin dealer per slot,
+// delivered record per slot per replica, one coin dealer per slot,
 // and the committed log itself. Each row runs the identical log workload —
 // same commands, same seeds — and reports that residue at the end of the
 // run, with checkpointing off and at two cut cadences:
 //
 //   - log retained: committed entries still held across the cluster
 //     (n·slots without checkpointing; the suffix above the cut with it);
-//   - rbc records / rbc bytes: compact delivered-digest records of the
+//   - rbc records / rbc bytes: compact delivered records of the
 //     dissemination layer (the residue windowing kept on purpose);
 //   - dealer slots / rounds: per-slot common-coin dealers and their dealt
 //     sharings, released below the cluster's minimum certified cut;

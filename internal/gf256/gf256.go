@@ -13,8 +13,10 @@
 // c·s = c·(s & 15) ^ c·(s & 0xF0). On amd64 CPUs with AVX2 the two lookups
 // are VPSHUFB over 32 bytes at a time (mul_amd64.s, selected once at package
 // init from CPUID); elsewhere, and for the tail, a pure-Go loop does them a
-// byte at a time.
+// byte at a time. The tables are built on the first MulAddSlice call.
 package gf256
+
+import "sync"
 
 // poly is the AES reduction polynomial (without the x^8 term, applied during
 // reduction).
@@ -86,10 +88,21 @@ func MulSlow(a, b byte) byte { return mulSlow(a, b) }
 // high half, 16 bytes each) is what mul_amd64.s loads.
 type nibbleTable [2][16]byte
 
-// mulTables[c] is c's nibble table: 256 × 32 bytes = 8 KiB, built at init.
-var mulTables = buildMulTables()
+// mulTables[c] is c's nibble table: 256 × 32 bytes = 8 KiB. It is built on
+// first use rather than at init, so a process that never codes does not pay
+// for computing and first touching 8 KiB at start-up.
+var (
+	mulTablesOnce sync.Once
+	mulTables     *[256]nibbleTable
+)
 
-func buildMulTables() *[256]nibbleTable {
+// nibbles returns c's nibble table.
+func nibbles(c byte) *nibbleTable {
+	mulTablesOnce.Do(buildMulTables)
+	return &mulTables[c]
+}
+
+func buildMulTables() {
 	t := new([256]nibbleTable)
 	for c := 1; c < 256; c++ {
 		for x := 1; x < 16; x++ {
@@ -97,7 +110,7 @@ func buildMulTables() *[256]nibbleTable {
 			t[c][1][x] = Mul(byte(c), byte(x<<4))
 		}
 	}
-	return t
+	mulTables = t
 }
 
 // MulAddSlice computes dst[i] ^= c·src[i] for every i < len(src): the one
@@ -108,7 +121,7 @@ func MulAddSlice(c byte, src, dst []byte) {
 	if c == 0 {
 		return
 	}
-	mulAddSlice(&mulTables[c], src, dst)
+	mulAddSlice(nibbles(c), src, dst)
 }
 
 // mulAddGeneric is the portable kernel: the tail of every vector pass, the

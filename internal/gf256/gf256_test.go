@@ -52,7 +52,7 @@ func FuzzMulAddSlice(f *testing.F) {
 		}
 		for _, k := range kernels {
 			got := append([]byte(nil), orig...)
-			k.run(&mulTables[c], src, got[do:do+length])
+			k.run(nibbles(c), src, got[do:do+length])
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s kernel (avx2=%v): c=%#x len=%d srcOff=%d dstOff=%d differs from the Mul loop",
 					k.name, useAVX2, c, length, so, do)
@@ -337,7 +337,7 @@ func BenchmarkMulAddSlice(b *testing.B) {
 		b.Run(k.name, func(b *testing.B) {
 			b.SetBytes(int64(len(src)))
 			for b.Loop() {
-				k.run(&mulTables[0x57], src, dst)
+				k.run(nibbles(0x57), src, dst)
 			}
 		})
 	}

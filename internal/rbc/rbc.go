@@ -43,15 +43,14 @@
 // sent in response, exactly as before compaction, and Delivered(id) stays
 // true. The record does not say which body was delivered: the owner that
 // consumed the delivery keeps that (a committed log entry, an accepted
-// step). Totality for a
-// straggler that has not delivered yet is unaffected: every correct process
-// sent its READY broadcast before its instance became terminal, and
-// asynchronous reliable links deliver those in-flight READYs eventually —
-// the 2f+1 the straggler needs are already on the wire, not in the pruned
-// state. Instances that never reached terminal state (a crashed sender's
-// half-finished broadcast, a missing SEND) are deliberately *not* compacted:
-// they may still have to echo or amplify, so they stay live at full fidelity
-// however far the window moves.
+// step). Totality for a straggler that has not delivered yet is unaffected:
+// every correct process sent its READY broadcast before its instance became
+// terminal, and asynchronous reliable links deliver those in-flight READYs
+// eventually — the 2f+1 the straggler needs are already on the wire, not in
+// the pruned state. Instances that never reached terminal state (a crashed
+// sender's half-finished broadcast, a missing SEND) are deliberately *not*
+// compacted: they may still have to echo or amplify, so they stay live at
+// full fidelity however far the window moves.
 package rbc
 
 import (
@@ -95,7 +94,8 @@ type Broadcaster struct {
 	words   int
 	// seqFloor and roundFloor are the protocol-level drop watermarks (see
 	// DropSeqBelow/DropRoundBelow): instances below them hold no state at
-	// all, not even a delivered record, and all their traffic is a silent no-op.
+	// all, not even a delivered record, and all their traffic is a silent
+	// no-op.
 	seqFloor   int
 	roundFloor int
 	// code switches the broadcaster into AVID-style coded dissemination when
@@ -420,8 +420,8 @@ func (b *Broadcaster) Compacted() int { return len(b.compacted) }
 
 // compactedRecordBytes is the accounted cost of one delivered record: the
 // 32-byte InstanceID key (sender + three tag ints) plus one word of map
-// entry, a flat figure E12's residue table is denominated in.
-// The counter tracks growth shape, not allocator detail.
+// entry, a flat figure E12's residue table is denominated in. The counter
+// tracks growth shape, not allocator detail.
 const compactedRecordBytes = 40
 
 // DigestBytes returns the bytes retained by the compact delivered records —

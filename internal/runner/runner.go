@@ -234,11 +234,11 @@ type Result struct {
 	// pruning and were dropped (see core.Stats.PrunedLate).
 	PrunedLate int
 	// RBCCompacted sums, over the correct Bracha nodes, the terminal RBC
-	// instances released to compact delivered-digest records by windowed
+	// instances released to compact delivered records by windowed
 	// pruning (0 with pruning disabled).
 	RBCCompacted int
 	// RBCDigestBytes sums the bytes the correct Bracha nodes retain in
-	// compact delivered-digest records at the end of the run — the residue
+	// compact delivered records at the end of the run — the residue
 	// windowed pruning keeps forever, retired only by protocol-level
 	// checkpointing (internal/ckpt, experiment E12).
 	RBCDigestBytes int

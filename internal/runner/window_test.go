@@ -14,7 +14,7 @@ import (
 // contract, asserted at every seed: one correct node runs rounds behind a
 // free-running pack (continuous inbound lag, spare fault slot, non-halting
 // formulation), so by the time its traffic lands, the pack has compacted
-// the RBC instances of those rounds to delivered-digest records — and the
+// the RBC instances of those rounds to delivered records — and the
 // straggler must still decide (RBC totality feeding consensus termination),
 // with no property violated. At the default window (1, the invariant's
 // tightest) the compaction counter proves the pruning actually happened

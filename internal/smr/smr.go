@@ -606,17 +606,17 @@ func (r *Replica) StateDigest() (uint64, bool) {
 }
 
 // RBCDigestBytes returns the bytes the dissemination layer retains in
-// compact delivered-digest records — the per-slot residue checkpointing
+// compact delivered records — the per-slot residue checkpointing
 // retires (see rbc.Broadcaster.DigestBytes).
 func (r *Replica) RBCDigestBytes() int { return r.values.DigestBytes() }
 
 // RBCLiveInstances and RBCCompacted expose the dissemination layer's
 // windowing state: full-fidelity instances retained vs slots released to
-// compact delivered-digest records (diagnostics for the windowing tests).
+// compact delivered records (diagnostics for the windowing tests).
 func (r *Replica) RBCLiveInstances() int { return r.values.Instances() }
 
 // RBCCompacted returns how many dissemination instances have been released
-// to compact delivered-digest records.
+// to compact delivered records.
 func (r *Replica) RBCCompacted() int { return r.values.Compacted() }
 
 // proposer returns the proposer of a slot.
@@ -1190,7 +1190,7 @@ func (r *Replica) step(out []types.Message) []types.Message {
 		// invariant: a slot's candidate, dissemination flag, and RBC
 		// dissemination instance are dead once the slot commits, so a long
 		// log keeps a bounded working set instead of every candidate ever
-		// proposed. The RBC instance compacts to a delivered-digest record
+		// proposed. The RBC instance compacts to a delivered record
 		// (a no-op while non-terminal; see internal/rbc's windowing
 		// contract), so late echoes from lagging replicas still meet the
 		// exact silence the full state would have given them.

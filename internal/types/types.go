@@ -418,16 +418,13 @@ func Processes(n int) []ProcessID {
 	return ps
 }
 
-// FNV-1a is the repository's shared non-cryptographic fingerprint: the RBC
-// delivered-digest records and the checkpoint subsystem's chained log
-// digest both use it, and they must stay algorithm-identical — a
-// checkpoint argues about the same histories the RBC records summarize.
-// Not collision resistant by design: in both uses, agreement is enforced
-// by a quorum (echo intersection, 2f+1 checkpoint votes) before any digest
-// is trusted, and the digest is never the acceptance gate for
-// adversary-supplied bytes (the checkpoint *state* digest, which is,
-// truncates SHA-256 instead — see ckpt.Digest). Allocation-free and
-// inlinable, so hot paths fold bytes directly.
+// FNV-1a is the repository's non-cryptographic fingerprint, the hash of the
+// checkpoint subsystem's chained log digest (ckpt.FoldEntry). Not collision
+// resistant by design: agreement is enforced by a quorum (2f+1 checkpoint
+// votes) before any digest is trusted, and the digest is never the
+// acceptance gate for adversary-supplied bytes (the checkpoint *state*
+// digest, which is, truncates SHA-256 instead — see ckpt.Digest).
+// Allocation-free and inlinable, so hot paths fold bytes directly.
 const (
 	FNV1aInit  uint64 = 14695981039346656037
 	FNV1aPrime uint64 = 1099511628211
