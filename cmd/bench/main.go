@@ -15,17 +15,6 @@
 //
 // Every sweep reports its sampled peak heap alongside the violation checks
 // (stderr in -json mode, whose stdout bytes must stay machine-independent).
-// -no-prune disables per-round state pruning in the correct nodes: the sweep
-// numbers are bitwise unchanged — pruning only releases provably dead state —
-// while the peak heap shows the retention difference, making the E11 memory
-// table reproducible straight from the CLI. -window sets the per-round
-// retention window (rounds kept behind the decided frontier: accepted lists,
-// terminal RBC instances, validator seen entries, per-node coin state) and
-// -lowwater the delivery cadence of the cluster low-watermark scans that
-// prune the common-coin dealer's memoized sharings; both are behaviour-
-// neutral — CI diffs the -json aggregates across window sizes and against
-// -no-prune and requires byte equality (see ARCHITECTURE.md for the full
-// memory-lifecycle map).
 //
 // Examples:
 //
@@ -42,8 +31,7 @@
 //	      -checkpoint ck.json              # 10k-seed frontier sweep
 //	bench -sweep 1:10001 -n 64 -scenario equivocation-rush \
 //	      -checkpoint ck.json -resume      # continue after a kill
-//	bench -sweep 1:101 -n 64 -scenario straggler-prune            # pruned …
-//	bench -sweep 1:101 -n 64 -scenario straggler-prune -no-prune  # … vs not
+//	bench -sweep 1:101 -n 64 -scenario straggler-prune  # late traffic hits pruned rounds
 //
 // The -throughput mode runs the committed-entries grid (runner.RunThroughput):
 // a batch × pipeline-depth sweep over the replicated log, each point sized to
@@ -124,9 +112,6 @@ func run(args []string, out io.Writer) error {
 		resume     = fs.Bool("resume", false, "-sweep: resume from -checkpoint")
 		every      = fs.Int("every", 0, "-sweep: runs between checkpoint writes (0 = default)")
 		stopAfter  = fs.Int64("stop-after", 0, "-sweep: stop after this many runs this invocation, saving a checkpoint (0 = run to completion)")
-		noPrune    = fs.Bool("no-prune", false, "-sweep: disable per-round state pruning in the correct nodes (memory comparison; behaviour-neutral)")
-		window     = fs.Int("window", 0, "-sweep/-smr/-throughput: per-round retention window of the correct nodes (0 = default 1; behaviour-neutral, aggregates identical at any size)")
-		lowWater   = fs.Int("lowwater", 0, "-sweep: deliveries between cluster low-watermark scans pruning the coin dealer (0 = default; behaviour-neutral)")
 
 		searchFam = fs.String("search", "", "scheduler-parameter search mode: walk a family's parameter lattice hunting liveness cliffs (see internal/search families)")
 		seedsStr  = fs.String("seeds", "1:9", "-search: seed block seedA:seedB (half-open) every point is scored over")
@@ -182,14 +167,14 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-throughput wants a positive entry target, got %d", *throughput)
 	}
 	if *sweep == "" && *smrSlots == 0 && *throughput == 0 && *searchFam == "" && !*telemetry && *traceOut == "" {
-		for _, name := range []string{"n", "f", "scenario", "checkpoint", "resume", "every", "stop-after", "no-prune", "window", "lowwater", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded", "seeds", "descend"} {
+		for _, name := range []string{"n", "f", "scenario", "checkpoint", "resume", "every", "stop-after", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded", "seeds", "descend"} {
 			if set[name] {
 				return fmt.Errorf("-%s requires -sweep, -smr, -throughput, -search, -telemetry, or -trace", name)
 			}
 		}
 	}
 	if *searchFam != "" {
-		for _, name := range []string{"experiment", "runs", "seed", "quick", "csv", "scenario", "every", "no-prune", "window", "lowwater", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded"} {
+		for _, name := range []string{"experiment", "runs", "seed", "quick", "csv", "scenario", "every", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded"} {
 			if set[name] {
 				return fmt.Errorf("-%s does not apply to -search", name)
 			}
@@ -217,24 +202,23 @@ func run(args []string, out io.Writer) error {
 			rangeStr: *sweep, n: *sweepN, f: *sweepF, scenario: *scenario,
 			workers: *workers, checkpoint: *checkpoint, resume: *resume,
 			every: *every, stopAfter: *stopAfter, jsonOut: *jsonOut,
-			noPrune: *noPrune, window: *window, lowWater: *lowWater,
 		})
 	}
 	if *smrSlots > 0 {
-		for _, name := range []string{"experiment", "runs", "quick", "csv", "scenario", "checkpoint", "resume", "every", "stop-after", "no-prune", "lowwater", "workers", "batch", "pipeline", "seeds", "descend"} {
+		for _, name := range []string{"experiment", "runs", "quick", "csv", "scenario", "checkpoint", "resume", "every", "stop-after", "workers", "batch", "pipeline", "seeds", "descend"} {
 			if set[name] {
 				return fmt.Errorf("-%s does not apply to -smr", name)
 			}
 		}
 		return runSMRCmd(out, smrOpts{
 			slots: *smrSlots, n: *sweepN, f: *sweepF, seed: *seed,
-			ckptEvery: *ckptEvery, window: *window, restart: *restart,
+			ckptEvery: *ckptEvery, restart: *restart,
 			ckptDir: *ckptDir, ckptAttack: *ckptAttack, coded: *coded,
 			jsonOut: *jsonOut,
 		})
 	}
 	if *throughput > 0 {
-		for _, name := range []string{"experiment", "runs", "quick", "csv", "scenario", "checkpoint", "resume", "every", "stop-after", "no-prune", "lowwater", "restart", "ckpt-dir", "ckpt-attack", "seeds", "descend"} {
+		for _, name := range []string{"experiment", "runs", "quick", "csv", "scenario", "checkpoint", "resume", "every", "stop-after", "restart", "ckpt-dir", "ckpt-attack", "seeds", "descend"} {
 			if set[name] {
 				return fmt.Errorf("-%s does not apply to -throughput", name)
 			}
@@ -250,12 +234,12 @@ func run(args []string, out io.Writer) error {
 		return runThroughputCmd(out, throughputOpts{
 			entries: *throughput, n: *sweepN, f: *sweepF, seed: *seed,
 			batches: batches, depths: depths, ckptEvery: *ckptEvery,
-			window: *window, workers: *workers, coded: *coded,
+			workers: *workers, coded: *coded,
 			jsonOut: *jsonOut,
 		})
 	}
 	if *telemetry {
-		for _, name := range []string{"experiment", "quick", "csv", "scenario", "checkpoint", "resume", "every", "stop-after", "no-prune", "window", "lowwater", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded", "seeds", "descend"} {
+		for _, name := range []string{"experiment", "quick", "csv", "scenario", "checkpoint", "resume", "every", "stop-after", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded", "seeds", "descend"} {
 			if set[name] {
 				return fmt.Errorf("-%s does not apply to -telemetry", name)
 			}
@@ -266,7 +250,7 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 	if *traceOut != "" {
-		for _, name := range []string{"experiment", "runs", "workers", "quick", "csv", "scenario", "checkpoint", "resume", "every", "stop-after", "no-prune", "window", "lowwater", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded", "seeds", "descend"} {
+		for _, name := range []string{"experiment", "runs", "workers", "quick", "csv", "scenario", "checkpoint", "resume", "every", "stop-after", "ckpt-every", "restart", "ckpt-dir", "ckpt-attack", "batch", "pipeline", "coded", "seeds", "descend"} {
 			if set[name] {
 				return fmt.Errorf("-%s does not apply to -trace", name)
 			}
@@ -331,7 +315,6 @@ type smrOpts struct {
 	slots, n, f int
 	seed        int64
 	ckptEvery   int
-	window      int
 	restart     bool
 	ckptDir     string
 	ckptAttack  string
@@ -353,7 +336,6 @@ func runSMRCmd(out io.Writer, o smrOpts) error {
 		Slots:           o.slots,
 		Commands:        8,
 		CheckpointEvery: o.ckptEvery,
-		Window:          o.window,
 		Coin:            runner.CoinCommon,
 		Seed:            o.seed,
 		CkptDir:         o.ckptDir,
@@ -428,8 +410,8 @@ func runSMRCmd(out io.Writer, o smrOpts) error {
 			res.Dropped, res.Spoofed,
 			o.coded, res.WireBytes})
 	}
-	fmt.Fprintf(out, "smr workload: n=%d f=%d slots=%d seed=%d ckpt-every=%d window=%d restart=%v coded=%v\n",
-		o.n, f, o.slots, o.seed, o.ckptEvery, o.window, o.restart, o.coded)
+	fmt.Fprintf(out, "smr workload: n=%d f=%d slots=%d seed=%d ckpt-every=%d restart=%v coded=%v\n",
+		o.n, f, o.slots, o.seed, o.ckptEvery, o.restart, o.coded)
 	fmt.Fprintf(out, "digest log @%d:   %016x\n", o.slots, res.LogDigest)
 	fmt.Fprintf(out, "digest state @%d: %016x\n", o.slots, res.StateDigest)
 	fmt.Fprintf(out, "residue: log-retained=%d rbc-records=%d rbc-bytes=%d dealer-slots=%d dealer-rounds=%d certified-cut=%d\n",
@@ -456,7 +438,6 @@ type throughputOpts struct {
 	seed            int64
 	batches, depths []int
 	ckptEvery       int
-	window          int
 	workers         int
 	coded           bool
 	jsonOut         bool
@@ -497,7 +478,6 @@ func runThroughputCmd(out io.Writer, o throughputOpts) error {
 		Batches:         o.batches,
 		Depths:          o.depths,
 		CheckpointEvery: o.ckptEvery,
-		Window:          o.window,
 		Coin:            runner.CoinCommon,
 		Coded:           o.coded,
 		Seed:            o.seed,
@@ -593,9 +573,6 @@ type sweepOpts struct {
 	every      int
 	stopAfter  int64
 	jsonOut    bool
-	noPrune    bool
-	window     int
-	lowWater   int
 }
 
 // parseSeedRange parses "a:b" into the half-open range [a, b); name labels
@@ -655,10 +632,9 @@ func runSweep(out io.Writer, o sweepOpts) error {
 	}
 
 	// Peak-heap tracking: sampled every few hundred completed runs plus
-	// once at the end, so the E11 memory claim (pruned vs unpruned, see
-	// -no-prune) is reproducible straight from the CLI. The sample goes to
-	// the human-facing channels only — never into the JSON record, whose
-	// bytes must stay machine-independent for resume-equality diffs.
+	// once at the end. The sample goes to the human-facing channels only —
+	// never into the JSON record, whose bytes must stay machine-independent
+	// for resume-equality diffs.
 	var peakHeap uint64
 	sampleHeap := func() {
 		var m runtime.MemStats
@@ -671,9 +647,6 @@ func runSweep(out io.Writer, o sweepOpts) error {
 		N: o.n, F: f, Scenario: sc, Seeds: seeds,
 		Workers: o.workers, Checkpoint: o.checkpoint,
 		Every: o.every, Resume: o.resume, Stop: stop,
-		DisablePruning:    o.noPrune,
-		Window:            o.window,
-		LowWatermarkEvery: o.lowWater,
 		Progress: func(done, total int64) {
 			if done%256 == 0 {
 				sampleHeap()
@@ -685,11 +658,7 @@ func runSweep(out io.Writer, o sweepOpts) error {
 	}
 	agg, err := runner.PropertySweep(spec)
 	sampleHeap()
-	pruning := "on"
-	if o.noPrune {
-		pruning = "off"
-	}
-	heapLine := fmt.Sprintf("peak heap: %.2f MiB (runtime.ReadMemStats, sampled; pruning %s)", float64(peakHeap)/(1<<20), pruning)
+	heapLine := fmt.Sprintf("peak heap: %.2f MiB (runtime.ReadMemStats, sampled)", float64(peakHeap)/(1<<20))
 	stopped := errors.Is(err, runner.ErrStopped)
 	if err != nil && !stopped {
 		return err

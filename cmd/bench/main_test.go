@@ -88,9 +88,6 @@ func TestRunSweepBadFlags(t *testing.T) {
 		{"-sweep", "1:5", "-stop-after", "2"}, // -stop-after without -checkpoint rejected up front
 		{"-checkpoint", "ck.json", "-resume"}, // forgot -sweep: must not launch experiments
 		{"-scenario", "reorder"},
-		{"-no-prune"},        // sweep-only knob
-		{"-window", "2"},     // sweep-only knob
-		{"-lowwater", "512"}, // sweep-only knob
 	}
 	for _, args := range cases {
 		var sb strings.Builder
@@ -125,34 +122,6 @@ func TestRunSweepResumeIdentical(t *testing.T) {
 	if resumed.String() != fresh.String() {
 		t.Errorf("resumed sweep output differs from uninterrupted sweep:\n--- resumed\n%s\n--- fresh\n%s",
 			resumed.String(), fresh.String())
-	}
-}
-
-// TestRunSweepWindowIdentical: the CLI surface of the windowing contract —
-// -window N, -lowwater N, and -no-prune must all print byte-identical
-// aggregate JSON, because windowed pruning releases only provably dead
-// state (the CI windowing step runs the same diff at depth).
-func TestRunSweepWindowIdentical(t *testing.T) {
-	common := []string{"-sweep", "1:9", "-n", "8", "-scenario", "straggler-prune", "-json"}
-	variants := [][]string{
-		nil,
-		{"-window", "3"},
-		{"-lowwater", "128"},
-		{"-no-prune"},
-	}
-	var base string
-	for i, extra := range variants {
-		var sb strings.Builder
-		if err := run(append(append([]string{}, common...), extra...), &sb); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			base = sb.String()
-			continue
-		}
-		if sb.String() != base {
-			t.Errorf("args %v changed the sweep aggregate:\n--- variant\n%s\n--- base\n%s", extra, sb.String(), base)
-		}
 	}
 }
 
@@ -261,7 +230,6 @@ func TestRunSMRBadFlags(t *testing.T) {
 		{"-smr", "32", "-experiment", "E1"},    // experiment knob in smr mode
 		{"-smr", "32", "-quick"},               // experiment knob in smr mode
 		{"-smr", "32", "-scenario", "reorder"}, // sweep knob in smr mode
-		{"-smr", "32", "-no-prune"},            // sweep knob in smr mode
 		{"-smr", "32", "-restart"},             // restart without -ckpt-every
 		{"-ckpt-every", "8"},                   // forgot -smr
 		{"-restart"},                           // forgot -smr
@@ -408,7 +376,7 @@ func TestRunModeFlagMatrix(t *testing.T) {
 	}
 	// A representative private knob of each mode, foreign to all others.
 	foreign := map[string][]string{
-		"sweep":      {"-no-prune"},
+		"sweep":      {"-every", "10"},
 		"smr":        {"-restart"},
 		"throughput": {"-batch", "1,2"},
 		"search":     {"-descend"},
@@ -436,18 +404,11 @@ func TestRunModeFlagMatrix(t *testing.T) {
 				t.Errorf("%s with %s knob: args %v accepted", mode, other, args)
 			}
 		}
-		// Every private knob without its mode must not launch the battery.
-		for _, knob := range foreign[mode] {
-			if !strings.HasPrefix(knob, "-") {
-				continue
-			}
-			args := []string{knob}
-			if knob == "-batch" {
-				args = []string{"-batch", "1,2"}
-			}
+		// A private knob without its mode must not launch the battery.
+		if knob, ok := foreign[mode]; ok {
 			var sb strings.Builder
-			if err := run(args, &sb); err == nil {
-				t.Errorf("bare %s: args %v accepted", knob, args)
+			if err := run(knob, &sb); err == nil {
+				t.Errorf("bare %s knob: args %v accepted", mode, knob)
 			}
 		}
 	}

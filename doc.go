@@ -21,11 +21,9 @@
 // index, bitwise independent of worker count. The replay-equality tests in
 // internal/runner enforce the invariant against golden trace hashes.
 //
-// Memory architecture: long-lived runs keep a sliding window of per-round
-// state — accepted lists, terminal RBC instances (compacted to delivered
-// records), validator dedup entries, per-node coin state, and the
-// cluster-shared dealer table under a low-watermark. ARCHITECTURE.md is the
-// memory-lifecycle map: every per-round structure, its owner, its release
-// trigger, its catch-up path for stragglers, and the test that pins the
-// release as behaviour-neutral.
+// Memory architecture: a node entering round r releases its per-round state
+// below r−1 — accepted lists, terminal RBC instances (compacted to delivered
+// records), validator dedup entries, coin state — and the cluster-shared
+// dealer is pruned below the slowest node's round. ARCHITECTURE.md maps
+// every retainer, its release trigger, its straggler path and its test.
 package repro

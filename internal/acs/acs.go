@@ -66,9 +66,6 @@ type Config struct {
 	// smaller than a fragment's checksum vector. The agreed subset is
 	// byte-identical either way.
 	Coded bool
-	// Window is the per-round retention window handed to every binary
-	// instance (0 = the core default); see core.Config.Window.
-	Window int
 	// Recorder, when enabled, receives protocol events.
 	Recorder *trace.Recorder
 	// Telemetry, when non-nil, is forwarded to the input-dissemination
@@ -205,7 +202,7 @@ func (n *Node) Deliver(m types.Message) []types.Message {
 			// The input is stored; if the dissemination instance is already
 			// terminal its tallies are dead weight — compact it to a digest
 			// record (a no-op if echoes are still owed; see internal/rbc's
-			// windowing contract).
+			// pruning contract).
 			n.values.Compact(d.ID)
 			// Seeing j's input is the trigger to vote 1 in BA_j.
 			out = n.vote(out, idx, types.One)
@@ -306,7 +303,6 @@ func (n *Node) vote(out []types.Message, idx int, v types.Value) []types.Message
 		Coin:      n.cfg.NewCoin(idx),
 		Proposal:  v,
 		Instance:  idx,
-		Window:    n.cfg.Window,
 		Recorder:  n.cfg.Recorder,
 		Telemetry: n.cfg.Telemetry,
 	})

@@ -1,6 +1,6 @@
 // Package ckpt is the protocol-level checkpoint and state-transfer subsystem
 // layered on the replicated log (internal/smr). It is what lets an infinite
-// execution run in bounded memory: the windowed pruning of PR 4 bounds every
+// execution run in bounded memory: per-round pruning bounds every
 // *per-round* retainer, but the residue it deliberately keeps — compact RBC
 // delivered records, per-round justification digests, per-slot coin
 // dealers — still grows linearly with slots committed. Checkpointing retires

@@ -15,21 +15,16 @@
 // All coins are deterministic functions of their seeds, keeping experiment
 // runs reproducible.
 //
-// # Windowing contract
+// # Pruning contract
 //
-// Per-round coin state is pruned at two levels with two distinct floors.
-// Each process's Common endpoint implements Pruner: the consensus core
-// prunes it by the *local* decided frontier, dropping stored shares, MACs,
-// release flags, and memoized values below the floor, and floor-checking
-// late shares before any work — a pruned round's share is dropped on
-// arrival, never stored, never answered. The shared Dealer prunes its
-// memoized sharings by a *cluster-wide low-watermark* (the minimum current
-// round across all processes, threaded through the runner), because a round
-// only one straggler still needs must stay dealt until that straggler
-// passes it; see the contract on Dealer for why pruned rounds are never
-// re-dealt. What a pruned round promises late messages: silence — exactly
-// the messages an unpruned endpoint would have sent, since release happens
-// only after the round's coin can no longer be queried.
+// Per-round coin state is pruned at two levels. Each process's Common
+// endpoint implements Pruner, which the consensus core calls with floor r−1
+// on entering round r: shares, MACs, release flags and values below the
+// floor go, and a late share for a pruned round is dropped on arrival —
+// the silence an unpruned endpoint would have answered it with. The shared
+// Dealer is pruned by the cluster's minimum current round instead, because
+// a round one straggler still needs must stay dealt until it passes; see
+// Dealer for why pruned rounds are never re-dealt.
 package coin
 
 import (
@@ -57,7 +52,7 @@ type Coin interface {
 // releases every per-round resource (stored shares, MACs, memoized values)
 // for rounds below the floor, and drops late shares for those rounds on
 // arrival instead of storing them. The consensus core calls it as rounds
-// decide, so long executions keep only a sliding window of coin state; a
+// decide, so long executions keep only two rounds of coin state; a
 // pruned round's value must never be asked for again (the core only queries
 // its current round). Coins without per-round state (Local, Ideal) simply
 // don't implement it.

@@ -22,22 +22,17 @@ import (
 // is honest and acts only before the execution; during the execution it is
 // just a lookup table each process holds a slice of.
 //
-// # Windowing contract (the cluster low-watermark)
+// # Pruning contract (the cluster low-watermark)
 //
-// The memoized per-round sharings are shared state: every process's Common
-// endpoint reads the same table, so no single process may prune it by its
-// own round. Prune takes a *cluster-wide low-watermark* — a round no
-// process will ever release or look up again, in practice the minimum
-// current round across the cluster (rounds only advance, and a process only
-// calls ShareFor for its current round), which the runner threads through
-// its delivery loop. Below the watermark the sharings and secrets are
-// dropped and never re-dealt: ShareFor for a pruned round returns empty
-// strings rather than touching the RNG, because re-dealing would mint a
-// *different* sharing whose MACs disagree with shares already on the wire.
-// Share *verification* needs no per-round state at all (the MAC keys are
-// round-independent), so a straggler's ancient share still verifies at
-// peers — whose own Common endpoints floor-check and drop it before any
-// lookup — and the watermark never threatens totality or agreement.
+// The memoized sharings are read by every process's Common endpoint, so no
+// single process may prune them by its own round. Prune takes the minimum
+// current round across the cluster, which the runner scans for in its
+// delivery loop: rounds only advance, and a process calls ShareFor only for
+// its current round. Pruned rounds are never re-dealt — ShareFor answers
+// them with empty strings rather than touching the RNG — because a re-deal
+// would mint a different sharing whose MACs contradict shares already on
+// the wire. Verification needs no per-round state (the MAC keys are
+// round-independent), so a straggler's old share still verifies.
 type Dealer struct {
 	spec quorum.Spec
 	keys *auth.DealerKeys
@@ -123,7 +118,7 @@ func (d *Dealer) SecretFor(round int) types.Value {
 }
 
 // Prune releases the memoized sharings and secrets of every round below the
-// cluster low-watermark (see the windowing contract above). The caller
+// cluster low-watermark (see the pruning contract above). The caller
 // asserts that no process will release or query those rounds again; the
 // runner derives that from the minimum current round across the cluster.
 // Pruned rounds are never re-dealt — ShareFor answers them with empty
@@ -277,7 +272,7 @@ var _ Pruner = (*Common)(nil)
 // Prune implements Pruner: release the release-flags, unreconstructed share
 // sets (the share+MAC strings are the dominant per-round retention), and
 // memoized values of every round below the floor. The maps stay bounded by
-// the pruning window, so arbitrarily long executions keep a constant coin
+// the retained rounds, so arbitrarily long executions keep a constant coin
 // footprint. Message behaviour is untouched: pruned rounds were already
 // released, and their values are never queried again.
 func (c *Common) Prune(below int) {

@@ -70,7 +70,7 @@ func TestDealerPrunedRoundNeverRedealt(t *testing.T) {
 // TestDealerVerifiesSharesForPrunedRounds: verification is keyed by round-
 // independent MAC keys, so a straggler's ancient share still verifies after
 // the sharing itself was released — the catch-up half of the dealer's
-// windowing contract (the per-process endpoints drop such shares by their
+// pruning contract (the per-process endpoints drop such shares by their
 // own floor before any lookup).
 func TestDealerVerifiesSharesForPrunedRounds(t *testing.T) {
 	spec := quorum.MustNew(4, 1)

@@ -65,7 +65,7 @@ func BenchmarkCoreDelivery(b *testing.B) {
 // stalledCluster runs an all-correct cluster with the decide gadget off
 // until every node stalls at maxRounds, then returns the nodes — warm,
 // round-advanced state for the steady-state and pruning tests below.
-func stalledCluster(t *testing.T, n, f, maxRounds int, disablePruning bool) []*Node {
+func stalledCluster(t *testing.T, n, f, maxRounds int) []*Node {
 	t.Helper()
 	spec := quorum.MustNew(n, f)
 	peers := types.Processes(n)
@@ -80,7 +80,6 @@ func stalledCluster(t *testing.T, n, f, maxRounds int, disablePruning bool) []*N
 			Coin:                coin.NewLocal(5 + int64(p)*1000),
 			Proposal:            types.Value(i % 2),
 			DisableDecideGadget: true,
-			DisablePruning:      disablePruning,
 			MaxRounds:           maxRounds,
 		})
 		if err != nil {
@@ -102,27 +101,33 @@ func stalledCluster(t *testing.T, n, f, maxRounds int, disablePruning bool) []*N
 	return nodes
 }
 
-// TestPruningBoundsRetainedState: with pruning on, a node's accepted table
-// holds at most the current and previous rounds however long the run; with
-// pruning off it holds the whole execution. Decisions are identical either
-// way — pruning only ever releases provably dead state.
-func TestPruningBoundsRetainedState(t *testing.T) {
-	const n, f, rounds = 4, 1, 12
-	pruned := stalledCluster(t, n, f, rounds, false)
-	unpruned := stalledCluster(t, n, f, rounds, true)
-	// Two retained rounds × 3 steps × ≤ n messages per slot.
+// TestRetainersFlatAsRoundsDouble: the accepted table, the live RBC
+// instances and the validator's seen entries hold the current and previous
+// rounds only, so doubling the rounds run from 6 to 12 leaves every count
+// unchanged and within two rounds × 3 steps × n — while the compacted
+// records, which do grow with rounds, show the released instances went
+// somewhere.
+func TestRetainersFlatAsRoundsDouble(t *testing.T) {
+	const n, f = 4, 1
+	short := stalledCluster(t, n, f, 6)
+	long := stalledCluster(t, n, f, 12)
 	bound := 2 * 3 * n
-	for i, nd := range pruned {
-		if got := nd.AcceptedRetained(); got > bound {
-			t.Errorf("%v retains %d accepted messages, want ≤ %d", nd.ID(), got, bound)
+	for i, nd := range long {
+		s := short[i]
+		for _, c := range []struct {
+			name        string
+			short, long int
+		}{
+			{"accepted messages", s.AcceptedRetained(), nd.AcceptedRetained()},
+			{"live RBC instances", s.RBCLiveInstances(), nd.RBCLiveInstances()},
+			{"validator seen entries", s.ValidatorSeenRetained(), nd.ValidatorSeenRetained()},
+		} {
+			if c.long != c.short || c.long > bound {
+				t.Errorf("%v %s: %d at 6 rounds, %d at 12, want equal and ≤ %d", nd.ID(), c.name, c.short, c.long, bound)
+			}
 		}
-		if got, want := nd.AcceptedRetained(), unpruned[i].AcceptedRetained(); got >= want {
-			t.Errorf("%v pruned retention %d not below unpruned %d", nd.ID(), got, want)
-		}
-		pv, pok := nd.Decided()
-		uv, uok := unpruned[i].Decided()
-		if pok != uok || pv != uv {
-			t.Errorf("%v pruning changed the decision: %v/%v vs %v/%v", nd.ID(), pv, pok, uv, uok)
+		if got, was := nd.RBCCompacted(), s.RBCCompacted(); got <= was {
+			t.Errorf("%v compacted %d RBC instances at 12 rounds, %d at 6 — nothing released", nd.ID(), got, was)
 		}
 	}
 }
@@ -152,7 +157,7 @@ func lateRoundOneReadies(t *testing.T, nd *Node, sender types.ProcessID, peers [
 // table, without disturbing the node's decision or retained state.
 func TestLateMessageForPrunedRoundDropped(t *testing.T) {
 	const n, f, rounds = 4, 1, 8
-	nodes := stalledCluster(t, n, f, rounds, false)
+	nodes := stalledCluster(t, n, f, rounds)
 	nd := nodes[0]
 	decidedBefore, okBefore := nd.Decided()
 	retainedBefore := nd.AcceptedRetained()
@@ -243,7 +248,7 @@ func TestLateFoldForPrunedRoundCounted(t *testing.T) {
 // duplicate votes, and late coin shares for pruned rounds.
 func TestCoreSteadyStateDeliveryAllocations(t *testing.T) {
 	const n, f, rounds = 4, 1, 8
-	nodes := stalledCluster(t, n, f, rounds, false)
+	nodes := stalledCluster(t, n, f, rounds)
 	nd := nodes[0]
 
 	body, err := wire.EncodeStep(types.StepMessage{Round: rounds, Step: types.Step1, V: types.Zero})

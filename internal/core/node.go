@@ -78,22 +78,6 @@ type Config struct {
 	// the node then decides but never halts, as in the paper's original
 	// formulation.
 	DisableDecideGadget bool
-	// DisablePruning turns off per-round state pruning (accepted lists,
-	// coin share state, RBC instance compaction, and the validator's seen
-	// window are then retained for the whole execution, as the pre-pruning
-	// implementation did). Pruning never changes behaviour — released state
-	// is provably dead — so this knob exists only for the E11 memory
-	// comparison.
-	DisablePruning bool
-	// Window is how many rounds of per-round state are retained behind the
-	// decided frontier (0 = the default of 1, the tightest window the
-	// invariant "state for round r is released once r+1 decides" allows).
-	// On entering round r the node releases everything below r−Window:
-	// accepted lists, coin share state, terminal RBC instances (compacted
-	// to delivered records), and the validator's seen entries.
-	// Window never changes behaviour, only retention; ARCHITECTURE.md maps
-	// every structure it governs.
-	Window int
 	// MaxRounds bounds round progression (0 = DefaultMaxRounds).
 	MaxRounds int
 	// Telemetry, when non-nil, receives the consensus phase marks (round
@@ -262,12 +246,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
-	if cfg.Window < 0 {
-		return nil, fmt.Errorf("core: negative window %d", cfg.Window)
-	}
-	if cfg.Window == 0 {
-		cfg.Window = 1
-	}
 	newVal := validate.New
 	if cfg.DisableValidation {
 		newVal = validate.NewLax
@@ -346,17 +324,15 @@ func (n *Node) Proposal() types.Value { return n.cfg.Proposal }
 func (n *Node) Stats() Stats { return n.stats }
 
 // AcceptedRetained returns how many justified messages the node currently
-// retains in its quorum-wait table — with pruning on, a sliding window of
-// Window+1 rounds; without it, the whole execution (diagnostics for the
-// pruning tests and the E11 memory experiment).
+// retains in its quorum-wait table — the current and previous rounds only
+// (diagnostics for the pruning tests and the E11 memory experiment).
 func (n *Node) AcceptedRetained() int { return n.accepted.retained() }
 
 // RBCLiveInstances returns how many reliable-broadcast instances the node
 // retains at full fidelity (tallies and payloads); RBCCompacted returns how
-// many it has released to compact delivered records. With pruning on
-// the live count stays bounded by the window plus non-terminal stragglers;
-// without it, every instance of the execution stays live (diagnostics for
-// the windowing tests and the E11 memory experiment).
+// many it has released to compact delivered records. The live count stays
+// bounded by the two retained rounds plus non-terminal stragglers
+// (diagnostics for the pruning tests and the E11 memory experiment).
 func (n *Node) RBCLiveInstances() int { return n.bcast.Instances() }
 
 // RBCCompacted returns the count of compact delivered records held
@@ -364,35 +340,18 @@ func (n *Node) RBCLiveInstances() int { return n.bcast.Instances() }
 func (n *Node) RBCCompacted() int { return n.bcast.Compacted() }
 
 // ValidatorSeenRetained returns how many per-sender dedup entries the
-// node's validator currently holds — windowed behind the decided frontier
-// with pruning on, linear in rounds without.
+// node's validator currently holds — the current and previous rounds only.
 func (n *Node) ValidatorSeenRetained() int { return n.val.SeenRetained() }
 
 // RBCDigestBytes returns the bytes this node's broadcaster retains in
-// compact delivered records — the residue windowed pruning keeps
-// forever, one record per terminal instance (see rbc.Broadcaster.DigestBytes).
+// compact delivered records — the residue pruning keeps for the node's
+// lifetime, one record per terminal instance (see rbc.Broadcaster.DigestBytes).
 func (n *Node) RBCDigestBytes() int { return n.bcast.DigestBytes() }
 
 // JustificationsRetained returns how many per-round justification digests
-// this node's validator retains — the other forever-residue of windowed
-// pruning, one 64-byte digest per touched round.
+// this node's validator retains — the other lifetime residue of pruning,
+// one 64-byte digest per touched round.
 func (n *Node) JustificationsRetained() int { return n.val.JustificationsRetained() }
-
-// ReleaseResidueBelow retires the residue windowed pruning keeps forever:
-// the compact RBC delivered records of rounds below floor and the
-// validator's justification digests below floor−1 (round floor's step-1
-// justification reads round floor−1's digest, so that one stays). Late
-// messages for the released rounds are silently refused rather than judged.
-//
-// This hook is never called by the node's own windowing (enterRound): it
-// exists for a checkpointing layer above a long-lived instance, which must
-// hold a protocol-level certificate that every round below floor is settled
-// — the quorum cut of internal/ckpt, under which a process still missing
-// those rounds is served state transfer instead of a replay.
-func (n *Node) ReleaseResidueBelow(floor int) {
-	n.bcast.DropRoundBelow(floor)
-	n.val.ReleaseTalliesBelow(floor - 1)
-}
 
 // onRBC feeds a reliable-broadcast payload through the broadcaster, then
 // processes whatever it delivered.
@@ -538,26 +497,22 @@ func (n *Node) enterRound(out []types.Message, r int) []types.Message {
 	n.dFlag = false
 	n.roundEnteredAt = n.cfg.Telemetry.Now()
 	n.stats.RoundsStarted++
-	if !n.cfg.DisablePruning {
-		// The pruning invariant: state for round k is released once round
-		// k+Window decides. Entering round r means r−1 decided, so with the
-		// default Window of 1 everything below r−1 is released — accepted
-		// lists recycle their backing arrays, a pruning-aware coin drops its
-		// per-round share state (and any straggler shares that arrive
-		// later), terminal RBC instances compact to delivered
-		// records, and the validator releases its per-sender seen entries.
-		// The validator's per-round justification digests are deliberately
-		// retained: justification of in-flight messages recurses into
-		// previous rounds' digests, and they cost bytes per round, not
-		// kilobytes.
-		floor := r - n.cfg.Window
-		n.accepted.pruneBelow(floor)
-		if p, ok := n.cfg.Coin.(coin.Pruner); ok {
-			p.Prune(floor)
-		}
-		n.bcast.PruneBelow(floor)
-		n.val.PruneBelow(floor)
+	// The pruning invariant: a round-r message is judged only against round
+	// r−1's tallies, so entering round r releases everything below r−1 —
+	// accepted lists recycle their backing arrays, a pruning-aware coin drops
+	// its per-round share state (and any straggler shares that arrive
+	// later), terminal RBC instances compact to delivered records, and the
+	// validator releases its per-sender seen entries. The validator's
+	// per-round justification digests are deliberately retained:
+	// justification of in-flight messages recurses into previous rounds'
+	// digests, and they cost bytes per round, not kilobytes.
+	floor := r - 1
+	n.accepted.pruneBelow(floor)
+	if p, ok := n.cfg.Coin.(coin.Pruner); ok {
+		p.Prune(floor)
 	}
+	n.bcast.PruneBelow(floor)
+	n.val.PruneBelow(floor)
 	n.record(trace.Event{Kind: trace.KindRound, P: n.cfg.Me, Round: r})
 	return n.broadcastStep(out)
 }

@@ -15,28 +15,22 @@ import (
 )
 
 // E11MemoryPruning regenerates Table 7: the memory effect of per-round state
-// pruning ("state for round r is released once round r+Window decides").
-// Each row runs the identical fixed-round, non-halting consensus workload —
-// the decide gadget off and MaxRounds pinned, so every configuration does
-// exactly the same protocol work — and measures what the cluster holds on
-// to, retainer by retainer (the lifecycle of each is mapped in
-// ARCHITECTURE.md):
+// pruning (entering round r releases everything below r−1). Each row runs
+// the same non-halting consensus workload — decide gadget off, MaxRounds
+// pinned — at 6 and then 12 rounds, and measures what the cluster still
+// holds, retainer by retainer (ARCHITECTURE.md maps the lifecycle of each):
 //
-//   - accepted msgs: justified step messages in the quorum-wait tables
-//     (constant (Window+1)·3·n per node pruned; rounds·3·n unpruned);
+//   - accepted msgs: justified step messages in the quorum-wait tables;
 //   - rbc live inst: full-fidelity reliable-broadcast instances (tallies and
-//     payloads — the dominant retainer before windowing), with rbc digests
-//     counting the compact delivered records that replaced pruned
-//     ones;
-//   - val seen: the validators' per-sender dedup entries, windowed behind
-//     the decided frontier;
+//     payloads), with rbc digests counting the compact delivered records
+//     that replaced pruned ones;
+//   - val seen: the validators' per-sender dedup entries;
 //   - dealer rounds: the common-coin dealer's memoized sharings, pruned by
 //     the cluster low-watermark (minimum round across nodes).
 //
-// The shape to verify: with pruning on, every retainer is bounded by the
-// window (live-instance and seen counts scale with Window, not rounds run);
-// with pruning off, all of them grow linearly with rounds — and the heap
-// columns follow. Peak heap is sampled with runtime.ReadMemStats every few
+// The shape to verify: doubling the rounds leaves every retainer count
+// unchanged — two rounds × 3 steps × n per node — while deliveries double
+// and rbc digests grow. Peak heap is sampled with runtime.ReadMemStats every few
 // thousand deliveries; retained heap is measured after a forced GC with the
 // nodes still live. Runs are serial — concurrent workers would share the
 // heap under measurement.
@@ -52,32 +46,21 @@ import (
 func E11MemoryPruning(o Options) (*metrics.Table, error) {
 	o = Defaults(o)
 	t := metrics.NewTable(
-		"E11 / Table 7 — windowed per-round pruning: retained state by retainer, pruned vs unpruned",
-		"n", "f", "rounds", "pruning", "window", "deliveries", "accepted msgs",
+		"E11 / Table 7 — per-round pruning: retained state by retainer as rounds double",
+		"n", "f", "rounds", "deliveries", "accepted msgs",
 		"rbc live inst", "rbc digests", "val seen", "dealer rounds",
 		"retained heap", "peak heap", "allocs")
 	sizes := []int{64, 128}
 	if o.Quick {
 		sizes = []int{16}
 	}
-	const rounds = 12
-	type variant struct {
-		label   string
-		window  int
-		noPrune bool
-	}
-	variants := []variant{
-		{label: "on", window: 1},
-		{label: "on", window: 4},
-		{label: "off", window: 1, noPrune: true},
-	}
 	for _, n := range sizes {
-		for _, v := range variants {
-			res, err := runMemoryWorkload(n, rounds, o.Seed, v.window, v.noPrune)
+		for _, rounds := range []int{6, 12} {
+			res, err := runMemoryWorkload(n, rounds, o.Seed)
 			if err != nil {
 				return nil, err
 			}
-			t.AddRowf(n, quorum.MaxByzantine(n), rounds, v.label, v.window, res.deliveries,
+			t.AddRowf(n, quorum.MaxByzantine(n), rounds, res.deliveries,
 				res.retainedAccepted, res.rbcLive, res.rbcDigests, res.valSeen,
 				res.dealerRounds, mib(res.retainedHeap), mib(res.peakHeap), res.allocs)
 		}
@@ -107,7 +90,7 @@ type memoryResult struct {
 // exactly `rounds` rounds whatever it decides — the state-retention workload
 // behind E11 and the pruning claims in EXPERIMENTS.md. The dealer is pruned
 // by the cluster low-watermark on the same delivery cadence the runner uses.
-func runMemoryWorkload(n, rounds int, seed int64, window int, disablePruning bool) (*memoryResult, error) {
+func runMemoryWorkload(n, rounds int, seed int64) (*memoryResult, error) {
 	f := quorum.MaxByzantine(n)
 	spec, err := quorum.New(n, f)
 	if err != nil {
@@ -136,8 +119,6 @@ func runMemoryWorkload(n, rounds int, seed int64, window int, disablePruning boo
 			Coin:                coin.NewCommon(p, peers, dealer),
 			Proposal:            types.Value(i % 2),
 			DisableDecideGadget: true,
-			DisablePruning:      disablePruning,
-			Window:              window,
 			MaxRounds:           rounds,
 		})
 		if err != nil {
@@ -160,14 +141,12 @@ func runMemoryWorkload(n, rounds int, seed int64, window int, disablePruning boo
 	}
 	stats, err := net.Run(func() bool {
 		delivered++
-		if !disablePruning && delivered%runner.DefaultLowWatermarkEvery == 0 {
+		if delivered%runner.DealerScanEvery == 0 {
 			low := nodes[0].Round()
 			for _, nd := range nodes[1:] {
-				if r := nd.Round(); r < low {
-					low = r
-				}
+				low = min(low, nd.Round())
 			}
-			dealer.Prune(runner.DealerFloor(low, window))
+			dealer.Prune(low)
 		}
 		if delivered%(1<<14) == 0 {
 			sample()

@@ -10,7 +10,7 @@ import (
 
 // E12ResidueCheckpointing regenerates Table 8: what the checkpoint &
 // state-transfer subsystem (internal/ckpt) buys on long replicated-log
-// executions. Windowed pruning (E11) bounds every per-round retainer but
+// executions. Per-round pruning (E11) bounds every per-round retainer but
 // deliberately leaves a residue that grows with slots committed: one RBC
 // delivered record per slot per replica, one coin dealer per slot,
 // and the committed log itself. Each row runs the identical log workload —
@@ -20,7 +20,7 @@ import (
 //   - log retained: committed entries still held across the cluster
 //     (n·slots without checkpointing; the suffix above the cut with it);
 //   - rbc records / rbc bytes: compact delivered records of the
-//     dissemination layer (the residue windowing kept on purpose);
+//     dissemination layer (the residue pruning keeps on purpose);
 //   - dealer slots / rounds: per-slot common-coin dealers and their dealt
 //     sharings, released below the cluster's minimum certified cut;
 //   - cut: the highest certified checkpoint at the end of the run.

@@ -77,7 +77,7 @@ func CodedDataShards(spec quorum.Spec) int {
 // NewCoded creates a Broadcaster in coded-dissemination mode: broadcasts
 // disperse Reed–Solomon fragments ((n, CodedDataShards) code over the peer
 // list) and instance traffic arrives via AppendHandleFrag/AppendHandleSum.
-// Deliveries and the windowing contract are identical to New's.
+// Deliveries and the pruning contract are identical to New's.
 // It panics if the peer set cannot carry a GF(2^8) code (more than 255
 // peers); callers size clusters long before this bound.
 func NewCoded(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Broadcaster {
@@ -241,7 +241,7 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 	if _, done := b.compacted[p.ID]; done {
 		return out, nil
 	}
-	if b.dropped(p.ID) {
+	if b.belowSeqFloor(p.ID) {
 		return out, nil
 	}
 	if !b.fragValid(p) {
@@ -296,7 +296,7 @@ func (b *Broadcaster) AppendHandleSum(out []types.Message, from types.ProcessID,
 	if _, done := b.compacted[p.ID]; done {
 		return out, nil
 	}
-	if b.dropped(p.ID) {
+	if b.belowSeqFloor(p.ID) {
 		return out, nil
 	}
 	pi, ok := b.peerIdx[from]

@@ -75,44 +75,6 @@ func TestDropSeqBelowReleasesRecordsAndLiveInstances(t *testing.T) {
 	}
 }
 
-func TestDropRoundBelowReleasesRoundNamespaceOnly(t *testing.T) {
-	spec := quorum.MustNew(4, 1)
-	peers := types.Processes(4)
-	b := New(peers[1], peers, spec)
-
-	roundID := func(r int) types.InstanceID {
-		return types.InstanceID{Sender: peers[0], Tag: types.Tag{Round: r, Step: types.Step1, Seq: 0}}
-	}
-	for r := 1; r <= 3; r++ {
-		id := roundID(r)
-		b.Handle(peers[0], &types.RBCPayload{Phase: types.KindRBCSend, ID: id, Body: "v"})
-		for _, p := range peers {
-			b.Handle(p, &types.RBCPayload{Phase: types.KindRBCEcho, ID: id, Body: "v"})
-		}
-		for _, p := range peers {
-			b.Handle(p, &types.RBCPayload{Phase: types.KindRBCReady, ID: id, Body: "v"})
-		}
-	}
-	b.PruneBelow(3) // rounds 1, 2 → records
-	seqID := runSeqInstance(t, b, peers, 99, "seq-plane")
-
-	if got := b.DropRoundBelow(3); got != 2 {
-		t.Fatalf("DropRoundBelow dropped %d, want 2 records", got)
-	}
-	if !b.Delivered(seqID) {
-		t.Fatal("round drop touched the sequence namespace")
-	}
-	if !b.Delivered(roundID(3)) {
-		t.Fatal("round drop touched a round at the watermark")
-	}
-	// Late traffic for a dropped round is silent and regrows nothing.
-	before := b.Instances()
-	out, ds := b.Handle(peers[0], &types.RBCPayload{Phase: types.KindRBCSend, ID: roundID(1), Body: "v"})
-	if len(out) != 0 || len(ds) != 0 || b.Instances() != before {
-		t.Fatal("late SEND for a dropped round was not silent")
-	}
-}
-
 func TestDropWatermarksAreMonotone(t *testing.T) {
 	spec := quorum.MustNew(4, 1)
 	peers := types.Processes(4)
@@ -123,8 +85,5 @@ func TestDropWatermarksAreMonotone(t *testing.T) {
 	}
 	if got := b.DropSeqBelow(7); got != 0 {
 		t.Fatalf("lower re-drop released %d, want 0 (watermark monotone)", got)
-	}
-	if got := b.DropRoundBelow(0); got != 0 {
-		t.Fatalf("zero round drop released %d", got)
 	}
 }

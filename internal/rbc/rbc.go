@@ -26,31 +26,21 @@
 // contain at least f+1 correct witnesses, which seed the amplification at
 // every other correct process.
 //
-// # Windowing contract
+// # Pruning contract
 //
-// Long-lived owners (the consensus core, the SMR log) bound per-instance
-// memory by compacting *terminal* instances — ones that have echoed,
-// readied, and delivered — via Compact or PruneBelow. A terminal instance
-// provably emits nothing ever again: a late SEND is ignored (already
-// echoed), late ECHOs and READYs only update tallies that no threshold will
-// read (already readied, already delivered). Compaction therefore replaces
-// the full state (per-body tallies, payloads) with a bare delivered record
-// (the instance ID, nothing else), and message handling for a compacted
-// instance is a silent no-op — byte-for-byte the messages an uncompacted
-// broadcaster would have sent, which is why the golden replay hashes pin it.
-//
-// What a pruned (compacted) instance promises late messages: nothing is
-// sent in response, exactly as before compaction, and Delivered(id) stays
-// true. The record does not say which body was delivered: the owner that
-// consumed the delivery keeps that (a committed log entry, an accepted
-// step). Totality for a straggler that has not delivered yet is unaffected:
-// every correct process sent its READY broadcast before its instance became
-// terminal, and asynchronous reliable links deliver those in-flight READYs
-// eventually — the 2f+1 the straggler needs are already on the wire, not in
-// the pruned state. Instances that never reached terminal state (a crashed
-// sender's half-finished broadcast, a missing SEND) are deliberately *not*
-// compacted: they may still have to echo or amplify, so they stay live at
-// full fidelity however far the window moves.
+// Owners bound per-instance memory by compacting *terminal* instances —
+// echoed, readied and delivered — via Compact (the SMR log, per slot) or
+// PruneBelow (the consensus core, below round r−1 on entering round r). A
+// terminal instance provably emits nothing again, so compaction replaces
+// its tallies and payloads with a bare delivered record and handles its
+// late messages as a silent no-op: byte-for-byte what the full state would
+// have sent, which the golden replay hashes pin. Delivered(id) stays true;
+// the delivered body lives with the owner that consumed it. A straggler
+// still delivers: every correct process sent its READY before its instance
+// became terminal, so the 2f+1 it needs are on the wire, not in the pruned
+// state. Non-terminal instances (a crashed sender's half-finished
+// broadcast) are never compacted: they may still owe an echo or an
+// amplification.
 package rbc
 
 import (
@@ -81,7 +71,7 @@ type Broadcaster struct {
 	spec      quorum.Spec
 	instances map[types.InstanceID]*instance
 	// compacted records every instance released by Compact/PruneBelow (see
-	// the windowing contract in the package doc): a map key instead of
+	// the pruning contract in the package doc): a map key instead of
 	// tallies and payloads. Handling a message for a compacted instance is a
 	// silent no-op, identical to what the retained terminal state would have
 	// done.
@@ -92,12 +82,10 @@ type Broadcaster struct {
 	// seed's map[string]map[ProcessID]bool nesting.
 	peerIdx map[types.ProcessID]int32
 	words   int
-	// seqFloor and roundFloor are the protocol-level drop watermarks (see
-	// DropSeqBelow/DropRoundBelow): instances below them hold no state at
-	// all, not even a delivered record, and all their traffic is a silent
-	// no-op.
-	seqFloor   int
-	roundFloor int
+	// seqFloor is the protocol-level drop watermark (see DropSeqBelow):
+	// instances below it hold no state at all, not even a delivered record,
+	// and all their traffic is a silent no-op.
+	seqFloor int
 	// code switches the broadcaster into AVID-style coded dissemination when
 	// non-nil (see coded.go and NewCoded): broadcasts disperse Reed–Solomon
 	// fragments instead of full bodies, and instance state lives in
@@ -260,14 +248,14 @@ func (b *Broadcaster) AppendHandle(out []types.Message, from types.ProcessID, p 
 	}
 	// Compacted instances answer every late message with silence — exactly
 	// what their retained terminal state would have produced (see the
-	// windowing contract): no SEND reaction (echoed), no READY (readied), no
+	// pruning contract): no SEND reaction (echoed), no READY (readied), no
 	// delivery (delivered). One map probe, no allocation, no regrowth. The
 	// same silence covers instances below a checkpoint drop watermark, whose
 	// records are gone entirely.
 	if _, done := b.compacted[p.ID]; done {
 		return out, nil
 	}
-	if b.dropped(p.ID) {
+	if b.belowSeqFloor(p.ID) {
 		return out, nil
 	}
 	switch p.Phase {
@@ -408,7 +396,7 @@ func (b *Broadcaster) PruneBelow(round int) int {
 
 // Instances returns the number of live (uncompacted) instances this
 // broadcaster tracks — the full-fidelity state that dominates RBC memory.
-// With windowing driven by an owner this stays bounded by the window (plus
+// Under an owner that prunes, this stays bounded by the retained rounds (plus
 // any non-terminal stragglers); Byzantine processes can create instances
 // freely, so memory pressure is observable here.
 func (b *Broadcaster) Instances() int { return len(b.instances) + len(b.codedInsts) }
@@ -425,10 +413,9 @@ func (b *Broadcaster) Compacted() int { return len(b.compacted) }
 const compactedRecordBytes = 40
 
 // DigestBytes returns the bytes retained by the compact delivered records —
-// the residue windowed pruning deliberately keeps forever, growing one
-// record per terminal instance. A checkpointing owner retires it with
-// DropSeqBelow/DropRoundBelow; without one it is the measurable unbounded
-// remainder on infinite executions (experiment E12).
+// the residue pruning deliberately keeps, one record per terminal instance.
+// The checkpointing log retires its share with DropSeqBelow; a consensus
+// instance's records live as long as the instance (experiment E12).
 func (b *Broadcaster) DigestBytes() int { return len(b.compacted) * compactedRecordBytes }
 
 // DropSeqBelow releases every instance and delivered record in the
@@ -439,7 +426,7 @@ func (b *Broadcaster) DigestBytes() int { return len(b.compacted) * compactedRec
 // fresh instance and echo — visibly different from the silence a compacted
 // record gives).
 //
-// This is a *protocol-level* release, stronger than the windowing contract:
+// This is a *protocol-level* release, stronger than the pruning contract:
 // a dropped instance no longer answers Delivered, and a
 // half-finished broadcast below the bound is abandoned. The caller must hold
 // a checkpoint certificate covering the dropped range — a quorum's statement
@@ -472,48 +459,6 @@ func (b *Broadcaster) DropSeqBelow(seq int) int {
 	return dropped
 }
 
-// DropRoundBelow is DropSeqBelow for the round-tagged namespace (consensus
-// step instances): it releases every instance and record with Tag.Round
-// below round, under the same checkpoint-certificate obligation, and stops
-// late traffic below the watermark from regrowing state. The consensus core
-// exposes it via Node.ReleaseResidueBelow.
-func (b *Broadcaster) DropRoundBelow(round int) int {
-	if round <= b.roundFloor {
-		return 0
-	}
-	b.roundFloor = round
-	dropped := 0
-	for id := range b.instances {
-		if b.belowRoundFloor(id) {
-			delete(b.instances, id)
-			dropped++
-		}
-	}
-	for id := range b.codedInsts {
-		if b.belowRoundFloor(id) {
-			delete(b.codedInsts, id)
-			dropped++
-		}
-	}
-	for id := range b.compacted {
-		if b.belowRoundFloor(id) {
-			delete(b.compacted, id)
-			dropped++
-		}
-	}
-	return dropped
-}
-
 func (b *Broadcaster) belowSeqFloor(id types.InstanceID) bool {
 	return id.Tag.Round == 0 && id.Tag.Step == 0 && id.Tag.Seq < b.seqFloor
-}
-
-func (b *Broadcaster) belowRoundFloor(id types.InstanceID) bool {
-	return id.Tag.Round != 0 && id.Tag.Round < b.roundFloor
-}
-
-// dropped reports whether the instance lies below a protocol-level drop
-// watermark (checked on every message before any state is touched).
-func (b *Broadcaster) dropped(id types.InstanceID) bool {
-	return b.belowSeqFloor(id) || b.belowRoundFloor(id)
 }

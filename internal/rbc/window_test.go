@@ -1,6 +1,6 @@
 package rbc
 
-// Windowing tests: compaction of terminal instances to delivered records
+// Pruning tests: compaction of terminal instances to delivered records
 // must be invisible to the protocol (late messages get the exact silence the
 // retained terminal state would have produced), must actually release the
 // full-fidelity state, and must refuse to touch instances that could still
@@ -92,7 +92,7 @@ func TestCompactedInstanceAnswersLateMessagesWithSilence(t *testing.T) {
 
 // TestCompactRefusesNonTerminalInstance: an instance that has not delivered
 // (or never echoed) may still owe the network messages, so compaction must
-// leave it at full fidelity — the totality half of the windowing contract.
+// leave it at full fidelity — the totality half of the pruning contract.
 func TestCompactRefusesNonTerminalInstance(t *testing.T) {
 	spec := quorum.MustNew(4, 1)
 	peers := types.Processes(4)
@@ -155,7 +155,7 @@ func TestPruneBelowWindowsByRound(t *testing.T) {
 	}
 	for _, tag := range tags {
 		if !b.Delivered(types.InstanceID{Sender: 1, Tag: tag}) {
-			t.Errorf("instance %v no longer Delivered after windowing", tag)
+			t.Errorf("instance %v no longer Delivered after pruning", tag)
 		}
 	}
 	// Idempotent: nothing below the floor is left to release.

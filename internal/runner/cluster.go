@@ -32,19 +32,15 @@ type SimStats struct {
 	Telemetry *sim.Telemetry
 }
 
-// validate is every driver's first step: the quorum arithmetic of (n, f),
-// how many of the n processes are faulty or absent from the start, and the
-// retention window handed to the inner consensus instances.
-func validate(n, f, faulty, window int) (quorum.Spec, error) {
+// validate is every driver's first step: the quorum arithmetic of (n, f)
+// and how many of the n processes are faulty or absent from the start.
+func validate(n, f, faulty int) (quorum.Spec, error) {
 	spec, err := quorum.New(n, f)
 	if err != nil {
 		return spec, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
 	if faulty < 0 || faulty >= n {
 		return spec, fmt.Errorf("%w: %d faulty of %d processes", ErrBadConfig, faulty, n)
-	}
-	if window < 0 {
-		return spec, fmt.Errorf("%w: negative window %d", ErrBadConfig, window)
 	}
 	return spec, nil
 }

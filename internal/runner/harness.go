@@ -173,19 +173,6 @@ type PropertySpec struct {
 	// MaxDeliveries overrides the per-run delivery budget (0 = scaled to
 	// the system size; consensus traffic grows ~n³ per round).
 	MaxDeliveries int
-	// DisablePruning turns off per-round state pruning in the correct
-	// nodes (consensus scenarios only) — the memory-comparison knob behind
-	// `bench -sweep -no-prune` and experiment E11.
-	DisablePruning bool
-	// Window is the per-round retention window of the correct nodes
-	// (consensus scenarios only; 0 = the core default of 1 — see
-	// core.Config.Window). Behaviour-neutral: sweep aggregates are bitwise
-	// identical at every window size, which the CI windowing diff enforces.
-	Window int
-	// LowWatermarkEvery is the delivery cadence of cluster low-watermark
-	// scans for the common-coin dealer (0 = runner default; see
-	// Config.LowWatermarkEvery).
-	LowWatermarkEvery int
 
 	// Pass-through sweep knobs (see SweepSpec).
 	Workers    int
@@ -268,9 +255,6 @@ func (p PropertySpec) SweepSpec() (SweepSpec, error) {
 		Inputs:              sc.Inputs,
 		MaxDeliveries:       budget,
 		DisableDecideGadget: sc.NoHalt,
-		DisablePruning:      p.DisablePruning,
-		Window:              p.Window,
-		LowWatermarkEvery:   p.LowWatermarkEvery,
 	}
 	return spec, nil
 }

@@ -192,7 +192,7 @@ func RunRBC(cfg RBCConfig) (*RBCResult, error) {
 	if cfg.Byzantine < 0 {
 		cfg.Byzantine = cfg.F
 	}
-	spec, err := validate(cfg.N, cfg.F, cfg.Byzantine, 0)
+	spec, err := validate(cfg.N, cfg.F, cfg.Byzantine)
 	if err != nil {
 		return nil, err
 	}

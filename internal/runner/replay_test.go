@@ -188,31 +188,6 @@ func TestReplayEqualityGolden(t *testing.T) {
 	}
 }
 
-// TestReplayEqualityGoldenWindowed proves windowed pruning is behaviour-
-// neutral at any window size: every pinned configuration reproduces its
-// golden hash — recorded from the seed implementation, which retained all
-// per-round state forever — with the retention window set to 2 and to 4
-// rounds. Together with the default-window run of TestReplayEqualityGolden
-// (window 1, the tightest), this is the replay half of the windowing
-// contract; the CI sweep diff covers the aggregate half.
-func TestReplayEqualityGoldenWindowed(t *testing.T) {
-	for _, window := range []int{2, 3, 4} {
-		for name, cfg := range replayConfigs() {
-			cfg.Window = window
-			t.Run(fmt.Sprintf("w%d/%s", window, name), func(t *testing.T) {
-				got := traceHash(t, cfg)
-				want, ok := goldenTraceHashes[name]
-				if !ok {
-					t.Fatalf("no golden hash for %q (got %s)", name, got)
-				}
-				if got != want {
-					t.Errorf("window %d moved the trace hash:\n got %s\nwant %s", window, got, want)
-				}
-			})
-		}
-	}
-}
-
 // TestReplaySameSeedTwice checks pure determinism: running the identical
 // (config, seed) twice in one process produces identical traces.
 func TestReplaySameSeedTwice(t *testing.T) {
@@ -252,7 +227,6 @@ type stackConfig struct {
 	scheduler string // "uniform", "fifo", "reorder"
 	maxSlots  int    // SMR only
 	seed      int64
-	window    int // per-round retention window of the inner instances (0 = default)
 }
 
 // stackReplayConfigs is the ACS/SMR golden matrix: both layers, all three
@@ -342,7 +316,6 @@ func stackTraceHash(t *testing.T, cfg stackConfig) string {
 				Rotation: live,
 				Machine:  discardMachine{},
 				MaxSlots: cfg.maxSlots,
-				Window:   cfg.window,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -402,7 +375,6 @@ func stackTraceHash(t *testing.T, cfg stackConfig) string {
 				Me: p, Peers: peers, Spec: spec,
 				NewCoin: newCoin,
 				Input:   fmt.Sprintf("input-%v", p),
-				Window:  cfg.window,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -474,29 +446,6 @@ func TestStackReplayEqualityGolden(t *testing.T) {
 				t.Errorf("trace hash diverged from pre-refactor implementation:\n got %s\nwant %s", got, want)
 			}
 		})
-	}
-}
-
-// TestStackReplayEqualityGoldenWindowed proves the window knob is
-// behaviour-neutral through the layered protocols too: the ACS/SMR golden
-// hashes — recorded from the pre-refactor, retain-everything implementation
-// — reproduce with every inner consensus instance running 2-, 3-, and
-// 4-round retention windows.
-func TestStackReplayEqualityGoldenWindowed(t *testing.T) {
-	for _, window := range []int{2, 3, 4} {
-		for name, cfg := range stackReplayConfigs() {
-			cfg.window = window
-			t.Run(fmt.Sprintf("w%d/%s", window, name), func(t *testing.T) {
-				got := stackTraceHash(t, cfg)
-				want, ok := goldenStackHashes[name]
-				if !ok {
-					t.Fatalf("no golden hash for %q (got %s)", name, got)
-				}
-				if got != want {
-					t.Errorf("window %d moved the stack trace hash:\n got %s\nwant %s", window, got, want)
-				}
-			})
-		}
 	}
 }
 

@@ -172,45 +172,13 @@ type Config struct {
 	// dwarfs the body), which is exactly what experiment E14 quantifies
 	// against the batch-sized bodies of the SMR plane.
 	Coded bool
-	// DisablePruning retains per-round state for the whole run (Bracha
-	// only; behaviour-neutral by construction — the E11 memory comparison
-	// and `bench -sweep -no-prune` are its only users).
-	DisablePruning bool
-	// Window is the per-round retention window of the correct Bracha nodes
-	// (0 = the core default of 1; see core.Config.Window). Behaviour-
-	// neutral at any value: the windowed golden-replay tests and the CI
-	// sweep diff hold every run bitwise identical across window sizes.
-	Window int
-	// LowWatermarkEvery is how many deliveries pass between cluster
-	// low-watermark scans for the common-coin dealer (0 = default). Each
-	// scan takes the minimum current round across the correct nodes and
-	// prunes the dealer's memoized sharings below it — the only per-round
-	// retainer shared across the cluster, so no single node may prune it
-	// alone. Behaviour-neutral: pruned rounds are ones no process will
-	// release or query again.
-	LowWatermarkEvery int
 }
 
-// DefaultLowWatermarkEvery is the default delivery cadence of dealer
+// DealerScanEvery is the delivery cadence of the common-coin dealer's
 // low-watermark scans: frequent enough that dealer retention tracks the
 // cluster's slowest process closely, rare enough that the O(n) round scan
 // is amortized to nothing against the ~n³ deliveries a round takes.
-const DefaultLowWatermarkEvery = 1024
-
-// DealerFloor is the dealer's pruning floor for a cluster whose slowest
-// correct process is at minRound under retention window W (0 or less = the
-// default of 1): everything below minRound − (W−1) is provably dead — no
-// process will release or query a round below its own current round, and
-// rounds only advance. Every low-watermark scan (runner.Run's delivery
-// loop, experiment E11's workload) must derive its floor from this one
-// function: the arithmetic is load-bearing for the never-re-deal guarantee
-// (see coin.Dealer's windowing contract).
-func DealerFloor(minRound, window int) int {
-	if window <= 0 {
-		window = 1
-	}
-	return minRound - (window - 1)
-}
+const DealerScanEvery = 1024
 
 // Result is what one run produced.
 type Result struct {
@@ -234,22 +202,19 @@ type Result struct {
 	// pruning and were dropped (see core.Stats.PrunedLate).
 	PrunedLate int
 	// RBCCompacted sums, over the correct Bracha nodes, the terminal RBC
-	// instances released to compact delivered records by windowed
-	// pruning (0 with pruning disabled).
+	// instances released to compact delivered records by per-round pruning.
 	RBCCompacted int
 	// RBCDigestBytes sums the bytes the correct Bracha nodes retain in
-	// compact delivered records at the end of the run — the residue
-	// windowed pruning keeps forever, retired only by protocol-level
-	// checkpointing (internal/ckpt, experiment E12).
+	// compact delivered records at the end of the run — the residue pruning
+	// keeps for a node's lifetime (experiment E12).
 	RBCDigestBytes int
 	// JustificationsRetained sums the per-round justification digests the
 	// correct Bracha nodes' validators retain at the end of the run — the
-	// other forever-residue of windowed pruning.
+	// other lifetime residue of pruning.
 	JustificationsRetained int
 	// DealerRoundsRetained is the common-coin dealer's memoized sharing
 	// count at the end of the run (0 for other coins) — bounded by the
-	// cluster round spread under low-watermark pruning, linear in rounds
-	// without it.
+	// cluster round spread under the low-watermark scan.
 	DealerRoundsRetained int
 	// Recorder holds the trace when Config.Trace was set.
 	Recorder *trace.Recorder
@@ -274,7 +239,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Byzantine < 0 {
 		cfg.Byzantine = cfg.F
 	}
-	spec, err := validate(cfg.N, cfg.F, cfg.Byzantine, cfg.Window)
+	spec, err := validate(cfg.N, cfg.F, cfg.Byzantine)
 	if err != nil {
 		return nil, err
 	}
@@ -363,8 +328,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return true
 	}
-	if dealer != nil && !cfg.DisablePruning {
-		stop = pruningDealer(cfg, dealer, nodes, stop)
+	if dealer != nil {
+		stop = pruningDealer(dealer, nodes, stop)
 	}
 	res := &Result{Config: cfg, Recorder: cl.rec}
 	if res.SimStats, res.Exhausted, err = cl.run(members, stop); err != nil {
@@ -378,29 +343,21 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // pruningDealer wraps a stop predicate with the cluster low-watermark scan.
-// The dealer's memoized sharings are shared cluster state: prune them by the
-// minimum current round across the correct nodes, a round no process will
-// release or query again (rounds only advance; ShareFor is only called for a
-// node's current round). Scanned every LowWatermarkEvery deliveries inside
-// the existing stop callback; the cadence moves only retention, never
-// behaviour, so it is exempt from the replay contract the same way pruning
-// itself is.
-func pruningDealer(cfg Config, dealer *coin.Dealer, nodes []node, inner func() bool) func() bool {
-	every := cfg.LowWatermarkEvery
-	if every <= 0 {
-		every = DefaultLowWatermarkEvery
-	}
-	countdown := every
+// The dealer's memoized sharings are shared cluster state: every
+// DealerScanEvery deliveries, prune them below the minimum current round
+// across the correct nodes, a round no process will release or query again
+// (rounds only advance; ShareFor is only called for a node's current round).
+// Pruning moves only retention, never behaviour.
+func pruningDealer(dealer *coin.Dealer, nodes []node, inner func() bool) func() bool {
+	countdown := DealerScanEvery
 	return func() bool {
 		if countdown--; countdown <= 0 {
-			countdown = every
+			countdown = DealerScanEvery
 			low := nodes[0].Round()
 			for _, nd := range nodes[1:] {
-				if r := nd.Round(); r < low {
-					low = r
-				}
+				low = min(low, nd.Round())
 			}
-			dealer.Prune(DealerFloor(low, cfg.Window))
+			dealer.Prune(low)
 		}
 		return inner()
 	}
@@ -489,8 +446,6 @@ func buildCorrect(cfg Config, spec quorum.Spec, p types.ProcessID, peers []types
 			Coded:               cfg.Coded,
 			DisableValidation:   cfg.DisableValidation,
 			DisableDecideGadget: cfg.DisableDecideGadget,
-			DisablePruning:      cfg.DisablePruning,
-			Window:              cfg.Window,
 			MaxRounds:           cfg.MaxRounds,
 		})
 	case ProtocolBenOr:

@@ -308,7 +308,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"Run: bad n", run(Config{N: 0, F: 0, Protocol: ProtocolBracha, Coin: CoinIdeal})},
 		{"Run: byzantine everyone", run(Config{N: 4, F: 1, Byzantine: 4, Protocol: ProtocolBracha, Coin: CoinIdeal, Adversary: AdvSilent})},
-		{"Run: negative window", run(Config{N: 4, F: 1, Protocol: ProtocolBracha, Coin: CoinIdeal, Window: -1})},
 		{"Run: benor with validation ablation", run(Config{N: 4, F: 1, Protocol: ProtocolBenOr, Coin: CoinIdeal, DisableValidation: true})},
 		{"Run: unknown protocol", run(Config{N: 4, F: 1, Coin: CoinIdeal})},
 		{"Run: unknown coin", run(Config{N: 4, F: 1, Protocol: ProtocolBracha})},
@@ -322,12 +321,12 @@ func TestConfigValidation(t *testing.T) {
 		{"RunSMR: single live replica", smr(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: 3})},
 		{"RunSMR: crashed < 0", smr(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: -1})},
 		{"RunSMR: crashed > n", smr(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: 5})},
-		{"RunSMR: negative window", smr(SMRConfig{N: 4, F: 1, Slots: 8, Window: -1})},
+		{"RunSMR: f above (n-1)/3", smr(SMRConfig{N: 4, F: 2, Slots: 8})},
 		{"RunSMR: negative attackers", smr(SMRConfig{N: 4, F: 1, Slots: 8, CheckpointEvery: 4,
 			Attack: adversary.CkptStaleResponder, Byzantine: -3, Sched: SchedStraggler})},
 
 		{"RunThroughput: n = 0", throughput(ThroughputConfig{N: 0, F: 0, Entries: 4})},
-		{"RunThroughput: negative window", throughput(ThroughputConfig{N: 4, F: 1, Entries: 4, Window: -1})},
+		{"RunThroughput: f above (n-1)/3", throughput(ThroughputConfig{N: 4, F: 2, Entries: 4})},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -64,9 +64,6 @@ type SMRConfig struct {
 	Depth int
 	// CheckpointEvery is the checkpoint cadence in slots (0 = off).
 	CheckpointEvery int
-	// Window is the per-round retention window of the inner consensus
-	// instances (0 = core default).
-	Window int
 	// Coin selects the per-slot coin: CoinLocal, CoinIdeal, or CoinCommon
 	// (per-slot dealers via coin.DealerSet, released below certified cuts).
 	Coin CoinKind
@@ -218,9 +215,15 @@ type SMRResult struct {
 // normalize validates the config and resolves its defaults, returning the
 // quorum arithmetic.
 func (cfg *SMRConfig) normalize() (quorum.Spec, error) {
-	spec, err := validate(cfg.N, cfg.F, cfg.Crashed, cfg.Window)
+	spec, err := validate(cfg.N, cfg.F, cfg.Crashed)
 	if err != nil {
 		return spec, err
+	}
+	// Run may exceed the bound on purpose (the tightness experiments); a log
+	// past it can go quiet without committing (at n=4, f=2 the decide
+	// threshold 2f+1 exceeds n), so it is a config error here.
+	if limit := quorum.MaxByzantine(cfg.N); cfg.F > limit {
+		return spec, fmt.Errorf("%w: SMR run needs f ≤ ⌊(n−1)/3⌋ = %d, got f=%d", ErrBadConfig, limit, cfg.F)
 	}
 	if cfg.Slots <= 0 {
 		return spec, fmt.Errorf("%w: SMR run needs Slots > 0", ErrBadConfig)
@@ -434,7 +437,6 @@ func (r *smrRun) replicaConfig(i int, p types.ProcessID) smr.Config {
 		NewCoin:  r.coinFor(p),
 		Rotation: r.pl.rotation,
 		Machine:  r.audit.machines[i],
-		Window:   cfg.Window,
 		Batch:    cfg.Batch,
 		Depth:    cfg.Depth,
 		Coded:    cfg.Coded,

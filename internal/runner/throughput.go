@@ -31,8 +31,6 @@ type ThroughputConfig struct {
 	// throughput numbers must not depend on it (the digests certainly do
 	// not — CI diffs them).
 	CheckpointEvery int
-	// Window is the inner consensus retention window (0 = core default).
-	Window int
 	// Coin selects the per-slot coin (0 = CoinLocal).
 	Coin CoinKind
 	// CommandBytes pads every preloaded command to at least this many bytes
@@ -97,7 +95,7 @@ func (p *ThroughputPoint) EntriesPerKDeliveries() float64 {
 func RunThroughput(cfg ThroughputConfig) ([]*ThroughputPoint, error) {
 	// The grid sizes its workload by dividing by n: validate before any
 	// point does.
-	if _, err := validate(cfg.N, cfg.F, 0, cfg.Window); err != nil {
+	if _, err := validate(cfg.N, cfg.F, 0); err != nil {
 		return nil, err
 	}
 	if cfg.Entries <= 0 {
@@ -148,7 +146,6 @@ func RunThroughput(cfg ThroughputConfig) ([]*ThroughputPoint, error) {
 			Batch:           g.batch,
 			Depth:           g.depth,
 			CheckpointEvery: cfg.CheckpointEvery,
-			Window:          cfg.Window,
 			Coin:            cfg.Coin,
 			Coded:           cfg.Coded,
 			Seed:            cfg.Seed,

@@ -159,9 +159,6 @@ type Config struct {
 	// message each). The committed log is byte-identical either way; only
 	// dissemination's wire format and bandwidth change.
 	Coded bool
-	// Window is the per-round retention window handed to every slot's
-	// consensus instance (0 = the core default); see core.Config.Window.
-	Window int
 	// CheckpointEvery enables protocol-level checkpointing with the given
 	// cut cadence in slots (0 = off). Requires Machine to implement
 	// Snapshotter and a shared CheckpointSecret. See the package doc's
@@ -611,8 +608,8 @@ func (r *Replica) StateDigest() (uint64, bool) {
 func (r *Replica) RBCDigestBytes() int { return r.values.DigestBytes() }
 
 // RBCLiveInstances and RBCCompacted expose the dissemination layer's
-// windowing state: full-fidelity instances retained vs slots released to
-// compact delivered records (diagnostics for the windowing tests).
+// pruning state: full-fidelity instances retained vs slots released to
+// compact delivered records (diagnostics for the pruning tests).
 func (r *Replica) RBCLiveInstances() int { return r.values.Instances() }
 
 // RBCCompacted returns how many dissemination instances have been released
@@ -1143,7 +1140,6 @@ func (r *Replica) step(out []types.Message) []types.Message {
 				Coin:      r.cfg.NewCoin(r.slot),
 				Proposal:  types.One, // candidate in hand
 				Instance:  r.slot + 1,
-				Window:    r.cfg.Window,
 				Recorder:  r.cfg.Recorder,
 				Telemetry: r.cfg.Telemetry,
 			})
@@ -1191,7 +1187,7 @@ func (r *Replica) step(out []types.Message) []types.Message {
 		// dissemination instance are dead once the slot commits, so a long
 		// log keeps a bounded working set instead of every candidate ever
 		// proposed. The RBC instance compacts to a delivered record
-		// (a no-op while non-terminal; see internal/rbc's windowing
+		// (a no-op while non-terminal; see internal/rbc's pruning
 		// contract), so late echoes from lagging replicas still meet the
 		// exact silence the full state would have given them.
 		r.values.Compact(types.InstanceID{

@@ -34,27 +34,17 @@
 //	                   value, and v was justifiable as the sender's step-2
 //	                   message (its step-1 majority).
 //
-// # Windowing contract
+// # Pruning contract
 //
-// A long-lived owner bounds the validator's memory with PruneBelow(r),
-// which releases the per-sender dedup entries (the seen set) of every round
-// below r. What survives forever is the justification digest: per touched
-// round, a tally of justified-message counts by (step, value) — eight
-// integers, the complete summary every justification predicate reads. Old tallies
-// therefore still validate: a straggler's months-late message for round k is
-// judged against exactly the counts an unwindowed validator would hold, it
-// folds into the same tallies, and the fold order out of Record is
-// unchanged — which is why windowing is invisible to the golden replays and
-// to the owner's late-drop accounting.
-//
-// What a pruned round promises late messages: full justification service,
-// minus duplicate suppression. The window releases only dedup state, so the
-// caller must deliver at most one message per (sender, round, step) slot
-// below the window — precisely what reliable broadcast's integrity already
-// guarantees per instance (the consensus core's RBC layer can never hand
-// the validator the same slot twice). Pending (recorded but not yet
-// justified) messages are never pruned: a late fold must still happen so
-// adjacent rounds' justification sees identical tallies either way.
+// The consensus core calls PruneBelow(r−1) on entering round r, releasing
+// the per-sender dedup entries (the seen set) of older rounds. The
+// justification digests stay: per touched round, eight counts by (step,
+// value), the whole summary every predicate reads. A straggler's late
+// message for a pruned round is therefore judged and folded exactly as if
+// nothing had been pruned, which is why pruning is invisible to the golden
+// replays. Duplicate suppression below the floor is left to reliable
+// broadcast's integrity (one delivery per slot, ever). Pending messages are
+// never pruned, so late folds still happen.
 package validate
 
 import (
@@ -76,21 +66,16 @@ type Validator struct {
 	// messages by (step, value). Retained for the whole execution — 64
 	// bytes per touched round, the summary every justification query reads
 	// — where the seen set (per-sender, the dominant per-round retainer)
-	// is windowed behind the floor. Deliberately a map, not a dense array:
+	// is pruned below the floor. Deliberately a map, not a dense array:
 	// a Byzantine sender can put any round number in a well-formed message,
 	// and a map spends one entry on it where a round-indexed array would
 	// spend the round number.
 	rounds map[int]*tally
 
-	// floor is the seen-window watermark: dedup entries for rounds below it
-	// have been released and are no longer recorded (see the windowing
+	// floor is the seen-set watermark: dedup entries for rounds below it
+	// have been released and are no longer recorded (see the pruning
 	// contract in the package doc).
 	floor int
-
-	// talliesFloor is the protocol-level release watermark of
-	// ReleaseTalliesBelow: digests below it are gone and messages at or
-	// below it are refused on arrival (checkpoint-certified territory).
-	talliesFloor int
 
 	talliedCount int
 
@@ -159,14 +144,11 @@ func (v *Validator) Record(sender types.ProcessID, m types.StepMessage) []Accept
 	if !wellFormed(m) {
 		return nil
 	}
-	if m.Round <= v.talliesFloor {
-		return nil // checkpoint-released round: unjudgeable and settled
-	}
 	k := slotKey{sender: sender, round: m.Round, step: m.Step}
 	if v.seen[k] {
 		return nil
 	}
-	// Dedup entries are kept only for rounds at or above the window floor;
+	// Dedup entries are kept only for rounds at or above the floor;
 	// below it, uniqueness per slot is the caller's contract (RBC integrity)
 	// and recording the key would regrow released state.
 	if m.Round >= v.floor {
@@ -195,56 +177,21 @@ func (v *Validator) Tallied() int { return v.talliedCount }
 func (v *Validator) Pending() int { return len(v.pending) }
 
 // SeenRetained returns how many per-sender dedup entries the validator
-// currently holds — the retainer PruneBelow windows. Bounded by the window
-// under a pruning owner; linear in rounds without one.
+// currently holds — the retainer PruneBelow releases.
 func (v *Validator) SeenRetained() int { return len(v.seen) }
 
 // JustificationsRetained returns how many per-round justification digests
-// the validator holds — the residue PruneBelow deliberately keeps forever
-// (64 bytes per touched round), growing one digest per round on infinite
-// executions. A checkpointing owner retires it with ReleaseTalliesBelow;
-// without one it is the measurable unbounded remainder (experiment E12).
+// the validator holds — the residue PruneBelow deliberately keeps for the
+// validator's lifetime (64 bytes per touched round). Owners bound it by
+// lifetime instead: the replicated log drops each slot's instance, validator
+// included, at commit (experiment E12).
 func (v *Validator) JustificationsRetained() int { return len(v.rounds) }
-
-// ReleaseTalliesBelow drops the justification digests (and any still-pending
-// messages) of every round below r, returning how many digests it released.
-// The bound becomes a watermark: messages for rounds at or below it are
-// refused on arrival — at, not just below, because a round-r step-1 message
-// is judged against round r−1's digest, which is gone.
-//
-// This is a *protocol-level* release, stronger than the windowing contract:
-// a months-late message for a released round can no longer be judged — it is
-// silently discarded rather than validated against its round's counts. The
-// caller must hold a checkpoint certificate covering the refused rounds — a
-// quorum's statement that their outcome is settled and no justification at
-// or below r will ever matter again (internal/ckpt). A caller whose
-// certificate settles rounds below floor f must therefore pass f−1, keeping
-// round f−1's digest for round f's step-1 adoption checks.
-func (v *Validator) ReleaseTalliesBelow(r int) int {
-	if r <= v.talliesFloor {
-		return 0
-	}
-	v.talliesFloor = r
-	released := 0
-	for round := range v.rounds {
-		if round < r {
-			delete(v.rounds, round)
-			released++
-		}
-	}
-	for k := range v.pending {
-		if k.round <= r {
-			delete(v.pending, k)
-		}
-	}
-	return released
-}
 
 // PruneBelow releases the per-sender dedup entries of every round below r
 // and stops recording new ones there. The justification digests (per-round
 // tallies) and the pending set are deliberately retained — see the
-// windowing contract in the package doc — so justification answers, fold
-// order, and late folds are identical to an unwindowed validator's.
+// pruning contract in the package doc — so justification answers, fold
+// order, and late folds are identical to an unpruned validator's.
 func (v *Validator) PruneBelow(r int) {
 	if r <= v.floor {
 		return
