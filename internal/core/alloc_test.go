@@ -101,33 +101,72 @@ func stalledCluster(t *testing.T, n, f, maxRounds int) []*Node {
 	return nodes
 }
 
-// TestRetainersFlatAsRoundsDouble: the accepted table, the live RBC
-// instances and the validator's seen entries hold the current and previous
-// rounds only, so doubling the rounds run from 6 to 12 leaves every count
-// unchanged and within two rounds × 3 steps × n — while the compacted
-// records, which do grow with rounds, show the released instances went
-// somewhere.
-func TestRetainersFlatAsRoundsDouble(t *testing.T) {
+// retainer is one per-round count a node keeps; the round-floor prune must
+// hold each to the current and previous rounds.
+type retainer struct {
+	name  string
+	count func(*Node) int
+}
+
+var retainers = []retainer{
+	{"accepted messages", (*Node).AcceptedRetained},
+	{"live RBC instances", (*Node).RBCLiveInstances},
+	{"validator seen entries", (*Node).ValidatorSeenRetained},
+}
+
+// TestPruningBoundsRetainedState: entering round r prunes below r−1, so
+// doubling the rounds run from 6 to 12 leaves the accepted table, the live
+// RBC instances and the validator's seen entries exactly as large as they
+// were.
+func TestPruningBoundsRetainedState(t *testing.T) {
 	const n, f = 4, 1
 	short := stalledCluster(t, n, f, 6)
 	long := stalledCluster(t, n, f, 12)
-	bound := 2 * 3 * n
 	for i, nd := range long {
-		s := short[i]
-		for _, c := range []struct {
-			name        string
-			short, long int
-		}{
-			{"accepted messages", s.AcceptedRetained(), nd.AcceptedRetained()},
-			{"live RBC instances", s.RBCLiveInstances(), nd.RBCLiveInstances()},
-			{"validator seen entries", s.ValidatorSeenRetained(), nd.ValidatorSeenRetained()},
-		} {
-			if c.long != c.short || c.long > bound {
-				t.Errorf("%v %s: %d at 6 rounds, %d at 12, want equal and ≤ %d", nd.ID(), c.name, c.short, c.long, bound)
+		for _, r := range retainers {
+			if got, was := r.count(nd), r.count(short[i]); got != was {
+				t.Errorf("%v %s: %d at 6 rounds, %d at 12, want equal", nd.ID(), r.name, was, got)
 			}
 		}
-		if got, was := nd.RBCCompacted(), s.RBCCompacted(); got <= was {
-			t.Errorf("%v compacted %d RBC instances at 12 rounds, %d at 6 — nothing released", nd.ID(), got, was)
+	}
+}
+
+// TestWindowBoundsEveryRetainer: after 12 rounds every retainer holds at
+// most two rounds × 3 steps × n entries, and the compaction counter shows
+// RBC instances were actually released rather than never created.
+func TestWindowBoundsEveryRetainer(t *testing.T) {
+	const n, f, rounds = 4, 1, 12
+	bound := 2 * 3 * n
+	for _, nd := range stalledCluster(t, n, f, rounds) {
+		for _, r := range retainers {
+			if got := r.count(nd); got > bound {
+				t.Errorf("%v retains %d %s, want ≤ %d", nd.ID(), got, r.name, bound)
+			}
+		}
+		if nd.RBCCompacted() == 0 {
+			t.Errorf("%v compacted no RBC instances over %d rounds", nd.ID(), rounds)
+		}
+	}
+}
+
+// TestUnprunedRetainersGrowWithRounds is the control: what the round floor
+// does not prune — compacted RBC records and their digest bytes, and the
+// validator's per-round justification digests — grows from 6 to 12 rounds,
+// so the flat counts above come from the prune, not from a run that stopped
+// producing state.
+func TestUnprunedRetainersGrowWithRounds(t *testing.T) {
+	const n, f = 4, 1
+	short := stalledCluster(t, n, f, 6)
+	long := stalledCluster(t, n, f, 12)
+	for i, nd := range long {
+		for _, c := range []retainer{
+			{"compacted RBC instances", (*Node).RBCCompacted},
+			{"RBC digest bytes", (*Node).RBCDigestBytes},
+			{"justification digests", (*Node).JustificationsRetained},
+		} {
+			if got, was := c.count(nd), c.count(short[i]); got <= was {
+				t.Errorf("%v %s did not grow with rounds: %d (12r) vs %d (6r)", nd.ID(), c.name, got, was)
+			}
 		}
 	}
 }
