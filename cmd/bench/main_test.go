@@ -2,99 +2,85 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func TestRunSingleExperiment(t *testing.T) {
+// mustRun runs bench with args and returns its stdout, failing the test on
+// an error.
+func mustRun(t *testing.T, args ...string) string {
+	t.Helper()
 	var sb strings.Builder
-	if err := run([]string{"-quick", "-runs", "2", "-experiment", "E1"}, &sb); err != nil {
-		t.Fatal(err)
+	if err := run(args, &sb); err != nil {
+		t.Fatalf("%v: %v\noutput:\n%s", args, err, sb.String())
 	}
-	out := sb.String()
-	if !strings.Contains(out, "E1 / Table 1") {
-		t.Errorf("missing table title:\n%s", out)
-	}
-	if !strings.Contains(out, "(E1 in ") {
-		t.Errorf("missing timing line:\n%s", out)
-	}
+	return sb.String()
 }
 
-func TestRunCSV(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-quick", "-runs", "2", "-experiment", "E5", "-csv"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "# E5:") {
-		t.Errorf("missing CSV header comment:\n%s", out)
-	}
-	if !strings.Contains(out, "n,f,") {
-		t.Errorf("missing CSV columns:\n%s", out)
-	}
-}
-
-func TestRunUnknownExperiment(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-experiment", "E42"}, &sb); err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-}
-
-func TestRunBadFlag(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-bogus"}, &sb); err == nil {
-		t.Fatal("bogus flag accepted")
-	}
-}
-
-func TestRunScenarioList(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-scenarios"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"equivocation-rush", "crash-rejoin", "rbc-partial"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("scenario listing missing %q:\n%s", want, sb.String())
-		}
-	}
-}
-
-func TestRunSweep(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{"-sweep", "1:13", "-n", "8", "-scenario", "equivocation-rush", "-workers", "4"}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"sweep equivocation-rush: n=8 f=2 seeds [1, 13)", "no violations"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sweep output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRunSweepBadFlags(t *testing.T) {
-	cases := [][]string{
-		{"-sweep", "nonsense"},
-		{"-sweep", "5:5"},
-		{"-sweep", "9:1"},
-		{"-sweep", "1:5", "-scenario", "no-such-attack"},
-		{"-sweep", "1:5", "-experiment", "E1"},
-		{"-sweep", "1:5", "-quick"},
-		{"-sweep", "1:5", "-seed", "3"},
-		{"-sweep", "1:5", "-csv"},
-		{"-sweep", "1:5", "-stop-after", "2"}, // -stop-after without -checkpoint rejected up front
-		{"-checkpoint", "ck.json", "-resume"}, // forgot -sweep: must not launch experiments
-		{"-scenario", "reorder"},
-	}
+// requireRejected fails the test for every argument list bench accepts.
+func requireRejected(t *testing.T, cases ...[]string) {
+	t.Helper()
 	for _, args := range cases {
-		var sb strings.Builder
-		if err := run(args, &sb); err == nil {
+		if err := run(args, io.Discard); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+}
+
+// requireContains fails the test for every want missing from out.
+func requireContains(t *testing.T, out string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestRunSingleExperiment(t *testing.T) {
+	requireContains(t, mustRun(t, "exp", "-quick", "-runs", "2", "-experiment", "E1"), "E1 / Table 1", "(E1 in ")
+}
+
+func TestRunCSV(t *testing.T) {
+	requireContains(t, mustRun(t, "exp", "-quick", "-runs", "2", "-experiment", "E5", "-csv"), "# E5:", "n,f,")
+}
+
+func TestRunUnknownExperiment(t *testing.T) {
+	requireRejected(t, []string{"exp", "-experiment", "E42"})
+}
+
+// TestRunBadFlag: a missing or unknown subcommand lists the subcommands; a
+// flag of another subcommand, or a stray argument, is rejected by the parse.
+func TestRunBadFlag(t *testing.T) {
+	for _, args := range [][]string{nil, {"bogus"}, {"-quick"}} {
+		if err := run(args, io.Discard); err == nil || !strings.Contains(err.Error(), "throughput") {
+			t.Errorf("args %v: error %v does not list the subcommands", args, err)
+		}
+	}
+	requireRejected(t, []string{"exp", "-bogus"}, []string{"exp", "-json", "-csv"},
+		[]string{"sweep", "-slots", "8"}, []string{"smr", "64"})
+}
+
+func TestRunScenarioList(t *testing.T) {
+	requireContains(t, mustRun(t, "scenarios"), "equivocation-rush", "crash-rejoin", "rbc-partial", "smr -ckpt-every")
+}
+
+func TestRunSweep(t *testing.T) {
+	out := mustRun(t, "sweep", "-seeds", "1:13", "-n", "8", "-scenario", "equivocation-rush", "-workers", "4")
+	requireContains(t, out, "sweep equivocation-rush: n=8 f=2 seeds [1, 13)", "no violations")
+}
+
+func TestRunSweepBadFlags(t *testing.T) {
+	requireRejected(t,
+		[]string{"sweep", "-seeds", "nonsense"},
+		[]string{"sweep", "-seeds", "5:5"},
+		[]string{"sweep", "-seeds", "9:1"},
+		[]string{"sweep", "-seeds", "1:5", "-scenario", "no-such-attack"},
+		[]string{"sweep", "-seeds", "1:5", "-stop-after", "2"}, // -stop-after without -checkpoint rejected up front
+	)
 }
 
 // TestRunSweepResumeIdentical: a sweep stopped mid-way and resumed from its
@@ -102,26 +88,13 @@ func TestRunSweepBadFlags(t *testing.T) {
 // CLI surface of the engine's determinism contract.
 func TestRunSweepResumeIdentical(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.json")
-	common := []string{"-sweep", "1:41", "-n", "8", "-scenario", "crash-rejoin", "-workers", "3"}
+	common := []string{"sweep", "-seeds", "1:41", "-n", "8", "-scenario", "crash-rejoin", "-workers", "3"}
 
-	var stopped strings.Builder
-	if err := run(append(common, "-checkpoint", ck, "-every", "10", "-stop-after", "17"), &stopped); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(stopped.String(), "sweep stopped after 17/40 runs") {
-		t.Fatalf("unexpected stop notice:\n%s", stopped.String())
-	}
-
-	var resumed, fresh strings.Builder
-	if err := run(append(common, "-checkpoint", ck, "-resume", "-json"), &resumed); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(common, "-json"), &fresh); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.String() != fresh.String() {
-		t.Errorf("resumed sweep output differs from uninterrupted sweep:\n--- resumed\n%s\n--- fresh\n%s",
-			resumed.String(), fresh.String())
+	stopped := mustRun(t, append(common, "-checkpoint", ck, "-every", "10", "-stop-after", "17")...)
+	requireContains(t, stopped, "sweep stopped after 17/40 runs")
+	resumed := mustRun(t, append(common, "-checkpoint", ck, "-resume", "-json")...)
+	if fresh := mustRun(t, append(common, "-json")...); resumed != fresh {
+		t.Errorf("resumed sweep output differs from uninterrupted sweep:\n--- resumed\n%s\n--- fresh\n%s", resumed, fresh)
 	}
 }
 
@@ -129,18 +102,14 @@ func TestRunSweepResumeIdentical(t *testing.T) {
 // parseable JSON on stdout (the notice goes to stderr).
 func TestRunSweepStoppedJSON(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.json")
-	var sb strings.Builder
-	err := run([]string{"-sweep", "1:41", "-n", "8", "-scenario", "rbc-honest",
-		"-checkpoint", ck, "-stop-after", "9", "-json"}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := mustRun(t, "sweep", "-seeds", "1:41", "-n", "8", "-scenario", "rbc-honest",
+		"-checkpoint", ck, "-stop-after", "9", "-json")
 	var got struct {
 		Stopped   bool  `json:"stopped"`
 		Completed int64 `json:"completed"`
 	}
-	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
-		t.Fatalf("stopped -json output is not JSON: %v\n%s", err, sb.String())
+	if err := json.Unmarshal([]byte(out), &got); err != nil {
+		t.Fatalf("stopped -json output is not JSON: %v\n%s", err, out)
 	}
 	if !got.Stopped || got.Completed != 9 {
 		t.Errorf("stop record = %+v, want stopped after 9 runs", got)
@@ -151,28 +120,20 @@ func TestRunSweepStoppedJSON(t *testing.T) {
 // of the range is just completion, not an interruption.
 func TestRunSweepStopOnFinalRun(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.json")
-	var sb strings.Builder
-	err := run([]string{"-sweep", "1:5", "-n", "8", "-scenario", "rbc-honest", "-checkpoint", ck, "-stop-after", "4"}, &sb)
-	if err != nil {
-		t.Fatalf("stop-after on the final run failed the sweep: %v", err)
-	}
-	if !strings.Contains(sb.String(), "no violations") || strings.Contains(sb.String(), "stopped") {
-		t.Errorf("expected a completed-sweep report:\n%s", sb.String())
+	out := mustRun(t, "sweep", "-seeds", "1:5", "-n", "8", "-scenario", "rbc-honest", "-checkpoint", ck, "-stop-after", "4")
+	if !strings.Contains(out, "no violations") || strings.Contains(out, "stopped") {
+		t.Errorf("expected a completed-sweep report:\n%s", out)
 	}
 }
 
-// TestRunSMRDigestsIdenticalAcrossCheckpointing: the -smr mode's digest
-// lines — the CI comparison surface — are byte-identical with checkpointing
-// off and at two cadences, while the residue line shrinks.
+// TestRunSMRDigestsIdenticalAcrossCheckpointing: the smr digest lines — the
+// CI comparison surface — are byte-identical with checkpointing off and at
+// two cadences, while the residue line shrinks.
 func TestRunSMRDigestsIdenticalAcrossCheckpointing(t *testing.T) {
 	digests := func(args ...string) string {
 		t.Helper()
-		var sb strings.Builder
-		if err := run(args, &sb); err != nil {
-			t.Fatal(err)
-		}
 		var lines []string
-		for _, line := range strings.Split(sb.String(), "\n") {
+		for _, line := range strings.Split(mustRun(t, append([]string{"smr", "-slots", "64", "-n", "4"}, args...)...), "\n") {
 			if strings.HasPrefix(line, "digest ") {
 				lines = append(lines, line)
 			}
@@ -182,9 +143,7 @@ func TestRunSMRDigestsIdenticalAcrossCheckpointing(t *testing.T) {
 		}
 		return strings.Join(lines, "\n")
 	}
-	off := digests("-smr", "64", "-n", "4")
-	on := digests("-smr", "64", "-n", "4", "-ckpt-every", "16")
-	on8 := digests("-smr", "64", "-n", "4", "-ckpt-every", "8")
+	off, on, on8 := digests(), digests("-ckpt-every", "16"), digests("-ckpt-every", "8")
 	if off != on || off != on8 {
 		t.Errorf("digest lines moved with checkpointing:\noff: %s\non16: %s\non8: %s", off, on, on8)
 	}
@@ -193,11 +152,7 @@ func TestRunSMRDigestsIdenticalAcrossCheckpointing(t *testing.T) {
 // TestRunSMRRestartCatchup: the CLI restart-catchup smoke — the victim must
 // report at least one state transfer.
 func TestRunSMRRestartCatchup(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-smr", "48", "-n", "4", "-ckpt-every", "8", "-restart"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := mustRun(t, "smr", "-slots", "48", "-n", "4", "-ckpt-every", "8", "-restart")
 	if !strings.Contains(out, "victim:") || strings.Contains(out, "transfers=0") {
 		t.Errorf("restart run reported no transfer:\n%s", out)
 	}
@@ -205,17 +160,13 @@ func TestRunSMRRestartCatchup(t *testing.T) {
 
 // TestRunSMRJSON: the machine-readable form round-trips.
 func TestRunSMRJSON(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-smr", "32", "-n", "4", "-ckpt-every", "8", "-json"}, &sb); err != nil {
-		t.Fatal(err)
-	}
 	var rec struct {
 		Slots      int    `json:"slots"`
 		LogDigest  string `json:"logDigest"`
 		Cut        int    `json:"certifiedCut"`
 		Deliveries int    `json:"deliveries"`
 	}
-	if err := json.Unmarshal([]byte(sb.String()), &rec); err != nil {
+	if err := json.Unmarshal([]byte(mustRun(t, "smr", "-slots", "32", "-n", "4", "-ckpt-every", "8", "-json")), &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Slots != 32 || len(rec.LogDigest) != 16 || rec.Cut == 0 || rec.Deliveries == 0 {
@@ -223,44 +174,25 @@ func TestRunSMRJSON(t *testing.T) {
 	}
 }
 
-// TestRunSMRBadFlags: cross-mode and dependent-flag rejection.
+// TestRunSMRBadFlags: dependent-flag and negative-cadence rejection.
 func TestRunSMRBadFlags(t *testing.T) {
-	cases := [][]string{
-		{"-smr", "32", "-sweep", "1:5"},        // mutually exclusive modes
-		{"-smr", "32", "-experiment", "E1"},    // experiment knob in smr mode
-		{"-smr", "32", "-quick"},               // experiment knob in smr mode
-		{"-smr", "32", "-scenario", "reorder"}, // sweep knob in smr mode
-		{"-smr", "32", "-restart"},             // restart without -ckpt-every
-		{"-ckpt-every", "8"},                   // forgot -smr
-		{"-restart"},                           // forgot -smr
-	}
-	for _, args := range cases {
-		var sb strings.Builder
-		if err := run(args, &sb); err == nil {
-			t.Errorf("args %v accepted", args)
-		}
-	}
+	requireRejected(t,
+		[]string{"smr", "-slots", "32", "-restart"},                    // restart without -ckpt-every
+		[]string{"smr", "-slots", "32", "-ckpt-attack", "mac-forge"},   // attack without -ckpt-every
+		[]string{"smr", "-slots", "8", "-n", "4", "-ckpt-every", "-4"}, // negative cadence
+	)
 }
 
-// TestRunSMRNonPositiveRejected: -smr 0 / -smr -5 must error, not silently
-// fall through to the full experiment suite.
+// TestRunSMRNonPositiveRejected: a missing, zero or negative -slots is an
+// error, not an empty run.
 func TestRunSMRNonPositiveRejected(t *testing.T) {
-	for _, v := range []string{"0", "-5"} {
-		var sb strings.Builder
-		if err := run([]string{"-smr", v}, &sb); err == nil {
-			t.Errorf("-smr %s accepted", v)
-		}
-	}
+	requireRejected(t, []string{"smr"}, []string{"smr", "-slots", "0"}, []string{"smr", "-slots", "-5"})
 }
 
-// TestRunThroughputText: the throughput grid mode emits one row per
-// (batch, depth) point.
+// TestRunThroughputText: the throughput grid emits one row per (batch,
+// depth) point.
 func TestRunThroughputText(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-throughput", "16", "-n", "4", "-batch", "1,4", "-pipeline", "1"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
+	out := mustRun(t, "throughput", "-entries", "16", "-n", "4", "-batch", "1,4", "-pipeline", "1")
 	if !strings.Contains(out, "throughput: n=4") || strings.Count(out, "\n") < 4 {
 		t.Errorf("unexpected output:\n%s", out)
 	}
@@ -271,12 +203,7 @@ func TestRunThroughputText(t *testing.T) {
 // (wall-clock telemetry goes to stderr, not here).
 func TestRunThroughputJSONWorkerIndependent(t *testing.T) {
 	render := func(workers string) string {
-		var sb strings.Builder
-		args := []string{"-throughput", "16", "-n", "4", "-batch", "1,4", "-pipeline", "1,2", "-json", "-workers", workers}
-		if err := run(args, &sb); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
+		return mustRun(t, "throughput", "-entries", "16", "-n", "4", "-batch", "1,4", "-pipeline", "1,2", "-json", "-workers", workers)
 	}
 	serial, parallel := render("1"), render("4")
 	if serial != parallel {
@@ -302,41 +229,20 @@ func TestRunThroughputJSONWorkerIndependent(t *testing.T) {
 	}
 }
 
-// TestRunThroughputBadFlags: cross-mode and malformed-axis rejection.
+// TestRunThroughputBadFlags: non-positive target and malformed-axis
+// rejection.
 func TestRunThroughputBadFlags(t *testing.T) {
-	cases := [][]string{
-		{"-throughput", "16", "-sweep", "1:5"},        // mutually exclusive modes
-		{"-throughput", "16", "-smr", "32"},           // mutually exclusive modes
-		{"-throughput", "16", "-quick"},               // experiment knob
-		{"-throughput", "16", "-scenario", "reorder"}, // sweep knob
-		{"-throughput", "16", "-restart"},             // smr knob
-		{"-throughput", "0"},                          // non-positive target
-		{"-throughput", "16", "-batch", "1,0"},        // non-positive axis value
-		{"-throughput", "16", "-pipeline", "x"},       // malformed axis
-		{"-batch", "4"},                               // forgot the mode
-		{"-pipeline", "2"},                            // forgot the mode
-	}
-	for _, args := range cases {
-		var sb strings.Builder
-		if err := run(args, &sb); err == nil {
-			t.Errorf("args %v accepted", args)
-		}
-	}
+	requireRejected(t,
+		[]string{"throughput", "-entries", "0"},
+		[]string{"throughput", "-entries", "16", "-batch", "1,0"},  // non-positive axis value
+		[]string{"throughput", "-entries", "16", "-pipeline", "x"}, // malformed axis
+	)
 }
 
-// TestRunSearch: the search mode end to end — grid walk, ranked table out.
+// TestRunSearch: the search end to end — grid walk, ranked table out.
 func TestRunSearch(t *testing.T) {
-	var sb strings.Builder
-	if err := run([]string{"-search", "adaptive", "-n", "5", "-seeds", "1:3"}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "search adaptive (grid)") {
-		t.Errorf("missing header:\n%s", out)
-	}
-	if !strings.Contains(out, "target-lag=480") || !strings.Contains(out, "target-lag=30") {
-		t.Errorf("missing lattice points:\n%s", out)
-	}
+	out := mustRun(t, "search", "-family", "adaptive", "-n", "5", "-seeds", "1:3")
+	requireContains(t, out, "search adaptive (grid)", "target-lag=480", "target-lag=30")
 }
 
 // TestRunSearchResumeIdentical: a search stopped mid-walk and resumed from
@@ -344,93 +250,92 @@ func TestRunSearch(t *testing.T) {
 // the CLI surface of the engine's determinism contract.
 func TestRunSearchResumeIdentical(t *testing.T) {
 	front := filepath.Join(t.TempDir(), "frontier.json")
-	common := []string{"-search", "lossy", "-n", "5", "-seeds", "1:3", "-json"}
+	common := []string{"search", "-family", "lossy", "-n", "5", "-seeds", "1:3", "-json"}
 
-	var stopped strings.Builder
-	if err := run(append(common, "-checkpoint", front, "-stop-after", "6"), &stopped); err != nil {
-		t.Fatal(err)
-	}
-	var resumed, fresh strings.Builder
-	if err := run(append(common, "-checkpoint", front, "-resume"), &resumed); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(common, "-workers", "2"), &fresh); err != nil {
-		t.Fatal(err)
-	}
-	if resumed.String() != fresh.String() {
-		t.Errorf("resumed search differs from uninterrupted run:\nresumed:\n%s\nfresh:\n%s", resumed.String(), fresh.String())
-	}
-}
-
-// TestRunModeFlagMatrix: cross-mode flag rejection over the full mode ×
-// foreign-flag matrix. Every mode must reject the other modes' selector and
-// their private knobs instead of silently ignoring them.
-func TestRunModeFlagMatrix(t *testing.T) {
-	modes := map[string][]string{
-		"sweep":      {"-sweep", "1:5"},
-		"smr":        {"-smr", "16"},
-		"throughput": {"-throughput", "16"},
-		"search":     {"-search", "adaptive"},
-		"telemetry":  {"-telemetry"},
-		"trace":      {"-trace", "out.jsonl"},
-	}
-	// A representative private knob of each mode, foreign to all others.
-	foreign := map[string][]string{
-		"sweep":      {"-every", "10"},
-		"smr":        {"-restart"},
-		"throughput": {"-batch", "1,2"},
-		"search":     {"-descend"},
-	}
-	for mode, sel := range modes {
-		// Pairwise mode exclusivity.
-		for other, osel := range modes {
-			if other == mode {
-				continue
-			}
-			args := append(append([]string{}, sel...), osel...)
-			var sb strings.Builder
-			if err := run(args, &sb); err == nil {
-				t.Errorf("%s+%s: args %v accepted", mode, other, args)
-			}
-		}
-		// Foreign private knobs rejected.
-		for other, knob := range foreign {
-			if other == mode {
-				continue
-			}
-			args := append(append([]string{}, sel...), knob...)
-			var sb strings.Builder
-			if err := run(args, &sb); err == nil {
-				t.Errorf("%s with %s knob: args %v accepted", mode, other, args)
-			}
-		}
-		// A private knob without its mode must not launch the battery.
-		if knob, ok := foreign[mode]; ok {
-			var sb strings.Builder
-			if err := run(knob, &sb); err == nil {
-				t.Errorf("bare %s knob: args %v accepted", mode, knob)
-			}
-		}
+	mustRun(t, append(common, "-checkpoint", front, "-stop-after", "6")...)
+	resumed := mustRun(t, append(common, "-checkpoint", front, "-resume")...)
+	if fresh := mustRun(t, append(common, "-workers", "2")...); resumed != fresh {
+		t.Errorf("resumed search differs from uninterrupted run:\nresumed:\n%s\nfresh:\n%s", resumed, fresh)
 	}
 }
 
 // TestRunSearchBadFlags: search-specific rejections.
 func TestRunSearchBadFlags(t *testing.T) {
-	cases := [][]string{
-		{"-search", "no-such-family"},
-		{"-search", "adaptive", "-seeds", "nonsense"},
-		{"-search", "adaptive", "-seeds", "5:5"},
-		{"-search", "adaptive", "-quick"},
-		{"-search", "adaptive", "-seed", "3"},
-		{"-search", "adaptive", "-scenario", "reorder"},
-		{"-search", "adaptive", "-stop-after", "2"}, // -stop-after without -checkpoint
-		{"-seeds", "1:5"},                           // forgot -search
-		{"-descend"},                                // forgot -search
+	requireRejected(t,
+		[]string{"search", "-family", "no-such-family"},
+		[]string{"search", "-family", "adaptive", "-seeds", "nonsense"},
+		[]string{"search", "-family", "adaptive", "-seeds", "5:5"},
+		[]string{"search", "-family", "adaptive", "-stop-after", "2"}, // -stop-after without -checkpoint
+	)
+}
+
+func TestRunCleanConfiguration(t *testing.T) {
+	out := mustRun(t, "run", "-n", "4", "-f", "1", "-adversary", "liar", "-seed", "3")
+	requireContains(t, out, "violations: none", "all-decided=true", "coin=common")
+}
+
+// TestRunDefaultFaultBound: without -f a run assumes ⌊(n−1)/3⌋ faults, so
+// n=4 runs at f=1 and decides (a fixed f=2 left n=4 undecided).
+func TestRunDefaultFaultBound(t *testing.T) {
+	requireContains(t, mustRun(t, "run", "-n", "4"), "n=4 f=1 ", "all-decided=true")
+}
+
+func TestRunBrokenConfigurationFails(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{
+		"run", "-n", "4", "-f", "1", "-byzantine", "2",
+		"-adversary", "split-brain", "-scheduler", "rush-byz",
+		"-max-rounds", "50", "-max-deliveries", "200000",
+	}, &sb)
+	if err == nil {
+		t.Fatalf("oversized-f run reported success:\n%s", sb.String())
 	}
-	for _, args := range cases {
-		var sb strings.Builder
-		if err := run(args, &sb); err == nil {
-			t.Errorf("args %v accepted", args)
+	requireContains(t, sb.String(), "agreement")
+}
+
+// TestRunTraceOutput: -trace writes the causal JSONL dump, parent links
+// included, and prints the decision critical paths.
+func TestRunTraceOutput(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	out := mustRun(t, "run", "-n", "4", "-adversary", "none", "-coin", "ideal", "-trace", path)
+	requireContains(t, out, "critical-path attribution")
+	dump, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireContains(t, string(dump), `"kind":"DECIDE"`, `"parent":`)
+}
+
+// TestRunRejectsBadFlags: an unknown name is rejected with the valid ones
+// listed, straight from the runner's name tables.
+func TestRunRejectsBadFlags(t *testing.T) {
+	tests := []struct {
+		args  []string
+		valid string // one valid name the error must offer
+	}{
+		{[]string{"-protocol", "pbft"}, "benor"},
+		{[]string{"-coin", "quantum"}, "ideal"},
+		{[]string{"-adversary", "gremlin"}, "crash-midway"},
+		{[]string{"-scheduler", "psychic"}, "adaptive-rush"},
+		{[]string{"-inputs", "all-sevens"}, "unanimous-1"},
+	}
+	for _, tt := range tests {
+		err := run(append([]string{"run"}, tt.args...), io.Discard)
+		if err == nil {
+			t.Errorf("args %v accepted", tt.args)
+		} else if !strings.Contains(err.Error(), tt.valid) {
+			t.Errorf("args %v: error does not list %q: %v", tt.args, tt.valid, err)
 		}
 	}
+}
+
+func TestRunBenOr(t *testing.T) {
+	requireContains(t, mustRun(t, "run", "-n", "11", "-f", "2", "-protocol", "benor", "-adversary", "silent"), "benor")
+}
+
+// TestRunWholeZoo: every scheduler family the runner names is reachable from
+// the command line.
+func TestRunWholeZoo(t *testing.T) {
+	out := mustRun(t, "run", "-n", "7", "-f", "2", "-adversary", "liar", "-scheduler", "adaptive-rush", "-inputs", "random")
+	requireContains(t, out, "scheduler=adaptive-rush", "violations: none", "all-decided=true")
 }

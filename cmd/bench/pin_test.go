@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -20,23 +18,23 @@ func TestCLIOutputsPinned(t *testing.T) {
 		argv []string
 		sha  string
 	}{
-		{[]string{"-sweep", "1:9", "-n", "7", "-scenario", "equivocation-rush", "-workers", "2", "-json"},
+		{[]string{"sweep", "-seeds", "1:9", "-n", "7", "-scenario", "equivocation-rush", "-workers", "2", "-json"},
 			"e712b007ba888437d6d404998ded47ff138ddbdfb15adb1e16b027795fd55490"},
-		{[]string{"-smr", "32", "-n", "4", "-ckpt-every", "8", "-restart", "-ckpt-attack", "stale-responder"},
+		{[]string{"smr", "-slots", "32", "-n", "4", "-ckpt-every", "8", "-restart", "-ckpt-attack", "stale-responder"},
 			"83f5338e6dd84331e36d9f7db2a25a1b3169d09467438cb0857da3f38c3a7eee"},
-		{[]string{"-smr", "16", "-n", "4", "-ckpt-every", "4", "-coded", "-json"},
+		{[]string{"smr", "-slots", "16", "-n", "4", "-ckpt-every", "4", "-coded", "-json"},
 			"bb5fb4e707689f91d7227cf0273d0546f2f8c7c7fa696159a55fc612f9ff881f"},
-		{[]string{"-throughput", "8", "-n", "4", "-batch", "1,4", "-pipeline", "1,2", "-ckpt-every", "4", "-json"},
+		{[]string{"throughput", "-entries", "8", "-n", "4", "-batch", "1,4", "-pipeline", "1,2", "-ckpt-every", "4", "-json"},
 			"e12e79c5aa382e5db2cd6d7c34d478fcd599cada5f0c6f12b459d1d7fb172bf3"},
-		{[]string{"-search", "lossy", "-n", "4", "-seeds", "1:3", "-json"},
+		{[]string{"search", "-family", "lossy", "-n", "4", "-seeds", "1:3", "-json"},
 			"2244bc62c7e16dcd8047a3a4784287572fb8ba63881c3f41a2639925eb84ad0a"},
-		{[]string{"-search", "adaptive", "-n", "4", "-seeds", "1:3", "-descend", "-json"},
+		{[]string{"search", "-family", "adaptive", "-n", "4", "-seeds", "1:3", "-descend", "-json"},
 			"5c1e5d2107a1015b8af42f3740b654ec0b6e8f4666eb101059b81fecd5590729"},
-		{[]string{"-telemetry", "-n", "4", "-runs", "2", "-json"},
+		{[]string{"telemetry", "-n", "4", "-runs", "2", "-json"},
 			"1098f452660fe1f73b3fa4ccc546b2818931008f24cb471b11988388f69df271"},
-		{[]string{"-trace", "FILE", "-n", "8"},
+		{[]string{"run", "-n", "8", "-adversary", "none", "-inputs", "random", "-trace", "FILE"},
 			"644e66f54d04ee194d12f90048827e68a5416352c83d092c0059fec6be0b03f7"},
-		{[]string{"brachasim", "-n", "7", "-f", "2", "-adversary", "liar", "-scheduler", "adaptive-rush", "-inputs", "random", "-seed", "3"},
+		{[]string{"run", "-n", "7", "-f", "2", "-adversary", "liar", "-scheduler", "adaptive-rush", "-inputs", "random", "-seed", "3"},
 			"ae973f99cccb9be262835e795ed1ffba9207f888dc455e19d7b89885fbd4a9ef"},
 	}
 	for _, tt := range tests {
@@ -46,7 +44,7 @@ func TestCLIOutputsPinned(t *testing.T) {
 			argv[i] = file
 		}
 		var out bytes.Buffer
-		if err := runCLI(argv, &out); err != nil {
+		if err := run(argv, &out); err != nil {
 			t.Errorf("%v: %v", tt.argv, err)
 			continue
 		}
@@ -61,15 +59,4 @@ func TestCLIOutputsPinned(t *testing.T) {
 			t.Errorf("%v: sha256 %x, want %s", tt.argv, sum, tt.sha)
 		}
 	}
-}
-
-// runCLI runs one row. cmd/brachasim is a separate main package that this
-// one cannot import, so its row goes through the go tool.
-func runCLI(argv []string, out io.Writer) error {
-	if argv[0] != "brachasim" {
-		return run(argv, out)
-	}
-	cmd := exec.Command("go", append([]string{"run", "../brachasim"}, argv[1:]...)...)
-	cmd.Stdout, cmd.Stderr = out, os.Stderr
-	return cmd.Run()
 }

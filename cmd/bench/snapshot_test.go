@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// TestBenchSeedSnapshot holds `bench -quick -json` to the committed
+// TestBenchSeedSnapshot holds `bench exp -quick -json` to the committed
 // BENCH_seed.json. Every column of every experiment table is a pure function
 // of the code — except E11's retained-heap, peak-heap and allocs columns,
 // which are runtime telemetry and are masked on both sides. It is the only
@@ -21,19 +21,15 @@ func TestBenchSeedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got strings.Builder
-	if err := run([]string{"-quick", "-json"}, &got); err != nil {
-		t.Fatal(err)
-	}
-	g, w := maskE11Runtime(t, []byte(got.String())), maskE11Runtime(t, want)
+	g, w := maskE11Runtime(t, []byte(mustRun(t, "exp", "-quick", "-json"))), maskE11Runtime(t, want)
 	if !bytes.Equal(g, w) {
 		gl, wl := strings.Split(string(g), "\n"), strings.Split(string(w), "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("bench -quick -json diverged from BENCH_seed.json at masked line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+				t.Fatalf("bench exp -quick -json diverged from BENCH_seed.json at masked line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("bench -quick -json diverged from BENCH_seed.json: %d vs %d masked lines", len(gl), len(wl))
+		t.Fatalf("bench exp -quick -json diverged from BENCH_seed.json: %d vs %d masked lines", len(gl), len(wl))
 	}
 }
 

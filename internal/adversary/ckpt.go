@@ -68,7 +68,7 @@ func ParseCkptAttack(name string) (CkptAttack, error) {
 			return a, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown checkpoint attack %q (see -scenarios for the list)", name)
+	return 0, fmt.Errorf("unknown checkpoint attack %q (see bench scenarios for the list)", name)
 }
 
 // String implements fmt.Stringer.

@@ -14,7 +14,7 @@ import (
 // verify: zero violations and full termination in every cell; this is the
 // adversarial-schedule evidence behind the repository's safety claims at
 // sizes the buffered sweeps of E2 never reached. Consensus runs at n=128
-// cost seconds each, so their seed count is capped; `bench -sweep` resumes
+// cost seconds each, so their seed count is capped; `bench sweep` resumes
 // the same sweeps to arbitrary depth with checkpoints.
 func E10PropertyHarness(o Options) (*metrics.Table, error) {
 	o = Defaults(o)

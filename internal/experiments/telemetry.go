@@ -19,7 +19,7 @@ type TelemetryFamily struct {
 	Sched     runner.SchedParams
 }
 
-// TelemetryFamilies returns the three schedules E16 (and `bench -telemetry`)
+// TelemetryFamilies returns the three schedules E16 (and `bench telemetry`)
 // compares: fair uniform delays, adversarial newest-first reordering, and
 // the searched adaptive-cliff summit (the liveness cliff pinned by the
 // adaptive-cliff harness scenario; see internal/search).

@@ -19,7 +19,7 @@ import (
 
 // Scenario is one adversarial property-test setup.
 type Scenario struct {
-	// Name identifies the scenario (cmd/bench -scenario).
+	// Name identifies the scenario (bench sweep -scenario).
 	Name string
 	// RBC marks a reliable-broadcast scenario; otherwise it is a full
 	// consensus scenario.
@@ -87,7 +87,7 @@ func Scenarios() []Scenario {
 		},
 		{
 			// The liveness cliff found by internal/search (the adaptive
-			// family's summit, `bench -search adaptive`): the adaptive
+			// family's summit, `bench search -family adaptive`): the adaptive
 			// adversary reads the decision frontier, lags all traffic toward
 			// the most advanced correct process by the searched TargetLag,
 			// and rushes Byzantine traffic there first. Against the same

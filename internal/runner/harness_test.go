@@ -137,7 +137,7 @@ func TestHarnessFrontier(t *testing.T) {
 // battery at n=64 and n=128 across 1000 seeds each, streamed with O(1)
 // memory. It takes hours on a single core, so it is gated behind
 // REPRO_HARNESS_FULL=1; the same sweeps are reachable incrementally (with
-// checkpoint/resume) through `bench -sweep`, which is the recommended way to
+// checkpoint/resume) through `bench sweep`, which is the recommended way to
 // run them.
 func TestHarnessFullScale(t *testing.T) {
 	if os.Getenv("REPRO_HARNESS_FULL") == "" {

@@ -99,7 +99,7 @@ func TestAdaptiveAdversarySlower(t *testing.T) {
 // the only variable. Both must stay clean: every run decides, zero
 // violations. If the cliff ever flattens below reorder, either the adaptive
 // scheduler regressed or the searched point went stale — re-run
-// `bench -search adaptive` and re-pin.
+// `bench search -family adaptive` and re-pin.
 func TestAdaptiveCliffSlowerThanReorder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("liveness sweep")

@@ -322,11 +322,13 @@ func TestConfigValidation(t *testing.T) {
 		{"RunSMR: crashed < 0", smr(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: -1})},
 		{"RunSMR: crashed > n", smr(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: 5})},
 		{"RunSMR: f above (n-1)/3", smr(SMRConfig{N: 4, F: 2, Slots: 8})},
+		{"RunSMR: negative checkpoint cadence", smr(SMRConfig{N: 4, F: 1, Slots: 8, CheckpointEvery: -4})},
 		{"RunSMR: negative attackers", smr(SMRConfig{N: 4, F: 1, Slots: 8, CheckpointEvery: 4,
 			Attack: adversary.CkptStaleResponder, Byzantine: -3, Sched: SchedStraggler})},
 
 		{"RunThroughput: n = 0", throughput(ThroughputConfig{N: 0, F: 0, Entries: 4})},
 		{"RunThroughput: f above (n-1)/3", throughput(ThroughputConfig{N: 4, F: 2, Entries: 4})},
+		{"RunThroughput: negative checkpoint cadence", throughput(ThroughputConfig{N: 4, F: 1, Entries: 4, CheckpointEvery: -4})},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

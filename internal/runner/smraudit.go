@@ -19,7 +19,7 @@ import (
 //   - the chained log digest and a shadow state machine for the reference
 //     replica (the first live one), captured exactly at the Slots boundary —
 //     the run-to-run comparison point that must be bitwise identical
-//     whatever the checkpoint interval, which CI enforces via `bench -smr`;
+//     whatever the checkpoint interval, which CI enforces via `bench smr`;
 //   - the count of replicas at the Slots frontier, which is the run's stop
 //     test.
 

@@ -17,7 +17,7 @@ import (
 )
 
 // This file is the replicated-log (SMR) workload harness: the run mode
-// behind the checkpoint experiments (E12), the `bench -smr` CLI, and the
+// behind the checkpoint experiments (E12), the `bench smr` CLI, and the
 // restart-catchup scenario. Where Run drives one consensus instance to a
 // decision, RunSMR drives a whole log — n replicas committing Slots slots,
 // optionally checkpointing every CheckpointEvery slots, optionally with one
@@ -230,6 +230,9 @@ func (cfg *SMRConfig) normalize() (quorum.Spec, error) {
 	}
 	if cfg.Batch < 0 || cfg.Depth < 0 {
 		return spec, fmt.Errorf("%w: negative batch (%d) or pipeline depth (%d)", ErrBadConfig, cfg.Batch, cfg.Depth)
+	}
+	if cfg.CheckpointEvery < 0 {
+		return spec, fmt.Errorf("%w: negative checkpoint cadence %d", ErrBadConfig, cfg.CheckpointEvery)
 	}
 	if cfg.CommandBytes < 0 || cfg.CommandBytes > wire.MaxBatchBytes {
 		return spec, fmt.Errorf("%w: CommandBytes %d outside [0, %d]", ErrBadConfig, cfg.CommandBytes, wire.MaxBatchBytes)

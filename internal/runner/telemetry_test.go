@@ -129,7 +129,7 @@ func TestTelemetryMergeOrderIndependence(t *testing.T) {
 
 // TestTraceJSONLByteStable: two runs of the identical config produce
 // byte-identical causal JSONL dumps (what the CI trace smoke diffs through
-// `bench -trace`).
+// `bench run -trace`).
 func TestTraceJSONLByteStable(t *testing.T) {
 	cfg := runner.Config{
 		N: 4, F: 1,

@@ -31,7 +31,7 @@ func consensusBase(n, f int, adv runner.Adversary, sched runner.SchedulerKind, c
 	}
 }
 
-// families is the preset vocabulary of `bench -search <family>`.
+// families is the preset vocabulary of `bench search -family <family>`.
 var families = map[string]family{
 	"reorder": {
 		doc: "newest-first reordering span under a liar",

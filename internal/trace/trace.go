@@ -1,7 +1,7 @@
 // Package trace records structured execution events. The simulator and the
 // protocol nodes emit events into a Recorder; tests and the invariant
 // checkers (internal/check) read them back to verify what actually happened,
-// and cmd/brachasim can dump them for debugging a single run.
+// and `bench run -trace` dumps them for debugging a single run.
 //
 // The zero Recorder is disabled (records nothing, costs two branches), so
 // benchmark runs pay nothing for tracing.
