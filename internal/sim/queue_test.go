@@ -112,6 +112,9 @@ func repeatStep(s queueStep, n int) []queueStep {
 	return steps
 }
 
+// chunkLen is the bucket length the chunk-boundary cases aim at.
+const chunkLen = 16
+
 // queueCases are the named scripts: each aims at one boundary of a two-tier
 // (bucket ring + far heap) queue. The short ones double as fuzz seeds.
 func queueCases() map[string][]queueStep {
@@ -139,7 +142,19 @@ func queueCases() map[string][]queueStep {
 		"idle-gap-far-only": {
 			{1000, 0}, {1023, 0}, {1000, 3}, {3 * queueSpan, 0}, {2, 1}, {queueSpan + 1, 1}, {1, 0},
 		},
+		// A bucket that fills exactly one chunk and drains to empty, then
+		// one that needs a second chunk for its last event.
+		"bucket-of-one-chunk":          repeatStep(queueStep{3, 0}, chunkLen),
+		"bucket-of-one-chunk-plus-one": repeatStep(queueStep{3, 0}, chunkLen+1),
 	}
+	// Zero-delay sends into the bucket being drained, across a chunk
+	// boundary: tick 5 holds chunkLen-2 events, the first pops (clock 5),
+	// three same-tick sends take its tail past the end of its first chunk,
+	// and then each same-tick send is matched by a pop, so the head crosses
+	// the boundary while the tail keeps growing one and two chunks ahead.
+	across := append(repeatStep(queueStep{5, 0}, chunkLen-2), queueStep{6, 1})
+	across = append(across, repeatStep(queueStep{0, 0}, 3)...)
+	cases["delay-0-across-chunk-boundary"] = append(across, repeatStep(queueStep{0, 1}, 2*chunkLen+3)...)
 	// Steady 1..20 traffic against a standing backlog of 50, long enough for
 	// the clock to pass ten spans (a pop advances it ~0.2 ticks): every ring
 	// slot is reused ten times over while its neighbours are occupied.
@@ -206,6 +221,29 @@ func FuzzQueueOrder(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runQueueScript(t, decodeQueueScript(data))
 	})
+}
+
+// TestQueueRecyclesChunks: once a burst has been pushed and drained, an
+// identical burst reuses the chunks the first one freed and allocates
+// nothing.
+func TestQueueRecyclesChunks(t *testing.T) {
+	var (
+		q   eventQueue
+		seq uint64
+	)
+	burst := func() {
+		for i := 0; i < 5000; i++ {
+			seq++
+			q.push(event{at: q.now + 1 + Time(i%20), seq: seq, sent: q.now})
+		}
+		for q.Len() > 0 {
+			q.pop()
+		}
+	}
+	burst()
+	if a := testing.AllocsPerRun(10, burst); a != 0 {
+		t.Fatalf("a repeated burst allocated %v times, want 0", a)
+	}
 }
 
 // TestQueuePanicsOnBrokenContract: an event in the past or a seq that does

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -91,6 +93,68 @@ func TestReorderDelayLiveness(t *testing.T) {
 	}
 	if b.got == 0 {
 		t.Error("receiver saw nothing")
+	}
+}
+
+// mapFIFODelay is the seed implementation of FIFODelay, one map entry per
+// link: the oracle of TestFIFODelayMatchesOracle.
+type mapFIFODelay struct {
+	Min, Max Time
+
+	last map[link]Time
+}
+
+func (s *mapFIFODelay) Deliver(m types.Message, now Time, seq uint64, rng *rand.Rand) Time {
+	at := UniformDelay{Min: s.Min, Max: s.Max}.Deliver(m, now, seq, rng)
+	l := link{from: m.From, to: m.To}
+	if prev, ok := s.last[l]; ok && at <= prev {
+		at = prev + 1
+	}
+	s.last[l] = at
+	return at
+}
+
+// TestFIFODelayMatchesOracle is the differential test for the FIFO link
+// clocks: random sends must get exactly the delivery times the map oracle
+// gives, from the same RNG stream. Senders appear in random order, so the
+// link table grows while links to not-yet-covered IDs are live; the ID pool
+// mixes a cluster's 1..n with the zero, negative and huge IDs a Byzantine
+// sender can address; and the delay ranges include zero delay (a link's
+// first delivery can be at tick 0) and swapped bounds.
+func TestFIFODelayMatchesOracle(t *testing.T) {
+	ids := []types.ProcessID{0, -1, math.MinInt, math.MaxInt, maxDenseID, maxDenseID + 1}
+	for id := types.ProcessID(1); id <= 100; id++ {
+		ids = append(ids, id)
+	}
+	for _, r := range []struct{ min, max Time }{{1, 20}, {0, 0}, {0, 3}, {20, 1}, {5, 5}} {
+		t.Run(fmt.Sprintf("min=%d,max=%d", r.min, r.max), func(t *testing.T) {
+			for trial := int64(0); trial < 20; trial++ {
+				pick := rand.New(rand.NewSource(trial))
+				got, want := NewFIFODelay(r.min, r.max), &mapFIFODelay{Min: r.min, Max: r.max, last: map[link]Time{}}
+				gotRNG, wantRNG := rand.New(rand.NewSource(trial)), rand.New(rand.NewSource(trial))
+				// A small pool per trial keeps links busy enough to clamp.
+				pool := make([]types.ProcessID, 2+pick.Intn(12))
+				for i := range pool {
+					pool[i] = ids[pick.Intn(len(ids))]
+				}
+				// Every trial opens on a link whose destination only a later
+				// sender brings into the table's range: 1→50, then 50→1,
+				// then 1→50 again, which must still see its first send.
+				prefix := []types.Message{msg(1, 50), msg(50, 1), msg(1, 50)}
+				var now Time
+				for seq := uint64(1); seq <= 3000; seq++ {
+					m := msg(pool[pick.Intn(len(pool))], pool[pick.Intn(len(pool))])
+					if int(seq) <= len(prefix) {
+						m = prefix[seq-1]
+					}
+					a, b := got.Deliver(m, now, seq, gotRNG), want.Deliver(m, now, seq, wantRNG)
+					if a != b {
+						t.Fatalf("trial %d send %d (%v at %d): delivered at %d, oracle %d", trial, seq, m, now, a, b)
+					}
+					now += Time(pick.Intn(3))
+				}
+			}
+		})
 	}
 }
 
