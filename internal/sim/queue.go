@@ -35,10 +35,11 @@ func (e event) before(o event) bool {
 // the far tier carries the zoo's long holds (straggler lag, heal times,
 // rejoin, lossy retransmits).
 //
-// The clock is the time of the last popped event. The queue relies on the
-// discipline of its one user: Network.send increments seq before every push
-// and clamps at to the current time, which Network.Run takes from pop. push
-// panics on a violation instead of misordering.
+// The clock is the time of the last popped event, and an event's sent time
+// is the clock when it was pushed. The queue relies on the discipline of its
+// one user: Network.send increments seq before every push and clamps at to
+// the current time, which Network.Run takes from pop. push panics on a
+// violation instead of misordering.
 //
 // Why it pops the same (at, seq) sequence a heap does: within one tick's
 // bucket, append order is ascending seq; buckets are visited in ascending
@@ -48,89 +49,125 @@ func (e event) before(o event) bool {
 // two events at one tick that entered through different tiers are ordered by
 // that comparison, not by migration.
 //
-// Buckets are intrusive lists through one slab of slots with a free list,
-// so memory follows the peak queue depth, not span × peak bucket depth. The
-// slab grows by chunks that double in size and are never copied, and nothing
-// on the delivery path allocates once it has reached the run's high water.
+// A bucket is a chain of fixed-length chunks: push appends to its tail
+// chunk and pop reads its head chunk front to back, so a tick's events are
+// written and read sequentially. A drained chunk goes onto a free list and
+// is the next one handed out, while it is still in cache. Chunks are
+// allocated blockChunks at a time and never move, so memory follows the
+// peak number of chunks in use, and nothing on the delivery path allocates
+// once a run has reached that high water.
 type eventQueue struct {
 	now     Time
 	lastSeq uint64
 	n       int
 
-	// Bucket at&(queueSpan-1) lists the near events due at tick at, as slab
-	// indices; occupied has its bit set while the list is non-empty.
-	head, tail [queueSpan]int32
-	occupied   [queueSpan / 64]uint64
+	// buckets[at&(queueSpan-1)] chains the near events due at tick at;
+	// occupied has its bit set while the bucket is non-empty.
+	buckets  [queueSpan]bucket
+	occupied [queueSpan / 64]uint64
 
-	chunks [][]slot
-	used   int32 // slots handed out so far; all chunks before the last are full
+	blocks []*[blockChunks]chunk
+	used   int32 // chunks handed out so far; all blocks before the last are full
 	free   int32 // head of the free list (0 = empty)
 
 	far farHeap
 }
 
 // queueSpan is how many ticks ahead of the clock the bucket ring reaches; a
-// power of two. No benchmark workload sends further than 57 ticks ahead.
+// power of two, and at most 256 because a chunk keeps each event's lag in a
+// byte. No benchmark workload sends further than 57 ticks ahead.
 const queueSpan = 256
 
-// slot is a near event in the slab. Its tick is implied by its bucket.
-type slot struct {
-	seq  uint64
-	sent Time
-	msg  types.Message
-	next int32 // the next slot of the bucket or the free list (0 = none)
+// bucket is the first and last chunk of one tick's chain. Chunks count from
+// 1 so that 0 means none.
+type bucket struct {
+	head, tail int32
 }
 
-// firstChunk is the slab's first chunk, in slots; chunk k holds firstChunk<<k.
-// A small-n run (a sweep's n=7 run peaks below 300 events) should not pay
-// for a large one's queue.
-const firstChunk = 256
+// chunkLen is the length of a chunk, in events. Every live tick holds a
+// partly filled chunk, so longer chunks cost memory on small runs (an n=7
+// run peaks at ~260 events over ~21 ticks) for little speed on large ones.
+const chunkLen = 16
 
-// slotAt returns slot i; the lists count slots from 1 so that 0 means none.
-func (q *eventQueue) slotAt(i int32) *slot {
+// chunk is a run of one bucket's events, or a link of the free list. Pop
+// reads ev[lo], push writes ev[hi]; a chunk that is not its bucket's tail is
+// full. An event's sent time is its tick less lag: it was pushed within a
+// span of its tick.
+type chunk struct {
+	ev     [chunkLen]slot
+	lag    [chunkLen]uint8
+	next   int32 // the next chunk of the bucket or the free list (0 = none)
+	lo, hi uint8
+}
+
+// slot is a near event's seq and message (40 bytes).
+type slot struct {
+	seq uint64
+	msg types.Message
+}
+
+// blockChunks is how many chunks one allocation holds (~21 KiB). One block
+// covers a small run's peak (an n=7 run uses at most ~30 chunks); an n=64
+// run's ~7 350 chunks take ~230 allocations.
+const blockChunks = 32
+
+// chunkAt returns chunk i, counting from 1.
+func (q *eventQueue) chunkAt(i int32) *chunk {
 	j := uint32(i - 1)
-	k := bits.Len32(j/firstChunk+1) - 1
-	return &q.chunks[k][j-firstChunk*(1<<k-1)]
+	return &q.blocks[j/blockChunks][j%blockChunks]
+}
+
+// newChunk hands out an empty chunk: the most recently freed one, or the
+// next unused one.
+func (q *eventQueue) newChunk() (int32, *chunk) {
+	i := q.free
+	if i == 0 {
+		if int(q.used) == len(q.blocks)*blockChunks {
+			q.blocks = append(q.blocks, new([blockChunks]chunk))
+		}
+		q.used++
+		return q.used, q.chunkAt(q.used)
+	}
+	c := q.chunkAt(i)
+	q.free = c.next
+	c.next, c.lo, c.hi = 0, 0, 0
+	return i, c
 }
 
 // Len returns the number of queued events.
 func (q *eventQueue) Len() int { return q.n }
 
-// push inserts an event. Its time must not precede the clock and its seq
-// must exceed every earlier push's.
-func (q *eventQueue) push(e event) {
-	if e.at < q.now || e.seq <= q.lastSeq {
+// push inserts an event sent now. Its time must not precede the clock and
+// its seq must exceed every earlier push's.
+func (q *eventQueue) push(at Time, seq uint64, msg types.Message) {
+	if at < q.now || seq <= q.lastSeq {
 		panic(fmt.Sprintf("sim: event queue contract broken: push(at %d, seq %d) with the clock at %d and the last seq %d",
-			e.at, e.seq, q.now, q.lastSeq))
+			at, seq, q.now, q.lastSeq))
 	}
-	q.lastSeq = e.seq
+	q.lastSeq = seq
 	q.n++
-	if e.at-q.now >= queueSpan {
-		q.far.push(e)
+	if at-q.now >= queueSpan {
+		q.far.push(event{at: at, seq: seq, sent: q.now, msg: msg})
 		return
 	}
-	i := q.free
-	var s *slot
-	if i != 0 {
-		s = q.slotAt(i)
-		q.free = s.next
-	} else {
-		if int(q.used) == firstChunk*(1<<len(q.chunks)-1) {
-			q.chunks = append(q.chunks, make([]slot, firstChunk<<len(q.chunks)))
-		}
-		q.used++
-		i = q.used
-		s = q.slotAt(i)
-	}
-	s.seq, s.sent, s.msg, s.next = e.seq, e.sent, e.msg, 0
-	b := int(e.at) & (queueSpan - 1)
-	if q.occupied[b/64]&(1<<(b%64)) != 0 {
-		q.slotAt(q.tail[b]).next = i
-	} else {
+	b := int(at) & (queueSpan - 1)
+	bk := &q.buckets[b]
+	var c *chunk
+	if q.occupied[b/64]&(1<<(b%64)) == 0 {
 		q.occupied[b/64] |= 1 << (b % 64)
-		q.head[b] = i
+		bk.head, c = q.newChunk()
+		bk.tail = bk.head
+	} else if c = q.chunkAt(bk.tail); c.hi == chunkLen {
+		tail := c
+		bk.tail, c = q.newChunk()
+		tail.next = bk.tail
 	}
-	q.tail[b] = i
+	// Field by field: a slot literal is built on the stack and then copied,
+	// which costs this path a tenth of its time.
+	s := &c.ev[c.hi]
+	s.seq, s.msg = seq, msg
+	c.lag[c.hi] = uint8(at - q.now)
+	c.hi++
 }
 
 // nearest returns the first occupied bucket in ring order from the clock's
@@ -168,21 +205,27 @@ func (q *eventQueue) pop() event {
 	if !ok {
 		return q.popFar()
 	}
-	i := q.head[b]
-	s := q.slotAt(i)
-	e := event{at: q.now + Time(ahead), seq: s.seq, sent: s.sent, msg: s.msg}
+	bk := &q.buckets[b]
+	c := q.chunkAt(bk.head)
+	s := &c.ev[c.lo]
+	at := q.now + Time(ahead)
+	e := event{at: at, seq: s.seq, sent: at - Time(c.lag[c.lo]), msg: s.msg}
 	if len(q.far.a) > 0 && q.far.a[0].before(e) {
 		return q.popFar()
 	}
-	q.now = e.at
-	if s.next == 0 {
-		q.occupied[b/64] &^= 1 << (b % 64)
-	} else {
-		q.head[b] = s.next
-	}
+	q.now = at
 	s.msg = types.Message{} // drop the payload reference for the GC
-	s.next = q.free
-	q.free = i
+	if c.lo++; c.lo == c.hi {
+		// The chunk is drained: the bucket moves on to its next one or,
+		// when this was the tail, empties.
+		if bk.head == bk.tail {
+			q.occupied[b/64] &^= 1 << (b % 64)
+		}
+		i := bk.head
+		bk.head = c.next
+		c.next = q.free
+		q.free = i
+	}
 	return e
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/types"
@@ -30,25 +31,83 @@ func (s UniformDelay) Deliver(_ types.Message, now Time, _ uint64, rng *rand.Ran
 type FIFODelay struct {
 	Min, Max Time
 
-	last map[link]Time
+	// The last delivery time of each link: in clocks, a width×width table
+	// over IDs 1..width, for links inside it, and in sparse for the rest.
+	// The table widens to cover every sender it sees (up to maxLinkWidth).
+	// Senders are registered nodes — the network rejects a forged From
+	// before scheduling — while a destination is whatever the sender wrote,
+	// so an ID a Byzantine node makes up costs one sparse entry, never a
+	// wider table.
+	clocks []Time
+	width  int
+	sparse map[link]Time
 }
 
 type link struct{ from, to types.ProcessID }
 
+// neverSent marks a table link that has carried nothing yet, which is not
+// the same as a last delivery at tick 0.
+const neverSent Time = math.MinInt64
+
+// maxLinkWidth caps the link table at 1024² clocks (8 MiB); links of larger
+// IDs stay sparse.
+const maxLinkWidth = 1024
+
 // NewFIFODelay returns a FIFO scheduler with the given delay range.
 func NewFIFODelay(min, max Time) *FIFODelay {
-	return &FIFODelay{Min: min, Max: max, last: make(map[link]Time)}
+	return &FIFODelay{Min: min, Max: max}
 }
 
 // Deliver implements Scheduler.
 func (s *FIFODelay) Deliver(m types.Message, now Time, seq uint64, rng *rand.Rand) Time {
 	at := UniformDelay{Min: s.Min, Max: s.Max}.Deliver(m, now, seq, rng)
-	l := link{from: m.From, to: m.To}
-	if prev, ok := s.last[l]; ok && at <= prev {
-		at = prev + 1
+	// IDs 1..width map to 0..width-1; every other ID wraps past width.
+	from, to := uint(m.From-1), uint(m.To-1)
+	if from >= uint(s.width) && from < maxLinkWidth {
+		s.widen(int(from) + 1)
 	}
-	s.last[l] = at
+	if from >= uint(s.width) || to >= uint(s.width) {
+		l := link{from: m.From, to: m.To}
+		if prev, ok := s.sparse[l]; ok && at <= prev {
+			at = prev + 1
+		}
+		if s.sparse == nil {
+			s.sparse = make(map[link]Time)
+		}
+		s.sparse[l] = at
+		return at
+	}
+	c := &s.clocks[from*uint(s.width)+to]
+	if *c != neverSent && at <= *c {
+		at = *c + 1
+	}
+	*c = at
 	return at
+}
+
+// widen grows the link table to cover IDs 1..id, doubling its width so that
+// senders seen in ascending order cost O(log n) copies, and moves the sparse
+// links that now fit into it.
+func (s *FIFODelay) widen(id int) {
+	w := max(s.width, 8)
+	for w < id {
+		w *= 2
+	}
+	w = min(w, maxLinkWidth)
+	clocks := make([]Time, w*w)
+	for i := range clocks {
+		clocks[i] = neverSent
+	}
+	for f := 0; f < s.width; f++ {
+		copy(clocks[f*w:], s.clocks[f*s.width:(f+1)*s.width])
+	}
+	for l, at := range s.sparse {
+		if from, to := uint(l.from-1), uint(l.to-1); from < uint(w) && to < uint(w) {
+			clocks[from*uint(w)+to] = at
+			delete(s.sparse, l)
+		}
+	}
+	s.clocks, s.width = clocks, w
 }
 
 // Rule post-processes a base scheduler's decision for one message. Returning

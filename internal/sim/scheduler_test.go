@@ -96,8 +96,8 @@ func TestReorderDelayLiveness(t *testing.T) {
 	}
 }
 
-// mapFIFODelay is the seed implementation of FIFODelay, one map entry per
-// link: the oracle of TestFIFODelayMatchesOracle.
+// mapFIFODelay is FIFODelay with one map entry per link and no table: the
+// oracle of TestFIFODelayMatchesOracle.
 type mapFIFODelay struct {
 	Min, Max Time
 
@@ -155,6 +155,43 @@ func TestFIFODelayMatchesOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFIFODelayHugeToStaysSparse: destinations far past every sender — a
+// registered node with a giant ID, and IDs a Byzantine sender makes up — are
+// scheduled through the sparse links and do not widen the link table, which
+// stays as wide as its one sender needs.
+func TestFIFODelayHugeToStaysSparse(t *testing.T) {
+	fifo := NewFIFODelay(1, 20)
+	net, err := New(Config{Scheduler: fifo, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := types.ProcessID(maxDenseID + 1000)
+	sink := &sinkNode{id: big}
+	if err := net.Add(&oneShotNode{id: 3, peer: big}); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Add(sink); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := net.Run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sink.got != 1 || stats.Delivered != 1 {
+		t.Fatalf("giant-ID node received %d messages (delivered %d), want 1", sink.got, stats.Delivered)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, to := range []types.ProcessID{maxLinkWidth, maxLinkWidth + 1, math.MaxInt, math.MinInt, 0} {
+		fifo.Deliver(msg(3, to), 0, 1, rng)
+	}
+	if fifo.width != 8 || len(fifo.clocks) != 8*8 {
+		t.Fatalf("link table is %d wide (%d clocks), want 8 (64)", fifo.width, len(fifo.clocks))
+	}
+	if len(fifo.sparse) != 6 {
+		t.Fatalf("%d sparse links, want 6", len(fifo.sparse))
 	}
 }
 

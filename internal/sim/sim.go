@@ -357,7 +357,7 @@ func (n *Network) send(node Node, msgs []types.Message) {
 			}
 			at = n.now // schedulers cannot deliver into the past
 		}
-		n.queue.push(event{at: at, seq: n.seq, sent: n.now, msg: m})
+		n.queue.push(at, n.seq, m)
 		if n.dup != nil {
 			if dat, ok := n.dup.Duplicate(m, at, n.now, n.rng); ok {
 				if dat < n.now {
@@ -372,7 +372,7 @@ func (n *Network) send(node Node, msgs []types.Message) {
 					ks.Bytes += sz
 				}
 				n.record(trace.Event{Time: int64(n.now), Kind: trace.KindSend, P: node.ID(), Msg: m, Seq: n.seq})
-				n.queue.push(event{at: dat, seq: n.seq, sent: n.now, msg: m})
+				n.queue.push(dat, n.seq, m)
 			}
 		}
 	}
