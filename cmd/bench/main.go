@@ -166,6 +166,9 @@ func runExp(args []string, out io.Writer) error {
 	if *jsonOut && *csv {
 		return errors.New("pick one of -json and -csv")
 	}
+	if *runs < 0 {
+		return fmt.Errorf("exp wants -runs ≥ 0, got %d", *runs)
+	}
 	opts := experiments.Options{Runs: *runs, Seed: *seed, Quick: *quick, Workers: *workers}
 
 	list := experiments.All()

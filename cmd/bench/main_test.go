@@ -61,7 +61,9 @@ func TestRunBadFlag(t *testing.T) {
 		}
 	}
 	requireRejected(t, []string{"exp", "-bogus"}, []string{"exp", "-json", "-csv"},
-		[]string{"sweep", "-slots", "8"}, []string{"smr", "64"})
+		[]string{"sweep", "-slots", "8"}, []string{"smr", "64"},
+		[]string{"exp", "-runs", "-1", "-experiment", "E5"},
+		[]string{"run", "-n", "4", "-max-rounds", "-1"}, []string{"run", "-n", "4", "-max-deliveries", "-1"})
 }
 
 func TestRunScenarioList(t *testing.T) {

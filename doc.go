@@ -3,13 +3,13 @@
 // message validation, randomized binary consensus with optimal resilience
 // f < n/3, local and Rabin-style common coins, a deterministic
 // discrete-event asynchronous network simulator with adversarial
-// scheduling, Byzantine fault injection, the Ben-Or (1983) baseline, live
-// channel/TCP transports, and a benchmark harness that regenerates every
-// table and figure of the evaluation (see EXPERIMENTS.md).
+// scheduling, Byzantine fault injection, the Ben-Or (1983) baseline, and a
+// benchmark harness that regenerates every table and figure of the
+// evaluation (see EXPERIMENTS.md).
 //
 // Start at internal/core (the consensus protocol), internal/rbc (reliable
-// broadcast), and internal/runner (the experiment harness); the examples/
-// directory shows the public API in use.
+// broadcast), and internal/runner (the experiment harness); their Example
+// functions show the API in use.
 //
 // Performance architecture: the per-run delivery loop is allocation-free
 // (tick-bucketed event queue, dense node table, recycled output slices,

@@ -7,7 +7,7 @@
 //   - Keyring: pairwise symmetric keys derived from a system master secret,
 //     modelling "authenticated channels" between every pair of processes. A
 //     Byzantine process knows only the keys on its own links, so it cannot
-//     forge traffic between two correct processes. Used by the TCP transport.
+//     forge traffic between two correct processes. Used for checkpoint votes.
 //   - DealerKeys: per-(process, round) keys derived from a dealer secret,
 //     used to authenticate coin shares so Byzantine processes cannot inject
 //     fabricated shares into the reconstruction.

@@ -119,12 +119,12 @@ func FoldEntry(prev uint64, slot int, proposer types.ProcessID, command string) 
 }
 
 // Authority is one replica's endpoint of the vote-authentication scheme: a
-// keyring of pairwise link keys (derived, like the transport's, from the
-// cluster master secret via internal/auth) plus the cluster membership,
-// which fixes every vector's receiver indexing. A replica signs its votes
-// as a full vector — one MAC per receiver — and verifies relayed votes by
-// checking its own entry under the (voter, me) link key, which a Byzantine
-// relay cannot know for correct pairs.
+// keyring of pairwise link keys (derived from the cluster master secret via
+// internal/auth) plus the cluster membership, which fixes every vector's
+// receiver indexing. A replica signs its votes as a full vector — one MAC per
+// receiver — and verifies relayed votes by checking its own entry under the
+// (voter, me) link key, which a Byzantine relay cannot know for correct
+// pairs.
 type Authority struct {
 	keyring *auth.Keyring
 	peers   []types.ProcessID

@@ -97,7 +97,7 @@ type Stats struct {
 }
 
 // Node is one Bracha consensus process. Not safe for concurrent use: drive
-// it from a single loop (the simulator or a transport pump).
+// it from a single loop, such as the simulator's.
 type Node struct {
 	cfg   Config
 	spec  quorum.Spec

@@ -87,6 +87,31 @@ func TestE1Shape(t *testing.T) {
 	}
 }
 
+// TestE6Shape verifies the crossover of Figure 3: Bracha completes every run
+// at every f, and Ben-Or completes fewer than all runs at some f ≥ n/5.
+func TestE6Shape(t *testing.T) {
+	tbl, err := E6Crossover(Options{Quick: true, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	benorFell := false
+	for _, line := range strings.Split(strings.TrimSpace(tbl.CSV()), "\n")[1:] {
+		cols := strings.Split(line, ",")
+		n, _ := strconv.Atoi(cols[0])
+		f, _ := strconv.Atoi(cols[1])
+		benorOK, brachaOK := strings.Split(cols[3], "/"), strings.Split(cols[5], "/")
+		if brachaOK[0] != brachaOK[1] {
+			t.Errorf("Bracha failed a run: %s", line)
+		}
+		if 5*f >= n && benorOK[0] != benorOK[1] {
+			benorFell = true
+		}
+	}
+	if !benorFell {
+		t.Errorf("Ben-Or completed every run at every f ≥ n/5:\n%s", tbl.CSV())
+	}
+}
+
 // TestE7Shape verifies tightness: the oversized-f rows must report broken
 // runs, the design-point rows must not.
 func TestE7Shape(t *testing.T) {

@@ -255,6 +255,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Protocol == ProtocolBenOr && cfg.Coded {
 		return nil, fmt.Errorf("%w: Ben-Or has no broadcast plane to code", ErrBadConfig)
 	}
+	if cfg.MaxRounds < 0 || cfg.MaxDeliveries < 0 {
+		return nil, fmt.Errorf("%w: negative round (%d) or delivery (%d) budget", ErrBadConfig, cfg.MaxRounds, cfg.MaxDeliveries)
+	}
 
 	peers := types.Processes(cfg.N)
 	correct := peers[:cfg.N-cfg.Byzantine]

@@ -311,6 +311,8 @@ func TestConfigValidation(t *testing.T) {
 		{"Run: benor with validation ablation", run(Config{N: 4, F: 1, Protocol: ProtocolBenOr, Coin: CoinIdeal, DisableValidation: true})},
 		{"Run: unknown protocol", run(Config{N: 4, F: 1, Coin: CoinIdeal})},
 		{"Run: unknown coin", run(Config{N: 4, F: 1, Protocol: ProtocolBracha})},
+		{"Run: negative round budget", run(Config{N: 4, F: 1, Protocol: ProtocolBracha, Coin: CoinIdeal, MaxRounds: -1})},
+		{"Run: negative delivery budget", run(Config{N: 4, F: 1, Protocol: ProtocolBracha, Coin: CoinIdeal, MaxDeliveries: -1})},
 
 		{"RunRBC: empty system", rbc(RBCConfig{N: 0, F: 0})},
 		{"RunRBC: byzantine > n", rbc(RBCConfig{N: 4, F: 1, Byzantine: 5})},
@@ -323,6 +325,7 @@ func TestConfigValidation(t *testing.T) {
 		{"RunSMR: crashed > n", smr(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: 5})},
 		{"RunSMR: f above (n-1)/3", smr(SMRConfig{N: 4, F: 2, Slots: 8})},
 		{"RunSMR: negative checkpoint cadence", smr(SMRConfig{N: 4, F: 1, Slots: 8, CheckpointEvery: -4})},
+		{"RunSMR: negative delivery budget", smr(SMRConfig{N: 4, F: 1, Slots: 8, MaxDeliveries: -1})},
 		{"RunSMR: negative attackers", smr(SMRConfig{N: 4, F: 1, Slots: 8, CheckpointEvery: 4,
 			Attack: adversary.CkptStaleResponder, Byzantine: -3, Sched: SchedStraggler})},
 

@@ -234,6 +234,9 @@ func (cfg *SMRConfig) normalize() (quorum.Spec, error) {
 	if cfg.CheckpointEvery < 0 {
 		return spec, fmt.Errorf("%w: negative checkpoint cadence %d", ErrBadConfig, cfg.CheckpointEvery)
 	}
+	if cfg.MaxDeliveries < 0 {
+		return spec, fmt.Errorf("%w: negative delivery budget %d", ErrBadConfig, cfg.MaxDeliveries)
+	}
 	if cfg.CommandBytes < 0 || cfg.CommandBytes > wire.MaxBatchBytes {
 		return spec, fmt.Errorf("%w: CommandBytes %d outside [0, %d]", ErrBadConfig, cfg.CommandBytes, wire.MaxBatchBytes)
 	}

@@ -64,7 +64,7 @@ type Node interface {
 // its queue, it hands the slice back through Recycle; the node may then
 // reuse the backing array for a later result. Nodes that retain references
 // to slices they returned must not implement Recycler. Drivers other than
-// Network (unit tests, transport pumps) are free to never call it — a node
+// Network (unit tests pumping nodes by hand) are free to never call it — a node
 // must treat Recycle as a pure optimization hint.
 type Recycler interface {
 	Recycle(msgs []types.Message)

@@ -23,8 +23,8 @@ type Snapshotter interface {
 }
 
 // KVMachine is the reference Snapshotter: a deterministic key-value store
-// driven by "set <key> <value>" commands. It is what the runner harness,
-// the experiments, and the examples replicate; tests use it to compare
+// driven by "set <key> <value>" commands. It is what the runner harness and
+// the experiments replicate; tests use it to compare
 // state digests across replicas and runs.
 type KVMachine struct {
 	state   map[string]string

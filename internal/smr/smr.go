@@ -1,6 +1,6 @@
 // Package smr builds state machine replication — a totally ordered,
-// Byzantine-fault-tolerant command log — from the paper's primitives. It is
-// the library form of the reduction shown in examples/replicatedlog:
+// Byzantine-fault-tolerant command log — from the paper's primitives, by this
+// reduction:
 //
 //	slot s: the rotation's proposer disseminates its next command with
 //	        Bracha reliable broadcast (so the payload cannot equivocate);
@@ -166,9 +166,9 @@ type Config struct {
 	CheckpointEvery int
 	// CheckpointSecret is the master secret from which the checkpoint
 	// subsystem derives its pairwise vote-authentication link keys
-	// (trusted setup, as for the transport keyring: each process is dealt
-	// only its own links). All replicas of a deployment must share the
-	// same master; required when CheckpointEvery > 0.
+	// (trusted setup: each process is dealt only its own links). All
+	// replicas of a deployment must share the same master; required when
+	// CheckpointEvery > 0.
 	CheckpointSecret []byte
 	// MaxPendingCuts overrides the checkpoint tracker's pending-cut cap
 	// (0 = ckpt.DefaultMaxPendingCuts): how many distinct uncertified cuts

@@ -104,9 +104,10 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// Recorder collects events. It is safe for concurrent use (live transports
-// deliver from multiple goroutines). The zero value is a disabled recorder;
-// use New for an enabled one.
+// Recorder collects events. It is safe for concurrent use (every method
+// holds its lock), so a recorder may be read from a goroutine other than the
+// one running its simulation. The zero value is a disabled recorder; use New
+// for an enabled one.
 type Recorder struct {
 	mu      sync.Mutex
 	enabled bool
@@ -158,8 +159,8 @@ func (r *Recorder) Record(e Event) {
 
 // SetParent sets (seq ≠ 0) or clears (seq = 0) the causal context stamped
 // onto subsequently recorded events. The simulator brackets every delivery
-// dispatch with it; single-threaded drivers get exact causality, concurrent
-// drivers (live transports) should leave it unset.
+// dispatch with it; a driver that delivers from several goroutines at once
+// should leave it unset.
 func (r *Recorder) SetParent(seq uint64) {
 	if !r.Enabled() {
 		return

@@ -29,7 +29,7 @@ func (p ProcessID) Valid() bool { return p > 0 }
 
 // Value is a binary consensus value, 0 or 1. Bracha's PODC-84 protocol is a
 // binary consensus protocol; multi-valued consensus is built on top of it by
-// applications (see examples/replicatedlog).
+// applications (see internal/acs and internal/smr).
 type Value uint8
 
 // The two binary values.
@@ -357,9 +357,9 @@ func (p *CkptCertPayload) String() string {
 }
 
 // Message is a point-to-point message between two processes. From is
-// authenticated by the transport layer (the simulator by construction, TCP by
-// HMAC): a Byzantine process cannot impersonate another process, exactly the
-// "authenticated links" assumption of the paper.
+// authenticated by the simulator by construction: a Byzantine process cannot
+// impersonate another process, exactly the "authenticated links" assumption
+// of the paper.
 type Message struct {
 	From    ProcessID
 	To      ProcessID

@@ -1,8 +1,8 @@
 // Package wire is the hand-rolled binary codec for every protocol payload.
-// It serves two needs: the TCP transport frames (internal/transport) and the
-// canonical encoding of consensus step messages into reliable-broadcast
-// bodies (internal/core), where a compact, deterministic, comparable byte
-// string is required.
+// It serves two needs: the canonical encoding of consensus step messages
+// into reliable-broadcast bodies (internal/core), where a compact,
+// deterministic, comparable byte string is required, and the byte-size
+// metering of every simulated message.
 //
 // The format is a one-byte kind discriminator followed by the payload's
 // fields as varints (signed fields zig-zag encoded) and length-prefixed byte
@@ -499,7 +499,8 @@ func checkCanonical(p types.Payload, full []byte, consumed int) error {
 	return err
 }
 
-// EncodeMessage serializes a full point-to-point message (for transports).
+// EncodeMessage serializes a full point-to-point message; MessageSize is the
+// length of its output.
 func EncodeMessage(m types.Message) ([]byte, error) {
 	return AppendMessage(nil, m)
 }
