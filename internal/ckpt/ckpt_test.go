@@ -27,7 +27,7 @@ func vote(voter types.ProcessID, c Checkpoint) *types.CkptVotePayload {
 	}
 }
 
-func newTestTracker(t *testing.T, me types.ProcessID) *Tracker {
+func newTestTracker(t testing.TB, me types.ProcessID) *Tracker {
 	t.Helper()
 	tr, err := NewTracker(me, quorum.MustNew(4, 1), authorityOf(me), 8)
 	if err != nil {

@@ -33,6 +33,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -177,12 +178,9 @@ func (s *Store) Load() (*Record, error) {
 	if !bytes.Equal(data[5:storeHeaderLen], sum[:]) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	rec, rest, err := readRecord(body)
+	rec, err := readRecord(body)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrCorrupt)
 	}
 	if rec.Cert.Snapshot == "" {
 		return nil, fmt.Errorf("%w: record without snapshot", ErrCorrupt)
@@ -213,71 +211,35 @@ func appendRecord(buf []byte, rec *Record) ([]byte, error) {
 	return buf, nil
 }
 
-// readRecord decodes a record body.
-func readRecord(buf []byte) (*Record, []byte, error) {
-	certLen, buf, err := readLen(buf, wire.MaxBodyLen*2)
+// readRecord decodes a record body with wire's field reader: the suffix
+// entries first, then the certificate through the strict wire decoder.
+// Commands are cloned so a restored suffix does not pin the whole body.
+func readRecord(body []byte) (*Record, error) {
+	r := wire.NewReader(string(body))
+	cert := r.Str(2 * wire.MaxBodyLen)
+	var rec Record
+	if n := r.Count(maxSuffixEntries); n > 0 {
+		rec.Suffix = make([]LogEntry, n)
+		for i := range rec.Suffix {
+			rec.Suffix[i] = LogEntry{
+				Slot:     int(r.Uint(maxEntryField)),
+				Index:    int(r.Uint(maxEntryField)),
+				Proposer: types.ProcessID(r.Uint(maxEntryField)),
+				Command:  strings.Clone(r.Str(wire.MaxBodyLen)),
+			}
+		}
+	}
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	p, err := wire.DecodePayload([]byte(cert))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if certLen > len(buf) {
-		return nil, nil, fmt.Errorf("certificate truncated")
-	}
-	p, err := wire.DecodePayload(buf[:certLen])
-	if err != nil {
-		return nil, nil, err
-	}
-	cert, ok := p.(*types.CkptCertPayload)
+	c, ok := p.(*types.CkptCertPayload)
 	if !ok {
-		return nil, nil, fmt.Errorf("record holds %T, want certificate", p)
+		return nil, fmt.Errorf("record holds %T, want certificate", p)
 	}
-	buf = buf[certLen:]
-	count, buf, err := readLen(buf, maxSuffixEntries)
-	if err != nil {
-		return nil, nil, err
-	}
-	rec := &Record{Cert: *cert}
-	if count > 0 {
-		rec.Suffix = make([]LogEntry, 0, min(count, 4096))
-	}
-	for i := 0; i < count; i++ {
-		slot, rest, err := readLen(buf, maxEntryField)
-		if err != nil {
-			return nil, nil, err
-		}
-		index, rest, err := readLen(rest, maxEntryField)
-		if err != nil {
-			return nil, nil, err
-		}
-		proposer, rest, err := readLen(rest, maxEntryField)
-		if err != nil {
-			return nil, nil, err
-		}
-		cmdLen, rest, err := readLen(rest, wire.MaxBodyLen)
-		if err != nil {
-			return nil, nil, err
-		}
-		if cmdLen > len(rest) {
-			return nil, nil, fmt.Errorf("suffix entry truncated")
-		}
-		rec.Suffix = append(rec.Suffix, LogEntry{
-			Slot:     slot,
-			Index:    index,
-			Proposer: types.ProcessID(proposer),
-			Command:  string(rest[:cmdLen]),
-		})
-		buf = rest[cmdLen:]
-	}
-	return rec, buf, nil
-}
-
-// readLen reads one bounded non-negative uvarint.
-func readLen(buf []byte, max int) (int, []byte, error) {
-	v, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("truncated varint")
-	}
-	if v > uint64(max) {
-		return 0, nil, fmt.Errorf("length %d exceeds %d", v, max)
-	}
-	return int(v), buf[n:], nil
+	rec.Cert = *c
+	return &rec, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/types"
@@ -12,7 +13,7 @@ import (
 // testRecord builds a record whose certificate actually verifies: a real
 // 2f+1 vote quorum over a snapshot-consistent checkpoint, plus a committed
 // suffix.
-func testRecord(t *testing.T) *Record {
+func testRecord(t testing.TB) *Record {
 	t.Helper()
 	tr := newTestTracker(t, 1)
 	snapshot := "#2\nk v\n"
@@ -201,4 +202,35 @@ func TestStoreSaveIsAtomicReplacement(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("temp file left behind: %v", err)
 	}
+}
+
+// FuzzStoreRecord: a record body that passes the checksum is still parsed
+// as hostile bytes. The loader must never panic, and any body it accepts
+// must re-encode through appendRecord and decode back to an equal record.
+func FuzzStoreRecord(f *testing.F) {
+	valid, err := appendRecord(nil, testRecord(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(valid[:len(valid)-3]) // the last suffix command cut short
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec, err := readRecord(body)
+		if err != nil {
+			return
+		}
+		re, err := appendRecord(nil, rec)
+		if err != nil {
+			t.Fatalf("accepted record failed to re-encode: %v", err)
+		}
+		back, err := readRecord(re)
+		if err != nil {
+			t.Fatalf("re-encoded record failed to load: %v", err)
+		}
+		if !reflect.DeepEqual(back, rec) {
+			t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", back, rec)
+		}
+	})
 }

@@ -99,6 +99,7 @@ func TestMessageRoundTrip(t *testing.T) {
 }
 
 func TestEncodeRejectsInvalid(t *testing.T) {
+	huge := strings.Repeat("x", MaxBodyLen+1)
 	tests := []struct {
 		name string
 		p    types.Payload
@@ -109,6 +110,16 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 		{"bad RBC phase", &types.RBCPayload{Phase: types.KindDecide}, ErrBadValue},
 		{"bad decide value", &types.DecidePayload{V: 7}, ErrBadValue},
 		{"bad plain value", &types.PlainPayload{V: 9}, ErrBadValue},
+		// Every length-prefixed field the decoder would refuse is refused at
+		// encode time too.
+		{"RBC body over MaxBodyLen", &types.RBCPayload{Phase: types.KindRBCSend, Body: huge}, ErrTooLarge},
+		{"coin share over MaxBodyLen", &types.CoinSharePayload{Share: huge}, ErrTooLarge},
+		{"coin MAC over MaxBodyLen", &types.CoinSharePayload{MAC: huge}, ErrTooLarge},
+		{"vote MAC over MaxBodyLen", &types.CkptVotePayload{MACs: []string{"m", huge}}, ErrTooLarge},
+		{"cert vote MAC over MaxBodyLen", &types.CkptCertPayload{
+			Voters: []types.ProcessID{1}, VoteMACs: [][]string{{huge}}, Snapshot: "s",
+		}, ErrTooLarge},
+		{"cert snapshot over MaxBodyLen", &types.CkptCertPayload{Snapshot: huge}, ErrTooLarge},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -517,6 +528,39 @@ func TestPayloadSizeMatchesEncoder(t *testing.T) {
 	}
 	if PayloadSize(nil) != 0 {
 		t.Error("PayloadSize(nil) must be 0")
+	}
+}
+
+// TestDecodeAllocs pins the decoders' allocation counts: DecodeStep reads
+// its body in place (the reader is a string, so no []byte copy is made) and
+// re-encodes into a stack buffer; DecodeBatch makes the command slice plus
+// one clone per command (log entries must not pin the whole body).
+func TestDecodeAllocs(t *testing.T) {
+	step, err := EncodeStep(types.StepMessage{Round: 12, Step: types.Step3, V: types.One, D: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeStep(step); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("DecodeStep: %v allocs, want 0", got)
+	}
+	cmds := make([]string, 16)
+	for i := range cmds {
+		cmds[i] = strings.Repeat(string(rune('a'+i)), 2048)
+	}
+	batch, err := EncodeBatch(cmds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}); got > float64(len(cmds)+1) {
+		t.Errorf("DecodeBatch of %d commands: %v allocs, want <= %d", len(cmds), got, len(cmds)+1)
 	}
 }
 
