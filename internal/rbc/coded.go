@@ -252,7 +252,7 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 
 	// Disperse rule: the instance's sender handed me my fragment — adopt it
 	// (first dispersal wins, like the first SEND) and echo it to everyone.
-	if myIdx, ok := b.peerIdx[b.me]; ok && from == p.ID.Sender && p.Index == int(myIdx) && !ci.echoed {
+	if myIdx := b.peerIndex(b.me); myIdx >= 0 && from == p.ID.Sender && p.Index == int(myIdx) && !ci.echoed {
 		ci.echoed = true
 		ci.echoPayload = types.RBCFragPayload{
 			ID: p.ID, Index: p.Index, TotalLen: p.TotalLen, Sums: p.Sums, Frag: p.Frag,
@@ -264,8 +264,8 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 	// verified fragment toward decoding and count the vote toward the echo
 	// quorum for this key. (A fragment relayed under someone else's index
 	// was already useful above if it was my dispersal; it casts no vote.)
-	pi, ok := b.peerIdx[from]
-	if !ok || p.Index != int(pi) {
+	pi := b.peerIndex(from)
+	if pi < 0 || p.Index != int(pi) {
 		return out, nil
 	}
 	set, ok := ci.sets[key]
@@ -299,8 +299,8 @@ func (b *Broadcaster) AppendHandleSum(out []types.Message, from types.ProcessID,
 	if b.belowSeqFloor(p.ID) {
 		return out, nil
 	}
-	pi, ok := b.peerIdx[from]
-	if !ok {
+	pi := b.peerIndex(from)
+	if pi < 0 {
 		return out, nil
 	}
 	ci := b.cinst(p.ID)

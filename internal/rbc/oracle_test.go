@@ -189,13 +189,15 @@ const (
 	opKinds
 )
 
-// scriptPeerSets: plain clusters, a peer listed twice, and sparse IDs with
-// one far above any dense-table bound.
+// scriptPeerSets: plain clusters, a peer listed twice, sparse IDs with one
+// far above any dense-table bound, and a cluster wider than one 64-bit
+// bitset word.
 var scriptPeerSets = [][]types.ProcessID{
 	types.Processes(4),
 	types.Processes(7),
 	{1, 2, 2, 3, 4},
 	{3, 9, 70000, 5},
+	types.Processes(70),
 }
 
 // scriptOutsiders extend a peer set's sender palette with processes that are
@@ -371,8 +373,8 @@ func runScript(t *testing.T, name string, data []byte) {
 	}
 }
 
-// scriptBuilder writes scripts by value; each operand must be in its palette.
-type scriptBuilder struct {
+// scriptWriter writes scripts by value; each operand must be in its palette.
+type scriptWriter struct {
 	data    []byte
 	senders []types.ProcessID
 }
@@ -386,9 +388,9 @@ func paletteIndex[T comparable](palette []T, v T) byte {
 	panic(fmt.Sprintf("%v is not in the script palette %v", v, palette))
 }
 
-func newScript(peerSet int, me types.ProcessID) *scriptBuilder {
+func newScript(peerSet int, me types.ProcessID) *scriptWriter {
 	peers := scriptPeerSets[peerSet]
-	b := &scriptBuilder{senders: append(append([]types.ProcessID(nil), peers...), scriptOutsiders...)}
+	b := &scriptWriter{senders: append(append([]types.ProcessID(nil), peers...), scriptOutsiders...)}
 	meIdx := byte(len(peers))
 	if me != scriptOutsiders[0] {
 		meIdx = paletteIndex(peers, me)
@@ -397,7 +399,7 @@ func newScript(peerSet int, me types.ProcessID) *scriptBuilder {
 	return b
 }
 
-func (b *scriptBuilder) id(id types.InstanceID) *scriptBuilder {
+func (b *scriptWriter) id(id types.InstanceID) *scriptWriter {
 	b.data = append(b.data,
 		paletteIndex(b.senders, id.Sender),
 		paletteIndex(scriptRounds, id.Tag.Round),
@@ -406,7 +408,7 @@ func (b *scriptBuilder) id(id types.InstanceID) *scriptBuilder {
 	return b
 }
 
-func (b *scriptBuilder) handle(from types.ProcessID, phase types.Kind, id types.InstanceID, body string) *scriptBuilder {
+func (b *scriptWriter) handle(from types.ProcessID, phase types.Kind, id types.InstanceID, body string) *scriptWriter {
 	b.data = append(b.data, opHandle, paletteIndex(b.senders, from), paletteIndex(scriptPhases, phase))
 	b.id(id)
 	b.data = append(b.data, paletteIndex(scriptBodies, body))
@@ -415,7 +417,7 @@ func (b *scriptBuilder) handle(from types.ProcessID, phase types.Kind, id types.
 
 // run drives id: the sender's SEND if send, then ECHOs from the first
 // echoes peers and READYs from the first readies peers.
-func (b *scriptBuilder) run(id types.InstanceID, send bool, echoes, readies int, body string) *scriptBuilder {
+func (b *scriptWriter) run(id types.InstanceID, send bool, echoes, readies int, body string) *scriptWriter {
 	b.data = append(b.data, opRun)
 	b.id(id)
 	s := byte(0)
@@ -427,33 +429,33 @@ func (b *scriptBuilder) run(id types.InstanceID, send bool, echoes, readies int,
 }
 
 // full drives id to terminal: SEND, every echo, every ready.
-func (b *scriptBuilder) full(id types.InstanceID, peers int) *scriptBuilder {
+func (b *scriptWriter) full(id types.InstanceID, peers int) *scriptWriter {
 	return b.run(id, true, peers, peers, "a")
 }
 
-func (b *scriptBuilder) broadcast(tag types.Tag, body string) *scriptBuilder {
+func (b *scriptWriter) broadcast(tag types.Tag, body string) *scriptWriter {
 	b.data = append(b.data, opBroadcast,
 		paletteIndex(scriptRounds, tag.Round), paletteIndex(scriptSteps, tag.Step),
 		paletteIndex(scriptSeqs, tag.Seq), paletteIndex(scriptBodies, body))
 	return b
 }
 
-func (b *scriptBuilder) prune(round int) *scriptBuilder {
+func (b *scriptWriter) prune(round int) *scriptWriter {
 	b.data = append(b.data, opPrune, paletteIndex(scriptRounds, round))
 	return b
 }
 
-func (b *scriptBuilder) compact(id types.InstanceID) *scriptBuilder {
+func (b *scriptWriter) compact(id types.InstanceID) *scriptWriter {
 	b.data = append(b.data, opCompact)
 	return b.id(id)
 }
 
-func (b *scriptBuilder) drop(seq int) *scriptBuilder {
+func (b *scriptWriter) drop(seq int) *scriptWriter {
 	b.data = append(b.data, opDropSeq, paletteIndex(scriptSeqs, seq))
 	return b
 }
 
-func (b *scriptBuilder) delivered(id types.InstanceID) *scriptBuilder {
+func (b *scriptWriter) delivered(id types.InstanceID) *scriptWriter {
 	b.data = append(b.data, opDelivered)
 	return b.id(id)
 }
@@ -462,17 +464,14 @@ func rid(sender types.ProcessID, round int, step types.Step, seq int) types.Inst
 	return types.InstanceID{Sender: sender, Tag: types.Tag{Round: round, Step: step, Seq: seq}}
 }
 
-// oracleSpan is the round span the edge cases aim at: a window of this many
-// rounds starting at the PruneBelow floor.
-const oracleSpan = 4
-
-// oracleCases are the named scripts, each aimed at one edge of a round
-// window over instance 5; testdata/fuzz/FuzzBroadcasterMatchesOracle holds
-// the same bytes as the fuzzer's seed corpus.
+// oracleCases are the named scripts, each aimed at one edge of the round
+// window (windowRounds rounds from the PruneBelow floor) over instance 5;
+// testdata/fuzz/FuzzBroadcasterMatchesOracle holds the same bytes as the
+// fuzzer's seed corpus.
 func oracleCases() map[string][]byte {
 	const own = 5
 	base := 3
-	last := base + oracleSpan - 1
+	last := base + windowRounds - 1
 	cases := map[string][]byte{}
 
 	// Instances at base−1, base, the last round and last+1, with the floor
@@ -505,6 +504,19 @@ func oracleCases() map[string][]byte {
 		run(rid(6, 13, types.Step1, own), false, 7, 7, "a").
 		run(rid(5, 3, types.Step2, own), false, 7, 7, "b").prune(14).prune(15)
 	cases["prune-jump-past-span"] = b.data
+
+	// Floor jumps of every length up to the span, each over a window with a
+	// terminal and a half-finished instance in every round.
+	b = newScript(0, 2).broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: own}, "a")
+	floor := 1
+	for jump := 1; jump <= windowRounds; jump++ {
+		for r := floor; r < floor+windowRounds; r++ {
+			b.full(rid(1, r, types.Step3, own), 4).run(rid(4, r, types.Step1, own), true, 2, 0, "b")
+		}
+		floor += jump
+		b.prune(floor).delivered(rid(1, floor, types.Step3, own))
+	}
+	cases["prune-jump-within-span"] = b.data
 
 	// Another consensus instance's traffic never enters the window: it
 	// lives, delivers, prunes and compacts through the overflow map.
@@ -568,6 +580,24 @@ func oracleCases() map[string][]byte {
 		compact(rid(1, 0, 0, 5)).drop(5).drop(3).delivered(rid(1, 0, 0, 3)).
 		handle(1, types.KindRBCSend, rid(1, 0, 0, 3), "a").full(rid(1, 0, 0, 6), 4).drop(7).prune(2)
 	cases["drop-seq-beside-window"] = b.data
+
+	// Compact on instances inside the window: a terminal one becomes a
+	// record that answers late traffic with silence, a non-terminal one
+	// stays.
+	b = newScript(0, 4).broadcast(types.Tag{Round: 2, Step: types.Step2, Seq: own}, "b").
+		full(rid(1, 2, types.Step2, own), 4).run(rid(2, 2, types.Step2, own), true, 4, 1, "a").
+		compact(rid(1, 2, types.Step2, own)).compact(rid(2, 2, types.Step2, own)).
+		full(rid(1, 2, types.Step2, own), 4).delivered(rid(1, 2, types.Step2, own)).
+		run(rid(2, 2, types.Step2, own), false, 0, 4, "a").compact(rid(2, 2, types.Step2, own)).
+		handle(3, types.KindRBCReady, rid(2, 2, types.Step2, own), "a").prune(3)
+	cases["compact-in-window"] = b.data
+
+	// Votes from peers past the first bitset word count once each.
+	b = newScript(4, 66).broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: own}, "a").
+		full(rid(66, 1, types.Step1, own), 70).run(rid(70, 1, types.Step2, own), true, 70, 20, "b").
+		handle(70, types.KindRBCReady, rid(70, 1, types.Step2, own), "b").
+		handle(70, types.KindRBCReady, rid(70, 1, types.Step2, own), "b").prune(2)
+	cases["wide-peer-set"] = b.data
 	return cases
 }
 

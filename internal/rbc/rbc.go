@@ -40,7 +40,27 @@
 // became terminal, so the 2f+1 it needs are on the wire, not in the pruned
 // state. Non-terminal instances (a crashed sender's half-finished
 // broadcast) are never compacted: they may still owe an echo or an
-// amplification.
+// amplification — one that PruneBelow's floor passes leaves the instance
+// window for the overflow map (below) and stays live there, at full
+// fidelity, until it is terminal and a later PruneBelow compacts it.
+//
+// # Instance table
+//
+// A consensus instance's step messages are one broadcast per (round, step,
+// sender), and every one of them costs ~2n echo and ready messages at each
+// process, so the lookup those messages pay is the hot path. Round-tagged
+// instances of the owner's consensus instance therefore live in a window: a
+// slice of instance pointers indexed by (round, step, sender's peer index)
+// over windowRounds rounds starting at the PruneBelow floor. Which
+// consensus instance the window serves is fixed by this process's own first
+// round-tagged broadcast, never by received traffic. Everything else — other
+// instances' Seqs, senders that are not peers, rounds past the window, the
+// roundless namespace — lives in an overflow map keyed by InstanceID.
+// PruneBelow slides the window: a terminal instance below the new floor
+// becomes a delivered record, as above; a non-terminal one moves to the
+// overflow map and stays live there; overflow instances the new span covers
+// move in. A Byzantine peer flooding far-future rounds or foreign Seqs grows
+// the overflow map by one entry per instance and never the window.
 package rbc
 
 import (
@@ -66,9 +86,20 @@ func (d Delivery) String() string { return fmt.Sprintf("deliver %s: %q", d.ID, d
 // returns the messages and deliveries it triggers. Not safe for concurrent
 // use; the owning node serializes input.
 type Broadcaster struct {
-	me        types.ProcessID
-	peers     []types.ProcessID
-	spec      quorum.Spec
+	me    types.ProcessID
+	peers []types.ProcessID
+	spec  quorum.Spec
+	// win is the instance window (see "Instance table" in the package doc):
+	// the live plain instance of (round, step, sender) of consensus instance
+	// winSeq sits at cell windowCell, for winBase <= round < winBase +
+	// windowRounds; winLive counts the non-nil cells. win stays nil until
+	// this process's first round-tagged broadcast fixes winSeq, and in coded
+	// mode. instances is the overflow map for every live plain instance the
+	// window cannot hold.
+	win       []*instance
+	winSeq    int
+	winBase   int
+	winLive   int
 	instances map[types.InstanceID]*instance
 	// compacted records every instance released by Compact/PruneBelow (see
 	// the pruning contract in the package doc): a map key instead of
@@ -76,12 +107,14 @@ type Broadcaster struct {
 	// silent no-op, identical to what the retained terminal state would have
 	// done.
 	compacted map[types.InstanceID]struct{}
-	// peerIdx maps a peer to its dense bitset index; words is the bitset
-	// length every tally uses. Together they turn the per-(body, sender)
-	// bookkeeping of the counting path into a bit test, replacing the
-	// seed's map[string]map[ProcessID]bool nesting.
-	peerIdx map[types.ProcessID]int32
-	words   int
+	// peerDense[id] is 1 + the peer's bitset index (0 for a non-peer) for
+	// IDs up to maxDensePeer; peerIdx holds only the peers outside that range
+	// (see peerIndex). words is the bitset length every tally uses. Together
+	// they turn the per-(body, sender) bookkeeping of the counting path into
+	// a bit test.
+	peerDense []int32
+	peerIdx   map[types.ProcessID]int32
+	words     int
 	// seqFloor is the protocol-level drop watermark (see DropSeqBelow):
 	// instances below it hold no state at all, not even a delivered record,
 	// and all their traffic is a silent no-op.
@@ -109,24 +142,63 @@ type Broadcaster struct {
 // what turns first-seen marks into latencies.
 func (b *Broadcaster) SetTelemetry(t *sim.Telemetry) { b.tele = t }
 
+// windowRounds is the round span of the instance window. The consensus core
+// sets the floor to r−1 on entering round r, so the window holds the previous
+// round, the current one and two rounds of faster peers' traffic.
+const windowRounds = 4
+
+// maxDensePeer bounds the dense peer index, as sim's maxDenseID bounds its
+// node table: a peer ID above it (or not positive) is looked up in a map, so
+// an odd peer list cannot force a giant allocation.
+const maxDensePeer = 1 << 16
+
 // New creates a Broadcaster for process me among peers (which must include
 // me, matching the paper's "send to all" that includes the sender).
 func New(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Broadcaster {
-	idx := make(map[types.ProcessID]int32, len(peers))
-	for i, p := range peers {
-		if _, dup := idx[p]; !dup {
-			idx[p] = int32(i)
+	maxID := 0
+	for _, p := range peers {
+		if i := int(p); i <= maxDensePeer && i > maxID {
+			maxID = i
 		}
 	}
-	return &Broadcaster{
+	b := &Broadcaster{
 		me:        me,
 		peers:     append([]types.ProcessID(nil), peers...),
 		spec:      spec,
+		winBase:   1,
 		instances: make(map[types.InstanceID]*instance),
 		compacted: make(map[types.InstanceID]struct{}),
-		peerIdx:   idx,
+		peerDense: make([]int32, maxID+1),
 		words:     (len(peers) + 63) / 64,
 	}
+	for i, p := range peers {
+		if b.peerIndex(p) >= 0 {
+			continue // a repeated peer keeps its first index
+		}
+		if id := int(p); id > 0 && id <= maxDensePeer {
+			b.peerDense[id] = int32(i) + 1
+		} else {
+			if b.peerIdx == nil {
+				b.peerIdx = make(map[types.ProcessID]int32)
+			}
+			b.peerIdx[p] = int32(i)
+		}
+	}
+	return b
+}
+
+// peerIndex returns p's bitset index, or −1 if p is not a peer.
+func (b *Broadcaster) peerIndex(p types.ProcessID) int32 {
+	if id := int(p); id > 0 && id <= maxDensePeer {
+		if id < len(b.peerDense) {
+			return b.peerDense[id] - 1
+		}
+		return -1
+	}
+	if pi, ok := b.peerIdx[p]; ok {
+		return pi
+	}
+	return -1
 }
 
 // tally counts the distinct peers supporting one body of one instance: a
@@ -170,13 +242,71 @@ type instance struct {
 // update. Only terminal instances may be compacted.
 func (in *instance) terminal() bool { return in.echoed && in.readied && in.delivered }
 
-func (b *Broadcaster) inst(id types.InstanceID) *instance {
-	in, ok := b.instances[id]
-	if !ok {
-		in = &instance{t0: b.tele.Now()}
+// cell returns id's window cell, or nil if the window cannot hold id: no
+// window yet, another consensus instance, a round outside the span (the
+// bounds are checked before subtracting, so no round wraps), a step that is
+// not one of the three, or a sender that is not a peer.
+func (b *Broadcaster) cell(id types.InstanceID) **instance {
+	r, s := id.Tag.Round, id.Tag.Step
+	if b.win == nil || id.Tag.Seq != b.winSeq || r < b.winBase || r-b.winBase >= windowRounds || !s.Valid() {
+		return nil
+	}
+	pi := b.peerIndex(id.Sender)
+	if pi < 0 {
+		return nil
+	}
+	return &b.win[b.windowCell(r, s, int(pi))]
+}
+
+// windowCell is the index of (round, step, peer index) in win: rows of
+// 3·len(peers) cells, one row per round modulo windowRounds.
+func (b *Broadcaster) windowCell(round int, s types.Step, pi int) int {
+	return ((round%windowRounds)*3+int(s)-1)*len(b.peers) + pi
+}
+
+// lookup returns id's live plain instance (nil if none) and its window cell
+// (nil if the window cannot hold id, in which case it lives in the overflow
+// map if anywhere).
+func (b *Broadcaster) lookup(id types.InstanceID) (*instance, **instance) {
+	if c := b.cell(id); c != nil {
+		return *c, c
+	}
+	return b.instances[id], nil
+}
+
+// newInstance creates id's live instance in window cell c, or in the
+// overflow map when c is nil.
+func (b *Broadcaster) newInstance(id types.InstanceID, c **instance) *instance {
+	in := &instance{t0: b.tele.Now()}
+	if c != nil {
+		*c = in
+		b.winLive++
+	} else {
 		b.instances[id] = in
 	}
 	return in
+}
+
+// release turns the live instance id (in window cell c, or in the overflow
+// map when c is nil) into a delivered record.
+func (b *Broadcaster) release(id types.InstanceID, c **instance) {
+	b.compacted[id] = struct{}{}
+	if c != nil {
+		*c = nil
+		b.winLive--
+	} else {
+		delete(b.instances, id)
+	}
+}
+
+// enter moves overflow instance id into the window if the window now covers
+// it.
+func (b *Broadcaster) enter(id types.InstanceID, in *instance) {
+	if c := b.cell(id); c != nil {
+		*c = in
+		b.winLive++
+		delete(b.instances, id)
+	}
 }
 
 // mark records peer index pi as supporting body in the given tally list and
@@ -225,6 +355,16 @@ func (b *Broadcaster) AppendBroadcast(out []types.Message, tag types.Tag, body s
 	if b.code != nil {
 		return b.appendDisperse(out, tag, body)
 	}
+	if b.win == nil && tag.Round > 0 {
+		// This process's first round-tagged broadcast names the consensus
+		// instance the window serves; instances of it that arrived earlier
+		// move in.
+		b.win = make([]*instance, windowRounds*3*len(b.peers))
+		b.winSeq = tag.Seq
+		for id, in := range b.instances {
+			b.enter(id, in)
+		}
+	}
 	id := types.InstanceID{Sender: b.me, Tag: tag}
 	p := &types.RBCPayload{Phase: types.KindRBCSend, ID: id, Body: body}
 	return types.AppendBroadcast(out, b.me, b.peers, p)
@@ -246,17 +386,25 @@ func (b *Broadcaster) AppendHandle(out []types.Message, from types.ProcessID, p 
 		// AppendHandleSum), so a mixed-mode peer cannot vote here.
 		return out, nil
 	}
-	// Compacted instances answer every late message with silence — exactly
-	// what their retained terminal state would have produced (see the
-	// pruning contract): no SEND reaction (echoed), no READY (readied), no
-	// delivery (delivered). One map probe, no allocation, no regrowth. The
-	// same silence covers instances below a checkpoint drop watermark, whose
-	// records are gone entirely.
-	if _, done := b.compacted[p.ID]; done {
-		return out, nil
+	// The live instance first: a window hit is one slice index. Only on a
+	// miss can the instance be compacted — and compacted instances answer
+	// every late message with silence, exactly what their retained terminal
+	// state would have produced (see the pruning contract): no SEND reaction
+	// (echoed), no READY (readied), no delivery (delivered). No allocation,
+	// no regrowth. The same silence covers instances below a checkpoint drop
+	// watermark, whose records are gone entirely.
+	c := b.cell(p.ID)
+	var in *instance
+	if c != nil {
+		in = *c
 	}
-	if b.belowSeqFloor(p.ID) {
-		return out, nil
+	if in == nil {
+		if _, done := b.compacted[p.ID]; done || b.belowSeqFloor(p.ID) {
+			return out, nil
+		}
+		if c == nil {
+			in = b.instances[p.ID]
+		}
 	}
 	switch p.Phase {
 	case types.KindRBCSend:
@@ -265,44 +413,36 @@ func (b *Broadcaster) AppendHandle(out []types.Message, from types.ProcessID, p 
 		if from != p.ID.Sender {
 			return out, nil
 		}
-		return b.onSend(out, p), nil
-	case types.KindRBCEcho:
-		return b.onEcho(out, from, p)
-	case types.KindRBCReady:
-		return b.onReady(out, from, p)
+		if in == nil {
+			in = b.newInstance(p.ID, c)
+		}
+		return b.onSend(out, in, p), nil
+	case types.KindRBCEcho, types.KindRBCReady:
+		pi := b.peerIndex(from)
+		if pi < 0 {
+			return out, nil // only peers hold votes toward the quorums
+		}
+		if in == nil {
+			in = b.newInstance(p.ID, c)
+		}
+		if p.Phase == types.KindRBCEcho {
+			echoes := b.mark(&in.echoes, p.Body, pi)
+			return b.maybeReadyAndDeliver(out, in, p.ID, p.Body, echoes, supporters(in.readies, p.Body))
+		}
+		readies := b.mark(&in.readies, p.Body, pi)
+		return b.maybeReadyAndDeliver(out, in, p.ID, p.Body, supporters(in.echoes, p.Body), readies)
 	default:
 		return out, nil
 	}
 }
 
-func (b *Broadcaster) onSend(out []types.Message, p *types.RBCPayload) []types.Message {
-	in := b.inst(p.ID)
+func (b *Broadcaster) onSend(out []types.Message, in *instance, p *types.RBCPayload) []types.Message {
 	if in.echoed {
 		return out // already echoed a body for this instance (first SEND wins)
 	}
 	in.echoed = true
 	in.echoPayload = types.RBCPayload{Phase: types.KindRBCEcho, ID: p.ID, Body: p.Body}
 	return types.AppendBroadcast(out, b.me, b.peers, &in.echoPayload)
-}
-
-func (b *Broadcaster) onEcho(out []types.Message, from types.ProcessID, p *types.RBCPayload) ([]types.Message, []Delivery) {
-	pi, ok := b.peerIdx[from]
-	if !ok {
-		return out, nil // only peers hold votes toward the quorums
-	}
-	in := b.inst(p.ID)
-	echoes := b.mark(&in.echoes, p.Body, pi)
-	return b.maybeReadyAndDeliver(out, in, p.ID, p.Body, echoes, supporters(in.readies, p.Body))
-}
-
-func (b *Broadcaster) onReady(out []types.Message, from types.ProcessID, p *types.RBCPayload) ([]types.Message, []Delivery) {
-	pi, ok := b.peerIdx[from]
-	if !ok {
-		return out, nil // only peers hold votes toward the quorums
-	}
-	in := b.inst(p.ID)
-	readies := b.mark(&in.readies, p.Body, pi)
-	return b.maybeReadyAndDeliver(out, in, p.ID, p.Body, supporters(in.echoes, p.Body), readies)
 }
 
 // maybeReadyAndDeliver applies the two threshold rules for body after any
@@ -337,10 +477,10 @@ func (b *Broadcaster) maybeReadyAndDeliver(out []types.Message, in *instance, id
 // process. Compaction preserves the answer: a pruned instance was delivered
 // by definition.
 func (b *Broadcaster) Delivered(id types.InstanceID) bool {
-	if _, done := b.compacted[id]; done {
+	if in, _ := b.lookup(id); in != nil && in.delivered {
 		return true
 	}
-	if in, ok := b.instances[id]; ok && in.delivered {
+	if _, done := b.compacted[id]; done {
 		return true
 	}
 	ci, ok := b.codedInsts[id]
@@ -353,9 +493,8 @@ func (b *Broadcaster) Delivered(id types.InstanceID) bool {
 // instances are left untouched so late echoes still amplify. Per-slot owners
 // (the SMR log, ACS input dissemination) call this when a slot commits.
 func (b *Broadcaster) Compact(id types.InstanceID) bool {
-	if in, ok := b.instances[id]; ok && in.terminal() {
-		b.compacted[id] = struct{}{}
-		delete(b.instances, id)
+	if in, c := b.lookup(id); in != nil && in.terminal() {
+		b.release(id, c)
 		return true
 	}
 	if ci, ok := b.codedInsts[id]; ok && ci.terminal() {
@@ -373,14 +512,20 @@ func (b *Broadcaster) Compact(id types.InstanceID) bool {
 // the SMR/ACS layers use) are never touched — they are pruned per slot via
 // Compact instead. Non-terminal instances below the floor stay live at full
 // fidelity: they may still owe the network an echo or an amplification.
+//
+// A floor above the window's slides it there (see "Instance table" in the
+// package doc); a lower one leaves the window where it is.
 func (b *Broadcaster) PruneBelow(round int) int {
 	released := 0
+	if round > b.winBase {
+		released = b.slide(round)
+	}
 	for id, in := range b.instances {
 		if id.Tag.Round == 0 || id.Tag.Round >= round || !in.terminal() {
+			b.enter(id, in)
 			continue
 		}
-		b.compacted[id] = struct{}{}
-		delete(b.instances, id)
+		b.release(id, nil)
 		released++
 	}
 	for id, ci := range b.codedInsts {
@@ -394,12 +539,50 @@ func (b *Broadcaster) PruneBelow(round int) int {
 	return released
 }
 
+// slide raises the window's floor to round. Every instance of a round below
+// it leaves the window: a terminal one as a delivered record, a non-terminal
+// one to the overflow map, still live. It returns how many became records.
+func (b *Broadcaster) slide(round int) int {
+	old := b.winBase
+	b.winBase = round
+	if b.win == nil {
+		return 0
+	}
+	// round > old >= 1, so neither the difference nor old+rows overflows.
+	rows := windowRounds
+	if d := round - old; d < rows {
+		rows = d
+	}
+	np := len(b.peers)
+	released := 0
+	for r := old; r < old+rows; r++ {
+		for s := types.Step1; s <= types.Step3; s++ {
+			start := b.windowCell(r, s, 0)
+			for pi, in := range b.win[start : start+np] {
+				if in == nil {
+					continue
+				}
+				b.win[start+pi] = nil
+				b.winLive--
+				id := types.InstanceID{Sender: b.peers[pi], Tag: types.Tag{Round: r, Step: s, Seq: b.winSeq}}
+				if in.terminal() {
+					b.compacted[id] = struct{}{}
+					released++
+				} else {
+					b.instances[id] = in
+				}
+			}
+		}
+	}
+	return released
+}
+
 // Instances returns the number of live (uncompacted) instances this
 // broadcaster tracks — the full-fidelity state that dominates RBC memory.
 // Under an owner that prunes, this stays bounded by the retained rounds (plus
 // any non-terminal stragglers); Byzantine processes can create instances
 // freely, so memory pressure is observable here.
-func (b *Broadcaster) Instances() int { return len(b.instances) + len(b.codedInsts) }
+func (b *Broadcaster) Instances() int { return b.winLive + len(b.instances) + len(b.codedInsts) }
 
 // Compacted returns how many instances have been released to delivered
 // records (diagnostics; each record costs a map entry, not tallies and

@@ -7,6 +7,7 @@ package rbc
 // emit.
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/quorum"
@@ -161,5 +162,56 @@ func TestPruneBelowWindowsByRound(t *testing.T) {
 	// Idempotent: nothing below the floor is left to release.
 	if got := b.PruneBelow(3); got != 0 {
 		t.Errorf("second PruneBelow(3) released %d instances, want 0", got)
+	}
+}
+
+// TestWindowFloodStaysInOverflow: SENDs from one Byzantine peer for distinct
+// far-future rounds and foreign consensus instances each cost one
+// overflow-map entry and never touch the window, whose size is fixed when it
+// opens. Rounds the window cannot index — math.MinInt, 0, negative, and
+// math.MaxInt while the floor is low — land in the map too: the bounds are
+// checked before round − floor is formed, so nothing wraps into a cell.
+func TestWindowFloodStaysInOverflow(t *testing.T) {
+	spec := quorum.MustNew(4, 1)
+	peers := types.Processes(4)
+	b := New(2, peers, spec)
+	b.Broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: 5}, "own")
+	b.PruneBelow(3)
+	cells := len(b.win)
+	if cells != windowRounds*3*len(peers) {
+		t.Fatalf("window has %d cells, want %d", cells, windowRounds*3*len(peers))
+	}
+	const byz = types.ProcessID(4)
+	flood := 0
+	send := func(tag types.Tag) {
+		t.Helper()
+		id := types.InstanceID{Sender: byz, Tag: tag}
+		if b.cell(id) != nil {
+			t.Fatalf("%v indexes the window at floor %d", id, b.winBase)
+		}
+		out, _ := b.Handle(byz, &types.RBCPayload{Phase: types.KindRBCSend, ID: id, Body: "x"})
+		if len(out) != len(peers) {
+			t.Fatalf("SEND %v echoed %d messages, want %d", id, len(out), len(peers))
+		}
+		flood++
+		if len(b.win) != cells || b.winLive != 0 || len(b.instances) != flood || b.Instances() != flood {
+			t.Fatalf("after %d flood SENDs: %d window cells, %d live in the window, %d in the overflow map",
+				flood, len(b.win), b.winLive, len(b.instances))
+		}
+	}
+	for i := 0; i < 500; i++ {
+		send(types.Tag{Round: 3 + windowRounds + i, Step: types.Step1, Seq: 5}) // past the window
+		send(types.Tag{Round: 3, Step: types.Step1, Seq: 6 + i})                // another consensus instance
+	}
+	for _, r := range []int{math.MinInt, math.MinInt + 1, -1, 0, math.MaxInt - 1, math.MaxInt} {
+		for s := types.Step1; s <= types.Step3; s++ {
+			send(types.Tag{Round: r, Step: s, Seq: 5})
+		}
+	}
+	// A floor jump to the top of the range: only math.MaxInt itself is
+	// within the span now, and it moves in from the overflow map.
+	b.PruneBelow(math.MaxInt)
+	if b.winLive != 3 || len(b.instances) != flood-3 {
+		t.Fatalf("at floor MaxInt: %d live in the window, %d in the map; want 3 and %d", b.winLive, len(b.instances), flood-3)
 	}
 }

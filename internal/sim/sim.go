@@ -234,9 +234,14 @@ func (n *Network) Add(node Node) error {
 }
 
 // lookup resolves a destination process to its node (nil if unknown).
+// Every registered ID in (0, maxDenseID] is in dense, so an unregistered one
+// — a silent process nobody runs — is nil without probing the registry.
 func (n *Network) lookup(id types.ProcessID) Node {
-	if i := int(id); i > 0 && i < len(n.dense) {
-		return n.dense[i]
+	if i := int(id); i > 0 && i <= maxDenseID {
+		if i < len(n.dense) {
+			return n.dense[i]
+		}
+		return nil
 	}
 	return n.nodes[id]
 }
@@ -254,6 +259,10 @@ func (n *Network) Run(stop func() bool) (Stats, error) {
 		return Stats{}, errors.New("sim: Run called twice")
 	}
 	n.started = true
+	// Trace events are built only under an enabled recorder: a disabled one
+	// would discard them, and building one copies a ~100-byte struct per
+	// message.
+	rec := n.cfg.Recorder
 	for _, id := range n.order {
 		node := n.nodes[id]
 		n.dispatch(node, node.Start())
@@ -276,7 +285,9 @@ func (n *Network) Run(stop func() bool) (Stats, error) {
 			if tele != nil {
 				tele.Kinds[kindIndex(ev.msg)].Dropped++
 			}
-			n.record(trace.Event{Time: int64(n.now), Kind: trace.KindDrop, P: ev.msg.To, Msg: ev.msg, Seq: ev.seq, Note: "destination done or unknown"})
+			if rec.Enabled() {
+				rec.Record(trace.Event{Time: int64(n.now), Kind: trace.KindDrop, P: ev.msg.To, Msg: ev.msg, Seq: ev.seq, Note: "destination done or unknown"})
+			}
 			continue
 		}
 		n.stats.Delivered++
@@ -286,14 +297,18 @@ func (n *Network) Run(stop func() bool) (Stats, error) {
 			ks.Delivered++
 			ks.Latency.Observe(int64(n.now - ev.sent))
 		}
-		n.record(trace.Event{Time: int64(n.now), Kind: trace.KindDeliver, P: ev.msg.To, Msg: ev.msg, Seq: ev.seq})
-		// Everything recorded while this delivery's handler runs — the
-		// sends it emits, the decides and round advances it triggers — is
-		// causally due to this message: stamp it as the parent (see
-		// trace.Recorder.SetParent and internal/obs).
-		n.setParent(ev.seq)
+		if rec.Enabled() {
+			rec.Record(trace.Event{Time: int64(n.now), Kind: trace.KindDeliver, P: ev.msg.To, Msg: ev.msg, Seq: ev.seq})
+			// Everything recorded while this delivery's handler runs — the
+			// sends it emits, the decides and round advances it triggers —
+			// is causally due to this message: stamp it as the parent (see
+			// trace.Recorder.SetParent and internal/obs).
+			rec.SetParent(ev.seq)
+		}
 		n.dispatch(dst, dst.Deliver(ev.msg))
-		n.setParent(0)
+		if rec.Enabled() {
+			rec.SetParent(0)
+		}
 		if stop != nil && stop() {
 			break
 		}
@@ -322,6 +337,7 @@ func (n *Network) dispatch(node Node, msgs []types.Message) {
 // exactly as an authenticated channel would reject a forged frame.
 func (n *Network) send(node Node, msgs []types.Message) {
 	tele := n.cfg.Telemetry
+	rec := n.cfg.Recorder
 	for _, m := range msgs {
 		if m.From != node.ID() {
 			n.stats.Spoofed++
@@ -329,7 +345,9 @@ func (n *Network) send(node Node, msgs []types.Message) {
 			if tele != nil {
 				tele.Kinds[kindIndex(m)].Dropped++
 			}
-			n.record(trace.Event{Time: int64(n.now), Kind: trace.KindDrop, P: node.ID(), Msg: m, Note: "spoofed sender"})
+			if rec.Enabled() {
+				rec.Record(trace.Event{Time: int64(n.now), Kind: trace.KindDrop, P: node.ID(), Msg: m, Note: "spoofed sender"})
+			}
 			continue
 		}
 		n.seq++
@@ -345,14 +363,18 @@ func (n *Network) send(node Node, msgs []types.Message) {
 			ks.Sent++
 			ks.Bytes += sz
 		}
-		n.record(trace.Event{Time: int64(n.now), Kind: trace.KindSend, P: node.ID(), Msg: m, Seq: n.seq})
+		if rec.Enabled() {
+			rec.Record(trace.Event{Time: int64(n.now), Kind: trace.KindSend, P: node.ID(), Msg: m, Seq: n.seq})
+		}
 		if at < n.now {
 			if at == Drop {
 				n.stats.Dropped++
 				if tele != nil {
 					tele.Kinds[kindIndex(m)].Dropped++
 				}
-				n.record(trace.Event{Time: int64(n.now), Kind: trace.KindDrop, P: node.ID(), Msg: m, Seq: n.seq, Note: "scheduler drop"})
+				if rec.Enabled() {
+					rec.Record(trace.Event{Time: int64(n.now), Kind: trace.KindDrop, P: node.ID(), Msg: m, Seq: n.seq, Note: "scheduler drop"})
+				}
 				continue
 			}
 			at = n.now // schedulers cannot deliver into the past
@@ -371,21 +393,11 @@ func (n *Network) send(node Node, msgs []types.Message) {
 					ks.Sent++
 					ks.Bytes += sz
 				}
-				n.record(trace.Event{Time: int64(n.now), Kind: trace.KindSend, P: node.ID(), Msg: m, Seq: n.seq})
+				if rec.Enabled() {
+					rec.Record(trace.Event{Time: int64(n.now), Kind: trace.KindSend, P: node.ID(), Msg: m, Seq: n.seq})
+				}
 				n.queue.push(dat, n.seq, m)
 			}
 		}
-	}
-}
-
-func (n *Network) record(e trace.Event) {
-	if n.cfg.Recorder.Enabled() {
-		n.cfg.Recorder.Record(e)
-	}
-}
-
-func (n *Network) setParent(seq uint64) {
-	if n.cfg.Recorder.Enabled() {
-		n.cfg.Recorder.SetParent(seq)
 	}
 }
