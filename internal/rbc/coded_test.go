@@ -630,3 +630,97 @@ func TestCodedFirstDispersalWins(t *testing.T) {
 		t.Fatalf("second dispersal emitted %d messages", len(out))
 	}
 }
+
+// TestCodedTableOperations pins PruneBelow, Compact and DropSeqBelow on a
+// coded broadcaster, built as the consensus core's Coded mode builds it:
+// PruneBelow releases terminal round-tagged instances below the floor and
+// leaves roundless ones to their per-slot owners, Compact refuses a
+// non-terminal instance, and DropSeqBelow counts live instances — terminal
+// or not — and delivered records alike. Instances, Compacted and Delivered
+// are checked after every step.
+func TestCodedTableOperations(t *testing.T) {
+	n, f := 4, 1
+	spec := quorum.MustNew(n, f)
+	peers := types.Processes(n)
+	c := newCodedCluster(t, n, f, peers)
+	b := c.correct[2]
+	r1 := types.Tag{Round: 1, Step: types.Step1, Seq: 1}
+	r2 := types.Tag{Round: 2, Step: types.Step1, Seq: 1}
+	s3, s4 := types.Tag{Seq: 3}, types.Tag{Seq: 4}
+	for _, tag := range []types.Tag{r1, r2, s3, s4} {
+		c.enqueue(c.correct[1].Broadcast(tag, "body "+tag.String()))
+	}
+	c.pumpAll()
+
+	// Two half-finished instances: one echo vote each (peer 4's own
+	// fragment), never this process's own dispersal, so never echoed.
+	half := func(tag types.Tag) types.InstanceID {
+		t.Helper()
+		for _, m := range NewCoded(3, peers, spec).Broadcast(tag, "half") {
+			if p := m.Payload.(*types.RBCFragPayload); p.Index == 3 {
+				if out, ds := b.HandleFrag(4, p); len(out) != 0 || len(ds) != 0 {
+					t.Fatalf("one echo vote emitted %d messages, %d deliveries", len(out), len(ds))
+				}
+				return p.ID
+			}
+		}
+		t.Fatal("no fragment for index 3")
+		return types.InstanceID{}
+	}
+	h1 := half(types.Tag{Round: 1, Step: types.Step2, Seq: 1})
+	h2 := half(types.Tag{Seq: 2})
+	id := func(tag types.Tag) types.InstanceID { return types.InstanceID{Sender: 1, Tag: tag} }
+
+	check := func(step string, live, records int, delivered, undelivered []types.InstanceID) {
+		t.Helper()
+		if b.Instances() != live || b.Compacted() != records {
+			t.Fatalf("%s: live/compacted = %d/%d, want %d/%d", step, b.Instances(), b.Compacted(), live, records)
+		}
+		for _, x := range delivered {
+			if !b.Delivered(x) {
+				t.Fatalf("%s: %v not Delivered", step, x)
+			}
+		}
+		for _, x := range undelivered {
+			if b.Delivered(x) {
+				t.Fatalf("%s: %v Delivered", step, x)
+			}
+		}
+	}
+	all := []types.InstanceID{id(r1), id(r2), id(s3), id(s4)}
+	check("start", 6, 0, all, []types.InstanceID{h1, h2})
+
+	if b.Compact(h1) || b.Compact(h2) {
+		t.Fatal("Compact released a non-terminal coded instance")
+	}
+	check("compact non-terminal", 6, 0, all, []types.InstanceID{h1, h2})
+
+	if got := b.PruneBelow(2); got != 1 {
+		t.Fatalf("PruneBelow(2) released %d, want 1 (round 1's terminal instance)", got)
+	}
+	check("prune 2", 5, 1, all, []types.InstanceID{h1, h2})
+	if got := b.PruneBelow(100); got != 1 {
+		t.Fatalf("PruneBelow(100) released %d, want 1 (round 2's terminal instance)", got)
+	}
+	check("prune 100", 4, 2, all, []types.InstanceID{h1, h2})
+
+	if !b.Compact(id(s3)) {
+		t.Fatal("Compact refused a terminal roundless coded instance")
+	}
+	check("compact s3", 3, 3, all, []types.InstanceID{h1, h2})
+
+	// Below 5: s3's record, s4 live and terminal, h2 live and half-finished.
+	if got := b.DropSeqBelow(5); got != 3 {
+		t.Fatalf("DropSeqBelow(5) dropped %d, want 3", got)
+	}
+	check("drop 5", 1, 2, []types.InstanceID{id(r1), id(r2)}, []types.InstanceID{id(s3), id(s4), h1, h2})
+
+	// Traffic below the watermark never regrows state.
+	half(types.Tag{Seq: 2})
+	for _, m := range c.correct[1].Broadcast(s4, "late") {
+		if m.To == 2 {
+			b.HandleFrag(1, m.Payload.(*types.RBCFragPayload))
+		}
+	}
+	check("late traffic", 1, 2, []types.InstanceID{id(r1), id(r2)}, []types.InstanceID{id(s3), id(s4), h1, h2})
+}

@@ -213,7 +213,7 @@ var (
 	scriptSteps  = []types.Step{types.Step1, types.Step2, types.Step3, 0, 4}
 	scriptSeqs   = []int{5, 6, 0, 3, 7} // 5 is this process's consensus instance in the named cases
 	scriptPhases = []types.Kind{types.KindRBCSend, types.KindRBCEcho, types.KindRBCReady, types.KindDecide}
-	scriptBodies = []string{"a", "b"}
+	scriptBodies = []string{"a", "b", "c"}
 )
 
 // maxScriptOps bounds one script's length, keeping fuzz iterations fast.
@@ -598,6 +598,33 @@ func oracleCases() map[string][]byte {
 		handle(70, types.KindRBCReady, rid(70, 1, types.Step2, own), "b").
 		handle(70, types.KindRBCReady, rid(70, 1, types.Step2, own), "b").prune(2)
 	cases["wide-peer-set"] = b.data
+
+	// A READY for a body before any ECHO of it, in the window and in the
+	// overflow map: f+1 readies amplify, echoes for the body arrive after,
+	// and a second body is readied first while the first gathers echoes.
+	b = newScript(0, 2).broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: own}, "a")
+	for _, id := range []types.InstanceID{rid(1, 1, types.Step2, own), rid(3, 0, 0, 3)} {
+		b.handle(3, types.KindRBCReady, id, "b").
+			run(id, false, 2, 0, "a").
+			handle(4, types.KindRBCReady, id, "b").
+			run(id, false, 4, 0, "b").
+			handle(1, types.KindRBCReady, id, "b").
+			run(id, true, 4, 4, "a").delivered(id)
+	}
+	b.prune(2).compact(rid(3, 0, 0, 3))
+	cases["ready-before-echo"] = b.data
+
+	// An equivocating sender: three bodies of one instance each gather echoes
+	// and readies, partly and then fully, from the same peers; the sender's
+	// second and third SENDs are ignored.
+	b = newScript(1, 3).broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: own}, "a")
+	for _, id := range []types.InstanceID{rid(1, 1, types.Step1, own), rid(1, 9, types.Step3, own)} {
+		b.run(id, true, 2, 1, "a").run(id, true, 3, 2, "b").run(id, true, 4, 2, "c").
+			run(id, false, 7, 7, "c").run(id, false, 7, 7, "a").run(id, false, 7, 7, "b").
+			delivered(id).compact(id)
+	}
+	b.prune(3).prune(10)
+	cases["equivocating-sender"] = b.data
 	return cases
 }
 
