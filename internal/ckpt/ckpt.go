@@ -50,6 +50,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"maps"
 
 	"repro/internal/auth"
 	"repro/internal/quorum"
@@ -448,21 +449,9 @@ func (t *Tracker) Adopt(cert Certificate, snapshot string) bool {
 func (t *Tracker) adopt(cert Certificate) {
 	t.latest = cert
 	t.certified = true
-	for s := range t.votes {
-		if s <= cert.Slot {
-			delete(t.votes, s)
-		}
-	}
-	for s := range t.snapshots {
-		if s < cert.Slot {
-			delete(t.snapshots, s)
-		}
-	}
-	for k := range t.served {
-		if k.cut < cert.Slot {
-			delete(t.served, k)
-		}
-	}
+	maps.DeleteFunc(t.votes, func(s int, _ *cutVotes) bool { return s <= cert.Slot })
+	maps.DeleteFunc(t.snapshots, func(s int, _ string) bool { return s < cert.Slot })
+	maps.DeleteFunc(t.served, func(k serveKey, _ *serveRec) bool { return k.cut < cert.Slot })
 }
 
 // Latest returns the highest certified checkpoint.

@@ -2,6 +2,7 @@ package coin
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 
@@ -131,16 +132,8 @@ func (d *Dealer) Prune(below int) {
 		return
 	}
 	d.floor = below
-	for r := range d.rounds {
-		if r < below {
-			delete(d.rounds, r)
-		}
-	}
-	for r := range d.secrets {
-		if r < below {
-			delete(d.secrets, r)
-		}
-	}
+	maps.DeleteFunc(d.rounds, func(r int, _ []shamir.Share) bool { return r < below })
+	maps.DeleteFunc(d.secrets, func(r int, _ types.Value) bool { return r < below })
 }
 
 // RoundsRetained returns how many per-round sharings the dealer currently
@@ -280,21 +273,9 @@ func (c *Common) Prune(below int) {
 		return
 	}
 	c.floor = below
-	for r := range c.released {
-		if r < below {
-			delete(c.released, r)
-		}
-	}
-	for r := range c.shares {
-		if r < below {
-			delete(c.shares, r)
-		}
-	}
-	for r := range c.values {
-		if r < below {
-			delete(c.values, r)
-		}
-	}
+	maps.DeleteFunc(c.released, func(r int, _ bool) bool { return r < below })
+	maps.DeleteFunc(c.shares, func(r int, _ map[types.ProcessID]shamir.Share) bool { return r < below })
+	maps.DeleteFunc(c.values, func(r int, _ types.Value) bool { return r < below })
 }
 
 // sortShares orders shares by X (insertion sort; at most f+1 ≤ 255 items).

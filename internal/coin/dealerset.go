@@ -1,6 +1,7 @@
 package coin
 
 import (
+	"maps"
 	"sync"
 
 	"repro/internal/quorum"
@@ -77,14 +78,9 @@ func (s *DealerSet) ReleaseBelow(cut int) int {
 	if cut > s.floor {
 		s.floor = cut
 	}
-	released := 0
-	for slot := range s.dealers {
-		if slot < s.floor {
-			delete(s.dealers, slot)
-			released++
-		}
-	}
-	return released
+	before := len(s.dealers)
+	maps.DeleteFunc(s.dealers, func(slot int, _ *Dealer) bool { return slot < s.floor })
+	return before - len(s.dealers)
 }
 
 // DealersRetained returns how many per-slot dealers the set currently holds

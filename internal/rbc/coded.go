@@ -42,6 +42,13 @@
 // quorum implies Echo() echo votes somewhere, at least Echo() − f of them
 // from correct processes whose fragment echoes reach everyone — enough to
 // decode wherever the 2f+1 READYs arrive.
+//
+// A coded instance is the plain instance type of rbc.go with its coded-only
+// state behind one pointer (codedState), kept in the same instance table:
+// compaction, PruneBelow, DropSeqBelow, Delivered and Instances see one
+// table and treat both modes alike, and maybeReadyAndDeliver applies the
+// threshold rules above with only the READY payload and the decode gate
+// depending on the mode.
 package rbc
 
 import (
@@ -51,7 +58,6 @@ import (
 
 	"repro/internal/quorum"
 	"repro/internal/rscode"
-	"repro/internal/sim"
 	"repro/internal/types"
 )
 
@@ -87,7 +93,6 @@ func NewCoded(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Br
 		panic(fmt.Sprintf("rbc: coded mode unavailable for %d peers: %v", len(peers), err))
 	}
 	b.code = code
-	b.codedInsts = make(map[types.InstanceID]*codedInst)
 	return b
 }
 
@@ -119,41 +124,17 @@ type fragSet struct {
 	body     string
 }
 
-// codedInst is the coded counterpart of instance: the same once-only
-// echoed/readied/delivered latches and shared fan-out payloads, with
-// fragment sets and interned tally keys in place of body-keyed tallies.
-type codedInst struct {
-	echoed    bool
-	readied   bool
-	delivered bool
-	// readyQuorum and t0: the phase-mark latch and first-seen start mark,
-	// exactly as in the plain instance.
-	readyQuorum bool
-	t0          sim.Time
-
+// codedState is what a coded instance holds beyond the plain instance's
+// latches and tallies (whose bodies are tally keys here, one echo vote per
+// peer for its own fragment): the fragment and checksum fan-out payloads,
+// shared by every outgoing copy as in the plain instance, the interned tally
+// keys, and the fragment set of every key.
+type codedState struct {
 	echoPayload  types.RBCFragPayload
 	readyPayload types.RBCSumPayload
 
 	keys map[sumKey]string
 	sets map[string]*fragSet
-
-	echoes  []tally // keyed by tally key; one vote per peer (its own fragment)
-	readies []tally // keyed by tally key; one vote per peer
-}
-
-func (ci *codedInst) terminal() bool { return ci.echoed && ci.readied && ci.delivered }
-
-func (b *Broadcaster) cinst(id types.InstanceID) *codedInst {
-	ci, ok := b.codedInsts[id]
-	if !ok {
-		ci = &codedInst{
-			t0:   b.tele.Now(),
-			keys: make(map[sumKey]string),
-			sets: make(map[string]*fragSet),
-		}
-		b.codedInsts[id] = ci
-	}
-	return ci
 }
 
 // appendDisperse is the coded sender path: split the body, digest every
@@ -212,16 +193,16 @@ func (b *Broadcaster) fragValid(p *types.RBCFragPayload) bool {
 
 // internKey returns the 32-byte tally key SHA-256(uvarint(totalLen) ‖ sums),
 // computed once per (totalLen, sums) pair per instance.
-func (b *Broadcaster) internKey(ci *codedInst, totalLen int, sums string) string {
+func (b *Broadcaster) internKey(cs *codedState, totalLen int, sums string) string {
 	sk := sumKey{sums: sums, total: totalLen}
-	if k, ok := ci.keys[sk]; ok {
+	if k, ok := cs.keys[sk]; ok {
 		return k
 	}
 	b.scratch = binary.AppendUvarint(b.scratch[:0], uint64(totalLen))
 	b.scratch = append(b.scratch, sums...)
 	d := sha256.Sum256(b.scratch)
 	k := string(d[:])
-	ci.keys[sk] = k
+	cs.keys[sk] = k
 	return k
 }
 
@@ -238,26 +219,24 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 	if p == nil || b.code == nil {
 		return out, nil
 	}
-	if _, done := b.compacted[p.ID]; done {
+	in, c, ok := b.live(p.ID)
+	if !ok || !b.fragValid(p) {
 		return out, nil
 	}
-	if b.belowSeqFloor(p.ID) {
-		return out, nil
+	if in == nil {
+		in = b.newInstance(p.ID, c)
 	}
-	if !b.fragValid(p) {
-		return out, nil
-	}
-	ci := b.cinst(p.ID)
-	key := b.internKey(ci, p.TotalLen, p.Sums)
+	cs := in.coded
+	key := b.internKey(cs, p.TotalLen, p.Sums)
 
 	// Disperse rule: the instance's sender handed me my fragment — adopt it
 	// (first dispersal wins, like the first SEND) and echo it to everyone.
-	if myIdx := b.peerIndex(b.me); myIdx >= 0 && from == p.ID.Sender && p.Index == int(myIdx) && !ci.echoed {
-		ci.echoed = true
-		ci.echoPayload = types.RBCFragPayload{
+	if myIdx := b.peerIndex(b.me); myIdx >= 0 && from == p.ID.Sender && p.Index == int(myIdx) && !in.echoed {
+		in.echoed = true
+		cs.echoPayload = types.RBCFragPayload{
 			ID: p.ID, Index: p.Index, TotalLen: p.TotalLen, Sums: p.Sums, Frag: p.Frag,
 		}
-		out = types.AppendBroadcast(out, b.me, b.peers, &ci.echoPayload)
+		out = types.AppendBroadcast(out, b.me, b.peers, &cs.echoPayload)
 	}
 
 	// Echo-vote rule: a peer speaks only for its own shard slot. Store the
@@ -268,17 +247,17 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 	if pi < 0 || p.Index != int(pi) {
 		return out, nil
 	}
-	set, ok := ci.sets[key]
-	if !ok {
+	set := cs.sets[key]
+	if set == nil {
 		set = &fragSet{totalLen: p.TotalLen, sums: p.Sums, frags: make([]string, b.code.N())}
-		ci.sets[key] = set
+		cs.sets[key] = set
 	}
 	if set.frags[p.Index] == "" {
 		set.frags[p.Index] = p.Frag
 		set.have++
 	}
-	echoes := b.mark(&ci.echoes, key, pi)
-	return b.maybeCodedReadyAndDeliver(out, ci, p.ID, key, echoes, supporters(ci.readies, key))
+	echoes, readies := b.vote(in, key, pi, false)
+	return b.maybeReadyAndDeliver(out, in, p.ID, key, echoes, readies)
 }
 
 // HandleSum processes one incoming checksum-ready payload; see
@@ -293,49 +272,16 @@ func (b *Broadcaster) AppendHandleSum(out []types.Message, from types.ProcessID,
 	if p == nil || b.code == nil || len(p.Sum) != sumLen {
 		return out, nil
 	}
-	if _, done := b.compacted[p.ID]; done {
-		return out, nil
-	}
-	if b.belowSeqFloor(p.ID) {
-		return out, nil
-	}
+	in, c, ok := b.live(p.ID)
 	pi := b.peerIndex(from)
-	if pi < 0 {
+	if !ok || pi < 0 {
 		return out, nil
 	}
-	ci := b.cinst(p.ID)
-	readies := b.mark(&ci.readies, p.Sum, pi)
-	return b.maybeCodedReadyAndDeliver(out, ci, p.ID, p.Sum, supporters(ci.echoes, p.Sum), readies)
-}
-
-// maybeCodedReadyAndDeliver applies the threshold rules after any counter
-// change for key. The ready rule is Bracha's, verbatim; the deliver rule
-// additionally requires a successful decode — with 2f+1 READYs but fewer
-// than k fragments the instance simply waits (the fragments are on the wire;
-// see the totality argument in the package comment above).
-func (b *Broadcaster) maybeCodedReadyAndDeliver(out []types.Message, ci *codedInst, id types.InstanceID,
-	key string, echoes, readies int) ([]types.Message, []Delivery) {
-	if !ci.readied && (echoes >= b.spec.Echo() || readies >= b.spec.Adopt()) {
-		if echoes >= b.spec.Echo() {
-			b.tele.Observe(sim.PhaseRBCEchoQuorum, ci.t0)
-		}
-		ci.readied = true
-		ci.readyPayload = types.RBCSumPayload{ID: id, Sum: key}
-		out = types.AppendBroadcast(out, b.me, b.peers, &ci.readyPayload)
+	if in == nil {
+		in = b.newInstance(p.ID, c)
 	}
-	var deliveries []Delivery
-	if !ci.readyQuorum && readies >= b.spec.Decide() {
-		ci.readyQuorum = true
-		b.tele.Observe(sim.PhaseRBCReadyQuorum, ci.t0)
-	}
-	if !ci.delivered && readies >= b.spec.Decide() {
-		if body, ok := b.tryDecode(ci, key); ok {
-			ci.delivered = true
-			b.tele.Observe(sim.PhaseRBCDeliver, ci.t0)
-			deliveries = append(deliveries, Delivery{ID: id, Body: body})
-		}
-	}
-	return out, deliveries
+	echoes, readies := b.vote(in, p.Sum, pi, true)
+	return b.maybeReadyAndDeliver(out, in, p.ID, p.Sum, echoes, readies)
 }
 
 // tryDecode attempts to reconstruct the body for key from the stored
@@ -343,8 +289,8 @@ func (b *Broadcaster) maybeCodedReadyAndDeliver(out []types.Message, ci *codedIn
 // digest against the dispersal's Sums. Success caches the body; failure
 // poisons the key permanently — both verdicts are functions of the digest
 // vector alone, so every correct process reaches the same one.
-func (b *Broadcaster) tryDecode(ci *codedInst, key string) (string, bool) {
-	set := ci.sets[key]
+func (b *Broadcaster) tryDecode(cs *codedState, key string) (string, bool) {
+	set := cs.sets[key]
 	if set == nil || set.poisoned {
 		return "", false
 	}

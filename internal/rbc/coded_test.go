@@ -27,6 +27,14 @@ func newCodedCluster(t *testing.T, n, f int, correct []types.ProcessID) *cluster
 	return c
 }
 
+// codedAt returns the coded state of id's live instance at b, or nil.
+func codedAt(b *Broadcaster, id types.InstanceID) *codedState {
+	if in, _ := b.lookup(id); in != nil {
+		return in.coded
+	}
+	return nil
+}
+
 // pumpAll drains the queue routing every payload kind — plain RBC phases,
 // fragments, and checksum readies — so mixed-mode scenarios exercise the
 // silence contracts.
@@ -275,20 +283,20 @@ func TestCodedDuplicateFragmentsCountOnce(t *testing.T) {
 		target.HandleFrag(3, frag3)
 	}
 	id := types.InstanceID{Sender: 1, Tag: types.Tag{Seq: 1}}
-	ci := target.codedInsts[id]
+	ci := codedAt(target, id)
 	if ci == nil {
 		t.Fatal("no coded instance")
 	}
-	if len(ci.echoes) != 1 || ci.echoes[0].count != 1 {
-		t.Fatalf("duplicate echoes counted: %+v", ci.echoes)
+	if tallies := target.instances[id].tallies; len(tallies) != 1 || tallies[0].echoes != 1 {
+		t.Fatalf("duplicate echoes counted: %+v", tallies)
 	}
 	if got := ci.sets[target.internKey(ci, frag3.TotalLen, frag3.Sums)].have; got != 1 {
 		t.Fatalf("stored %d fragments, want 1", got)
 	}
 	// p4 echoing p3's fragment (an index not its own): no vote, no storage.
 	target.HandleFrag(4, frag3)
-	if ci.echoes[0].count != 1 {
-		t.Fatalf("foreign-index echo voted: %+v", ci.echoes)
+	if tallies := target.instances[id].tallies; tallies[0].echoes != 1 {
+		t.Fatalf("foreign-index echo voted: %+v", tallies)
 	}
 }
 
@@ -397,7 +405,7 @@ func TestCodedPoisonedKeyNeverDelivers(t *testing.T) {
 	target := c.correct[1]
 	target.HandleFrag(4, frags[3])
 	id := types.InstanceID{Sender: 4, Tag: types.Tag{Seq: 1}}
-	ci := target.codedInsts[id]
+	ci := codedAt(target, id)
 	if ci == nil {
 		t.Fatal("no instance state")
 	}
@@ -465,7 +473,7 @@ func TestCodedDecodeVerdictIndependentOfHeldSet(t *testing.T) {
 			_, ds := target.HandleFrag(peers[i], frags[i])
 			got = append(got, ds...)
 		}
-		ci := target.codedInsts[id]
+		ci := codedAt(target, id)
 		key := target.internKey(ci, frags[0].TotalLen, frags[0].Sums)
 		for _, from := range peers[:spec.Decide()] {
 			_, ds := target.HandleSum(from, &types.RBCSumPayload{ID: id, Sum: key})
@@ -552,10 +560,8 @@ func TestCodedReadyAmplificationTotality(t *testing.T) {
 		frags[p.Index] = p
 	}
 	id := types.InstanceID{Sender: 1, Tag: types.Tag{Seq: 1}}
-	ci := (*codedInst)(nil)
-	_ = ci
 	key := func() string {
-		c := straggler.cinst(id)
+		c := straggler.newInstance(id, nil).coded
 		return straggler.internKey(c, frags[0].TotalLen, frags[0].Sums)
 	}()
 

@@ -643,8 +643,15 @@ func TestBroadcasterMatchesOracle(t *testing.T) {
 // TestOracleCorpusCurrent: the checked-in seed corpus is the named cases'
 // bytes, so an edited case cannot leave a stale seed behind.
 func TestOracleCorpusCurrent(t *testing.T) {
-	for name, data := range oracleCases() {
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzBroadcasterMatchesOracle", name))
+	checkCorpus(t, "FuzzBroadcasterMatchesOracle", oracleCases())
+}
+
+// checkCorpus fails for every named case whose file in fuzz's checked-in
+// seed corpus is not the case's bytes, printing what to rewrite it as.
+func checkCorpus(t *testing.T, fuzz string, cases map[string][]byte) {
+	t.Helper()
+	for name, data := range cases {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", fuzz, name))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,16 +46,22 @@
 //
 // # Instance table
 //
-// A consensus instance's step messages are one broadcast per (round, step,
-// sender), and every one of them costs ~2n echo and ready messages at each
-// process, so the lookup those messages pay is the hot path. Round-tagged
-// instances of the owner's consensus instance therefore live in a window: a
-// slice of instance pointers indexed by (round, step, sender's peer index)
-// over windowRounds rounds starting at the PruneBelow floor. Which
-// consensus instance the window serves is fixed by this process's own first
-// round-tagged broadcast, never by received traffic. Everything else — other
+// One table serves both dissemination modes: a plain instance and a coded
+// one (coded.go) are the same instance type, with the coded-only state —
+// fragment sets, interned tally keys, fragment and checksum fan-out payloads
+// — behind one pointer, so lookup, compaction, pruning and dropping have one
+// code path. A consensus instance's step messages are one broadcast per
+// (round, step, sender), and every one of them costs ~2n echo and ready
+// messages at each process, so the lookup those messages pay is the hot
+// path. Round-tagged plain instances of the owner's consensus instance
+// therefore live in a window: a slice of instance pointers indexed by
+// (round, step, sender's peer index) over windowRounds rounds starting at
+// the PruneBelow floor. Which consensus instance the window serves is fixed
+// by this process's own first round-tagged broadcast, never by received
+// traffic; a coded broadcaster never opens one. Everything else — other
 // instances' Seqs, senders that are not peers, rounds past the window, the
-// roundless namespace — lives in an overflow map keyed by InstanceID.
+// roundless namespace, every coded instance — lives in an overflow map
+// keyed by InstanceID.
 // PruneBelow slides the window: a terminal instance below the new floor
 // becomes a delivered record, as above; a non-terminal one moves to the
 // overflow map and stays live there; overflow instances the new span covers
@@ -65,6 +71,7 @@ package rbc
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/quorum"
 	"repro/internal/rscode"
@@ -90,12 +97,12 @@ type Broadcaster struct {
 	peers []types.ProcessID
 	spec  quorum.Spec
 	// win is the instance window (see "Instance table" in the package doc):
-	// the live plain instance of (round, step, sender) of consensus instance
+	// the live instance of (round, step, sender) of consensus instance
 	// winSeq sits at cell windowCell, for winBase <= round < winBase +
 	// windowRounds; winLive counts the non-nil cells. win stays nil until
 	// this process's first round-tagged broadcast fixes winSeq, and in coded
-	// mode. instances is the overflow map for every live plain instance the
-	// window cannot hold.
+	// mode. instances is the overflow map for every live instance the window
+	// cannot hold.
 	win       []*instance
 	winSeq    int
 	winBase   int
@@ -121,12 +128,11 @@ type Broadcaster struct {
 	seqFloor int
 	// code switches the broadcaster into AVID-style coded dissemination when
 	// non-nil (see coded.go and NewCoded): broadcasts disperse Reed–Solomon
-	// fragments instead of full bodies, and instance state lives in
-	// codedInsts. The plain and coded modes are mutually silent: a coded
+	// fragments instead of full bodies, and every instance carries coded
+	// state. The plain and coded modes are mutually silent: a coded
 	// broadcaster ignores plain RBC phases and vice versa, so a mixed-mode
-	// peer cannot inject state into either engine.
-	code       *rscode.Code
-	codedInsts map[types.InstanceID]*codedInst
+	// peer cannot inject state into either mode.
+	code *rscode.Code
 	// scratch is the reusable hashing buffer of the coded path (fragment
 	// digest checks, tally-key derivation): zero steady-state allocation.
 	scratch []byte
@@ -201,25 +207,29 @@ func (b *Broadcaster) peerIndex(p types.ProcessID) int32 {
 	return -1
 }
 
-// tally counts the distinct peers supporting one body of one instance: a
-// bitset over peer indices plus the popcount. Counting a vote is a bit
-// test, not a map operation.
+// tally counts the distinct peers supporting one body of one instance, as an
+// echo and as a ready: seen is two bitsets over peer indices, the echo
+// words then the ready words, and echoes/readies are their popcounts.
+// Counting a vote is a bit test, not a map operation. In coded mode the body
+// is the dispersal's tally key (see coded.go).
 type tally struct {
-	body  string
-	seen  []uint64
-	count int
+	body            string
+	seen            []uint64
+	echoes, readies int
 }
 
-// instance is the per-(sender, tag) state. The echo and ready tallies are
-// small slices scanned linearly by body: a correct sender yields exactly
-// one body, an equivocating sender a handful, and each distinct body costs
-// its attacker an RBC-phase message per appearance anyway.
+// instance is the per-(sender, tag) state. The tallies are a small slice
+// scanned linearly by body: a correct sender yields exactly one body, an
+// equivocating sender a handful, and each distinct body costs its attacker
+// an RBC-phase message per appearance anyway.
 //
-// The instance embeds this process's own ECHO and READY fan-out payloads:
-// each is written at most once (guarded by echoed/readied) and then shared,
-// immutable, by every outgoing copy of the broadcast, so the fan-out reuses
-// one payload allocated with the instance instead of constructing a fresh
-// one — the last per-payload allocation on the echo/ready path.
+// A plain instance embeds this process's own ECHO and READY fan-out
+// payloads: each is written at most once (guarded by echoed/readied) and
+// then shared, immutable, by every outgoing copy of the broadcast, so the
+// fan-out reuses one payload allocated with the instance instead of
+// constructing a fresh one — the last per-payload allocation on the
+// echo/ready path. A coded instance keeps its fan-out payloads, with the
+// rest of its coded-only state, behind coded (nil in plain mode).
 type instance struct {
 	echoed    bool // this process echoed a body (at most one, ever)
 	readied   bool // this process sent READY for a body (at most one)
@@ -233,8 +243,8 @@ type instance struct {
 	echoPayload  types.RBCPayload
 	readyPayload types.RBCPayload
 
-	echoes  []tally
-	readies []tally
+	tallies []tally
+	coded   *codedState
 }
 
 // terminal reports whether the instance can never emit again: it echoed,
@@ -264,9 +274,9 @@ func (b *Broadcaster) windowCell(round int, s types.Step, pi int) int {
 	return ((round%windowRounds)*3+int(s)-1)*len(b.peers) + pi
 }
 
-// lookup returns id's live plain instance (nil if none) and its window cell
-// (nil if the window cannot hold id, in which case it lives in the overflow
-// map if anywhere).
+// lookup returns id's live instance (nil if none) and its window cell (nil
+// if the window cannot hold id, in which case it lives in the overflow map
+// if anywhere).
 func (b *Broadcaster) lookup(id types.InstanceID) (*instance, **instance) {
 	if c := b.cell(id); c != nil {
 		return *c, c
@@ -274,10 +284,37 @@ func (b *Broadcaster) lookup(id types.InstanceID) (*instance, **instance) {
 	return b.instances[id], nil
 }
 
+// live is the preamble of every handler: it returns id's live instance (nil
+// if none yet) and window cell, or ok = false if traffic for id must be
+// silent. The live instance comes first — a window hit is one slice index.
+// Only on a miss can the instance be compacted, and compacted instances
+// answer every late message with silence, exactly what their retained
+// terminal state would have produced (see the pruning contract): no echo
+// (echoed), no READY (readied), no delivery (delivered). No allocation, no
+// regrowth. The same silence covers instances below the drop watermark,
+// whose records are gone entirely.
+func (b *Broadcaster) live(id types.InstanceID) (in *instance, c **instance, ok bool) {
+	if c = b.cell(id); c != nil {
+		in = *c
+	}
+	if in == nil {
+		if _, done := b.compacted[id]; done || b.belowSeqFloor(id) {
+			return nil, nil, false
+		}
+		if c == nil {
+			in = b.instances[id]
+		}
+	}
+	return in, c, true
+}
+
 // newInstance creates id's live instance in window cell c, or in the
-// overflow map when c is nil.
+// overflow map when c is nil; in coded mode it carries coded state.
 func (b *Broadcaster) newInstance(id types.InstanceID, c **instance) *instance {
 	in := &instance{t0: b.tele.Now()}
+	if b.code != nil {
+		in.coded = &codedState{keys: make(map[sumKey]string), sets: make(map[string]*fragSet)}
+	}
 	if c != nil {
 		*c = in
 		b.winLive++
@@ -309,36 +346,30 @@ func (b *Broadcaster) enter(id types.InstanceID, in *instance) {
 	}
 }
 
-// mark records peer index pi as supporting body in the given tally list and
-// returns the body's updated supporter count.
-func (b *Broadcaster) mark(list *[]tally, body string, pi int32) int {
+// vote records peer index pi as supporting body in in's tallies — as a
+// READY if ready, else as an ECHO — and returns body's updated echo and
+// ready supporter counts.
+func (b *Broadcaster) vote(in *instance, body string, pi int32, ready bool) (echoes, readies int) {
 	var t *tally
-	for i := range *list {
-		if (*list)[i].body == body {
-			t = &(*list)[i]
+	for i := range in.tallies {
+		if in.tallies[i].body == body {
+			t = &in.tallies[i]
 			break
 		}
 	}
 	if t == nil {
-		*list = append(*list, tally{body: body, seen: make([]uint64, b.words)})
-		t = &(*list)[len(*list)-1]
+		in.tallies = append(in.tallies, tally{body: body, seen: make([]uint64, 2*b.words)})
+		t = &in.tallies[len(in.tallies)-1]
 	}
-	w, bit := pi>>6, uint64(1)<<(pi&63)
+	w, bit, count := int(pi>>6), uint64(1)<<(pi&63), &t.echoes
+	if ready {
+		w, count = w+b.words, &t.readies
+	}
 	if t.seen[w]&bit == 0 {
 		t.seen[w] |= bit
-		t.count++
+		*count++
 	}
-	return t.count
-}
-
-// supporters returns the current supporter count for body (0 if unseen).
-func supporters(list []tally, body string) int {
-	for i := range list {
-		if list[i].body == body {
-			return list[i].count
-		}
-	}
-	return 0
+	return t.echoes, t.readies
 }
 
 // Broadcast starts an instance with this process as sender: it emits the
@@ -386,25 +417,9 @@ func (b *Broadcaster) AppendHandle(out []types.Message, from types.ProcessID, p 
 		// AppendHandleSum), so a mixed-mode peer cannot vote here.
 		return out, nil
 	}
-	// The live instance first: a window hit is one slice index. Only on a
-	// miss can the instance be compacted — and compacted instances answer
-	// every late message with silence, exactly what their retained terminal
-	// state would have produced (see the pruning contract): no SEND reaction
-	// (echoed), no READY (readied), no delivery (delivered). No allocation,
-	// no regrowth. The same silence covers instances below a checkpoint drop
-	// watermark, whose records are gone entirely.
-	c := b.cell(p.ID)
-	var in *instance
-	if c != nil {
-		in = *c
-	}
-	if in == nil {
-		if _, done := b.compacted[p.ID]; done || b.belowSeqFloor(p.ID) {
-			return out, nil
-		}
-		if c == nil {
-			in = b.instances[p.ID]
-		}
+	in, c, ok := b.live(p.ID)
+	if !ok {
+		return out, nil
 	}
 	switch p.Phase {
 	case types.KindRBCSend:
@@ -425,12 +440,8 @@ func (b *Broadcaster) AppendHandle(out []types.Message, from types.ProcessID, p 
 		if in == nil {
 			in = b.newInstance(p.ID, c)
 		}
-		if p.Phase == types.KindRBCEcho {
-			echoes := b.mark(&in.echoes, p.Body, pi)
-			return b.maybeReadyAndDeliver(out, in, p.ID, p.Body, echoes, supporters(in.readies, p.Body))
-		}
-		readies := b.mark(&in.readies, p.Body, pi)
-		return b.maybeReadyAndDeliver(out, in, p.ID, p.Body, supporters(in.echoes, p.Body), readies)
+		echoes, readies := b.vote(in, p.Body, pi, p.Phase == types.KindRBCReady)
+		return b.maybeReadyAndDeliver(out, in, p.ID, p.Body, echoes, readies)
 	default:
 		return out, nil
 	}
@@ -446,7 +457,12 @@ func (b *Broadcaster) onSend(out []types.Message, in *instance, p *types.RBCPayl
 }
 
 // maybeReadyAndDeliver applies the two threshold rules for body after any
-// counter change, given body's current echo and ready supporter counts.
+// counter change, given body's current echo and ready supporter counts. The
+// rules are Bracha's in both modes; only the READY payload and a decode gate
+// depend on the mode. A coded instance readies with the 32-byte tally key
+// and delivers only once the key's fragments decode (see tryDecode): with
+// 2f+1 READYs but fewer than k fragments it simply waits, the fragments
+// being on the wire (see the totality argument in coded.go).
 func (b *Broadcaster) maybeReadyAndDeliver(out []types.Message, in *instance, id types.InstanceID,
 	body string, echoes, readies int) ([]types.Message, []Delivery) {
 	if !in.readied && (echoes >= b.spec.Echo() || readies >= b.spec.Adopt()) {
@@ -457,8 +473,14 @@ func (b *Broadcaster) maybeReadyAndDeliver(out []types.Message, in *instance, id
 			b.tele.Observe(sim.PhaseRBCEchoQuorum, in.t0)
 		}
 		in.readied = true
-		in.readyPayload = types.RBCPayload{Phase: types.KindRBCReady, ID: id, Body: body}
-		out = types.AppendBroadcast(out, b.me, b.peers, &in.readyPayload)
+		var ready types.Payload = &in.readyPayload
+		if cs := in.coded; cs != nil {
+			cs.readyPayload = types.RBCSumPayload{ID: id, Sum: body}
+			ready = &cs.readyPayload
+		} else {
+			in.readyPayload = types.RBCPayload{Phase: types.KindRBCReady, ID: id, Body: body}
+		}
+		out = types.AppendBroadcast(out, b.me, b.peers, ready)
 	}
 	var deliveries []Delivery
 	if !in.readyQuorum && readies >= b.spec.Decide() {
@@ -466,6 +488,12 @@ func (b *Broadcaster) maybeReadyAndDeliver(out []types.Message, in *instance, id
 		b.tele.Observe(sim.PhaseRBCReadyQuorum, in.t0)
 	}
 	if !in.delivered && readies >= b.spec.Decide() {
+		if in.coded != nil {
+			var ok bool
+			if body, ok = b.tryDecode(in.coded, body); !ok {
+				return out, nil
+			}
+		}
 		in.delivered = true
 		b.tele.Observe(sim.PhaseRBCDeliver, in.t0)
 		deliveries = append(deliveries, Delivery{ID: id, Body: body})
@@ -480,11 +508,8 @@ func (b *Broadcaster) Delivered(id types.InstanceID) bool {
 	if in, _ := b.lookup(id); in != nil && in.delivered {
 		return true
 	}
-	if _, done := b.compacted[id]; done {
-		return true
-	}
-	ci, ok := b.codedInsts[id]
-	return ok && ci.delivered
+	_, done := b.compacted[id]
+	return done
 }
 
 // Compact releases one instance's tallies and payloads if it is terminal
@@ -495,11 +520,6 @@ func (b *Broadcaster) Delivered(id types.InstanceID) bool {
 func (b *Broadcaster) Compact(id types.InstanceID) bool {
 	if in, c := b.lookup(id); in != nil && in.terminal() {
 		b.release(id, c)
-		return true
-	}
-	if ci, ok := b.codedInsts[id]; ok && ci.terminal() {
-		b.compacted[id] = struct{}{}
-		delete(b.codedInsts, id)
 		return true
 	}
 	return false
@@ -526,14 +546,6 @@ func (b *Broadcaster) PruneBelow(round int) int {
 			continue
 		}
 		b.release(id, nil)
-		released++
-	}
-	for id, ci := range b.codedInsts {
-		if id.Tag.Round == 0 || id.Tag.Round >= round || !ci.terminal() {
-			continue
-		}
-		b.compacted[id] = struct{}{}
-		delete(b.codedInsts, id)
 		released++
 	}
 	return released
@@ -582,7 +594,7 @@ func (b *Broadcaster) slide(round int) int {
 // Under an owner that prunes, this stays bounded by the retained rounds (plus
 // any non-terminal stragglers); Byzantine processes can create instances
 // freely, so memory pressure is observable here.
-func (b *Broadcaster) Instances() int { return b.winLive + len(b.instances) + len(b.codedInsts) }
+func (b *Broadcaster) Instances() int { return b.winLive + len(b.instances) }
 
 // Compacted returns how many instances have been released to delivered
 // records (diagnostics; each record costs a map entry, not tallies and
@@ -620,26 +632,11 @@ func (b *Broadcaster) DropSeqBelow(seq int) int {
 		return 0
 	}
 	b.seqFloor = seq
-	dropped := 0
-	for id := range b.instances {
-		if b.belowSeqFloor(id) {
-			delete(b.instances, id)
-			dropped++
-		}
-	}
-	for id := range b.codedInsts {
-		if b.belowSeqFloor(id) {
-			delete(b.codedInsts, id)
-			dropped++
-		}
-	}
-	for id := range b.compacted {
-		if b.belowSeqFloor(id) {
-			delete(b.compacted, id)
-			dropped++
-		}
-	}
-	return dropped
+	// The window holds only round-tagged instances, which no drop covers.
+	before := len(b.instances) + len(b.compacted)
+	maps.DeleteFunc(b.instances, func(id types.InstanceID, _ *instance) bool { return b.belowSeqFloor(id) })
+	maps.DeleteFunc(b.compacted, func(id types.InstanceID, _ struct{}) bool { return b.belowSeqFloor(id) })
+	return before - len(b.instances) - len(b.compacted)
 }
 
 func (b *Broadcaster) belowSeqFloor(id types.InstanceID) bool {

@@ -128,9 +128,7 @@ func RunThroughput(cfg ThroughputConfig) ([]*ThroughputPoint, error) {
 		}
 	}
 
-	points := make([]*ThroughputPoint, len(grid))
-	err := parallelFor(len(grid), cfg.Workers, func(i int) error {
-		g := grid[i]
+	return Sweep(grid, cfg.Workers, func(g gridPoint) (*ThroughputPoint, error) {
 		slots := (cfg.Entries + g.batch - 1) / g.batch
 		// Preload full batches: each rotation member proposes at most
 		// ceil(slots/n) turns, each consuming up to batch commands, so this
@@ -151,9 +149,9 @@ func RunThroughput(cfg ThroughputConfig) ([]*ThroughputPoint, error) {
 			Seed:            cfg.Seed,
 		})
 		if err != nil {
-			return fmt.Errorf("throughput point batch=%d depth=%d: %w", g.batch, g.depth, err)
+			return nil, fmt.Errorf("throughput point batch=%d depth=%d: %w", g.batch, g.depth, err)
 		}
-		points[i] = &ThroughputPoint{
+		return &ThroughputPoint{
 			Batch: g.batch, Depth: g.depth,
 			Slots:             slots,
 			Entries:           res.Entries,
@@ -167,11 +165,6 @@ func RunThroughput(cfg ThroughputConfig) ([]*ThroughputPoint, error) {
 			SubmitDropped:     res.SubmitDropped,
 			DuplicateCommands: res.DuplicateCommands,
 			Exhausted:         res.Exhausted,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
 }

@@ -72,6 +72,7 @@ package smr
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/ckpt"
@@ -944,11 +945,7 @@ func (r *Replica) afterCertified(out []types.Message, cert ckpt.Certificate) []t
 	if start, ok := r.voteAt[cert.Slot]; ok {
 		r.cfg.Telemetry.Observe(sim.PhaseCkptCertify, start)
 	}
-	for s := range r.voteAt {
-		if s <= cert.Slot {
-			delete(r.voteAt, s)
-		}
-	}
+	maps.DeleteFunc(r.voteAt, func(s int, _ sim.Time) bool { return s <= cert.Slot })
 	floor := cert.Slot
 	if floor > r.slot {
 		floor = r.slot
@@ -1044,31 +1041,15 @@ func (r *Replica) install(out []types.Message, cert ckpt.Certificate, snapshot s
 	r.base = cert.Slot
 	r.log = r.log[:0]
 	r.logDigest = cert.LogDigest
-	for s := range r.cands {
-		if s < r.slot {
-			delete(r.cands, s)
-		}
-	}
-	for s := range r.waiting {
-		if s < r.slot {
-			delete(r.waiting, s)
-		}
-	}
-	for inst := range r.pending {
-		if inst <= r.slot {
-			delete(r.pending, inst) // binary instance s+1 serves slot s
-		}
-	}
+	maps.DeleteFunc(r.cands, func(s int, _ string) bool { return s < r.slot })
+	maps.DeleteFunc(r.waiting, func(s int, _ bool) bool { return s < r.slot })
+	maps.DeleteFunc(r.pending, func(inst int, _ []types.Message) bool { return inst <= r.slot }) // binary instance s+1 serves slot s
 	r.values.DropSeqBelow(dissemNS + r.slot)
 	r.tracker.Adopt(cert, snapshot)
 	// A fresh catch-up epoch: the responders marked bad were judged against
 	// the previous cut, and the installed snapshot is the new recovery point.
 	clear(r.reqBad)
-	for k := range r.restoreSuffix {
-		if k.slot < r.slot {
-			delete(r.restoreSuffix, k) // these slots will never re-commit here
-		}
-	}
+	maps.DeleteFunc(r.restoreSuffix, func(k suffixKey, _ ckpt.LogEntry) bool { return k.slot < r.slot }) // these slots will never re-commit here
 	r.persist()
 	if r.cfg.OnCertified != nil {
 		r.cfg.OnCertified(r.slot)

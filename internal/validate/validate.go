@@ -48,6 +48,7 @@
 package validate
 
 import (
+	"maps"
 	"repro/internal/quorum"
 	"repro/internal/types"
 )
@@ -197,11 +198,7 @@ func (v *Validator) PruneBelow(r int) {
 		return
 	}
 	v.floor = r
-	for k := range v.seen {
-		if k.round < r {
-			delete(v.seen, k)
-		}
-	}
+	maps.DeleteFunc(v.seen, func(k slotKey, _ bool) bool { return k.round < r })
 }
 
 // drain runs the fixpoint: move pending messages whose predicate fires into
