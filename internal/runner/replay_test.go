@@ -121,6 +121,27 @@ func replayConfigs() map[string]Config {
 			Sched:  SchedParams{TargetLag: 480},
 			Inputs: InputRandom, Seed: 55,
 		},
+		// The DECIDE gadget under attack and switched off: f forgers each
+		// broadcast one DECIDE at start (below the f+1 relay threshold), in
+		// both protocols, and one ablation run that decides without halting.
+		"bracha/common/uniform/decide-forger": {
+			N: 7, F: 2, Byzantine: -1,
+			Protocol: ProtocolBracha, Coin: CoinCommon,
+			Adversary: AdvDecideForger, Scheduler: SchedUniform,
+			Inputs: InputSplit, Seed: 56,
+		},
+		"benor/local/uniform/decide-forger": {
+			N: 6, F: 1, Byzantine: -1,
+			Protocol: ProtocolBenOr, Coin: CoinLocal,
+			Adversary: AdvDecideForger, Scheduler: SchedUniform,
+			Inputs: InputSplit, Seed: 57, MaxRounds: 60, MaxDeliveries: 400_000,
+		},
+		"bracha/common/uniform/no-gadget": {
+			N: 7, F: 2, Byzantine: -1,
+			Protocol: ProtocolBracha, Coin: CoinCommon,
+			Adversary: AdvSilent, Scheduler: SchedUniform,
+			Inputs: InputSplit, Seed: 58, DisableDecideGadget: true,
+		},
 	}
 }
 
@@ -168,6 +189,12 @@ var goldenTraceHashes = map[string]string{
 	"bracha/common/topology/equivocator":   "18a4a88abc7e4118799e4e06f513ca4e5201a139375ab90598d36d0bc76a4d72",
 	"bracha/local/adaptive/silent":         "52cbccc047a609799efb18a0e70d83c9b1eaffab314d54373d84f51fd334c737",
 	"bracha/common/adaptive-rush/liar":     "9611366db9f6d666fc92c0bcad96473825f1bfac3fac50a68c6bd9efc2fa2370",
+
+	// Recorded before the DECIDE gadget was shared between core and
+	// baseline: the gadget under forged votes in both protocols, and off.
+	"bracha/common/uniform/decide-forger": "bd4be0ededab3f18e4c51343aba6619573c679b3daa3eb30117b679c8daff9e5",
+	"benor/local/uniform/decide-forger":   "1749e06e106bc77f2834bfd96bd75401dff7e88d90bd5e5c36e7e05829953d37",
+	"bracha/common/uniform/no-gadget":     "83f98e9c14a8eb17316e2fa379d575c500a93364572086634bda380370b83b4f",
 }
 
 // TestReplayEqualityGolden proves the zero-allocation rewrite preserved
