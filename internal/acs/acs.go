@@ -103,17 +103,16 @@ type Node struct {
 
 	// The embedded recycled output buffer (see sim.OutBuffer): the
 	// simulator hands consumed slices back and every delivery appends into
-	// the same backing array. The inner consensus nodes recycle the same
-	// way — their emissions are copied into out and the slices returned to
-	// them (deliverBin) — so a steady-state ACS delivery allocates nothing
-	// at any layer.
+	// the same backing array. The inner consensus nodes append their
+	// emissions straight into it (core.Node.AppendDeliver), so a
+	// steady-state ACS delivery allocates nothing at any layer.
 	sim.OutBuffer
 }
 
 // Config errors.
 var (
 	ErrNoCoinFactory = errors.New("acs: config requires NewCoin")
-	ErrBadPeers      = errors.New("acs: peers must include me and match spec size")
+	ErrBadPeers      = quorum.ErrBadPeers
 )
 
 // New creates an ACS node.
@@ -121,18 +120,11 @@ func New(cfg Config) (*Node, error) {
 	if cfg.NewCoin == nil {
 		return nil, ErrNoCoinFactory
 	}
-	if len(cfg.Peers) != cfg.Spec.N() || len(cfg.Peers) >= valueNS {
-		return nil, fmt.Errorf("%w: %d peers for %v", ErrBadPeers, len(cfg.Peers), cfg.Spec)
+	if err := cfg.Spec.CheckPeers(cfg.Me, cfg.Peers); err != nil {
+		return nil, err
 	}
-	found := false
-	for _, p := range cfg.Peers {
-		if p == cfg.Me {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("%w: %v not in peers", ErrBadPeers, cfg.Me)
+	if len(cfg.Peers) >= valueNS {
+		return nil, fmt.Errorf("%w: %d peers overflow the instance namespace", ErrBadPeers, len(cfg.Peers))
 	}
 	n := cfg.Spec.N()
 	newRBC := rbc.New
@@ -213,7 +205,7 @@ func (n *Node) Deliver(m types.Message) []types.Message {
 		// every open instance — the right one accepts, the rest reject.
 		for idx := 1; idx <= n.spec.N(); idx++ {
 			if bin := n.bins[idx]; bin != nil {
-				out = n.deliverBin(out, bin, m)
+				out = bin.AppendDeliver(out, m)
 			}
 		}
 	case trafficBinary:
@@ -221,7 +213,7 @@ func (n *Node) Deliver(m types.Message) []types.Message {
 		case inst < 1 || inst > n.spec.N():
 			// Not a plausible instance; ignore.
 		case n.bins[inst] != nil:
-			out = n.deliverBin(out, n.bins[inst], m)
+			out = n.bins[inst].AppendDeliver(out, m)
 		case !n.voted[inst]:
 			// Traffic for an instance this node has no opinion in yet:
 			// buffer until an input arrives (vote 1) or the 0-voting phase
@@ -230,17 +222,6 @@ func (n *Node) Deliver(m types.Message) []types.Message {
 		}
 	}
 	return n.harvest(out)
-}
-
-// deliverBin feeds one message to a binary instance, copies its emissions
-// into out, and hands the instance's slice straight back for reuse — the
-// inner nodes' zero-allocation loop, with this Node playing the simulator's
-// recycling role.
-func (n *Node) deliverBin(out []types.Message, bin *core.Node, m types.Message) []types.Message {
-	msgs := bin.Deliver(m)
-	out = append(out, msgs...)
-	bin.Recycle(msgs)
-	return out
 }
 
 // Output returns the agreed subset once available: proposals of every
@@ -312,11 +293,9 @@ func (n *Node) vote(out []types.Message, idx int, v types.Value) []types.Message
 		panic(fmt.Sprintf("acs: starting BA_%d: %v", idx, err))
 	}
 	n.bins[idx] = bin
-	msgs := bin.Start()
-	out = append(out, msgs...)
-	bin.Recycle(msgs)
+	out = bin.AppendStart(out)
 	for _, m := range n.pending[idx] {
-		out = n.deliverBin(out, bin, m)
+		out = bin.AppendDeliver(out, m)
 	}
 	n.pending[idx] = nil
 	return out

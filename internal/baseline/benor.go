@@ -16,9 +16,9 @@
 //	         else if at least f+1 are D(v): x ← v;
 //	         else: x ← coin flip.
 //
-// Like Bracha's protocol (and like this repository's core package), deciding
-// does not halt; the same DECIDE-amplification gadget is reused for halting
-// so that latency comparisons between the two protocols are fair.
+// Like Bracha's protocol, deciding does not halt. The node embeds core's
+// DECIDE-amplification gadget (core.DecideGadget), the one the Bracha engine
+// halts through, so latency comparisons between the two protocols are fair.
 package baseline
 
 import (
@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"repro/internal/coin"
+	"repro/internal/core"
 	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -80,13 +81,9 @@ type Node struct {
 	waitingCoin bool
 	stalled     bool
 
-	decided      bool
-	decision     types.Value
-	decidedRound int
-
-	sentDecide  bool
-	decideVotes map[types.ProcessID]types.Value
-	halted      bool
+	// The decision and its DECIDE amplification, shared with core; it
+	// supplies Decided, DecidedRound and Done.
+	core.DecideGadget
 
 	// The embedded recycled output buffer (see sim.OutBuffer), as in core.
 	sim.OutBuffer
@@ -117,7 +114,7 @@ type slotState struct {
 // Config validation errors.
 var (
 	ErrNoCoin   = errors.New("baseline: config requires a coin")
-	ErrBadPeers = errors.New("baseline: peers must include me and match spec size")
+	ErrBadPeers = quorum.ErrBadPeers
 )
 
 // New creates a Ben-Or node.
@@ -125,18 +122,8 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Coin == nil {
 		return nil, ErrNoCoin
 	}
-	if len(cfg.Peers) != cfg.Spec.N() {
-		return nil, fmt.Errorf("%w: %d peers for %v", ErrBadPeers, len(cfg.Peers), cfg.Spec)
-	}
-	found := false
-	for _, p := range cfg.Peers {
-		if p == cfg.Me {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("%w: %v not in peers", ErrBadPeers, cfg.Me)
+	if err := cfg.Spec.CheckPeers(cfg.Me, cfg.Peers); err != nil {
+		return nil, err
 	}
 	if !cfg.Proposal.Valid() {
 		return nil, fmt.Errorf("baseline: invalid proposal %d", cfg.Proposal)
@@ -151,13 +138,15 @@ func New(cfg Config) (*Node, error) {
 		}
 	}
 	return &Node{
-		cfg:         cfg,
-		spec:        cfg.Spec,
-		value:       cfg.Proposal,
-		got:         make(map[slot]*slotState),
-		peerIdx:     idx,
-		words:       (len(cfg.Peers) + 63) / 64,
-		decideVotes: make(map[types.ProcessID]types.Value),
+		cfg:     cfg,
+		spec:    cfg.Spec,
+		value:   cfg.Proposal,
+		got:     make(map[slot]*slotState),
+		peerIdx: idx,
+		words:   (len(cfg.Peers) + 63) / 64,
+		// Instance 0, and no telemetry sink: the round entry time handed to
+		// Decide and Vote is never read.
+		DecideGadget: core.NewDecideGadget(cfg.Me, cfg.Peers, cfg.Spec, 0, cfg.DisableDecideGadget, cfg.Recorder, nil),
 	}, nil
 }
 
@@ -169,15 +158,12 @@ var (
 // ID implements sim.Node.
 func (n *Node) ID() types.ProcessID { return n.cfg.Me }
 
-// Done implements sim.Node.
-func (n *Node) Done() bool { return n.halted }
-
 // Start implements sim.Node.
 func (n *Node) Start() []types.Message { return n.enterRound(n.Take(), 1) }
 
 // Deliver implements sim.Node.
 func (n *Node) Deliver(m types.Message) []types.Message {
-	if n.halted {
+	if n.Done() {
 		return nil
 	}
 	switch p := m.Payload.(type) {
@@ -188,17 +174,11 @@ func (n *Node) Deliver(m types.Message) []types.Message {
 		n.cfg.Coin.HandleShare(m.From, p)
 		return n.advance(n.Take())
 	case *types.DecidePayload:
-		return n.onDecideVote(n.Take(), m.From, p)
+		return n.Vote(n.Take(), m.From, p, n.round, 0)
 	default:
 		return nil
 	}
 }
-
-// Decided reports whether the node decided and what.
-func (n *Node) Decided() (types.Value, bool) { return n.decision, n.decided }
-
-// DecidedRound returns the round of decision (0 if undecided).
-func (n *Node) DecidedRound() int { return n.decidedRound }
 
 // Round returns the current round.
 func (n *Node) Round() int { return n.round }
@@ -248,7 +228,7 @@ func (n *Node) onPlain(from types.ProcessID, p *types.PlainPayload) {
 // advance applies transitions until blocked, appending emitted messages to
 // out.
 func (n *Node) advance(out []types.Message) []types.Message {
-	for !n.halted && !n.stalled {
+	for !n.Done() && !n.stalled {
 		if n.waitingCoin {
 			s, ok := n.cfg.Coin.Value(n.round)
 			if !ok {
@@ -312,7 +292,7 @@ func (n *Node) finishPhase2(out []types.Message, window []*types.PlainPayload) [
 	out = append(out, n.cfg.Coin.Release(n.round)...)
 	switch {
 	case dCount[v] >= n.spec.HonestSuperMajority():
-		out = n.decide(out, v)
+		out = n.Decide(out, v, n.round, 0)
 		n.value = v
 		out = n.enterRound(out, n.round+1)
 	case dCount[v] >= n.spec.Adopt():
@@ -336,50 +316,6 @@ func (n *Node) enterRound(out []types.Message, r int) []types.Message {
 	n.record(trace.Event{Kind: trace.KindRound, P: n.cfg.Me, Round: r})
 	msg := &types.PlainPayload{Round: r, Step: types.Step1, V: n.value}
 	return types.AppendBroadcast(out, n.cfg.Me, n.cfg.Peers, msg)
-}
-
-func (n *Node) decide(out []types.Message, v types.Value) []types.Message {
-	if !n.decided {
-		n.decided = true
-		n.decision = v
-		n.decidedRound = n.round
-		n.record(trace.Event{Kind: trace.KindDecide, P: n.cfg.Me, Round: n.round, V: v})
-	}
-	if n.cfg.DisableDecideGadget || n.sentDecide {
-		return out
-	}
-	n.sentDecide = true
-	return types.AppendBroadcast(out, n.cfg.Me, n.cfg.Peers, &types.DecidePayload{V: v})
-}
-
-func (n *Node) onDecideVote(out []types.Message, from types.ProcessID, p *types.DecidePayload) []types.Message {
-	if p == nil || !p.V.Valid() {
-		return out
-	}
-	if _, dup := n.decideVotes[from]; dup {
-		return out
-	}
-	n.decideVotes[from] = p.V
-	var count [2]int
-	for _, v := range n.decideVotes {
-		count[v]++
-	}
-	v := p.V
-	if count[v] >= n.spec.Adopt() && !n.sentDecide && !n.cfg.DisableDecideGadget {
-		n.sentDecide = true
-		out = types.AppendBroadcast(out, n.cfg.Me, n.cfg.Peers, &types.DecidePayload{V: v})
-	}
-	if count[v] >= n.spec.Decide() {
-		if !n.decided {
-			n.decided = true
-			n.decision = v
-			n.decidedRound = n.round
-			n.record(trace.Event{Kind: trace.KindDecide, P: n.cfg.Me, Round: n.round, V: v})
-		}
-		n.halted = true
-		n.record(trace.Event{Kind: trace.KindHalt, P: n.cfg.Me, Round: n.round})
-	}
-	return out
 }
 
 func (n *Node) record(e trace.Event) {

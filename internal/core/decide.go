@@ -1,0 +1,117 @@
+package core
+
+import (
+	"repro/internal/quorum"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/types"
+)
+
+// DecideGadget is one process's decision state plus the DECIDE
+// amplification that lets a randomized binary agreement halt: a deciding
+// process broadcasts DECIDE(v); any process relays DECIDE(v) once it holds
+// f+1 matching votes (at least one from a correct process) and decides and
+// halts at 2f+1 (so every correct process will see f+1 and relay). One vote
+// per sender counts, so at most f Byzantine senders can never reach f+1
+// alone. It is the paper's READY amplification applied to decisions, and
+// both engines halt through it: Node holds one and the Ben-Or baseline
+// embeds one, so their halting latencies compare like for like.
+//
+// Not safe for concurrent use; the owning node drives it.
+type DecideGadget struct {
+	me       types.ProcessID
+	peers    []types.ProcessID
+	q        quorum.Spec
+	instance int  // DECIDE votes of other instances are ignored
+	off      bool // ablation A2: decide and halt on votes, never broadcast
+	rec      *trace.Recorder
+	tele     *sim.Telemetry
+
+	decided      bool
+	decision     types.Value
+	decidedRound int
+	relayed      bool // this process broadcast its DECIDE
+	halted       bool
+	voters       map[types.ProcessID]struct{}
+	votes        [2]int // first votes per value
+}
+
+// NewDecideGadget returns the gadget for process me of peers, counting
+// DECIDE votes tagged with instance. off disables amplification (the process
+// then never broadcasts DECIDE). Decision events go to rec; tele, when
+// non-nil, receives the round→decide latency.
+func NewDecideGadget(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec, instance int,
+	off bool, rec *trace.Recorder, tele *sim.Telemetry) DecideGadget {
+	return DecideGadget{
+		me: me, peers: peers, q: spec, instance: instance, off: off, rec: rec, tele: tele,
+		voters: make(map[types.ProcessID]struct{}),
+	}
+}
+
+// Decided reports whether the process decided and what.
+func (g *DecideGadget) Decided() (types.Value, bool) { return g.decision, g.decided }
+
+// DecidedRound returns the round in which the process decided (0 if
+// undecided).
+func (g *DecideGadget) DecidedRound() int { return g.decidedRound }
+
+// Done implements sim.Node's Done: true once the process halted on 2f+1
+// DECIDE votes.
+func (g *DecideGadget) Done() bool { return g.halted }
+
+// Decide records the process's own decision v, reached in round (entered at
+// since), and unless disabled or already sent, appends its DECIDE broadcast
+// to out.
+func (g *DecideGadget) Decide(out []types.Message, v types.Value, round int, since sim.Time) []types.Message {
+	g.decide(v, round, since)
+	if g.off || g.relayed {
+		return out
+	}
+	return g.relay(out, v)
+}
+
+// Vote counts one DECIDE vote, relaying at f+1 matching votes and deciding
+// and halting at 2f+1; round and since are the process's current round and
+// its entry time, charged if the vote decides.
+func (g *DecideGadget) Vote(out []types.Message, from types.ProcessID, p *types.DecidePayload,
+	round int, since sim.Time) []types.Message {
+	if p == nil || !p.V.Valid() || p.Instance != g.instance {
+		return out
+	}
+	if _, dup := g.voters[from]; dup {
+		return out
+	}
+	g.voters[from] = struct{}{}
+	g.votes[p.V]++
+	if g.votes[p.V] >= g.q.Adopt() && !g.relayed && !g.off {
+		out = g.relay(out, p.V)
+	}
+	if g.votes[p.V] >= g.q.Decide() {
+		g.decide(p.V, round, since)
+		g.halted = true
+		g.record(trace.Event{Kind: trace.KindHalt, P: g.me, Round: round})
+	}
+	return out
+}
+
+func (g *DecideGadget) decide(v types.Value, round int, since sim.Time) {
+	if g.decided {
+		return
+	}
+	g.decided = true
+	g.decision = v
+	g.decidedRound = round
+	g.tele.Observe(sim.PhaseRoundDecide, since)
+	g.record(trace.Event{Kind: trace.KindDecide, P: g.me, Round: round, V: v})
+}
+
+func (g *DecideGadget) relay(out []types.Message, v types.Value) []types.Message {
+	g.relayed = true
+	return types.AppendBroadcast(out, g.me, g.peers, &types.DecidePayload{V: v, Instance: g.instance})
+}
+
+func (g *DecideGadget) record(e trace.Event) {
+	if g.rec.Enabled() {
+		g.rec.Record(e)
+	}
+}

@@ -58,7 +58,6 @@ func TestDecideGadget(t *testing.T) {
 	cases := []struct {
 		name    string
 		off     bool // DisableDecideGadget
-		bracha  bool // Ben-Or still counts DECIDEs of any instance
 		script  []decideVote
 		decided bool
 		v       types.Value
@@ -74,7 +73,7 @@ func TestDecideGadget(t *testing.T) {
 			{from: 4, v: types.One}, {from: 5, v: types.One, relay: true},
 			{from: 6, v: types.One}, {from: 7, v: types.One},
 		}, decided: true, v: types.One},
-		{name: "foreign instance ignored", bracha: true, script: append(
+		{name: "foreign instance ignored", script: append(
 			[]decideVote{{from: 2, v: types.One, foreign: true}, {from: 3, v: types.One, foreign: true},
 				{from: 4, v: types.One, foreign: true}, {from: 5, v: types.One, foreign: true},
 				{from: 6, v: types.One, foreign: true}},
@@ -98,9 +97,6 @@ func TestDecideGadget(t *testing.T) {
 	}
 	for _, h := range hosts {
 		for _, tc := range cases {
-			if tc.bracha && h.name != "bracha" {
-				continue
-			}
 			t.Run(h.name+"/"+tc.name, func(t *testing.T) {
 				node, err := h.build(tc.off)
 				if err != nil {

@@ -20,10 +20,11 @@
 //
 // Bracha's protocol decides but never halts (processes keep echoing forever
 // so laggards can finish). For practical termination this implementation
-// adds the standard decide-amplification gadget, a direct reuse of the
-// paper's own READY amplification idea: a deciding process broadcasts
-// DECIDE(v); any process relays on f+1 matching DECIDEs and halts on 2f+1.
-// The gadget is configurable off (ablation A2) to measure the pure protocol.
+// adds the standard decide-amplification gadget (DecideGadget), a direct
+// reuse of the paper's own READY amplification idea: a deciding process
+// broadcasts DECIDE(v); any process relays on f+1 matching DECIDEs and halts
+// on 2f+1. The gadget is configurable off (ablation A2) to measure the pure
+// protocol.
 package core
 
 import (
@@ -117,19 +118,15 @@ type Node struct {
 	waitingCoin bool
 	stalled     bool // hit MaxRounds
 
-	decided      bool
-	decision     types.Value
-	decidedRound int
-
-	sentDecide  bool
-	decideVotes map[types.ProcessID]types.Value
-	halted      bool
+	// The decision, and the DECIDE amplification that halts the node.
+	gadget DecideGadget
 
 	// The embedded recycled output buffer (see sim.OutBuffer): once the
 	// driver returns a delivered slice through Recycle, later Deliver
 	// calls append into its backing array instead of allocating. Drivers
 	// that never recycle simply leave the node allocating, as the seed
-	// implementation always did.
+	// implementation always did. Hosts that multiplex instances (acs, smr)
+	// bypass it through AppendStart and AppendDeliver.
 	sim.OutBuffer
 
 	stats Stats
@@ -218,7 +215,7 @@ func (t *acceptedTable) retained() int {
 // Config validation errors.
 var (
 	ErrNoCoin   = errors.New("core: config requires a coin")
-	ErrBadPeers = errors.New("core: peers must include me and match spec size")
+	ErrBadPeers = quorum.ErrBadPeers
 )
 
 // New creates a consensus node. Peers must contain Me and have exactly
@@ -227,18 +224,8 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Coin == nil {
 		return nil, ErrNoCoin
 	}
-	if len(cfg.Peers) != cfg.Spec.N() {
-		return nil, fmt.Errorf("%w: %d peers for %v", ErrBadPeers, len(cfg.Peers), cfg.Spec)
-	}
-	found := false
-	for _, p := range cfg.Peers {
-		if p == cfg.Me {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("%w: %v not in peers", ErrBadPeers, cfg.Me)
+	if err := cfg.Spec.CheckPeers(cfg.Me, cfg.Peers); err != nil {
+		return nil, err
 	}
 	if !cfg.Proposal.Valid() {
 		return nil, fmt.Errorf("core: invalid proposal %d", cfg.Proposal)
@@ -257,13 +244,14 @@ func New(cfg Config) (*Node, error) {
 	bcast := newRBC(cfg.Me, cfg.Peers, cfg.Spec)
 	bcast.SetTelemetry(cfg.Telemetry)
 	return &Node{
-		cfg:         cfg,
-		spec:        cfg.Spec,
-		bcast:       bcast,
-		val:         newVal(cfg.Spec),
-		value:       cfg.Proposal,
-		accepted:    acceptedTable{base: 1},
-		decideVotes: make(map[types.ProcessID]types.Value),
+		cfg:      cfg,
+		spec:     cfg.Spec,
+		bcast:    bcast,
+		val:      newVal(cfg.Spec),
+		value:    cfg.Proposal,
+		accepted: acceptedTable{base: 1},
+		gadget: NewDecideGadget(cfg.Me, cfg.Peers, cfg.Spec, cfg.Instance,
+			cfg.DisableDecideGadget, cfg.Recorder, cfg.Telemetry),
 	}, nil
 }
 
@@ -276,43 +264,54 @@ var (
 func (n *Node) ID() types.ProcessID { return n.cfg.Me }
 
 // Done implements sim.Node: true once the node halted via the decide gadget.
-func (n *Node) Done() bool { return n.halted }
+func (n *Node) Done() bool { return n.gadget.Done() }
 
 // Start implements sim.Node: enter round 1 and broadcast the proposal.
-func (n *Node) Start() []types.Message {
-	return n.enterRound(n.Take(), 1)
+func (n *Node) Start() []types.Message { return n.AppendStart(n.Take()) }
+
+// Deliver implements sim.Node. A halted node returns nil.
+func (n *Node) Deliver(m types.Message) []types.Message {
+	if n.gadget.halted {
+		return nil
+	}
+	return n.AppendDeliver(n.Take(), m)
 }
 
-// Deliver implements sim.Node.
-func (n *Node) Deliver(m types.Message) []types.Message {
-	if n.halted {
-		return nil
+// AppendStart is Start appending the emissions to out, the in-place form
+// for a host that multiplexes instances into one output buffer (acs, smr).
+func (n *Node) AppendStart(out []types.Message) []types.Message {
+	return n.enterRound(out, 1)
+}
+
+// AppendDeliver is Deliver appending the emissions to out; a halted node
+// returns out unchanged.
+func (n *Node) AppendDeliver(out []types.Message, m types.Message) []types.Message {
+	if n.gadget.halted {
+		return out
 	}
+	var deliveries []rbc.Delivery
 	switch p := m.Payload.(type) {
 	case *types.RBCPayload:
-		out := n.onRBC(n.Take(), m.From, p)
-		return n.advance(out)
+		out, deliveries = n.bcast.AppendHandle(out, m.From, p)
 	case *types.RBCFragPayload:
-		out, deliveries := n.bcast.AppendHandleFrag(n.Take(), m.From, p)
-		return n.advance(n.onDeliveries(out, deliveries))
+		out, deliveries = n.bcast.AppendHandleFrag(out, m.From, p)
 	case *types.RBCSumPayload:
-		out, deliveries := n.bcast.AppendHandleSum(n.Take(), m.From, p)
-		return n.advance(n.onDeliveries(out, deliveries))
+		out, deliveries = n.bcast.AppendHandleSum(out, m.From, p)
 	case *types.CoinSharePayload:
 		n.cfg.Coin.HandleShare(m.From, p)
-		return n.advance(n.Take())
 	case *types.DecidePayload:
-		return n.onDecideVote(n.Take(), m.From, p)
+		return n.gadget.Vote(out, m.From, p, n.round, n.roundEnteredAt)
 	default:
-		return nil
+		return out
 	}
+	return n.advance(n.onDeliveries(out, deliveries))
 }
 
 // Decided reports whether the node decided and what.
-func (n *Node) Decided() (types.Value, bool) { return n.decision, n.decided }
+func (n *Node) Decided() (types.Value, bool) { return n.gadget.Decided() }
 
 // DecidedRound returns the round in which the node decided (0 if undecided).
-func (n *Node) DecidedRound() int { return n.decidedRound }
+func (n *Node) DecidedRound() int { return n.gadget.DecidedRound() }
 
 // Round returns the node's current round.
 func (n *Node) Round() int { return n.round }
@@ -353,13 +352,6 @@ func (n *Node) RBCDigestBytes() int { return n.bcast.DigestBytes() }
 // one 64-byte digest per touched round.
 func (n *Node) JustificationsRetained() int { return n.val.JustificationsRetained() }
 
-// onRBC feeds a reliable-broadcast payload through the broadcaster, then
-// processes whatever it delivered.
-func (n *Node) onRBC(out []types.Message, from types.ProcessID, p *types.RBCPayload) []types.Message {
-	out, deliveries := n.bcast.AppendHandle(out, from, p)
-	return n.onDeliveries(out, deliveries)
-}
-
 // onDeliveries records every reliable-broadcast delivery — however
 // disseminated, plain or coded — with the validator and appends newly
 // justified messages to the quorum waits.
@@ -396,7 +388,7 @@ func (n *Node) onDeliveries(out []types.Message, deliveries []rbc.Delivery) []ty
 // advance applies every enabled transition until the node blocks on a wait,
 // appending emitted messages to out.
 func (n *Node) advance(out []types.Message) []types.Message {
-	for !n.halted && !n.stalled {
+	for !n.gadget.halted && !n.stalled {
 		if n.waitingCoin {
 			s, ok := n.cfg.Coin.Value(n.round)
 			if !ok {
@@ -472,7 +464,7 @@ func (n *Node) finishStep3(out []types.Message, window []validate.Accepted) []ty
 	}
 	switch {
 	case dCount[v] >= n.spec.Decide():
-		out = n.decide(out, v)
+		out = n.gadget.Decide(out, v, n.round, n.roundEnteredAt)
 		n.value = v
 		out = n.enterRound(out, n.round+1)
 	case dCount[v] >= n.spec.Adopt():
@@ -526,58 +518,6 @@ func (n *Node) broadcastStep(out []types.Message) []types.Message {
 		panic(fmt.Sprintf("core: encoding own step message %v: %v", sm, err))
 	}
 	return n.bcast.AppendBroadcast(out, types.Tag{Round: n.round, Step: n.step, Seq: n.cfg.Instance}, body)
-}
-
-// decide records the decision and, unless disabled, launches the DECIDE
-// amplification.
-func (n *Node) decide(out []types.Message, v types.Value) []types.Message {
-	if !n.decided {
-		n.decided = true
-		n.decision = v
-		n.decidedRound = n.round
-		n.cfg.Telemetry.Observe(sim.PhaseRoundDecide, n.roundEnteredAt)
-		n.record(trace.Event{Kind: trace.KindDecide, P: n.cfg.Me, Round: n.round, V: v})
-	}
-	if n.cfg.DisableDecideGadget || n.sentDecide {
-		return out
-	}
-	n.sentDecide = true
-	return types.AppendBroadcast(out, n.cfg.Me, n.cfg.Peers, &types.DecidePayload{V: v, Instance: n.cfg.Instance})
-}
-
-// onDecideVote handles the DECIDE amplification: relay at f+1 matching
-// votes, decide-and-halt at 2f+1. One vote per sender counts (Byzantine
-// senders cannot stuff the count, and with at most f of them they can never
-// reach f+1 alone).
-func (n *Node) onDecideVote(out []types.Message, from types.ProcessID, p *types.DecidePayload) []types.Message {
-	if p == nil || !p.V.Valid() || p.Instance != n.cfg.Instance {
-		return out
-	}
-	if _, dup := n.decideVotes[from]; dup {
-		return out
-	}
-	n.decideVotes[from] = p.V
-	var count [2]int
-	for _, v := range n.decideVotes {
-		count[v]++
-	}
-	v := p.V
-	if count[v] >= n.spec.Adopt() && !n.sentDecide && !n.cfg.DisableDecideGadget {
-		n.sentDecide = true
-		out = types.AppendBroadcast(out, n.cfg.Me, n.cfg.Peers, &types.DecidePayload{V: v, Instance: n.cfg.Instance})
-	}
-	if count[v] >= n.spec.Decide() {
-		if !n.decided {
-			n.decided = true
-			n.decision = v
-			n.decidedRound = n.round
-			n.cfg.Telemetry.Observe(sim.PhaseRoundDecide, n.roundEnteredAt)
-			n.record(trace.Event{Kind: trace.KindDecide, P: n.cfg.Me, Round: n.round, V: v})
-		}
-		n.halted = true
-		n.record(trace.Event{Kind: trace.KindHalt, P: n.cfg.Me, Round: n.round})
-	}
-	return out
 }
 
 func (n *Node) record(e trace.Event) {

@@ -8,10 +8,19 @@ package quorum
 import (
 	"errors"
 	"fmt"
+	"slices"
+
+	"repro/internal/types"
 )
 
-// ErrInvalid is returned by New for nonsensical (n, f) combinations.
-var ErrInvalid = errors.New("quorum: invalid system size")
+// Spec and membership errors.
+var (
+	// ErrInvalid is returned by New for nonsensical (n, f) combinations.
+	ErrInvalid = errors.New("quorum: invalid system size")
+	// ErrBadPeers is returned by CheckPeers for a peer list that does not
+	// fit the spec.
+	ErrBadPeers = errors.New("quorum: peers must include me and match spec size")
+)
 
 // Spec captures the failure assumption of a run: n processes of which at most
 // f may be Byzantine. The zero value is invalid; construct with New.
@@ -89,6 +98,19 @@ func (s Spec) HonestSuperMajority() int { return (s.n+s.f)/2 + 1 }
 // IsOptimal reports whether the spec satisfies the paper's resilience bound
 // n > 3f.
 func (s Spec) IsOptimal() bool { return s.n > 3*s.f }
+
+// CheckPeers reports, wrapping ErrBadPeers, a peer list that does not have
+// exactly N() entries or does not contain me — the membership every node
+// constructor of the suite requires.
+func (s Spec) CheckPeers(me types.ProcessID, peers []types.ProcessID) error {
+	if len(peers) != s.n {
+		return fmt.Errorf("%w: %d peers for %v", ErrBadPeers, len(peers), s)
+	}
+	if !slices.Contains(peers, me) {
+		return fmt.Errorf("%w: %v not in peers", ErrBadPeers, me)
+	}
+	return nil
+}
 
 // String implements fmt.Stringer.
 func (s Spec) String() string { return fmt.Sprintf("n=%d f=%d", s.n, s.f) }

@@ -74,10 +74,9 @@ type Recycler interface {
 // protocol node that participates in the zero-allocation delivery loop: the
 // driver hands back a consumed slice through Recycle, Take claims it (empty,
 // possibly with capacity) for the next emission, and ownership of the
-// backing array ping-pongs between the two — no allocation once warm. The
-// same protocol nests: a layered node (ACS, SMR) takes the driver's role
-// for its inner consensus instances, copying their emissions into its own
-// buffer and recycling theirs straight back.
+// backing array ping-pongs between the two — no allocation once warm. A
+// layered node (ACS, SMR) needs no second buffer for its inner consensus
+// instances: they append straight into its own (core.Node.AppendDeliver).
 type OutBuffer struct {
 	out []types.Message
 }

@@ -255,11 +255,11 @@ type Replica struct {
 	suffixDivergence int                         // re-committed entries that contradicted the suffix
 
 	// The embedded recycled output buffer (see sim.OutBuffer). Together
-	// with the append-style RBC path and the inner consensus node's own
-	// recycling (emissions are copied into out and the slice handed back,
-	// see deliverBin), a steady-state SMR delivery allocates nothing;
-	// per-slot setup (the consensus instance, its coin) amortizes across
-	// the slot's thousands of deliveries.
+	// with the append-style RBC path and the inner consensus node appending
+	// its emissions straight into it (core.Node.AppendDeliver), a
+	// steady-state SMR delivery allocates nothing; per-slot setup (the
+	// consensus instance, its coin) amortizes across the slot's thousands
+	// of deliveries.
 	sim.OutBuffer
 }
 
@@ -267,7 +267,7 @@ type Replica struct {
 var (
 	ErrNoCoinFactory = errors.New("smr: config requires NewCoin")
 	ErrNoMachine     = errors.New("smr: config requires a state machine")
-	ErrBadPeers      = errors.New("smr: peers must include me and match spec size")
+	ErrBadPeers      = quorum.ErrBadPeers
 	ErrNoSnapshotter = errors.New("smr: checkpointing requires a Snapshotter machine")
 	ErrNoCkptSecret  = errors.New("smr: checkpointing requires a cluster secret")
 	ErrStoreNoCkpt   = errors.New("smr: a durable store requires checkpointing")
@@ -281,18 +281,8 @@ func New(cfg Config) (*Replica, error) {
 	if cfg.Machine == nil {
 		return nil, ErrNoMachine
 	}
-	if len(cfg.Peers) != cfg.Spec.N() {
-		return nil, fmt.Errorf("%w: %d peers for %v", ErrBadPeers, len(cfg.Peers), cfg.Spec)
-	}
-	found := false
-	for _, p := range cfg.Peers {
-		if p == cfg.Me {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("%w: %v not in peers", ErrBadPeers, cfg.Me)
+	if err := cfg.Spec.CheckPeers(cfg.Me, cfg.Peers); err != nil {
+		return nil, err
 	}
 	if len(cfg.Rotation) == 0 {
 		cfg.Rotation = cfg.Peers
@@ -753,13 +743,13 @@ func (r *Replica) Deliver(m types.Message) []types.Message {
 		r.noteFrontier(inst - 1)
 		switch {
 		case inst == r.slot+1 && r.bin != nil:
-			out = r.deliverBin(out, m)
+			out = r.bin.AppendDeliver(out, m)
 		case inst > r.slot && inst <= r.slot+1_000_000:
 			r.pending[inst] = append(r.pending[inst], m)
 		}
 	case trafficCoin:
 		if r.bin != nil {
-			out = r.deliverBin(out, m)
+			out = r.bin.AppendDeliver(out, m)
 		}
 	case trafficCkpt:
 		if r.tracker != nil {
@@ -1061,16 +1051,6 @@ func (r *Replica) install(out []types.Message, cert ckpt.Certificate, snapshot s
 	return r.propose(out)
 }
 
-// deliverBin feeds one message to the current slot's consensus instance,
-// copies its emissions into out, and hands the instance's slice straight
-// back for reuse (the inner zero-allocation loop).
-func (r *Replica) deliverBin(out []types.Message, m types.Message) []types.Message {
-	msgs := r.bin.Deliver(m)
-	out = append(out, msgs...)
-	r.bin.Recycle(msgs)
-	return out
-}
-
 type trafficKind int
 
 const (
@@ -1128,11 +1108,9 @@ func (r *Replica) step(out []types.Message) []types.Message {
 				panic(fmt.Sprintf("smr: starting slot %d: %v", r.slot, err))
 			}
 			r.bin = bin
-			msgs := bin.Start()
-			out = append(out, msgs...)
-			bin.Recycle(msgs)
+			out = bin.AppendStart(out)
 			for _, m := range r.pending[r.slot+1] {
-				out = r.deliverBin(out, m)
+				out = bin.AppendDeliver(out, m)
 			}
 			delete(r.pending, r.slot+1)
 		}
