@@ -92,13 +92,14 @@ func Consensus(obs ConsensusObservation) []Violation {
 	}
 
 	// Strong validity (binary form): a decided value must have been proposed
-	// by some correct process.
+	// by some correct process. Decided values are binary; they are visited
+	// 0 then 1, so the report does not follow map order.
 	proposed := map[types.Value]bool{}
 	for _, p := range obs.Correct {
 		proposed[obs.Proposals[p]] = true
 	}
-	for v, who := range decided {
-		if !proposed[v] {
+	for _, v := range []types.Value{types.Zero, types.One} {
+		if who, ok := decided[v]; ok && !proposed[v] {
 			out = append(out, Violation{
 				Property: PropValidity,
 				Detail:   fmt.Sprintf("value %v decided by %v but proposed by no correct process", v, who),

@@ -115,6 +115,27 @@ func TestConsensusViolations(t *testing.T) {
 	}
 }
 
+// TestConsensusValidityOrder: when both decided values went unproposed
+// (proposals outside {0, 1}), the two validity violations come out 0 then
+// 1, identically on every call.
+func TestConsensusValidityOrder(t *testing.T) {
+	obs := ConsensusObservation{
+		Correct:   types.Processes(4),
+		Proposals: map[types.ProcessID]types.Value{1: 2, 2: 3, 3: 2, 4: 3},
+		Decisions: map[types.ProcessID][]types.Value{1: {1}, 2: {0}, 3: {1}, 4: {0}},
+	}
+	want := Render([]Violation{
+		{Property: PropAgreement, Detail: "conflicting decisions: 0<-[p2 p4] vs 1<-[p1 p3]"},
+		{Property: PropValidity, Detail: "value 0 decided by [p2 p4] but proposed by no correct process"},
+		{Property: PropValidity, Detail: "value 1 decided by [p1 p3] but proposed by no correct process"},
+	})
+	for i := 0; i < 50; i++ {
+		if got := Render(Consensus(obs)); got != want {
+			t.Fatalf("call %d:\n got %s\nwant %s", i, got, want)
+		}
+	}
+}
+
 func TestRBCClean(t *testing.T) {
 	obs := RBCObservation{
 		Correct:       types.Processes(3),
