@@ -267,6 +267,7 @@ func (t *Tally) String() string {
 		return fmt.Sprintf("%d runs, no violations", t.Runs)
 	}
 	props := make([]string, 0, len(t.ByProperty))
+	// order-free: properties sorted below
 	for p := range t.ByProperty {
 		props = append(props, p)
 	}
@@ -281,6 +282,7 @@ func (t *Tally) String() string {
 
 func renderDecisionGroups(decided map[types.Value][]types.ProcessID) string {
 	vals := make([]int, 0, len(decided))
+	// order-free: values sorted below
 	for v := range decided {
 		vals = append(vals, int(v))
 	}

@@ -360,6 +360,7 @@ func (t *Tracker) noteVote(from types.ProcessID, c Checkpoint, macs []string) (C
 	}
 	cv.voters[from] = voteRec{c: c, macs: macs}
 	matching := 0
+	// order-free: a count
 	for _, rec := range cv.voters {
 		if rec.c == c {
 			matching++
@@ -373,6 +374,7 @@ func (t *Tracker) noteVote(from types.ProcessID, c Checkpoint, macs []string) (C
 	// the extra correct votes are what keep the certificate installable
 	// there anyway.
 	cert := Certificate{Checkpoint: c}
+	// order-free: voters sorted below
 	for voter, rec := range cv.voters {
 		if rec.c == c {
 			cert.Voters = append(cert.Voters, voter)
@@ -393,6 +395,7 @@ func (t *Tracker) noteVote(from types.ProcessID, c Checkpoint, macs []string) (C
 // leave the table long before 64 of them accumulate).
 func (t *Tracker) evictFor(slot int) bool {
 	largest := -1
+	// order-free: a maximum
 	for s := range t.votes {
 		if s > largest {
 			largest = s

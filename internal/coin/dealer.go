@@ -240,6 +240,7 @@ func (c *Common) HandleShare(from types.ProcessID, p *types.CoinSharePayload) {
 		return
 	}
 	ss := make([]shamir.Share, 0, len(byRound))
+	// order-free: collects the shares, sorted below before reconstruction
 	for _, sh := range byRound {
 		ss = append(ss, sh)
 	}

@@ -98,6 +98,7 @@ func (s *DealerSet) RoundsRetained() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	total := 0
+	// order-free: a sum
 	for _, d := range s.dealers {
 		total += d.RoundsRetained()
 	}

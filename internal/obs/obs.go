@@ -169,6 +169,7 @@ func walk(decide trace.Event, events []trace.Event, sendBySeq, deliverBySeq map[
 		s.Wire += h.Wire
 		s.Think += h.Think
 	}
+	// order-free: sorted by kind below
 	for _, s := range shares {
 		d.ByKind = append(d.ByKind, *s)
 	}
@@ -201,6 +202,7 @@ func (r Report) Totals() []KindShare {
 		}
 	}
 	out := make([]KindShare, 0, len(shares))
+	// order-free: sorted by kind below
 	for _, s := range shares {
 		out = append(out, *s)
 	}

@@ -392,6 +392,7 @@ func (b *Broadcaster) AppendBroadcast(out []types.Message, tag types.Tag, body s
 		// move in.
 		b.win = make([]*instance, windowRounds*3*len(b.peers))
 		b.winSeq = tag.Seq
+		// order-free: each instance moves to its own window cell
 		for id, in := range b.instances {
 			b.enter(id, in)
 		}
@@ -540,6 +541,7 @@ func (b *Broadcaster) PruneBelow(round int) int {
 	if round > b.winBase {
 		released = b.slide(round)
 	}
+	// order-free: each instance moves to its own cell or is released on its own
 	for id, in := range b.instances {
 		if id.Tag.Round == 0 || id.Tag.Round >= round || !in.terminal() {
 			b.enter(id, in)

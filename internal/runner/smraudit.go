@@ -233,6 +233,7 @@ func (a *logAuditor) report(res *SMRResult) {
 	res.Mismatches = a.mismatches
 	res.VictimCommitted = a.victimCommitted
 	seenCmd := make(map[string]bool, len(a.canonical))
+	// order-free: counts; a command's repeats count the same in any order
 	for k, e := range a.canonical {
 		if k.slot >= a.slots {
 			continue

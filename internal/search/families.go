@@ -87,6 +87,7 @@ var families = map[string]family{
 // Families lists the preset names, sorted.
 func Families() []string {
 	out := make([]string, 0, len(families))
+	// order-free: names sorted below
 	for name := range families {
 		out = append(out, name)
 	}

@@ -247,6 +247,7 @@ func newSearcher(spec *Spec) (*searcher, error) {
 		if err := f.matches(spec); err != nil {
 			return nil, err
 		}
+		// order-free: keys sorted below
 		for k, p := range f.Points {
 			s.points[k] = p
 			s.order = append(s.order, k)

@@ -101,6 +101,7 @@ func (s *FIFODelay) widen(id int) {
 	for f := 0; f < s.width; f++ {
 		copy(clocks[f*w:], s.clocks[f*s.width:(f+1)*s.width])
 	}
+	// order-free: each link moves to its own dense cell
 	for l, at := range s.sparse {
 		if from, to := uint(l.from-1), uint(l.to-1); from < uint(w) && to < uint(w) {
 			clocks[from*uint(w)+to] = at

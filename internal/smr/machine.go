@@ -63,6 +63,7 @@ func (m *KVMachine) Applied() int { return m.applied }
 // StateDigest).
 func (m *KVMachine) Snapshot() string {
 	keys := make([]string, 0, len(m.state))
+	// order-free: keys sorted below
 	for k := range m.state {
 		keys = append(keys, k)
 	}

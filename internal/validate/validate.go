@@ -231,6 +231,7 @@ func (v *Validator) drain() []Accepted {
 // slice is scratch, overwritten by the next call.
 func (v *Validator) pendingKeys() []slotKey {
 	keys := v.keyScratch[:0]
+	// order-free: keys sorted below
 	for k := range v.pending {
 		keys = append(keys, k)
 	}
