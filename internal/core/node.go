@@ -18,6 +18,11 @@
 //     step 3: broadcast value; await n−f; if ≥ 2f+1 D(v): decide v;
 //     else if ≥ f+1 D(v): value ← v; else value ← coin.
 //
+// Every rule reads only counts over the first n−f justified messages of its
+// (round, step): how many carry each value, and in step 3 how many are
+// D(v). So a wait is kept as those counts, one cell per (round, step), and
+// never as the messages themselves.
+//
 // Bracha's protocol decides but never halts (processes keep echoing forever
 // so laggards can finish). For practical termination this implementation
 // adds the standard decide-amplification gadget (DecideGadget), a direct
@@ -132,81 +137,77 @@ type Node struct {
 	stats Stats
 }
 
-// acceptedTable is the dense round-indexed store of justified step messages
-// awaiting their quorum windows — the replacement for the seed's
-// map[slot][]validate.Accepted, whose per-append map traffic was the last
-// per-delivery allocation in core. Rounds are interned as offsets from a
-// moving base: rounds[i] holds round base+i, a (round, step) slot resolves
-// to two array indexes, and pruning advances base while recycling the
-// released backing arrays through a free list, so steady-state appends
-// allocate nothing and a long run's live table stays a fixed-size window.
+// acceptedTable holds the quorum waits as counts: each step's rule reads
+// only how many of the first n−f justified messages of its (round, step)
+// carry each value, and in step 3 how many are D(v), so a wait is one
+// counter cell instead of a message list. Rounds are interned as offsets
+// from a moving base: rounds[i] holds round base+i, a (round, step) cell
+// resolves to two array indexes, and pruning advances base, so a long run's
+// live table stays a fixed-size window.
 type acceptedTable struct {
-	base   int                   // lowest retained round; rounds below are pruned
-	rounds []stepLists           // rounds[i] = round base+i
-	free   [][]validate.Accepted // recycled backing arrays from pruned rounds
+	base   int           // lowest retained round; rounds below are pruned
+	rounds [][3]waitCell // rounds[i] = round base+i, one cell per step
 }
 
-// stepLists holds one round's accepted messages, one list per protocol step.
-type stepLists [3][]validate.Accepted
+// waitCell is one (round, step) wait: the justified messages folded in,
+// and over the first n−f of them in fold order the count per value and of
+// D(v) per value. int32 fields keep a round's three cells no larger than
+// three slice headers.
+type waitCell struct {
+	folded int32
+	vals   [2]int32
+	ds     [2]int32
+}
 
-// add appends a justified message to its (round, step) slot. It reports
-// false when the round was already pruned — the message is provably dead
-// (quorum windows only ever read the current round, which is past it) — or
-// lies beyond maxRounds, which the node can never enter.
-func (t *acceptedTable) add(round int, step types.Step, acc validate.Accepted, maxRounds int) bool {
-	if round < t.base || round > maxRounds {
+// add folds a justified message into its (round, step) cell, counting its
+// value only while the cell holds fewer than q. It reports false when the
+// round was already pruned — the message is provably dead (waits only ever
+// read the current round, which is past it) — or lies beyond maxRounds,
+// which the node can never enter.
+func (t *acceptedTable) add(m types.StepMessage, q, maxRounds int) bool {
+	if m.Round < t.base || m.Round > maxRounds {
 		return false
 	}
-	for round-t.base >= len(t.rounds) {
-		t.rounds = append(t.rounds, stepLists{})
+	for m.Round-t.base >= len(t.rounds) {
+		t.rounds = append(t.rounds, [3]waitCell{})
 	}
-	list := &t.rounds[round-t.base][step-types.Step1]
-	if *list == nil && len(t.free) > 0 {
-		*list = t.free[len(t.free)-1]
-		t.free = t.free[:len(t.free)-1]
+	c := &t.rounds[m.Round-t.base][m.Step-types.Step1]
+	if int(c.folded) < q {
+		c.vals[m.V]++
+		if m.D {
+			c.ds[m.V]++
+		}
 	}
-	*list = append(*list, acc)
+	c.folded++
 	return true
 }
 
-// window returns the accepted list for a (round, step) slot (nil if empty
-// or pruned).
-func (t *acceptedTable) window(round int, step types.Step) []validate.Accepted {
+// cell returns the (round, step) wait (empty if untouched or pruned).
+func (t *acceptedTable) cell(round int, step types.Step) waitCell {
 	if round < t.base || round-t.base >= len(t.rounds) {
-		return nil
+		return waitCell{}
 	}
 	return t.rounds[round-t.base][step-types.Step1]
 }
 
-// pruneBelow releases every round before r, recycling the released backing
-// arrays for future appends.
+// pruneBelow releases every round before r.
 func (t *acceptedTable) pruneBelow(r int) {
 	if r <= t.base {
 		return
 	}
-	k := r - t.base
-	if k > len(t.rounds) {
-		k = len(t.rounds)
-	}
-	for i := 0; i < k; i++ {
-		for s := range t.rounds[i] {
-			if c := t.rounds[i][s]; cap(c) > 0 {
-				t.free = append(t.free, c[:0])
-			}
-			t.rounds[i][s] = nil
-		}
-	}
+	k := min(r-t.base, len(t.rounds))
 	t.rounds = t.rounds[:copy(t.rounds, t.rounds[k:])]
 	t.base = r
 }
 
-// retained reports how many accepted messages the table currently holds
-// (diagnostics for the pruning tests and the E11 memory experiment).
+// retained reports how many justified messages the table has folded into
+// its retained rounds (diagnostics for the pruning tests and the E11 memory
+// experiment).
 func (t *acceptedTable) retained() int {
 	total := 0
 	for i := range t.rounds {
-		for s := range t.rounds[i] {
-			total += len(t.rounds[i][s])
+		for _, c := range t.rounds[i] {
+			total += int(c.folded)
 		}
 	}
 	return total
@@ -353,8 +354,8 @@ func (n *Node) RBCDigestBytes() int { return n.bcast.DigestBytes() }
 func (n *Node) JustificationsRetained() int { return n.val.JustificationsRetained() }
 
 // onDeliveries records every reliable-broadcast delivery — however
-// disseminated, plain or coded — with the validator and appends newly
-// justified messages to the quorum waits.
+// disseminated, plain or coded — with the validator and folds newly
+// justified messages into the quorum waits.
 func (n *Node) onDeliveries(out []types.Message, deliveries []rbc.Delivery) []types.Message {
 	for _, d := range deliveries {
 		sm, err := wire.DecodeStep(d.Body)
@@ -373,11 +374,11 @@ func (n *Node) onDeliveries(out []types.Message, deliveries []rbc.Delivery) []ty
 		}
 		for _, acc := range n.val.Record(d.ID.Sender, sm) {
 			// Justified messages for pruned rounds are dead on arrival:
-			// quorum windows only read the current round, which is already
+			// quorum waits only read the current round, which is already
 			// past them. The validator still folded the message into its
 			// round tallies above — those stay live, because justification
 			// of in-flight current-round messages can reach back into them.
-			if !n.accepted.add(acc.Msg.Round, acc.Msg.Step, acc, n.cfg.MaxRounds) {
+			if !n.accepted.add(acc.Msg, n.spec.Quorum(), n.cfg.MaxRounds) {
 				n.stats.PrunedLate++
 			}
 		}
@@ -401,18 +402,18 @@ func (n *Node) advance(out []types.Message) []types.Message {
 			out = n.enterRound(out, n.round+1)
 			continue
 		}
-		window, ok := n.quorumWindow()
-		if !ok {
+		wait := n.accepted.cell(n.round, n.step)
+		if int(wait.folded) < n.spec.Quorum() {
 			break
 		}
 		n.stats.StepsDone++
 		switch n.step {
 		case types.Step1:
-			n.value = majority(window)
+			n.value = majority(wait)
 			n.step = types.Step2
 			out = n.broadcastStep(out)
 		case types.Step2:
-			if v, ok := superMajority(window, n.spec.SuperMajority()); ok {
+			if v, ok := superMajority(wait, n.spec.SuperMajority()); ok {
 				n.value = v
 				n.dFlag = true
 			} else {
@@ -421,26 +422,15 @@ func (n *Node) advance(out []types.Message) []types.Message {
 			n.step = types.Step3
 			out = n.broadcastStep(out)
 		case types.Step3:
-			out = n.finishStep3(out, window)
+			out = n.finishStep3(out, wait)
 		}
 	}
 	return out
 }
 
-// quorumWindow returns the first n−f accepted messages for the current
-// slot, or false if the wait is not yet satisfied.
-func (n *Node) quorumWindow() ([]validate.Accepted, bool) {
-	list := n.accepted.window(n.round, n.step)
-	q := n.spec.Quorum()
-	if len(list) < q {
-		return nil, false
-	}
-	return list[:q], true
-}
-
-// finishStep3 applies the decide/adopt/coin rule over the window and either
-// moves to the next round or blocks on the coin.
-func (n *Node) finishStep3(out []types.Message, window []validate.Accepted) []types.Message {
+// finishStep3 applies the decide/adopt/coin rule over the wait's first n−f
+// messages and either moves to the next round or blocks on the coin.
+func (n *Node) finishStep3(out []types.Message, wait waitCell) []types.Message {
 	// Release the round's coin unconditionally: with the common coin,
 	// reconstruction needs f+1 correct shares, and only processes that
 	// finished step 3 may contribute — so everyone must, whether or not
@@ -449,25 +439,20 @@ func (n *Node) finishStep3(out []types.Message, window []validate.Accepted) []ty
 	// correct process completes the round's step 3.
 	out = append(out, n.cfg.Coin.Release(n.round)...)
 
-	var dCount [2]int
-	for _, acc := range window {
-		if acc.Msg.D {
-			dCount[acc.Msg.V]++
-		}
-	}
 	// With validation on, at most one value can carry justified D-messages
 	// in a round; pick the better-supported one defensively anyway (lax
 	// ablations can produce both).
+	dCount := wait.ds
 	v := types.Zero
 	if dCount[1] > dCount[0] {
 		v = types.One
 	}
 	switch {
-	case dCount[v] >= n.spec.Decide():
+	case int(dCount[v]) >= n.spec.Decide():
 		out = n.gadget.Decide(out, v, n.round, n.roundEnteredAt)
 		n.value = v
 		out = n.enterRound(out, n.round+1)
-	case dCount[v] >= n.spec.Adopt():
+	case int(dCount[v]) >= n.spec.Adopt():
 		n.stats.Adopted++
 		n.value = v
 		out = n.enterRound(out, n.round+1)
@@ -526,30 +511,22 @@ func (n *Node) record(e trace.Event) {
 	}
 }
 
-// majority returns the majority value of a window, ties to 0 — the same
-// deterministic rule the validator assumes.
-func majority(window []validate.Accepted) types.Value {
-	var count [2]int
-	for _, acc := range window {
-		count[acc.Msg.V]++
-	}
-	if count[1] > count[0] {
+// majority returns the majority value of a wait's first n−f messages, ties
+// to 0 — the same deterministic rule the validator assumes.
+func majority(wait waitCell) types.Value {
+	if wait.vals[1] > wait.vals[0] {
 		return types.One
 	}
 	return types.Zero
 }
 
 // superMajority returns the value held by more than half of all n processes
-// within the window, if any.
-func superMajority(window []validate.Accepted, sm int) (types.Value, bool) {
-	var count [2]int
-	for _, acc := range window {
-		count[acc.Msg.V]++
-	}
+// within a wait's first n−f messages, if any.
+func superMajority(wait waitCell, sm int) (types.Value, bool) {
 	switch {
-	case count[0] >= sm:
+	case int(wait.vals[0]) >= sm:
 		return types.Zero, true
-	case count[1] >= sm:
+	case int(wait.vals[1]) >= sm:
 		return types.One, true
 	default:
 		return 0, false

@@ -326,17 +326,14 @@ func (o *oracleNode) counts(round int, step types.Step) oracleCounts {
 	return c
 }
 
-// nodeCounts reads the same from the node's quorum-wait table.
+// nodeCounts reads the same from the node's quorum-wait cell.
 func nodeCounts(nd *Node, round int, step types.Step) oracleCounts {
-	list := nd.accepted.window(round, step)
-	c := oracleCounts{folded: len(list)}
-	for _, acc := range list[:min(len(list), nd.spec.Quorum())] {
-		c.vals[acc.Msg.V]++
-		if acc.Msg.D {
-			c.ds[acc.Msg.V]++
-		}
+	c := nd.accepted.cell(round, step)
+	return oracleCounts{
+		folded: int(c.folded),
+		vals:   [2]int{int(c.vals[0]), int(c.vals[1])},
+		ds:     [2]int{int(c.ds[0]), int(c.ds[1])},
 	}
-	return c
 }
 
 // Script operations. Every operand is one byte taken modulo its range, so

@@ -84,8 +84,8 @@ type Validator struct {
 	// steady-state Record path (empty or tiny pending set) allocates
 	// nothing. foldScratch backs Record's return value, which is therefore
 	// only valid until the next Record call — callers consume it
-	// immediately (the consensus core copies each Accepted into its
-	// quorum-wait table before returning).
+	// immediately (the consensus core folds each Accepted into its
+	// quorum-wait counts before returning).
 	keyScratch  []slotKey
 	foldScratch []Accepted
 }
@@ -129,7 +129,7 @@ func NewLax(spec quorum.Spec) *Validator {
 }
 
 // Accepted is one message folded into the justified tallies: the consensus
-// node appends these, in fold order, to its per-(round, step) quorum waits,
+// node counts these, in fold order, in its per-(round, step) quorum waits,
 // so node acceptance and validator tallies can never disagree.
 type Accepted struct {
 	Sender types.ProcessID
