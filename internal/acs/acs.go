@@ -317,7 +317,7 @@ func (n *Node) harvest(out []types.Message) []types.Message {
 				n.ones++
 			}
 			if n.cfg.Recorder.Enabled() {
-				n.record(trace.Event{Kind: trace.KindNote, P: n.cfg.Me, Round: idx,
+				n.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: n.cfg.Me, Round: idx,
 					Note: fmt.Sprintf("BA_%d decided %v", idx, v)})
 			}
 		}
@@ -365,10 +365,4 @@ func (n *Node) indexOf(p types.ProcessID) int {
 		}
 	}
 	return 0
-}
-
-func (n *Node) record(e trace.Event) {
-	if n.cfg.Recorder.Enabled() {
-		n.cfg.Recorder.Record(e)
-	}
 }

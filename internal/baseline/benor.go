@@ -236,7 +236,7 @@ func (n *Node) advance(out []types.Message) []types.Message {
 			}
 			n.waitingCoin = false
 			n.stats.CoinsUsed++
-			n.record(trace.Event{Kind: trace.KindCoin, P: n.cfg.Me, Round: n.round, V: s})
+			n.cfg.Recorder.Record(trace.Event{Kind: trace.KindCoin, P: n.cfg.Me, Round: n.round, V: s})
 			n.value = s
 			out = n.enterRound(out, n.round+1)
 			continue
@@ -313,13 +313,7 @@ func (n *Node) enterRound(out []types.Message, r int) []types.Message {
 	n.round = r
 	n.phase = types.Step1
 	n.stats.RoundsStarted++
-	n.record(trace.Event{Kind: trace.KindRound, P: n.cfg.Me, Round: r})
+	n.cfg.Recorder.Record(trace.Event{Kind: trace.KindRound, P: n.cfg.Me, Round: r})
 	msg := &types.PlainPayload{Round: r, Step: types.Step1, V: n.value}
 	return types.AppendBroadcast(out, n.cfg.Me, n.cfg.Peers, msg)
-}
-
-func (n *Node) record(e trace.Event) {
-	if n.cfg.Recorder.Enabled() {
-		n.cfg.Recorder.Record(e)
-	}
 }

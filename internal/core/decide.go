@@ -89,7 +89,7 @@ func (g *DecideGadget) Vote(out []types.Message, from types.ProcessID, p *types.
 	if g.votes[p.V] >= g.q.Decide() {
 		g.decide(p.V, round, since)
 		g.halted = true
-		g.record(trace.Event{Kind: trace.KindHalt, P: g.me, Round: round})
+		g.rec.Record(trace.Event{Kind: trace.KindHalt, P: g.me, Round: round})
 	}
 	return out
 }
@@ -102,16 +102,10 @@ func (g *DecideGadget) decide(v types.Value, round int, since sim.Time) {
 	g.decision = v
 	g.decidedRound = round
 	g.tele.Observe(sim.PhaseRoundDecide, since)
-	g.record(trace.Event{Kind: trace.KindDecide, P: g.me, Round: round, V: v})
+	g.rec.Record(trace.Event{Kind: trace.KindDecide, P: g.me, Round: round, V: v})
 }
 
 func (g *DecideGadget) relay(out []types.Message, v types.Value) []types.Message {
 	g.relayed = true
 	return types.AppendBroadcast(out, g.me, g.peers, &types.DecidePayload{V: v, Instance: g.instance})
-}
-
-func (g *DecideGadget) record(e trace.Event) {
-	if g.rec.Enabled() {
-		g.rec.Record(e)
-	}
 }

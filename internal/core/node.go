@@ -369,7 +369,7 @@ func (n *Node) onDeliveries(out []types.Message, deliveries []rbc.Delivery) []ty
 			continue
 		}
 		if n.cfg.Recorder.Enabled() {
-			n.record(trace.Event{Kind: trace.KindRBC, P: n.cfg.Me, Round: sm.Round,
+			n.cfg.Recorder.Record(trace.Event{Kind: trace.KindRBC, P: n.cfg.Me, Round: sm.Round,
 				Note: fmt.Sprintf("delivered %v from %v", sm, d.ID.Sender)})
 		}
 		for _, acc := range n.val.Record(d.ID.Sender, sm) {
@@ -397,7 +397,7 @@ func (n *Node) advance(out []types.Message) []types.Message {
 			}
 			n.waitingCoin = false
 			n.stats.CoinsUsed++
-			n.record(trace.Event{Kind: trace.KindCoin, P: n.cfg.Me, Round: n.round, V: s})
+			n.cfg.Recorder.Record(trace.Event{Kind: trace.KindCoin, P: n.cfg.Me, Round: n.round, V: s})
 			n.value = s
 			out = n.enterRound(out, n.round+1)
 			continue
@@ -466,7 +466,7 @@ func (n *Node) finishStep3(out []types.Message, wait waitCell) []types.Message {
 func (n *Node) enterRound(out []types.Message, r int) []types.Message {
 	if r > n.cfg.MaxRounds {
 		n.stalled = true
-		n.record(trace.Event{Kind: trace.KindNote, P: n.cfg.Me, Round: r, Note: "max rounds reached; stalling"})
+		n.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: n.cfg.Me, Round: r, Note: "max rounds reached; stalling"})
 		return out
 	}
 	n.round = r
@@ -490,7 +490,7 @@ func (n *Node) enterRound(out []types.Message, r int) []types.Message {
 	}
 	n.bcast.PruneBelow(floor)
 	n.val.PruneBelow(floor)
-	n.record(trace.Event{Kind: trace.KindRound, P: n.cfg.Me, Round: r})
+	n.cfg.Recorder.Record(trace.Event{Kind: trace.KindRound, P: n.cfg.Me, Round: r})
 	return n.broadcastStep(out)
 }
 
@@ -503,12 +503,6 @@ func (n *Node) broadcastStep(out []types.Message) []types.Message {
 		panic(fmt.Sprintf("core: encoding own step message %v: %v", sm, err))
 	}
 	return n.bcast.AppendBroadcast(out, types.Tag{Round: n.round, Step: n.step, Seq: n.cfg.Instance}, body)
-}
-
-func (n *Node) record(e trace.Event) {
-	if n.cfg.Recorder.Enabled() {
-		n.cfg.Recorder.Record(e)
-	}
 }
 
 // majority returns the majority value of a wait's first n−f messages, ties

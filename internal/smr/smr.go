@@ -352,7 +352,7 @@ func (r *Replica) restoreFromStore() {
 	if err != nil {
 		if !errors.Is(err, ckpt.ErrNoRecord) {
 			r.storeErrors++
-			r.record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
+			r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
 				Note: fmt.Sprintf("ckpt store load rejected: %v", err)})
 		}
 		return
@@ -360,13 +360,13 @@ func (r *Replica) restoreFromStore() {
 	cert, ok := r.tracker.VerifyCertPayload(&rec.Cert)
 	if !ok || cert.Slot <= 0 {
 		r.storeErrors++
-		r.record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
+		r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
 			Note: "ckpt store record failed certificate verification"})
 		return
 	}
 	if err := r.snap.Restore(rec.Cert.Snapshot); err != nil {
 		r.storeErrors++
-		r.record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
+		r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
 			Note: fmt.Sprintf("ckpt store restore failed: %v", err)})
 		return
 	}
@@ -948,7 +948,7 @@ func (r *Replica) afterCertified(out []types.Message, cert ckpt.Certificate) []t
 	r.truncateLog(floor)
 	r.values.DropSeqBelow(dissemNS + floor)
 	r.persist()
-	r.record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
+	r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
 		Note: fmt.Sprintf("ckpt certified cut %d (floor %d)", cert.Slot, floor)})
 	return out
 }
@@ -976,7 +976,7 @@ func (r *Replica) persist() {
 	}
 	if err := r.store.Save(rec); err != nil {
 		r.storeErrors++
-		r.record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
+		r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
 			Note: fmt.Sprintf("ckpt store save failed: %v", err)})
 	}
 }
@@ -999,7 +999,7 @@ func (r *Replica) install(out []types.Message, cert ckpt.Certificate, snapshot s
 		// VerifyCertPayload checked the digest, so only a machine that
 		// cannot parse its own snapshot format ends here; installing
 		// nothing is the safe outcome.
-		r.record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
+		r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
 			Note: fmt.Sprintf("ckpt install at %d failed: %v", cert.Slot, err)})
 		return out
 	}
@@ -1044,7 +1044,7 @@ func (r *Replica) install(out []types.Message, cert ckpt.Certificate, snapshot s
 	if r.cfg.OnCertified != nil {
 		r.cfg.OnCertified(r.slot)
 	}
-	r.record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
+	r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
 		Note: fmt.Sprintf("ckpt installed cut %d via state transfer", cert.Slot)})
 	// It may be our turn at the cut, and buffered candidates/decides for
 	// the slots above it resume in step().
@@ -1171,7 +1171,7 @@ func (r *Replica) step(out []types.Message) []types.Message {
 func (r *Replica) commitEntry(e Entry, apply bool) {
 	if apply && e.Command != Noop {
 		if err := r.cfg.Machine.Apply(e.Command); err != nil {
-			r.record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
+			r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
 				Note: fmt.Sprintf("apply slot %d: %v", e.Slot, err)})
 		}
 	}
@@ -1187,7 +1187,7 @@ func (r *Replica) commitEntry(e Entry, apply bool) {
 	if want, ok := r.restoreSuffix[k]; ok {
 		if want.Proposer != e.Proposer || want.Command != e.Command {
 			r.suffixDivergence++
-			r.record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
+			r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
 				Note: fmt.Sprintf("ckpt suffix divergence at slot %d entry %d", e.Slot, e.Index)})
 		}
 		delete(r.restoreSuffix, k)
@@ -1226,10 +1226,4 @@ func (r *Replica) voteCheckpoint(out []types.Message) []types.Message {
 		r.persist()
 	}
 	return out
-}
-
-func (r *Replica) record(e trace.Event) {
-	if r.cfg.Recorder.Enabled() {
-		r.cfg.Recorder.Record(e)
-	}
 }
