@@ -173,14 +173,7 @@ func (n *Node) Deliver(m types.Message) []types.Message {
 	switch inst, kind := n.classify(m); kind {
 	case trafficValues:
 		var deliveries []rbc.Delivery
-		switch p := m.Payload.(type) {
-		case *types.RBCPayload:
-			out, deliveries = n.values.AppendHandle(out, m.From, p)
-		case *types.RBCFragPayload:
-			out, deliveries = n.values.AppendHandleFrag(out, m.From, p)
-		case *types.RBCSumPayload:
-			out, deliveries = n.values.AppendHandleSum(out, m.From, p)
-		}
+		out, deliveries, _ = n.values.AppendHandlePayload(out, m.From, m.Payload)
 		for _, d := range deliveries {
 			idx := d.ID.Tag.Seq - valueNS
 			if idx < 1 || idx > n.spec.N() || idx != n.indexOf(d.ID.Sender) {
@@ -244,22 +237,13 @@ const (
 // classify maps a message to the value-dissemination plane, a binary
 // instance, or the coin plane.
 func (n *Node) classify(m types.Message) (int, trafficKind) {
+	if id, ok := types.BroadcastID(m.Payload); ok {
+		if id.Tag.Seq >= valueNS {
+			return 0, trafficValues
+		}
+		return id.Tag.Seq, trafficBinary
+	}
 	switch p := m.Payload.(type) {
-	case *types.RBCPayload:
-		if p.ID.Tag.Seq >= valueNS {
-			return 0, trafficValues
-		}
-		return p.ID.Tag.Seq, trafficBinary
-	case *types.RBCFragPayload:
-		if p.ID.Tag.Seq >= valueNS {
-			return 0, trafficValues
-		}
-		return p.ID.Tag.Seq, trafficBinary
-	case *types.RBCSumPayload:
-		if p.ID.Tag.Seq >= valueNS {
-			return 0, trafficValues
-		}
-		return p.ID.Tag.Seq, trafficBinary
 	case *types.DecidePayload:
 		return p.Instance, trafficBinary
 	case *types.CoinSharePayload:

@@ -290,20 +290,16 @@ func (n *Node) AppendDeliver(out []types.Message, m types.Message) []types.Messa
 	if n.gadget.halted {
 		return out
 	}
-	var deliveries []rbc.Delivery
-	switch p := m.Payload.(type) {
-	case *types.RBCPayload:
-		out, deliveries = n.bcast.AppendHandle(out, m.From, p)
-	case *types.RBCFragPayload:
-		out, deliveries = n.bcast.AppendHandleFrag(out, m.From, p)
-	case *types.RBCSumPayload:
-		out, deliveries = n.bcast.AppendHandleSum(out, m.From, p)
-	case *types.CoinSharePayload:
-		n.cfg.Coin.HandleShare(m.From, p)
-	case *types.DecidePayload:
-		return n.gadget.Vote(out, m.From, p, n.round, n.roundEnteredAt)
-	default:
-		return out
+	out, deliveries, ok := n.bcast.AppendHandlePayload(out, m.From, m.Payload)
+	if !ok {
+		switch p := m.Payload.(type) {
+		case *types.CoinSharePayload:
+			n.cfg.Coin.HandleShare(m.From, p)
+		case *types.DecidePayload:
+			return n.gadget.Vote(out, m.From, p, n.round, n.roundEnteredAt)
+		default:
+			return out
+		}
 	}
 	return n.advance(n.onDeliveries(out, deliveries))
 }

@@ -409,6 +409,25 @@ func (b *Broadcaster) Handle(from types.ProcessID, p *types.RBCPayload) ([]types
 	return b.AppendHandle(nil, from, p)
 }
 
+// AppendHandlePayload hands a broadcast payload of any of the three kinds
+// (see types.BroadcastID) to its handler: AppendHandle, AppendHandleFrag or
+// AppendHandleSum. For any other payload it reports ok = false and returns
+// out untouched.
+func (b *Broadcaster) AppendHandlePayload(out []types.Message, from types.ProcessID, p types.Payload) (_ []types.Message, _ []Delivery, ok bool) {
+	var ds []Delivery
+	switch p := p.(type) {
+	case *types.RBCPayload:
+		out, ds = b.AppendHandle(out, from, p)
+	case *types.RBCFragPayload:
+		out, ds = b.AppendHandleFrag(out, from, p)
+	case *types.RBCSumPayload:
+		out, ds = b.AppendHandleSum(out, from, p)
+	default:
+		return out, nil, false
+	}
+	return out, ds, true
+}
+
 // AppendHandle is Handle appending protocol messages into a caller-provided
 // slice — the allocation-free path for nodes that reuse an output buffer.
 func (b *Broadcaster) AppendHandle(out []types.Message, from types.ProcessID, p *types.RBCPayload) ([]types.Message, []Delivery) {

@@ -1,6 +1,8 @@
 package rbc
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -413,4 +415,62 @@ func TestNewAllocations(t *testing.T) {
 		t.Errorf("New cost %.1f allocs, budget %d", allocs, budget)
 	}
 	_ = b
+}
+
+// TestAppendHandlePayloadMatchesTypedHandlers: every payload a plain and a
+// coded broadcast put on the wire — all three broadcast kinds — yields the
+// same messages and deliveries through AppendHandlePayload as through its
+// typed handler, on twin broadcasters; any other payload reports ok = false
+// and leaves out untouched.
+func TestAppendHandlePayloadMatchesTypedHandlers(t *testing.T) {
+	spec, peers := quorum.MustNew(4, 1), types.Processes(4)
+	tag := types.Tag{Round: 1, Step: types.Step1}
+	kinds := map[string]int{}
+	for _, mk := range []func(types.ProcessID, []types.ProcessID, quorum.Spec) *Broadcaster{New, NewCoded} {
+		typed, generic := map[types.ProcessID]*Broadcaster{}, map[types.ProcessID]*Broadcaster{}
+		for _, p := range peers {
+			typed[p], generic[p] = mk(p, peers, spec), mk(p, peers, spec)
+		}
+		body := strings.Repeat("body", 16)
+		queue := typed[1].AppendBroadcast(nil, tag, body)
+		generic[1].AppendBroadcast(nil, tag, body)
+		delivered := 0
+		for ; len(queue) > 0; queue = queue[1:] {
+			m := queue[0]
+			kinds[fmt.Sprintf("%T", m.Payload)]++
+			var want []types.Message
+			var wantDs []Delivery
+			switch p := m.Payload.(type) {
+			case *types.RBCPayload:
+				want, wantDs = typed[m.To].AppendHandle(nil, m.From, p)
+			case *types.RBCFragPayload:
+				want, wantDs = typed[m.To].AppendHandleFrag(nil, m.From, p)
+			case *types.RBCSumPayload:
+				want, wantDs = typed[m.To].AppendHandleSum(nil, m.From, p)
+			}
+			got, gotDs, ok := generic[m.To].AppendHandlePayload(nil, m.From, m.Payload)
+			if !ok || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotDs, wantDs) {
+				t.Fatalf("%v: AppendHandlePayload = %v, %v, %v; typed handler %v, %v", m, got, gotDs, ok, want, wantDs)
+			}
+			delivered += len(gotDs)
+			queue = append(queue, want...)
+		}
+		if delivered != len(peers) {
+			t.Errorf("%d deliveries, want %d", delivered, len(peers))
+		}
+	}
+	for _, k := range []string{"*types.RBCPayload", "*types.RBCFragPayload", "*types.RBCSumPayload"} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s was dispatched", k)
+		}
+	}
+
+	b := New(1, peers, spec)
+	out := make([]types.Message, 1, 4)
+	for _, p := range []types.Payload{&types.CoinSharePayload{Round: 1}, &types.DecidePayload{}, &types.PlainPayload{Round: 1}} {
+		got, ds, ok := b.AppendHandlePayload(out, 2, p)
+		if ok || ds != nil || len(got) != 1 || &got[0] != &out[0] {
+			t.Errorf("%T: AppendHandlePayload = %v, %v, %v; want out untouched and ok = false", p, got, ds, ok)
+		}
+	}
 }

@@ -81,13 +81,10 @@ func (s *AdaptiveDelay) Deliver(m types.Message, now Time, seq uint64, rng *rand
 // payloadRound extracts the protocol round a message speaks for, when it has
 // one — the adaptive adversary's only sensor.
 func payloadRound(p types.Payload) (int, bool) {
+	if id, ok := types.BroadcastID(p); ok {
+		return id.Tag.Round, true
+	}
 	switch v := p.(type) {
-	case *types.RBCPayload:
-		return v.ID.Tag.Round, true
-	case *types.RBCFragPayload:
-		return v.ID.Tag.Round, true
-	case *types.RBCSumPayload:
-		return v.ID.Tag.Round, true
 	case *types.CoinSharePayload:
 		return v.Round, true
 	case *types.PlainPayload:

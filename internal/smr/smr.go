@@ -718,18 +718,9 @@ func (r *Replica) Deliver(m types.Message) []types.Message {
 	out := r.Take()
 	switch inst, kind := classify(m); kind {
 	case trafficValues:
+		r.noteFrontier(inst)
 		var deliveries []rbc.Delivery
-		switch p := m.Payload.(type) {
-		case *types.RBCPayload:
-			r.noteFrontier(p.ID.Tag.Seq - dissemNS)
-			out, deliveries = r.values.AppendHandle(out, m.From, p)
-		case *types.RBCFragPayload:
-			r.noteFrontier(p.ID.Tag.Seq - dissemNS)
-			out, deliveries = r.values.AppendHandleFrag(out, m.From, p)
-		case *types.RBCSumPayload:
-			r.noteFrontier(p.ID.Tag.Seq - dissemNS)
-			out, deliveries = r.values.AppendHandleSum(out, m.From, p)
-		}
+		out, deliveries, _ = r.values.AppendHandlePayload(out, m.From, m.Payload)
 		for _, d := range deliveries {
 			slot := d.ID.Tag.Seq - dissemNS
 			if slot < 0 || d.ID.Sender != r.proposer(slot) {
@@ -1060,23 +1051,17 @@ const (
 	trafficCkpt
 )
 
+// classify maps a message to its plane and the instance it names: the slot
+// for dissemination traffic, the agreement instance (slot+1) for binary
+// traffic.
 func classify(m types.Message) (int, trafficKind) {
+	if id, ok := types.BroadcastID(m.Payload); ok {
+		if id.Tag.Seq >= dissemNS {
+			return id.Tag.Seq - dissemNS, trafficValues
+		}
+		return id.Tag.Seq, trafficBinary
+	}
 	switch p := m.Payload.(type) {
-	case *types.RBCPayload:
-		if p.ID.Tag.Seq >= dissemNS {
-			return 0, trafficValues
-		}
-		return p.ID.Tag.Seq, trafficBinary
-	case *types.RBCFragPayload:
-		if p.ID.Tag.Seq >= dissemNS {
-			return 0, trafficValues
-		}
-		return p.ID.Tag.Seq, trafficBinary
-	case *types.RBCSumPayload:
-		if p.ID.Tag.Seq >= dissemNS {
-			return 0, trafficValues
-		}
-		return p.ID.Tag.Seq, trafficBinary
 	case *types.DecidePayload:
 		return p.Instance, trafficBinary
 	case *types.CoinSharePayload:

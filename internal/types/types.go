@@ -212,6 +212,22 @@ func (p *RBCSumPayload) String() string {
 	return fmt.Sprintf("RBC-SUM[%s %x…]", p.ID, p.Sum[:min(4, len(p.Sum))])
 }
 
+// BroadcastID returns the reliable-broadcast instance p belongs to when p
+// is one of the three broadcast payloads (RBCPayload, RBCFragPayload,
+// RBCSumPayload): the one place that says which payloads are broadcast
+// traffic.
+func BroadcastID(p Payload) (InstanceID, bool) {
+	switch p := p.(type) {
+	case *RBCPayload:
+		return p.ID, true
+	case *RBCFragPayload:
+		return p.ID, true
+	case *RBCSumPayload:
+		return p.ID, true
+	}
+	return InstanceID{}, false
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a
