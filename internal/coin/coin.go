@@ -9,8 +9,14 @@
 //     processes learn nothing); processes exchange authenticated shares when
 //     the protocol releases the coin and reconstruct the same bit. This is
 //     the variant that gives constant expected rounds.
-//   - Ideal: a test-only coin that is common and immediate (no messages),
-//     for isolating consensus logic from coin mechanics in unit tests.
+//   - Ideal: a common coin that is immediate and sends no messages: every
+//     process holds the same seed. Unit tests use it to isolate consensus
+//     logic from coin mechanics, and so do `bench run -coin ideal`, SMR's
+//     CoinIdeal and the split-brain adversary, which exploits its
+//     predictability.
+//
+// Local and Ideal are one type: a seed and a bit per round. NewLocal and
+// NewIdeal differ only in how the caller hands out seeds.
 //
 // All coins are deterministic functions of their seeds, keeping experiment
 // runs reproducible.
@@ -54,8 +60,8 @@ type Coin interface {
 // arrival instead of storing them. The consensus core calls it as rounds
 // decide, so long executions keep only two rounds of coin state; a
 // pruned round's value must never be asked for again (the core only queries
-// its current round). Coins without per-round state (Local, Ideal) simply
-// don't implement it.
+// its current round). The seeded coin (Local, Ideal) has no per-round state
+// and simply doesn't implement it.
 type Pruner interface {
 	Prune(below int)
 }
@@ -74,7 +80,10 @@ func bitFor(seed int64, round int) types.Value {
 	return types.Value(mix64(mix64(uint64(seed))^uint64(round)) & 1)
 }
 
-// Local is the Ben-Or-style private coin: every process flips independently.
+// Local is the seeded coin: no messages, and every round's bit is available
+// at once, derived from the seed and the round. Processes holding distinct
+// seeds flip privately (NewLocal); processes holding one seed see one
+// common bit (NewIdeal).
 type Local struct {
 	seed int64
 }
@@ -84,31 +93,17 @@ type Local struct {
 // process ID).
 func NewLocal(seed int64) *Local { return &Local{seed: seed} }
 
+// NewIdeal returns an ideal common coin: give every process the same seed
+// and all observe the same bit, immediately. It deliberately has no
+// unpredictability — adversarial tests exploit exactly that to script
+// worst-case schedules.
+func NewIdeal(seed int64) *Local { return &Local{seed: seed} }
+
 // Release implements Coin (no messages needed).
 func (l *Local) Release(int) []types.Message { return nil }
 
-// HandleShare implements Coin (local coins have no shares).
+// HandleShare implements Coin (a seeded coin has no shares).
 func (l *Local) HandleShare(types.ProcessID, *types.CoinSharePayload) {}
 
-// Value implements Coin; a local coin is always available.
+// Value implements Coin; a seeded coin is always available.
 func (l *Local) Value(round int) (types.Value, bool) { return bitFor(l.seed, round), true }
-
-// Ideal is a test-only common coin: all processes constructed with the same
-// seed observe the same bit, immediately, with no message exchange. It
-// deliberately has no unpredictability — adversarial tests exploit exactly
-// that to script worst-case schedules.
-type Ideal struct {
-	seed int64
-}
-
-// NewIdeal returns an ideal coin; give every process the same seed.
-func NewIdeal(seed int64) *Ideal { return &Ideal{seed: seed} }
-
-// Release implements Coin.
-func (c *Ideal) Release(int) []types.Message { return nil }
-
-// HandleShare implements Coin.
-func (c *Ideal) HandleShare(types.ProcessID, *types.CoinSharePayload) {}
-
-// Value implements Coin.
-func (c *Ideal) Value(round int) (types.Value, bool) { return bitFor(c.seed, round), true }
