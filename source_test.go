@@ -61,18 +61,17 @@ func (st *sourceTree) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
-// TestMapRangesAnnotated is the determinism contract checked at the source:
-// a run must be a pure function of (config, seed), and Go randomizes map
-// iteration order, so every range over a map in non-test internal/ code
-// carries an order-free note saying why its order cannot leak into a
-// result (a delete below a floor, a count, keys sorted before use). The
-// replay goldens catch an order leak only on the paths some pinned run
-// executes; this catches it on every path.
-func TestMapRangesAnnotated(t *testing.T) {
+// internalSource type-checks every package under internal/ once per test
+// binary and returns the tree every source rule below walks.
+func internalSource(t *testing.T) *sourceTree {
+	t.Helper()
+	if loadedSource != nil {
+		return loadedSource
+	}
 	st := &sourceTree{
 		fset:  token.NewFileSet(),
 		std:   importer.Default(),
-		info:  &types.Info{Types: map[ast.Expr]types.TypeAndValue{}},
+		info:  &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}},
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
 	}
@@ -98,32 +97,139 @@ func TestMapRangesAnnotated(t *testing.T) {
 	if len(st.files) < 20 {
 		t.Fatalf("type-checked only %d packages under internal/", len(st.files))
 	}
-	ranges := 0
-	for _, path := range slices.Sorted(maps.Keys(st.files)) {
-		for _, f := range st.files[path] {
-			noted := map[int]bool{} // lines holding an order-free note
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if why, ok := strings.CutPrefix(c.Text, orderFreeNote); ok && strings.TrimSpace(why) != "" {
-						noted[st.fset.Position(c.Pos()).Line] = true
-					}
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				if _, isMap := st.info.Types[rs.X].Type.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				ranges++
-				if pos := st.fset.Position(rs.For); !noted[pos.Line-1] {
-					t.Errorf("%s: range over a map without an %q note on the line above", pos, strings.TrimSpace(orderFreeNote))
-				}
-				return true
-			})
+	loadedSource = st
+	return st
+}
+
+var loadedSource *sourceTree
+
+// eachFile calls fn for every non-test file under internal/, in path order,
+// with the file's slash-separated path.
+func (st *sourceTree) eachFile(fn func(path string, f *ast.File)) {
+	for _, pkg := range slices.Sorted(maps.Keys(st.files)) {
+		for _, f := range st.files[pkg] {
+			fn(filepath.ToSlash(st.fset.Position(f.Pos()).Filename), f)
 		}
 	}
+}
+
+// allowed reports whether path is one of sites: a file, or every file of
+// a package directory when the site ends in "/".
+func allowed(path string, sites []string) bool {
+	return slices.ContainsFunc(sites, func(site string) bool {
+		return path == site || strings.HasSuffix(site, "/") && filepath.ToSlash(filepath.Dir(path))+"/" == site
+	})
+}
+
+// TestMapRangesAnnotated is the determinism contract checked at the source:
+// a run must be a pure function of (config, seed), and Go randomizes map
+// iteration order, so every range over a map in non-test internal/ code
+// carries an order-free note saying why its order cannot leak into a
+// result (a delete below a floor, a count, keys sorted before use). The
+// replay goldens catch an order leak only on the paths some pinned run
+// executes; this catches it on every path.
+func TestMapRangesAnnotated(t *testing.T) {
+	st := internalSource(t)
+	ranges := 0
+	st.eachFile(func(_ string, f *ast.File) {
+		noted := map[int]bool{} // lines holding an order-free note
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if why, ok := strings.CutPrefix(c.Text, orderFreeNote); ok && strings.TrimSpace(why) != "" {
+					noted[st.fset.Position(c.Pos()).Line] = true
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			rs, ok := n.(*ast.RangeStmt)
+			if !ok {
+				return true
+			}
+			if _, isMap := st.info.Types[rs.X].Type.Underlying().(*types.Map); !isMap {
+				return true
+			}
+			ranges++
+			if pos := st.fset.Position(rs.For); !noted[pos.Line-1] {
+				t.Errorf("%s: range over a map without an %q note on the line above", pos, strings.TrimSpace(orderFreeNote))
+			}
+			return true
+		})
+	})
 	t.Logf("%d ranges over maps in %d packages", ranges, len(st.files))
+}
+
+// goSites are the only files that may start a goroutine: the sweep pool,
+// which runs whole runs side by side. A run itself is one thread.
+var goSites = []string{"internal/runner/stream.go"}
+
+// TestGoStatementsConfined: no goroutine starts outside the sweep pool, so
+// nothing inside a run can interleave.
+func TestGoStatementsConfined(t *testing.T) {
+	st := internalSource(t)
+	st.eachFile(func(path string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok && !allowed(path, goSites) {
+				t.Errorf("%s: go statement outside %v", st.fset.Position(g.Go), goSites)
+			}
+			return true
+		})
+	})
+}
+
+// importSites lists, per restricted import, the only files (or packages,
+// ending in "/") under internal/ that may import it. time: a run reads no
+// clock. sync/atomic: the sweep pool. sync: the sweep pool, wire's
+// process-wide buffer pool, gf256's table Once, coin's dealer and dealer
+// set, and trace's recorder. os: the checkpoint store, sweep and search
+// manifests, and the two REPRO_HARNESS_FULL switches in experiments.
+var importSites = map[string][]string{
+	"time":        nil,
+	"sync/atomic": {"internal/runner/"},
+	"sync": {"internal/runner/", "internal/wire/wire.go", "internal/gf256/gf256.go",
+		"internal/coin/dealer.go", "internal/coin/dealerset.go", "internal/trace/"},
+	"os": {"internal/ckpt/store.go", "internal/runner/checkpoint.go", "internal/search/search.go",
+		"internal/experiments/throughput.go", "internal/experiments/dissemination.go"},
+}
+
+// TestImportsConfined: clocks, atomics, locks and the operating system are
+// reached only from the sites importSites names.
+func TestImportsConfined(t *testing.T) {
+	st := internalSource(t)
+	st.eachFile(func(path string, f *ast.File) {
+		for _, im := range f.Imports {
+			imp := strings.Trim(im.Path.Value, `"`)
+			if sites, restricted := importSites[imp]; restricted && !allowed(path, sites) {
+				t.Errorf("%s: imports %q outside %v", st.fset.Position(im.Pos()), imp, sites)
+			}
+		}
+	})
+}
+
+// TestNoGlobalRandCalls: every random draw comes from a seeded *rand.Rand,
+// never from math/rand's process-wide source, so a run is a function of its
+// seed. Only the constructors New and NewSource may be called at package
+// level.
+func TestNoGlobalRandCalls(t *testing.T) {
+	st := internalSource(t)
+	st.eachFile(func(_ string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			if name, ok := st.info.Uses[pkg].(*types.PkgName); ok && name.Imported().Path() == "math/rand" &&
+				sel.Sel.Name != "New" && sel.Sel.Name != "NewSource" {
+				t.Errorf("%s: package-level math/rand call rand.%s", st.fset.Position(call.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	})
 }
