@@ -137,10 +137,8 @@ type Node struct {
 	stats Stats
 }
 
-// acceptedTable holds the quorum waits as counts: each step's rule reads
-// only how many of the first n−f justified messages of its (round, step)
-// carry each value, and in step 3 how many are D(v), so a wait is one
-// counter cell instead of a message list. Rounds are interned as offsets
+// acceptedTable holds the quorum waits, one counter cell per (round, step)
+// (the package doc says why counts suffice). Rounds are interned as offsets
 // from a moving base: rounds[i] holds round base+i, a (round, step) cell
 // resolves to two array indexes, and pruning advances base, so a long run's
 // live table stays a fixed-size window.
@@ -151,8 +149,8 @@ type acceptedTable struct {
 
 // waitCell is one (round, step) wait: the justified messages folded in,
 // and over the first n−f of them in fold order the count per value and of
-// D(v) per value. int32 fields keep a round's three cells no larger than
-// three slice headers.
+// D(v) per value. int32 fields keep a round's three cells at 60 bytes, the
+// table's whole cost for each round up to the one a Byzantine message names.
 type waitCell struct {
 	folded int32
 	vals   [2]int32

@@ -214,8 +214,8 @@ func (p *RBCSumPayload) String() string {
 
 // BroadcastID returns the reliable-broadcast instance p belongs to when p
 // is one of the three broadcast payloads (RBCPayload, RBCFragPayload,
-// RBCSumPayload): the one place that says which payloads are broadcast
-// traffic.
+// RBCSumPayload). Layers that route traffic classify it here; handing it
+// to the broadcaster is rbc.Broadcaster.AppendHandlePayload's job.
 func BroadcastID(p Payload) (InstanceID, bool) {
 	switch p := p.(type) {
 	case *RBCPayload:
