@@ -28,9 +28,9 @@ func TestConsensusN64Pinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := fmt.Sprintf("msgs=%d deliveries=%d end=%d wire=%d exhausted=%v",
-		res.Messages, res.Deliveries, res.EndTime, res.WireBytes, res.Exhausted)
-	const want = "msgs=836800 deliveries=489626 end=378 wire=10112467 exhausted=false"
+	got := fmt.Sprintf("msgs=%d deliveries=%d dropped=%d end=%d wire=%d exhausted=%v",
+		res.Messages, res.Deliveries, res.Dropped, res.EndTime, res.WireBytes, res.Exhausted)
+	const want = "msgs=836800 deliveries=489626 dropped=240130 end=378 wire=10112467 exhausted=false"
 	if got != want {
 		t.Errorf("run summary:\n got %s\nwant %s", got, want)
 	}
