@@ -358,3 +358,32 @@ func FuzzDeadMail(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkSimDeadMailDelivery is BenchmarkSimDisabledDelivery's relay loop
+// with every relay also mailing process 3, which never runs. Counting that
+// mail must keep the loop at 0 allocs/op once the dead-mail chunks have
+// reached their high water (CI gates it with the other Delivery benchmarks).
+func BenchmarkSimDeadMailDelivery(b *testing.B) {
+	n, err := New(Config{
+		Scheduler:     UniformDelay{Min: 1, Max: 20},
+		Seed:          1,
+		MaxDeliveries: b.N,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, r := range []*relayNode{{id: 1, to: 2, dead: 3}, {id: 2, to: 1, dead: 3}} {
+		if err := n.Add(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	stats, err := n.Run(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if stats.Delivered != b.N || stats.Sent <= 2*b.N {
+		b.Fatalf("delivered %d of %d sent, want %d of more than %d", stats.Delivered, stats.Sent, b.N, 2*b.N)
+	}
+}

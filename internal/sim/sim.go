@@ -132,7 +132,10 @@ type Config struct {
 	// that exhaust it report Exhausted — for consensus runs that is a
 	// liveness failure, which experiment E7 relies on detecting.
 	MaxDeliveries int
-	// Recorder, when enabled, receives SEND/DELIVER/DROP events.
+	// Recorder, when enabled, receives SEND/DELIVER/DROP events. An
+	// enabled recorder also has mail to processes never registered queued
+	// like any other, so that its drop event keeps the message and its
+	// place in the trace; without one that mail is only counted.
 	Recorder *trace.Recorder
 	// Sizer, when non-nil, is charged once per sent message (after spoof
 	// rejection, before scheduling — scheduler-dropped messages still hit
@@ -154,9 +157,13 @@ const DefaultMaxDeliveries = 2_000_000
 
 // Stats summarizes a run.
 type Stats struct {
-	Sent      int   // messages handed to the network
-	Delivered int   // messages delivered to nodes
-	Dropped   int   // messages dropped (scheduler Drop or spoof rejection)
+	Sent      int // messages handed to the network
+	Delivered int // messages delivered to nodes
+	// Dropped counts messages dropped: by a scheduler Drop, by spoof
+	// rejection, or for a destination that is done or was never
+	// registered. Mail to such a destination counts in (time, seq) order
+	// up to the point where the run stopped, as if popped from the queue.
+	Dropped   int
 	Spoofed   int   // messages rejected because From != emitting node
 	Bytes     int64 // total Config.Sizer bytes over sent messages (0 without a Sizer)
 	End       Time  // time of the last delivery
@@ -180,6 +187,7 @@ type Network struct {
 	order []types.ProcessID        // Start order (insertion order, for determinism)
 
 	queue eventQueue
+	dead  *deadMail // mail to processes never registered (nil until the first)
 	seq   uint64
 	now   Time
 	stats Stats
@@ -266,13 +274,20 @@ func (n *Network) Run(stop func() bool) (Stats, error) {
 		node := n.nodes[id]
 		n.dispatch(node, node.Start())
 	}
+	var (
+		last    uint64 // the seq of the last popped event
+		stopped bool
+	)
 	for n.queue.Len() > 0 {
 		if n.stats.Delivered >= n.cfg.MaxDeliveries {
 			n.stats.Exhausted = true
 			break
 		}
 		ev := n.queue.pop()
-		n.now = ev.at
+		n.now, last = ev.at, ev.seq
+		if n.dead != nil {
+			n.dead.settle(n.now)
+		}
 		tele := n.cfg.Telemetry
 		if tele != nil {
 			tele.now = n.now
@@ -309,8 +324,25 @@ func (n *Network) Run(stop func() bool) (Stats, error) {
 			rec.SetParent(0)
 		}
 		if stop != nil && stop() {
+			stopped = true
 			break
 		}
+	}
+	if d := n.dead; d != nil {
+		// Count the dead letters the loop would have popped had they been
+		// queued: all of them when the queue drained with budget left,
+		// else those that sort before the last popped event. When the
+		// budget ran out with dead letters still due, the run is exhausted
+		// as it would have been with them queued.
+		if !stopped && n.stats.Delivered < n.cfg.MaxDeliveries {
+			d.settle(endOfTime)
+			last = ^uint64(0)
+		}
+		d.cut(last)
+		if !stopped && d.n > 0 {
+			n.stats.Exhausted = true
+		}
+		d.fold(&n.stats, n.cfg.Telemetry)
 	}
 	return n.stats, nil
 }
@@ -378,7 +410,15 @@ func (n *Network) send(node Node, msgs []types.Message) {
 			}
 			at = n.now // schedulers cannot deliver into the past
 		}
-		n.queue.push(at, n.seq, m)
+		// Mail to a process that was never registered can never be
+		// delivered (Add refuses once Run has started), so it is only
+		// counted, unless a recorder needs its drop event.
+		dead := n.lookup(m.To) == nil && !rec.Enabled()
+		if dead {
+			n.mailDead(at, n.seq, m)
+		} else {
+			n.queue.push(at, n.seq, m)
+		}
 		if n.dup != nil {
 			if dat, ok := n.dup.Duplicate(m, at, n.now, n.rng); ok {
 				if dat < n.now {
@@ -395,8 +435,21 @@ func (n *Network) send(node Node, msgs []types.Message) {
 				if rec.Enabled() {
 					rec.Record(trace.Event{Time: int64(n.now), Kind: trace.KindSend, P: node.ID(), Msg: m, Seq: n.seq})
 				}
-				n.queue.push(dat, n.seq, m)
+				if dead {
+					n.mailDead(dat, n.seq, m)
+				} else {
+					n.queue.push(dat, n.seq, m)
+				}
 			}
 		}
 	}
+}
+
+// mailDead hands a letter to a process never registered to the dead-mail
+// count, which is allocated with the first letter: most runs send none.
+func (n *Network) mailDead(at Time, seq uint64, m types.Message) {
+	if n.dead == nil {
+		n.dead = &deadMail{settled: n.now}
+	}
+	n.dead.push(at, seq, kindIndex(m))
 }

@@ -12,10 +12,11 @@ import (
 	"repro/internal/types"
 )
 
-// relayNode forwards every delivery to a fixed peer, recycling its output
-// buffer: an endless two-node ping-pong with a zero-allocation steady state.
+// relayNode forwards every delivery to a fixed peer, and also to dead when
+// set, recycling its output buffer: an endless two-node ping-pong with a
+// zero-allocation steady state.
 type relayNode struct {
-	id, to types.ProcessID
+	id, to, dead types.ProcessID
 	OutBuffer
 }
 
@@ -24,8 +25,11 @@ func (r *relayNode) Start() []types.Message {
 	return []types.Message{{From: r.id, To: r.to, Payload: &types.PlainPayload{Round: 1, Step: types.Step1}}}
 }
 func (r *relayNode) Deliver(m types.Message) []types.Message {
-	out := r.Take()
-	return append(out, types.Message{From: r.id, To: r.to, Payload: m.Payload})
+	out := append(r.Take(), types.Message{From: r.id, To: r.to, Payload: m.Payload})
+	if r.dead != types.NoProcess {
+		out = append(out, types.Message{From: r.id, To: r.dead, Payload: m.Payload})
+	}
+	return out
 }
 func (r *relayNode) Done() bool { return false }
 
