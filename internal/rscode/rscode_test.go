@@ -272,3 +272,103 @@ func BenchmarkReconstructParityHeavy(b *testing.B) {
 		}
 	}
 }
+
+// hostileShards decodes a fuzz input into a code, the body it splits, and a
+// shard set for Reconstruct. Input bytes: n−1 (mod 24), k−1 (mod n), the
+// body length, a body pattern, a bodyLen offset (128 = the real length),
+// then two bytes per entry. An entry (a, b) with a even hands over the
+// genuine shard a/2 mod n; with a odd it is hostile: index a/2−8 (out of
+// range at both ends) and a shard filled with b whose length b&3 picks —
+// empty, one short, one long, or the right length.
+func hostileShards(data []byte) (c *Code, body []byte, indices []int, shards [][]byte, bodyLen int, ok bool) {
+	if len(data) < 5 {
+		return nil, nil, nil, nil, 0, false
+	}
+	n := 1 + int(data[0])%24
+	c, err := New(n, 1+int(data[1])%n)
+	if err != nil {
+		panic(err)
+	}
+	body = make([]byte, data[2])
+	for i := range body {
+		body[i] = byte(i)*data[3] + 7
+	}
+	bodyLen = len(body) + int(data[4]) - 128
+	split := c.Split(body)
+	shardLen := len(split[0])
+	for p := data[5:]; len(p) >= 2; p = p[2:] {
+		a, b := int(p[0]), p[1]
+		if a%2 == 0 {
+			i := a / 2 % n
+			indices, shards = append(indices, i), append(shards, split[i])
+			continue
+		}
+		s := bytes.Repeat([]byte{b}, [4]int{0, shardLen - 1, shardLen + 1, shardLen}[b&3])
+		indices, shards = append(indices, a/2-8), append(shards, s)
+	}
+	return c, body, indices, shards, bodyLen, true
+}
+
+// FuzzReconstruct feeds Reconstruct hostile shard sets: mismatched lengths,
+// duplicate and out-of-range indices, empty shards, and bodyLen outside
+// [0, k·shardLen]. It must never panic, and it must fail with one of its two
+// errors or return bodyLen bytes. When the k shards its documented scan
+// selects (the first distinct in-range non-empty ones of the first usable
+// length) are all genuine, it must return the zero-padded body's first
+// bodyLen bytes, or ErrBadShards for a bodyLen out of range.
+func FuzzReconstruct(f *testing.F) {
+	for _, seed := range [][]byte{
+		{5, 2, 40, 3, 128, 0, 0, 2, 0, 4, 0},              // three data shards: systematic
+		{5, 2, 40, 3, 128, 4, 0, 6, 0, 8, 0},              // three parity-heavy shards
+		{5, 2, 40, 3, 128, 17, 2, 0, 0, 2, 0, 4, 0},       // a long hostile shard first sets the length
+		{5, 2, 40, 3, 128, 0, 0, 0, 0, 0, 0, 2, 0, 4, 0},  // duplicate indices
+		{5, 2, 40, 3, 128, 1, 3, 41, 3, 2, 0, 6, 0, 8, 0}, // out-of-range indices at both ends
+		{5, 2, 40, 3, 128, 17, 0, 2, 0, 4, 0, 6, 0},       // an empty shard
+		{5, 2, 40, 3, 255, 0, 0, 2, 0, 4, 0},              // bodyLen above k·shardLen
+		{5, 2, 40, 3, 0, 0, 0, 2, 0, 4, 0},                // negative bodyLen
+		{0, 0, 0, 0, 128, 0, 0},                           // (1, 1) code, empty body
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, body, indices, shards, bodyLen, ok := hostileShards(data)
+		if !ok {
+			return
+		}
+		got, err := c.Reconstruct(indices, shards, bodyLen)
+		if err != nil && !errors.Is(err, ErrBadShards) && !errors.Is(err, ErrTooFewShards) {
+			t.Fatalf("unexpected error %v", err)
+		}
+		if err == nil && len(got) != bodyLen {
+			t.Fatalf("returned %d bytes for bodyLen %d", len(got), bodyLen)
+		}
+		// The documented selection, with each pick checked against Split.
+		split := c.Split(body)
+		seen := map[int]bool{}
+		picked, genuine, shardLen := 0, true, 0
+		for i, idx := range indices {
+			if picked == c.K() || idx < 0 || idx >= c.N() || seen[idx] || len(shards[i]) == 0 ||
+				shardLen != 0 && len(shards[i]) != shardLen {
+				continue
+			}
+			shardLen = len(shards[i])
+			seen[idx] = true
+			picked++
+			genuine = genuine && bytes.Equal(shards[i], split[idx])
+		}
+		if len(indices) != len(shards) || picked < c.K() || !genuine {
+			return
+		}
+		if bodyLen < 0 || bodyLen > c.K()*shardLen {
+			if !errors.Is(err, ErrBadShards) {
+				t.Fatalf("bodyLen %d of %d×%d: error %v, want ErrBadShards", bodyLen, c.K(), shardLen, err)
+			}
+			return
+		}
+		want := make([]byte, bodyLen)
+		copy(want, body)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("k genuine shards %v: got %x (error %v), want %x", indices, got, err, want)
+		}
+	})
+}
