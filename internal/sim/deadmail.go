@@ -43,12 +43,15 @@ type deadMail struct {
 const deadChunkLen = 32
 
 // deadChunk is a run of one tick's letters, each seq<<8 | kindIndex, in
-// ascending seq; or a link of the free list.
+// ascending seq; or a link of the free list. The conversion below fails to
+// compile once a kind index no longer fits the low byte.
 type deadChunk struct {
 	w    [deadChunkLen]uint64
 	next int32 // the next chunk of the tick or the free list (0 = none)
 	n    int32
 }
+
+const _ = uint8(types.KindCount - 1)
 
 type farLetter struct {
 	at Time

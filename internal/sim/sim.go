@@ -16,8 +16,13 @@
 // are started in registration order, and the only randomness is the run's
 // seeded RNG. The order is the contract, not the structure that produces it:
 // the queue is a ring of per-tick buckets with a heap for far-future events
-// (queue.go argues why it pops what a heap pops). Nothing in a Network reads
-// clocks, goroutine identity, or global state. This contract is what makes executions replayable byte for byte,
+// (queue.go argues why it pops what a heap pops). Mail to a process that was
+// never registered is not queued at all, since it can never be delivered: it
+// is counted as dropped in that same order, up to the point where the run
+// stops, exactly as if it had been popped (deadmail.go). With an enabled
+// recorder it is queued, so that its drop events appear in the trace.
+// Nothing in a Network reads clocks, goroutine identity, or global state.
+// This contract is what makes executions replayable byte for byte,
 // and it is what runner.Sweep relies on to fan independent runs across
 // worker goroutines: each run owns its Network outright, so runs scheduled
 // on different workers — in any order, at any parallelism — produce
@@ -285,8 +290,8 @@ func (n *Network) Run(stop func() bool) (Stats, error) {
 		}
 		ev := n.queue.pop()
 		n.now, last = ev.at, ev.seq
-		if n.dead != nil {
-			n.dead.settle(n.now)
+		if d := n.dead; d != nil && d.settled != n.now {
+			d.settle(n.now)
 		}
 		tele := n.cfg.Telemetry
 		if tele != nil {
@@ -415,7 +420,7 @@ func (n *Network) send(node Node, msgs []types.Message) {
 		// counted, unless a recorder needs its drop event.
 		dead := n.lookup(m.To) == nil && !rec.Enabled()
 		if dead {
-			n.mailDead(at, n.seq, m)
+			n.mailDead(at, m)
 		} else {
 			n.queue.push(at, n.seq, m)
 		}
@@ -436,7 +441,7 @@ func (n *Network) send(node Node, msgs []types.Message) {
 					rec.Record(trace.Event{Time: int64(n.now), Kind: trace.KindSend, P: node.ID(), Msg: m, Seq: n.seq})
 				}
 				if dead {
-					n.mailDead(dat, n.seq, m)
+					n.mailDead(dat, m)
 				} else {
 					n.queue.push(dat, n.seq, m)
 				}
@@ -445,11 +450,11 @@ func (n *Network) send(node Node, msgs []types.Message) {
 	}
 }
 
-// mailDead hands a letter to a process never registered to the dead-mail
-// count, which is allocated with the first letter: most runs send none.
-func (n *Network) mailDead(at Time, seq uint64, m types.Message) {
+// mailDead hands the letter just numbered n.seq to the dead-mail count,
+// which is allocated with the first letter: most runs send none.
+func (n *Network) mailDead(at Time, m types.Message) {
 	if n.dead == nil {
 		n.dead = &deadMail{settled: n.now}
 	}
-	n.dead.push(at, seq, kindIndex(m))
+	n.dead.push(at, n.seq, kindIndex(m))
 }
