@@ -14,9 +14,10 @@ import (
 //
 // The count must come out as if every letter had been queued: a letter is
 // dropped when it sorts before the last event the run pops, and when the
-// queue drains every letter is. So the run settles before each pop, charging
-// every letter due at an earlier tick, and when it ends cuts the clock's tick
-// at the last popped seq. Only that cut compares seqs.
+// queue drains every letter is. So whenever a pop moves the clock to a new
+// tick the run settles, charging every letter due at an earlier tick, and
+// when it ends it cuts the clock's tick at the last popped seq. Only that cut
+// compares seqs.
 //
 // Letters due within queueSpan ticks of the clock go in per-tick chains of
 // chunks, the eventQueue's layout without the messages: a letter is one word.
@@ -81,8 +82,8 @@ func (d *deadMail) newChunk() (int32, *deadChunk) {
 	return i, c
 }
 
-// push adds a letter sent at the settled tick: the run settles at every pop
-// and sends only while delivering the popped event.
+// push adds a letter sent at the settled tick: the run settles whenever a
+// pop moves the clock and sends only while delivering the popped event.
 func (d *deadMail) push(at Time, seq uint64, kind int) {
 	d.n++
 	w := seq<<8 | uint64(kind)
