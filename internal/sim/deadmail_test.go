@@ -183,8 +183,8 @@ func (r *mailRun) Duplicate(_ types.Message, at, _ Time, _ *rand.Rand) (Time, bo
 }
 
 // runDeadMail plays a script and summarizes its Stats and per-kind
-// telemetry, along with the recorder when traced.
-func runDeadMail(t testing.TB, s deadMailScript, traced bool) (string, *trace.Recorder, Stats) {
+// telemetry; the network is returned for inspection.
+func runDeadMail(t testing.TB, s deadMailScript, traced bool) (string, *Network) {
 	t.Helper()
 	run := &mailRun{s: &s}
 	cfg := Config{
@@ -222,7 +222,7 @@ func runDeadMail(t testing.TB, s deadMailScript, traced bool) (string, *trace.Re
 			fmt.Fprintf(&b, " k%d=%d/%d/%d/%d/%d,%d,%d,%d", k, ks.Sent, ks.Delivered, ks.Dropped, ks.Bytes, l.Count, l.Sum, l.Min, l.Max)
 		}
 	}
-	return b.String(), cfg.Recorder, stats
+	return b.String(), n
 }
 
 // checkDeadMail runs a script with the recorder on and off: the summaries
@@ -230,13 +230,13 @@ func runDeadMail(t testing.TB, s deadMailScript, traced bool) (string, *trace.Re
 // Stats.Dropped counts.
 func checkDeadMail(t testing.TB, s deadMailScript) string {
 	t.Helper()
-	plain, _, _ := runDeadMail(t, s, false)
-	traced, rec, stats := runDeadMail(t, s, true)
+	plain, _ := runDeadMail(t, s, false)
+	traced, n := runDeadMail(t, s, true)
 	if plain != traced {
 		t.Fatalf("recorder off and on disagree:\n off %s\n on  %s", plain, traced)
 	}
-	if drops := len(rec.ByKind(trace.KindDrop)); drops != stats.Dropped {
-		t.Fatalf("%d DROP events, Stats.Dropped %d", drops, stats.Dropped)
+	if drops := len(n.cfg.Recorder.ByKind(trace.KindDrop)); drops != n.stats.Dropped {
+		t.Fatalf("%d DROP events, Stats.Dropped %d", drops, n.stats.Dropped)
 	}
 	return plain
 }
@@ -329,6 +329,23 @@ func TestDeadMailAccounting(t *testing.T) {
 				t.Errorf("summary:\n got %s\nwant %s", got, c.want)
 			}
 		})
+	}
+}
+
+// TestDeadMailSkipsQueue: without a recorder no message to a
+// never-registered process is pushed onto the event queue, duplicates
+// included; with one, every message is.
+func TestDeadMailSkipsQueue(t *testing.T) {
+	s := deadMailScript{live: 0b001, start: 4, budget: 10, dupEvery: 1, dupCode: 3,
+		sends: []mailSend{{2, 3}, {3, 226}, {4, 255}, {5, 0}}}
+	for _, traced := range []bool{false, true} {
+		_, n := runDeadMail(t, s, traced)
+		// Four sends, one of them a scheduler Drop, and a duplicate of each
+		// of the other three: seqs 1..7, all to processes 2..5.
+		pushed := n.queue.lastSeq
+		if want := map[bool]uint64{false: 0, true: 7}[traced]; pushed != want || n.stats.Dropped != 7 {
+			t.Errorf("traced %v: last pushed seq %d, dropped %d; want %d and 7", traced, pushed, n.stats.Dropped, want)
+		}
 	}
 }
 
