@@ -125,30 +125,37 @@ func (s *Store) Save(rec *Record) error {
 			return fmt.Errorf("ckpt: store save: %w", err)
 		}
 	}
-	tmp := s.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("ckpt: store save: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: store save: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: store save: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ckpt: store save: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
+	if err := WriteFileAtomic(s.path, buf); err != nil {
 		return fmt.Errorf("ckpt: store save: %w", err)
 	}
 	return nil
+}
+
+// WriteFileAtomic replaces the file at path with data: it writes a temp file
+// beside path, syncs and closes it, then renames it over path. A crash or
+// power loss at any instant leaves either the old file or the new one, and a
+// failed write removes the temp file. The durable store, the sweep manifest
+// and the search frontier all save through it.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // Load reads and strictly validates the record. ErrNoRecord means no file;

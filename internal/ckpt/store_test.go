@@ -204,6 +204,25 @@ func TestStoreSaveIsAtomicReplacement(t *testing.T) {
 	}
 }
 
+// TestWriteFileAtomicFailureLeavesNoTemp: a write whose rename fails (the
+// target is a non-empty directory) returns the error, leaves the target as it
+// was and removes its temp file.
+func TestWriteFileAtomicFailureLeavesNoTemp(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "target")
+	if err := os.MkdirAll(filepath.Join(path, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, []byte("new")); err == nil {
+		t.Fatal("rename over a non-empty directory succeeded")
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(path, "keep")); err != nil {
+		t.Fatalf("target disturbed: %v", err)
+	}
+}
+
 // FuzzStoreRecord: a record body that passes the checksum is still parsed
 // as hostile bytes. The loader must never panic, and any body it accepts
 // must re-encode through appendRecord and decode back to an equal record.

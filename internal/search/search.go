@@ -22,7 +22,7 @@
 // # Frontier file
 //
 // With Spec.Frontier set, every evaluated point is recorded in a JSON
-// manifest (written atomically: temp file + rename):
+// manifest (written atomically: temp file, fsync, rename):
 //
 //	{
 //	  "version": 1,
@@ -45,6 +45,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/ckpt"
 	"repro/internal/runner"
 )
 
@@ -307,8 +308,6 @@ func (s *searcher) evaluate(key string, pt point) (PointResult, error) {
 
 // scorePoint reduces a point's sweep aggregate to its liveness cost.
 func scorePoint(key string, params runner.SchedParams, agg *runner.Aggregate) PointResult {
-	rounds := agg.Rounds.Summary()
-	times := agg.SimTime.Summary()
 	res := PointResult{
 		Key:        key,
 		Params:     params,
@@ -316,14 +315,14 @@ func scorePoint(key string, params runner.SchedParams, agg *runner.Aggregate) Po
 		Decided:    agg.Decided,
 		Exhausted:  agg.Exhausted,
 		Violations: agg.Checks.Violations,
-		MeanRounds: rounds.Mean,
-		MeanTime:   times.Mean,
+		MeanRounds: agg.Rounds.Mean,
+		MeanTime:   agg.SimTime.Mean,
 	}
 	if agg.Runs > 0 {
 		// Decided runs cost their mean decision round; undecided runs the
 		// flat penalty. Rounds only aggregates decided runs, so its sum is
 		// exactly the decided side of the numerator.
-		sum := rounds.Mean*float64(agg.Decided) + ExhaustPenaltyRounds*float64(agg.Runs-agg.Decided)
+		sum := agg.Rounds.Mean*float64(agg.Decided) + ExhaustPenaltyRounds*float64(agg.Runs-agg.Decided)
 		res.Score = sum / float64(agg.Runs)
 	}
 	return res
@@ -402,18 +401,14 @@ func (f *frontier) matches(spec *Spec) error {
 	return nil
 }
 
-// save writes the manifest atomically (temp file + rename).
+// save writes the manifest atomically (temp file, fsync, rename).
 func (f *frontier) save(path string) error {
 	buf, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return fmt.Errorf("search: encoding frontier: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(buf, '\n'), 0o644); err != nil {
+	if err := ckpt.WriteFileAtomic(path, append(buf, '\n')); err != nil {
 		return fmt.Errorf("search: writing frontier: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("search: committing frontier: %w", err)
 	}
 	return nil
 }
