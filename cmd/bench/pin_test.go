@@ -19,7 +19,7 @@ func TestCLIOutputsPinned(t *testing.T) {
 		sha  string
 	}{
 		{[]string{"sweep", "-seeds", "1:9", "-n", "7", "-scenario", "equivocation-rush", "-workers", "2", "-json"},
-			"e712b007ba888437d6d404998ded47ff138ddbdfb15adb1e16b027795fd55490"},
+			"b30574194cae4068d324c1095f230488acdcb79b335c775e2d0555b21f8f72ff"},
 		{[]string{"smr", "-slots", "32", "-n", "4", "-ckpt-every", "8", "-restart", "-ckpt-attack", "stale-responder"},
 			"83f5338e6dd84331e36d9f7db2a25a1b3169d09467438cb0857da3f38c3a7eee"},
 		{[]string{"smr", "-slots", "16", "-n", "4", "-ckpt-every", "4", "-coded", "-json"},

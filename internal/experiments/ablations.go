@@ -18,7 +18,7 @@ func A1Validation(o Options) (*metrics.Table, error) {
 		"validation", "ok-runs", "mean rounds", "mean msgs")
 	for _, disable := range []bool{false, true} {
 		ok := 0
-		var rounds, msgs metrics.Sample
+		var rounds, msgs metrics.Online
 		results, err := o.sweepSeeds(runner.Config{
 			N: 4, F: 1, Byzantine: -1,
 			Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
@@ -35,14 +35,14 @@ func A1Validation(o Options) (*metrics.Table, error) {
 				ok++
 				rounds.Add(res.MeanRounds)
 			}
-			msgs.AddInt(res.Messages)
+			msgs.Add(float64(res.Messages))
 		}
 		label := "on"
 		if disable {
 			label = "off"
 		}
 		t.AddRowf(label, fmt.Sprintf("%d/%d", ok, o.Runs),
-			rounds.Summary().Mean, msgs.Summary().Mean)
+			rounds.Mean, msgs.Mean)
 	}
 	return t, nil
 }
@@ -58,7 +58,7 @@ func A2Gadget(o Options) (*metrics.Table, error) {
 		"gadget", "ok-runs", "mean decision round", "halted processes")
 	for _, disable := range []bool{false, true} {
 		ok, halted := 0, 0
-		var rounds metrics.Sample
+		var rounds metrics.Online
 		results, err := o.sweepSeeds(runner.Config{
 			N: 7, F: 2, Byzantine: -1,
 			Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
@@ -86,7 +86,7 @@ func A2Gadget(o Options) (*metrics.Table, error) {
 		if disable {
 			label = "off"
 		}
-		t.AddRowf(label, fmt.Sprintf("%d/%d", ok, o.Runs), rounds.Summary().Mean, halted)
+		t.AddRowf(label, fmt.Sprintf("%d/%d", ok, o.Runs), rounds.Mean, halted)
 	}
 	return t, nil
 }
@@ -103,7 +103,7 @@ func A4Broadcast(o Options) (*metrics.Table, error) {
 		"mode", "msgs (correct sender)", "violations (correct sender)",
 		"totality violations (partial-send attack)")
 	for _, mode := range []runner.BroadcastMode{runner.ModeReliable, runner.ModeConsistent} {
-		var msgs metrics.Sample
+		var msgs metrics.Online
 		honestViolations, totalityViolations := 0, 0
 		var cfgs []runner.RBCConfig
 		for i := 0; i < o.Runs; i++ {
@@ -122,11 +122,11 @@ func A4Broadcast(o Options) (*metrics.Table, error) {
 			if cfgs[i].SenderPartial {
 				totalityViolations += len(res.Violations)
 			} else {
-				msgs.AddInt(res.Messages)
+				msgs.Add(float64(res.Messages))
 				honestViolations += len(res.Violations)
 			}
 		}
-		t.AddRowf(mode.String(), msgs.Summary().Mean, honestViolations, totalityViolations)
+		t.AddRowf(mode.String(), msgs.Mean, honestViolations, totalityViolations)
 	}
 	return t, nil
 }
@@ -142,7 +142,7 @@ func A3Scheduler(o Options) (*metrics.Table, error) {
 	for _, sched := range []runner.SchedulerKind{runner.SchedUniform, runner.SchedFIFO} {
 		for _, ck := range []runner.CoinKind{runner.CoinLocal, runner.CoinCommon} {
 			ok := 0
-			var rounds metrics.Sample
+			var rounds metrics.Online
 			results, err := o.sweepSeeds(runner.Config{
 				N: 7, F: 2, Byzantine: -1,
 				Protocol: runner.ProtocolBracha, Coin: ck,
@@ -160,7 +160,7 @@ func A3Scheduler(o Options) (*metrics.Table, error) {
 				}
 			}
 			t.AddRowf(sched.String(), ck.String(), fmt.Sprintf("%d/%d", ok, o.Runs),
-				rounds.Summary().Mean)
+				rounds.Mean)
 		}
 	}
 	return t, nil

@@ -23,7 +23,7 @@ func E9ACS(o Options) (*metrics.Table, error) {
 	for _, n := range o.sizes() {
 		f := quorum.MaxByzantine(n)
 		agreed := 0
-		var size, msgs, simTime metrics.Sample
+		var size, msgs, simTime metrics.Online
 		for i := 0; i < o.Runs; i++ {
 			res, err := runACS(n, f, o.Seed+int64(i))
 			if err != nil {
@@ -31,13 +31,13 @@ func E9ACS(o Options) (*metrics.Table, error) {
 			}
 			if res.agreed {
 				agreed++
-				size.AddInt(res.subsetSize)
-				msgs.AddInt(res.messages)
+				size.Add(float64(res.subsetSize))
+				msgs.Add(float64(res.messages))
 				simTime.Add(float64(res.endTime))
 			}
 		}
 		t.AddRowf(n, f, o.Runs, fmt.Sprintf("%d/%d", agreed, o.Runs),
-			size.Summary().Mean, msgs.Summary().Mean, simTime.Summary().Mean)
+			size.Mean, msgs.Mean, simTime.Mean)
 	}
 	return t, nil
 }

@@ -82,7 +82,7 @@ func E1RBCMessages(o Options) (*metrics.Table, error) {
 	}
 	for _, n := range sizes {
 		f := quorum.MaxByzantine(n)
-		var honest, attacked metrics.Sample
+		var honest, attacked metrics.Online
 		violations := 0
 		var cfgs []runner.RBCConfig
 		for i := 0; i < o.Runs; i++ {
@@ -100,17 +100,17 @@ func E1RBCMessages(o Options) (*metrics.Table, error) {
 		}
 		for i, res := range results {
 			if cfgs[i].SenderEquivocates {
-				attacked.AddInt(res.Messages)
+				attacked.Add(float64(res.Messages))
 			} else {
-				honest.AddInt(res.Messages)
+				honest.Add(float64(res.Messages))
 			}
 			violations += len(res.Violations)
 		}
 		attackedMean := "-"
-		if attacked.Len() > 0 {
-			attackedMean = fmt.Sprintf("%.0f", attacked.Summary().Mean)
+		if attacked.Count > 0 {
+			attackedMean = fmt.Sprintf("%.0f", attacked.Mean)
 		}
-		t.AddRowf(n, f, honest.Summary().Mean, n+2*n*n, attackedMean, violations)
+		t.AddRowf(n, f, honest.Mean, n+2*n*n, attackedMean, violations)
 	}
 	return t, nil
 }
@@ -200,7 +200,7 @@ func coinRounds(o Options, ck runner.CoinKind, title string) (*metrics.Table, er
 		series[wi].Name = w.name
 		for _, n := range o.sizes() {
 			f := quorum.MaxByzantine(n)
-			var rounds metrics.Sample
+			var rounds metrics.Online
 			results, err := o.sweepSeeds(runner.Config{
 				N: n, F: f, Byzantine: -1,
 				Protocol: runner.ProtocolBracha, Coin: ck,
@@ -215,7 +215,7 @@ func coinRounds(o Options, ck runner.CoinKind, title string) (*metrics.Table, er
 					rounds.Add(res.MeanRounds)
 				}
 			}
-			series[wi].Add(float64(n), rounds.Summary().Mean)
+			series[wi].Add(float64(n), rounds.Mean)
 		}
 	}
 	return metrics.Figure(title, "n", series...), nil
@@ -239,7 +239,7 @@ func E5MessageComplexity(o Options) (*metrics.Table, error) {
 	}
 	for _, n := range sizes {
 		f := quorum.MaxByzantine(n)
-		var msgs, rounds, simTime metrics.Sample
+		var msgs, rounds, simTime metrics.Online
 		results, err := o.sweepSeeds(runner.Config{
 			N: n, F: f, Byzantine: -1,
 			Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
@@ -250,14 +250,13 @@ func E5MessageComplexity(o Options) (*metrics.Table, error) {
 			return nil, err
 		}
 		for _, res := range results {
-			msgs.AddInt(res.Messages)
+			msgs.Add(float64(res.Messages))
 			simTime.Add(float64(res.EndTime))
 			if res.AllDecided {
 				rounds.Add(res.MeanRounds)
 			}
 		}
-		m := msgs.Summary().Mean
-		t.AddRowf(n, f, m, rounds.Summary().Mean, m/float64(n*n*n), simTime.Summary().Mean)
+		t.AddRowf(n, f, msgs.Mean, rounds.Mean, msgs.Mean/float64(n*n*n), simTime.Mean)
 	}
 	return t, nil
 }
@@ -283,7 +282,7 @@ func E6Crossover(o Options) (*metrics.Table, error) {
 			continue
 		}
 		var benorOK, brachaOK int
-		var benorRounds, brachaRounds metrics.Sample
+		var benorRounds, brachaRounds metrics.Online
 		adv := runner.AdvEquivocator
 		if f == 0 {
 			adv = runner.AdvNone
@@ -320,8 +319,8 @@ func E6Crossover(o Options) (*metrics.Table, error) {
 			}
 		}
 		t.AddRowf(n, f, float64(f)/float64(n),
-			fmt.Sprintf("%d/%d", benorOK, o.Runs), benorRounds.Summary().Mean,
-			fmt.Sprintf("%d/%d", brachaOK, o.Runs), brachaRounds.Summary().Mean)
+			fmt.Sprintf("%d/%d", benorOK, o.Runs), benorRounds.Mean,
+			fmt.Sprintf("%d/%d", brachaOK, o.Runs), brachaRounds.Mean)
 	}
 	return t, nil
 }
@@ -390,7 +389,7 @@ func E8Throughput(o Options) (*metrics.Table, error) {
 		"n", "f", "instances decided", "mean msgs/instance", "mean rounds", "mean sim-time/instance")
 	for _, n := range o.sizes() {
 		f := quorum.MaxByzantine(n)
-		var msgs, rounds, simTime metrics.Sample
+		var msgs, rounds, simTime metrics.Online
 		decided := 0
 		seeds := make([]int64, instances)
 		for k := range seeds {
@@ -408,13 +407,13 @@ func E8Throughput(o Options) (*metrics.Table, error) {
 		for _, res := range results {
 			if res.AllDecided {
 				decided++
-				msgs.AddInt(res.Messages)
+				msgs.Add(float64(res.Messages))
 				rounds.Add(res.MeanRounds)
 				simTime.Add(float64(res.EndTime))
 			}
 		}
 		t.AddRowf(n, f, fmt.Sprintf("%d/%d", decided, instances),
-			msgs.Summary().Mean, rounds.Summary().Mean, simTime.Summary().Mean)
+			msgs.Mean, rounds.Mean, simTime.Mean)
 	}
 	return t, nil
 }

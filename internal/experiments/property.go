@@ -55,7 +55,7 @@ func E10PropertyHarness(o Options) (*metrics.Table, error) {
 			}
 			t.AddRowf(sc.Name, kind, n, quorum.MaxByzantine(n), fmt.Sprint(agg.Runs),
 				fmt.Sprint(agg.Checks.Violations), fmt.Sprint(undecided), fmt.Sprint(agg.Exhausted),
-				agg.Messages.Stats.Mean, agg.Rounds.Stats.Mean)
+				agg.Messages.Mean, agg.Rounds.Mean)
 		}
 	}
 	return t, nil

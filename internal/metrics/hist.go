@@ -1,9 +1,11 @@
 package metrics
 
-// This file holds the fixed-bucket logarithmic histogram the telemetry plane
-// aggregates into (see internal/sim.Telemetry). Unlike the Welford/P² sketches
-// in online.go — whose floating-point state is deterministic only under a
-// fixed fold *order* — a Hist is pure integer arithmetic over fixed bucket
+// This file holds the fixed-bucket logarithmic histogram, the package's one
+// quantile mechanism: the telemetry plane aggregates latencies into it (see
+// internal/sim.Telemetry) and the sweep engine the last decision round of
+// each run (internal/runner.Aggregate). Unlike the Welford accumulator in
+// online.go — whose floating-point state is deterministic only under a fixed
+// fold *order* — a Hist is pure integer arithmetic over fixed bucket
 // boundaries, so Merge is exactly associative AND commutative: any grouping,
 // any order of partial merges produces bit-identical state. That is the
 // property that lets per-run telemetry from a parallel sweep be folded in
@@ -11,6 +13,7 @@ package metrics
 // the repository's bitwise worker-independence contract.
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -75,6 +78,22 @@ func (h *Hist) Observe(v int64) {
 		h.Buckets = append(h.Buckets, 0)
 	}
 	h.Buckets[b]++
+}
+
+// Check reports whether a histogram's buckets are consistent: none negative,
+// at most histMaxBucket+1 of them, and summing to Count. Observe and Merge
+// always leave a histogram that passes; a decoded one may not.
+func (h *Hist) Check() error {
+	var sum int64
+	ok := len(h.Buckets) <= histMaxBucket+1
+	for _, c := range h.Buckets {
+		ok = ok && c >= 0 && c <= h.Count-sum
+		sum += c
+	}
+	if !ok || sum != h.Count {
+		return fmt.Errorf("metrics: histogram of count %d has buckets %v", h.Count, h.Buckets)
+	}
+	return nil
 }
 
 // Merge folds another histogram into h. Integer bucket addition and exact

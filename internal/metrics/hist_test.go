@@ -7,7 +7,7 @@ package metrics
 //   - Hist.Merge is exactly associative and commutative (pure integer
 //     state), so per-run telemetry may be folded in ANY order — worker
 //     completion order included — and stay bitwise identical.
-//   - OnlineSummary has no merge at all; its floating-point Add is
+//   - Online has no merge at all; its floating-point Add is
 //     deterministic only per observation *sequence*. The sweep engine's
 //     reorder window (internal/runner.SweepStream) therefore folds results
 //     in strict index order regardless of which worker finished first, and
@@ -130,13 +130,13 @@ func TestHistZeroMergeIdentity(t *testing.T) {
 	}
 }
 
-// TestOnlineSummaryIndexOrderFoldDeterminism models the sweep engine's
+// TestOnlineIndexOrderFoldDeterminism models the sweep engine's
 // reorder window: runs complete in arbitrary worker order, but the engine
 // buffers completions and feeds the reducer in strict index order. Whatever
-// the completion shuffle, the reducer state — Welford accumulator and all
-// three P² sketches — must be bitwise identical, which is exactly why
+// the completion shuffle, the Welford accumulator's state must be bitwise
+// identical to the in-order fold's, which is exactly why
 // SweepStream's non-associative reducers stay worker-count independent.
-func TestOnlineSummaryIndexOrderFoldDeterminism(t *testing.T) {
+func TestOnlineIndexOrderFoldDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
 		n := 50 + rng.Intn(200)
@@ -149,7 +149,7 @@ func TestOnlineSummaryIndexOrderFoldDeterminism(t *testing.T) {
 			// Deliver results in `completion` order into a reorder buffer,
 			// fold in index order — the SweepStream discipline.
 			buffered := make(map[int]float64, n)
-			s := NewOnlineSummary()
+			var s Online
 			next := 0
 			for _, idx := range completion {
 				buffered[idx] = obs[idx]
@@ -184,14 +184,13 @@ func TestOnlineSummaryIndexOrderFoldDeterminism(t *testing.T) {
 	}
 }
 
-// TestOnlineSummaryAddOrderSensitivity documents WHY the reorder window
+// TestOnlineAddOrderSensitivity documents WHY the reorder window
 // exists: feeding the same observations in a different order may produce
 // different floating-point state. This is not a bug to fix but a property to
 // respect — if this test ever starts failing (order-insensitive state), the
 // reorder window could be dropped; until then it cannot be.
-func TestOnlineSummaryAddOrderSensitivity(t *testing.T) {
-	a := NewOnlineSummary()
-	b := NewOnlineSummary()
+func TestOnlineAddOrderSensitivity(t *testing.T) {
+	var a, b Online
 	xs := []float64{1e17, 3, -1e17, 7, 11, 0.1, 2e16}
 	for _, x := range xs {
 		a.Add(x)
@@ -203,5 +202,24 @@ func TestOnlineSummaryAddOrderSensitivity(t *testing.T) {
 	bj, _ := json.Marshal(b)
 	if string(aj) == string(bj) {
 		t.Skip("this sample happens to fold order-insensitively; the reorder window is still required in general")
+	}
+}
+
+// TestHistCheck: a histogram built by Observe passes; negative buckets,
+// buckets not summing to Count and more than 65 buckets fail.
+func TestHistCheck(t *testing.T) {
+	h := histOf(randomHistObservations(rand.New(rand.NewSource(5)), 300))
+	if err := h.Check(); err != nil {
+		t.Fatalf("observed histogram: %v", err)
+	}
+	for _, bad := range []Hist{
+		{Count: 1, Buckets: []int64{-1, 2}},
+		{Count: 3, Buckets: []int64{1, 1}},
+		{Count: 1, Buckets: []int64{1, 1}},
+		{Count: 0, Buckets: make([]int64, histMaxBucket+2)},
+	} {
+		if err := bad.Check(); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
 	}
 }

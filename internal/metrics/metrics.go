@@ -1,6 +1,8 @@
 // Package metrics aggregates experiment measurements and renders them as the
 // aligned text tables and CSV series that cmd/bench and EXPERIMENTS.md use.
-// It is deliberately dependency-free statistics: counts, means, percentiles.
+// It is deliberately dependency-free statistics with one mechanism each:
+// Online, a Welford accumulator of count, mean, variance and extremes, and
+// Hist, a log2 histogram whose quantiles merge exactly.
 package metrics
 
 import (
@@ -9,84 +11,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Summary describes a sample of float64 observations.
-type Summary struct {
-	Count         int
-	Mean          float64
-	StdDev        float64
-	Min, Max      float64
-	P50, P90, P99 float64
-}
-
-// Summarize computes a Summary. An empty sample yields the zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{Count: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Mean = sum / float64(len(xs))
-	var sq float64
-	for _, x := range xs {
-		d := x - s.Mean
-		sq += d * d
-	}
-	s.StdDev = math.Sqrt(sq / float64(len(xs)))
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.P50 = percentile(sorted, 0.50)
-	s.P90 = percentile(sorted, 0.90)
-	s.P99 = percentile(sorted, 0.99)
-	return s
-}
-
-// percentile reads the q-quantile from an already sorted sample using the
-// nearest-rank method.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p90=%.2f p99=%.2f max=%.2f",
-		s.Count, s.Mean, s.StdDev, s.Min, s.P50, s.P90, s.P99, s.Max)
-}
-
-// Sample accumulates observations incrementally.
-type Sample struct {
-	xs []float64
-}
-
-// Add appends an observation.
-func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
-
-// AddInt appends an integer observation.
-func (s *Sample) AddInt(x int) { s.Add(float64(x)) }
-
-// Len returns the number of observations.
-func (s *Sample) Len() int { return len(s.xs) }
-
-// Values returns a copy of the observations.
-func (s *Sample) Values() []float64 { return append([]float64(nil), s.xs...) }
-
-// Summary computes the summary of the accumulated observations.
-func (s *Sample) Summary() Summary { return Summarize(s.xs) }
 
 // Table renders experiment results as an aligned text table (for terminals
 // and EXPERIMENTS.md) or CSV (for plotting). Rows hold formatted cells;

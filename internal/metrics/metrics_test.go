@@ -1,97 +1,9 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.Count != 0 || s.Mean != 0 {
-		t.Errorf("empty summary = %+v", s)
-	}
-}
-
-func TestSummarizeKnown(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.Count != 5 {
-		t.Errorf("Count = %d", s.Count)
-	}
-	if s.Mean != 3 {
-		t.Errorf("Mean = %v, want 3", s.Mean)
-	}
-	if s.Min != 1 || s.Max != 5 {
-		t.Errorf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-	if s.P50 != 3 {
-		t.Errorf("P50 = %v, want 3", s.P50)
-	}
-	if s.P99 != 5 {
-		t.Errorf("P99 = %v, want 5", s.P99)
-	}
-	if math.Abs(s.StdDev-math.Sqrt(2)) > 1e-12 {
-		t.Errorf("StdDev = %v, want sqrt(2)", s.StdDev)
-	}
-}
-
-func TestSummarizeSingle(t *testing.T) {
-	s := Summarize([]float64{7})
-	if s.Mean != 7 || s.Min != 7 || s.Max != 7 || s.P50 != 7 || s.P90 != 7 || s.StdDev != 0 {
-		t.Errorf("single summary = %+v", s)
-	}
-}
-
-func TestSummaryProperties(t *testing.T) {
-	prop := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			// Restrict to measurement-scale magnitudes: summing extreme
-			// float64s overflows, which is out of scope for metrics.
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e12 {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		s := Summarize(xs)
-		return s.Min <= s.P50 && s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.Max &&
-			s.Min <= s.Mean && s.Mean <= s.Max && s.Count == len(xs)
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSample(t *testing.T) {
-	var s Sample
-	s.AddInt(1)
-	s.Add(2)
-	s.AddInt(3)
-	if s.Len() != 3 {
-		t.Errorf("Len = %d", s.Len())
-	}
-	if got := s.Summary(); got.Mean != 2 {
-		t.Errorf("Mean = %v", got.Mean)
-	}
-	vs := s.Values()
-	vs[0] = 99
-	if s.Values()[0] != 1 {
-		t.Error("Values must return a copy")
-	}
-}
-
-func TestSummaryString(t *testing.T) {
-	s := Summarize([]float64{2, 2})
-	str := s.String()
-	for _, want := range []string{"n=2", "mean=2.00", "p50=2.00"} {
-		if !strings.Contains(str, want) {
-			t.Errorf("String() = %q missing %q", str, want)
-		}
-	}
-}
 
 func TestTableRender(t *testing.T) {
 	tb := NewTable("T1", "n", "msgs", "note")

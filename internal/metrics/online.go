@@ -1,24 +1,20 @@
 package metrics
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// This file holds the constant-memory streaming statistics the checkpointable
-// sweep engine reduces into (see internal/runner). Unlike Sample, which
-// retains every observation, these sketches hold O(1) state regardless of how
-// many observations arrive, so a million-run sweep aggregates in constant
-// memory.
+// This file holds the constant-memory moments accumulator that experiment
+// tables and the checkpointable sweep engine (see internal/runner) reduce
+// into: O(1) state however many observations arrive, so a million-run sweep
+// aggregates in constant memory. Quantiles come from Hist (hist.go).
 //
-// Determinism contract: every sketch is a pure function of its observation
+// Determinism contract: an Online is a pure function of its observation
 // *sequence* — no randomness, no clocks, no map iteration — and its entire
 // state is exported with JSON tags. Go's encoding/json renders float64 with
 // the shortest representation that round-trips exactly, and none of the
-// fields can hold NaN or ±Inf, so marshalling a sketch and unmarshalling it
-// reproduces the state bit for bit. The sweep engine's checkpoint/resume
-// guarantee (a resumed sweep is byte-identical to an uninterrupted one)
-// rests on exactly this property.
+// fields can hold NaN or ±Inf, so marshalling an accumulator and
+// unmarshalling it reproduces the state bit for bit. The sweep engine's
+// checkpoint/resume guarantee (a resumed sweep is byte-identical to an
+// uninterrupted one) rests on exactly this property.
 
 // Online is a Welford accumulator: streaming count, mean, variance, min, and
 // max in constant memory.
@@ -49,178 +45,10 @@ func (o *Online) Add(x float64) {
 	o.M2 += delta * (x - o.Mean)
 }
 
-// StdDev returns the population standard deviation (matching Summarize).
+// StdDev returns the population standard deviation.
 func (o *Online) StdDev() float64 {
 	if o.Count == 0 {
 		return 0
 	}
 	return math.Sqrt(o.M2 / float64(o.Count))
-}
-
-// psquareMarkers is the marker count of the P² algorithm.
-const psquareMarkers = 5
-
-// PSquare estimates one quantile of a stream in constant memory using the
-// P² algorithm (Jain & Chlamtac, CACM 1985): five markers track the running
-// minimum, the quantile and its two flanks, and the running maximum, adjusted
-// by parabolic interpolation as observations arrive. The estimate is exact
-// until five observations have been seen and an approximation afterwards.
-type PSquare struct {
-	// Q is the target quantile in (0, 1), e.g. 0.99.
-	Q float64 `json:"q"`
-	// N is the number of observations absorbed.
-	N int64 `json:"n"`
-	// Heights and Pos are the marker heights and 1-based marker positions,
-	// meaningful once N ≥ 5.
-	Heights [psquareMarkers]float64 `json:"heights"`
-	Pos     [psquareMarkers]int64   `json:"pos"`
-	// Init buffers the first observations until the markers activate.
-	Init []float64 `json:"init,omitempty"`
-}
-
-// NewPSquare returns a sketch for quantile q.
-func NewPSquare(q float64) PSquare { return PSquare{Q: q} }
-
-// Add absorbs one observation.
-func (p *PSquare) Add(x float64) {
-	p.N++
-	if p.N <= psquareMarkers {
-		p.Init = append(p.Init, x)
-		if p.N == psquareMarkers {
-			sort.Float64s(p.Init)
-			for i, v := range p.Init {
-				p.Heights[i] = v
-				p.Pos[i] = int64(i + 1)
-			}
-			p.Init = nil
-		}
-		return
-	}
-
-	// Locate the cell containing x, extending the extremes if needed.
-	var k int
-	switch {
-	case x < p.Heights[0]:
-		p.Heights[0] = x
-		k = 0
-	case x >= p.Heights[4]:
-		p.Heights[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < p.Heights[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < psquareMarkers; i++ {
-		p.Pos[i]++
-	}
-
-	// Nudge the three interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		want := p.desired(i)
-		d := want - float64(p.Pos[i])
-		if (d >= 1 && p.Pos[i+1]-p.Pos[i] > 1) || (d <= -1 && p.Pos[i-1]-p.Pos[i] < -1) {
-			var step int64 = 1
-			if d < 0 {
-				step = -1
-			}
-			h := p.parabolic(i, step)
-			if p.Heights[i-1] < h && h < p.Heights[i+1] {
-				p.Heights[i] = h
-			} else {
-				p.Heights[i] = p.linear(i, step)
-			}
-			p.Pos[i] += step
-		}
-	}
-}
-
-// desired returns marker i's desired position after N observations.
-func (p *PSquare) desired(i int) float64 {
-	d := [psquareMarkers]float64{0, p.Q / 2, p.Q, (1 + p.Q) / 2, 1}
-	return 1 + float64(p.N-1)*d[i]
-}
-
-// parabolic is the P² piecewise-parabolic height adjustment for marker i
-// moving by step (±1).
-func (p *PSquare) parabolic(i int, step int64) float64 {
-	d := float64(step)
-	qm, q, qp := p.Heights[i-1], p.Heights[i], p.Heights[i+1]
-	nm, n, np := float64(p.Pos[i-1]), float64(p.Pos[i]), float64(p.Pos[i+1])
-	return q + d/(np-nm)*((n-nm+d)*(qp-q)/(np-n)+(np-n-d)*(q-qm)/(n-nm))
-}
-
-// linear is the fallback height adjustment when the parabola leaves the
-// bracketing heights.
-func (p *PSquare) linear(i int, step int64) float64 {
-	j := i + int(step)
-	return p.Heights[i] + float64(step)*(p.Heights[j]-p.Heights[i])/float64(p.Pos[j]-p.Pos[i])
-}
-
-// Value returns the current quantile estimate (0 with no observations).
-func (p *PSquare) Value() float64 {
-	if p.N == 0 {
-		return 0
-	}
-	if p.N < psquareMarkers {
-		sorted := append([]float64(nil), p.Init...)
-		sort.Float64s(sorted)
-		return percentile(sorted, p.Q)
-	}
-	return p.Heights[2]
-}
-
-// OnlineSummary couples a Welford accumulator with P² sketches for the three
-// percentiles the evaluation tables report. It is the streaming counterpart
-// of Sample: same Summary output shape, constant memory.
-type OnlineSummary struct {
-	Stats Online  `json:"stats"`
-	P50   PSquare `json:"p50"`
-	P90   PSquare `json:"p90"`
-	P99   PSquare `json:"p99"`
-}
-
-// NewOnlineSummary returns an empty streaming summary with the standard
-// percentile targets.
-func NewOnlineSummary() *OnlineSummary {
-	return &OnlineSummary{
-		P50: NewPSquare(0.50),
-		P90: NewPSquare(0.90),
-		P99: NewPSquare(0.99),
-	}
-}
-
-// Add absorbs one observation into every sketch.
-func (s *OnlineSummary) Add(x float64) {
-	s.Stats.Add(x)
-	s.P50.Add(x)
-	s.P90.Add(x)
-	s.P99.Add(x)
-}
-
-// AddInt absorbs an integer observation.
-func (s *OnlineSummary) AddInt(x int) { s.Add(float64(x)) }
-
-// Len returns the number of observations absorbed.
-func (s *OnlineSummary) Len() int { return int(s.Stats.Count) }
-
-// Summary renders the sketch state in the same shape Summarize produces.
-// Mean/StdDev/Min/Max are exact; the percentiles are P² estimates (exact for
-// samples of fewer than five observations).
-func (s *OnlineSummary) Summary() Summary {
-	if s.Stats.Count == 0 {
-		return Summary{}
-	}
-	return Summary{
-		Count:  int(s.Stats.Count),
-		Mean:   s.Stats.Mean,
-		StdDev: s.Stats.StdDev(),
-		Min:    s.Stats.Min,
-		Max:    s.Stats.Max,
-		P50:    s.P50.Value(),
-		P90:    s.P90.Value(),
-		P99:    s.P99.Value(),
-	}
 }

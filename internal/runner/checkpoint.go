@@ -1,23 +1,32 @@
 // Checkpointable streaming sweeps.
 //
 // A seed-range sweep ([SeedA, SeedB) × one configuration) streams every run
-// through SweepStream into an Aggregate — online mean/variance/percentile
-// sketches (internal/metrics) plus a violation tally (internal/check) — so a
+// through SweepStream into an Aggregate — Welford moments and a last-round
+// histogram (internal/metrics) plus a violation tally (internal/check) — so a
 // million-run sweep costs O(workers) memory, and writes periodic checkpoint
 // files so a killed sweep resumes where it left off.
 //
 // # Checkpoint file format
 //
-// A checkpoint is a JSON manifest (written atomically: temp file + rename):
+// A checkpoint is a JSON manifest, written atomically (temp file, fsync,
+// rename: ckpt.WriteFileAtomic):
 //
 //	{
-//	  "version": 1,                 // manifest format version
+//	  "version": 2,                 // manifest format version
 //	  "kind": "consensus",          // or "rbc"
 //	  "config": { ... },            // the swept runner.Config (or "rbc_config")
 //	  "seeds": {"from": a, "to": b},     // the full half-open seed range
 //	  "completed": {"from": a, "to": c}, // the reduced prefix, a ≤ c ≤ b
 //	  "aggregate": { ... }          // full reducer state, see Aggregate
 //	}
+//
+// The aggregate holds the run counters, one metrics.Online (count, mean, m2,
+// min, max) each for messages, deliveries, rounds and sim-time, the
+// metrics.Hist of each decided run's last decision round, and the violation
+// tally. A version 1 manifest (percentile sketches, no histogram) is refused.
+// LoadCheckpoint checks the aggregate against its run counts: the rounds
+// summary and the histogram count the decided runs, the others every run,
+// and the histogram's buckets are non-negative and sum to its count.
 //
 // Because runs are reduced in strict seed order, the completed work is always
 // a single prefix [a, c) of the range: resuming means restoring the aggregate
@@ -29,7 +38,7 @@
 // results in seed order, so the aggregate after seed s is a pure function of
 // (config, [SeedA, s]) — independent of worker count, GOMAXPROCS, goroutine
 // scheduling, and of whether the sweep was interrupted and resumed zero or
-// more times at arbitrary checkpoints. Every sketch in the aggregate
+// more times at arbitrary checkpoints. Every summary in the aggregate
 // serializes its entire state losslessly (Go's JSON float64 encoding
 // round-trips exactly), so a resumed sweep's final aggregate — and its final
 // checkpoint file — is byte-identical to an uninterrupted sweep's. The
@@ -45,6 +54,7 @@ import (
 	"os"
 
 	"repro/internal/check"
+	"repro/internal/ckpt"
 	"repro/internal/metrics"
 )
 
@@ -68,7 +78,7 @@ func (r SeedRange) String() string { return fmt.Sprintf("[%d, %d)", r.From, r.To
 // Aggregate is the constant-memory reduction of a sweep: counters, streaming
 // summaries of the per-run measurements, and the violation tally. Its whole
 // state is JSON-serializable and restores bit for bit (see the package
-// comment's determinism contract).
+// comment's determinism contract). The zero value is an empty aggregate.
 type Aggregate struct {
 	// Runs counts reduced runs; Decided those where every correct process
 	// decided; Exhausted those that ran out of delivery budget.
@@ -77,22 +87,15 @@ type Aggregate struct {
 	Exhausted int64 `json:"exhausted"`
 	// Messages/Deliveries/SimTime summarize per-run simulator totals;
 	// Rounds summarizes the mean decision round of decided runs.
-	Messages   *metrics.OnlineSummary `json:"messages"`
-	Deliveries *metrics.OnlineSummary `json:"deliveries"`
-	Rounds     *metrics.OnlineSummary `json:"rounds"`
-	SimTime    *metrics.OnlineSummary `json:"sim_time"`
+	Messages   metrics.Online `json:"messages"`
+	Deliveries metrics.Online `json:"deliveries"`
+	Rounds     metrics.Online `json:"rounds"`
+	SimTime    metrics.Online `json:"sim_time"`
+	// LastRound is the distribution of decided runs' last decision round
+	// (Result.MaxRound): exactly mergeable, and read for its tail.
+	LastRound metrics.Hist `json:"last_round"`
 	// Checks tallies property violations across all runs.
 	Checks check.Tally `json:"checks"`
-}
-
-// NewAggregate returns an empty aggregate.
-func NewAggregate() *Aggregate {
-	return &Aggregate{
-		Messages:   metrics.NewOnlineSummary(),
-		Deliveries: metrics.NewOnlineSummary(),
-		Rounds:     metrics.NewOnlineSummary(),
-		SimTime:    metrics.NewOnlineSummary(),
-	}
 }
 
 // Observe folds one run into the aggregate. A broadcast run folds as a
@@ -103,17 +106,21 @@ func (a *Aggregate) Observe(seed int64, res *Result) {
 	if res.AllDecided {
 		a.Decided++
 		a.Rounds.Add(res.MeanRounds)
+		a.LastRound.Observe(int64(res.MaxRound))
 	}
 	if res.Exhausted {
 		a.Exhausted++
 	}
-	a.Messages.AddInt(res.Messages)
-	a.Deliveries.AddInt(res.Deliveries)
+	a.Messages.Add(float64(res.Messages))
+	a.Deliveries.Add(float64(res.Deliveries))
 	a.SimTime.Add(float64(res.EndTime))
 	a.Checks.Observe(seed, res.Violations)
 }
 
 // Table renders the aggregate as a metrics table, one row per measurement.
+// The per-run totals show moments only ("-" for percentiles: one log2 bucket
+// would span a whole sweep's message counts); the last-round row shows the
+// histogram's quantiles.
 func (a *Aggregate) Table(title string) *metrics.Table {
 	t := metrics.NewTable(title, "metric", "value", "mean", "sd", "min", "p50", "p90", "p99", "max")
 	count := func(name string, v int64) {
@@ -124,14 +131,15 @@ func (a *Aggregate) Table(title string) *metrics.Table {
 	count("exhausted", a.Exhausted)
 	count("violated runs", a.Checks.ViolatedRuns)
 	count("violations", a.Checks.Violations)
-	row := func(name string, s *metrics.OnlineSummary) {
-		sum := s.Summary()
-		t.AddRowf(name, fmt.Sprint(sum.Count), sum.Mean, sum.StdDev, sum.Min, sum.P50, sum.P90, sum.P99, sum.Max)
+	row := func(name string, s *metrics.Online) {
+		t.AddRowf(name, s.Count, s.Mean, s.StdDev(), s.Min, "-", "-", "-", s.Max)
 	}
-	row("messages", a.Messages)
-	row("deliveries", a.Deliveries)
-	row("rounds", a.Rounds)
-	row("sim-time", a.SimTime)
+	row("messages", &a.Messages)
+	row("deliveries", &a.Deliveries)
+	row("rounds", &a.Rounds)
+	row("sim-time", &a.SimTime)
+	h := &a.LastRound
+	t.AddRowf("last round", h.Count, "-", "-", h.Min, h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Max)
 	return t
 }
 
@@ -171,7 +179,7 @@ type SweepSpec struct {
 const DefaultCheckpointEvery = 256
 
 // checkpointVersion is the manifest format version this build writes.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // Checkpoint is the on-disk resume manifest of a sweep (see the package
 // comment for the format and guarantees).
@@ -209,8 +217,8 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("runner: checkpoint %s has version %d, want %d", path, ck.Version, checkpointVersion)
 	}
 	agg := ck.Aggregate
-	if agg == nil || agg.Messages == nil || agg.Deliveries == nil || agg.Rounds == nil || agg.SimTime == nil {
-		return nil, fmt.Errorf("runner: checkpoint %s has incomplete aggregate state", path)
+	if agg == nil {
+		return nil, fmt.Errorf("runner: checkpoint %s has no aggregate", path)
 	}
 	if ck.Completed.From != ck.Seeds.From || ck.Completed.To < ck.Seeds.From || ck.Completed.To > ck.Seeds.To {
 		return nil, fmt.Errorf("runner: checkpoint %s completed range %v is not a prefix of %v",
@@ -220,22 +228,32 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("runner: checkpoint %s aggregate holds %d runs for completed range %v",
 			path, agg.Runs, ck.Completed)
 	}
+	if err := agg.check(); err != nil {
+		return nil, fmt.Errorf("runner: checkpoint %s: %w", path, err)
+	}
 	return &ck, nil
 }
 
-// Save writes the manifest atomically (temp file + rename), so a crash
-// mid-write never corrupts an existing checkpoint.
+// check holds a decoded aggregate's summaries to its run counts: the rounds
+// summary and the last-round histogram count the decided runs, the other
+// summaries every run.
+func (a *Aggregate) check() error {
+	if a.Decided > a.Runs || a.Messages.Count != a.Runs || a.Deliveries.Count != a.Runs ||
+		a.SimTime.Count != a.Runs || a.Rounds.Count != a.Decided || a.LastRound.Count != a.Decided {
+		return fmt.Errorf("aggregate summaries disagree with its %d runs, %d decided", a.Runs, a.Decided)
+	}
+	return a.LastRound.Check()
+}
+
+// Save writes the manifest atomically (temp file, fsync, rename), so a crash
+// or power loss mid-write never corrupts an existing checkpoint.
 func (c *Checkpoint) Save(path string) error {
 	buf, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return fmt.Errorf("runner: encoding checkpoint: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(buf, '\n'), 0o644); err != nil {
+	if err := ckpt.WriteFileAtomic(path, append(buf, '\n')); err != nil {
 		return fmt.Errorf("runner: writing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("runner: committing checkpoint: %w", err)
 	}
 	return nil
 }
@@ -313,7 +331,7 @@ func SweepSeedRange(spec SweepSpec) (*Aggregate, error) {
 		}
 	}
 
-	agg := NewAggregate()
+	agg := new(Aggregate)
 	var start int64
 	if spec.Resume {
 		if spec.Checkpoint == "" {

@@ -1,12 +1,18 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // ckConfig is the small, fast, adversarial configuration the checkpoint
@@ -34,7 +40,7 @@ func aggJSON(t *testing.T, agg *Aggregate) string {
 // must equal folding serial Run results into a fresh aggregate by hand.
 func TestSweepSeedRangeMatchesSerialFold(t *testing.T) {
 	seeds := SeedRange{From: 5, To: 45}
-	want := NewAggregate()
+	want := new(Aggregate)
 	for s := seeds.From; s < seeds.To; s++ {
 		cfg := ckConfig()
 		cfg.Seed = s
@@ -69,6 +75,35 @@ func TestSweepSeedRangeWorkerIndependence(t *testing.T) {
 		}
 		if aggJSON(t, got) != aggJSON(t, base) {
 			t.Errorf("workers=%d: aggregate differs from workers=1", workers)
+		}
+	}
+}
+
+// TestAggregateTable: the per-run totals print their moments with "-" for
+// percentiles, and the last-round row prints the histogram's quantiles over
+// decided runs only.
+func TestAggregateTable(t *testing.T) {
+	var a Aggregate
+	for i, r := range []*Result{
+		{AllDecided: true, MeanRounds: 1, MaxRound: 1},
+		{AllDecided: true, MeanRounds: 2.5, MaxRound: 3},
+		{AllDecided: true, MeanRounds: 4, MaxRound: 6},
+		{Exhausted: true},
+	} {
+		r.Messages = 100 * (i + 1)
+		a.Observe(int64(i), r)
+	}
+	got := map[string]string{}
+	for _, row := range a.Table("t").Rows() {
+		got[row[0]] = strings.Join(row, ",")
+	}
+	for _, want := range []string{
+		"messages,4,250.00,111.80,100.00,-,-,-,400.00",
+		"rounds,3,2.50,1.22,1.00,-,-,-,4.00",
+		"last round,3,-,-,1,3,6,6,6",
+	} {
+		if name, _, _ := strings.Cut(want, ","); got[name] != want {
+			t.Errorf("row %q, want %q", got[name], want)
 		}
 	}
 }
@@ -290,7 +325,145 @@ func TestCheckpointRejectsCorruptManifest(t *testing.T) {
 	if err := tamper(func(ck *Checkpoint) { ck.Aggregate.Runs = 1 }); err == nil {
 		t.Error("aggregate run count disagreeing with completed range accepted")
 	}
-	if err := tamper(func(ck *Checkpoint) { ck.Aggregate.Messages = nil }); err == nil {
-		t.Error("aggregate with missing summaries accepted")
+	if err := tamper(func(ck *Checkpoint) { ck.Aggregate.Messages.Count-- }); err == nil {
+		t.Error("summary whose count disagrees with the runs accepted")
 	}
+	if err := tamper(func(ck *Checkpoint) { ck.Aggregate.LastRound.Buckets[1]++ }); err == nil {
+		t.Error("last-round buckets not summing to the count accepted")
+	}
+	if err := tamper(func(ck *Checkpoint) {
+		h := &ck.Aggregate.LastRound
+		h.Buckets[0]--
+		h.Buckets[1]++
+	}); err == nil {
+		t.Error("negative last-round bucket accepted")
+	}
+}
+
+// manifestCases are FuzzLoadCheckpoint's generated seeds, keyed by corpus
+// file name: a genuine manifest of a 4-seed sweep and three hostile edits of
+// it. The corpus also holds version-1, a manifest the previous format wrote
+// for the same sweep (P² sketches, no last-round histogram).
+func manifestCases(t testing.TB) map[string][]byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ck.json")
+	if _, err := SweepSeedRange(SweepSpec{Cfg: ckConfig(), Seeds: SeedRange{From: 1, To: 5}, Workers: 1, Checkpoint: path}); err != nil {
+		t.Fatal(err)
+	}
+	genuine, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(mutate func(*metrics.Hist)) []byte {
+		var ck Checkpoint
+		if err := json.Unmarshal(genuine, &ck); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&ck.Aggregate.LastRound)
+		buf, err := json.MarshalIndent(&ck, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(buf, '\n')
+	}
+	return map[string][]byte{
+		"genuine-v2": genuine,
+		"truncated":  genuine[:len(genuine)/2],
+		"negative-bucket": edit(func(h *metrics.Hist) {
+			h.Buckets[0]--
+			h.Buckets[1]++
+		}),
+		"bucket-sum-mismatch": edit(func(h *metrics.Hist) { h.Buckets[1]++ }),
+	}
+}
+
+// TestCheckpointCorpusCurrent: the checked-in seed corpus holds the
+// generated manifests as they are today, and LoadCheckpoint accepts only the
+// genuine one.
+func TestCheckpointCorpusCurrent(t *testing.T) {
+	cases := manifestCases(t)
+	dir := filepath.Join("testdata", "fuzz", "FuzzLoadCheckpoint")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(cases)+1 {
+		t.Errorf("corpus holds %d files, want the %d generated manifests and version-1", len(files), len(cases))
+	}
+	for _, file := range files {
+		name := file.Name()
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, ok := cases[name]; ok {
+			if enc := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", want); string(raw) != enc {
+				t.Errorf("corpus file %s is stale; rewrite it as\n%s", name, enc)
+			}
+		} else if name != "version-1" {
+			t.Errorf("unexpected corpus file %s", name)
+		}
+		quoted, found := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if !found || err != nil {
+			t.Fatalf("corpus file %s: not one []byte value", name)
+		}
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(path); (err == nil) != (name == "genuine-v2") {
+			t.Errorf("%s: LoadCheckpoint error %v", name, err)
+		}
+	}
+}
+
+// FuzzLoadCheckpoint feeds hostile manifest bytes to LoadCheckpoint. It must
+// never panic, and a manifest it accepts must hold its summaries to its run
+// counts, render as a table, and save and reload byte-identically.
+func FuzzLoadCheckpoint(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "in.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			return
+		}
+		a := ck.Aggregate
+		if a.Messages.Count != a.Runs || a.Deliveries.Count != a.Runs || a.SimTime.Count != a.Runs ||
+			a.Rounds.Count != a.Decided || a.LastRound.Count != a.Decided {
+			t.Fatalf("accepted summaries disagree with %d runs, %d decided: %+v", a.Runs, a.Decided, a)
+		}
+		var sum int64
+		for _, c := range a.LastRound.Buckets {
+			if c < 0 {
+				t.Fatalf("accepted negative bucket: %v", a.LastRound.Buckets)
+			}
+			sum += c
+		}
+		if sum != a.LastRound.Count || len(a.LastRound.Buckets) > 65 {
+			t.Fatalf("accepted buckets %v for count %d", a.LastRound.Buckets, a.LastRound.Count)
+		}
+		a.Table("fuzz").Render()
+
+		saved := make([][]byte, 2)
+		for i := range saved {
+			out := filepath.Join(dir, fmt.Sprintf("out%d.json", i))
+			if err := ck.Save(out); err != nil {
+				t.Fatalf("accepted manifest failed to save: %v", err)
+			}
+			if ck, err = LoadCheckpoint(out); err != nil {
+				t.Fatalf("saved manifest refused: %v", err)
+			}
+			if saved[i], err = os.ReadFile(out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(saved[0], saved[1]) {
+			t.Fatalf("save/reload not byte-identical:\n%s\n---\n%s", saved[0], saved[1])
+		}
+	})
 }

@@ -121,7 +121,7 @@ func TestAdaptiveCliffSlowerThanReorder(t *testing.T) {
 		if agg.Decided != agg.Runs {
 			t.Fatalf("%s: decided %d of %d runs", name, agg.Decided, agg.Runs)
 		}
-		return agg.Rounds.Summary().Mean
+		return agg.Rounds.Mean
 	}
 	reorder := sweep("reorder")
 	cliff := sweep("adaptive-cliff")
