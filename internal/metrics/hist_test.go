@@ -130,13 +130,13 @@ func TestHistZeroMergeIdentity(t *testing.T) {
 	}
 }
 
-// TestOnlineIndexOrderFoldDeterminism models the sweep engine's
+// TestOnlineSummaryIndexOrderFoldDeterminism models the sweep engine's
 // reorder window: runs complete in arbitrary worker order, but the engine
 // buffers completions and feeds the reducer in strict index order. Whatever
 // the completion shuffle, the Welford accumulator's state must be bitwise
 // identical to the in-order fold's, which is exactly why
 // SweepStream's non-associative reducers stay worker-count independent.
-func TestOnlineIndexOrderFoldDeterminism(t *testing.T) {
+func TestOnlineSummaryIndexOrderFoldDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
 		n := 50 + rng.Intn(200)

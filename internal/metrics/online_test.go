@@ -8,37 +8,60 @@ import (
 	"testing"
 )
 
-// TestOnlineMatchesTwoPass: the Welford accumulator must agree with a
-// two-pass computation on count, mean, stddev, min, and max — exactly on
-// small known samples, to 1e-9 on a large one.
-func TestOnlineMatchesTwoPass(t *testing.T) {
-	of := func(xs []float64) Online {
-		var o Online
-		for _, x := range xs {
-			o.Add(x)
-		}
-		return o
+// onlineOf folds a sample into a Welford accumulator in slice order.
+func onlineOf(xs []float64) Online {
+	var o Online
+	for _, x := range xs {
+		o.Add(x)
 	}
-	for _, c := range []struct {
-		xs                 []float64
-		mean, sd, min, max float64
-	}{
-		{nil, 0, 0, 0, 0},
-		{[]float64{7}, 7, 0, 7, 7},
-		{[]float64{1, 2, 3, 4, 5}, 3, math.Sqrt(2), 1, 5},
-	} {
-		o := of(c.xs)
-		if int(o.Count) != len(c.xs) || o.Mean != c.mean || o.StdDev() != c.sd || o.Min != c.min || o.Max != c.max {
-			t.Errorf("%v: got %+v sd %v", c.xs, o, o.StdDev())
-		}
-	}
+	return o
+}
 
+// TestSummarizeEmpty: summarizing no observations leaves the zero state.
+func TestSummarizeEmpty(t *testing.T) {
+	o := onlineOf(nil)
+	if o.Count != 0 || o.Mean != 0 || o.StdDev() != 0 || o.Min != 0 || o.Max != 0 {
+		t.Errorf("empty summary = %+v sd %v", o, o.StdDev())
+	}
+}
+
+// TestSummarizeKnown: {1..5} has mean 3, population stddev sqrt(2), min 1
+// and max 5.
+func TestSummarizeKnown(t *testing.T) {
+	o := onlineOf([]float64{1, 2, 3, 4, 5})
+	if o.Count != 5 {
+		t.Errorf("Count = %d", o.Count)
+	}
+	if o.Mean != 3 {
+		t.Errorf("Mean = %v, want 3", o.Mean)
+	}
+	if o.Min != 1 || o.Max != 5 {
+		t.Errorf("Min/Max = %v/%v", o.Min, o.Max)
+	}
+	if math.Abs(o.StdDev()-math.Sqrt(2)) > 1e-12 {
+		t.Errorf("StdDev = %v, want sqrt(2)", o.StdDev())
+	}
+}
+
+// TestSummarizeSingle: one observation is its own mean, min and max, with
+// zero spread.
+func TestSummarizeSingle(t *testing.T) {
+	o := onlineOf([]float64{7})
+	if o.Count != 1 || o.Mean != 7 || o.Min != 7 || o.Max != 7 || o.StdDev() != 0 {
+		t.Errorf("single summary = %+v sd %v", o, o.StdDev())
+	}
+}
+
+// TestOnlineMatchesSummarize: the Welford accumulator must agree with a
+// two-pass summary of a large sample on count, mean, stddev, min, and max,
+// to 1e-9.
+func TestOnlineMatchesSummarize(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	xs := make([]float64, 5000)
 	for i := range xs {
 		xs[i] = rng.NormFloat64()*25 + 100
 	}
-	o := of(xs)
+	o := onlineOf(xs)
 	var sum, sq float64
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, x := range xs {
@@ -49,6 +72,9 @@ func TestOnlineMatchesTwoPass(t *testing.T) {
 	for _, x := range xs {
 		sq += (x - mean) * (x - mean)
 	}
+	if int(o.Count) != len(xs) {
+		t.Fatalf("count = %d, want %d", o.Count, len(xs))
+	}
 	approx := func(name string, got, want float64) {
 		if math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
 			t.Errorf("%s = %v, want %v", name, got, want)
@@ -58,6 +84,24 @@ func TestOnlineMatchesTwoPass(t *testing.T) {
 	approx("stddev", o.StdDev(), math.Sqrt(sq/float64(len(xs))))
 	approx("min", o.Min, lo)
 	approx("max", o.Max, hi)
+}
+
+// TestOnlineSummaryDeterminism: feeding the same observation sequence twice
+// yields bitwise identical accumulator state.
+func TestOnlineSummaryDeterminism(t *testing.T) {
+	feed := func() Online {
+		var o Online
+		rng := rand.New(rand.NewSource(42))
+		for i := 0; i < 2500; i++ {
+			o.Add(rng.Float64() * float64(i%97))
+		}
+		return o
+	}
+	ja, _ := json.Marshal(feed())
+	jb, _ := json.Marshal(feed())
+	if string(ja) != string(jb) {
+		t.Fatal("identical sequences produced different accumulator states")
+	}
 }
 
 // TestOnlineJSONRoundTrip: the accumulator state must survive a JSON round
