@@ -49,6 +49,17 @@
 // table and treat both modes alike, and maybeReadyAndDeliver applies the
 // threshold rules above with only the READY payload and the decode gate
 // depending on the mode.
+//
+// The coded path allocates only what it hands out: a dispersal's fragment
+// and Sums strings, and the delivered body. Its byte work runs in three
+// buffers the broadcaster keeps next to its code (coder) and reuses —
+// shards, where rscode.AppendSplit lays out a dispersal's n shards and a
+// decode's re-encoding; gather, the k held fragments a decode copies back to
+// back for rscode.AppendReconstruct; and body, what AppendReconstruct
+// writes. Reuse is safe because nothing keeps a reference into them:
+// fragments are stored as the payload strings they arrived in, every field
+// sent is a string copied out, and the delivered body is a new string, so
+// the next encode or decode may overwrite all three.
 package rbc
 
 import (
@@ -92,8 +103,26 @@ func NewCoded(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Br
 	if err != nil {
 		panic(fmt.Sprintf("rbc: coded mode unavailable for %d peers: %v", len(peers), err))
 	}
-	b.code = code
+	b.code = &coder{Code: code}
 	return b
+}
+
+// coder is the coded mode's Reed–Solomon code and the buffers its paths
+// reuse (see the file comment). scratch holds bytes on their way into a
+// hash, a split or a string: a fragment under digest check, a tally-key
+// preimage, a dispersed body, then its Sums vector. idxs and frags are
+// gather's view as AppendReconstruct takes it.
+type coder struct {
+	*rscode.Code
+	scratch              []byte
+	shards, gather, body []byte
+	idxs                 []int
+	frags                [][]byte
+}
+
+// shard returns shard i of the last AppendSplit into shards.
+func (c *coder) shard(i, shardLen int) []byte {
+	return c.shards[i*shardLen : (i+1)*shardLen]
 }
 
 // Coded reports whether this broadcaster disseminates in coded mode.
@@ -142,21 +171,23 @@ type codedState struct {
 // Sums string is shared by all n payloads.
 func (b *Broadcaster) appendDisperse(out []types.Message, tag types.Tag, body string) []types.Message {
 	id := types.InstanceID{Sender: b.me, Tag: tag}
-	b.scratch = append(b.scratch[:0], body...)
-	shards := b.code.Split(b.scratch)
-	sums := make([]byte, 0, len(shards)*sumLen)
-	for _, s := range shards {
-		d := sha256.Sum256(s)
-		sums = append(sums, d[:]...)
+	c := b.code
+	c.scratch = append(c.scratch[:0], body...)
+	c.shards = c.AppendSplit(c.shards[:0], c.scratch)
+	shardLen := c.ShardLen(len(body))
+	c.scratch = c.scratch[:0]
+	for i := range b.peers {
+		d := sha256.Sum256(c.shard(i, shardLen))
+		c.scratch = append(c.scratch, d[:]...)
 	}
-	sumsStr := string(sums)
+	sumsStr := string(c.scratch)
 	for i, peer := range b.peers {
 		p := &types.RBCFragPayload{
 			ID:       id,
 			Index:    i,
 			TotalLen: len(body),
 			Sums:     sumsStr,
-			Frag:     string(shards[i]),
+			Frag:     string(c.shard(i, shardLen)),
 		}
 		out = append(out, types.Message{From: b.me, To: peer, Payload: p})
 	}
@@ -180,8 +211,8 @@ func (b *Broadcaster) fragValid(p *types.RBCFragPayload) bool {
 	if p.TotalLen < 0 || len(p.Frag) != b.code.ShardLen(p.TotalLen) {
 		return false
 	}
-	b.scratch = append(b.scratch[:0], p.Frag...)
-	d := sha256.Sum256(b.scratch)
+	b.code.scratch = append(b.code.scratch[:0], p.Frag...)
+	d := sha256.Sum256(b.code.scratch)
 	off := p.Index * sumLen
 	for i := 0; i < sumLen; i++ {
 		if p.Sums[off+i] != d[i] {
@@ -198,9 +229,10 @@ func (b *Broadcaster) internKey(cs *codedState, totalLen int, sums string) strin
 	if k, ok := cs.keys[sk]; ok {
 		return k
 	}
-	b.scratch = binary.AppendUvarint(b.scratch[:0], uint64(totalLen))
-	b.scratch = append(b.scratch, sums...)
-	d := sha256.Sum256(b.scratch)
+	c := b.code
+	c.scratch = binary.AppendUvarint(c.scratch[:0], uint64(totalLen))
+	c.scratch = append(c.scratch, sums...)
+	d := sha256.Sum256(c.scratch)
 	k := string(d[:])
 	cs.keys[sk] = k
 	return k
@@ -297,23 +329,29 @@ func (b *Broadcaster) tryDecode(cs *codedState, key string) (string, bool) {
 	if set.decoded {
 		return set.body, true
 	}
-	k := b.code.K()
+	c := b.code
+	k := c.K()
 	if set.have < k {
 		return "", false
 	}
-	idxs := make([]int, 0, k)
-	frags := make([][]byte, 0, k)
+	// Every held fragment has the one length fragValid admits for totalLen.
+	shardLen := c.ShardLen(set.totalLen)
+	c.idxs, c.gather, c.frags = c.idxs[:0], c.gather[:0], c.frags[:0]
 	for i, f := range set.frags {
 		if f == "" {
 			continue
 		}
-		idxs = append(idxs, i)
-		frags = append(frags, []byte(f))
-		if len(idxs) == k {
+		c.idxs = append(c.idxs, i)
+		c.gather = append(c.gather, f...)
+		if len(c.idxs) == k {
 			break
 		}
 	}
-	body, err := b.code.Reconstruct(idxs, frags, set.totalLen)
+	for j := range c.idxs {
+		c.frags = append(c.frags, c.gather[j*shardLen:(j+1)*shardLen])
+	}
+	body, err := c.AppendReconstruct(c.body[:0], c.idxs, c.frags, set.totalLen)
+	c.body = body
 	if err != nil {
 		set.poisoned = true
 		return "", false
@@ -326,8 +364,9 @@ func (b *Broadcaster) tryDecode(cs *codedState, key string) (string, bool) {
 	// this same Sums entry, so a re-encoded shard byte-equal to it has that
 	// digest; only the other shards are hashed, and the verdict is the one
 	// hashing all n would give.
-	reShards := b.code.Split(body)
-	for i, s := range reShards {
+	c.shards = c.AppendSplit(c.shards[:0], body)
+	for i := range set.frags {
+		s := c.shard(i, shardLen)
 		if f := set.frags[i]; f != "" && f == string(s) {
 			continue
 		}

@@ -510,6 +510,90 @@ func TestCodedDecodeVerdictIndependentOfHeldSet(t *testing.T) {
 	}
 }
 
+// TestCodedDecodeBufferReuse: one broadcaster decodes a 32 KiB body, poisons
+// a dispersal, then decodes a shorter body, all through the same reused
+// encode/gather/decode buffers. The first delivered body must be intact
+// afterwards, and the poisoned key must still refuse to deliver once a
+// successful decode has overwritten the buffers its verdict came from.
+func TestCodedDecodeBufferReuse(t *testing.T) {
+	n, f := 16, 5
+	spec := quorum.MustNew(n, f)
+	peers := types.Processes(n)
+	target := NewCoded(types.ProcessID(n), peers, spec)
+	rng := rand.New(rand.NewSource(7))
+
+	// disperse returns sender 1's fragments of body under seq, indexed by
+	// shard; a non-negative swap replaces that shard with garbage and
+	// recomputes its digest, so every fragment verifies but the set is not
+	// a codeword.
+	disperse := func(seq int, body []byte, swap int) []*types.RBCFragPayload {
+		frags := make([]*types.RBCFragPayload, n)
+		for _, m := range NewCoded(1, peers, spec).Broadcast(types.Tag{Seq: seq}, string(body)) {
+			p := m.Payload.(*types.RBCFragPayload)
+			frags[p.Index] = p
+		}
+		if swap < 0 {
+			return frags
+		}
+		evil := []byte(strings.Repeat("Z", len(frags[swap].Frag)))
+		digest := sha256.Sum256(evil)
+		sums := []byte(frags[0].Sums)
+		copy(sums[swap*sumLen:], digest[:])
+		for i, p := range frags {
+			q := *p
+			q.Sums = string(sums)
+			if i == swap {
+				q.Frag = string(evil)
+			}
+			frags[i] = &q
+		}
+		return frags
+	}
+	// feed hands target the held fragments as their owners' echoes, then a
+	// ready quorum, and returns the deliveries and the key's fragment set.
+	feed := func(frags []*types.RBCFragPayload, held []int) ([]Delivery, *fragSet) {
+		var got []Delivery
+		for _, i := range held {
+			_, ds := target.HandleFrag(peers[i], frags[i])
+			got = append(got, ds...)
+		}
+		id := frags[0].ID
+		key := target.internKey(codedAt(target, id), frags[0].TotalLen, frags[0].Sums)
+		for _, from := range peers[:spec.Decide()] {
+			_, ds := target.HandleSum(from, &types.RBCSumPayload{ID: id, Sum: key})
+			got = append(got, ds...)
+		}
+		return got, codedAt(target, id).sets[key]
+	}
+
+	long := make([]byte, 32<<10)
+	rng.Read(long)
+	wantLong := string(long)
+	first, _ := feed(disperse(1, long, -1), []int{10, 11, 12, 13, 14, 15})
+	if len(first) != 1 || first[0].Body != wantLong {
+		t.Fatalf("long body: %d deliveries, want it once", len(first))
+	}
+
+	poisoned := disperse(2, long[:20<<10], 15)
+	if ds, set := feed(poisoned, []int{0, 1, 2, 3, 4, 5}); len(ds) != 0 || set == nil || !set.poisoned {
+		t.Fatalf("poisoned dispersal: %d deliveries, set %+v", len(ds), set)
+	}
+
+	short := make([]byte, 5<<10+3)
+	rng.Read(short)
+	second, _ := feed(disperse(3, short, -1), []int{0, 2, 4, 11, 13, 15})
+	if len(second) != 1 || second[0].Body != string(short) {
+		t.Fatalf("short body: %d deliveries, want it once", len(second))
+	}
+
+	if first[0].Body != wantLong {
+		t.Fatal("the first delivered body changed after a later decode reused the buffers")
+	}
+	if ds, set := feed(poisoned, []int{6, 7, 8, 9, 10, 11, 12, 13, 14, 15}); len(ds) != 0 || !set.poisoned {
+		t.Fatalf("poisoned key after buffer reuse: %d deliveries, poisoned %v", len(ds), set.poisoned)
+	}
+}
+
 // TestCodedMixedModeSilence: plain phases at a coded broadcaster and
 // fragments at a plain broadcaster are both byte-identical silence.
 func TestCodedMixedModeSilence(t *testing.T) {

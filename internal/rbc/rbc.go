@@ -74,7 +74,6 @@ import (
 	"maps"
 
 	"repro/internal/quorum"
-	"repro/internal/rscode"
 	"repro/internal/sim"
 	"repro/internal/types"
 )
@@ -131,11 +130,9 @@ type Broadcaster struct {
 	// fragments instead of full bodies, and every instance carries coded
 	// state. The plain and coded modes are mutually silent: a coded
 	// broadcaster ignores plain RBC phases and vice versa, so a mixed-mode
-	// peer cannot inject state into either mode.
-	code *rscode.Code
-	// scratch is the reusable hashing buffer of the coded path (fragment
-	// digest checks, tally-key derivation): zero steady-state allocation.
-	scratch []byte
+	// peer cannot inject state into either mode. The code carries the coded
+	// path's reusable buffers with it, so a plain broadcaster holds none.
+	code *coder
 	// tele, when non-nil, receives the RBC phase marks: instance first seen
 	// → echo quorum / ready quorum / delivery (see sim.Telemetry). All
 	// calls are nil-safe, so a detached broadcaster pays a branch, nothing

@@ -13,15 +13,25 @@
 //
 // Both directions are sums of shards scaled by Lagrange coefficients, so
 // the byte work is done shard-at-a-time by gf256.MulAddSlice (dst ^= c·src,
-// vectorised where the CPU allows): Split makes one pass per (parity shard,
-// data shard) pair with coefficients precomputed in New, and Reconstruct
+// vectorised where the CPU allows): encoding makes one pass per (parity
+// shard, data shard) pair with coefficients precomputed in New, and decoding
 // makes k passes per missing data shard with coefficients computed once per
 // call. Only the coefficients use scalar field arithmetic.
+//
+// Each direction has one implementation, in append form: AppendSplit lays
+// the n shards out back to back after dst, and AppendReconstruct appends the
+// body, so a caller that keeps its buffers (coded RBC encodes and decodes
+// once per broadcast at every process) allocates nothing once they have
+// grown, and AppendReconstruct's own bookkeeping stays on the stack (up to
+// 16 data shards). Split and Reconstruct are the same calls into fresh
+// buffers, kept for callers that want independent results — tests and the
+// codec's throughput probes.
 package rscode
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/gf256"
 )
@@ -97,52 +107,72 @@ func (c *Code) ShardLen(bodyLen int) int {
 	return (bodyLen + c.k - 1) / c.k
 }
 
-// Split encodes body into n shards of ShardLen(len(body)) bytes each. The
-// first k shards are the body striped in order (zero-padded at the tail);
-// the remaining n−k are parity. The body is not retained; shards are fresh
-// allocations.
+// AppendSplit appends the n shards of body to dst, back to back, and returns
+// the extended slice: shard i is the i-th run of ShardLen(len(body)) bytes
+// after the old len(dst). The first k shards are the body striped in order
+// (zero-padded at the tail); the remaining n−k are parity. Whatever dst's
+// spare capacity held is overwritten, so a reused buffer needs no clearing;
+// body must not overlap that capacity.
+func (c *Code) AppendSplit(dst, body []byte) []byte {
+	shardLen := c.ShardLen(len(body))
+	base := len(dst)
+	dst = slices.Grow(dst, c.n*shardLen)[:base+c.n*shardLen]
+	out := dst[base:]
+	// The data shards are the body's consecutive shardLen-byte runs, so the
+	// systematic half is one copy; the padding and the parity accumulators
+	// start at zero.
+	copy(out, body)
+	clear(out[len(body):])
+	for p, basis := range c.parityBasis {
+		parity := out[(c.k+p)*shardLen : (c.k+p+1)*shardLen]
+		for d, coef := range basis {
+			gf256.MulAddSlice(coef, out[d*shardLen:(d+1)*shardLen], parity)
+		}
+	}
+	return dst
+}
+
+// Split is AppendSplit into a fresh buffer, cut into its n shards.
 func (c *Code) Split(body []byte) [][]byte {
 	shardLen := c.ShardLen(len(body))
-	// One backing array for all shards keeps Split at a single allocation
-	// beyond the slice headers.
-	backing := make([]byte, c.n*shardLen)
+	backing := c.AppendSplit(nil, body)
 	shards := make([][]byte, c.n)
 	for i := range shards {
 		shards[i] = backing[i*shardLen : (i+1)*shardLen]
 	}
-	for d := 0; d < c.k; d++ {
-		copy(shards[d], body[min(d*shardLen, len(body)):min((d+1)*shardLen, len(body))])
-	}
-	for p, basis := range c.parityBasis {
-		for d, coef := range basis {
-			gf256.MulAddSlice(coef, shards[d], shards[c.k+p])
-		}
-	}
 	return shards
 }
 
-// Reconstruct recovers the first bodyLen bytes of the original body from any
-// k shards. indices[i] is the 0-based shard index of shards[i]; indices must
-// be distinct and in [0, n), shards equal-length and non-empty, and bodyLen
-// at most k·shardLen. Extra shards beyond the first k usable are ignored.
-func (c *Code) Reconstruct(indices []int, shards [][]byte, bodyLen int) ([]byte, error) {
+// AppendReconstruct recovers the first bodyLen bytes of the original body
+// from any k shards and appends them to dst. indices[i] is the 0-based shard
+// index of shards[i]; indices must be distinct and in [0, n), shards
+// equal-length and non-empty, and bodyLen at most k·shardLen. Extra shards
+// beyond the first k usable are ignored. On error dst is returned unchanged.
+// As with AppendSplit, dst's spare capacity may hold anything and must not
+// overlap the shards.
+func (c *Code) AppendReconstruct(dst []byte, indices []int, shards [][]byte, bodyLen int) ([]byte, error) {
 	if len(indices) != len(shards) {
-		return nil, fmt.Errorf("%w: %d indices for %d shards", ErrBadShards, len(indices), len(shards))
+		return dst, fmt.Errorf("%w: %d indices for %d shards", ErrBadShards, len(indices), len(shards))
 	}
 	if len(shards) < c.k {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(shards), c.k)
+		return dst, fmt.Errorf("%w: have %d, need %d", ErrTooFewShards, len(shards), c.k)
 	}
 	// Select the first k distinct valid shards (mirrors shamir.Reconstruct's
-	// scan: a malformed entry is skipped, not fatal).
-	useIdx := make([]int, 0, c.k)
-	useShard := make([][]byte, 0, c.k)
-	seen := make(map[int]bool, c.k)
+	// scan: a malformed entry is skipped, not fatal). The selection lives on
+	// the stack up to maxStackShards; seen is a bitset over the ≤ 255 indices.
+	var (
+		seen     [4]uint64
+		idxArr   [maxStackShards]int
+		shardArr [maxStackShards][]byte
+		coefArr  [maxStackShards]byte
+	)
+	useIdx, useShard := idxArr[:0], shardArr[:0]
 	shardLen := 0
 	for i, idx := range indices {
 		if len(useIdx) == c.k {
 			break
 		}
-		if idx < 0 || idx >= c.n || seen[idx] || len(shards[i]) == 0 {
+		if idx < 0 || idx >= c.n || seen[idx/64]&(1<<(idx%64)) != 0 || len(shards[i]) == 0 {
 			continue
 		}
 		if shardLen == 0 {
@@ -150,61 +180,55 @@ func (c *Code) Reconstruct(indices []int, shards [][]byte, bodyLen int) ([]byte,
 		} else if len(shards[i]) != shardLen {
 			continue
 		}
-		seen[idx] = true
+		seen[idx/64] |= 1 << (idx % 64)
 		useIdx = append(useIdx, idx)
 		useShard = append(useShard, shards[i])
 	}
 	if len(useIdx) < c.k {
-		return nil, fmt.Errorf("%w: only %d of %d shards usable (need %d)",
+		return dst, fmt.Errorf("%w: only %d of %d shards usable (need %d)",
 			ErrTooFewShards, len(useIdx), len(shards), c.k)
 	}
 	if bodyLen < 0 || bodyLen > c.k*shardLen {
-		return nil, fmt.Errorf("%w: bodyLen %d exceeds %d×%d", ErrBadShards, bodyLen, c.k, shardLen)
+		return dst, fmt.Errorf("%w: bodyLen %d exceeds %d×%d", ErrBadShards, bodyLen, c.k, shardLen)
 	}
-	body := make([]byte, bodyLen)
-	// Fast path: every needed data shard is present verbatim (systematic).
-	systematic := true
-	dataAt := make([][]byte, c.k)
+	base := len(dst)
+	dst = slices.Grow(dst, bodyLen)[:base+bodyLen]
+	body := dst[base:]
+	// Every held data shard is its stretch of the body verbatim (the code is
+	// systematic); when all the needed ones are held, that is the decode.
 	for i, idx := range useIdx {
-		if idx < c.k {
-			dataAt[idx] = useShard[i]
+		if lo := idx * shardLen; idx < c.k && lo < bodyLen {
+			copy(body[lo:min(lo+shardLen, bodyLen)], useShard[i])
 		}
 	}
-	for d := 0; d < c.k; d++ {
-		if dataAt[d] == nil && d*shardLen < bodyLen {
-			systematic = false
-			break
-		}
-	}
-	if systematic {
-		for d := 0; d < c.k && d*shardLen < bodyLen; d++ {
-			copy(body[d*shardLen:min((d+1)*shardLen, bodyLen)], dataAt[d])
-		}
-		return body, nil
-	}
-	// General path: each missing data shard d is the column polynomials
-	// interpolated at x = d+1 from the k available points — k slice passes
-	// into the zeroed body, one Lagrange coefficient each.
-	for d := 0; d < c.k; d++ {
-		if d*shardLen >= bodyLen {
-			break
-		}
-		dst := body[d*shardLen : min((d+1)*shardLen, bodyLen)]
-		if dataAt[d] != nil {
-			copy(dst, dataAt[d])
+	// Each missing data shard d is the column polynomials interpolated at
+	// x = d+1 from the k available points — k slice passes into its zeroed
+	// stretch of the body, one Lagrange coefficient each.
+	for d := 0; d < c.k && d*shardLen < bodyLen; d++ {
+		if seen[d/64]&(1<<(d%64)) != 0 {
 			continue
 		}
-		for i, coef := range lagrangeAt(point(d), useIdx) {
-			gf256.MulAddSlice(coef, useShard[i][:len(dst)], dst)
+		out := body[d*shardLen : min((d+1)*shardLen, bodyLen)]
+		clear(out)
+		for i, coef := range appendLagrange(coefArr[:0], point(d), useIdx) {
+			gf256.MulAddSlice(coef, useShard[i][:len(out)], out)
 		}
 	}
-	return body, nil
+	return dst, nil
 }
 
-// lagrangeAt returns the Lagrange coefficients evaluating at x the unique
-// degree-(len(idxs)−1) polynomial through the points point(idxs[i]).
-func lagrangeAt(x byte, idxs []int) []byte {
-	basis := make([]byte, len(idxs))
+// Reconstruct is AppendReconstruct into a fresh buffer.
+func (c *Code) Reconstruct(indices []int, shards [][]byte, bodyLen int) ([]byte, error) {
+	return c.AppendReconstruct(nil, indices, shards, bodyLen)
+}
+
+// maxStackShards bounds the shard selection AppendReconstruct keeps in stack
+// arrays; a code with more data shards spills it to the heap.
+const maxStackShards = 16
+
+// appendLagrange appends the Lagrange coefficients evaluating at x the
+// unique degree-(len(idxs)−1) polynomial through the points point(idxs[i]).
+func appendLagrange(dst []byte, x byte, idxs []int) []byte {
 	for i, xi := range idxs {
 		num, den := byte(1), byte(1)
 		for j, xj := range idxs {
@@ -214,14 +238,7 @@ func lagrangeAt(x byte, idxs []int) []byte {
 			num = gf256.Mul(num, gf256.Sub(x, point(xj)))
 			den = gf256.Mul(den, gf256.Sub(point(xi), point(xj)))
 		}
-		basis[i] = gf256.Div(num, den)
+		dst = append(dst, gf256.Div(num, den))
 	}
-	return basis
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return dst
 }

@@ -245,6 +245,56 @@ func TestReconstructErrors(t *testing.T) {
 	})
 }
 
+// TestAppendSplitDirtyBuffer: AppendSplit after a garbage-filled prefix, into
+// garbage-filled spare capacity, appends exactly Split's shards, at body
+// lengths that leave the last data shard padded, full, or empty.
+func TestAppendSplitDirtyBuffer(t *testing.T) {
+	c := mustCode(t, 7, 3)
+	const l = 5 // shard length for the two longest bodies
+	for _, bodyLen := range []int{0, 1, 3*l - 1, 3 * l} {
+		body := make([]byte, bodyLen)
+		for i := range body {
+			body[i] = byte(31*i + 1)
+		}
+		var want []byte
+		for _, s := range c.Split(body) {
+			want = append(want, s...)
+		}
+		dst := bytes.Repeat([]byte{0xEE}, 4+len(want)+9)[:4]
+		got := c.AppendSplit(dst, body)
+		if !bytes.Equal(got[:4], []byte{0xEE, 0xEE, 0xEE, 0xEE}) || !bytes.Equal(got[4:], want) {
+			t.Errorf("bodyLen %d: AppendSplit = %x, want prefix then %x", bodyLen, got, want)
+		}
+		if &got[0] != &dst[0] {
+			t.Errorf("bodyLen %d: AppendSplit reallocated a buffer with room", bodyLen)
+		}
+	}
+}
+
+// TestAppendAllocFree: with room in dst, AppendSplit allocates nothing, and
+// neither does a parity-only AppendReconstruct (its shard selection and
+// coefficients stay on the stack).
+func TestAppendAllocFree(t *testing.T) {
+	c := mustCode(t, 16, 6)
+	body := make([]byte, 32<<10)
+	rand.New(rand.NewSource(1)).Read(body)
+	buf := make([]byte, 0, c.N()*c.ShardLen(len(body)))
+	if allocs := testing.AllocsPerRun(20, func() { buf = c.AppendSplit(buf[:0], body) }); allocs != 0 {
+		t.Fatalf("AppendSplit with room allocates %v times", allocs)
+	}
+	shards := c.Split(body)
+	idxs := []int{10, 11, 12, 13, 14, 15}
+	sub := [][]byte{shards[10], shards[11], shards[12], shards[13], shards[14], shards[15]}
+	out := make([]byte, 0, len(body))
+	var err error
+	if allocs := testing.AllocsPerRun(20, func() {
+		out, err = c.AppendReconstruct(out[:0], idxs, sub, len(body))
+	}); allocs != 0 || err != nil || !bytes.Equal(out, body) {
+		t.Fatalf("AppendReconstruct with room: %v allocations, error %v, body intact %v",
+			allocs, err, bytes.Equal(out, body))
+	}
+}
+
 func BenchmarkSplit(b *testing.B) {
 	c, _ := New(16, 6)
 	body := make([]byte, 64<<10)
@@ -316,6 +366,9 @@ func hostileShards(data []byte) (c *Code, body []byte, indices []int, shards [][
 // selects (the first distinct in-range non-empty ones of the first usable
 // length) are all genuine, it must return the zero-padded body's first
 // bodyLen bytes, or ErrBadShards for a bodyLen out of range.
+// AppendReconstruct onto a garbage-filled dst (its spare capacity too) must
+// keep the prefix and append exactly what Reconstruct returns, and on error
+// return dst itself.
 func FuzzReconstruct(f *testing.F) {
 	for _, seed := range [][]byte{
 		{5, 2, 40, 3, 128, 0, 0, 2, 0, 4, 0},              // three data shards: systematic
@@ -341,6 +394,22 @@ func FuzzReconstruct(f *testing.F) {
 		}
 		if err == nil && len(got) != bodyLen {
 			t.Fatalf("returned %d bytes for bodyLen %d", len(got), bodyLen)
+		}
+		prefix := len(data) % 7
+		dst := bytes.Repeat([]byte{0xA5}, prefix+max(bodyLen, 0)+len(data)%3)[:prefix]
+		appended, appendErr := c.AppendReconstruct(dst, indices, shards, bodyLen)
+		if (appendErr == nil) != (err == nil) {
+			t.Fatalf("AppendReconstruct error %v, Reconstruct error %v", appendErr, err)
+		}
+		if !bytes.Equal(appended[:min(prefix, len(appended))], dst) {
+			t.Fatalf("AppendReconstruct changed the prefix: %x", appended)
+		}
+		if appendErr != nil && (len(appended) != prefix || cap(appended) != cap(dst) ||
+			prefix > 0 && &appended[0] != &dst[0]) {
+			t.Fatalf("AppendReconstruct error %v did not return dst unchanged", appendErr)
+		}
+		if appendErr == nil && !bytes.Equal(appended[prefix:], got) {
+			t.Fatalf("AppendReconstruct appended %x, Reconstruct returned %x", appended[prefix:], got)
 		}
 		// The documented selection, with each pick checked against Split.
 		split := c.Split(body)

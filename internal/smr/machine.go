@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Snapshotter extends StateMachine with deterministic serialization — the
@@ -26,6 +28,12 @@ type Snapshotter interface {
 // driven by "set <key> <value>" commands. It is what the runner harness and
 // the experiments replicate; tests use it to compare
 // state digests across replicas and runs.
+//
+// The parse contract is exactly strings.Fields: a command is well-formed when
+// it splits into the three fields "set", key and value, with unicode.IsSpace
+// runs (Unicode spaces such as U+0085 and U+3000 included) as separators and
+// any invalid UTF-8 byte counting as a non-space. Apply implements it in one
+// pass over the command (see nextField); the test oracle is strings.Fields.
 type KVMachine struct {
 	state   map[string]string
 	applied int
@@ -37,13 +45,90 @@ func NewKVMachine() *KVMachine { return &KVMachine{state: make(map[string]string
 // Apply implements StateMachine.
 func (m *KVMachine) Apply(cmd string) error {
 	m.applied++
-	parts := strings.Fields(cmd)
-	if len(parts) != 3 || parts[0] != "set" {
+	key, value, ok := parseSet(cmd)
+	if !ok {
 		return fmt.Errorf("smr: bad command %q", cmd)
 	}
-	m.state[parts[1]] = parts[2]
+	m.state[key] = value
 	return nil
 }
+
+// parseSet returns the key and value of a "set <key> <value>" command, split
+// into fields as strings.Fields splits it, without building the field slice.
+func parseSet(cmd string) (key, value string, ok bool) {
+	var f [3]string
+	n := 0
+	for start, end := nextField(cmd, 0); start < end; start, end = nextField(cmd, end) {
+		if n == len(f) {
+			return "", "", false
+		}
+		f[n] = cmd[start:end]
+		n++
+	}
+	if n != len(f) || f[0] != "set" {
+		return "", "", false
+	}
+	return f[1], f[2], true
+}
+
+// nextField returns the bounds of the first field of s at or after i: a
+// maximal run of runes that are not unicode.IsSpace, strings.Fields' notion
+// of a field (an invalid UTF-8 byte decodes as a one-byte U+FFFD, which is
+// not a space). When no field is left, start == end == len(s).
+//
+// Commands are mostly printable ASCII (0x21..0x7E), which is never space, so
+// the field scan strides over such runs eight bytes at a time, steps byte by
+// byte up to the byte that stopped the stride, and decodes a rune only
+// there. The word test is the pair "has a
+// byte less than 0x21" (that byte borrows into its top bit) and "has a byte
+// greater than 0x7E" (that byte carries into, or already has, its top bit),
+// each exact as a yes/no question (Anderson, Bit Twiddling Hacks).
+func nextField(s string, i int) (start, end int) {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for i < len(s) {
+		space, w := spaceAt(s, i)
+		if !space {
+			break
+		}
+		i += w
+	}
+	start = i
+	for i < len(s) {
+		for ; i+8 <= len(s); i += 8 {
+			w := s[i : i+8]
+			x := uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+				uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
+			if ((x-0x21*ones)&^x|(x+ones)|x)&highs != 0 {
+				break
+			}
+		}
+		for i < len(s) && s[i]-0x21 < 0x7F-0x21 {
+			i++
+		}
+		if i == len(s) {
+			break
+		}
+		space, w := spaceAt(s, i)
+		if space {
+			break
+		}
+		i += w
+	}
+	return start, i
+}
+
+// spaceAt reports whether the rune at s[i] is unicode.IsSpace, and its width.
+func spaceAt(s string, i int) (space bool, width int) {
+	if c := s[i]; c < utf8.RuneSelf {
+		return asciiSpace>>c&1 != 0, 1
+	}
+	r, w := utf8.DecodeRuneInString(s[i:])
+	return unicode.IsSpace(r), w
+}
+
+// asciiSpace has bit c set for each ASCII c that unicode.IsSpace accepts:
+// '\t', '\n', '\v', '\f', '\r' and ' '.
+const asciiSpace uint64 = 1<<'\t' | 1<<'\n' | 1<<'\v' | 1<<'\f' | 1<<'\r' | 1<<' '
 
 // Get returns a key's value ("" if unset).
 func (m *KVMachine) Get(key string) string { return m.state[key] }
