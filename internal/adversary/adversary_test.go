@@ -336,7 +336,7 @@ func TestCrashAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ID() != 4 || c.Done() || c.Crashed() {
+	if c.ID() != 4 || c.Done() || c.dead {
 		t.Fatal("fresh crash-after accessors wrong")
 	}
 	if msgs := c.Start(); len(msgs) == 0 {
@@ -344,11 +344,11 @@ func TestCrashAfter(t *testing.T) {
 	}
 	m := types.Message{From: 1, To: 4, Payload: &types.DecidePayload{V: types.One}}
 	c.Deliver(m) // budget 2 -> 1
-	if c.Crashed() {
+	if c.dead {
 		t.Fatal("crashed early")
 	}
 	c.Deliver(m) // budget 1 -> 0: crash (duplicate DECIDE is inert input, that's fine)
-	if !c.Crashed() {
+	if !c.dead {
 		t.Fatal("did not crash at budget exhaustion")
 	}
 	if out := c.Deliver(m); out != nil {
@@ -369,7 +369,7 @@ func TestCrashAfter(t *testing.T) {
 		if msgs := c2.Start(); msgs != nil {
 			t.Fatal("zero-budget node sent messages")
 		}
-		if !c2.Crashed() {
+		if !c2.dead {
 			t.Fatal("zero-budget node did not crash")
 		}
 	})

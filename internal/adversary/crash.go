@@ -65,6 +65,3 @@ func (c *CrashAfter) Deliver(m types.Message) []types.Message {
 // Done implements sim.Node: a crashed process is not "done" (done nodes
 // have finished successfully); it is simply unresponsive.
 func (c *CrashAfter) Done() bool { return false }
-
-// Crashed reports whether the crash has happened (for tests).
-func (c *CrashAfter) Crashed() bool { return c.dead }

@@ -87,15 +87,6 @@ type Node struct {
 
 	// The embedded recycled output buffer (see sim.OutBuffer), as in core.
 	sim.OutBuffer
-
-	stats Stats
-}
-
-// Stats counts protocol activity.
-type Stats struct {
-	RoundsStarted int
-	CoinsUsed     int
-	Adopted       int
 }
 
 type slot struct {
@@ -111,11 +102,8 @@ type slotState struct {
 	msgs []*types.PlainPayload
 }
 
-// Config validation errors.
-var (
-	ErrNoCoin   = errors.New("baseline: config requires a coin")
-	ErrBadPeers = quorum.ErrBadPeers
-)
+// ErrNoCoin is the config validation error for a missing coin.
+var ErrNoCoin = errors.New("baseline: config requires a coin")
 
 // New creates a Ben-Or node.
 func New(cfg Config) (*Node, error) {
@@ -186,9 +174,6 @@ func (n *Node) Round() int { return n.round }
 // Proposal returns the input value.
 func (n *Node) Proposal() types.Value { return n.cfg.Proposal }
 
-// Stats returns activity counters.
-func (n *Node) Stats() Stats { return n.stats }
-
 // onPlain records the first message per (sender, slot). Values are checked
 // for well-formedness only — Ben-Or has no validation, which is the point.
 func (n *Node) onPlain(from types.ProcessID, p *types.PlainPayload) {
@@ -235,7 +220,6 @@ func (n *Node) advance(out []types.Message) []types.Message {
 				break
 			}
 			n.waitingCoin = false
-			n.stats.CoinsUsed++
 			n.cfg.Recorder.Record(trace.Event{Kind: trace.KindCoin, P: n.cfg.Me, Round: n.round, V: s})
 			n.value = s
 			out = n.enterRound(out, n.round+1)
@@ -296,7 +280,6 @@ func (n *Node) finishPhase2(out []types.Message, window []*types.PlainPayload) [
 		n.value = v
 		out = n.enterRound(out, n.round+1)
 	case dCount[v] >= n.spec.Adopt():
-		n.stats.Adopted++
 		n.value = v
 		out = n.enterRound(out, n.round+1)
 	default:
@@ -312,7 +295,6 @@ func (n *Node) enterRound(out []types.Message, r int) []types.Message {
 	}
 	n.round = r
 	n.phase = types.Step1
-	n.stats.RoundsStarted++
 	n.cfg.Recorder.Record(trace.Event{Kind: trace.KindRound, P: n.cfg.Me, Round: r})
 	msg := &types.PlainPayload{Round: r, Step: types.Step1, V: n.value}
 	return types.AppendBroadcast(out, n.cfg.Me, n.cfg.Peers, msg)

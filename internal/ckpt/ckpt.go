@@ -302,9 +302,6 @@ func (t *Tracker) SetMaxPendingCuts(n int) {
 	}
 }
 
-// MaxPendingCuts returns the active pending-cut cap.
-func (t *Tracker) MaxPendingCuts() int { return t.maxPending }
-
 // RecordLocal registers this replica's own checkpoint at a cut it just
 // committed through: the snapshot is retained for state transfer, the vote
 // is signed and folded locally, and the payload to broadcast is returned.
@@ -523,18 +520,6 @@ func (t *Tracker) floor() int {
 // PendingCuts returns how many uncertified cuts hold votes (diagnostics;
 // bounded by the pending-cut cap).
 func (t *Tracker) PendingCuts() int { return len(t.votes) }
-
-// SnapshotAt returns the retained snapshot at a cut this replica reached
-// locally or installed by transfer (ok = false when released or never held).
-func (t *Tracker) SnapshotAt(cut int) (string, bool) {
-	s, ok := t.snapshots[cut]
-	return s, ok
-}
-
-// SnapshotsRetained returns how many cut snapshots the tracker holds
-// (diagnostics; bounded by the pending cuts above the certified one, plus
-// the certified cut's own snapshot).
-func (t *Tracker) SnapshotsRetained() int { return len(t.snapshots) }
 
 // sortVoters orders process IDs ascending (insertion sort; quorum-sized).
 func sortVoters(ps []types.ProcessID) {

@@ -363,7 +363,7 @@ func TestSnapshotRetentionBounded(t *testing.T) {
 			tr.NoteVote(v, vote(v, c))
 		}
 	}
-	if got := tr.SnapshotsRetained(); got != 1 {
+	if got := len(tr.snapshots); got != 1 {
 		t.Fatalf("retained %d snapshots after 100 certified cuts, want 1", got)
 	}
 	if got := tr.PendingCuts(); got != 0 {
@@ -374,14 +374,14 @@ func TestSnapshotRetentionBounded(t *testing.T) {
 func TestPendingCutCapConfigurable(t *testing.T) {
 	tr := newTestTracker(t, 1)
 	tr.SetMaxPendingCuts(4)
-	if got := tr.MaxPendingCuts(); got != 4 {
+	if got := tr.maxPending; got != 4 {
 		t.Fatalf("cap = %d after SetMaxPendingCuts(4)", got)
 	}
 	// Out-of-range overrides are ignored: a tracker must always be able to
 	// hold at least the cut it is certifying.
 	tr.SetMaxPendingCuts(0)
 	tr.SetMaxPendingCuts(-3)
-	if got := tr.MaxPendingCuts(); got != 4 {
+	if got := tr.maxPending; got != 4 {
 		t.Fatalf("cap = %d after invalid overrides, want 4", got)
 	}
 	// Spam far-future cuts well past the tightened cap.

@@ -97,9 +97,6 @@ type Store struct {
 // or Load.
 func NewStore(path string) *Store { return &Store{path: path} }
 
-// Path returns the record file path.
-func (s *Store) Path() string { return s.path }
-
 // Save atomically replaces the record: temp file, fsync, rename. The record
 // must carry a snapshot — a certificate alone cannot restore a machine.
 func (s *Store) Save(rec *Record) error {

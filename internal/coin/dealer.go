@@ -38,10 +38,9 @@ type Dealer struct {
 	spec quorum.Spec
 	keys *auth.DealerKeys
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	rounds  map[int][]shamir.Share
-	secrets map[int]types.Value
+	mu     sync.Mutex
+	rng    *rand.Rand
+	rounds map[int][]shamir.Share
 	// floor is the cluster low-watermark: rounds below it are pruned and
 	// must never be dealt (or re-dealt).
 	floor int
@@ -52,11 +51,10 @@ type Dealer struct {
 // n ≤ 255 processes.
 func NewDealer(spec quorum.Spec, seed int64) *Dealer {
 	return &Dealer{
-		spec:    spec,
-		keys:    auth.NewDealerKeys(auth.DeriveKey(seedKey(seed), "dealer")),
-		rng:     rand.New(rand.NewSource(seed)),
-		rounds:  make(map[int][]shamir.Share),
-		secrets: make(map[int]types.Value),
+		spec:   spec,
+		keys:   auth.NewDealerKeys(auth.DeriveKey(seedKey(seed), "dealer")),
+		rng:    rand.New(rand.NewSource(seed)),
+		rounds: make(map[int][]shamir.Share),
 	}
 }
 
@@ -76,17 +74,16 @@ func (d *Dealer) deal(round int) []shamir.Share {
 	if ss, ok := d.rounds[round]; ok {
 		return ss
 	}
-	bit := types.Value(d.rng.Intn(2))
+	bit := byte(d.rng.Intn(2))
 	// One secret byte whose low bit is the coin; threshold f+1 means f
 	// colluding processes hold a degree-f polynomial's worth of nothing.
-	ss, err := shamir.Split([]byte{byte(bit)}, d.spec.N(), d.spec.F()+1, d.rng)
+	ss, err := shamir.Split([]byte{bit}, d.spec.N(), d.spec.F()+1, d.rng)
 	if err != nil {
 		// Split fails only on invalid (n, threshold); the quorum.Spec
 		// invariants (n ≥ 1, 0 ≤ f < n) rule that out.
 		panic(fmt.Sprintf("coin: dealing round %d: %v", round, err))
 	}
 	d.rounds[round] = ss
-	d.secrets[round] = bit
 	return ss
 }
 
@@ -107,18 +104,7 @@ func (d *Dealer) VerifyShare(p types.ProcessID, round int, share, mac string) bo
 	return d.keys.VerifyShare(p, round, []byte(share), []byte(mac))
 }
 
-// SecretFor exposes the round's bit. It exists for tests and for modelling
-// the strongest adversary (one that has broken the coin's secrecy);
-// protocol code never calls it. For rounds below the low-watermark the
-// secret is gone; the zero value is returned.
-func (d *Dealer) SecretFor(round int) types.Value {
-	d.deal(round)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.secrets[round]
-}
-
-// Prune releases the memoized sharings and secrets of every round below the
+// Prune releases the memoized sharings of every round below the
 // cluster low-watermark (see the pruning contract above). The caller
 // asserts that no process will release or query those rounds again; the
 // runner derives that from the minimum current round across the cluster.
@@ -133,7 +119,6 @@ func (d *Dealer) Prune(below int) {
 	}
 	d.floor = below
 	maps.DeleteFunc(d.rounds, func(r int, _ []shamir.Share) bool { return r < below })
-	maps.DeleteFunc(d.secrets, func(r int, _ types.Value) bool { return r < below })
 }
 
 // RoundsRetained returns how many per-round sharings the dealer currently

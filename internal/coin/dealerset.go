@@ -10,7 +10,7 @@ import (
 // DealerSet manages the per-slot dealers of a replicated log. Every slot's
 // consensus instance needs its own dealer (instances must not share coin
 // state; see core.Config.Instance), so a long-lived log accumulates one
-// dealer — sharings, secrets, MAC keys — per slot ever started: the last
+// dealer — sharings and MAC keys — per slot ever started: the last
 // cluster-shared retainer that grows without bound on infinite executions.
 //
 // ReleaseBelow is the checkpoint hook that retires them: once a cut is

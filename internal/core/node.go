@@ -211,11 +211,8 @@ func (t *acceptedTable) retained() int {
 	return total
 }
 
-// Config validation errors.
-var (
-	ErrNoCoin   = errors.New("core: config requires a coin")
-	ErrBadPeers = quorum.ErrBadPeers
-)
+// ErrNoCoin is the config validation error for a missing coin.
+var ErrNoCoin = errors.New("core: config requires a coin")
 
 // New creates a consensus node. Peers must contain Me and have exactly
 // Spec.N() entries.

@@ -286,8 +286,8 @@ func TestConfigValidation(t *testing.T) {
 		want   error
 	}{
 		{"missing coin", func(c *Config) { c.Coin = nil }, ErrNoCoin},
-		{"wrong peer count", func(c *Config) { c.Peers = peers[:3] }, ErrBadPeers},
-		{"me not in peers", func(c *Config) { c.Me = 9 }, ErrBadPeers},
+		{"wrong peer count", func(c *Config) { c.Peers = peers[:3] }, quorum.ErrBadPeers},
+		{"me not in peers", func(c *Config) { c.Me = 9 }, quorum.ErrBadPeers},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -23,7 +23,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
-			if tbl.NumRows() == 0 {
+			if len(tbl.Rows()) == 0 {
 				t.Fatalf("%s produced an empty table", e.ID)
 			}
 			if out := tbl.Render(); !strings.Contains(out, "==") {

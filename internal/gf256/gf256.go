@@ -80,9 +80,6 @@ func Mul(a, b byte) byte {
 	return _tables.exp[int(_tables.log[a])+int(_tables.log[b])]
 }
 
-// MulSlow exposes the reference multiplication for cross-checking in tests.
-func MulSlow(a, b byte) byte { return mulSlow(a, b) }
-
 // nibbleTable holds one coefficient's products with every nibble:
 // [0][x] = c·x and [1][x] = c·(x<<4) for x < 16. The layout (low half, then
 // high half, 16 bytes each) is what mul_amd64.s loads.
@@ -134,15 +131,6 @@ func mulAddGeneric(t *nibbleTable, src, dst []byte) {
 	}
 }
 
-// Inv returns the multiplicative inverse of a. Inv(0) returns 0; callers
-// dividing by field elements must guard the zero case themselves (Div does).
-func Inv(a byte) byte {
-	if a == 0 {
-		return 0
-	}
-	return _tables.exp[255-int(_tables.log[a])]
-}
-
 // Div returns a/b in GF(2^8), and 0 if b is 0 (no panic: protocol code must
 // treat division by zero as a validation failure before reaching here).
 func Div(a, b byte) byte {
@@ -150,31 +138,6 @@ func Div(a, b byte) byte {
 		return 0
 	}
 	return _tables.exp[int(_tables.log[a])+255-int(_tables.log[b])]
-}
-
-// Pow returns a^e in GF(2^8) with the convention Pow(x, 0) = 1, including
-// Pow(0, 0) = 1 (x⁰ is the empty product; the Reed–Solomon generator-matrix
-// path in internal/rscode evaluates x⁰ at arbitrary points, so this case is
-// load-bearing, not pedantry).
-//
-// Negative exponents are defined through the multiplicative group of order
-// 255: for a ≠ 0, Pow(a, e) = a^(e mod 255), so Pow(a, -1) == Inv(a) and
-// Pow(a, -e) == Pow(Inv(a), e). Pow(0, e) with e < 0 would be a division by
-// zero and returns 0, mirroring Div's convention (protocol code must treat
-// it as a validation failure before reaching here).
-func Pow(a byte, e int) byte {
-	if e == 0 {
-		return 1
-	}
-	if a == 0 {
-		return 0
-	}
-	// The multiplicative group has order 255.
-	le := (int(_tables.log[a]) * (e % 255)) % 255
-	if le < 0 {
-		le += 255
-	}
-	return _tables.exp[le]
 }
 
 // EvalPoly evaluates the polynomial with the given coefficients (constant
@@ -185,35 +148,4 @@ func EvalPoly(coeffs []byte, x byte) byte {
 		y = Add(Mul(y, x), coeffs[i])
 	}
 	return y
-}
-
-// Interpolate returns the value at x=0 of the unique polynomial of degree
-// < len(xs) passing through the points (xs[i], ys[i]), via Lagrange
-// interpolation. The xs must be distinct and non-zero; ok is false otherwise
-// or when the slices are empty or of mismatched length.
-func Interpolate(xs, ys []byte) (secret byte, ok bool) {
-	if len(xs) == 0 || len(xs) != len(ys) {
-		return 0, false
-	}
-	seen := make(map[byte]bool, len(xs))
-	for _, x := range xs {
-		if x == 0 || seen[x] {
-			return 0, false
-		}
-		seen[x] = true
-	}
-	var acc byte
-	for i := range xs {
-		// Lagrange basis at 0: prod_{j≠i} x_j / (x_j − x_i).
-		num, den := byte(1), byte(1)
-		for j := range xs {
-			if j == i {
-				continue
-			}
-			num = Mul(num, xs[j])
-			den = Mul(den, Sub(xs[j], xs[i]))
-		}
-		acc = Add(acc, Mul(ys[i], Div(num, den)))
-	}
-	return acc, true
 }

@@ -11,7 +11,7 @@ func TestMulMatchesReference(t *testing.T) {
 	for a := 0; a < 256; a++ {
 		for b := 0; b < 256; b++ {
 			got := Mul(byte(a), byte(b))
-			want := MulSlow(byte(a), byte(b))
+			want := mulSlow(byte(a), byte(b))
 			if got != want {
 				t.Fatalf("Mul(%d, %d) = %d, want %d", a, b, got, want)
 			}
@@ -129,13 +129,15 @@ func TestFieldAxioms(t *testing.T) {
 	})
 }
 
+// TestInv: Div(1, a) is a's multiplicative inverse, and Div(1, 0) is 0 by
+// convention.
 func TestInv(t *testing.T) {
-	if Inv(0) != 0 {
-		t.Error("Inv(0) must be 0 by convention")
+	if Div(1, 0) != 0 {
+		t.Error("Div(1, 0) must be 0 by convention")
 	}
 	for a := 1; a < 256; a++ {
-		if got := Mul(byte(a), Inv(byte(a))); got != 1 {
-			t.Fatalf("a·Inv(a) = %d for a = %d, want 1", got, a)
+		if got := Mul(byte(a), Div(1, byte(a))); got != 1 {
+			t.Fatalf("a·Div(1, a) = %d for a = %d, want 1", got, a)
 		}
 	}
 }
@@ -188,8 +190,8 @@ func TestPow(t *testing.T) {
 	}
 }
 
-// powRef is an independent reference for Pow: repeated MulSlow for e ≥ 0,
-// and the Inv-based group identity a^(-e) = (a^-1)^e for e < 0.
+// powRef is an independent reference for Pow: repeated mulSlow for e ≥ 0,
+// and the group identity a^(-e) = (a^-1)^e for e < 0.
 func powRef(a byte, e int) byte {
 	if e == 0 {
 		return 1 // x⁰ = 1, including 0⁰ (empty product)
@@ -198,11 +200,11 @@ func powRef(a byte, e int) byte {
 		return 0 // 0^e = 0 for e > 0; e < 0 is division by zero → 0 by convention
 	}
 	if e < 0 {
-		return powRef(Inv(a), -e)
+		return powRef(Div(1, a), -e)
 	}
 	acc := byte(1)
 	for i := 0; i < e; i++ {
-		acc = MulSlow(acc, a)
+		acc = mulSlow(acc, a)
 	}
 	return acc
 }
@@ -227,8 +229,8 @@ func TestPowEdgeGrid(t *testing.T) {
 	}
 	// Spot-check the documented identities directly.
 	for a := 1; a < 256; a++ {
-		if Pow(byte(a), -1) != Inv(byte(a)) {
-			t.Fatalf("Pow(%d, -1) != Inv(%d)", a, a)
+		if Pow(byte(a), -1) != Div(1, byte(a)) {
+			t.Fatalf("Pow(%d, -1) != Div(1, %d)", a, a)
 		}
 		if Pow(byte(a), 255) != 1 {
 			t.Fatalf("Pow(%d, 255) != 1", a)
@@ -255,76 +257,6 @@ func TestEvalPoly(t *testing.T) {
 	if got := EvalPoly(nil, 9); got != 0 {
 		t.Errorf("empty poly = %d, want 0", got)
 	}
-}
-
-func TestInterpolateRecoversConstantTerm(t *testing.T) {
-	coeffs := []byte{0xA7, 0x14, 0x99} // degree 2, secret 0xA7
-	xs := []byte{1, 2, 3}
-	ys := make([]byte, len(xs))
-	for i, x := range xs {
-		ys[i] = EvalPoly(coeffs, x)
-	}
-	got, ok := Interpolate(xs, ys)
-	if !ok || got != 0xA7 {
-		t.Fatalf("Interpolate = %#x, %v; want 0xA7, true", got, ok)
-	}
-}
-
-func TestInterpolateRejectsBadInput(t *testing.T) {
-	tests := []struct {
-		name string
-		xs   []byte
-		ys   []byte
-	}{
-		{"empty", nil, nil},
-		{"length mismatch", []byte{1, 2}, []byte{3}},
-		{"zero x", []byte{0, 1}, []byte{1, 2}},
-		{"duplicate x", []byte{2, 2}, []byte{1, 2}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, ok := Interpolate(tt.xs, tt.ys); ok {
-				t.Error("Interpolate accepted invalid input")
-			}
-		})
-	}
-}
-
-// TestInterpolateProperty: for random polynomials of random degree, any
-// d+1 distinct evaluation points recover the constant term.
-func TestInterpolateProperty(t *testing.T) {
-	prop := func(secret byte, rest []byte, perm uint) bool {
-		degree := len(rest) % 8
-		coeffs := append([]byte{secret}, rest[:degree]...)
-		// Pick degree+1 distinct non-zero xs, offset by perm for variety.
-		xs := make([]byte, degree+1)
-		ys := make([]byte, degree+1)
-		for i := range xs {
-			xs[i] = byte(1 + (int(perm%255)+i*17)%255)
-		}
-		if hasDup(xs) {
-			return true // skip degenerate sample
-		}
-		for i, x := range xs {
-			ys[i] = EvalPoly(coeffs, x)
-		}
-		got, ok := Interpolate(xs, ys)
-		return ok && got == secret
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func hasDup(xs []byte) bool {
-	seen := map[byte]bool{}
-	for _, x := range xs {
-		if seen[x] {
-			return true
-		}
-		seen[x] = true
-	}
-	return false
 }
 
 // BenchmarkMulAddSlice times both kernels on one shard of a 32 KiB body at

@@ -123,14 +123,6 @@ func (h *Hist) Merge(o Hist) {
 	}
 }
 
-// Mean returns the exact mean (0 with no observations).
-func (h *Hist) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
 // Quantile returns the q-quantile by nearest rank over the buckets: the upper
 // bound of the bucket containing the rank, clamped to the exact [Min, Max].
 // Resolution is a factor of two — enough to separate a 10-tick echo from a

@@ -48,9 +48,6 @@ func (t *Table) AddRowf(values ...any) {
 	t.AddRow(cells...)
 }
 
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // Rows returns a copy of the data rows (for machine-readable output).
 func (t *Table) Rows() [][]string {
 	out := make([][]string, len(t.rows))

@@ -30,8 +30,8 @@ func TestTableRender(t *testing.T) {
 		widths = append(widths, len(strings.TrimRight(l, " ")))
 	}
 	_ = widths // alignment is visual; presence checks above suffice
-	if tb.NumRows() != 2 {
-		t.Errorf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Errorf("rows = %d", len(tb.rows))
 	}
 }
 

@@ -14,7 +14,7 @@ func Example() {
 	fmt.Println("adopt (f+1):    ", spec.Adopt())
 	fmt.Println("supermajority:  ", spec.SuperMajority())
 	fmt.Println("echo threshold: ", spec.Echo())
-	fmt.Println("optimal:        ", spec.IsOptimal())
+	fmt.Println("optimal:        ", spec.N() > 3*spec.F())
 	// Output:
 	// quorum (n-f):    5
 	// decide (2f+1):   5

@@ -27,8 +27,7 @@ var (
 //
 // Spec does not require f < n/3: experiment E7 deliberately instantiates
 // over-optimistic specs (more actual faults than assumed) to demonstrate the
-// tightness of the resilience bound. Use Optimal/IsOptimal/Tolerates to
-// reason about the bound itself.
+// tightness of the resilience bound. MaxByzantine gives the bound itself.
 type Spec struct {
 	n int
 	f int
@@ -95,10 +94,6 @@ func (s Spec) Echo() int { return (s.n + s.f + 2) / 2 }
 // threshold (strictly more than (n+f)/2 matching values).
 func (s Spec) HonestSuperMajority() int { return (s.n+s.f)/2 + 1 }
 
-// IsOptimal reports whether the spec satisfies the paper's resilience bound
-// n > 3f.
-func (s Spec) IsOptimal() bool { return s.n > 3*s.f }
-
 // CheckPeers reports, wrapping ErrBadPeers, a peer list that does not have
 // exactly N() entries or does not contain me — the membership every node
 // constructor of the suite requires.
@@ -122,22 +117,4 @@ func MaxByzantine(n int) int {
 		return 0
 	}
 	return (n - 1) / 3
-}
-
-// MinProcesses returns 3f+1, the smallest system that tolerates f Byzantine
-// processes.
-func MinProcesses(f int) int {
-	if f < 0 {
-		return 1
-	}
-	return 3*f + 1
-}
-
-// BenOrMaxByzantine returns ⌈n/5⌉−1, the largest f the Ben-Or (1983)
-// baseline tolerates (it requires n > 5f).
-func BenOrMaxByzantine(n int) int {
-	if n < 1 {
-		return 0
-	}
-	return (n - 1) / 5
 }

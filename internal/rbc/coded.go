@@ -125,9 +125,6 @@ func (c *coder) shard(i, shardLen int) []byte {
 	return c.shards[i*shardLen : (i+1)*shardLen]
 }
 
-// Coded reports whether this broadcaster disseminates in coded mode.
-func (b *Broadcaster) Coded() bool { return b.code != nil }
-
 // sumKey identifies one claimed codeword before hashing: the dispersal's
 // body length plus its digest vector. Used only to intern the 32-byte tally
 // key so repeated fragments of one dispersal never re-hash or re-allocate.
@@ -238,11 +235,6 @@ func (b *Broadcaster) internKey(cs *codedState, totalLen int, sums string) strin
 	return k
 }
 
-// HandleFrag processes one incoming fragment payload; see AppendHandleFrag.
-func (b *Broadcaster) HandleFrag(from types.ProcessID, p *types.RBCFragPayload) ([]types.Message, []Delivery) {
-	return b.AppendHandleFrag(nil, from, p)
-}
-
 // AppendHandleFrag processes a coded dispersal or fragment echo. Fragments
 // failing verification, fragments for compacted or dropped instances, and
 // any fragment arriving at an uncoded broadcaster are byte-identical
@@ -290,12 +282,6 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 	}
 	echoes, readies := b.vote(in, key, pi, false)
 	return b.maybeReadyAndDeliver(out, in, p.ID, key, echoes, readies)
-}
-
-// HandleSum processes one incoming checksum-ready payload; see
-// AppendHandleSum.
-func (b *Broadcaster) HandleSum(from types.ProcessID, p *types.RBCSumPayload) ([]types.Message, []Delivery) {
-	return b.AppendHandleSum(nil, from, p)
 }
 
 // AppendHandleSum processes a coded ready message (the 32-byte tally key).

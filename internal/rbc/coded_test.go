@@ -52,9 +52,9 @@ func (c *cluster) pumpAll() {
 		case *types.RBCPayload:
 			out, ds = b.Handle(m.From, p)
 		case *types.RBCFragPayload:
-			out, ds = b.HandleFrag(m.From, p)
+			out, ds = b.AppendHandleFrag(nil, m.From, p)
 		case *types.RBCSumPayload:
-			out, ds = b.HandleSum(m.From, p)
+			out, ds = b.AppendHandleSum(nil, m.From, p)
 		}
 		c.enqueue(out)
 		c.delivered[m.To] = append(c.delivered[m.To], ds...)
@@ -162,10 +162,10 @@ func TestCodedBandwidthBeatsUncoded(t *testing.T) {
 		switch p := m.Payload.(type) {
 		case *types.RBCFragPayload:
 			codedBytes += len(p.Frag) + len(p.Sums)
-			out, ds = b.HandleFrag(m.From, p)
+			out, ds = b.AppendHandleFrag(nil, m.From, p)
 		case *types.RBCSumPayload:
 			codedBytes += len(p.Sum)
-			out, ds = b.HandleSum(m.From, p)
+			out, ds = b.AppendHandleSum(nil, m.From, p)
 		}
 		coded.enqueue(out)
 		coded.delivered[m.To] = append(coded.delivered[m.To], ds...)
@@ -240,7 +240,7 @@ func TestCodedWrongChecksumFragmentsIgnored(t *testing.T) {
 		if m.To != 2 {
 			continue
 		}
-		out, ds := target.HandleFrag(m.From, m.Payload.(*types.RBCFragPayload))
+		out, ds := target.AppendHandleFrag(nil, m.From, m.Payload.(*types.RBCFragPayload))
 		if len(out) != 0 || len(ds) != 0 {
 			t.Fatalf("corrupted fragment produced output: %v %v", out, ds)
 		}
@@ -253,7 +253,7 @@ func TestCodedWrongChecksumFragmentsIgnored(t *testing.T) {
 	p := msgs[0].Payload.(*types.RBCFragPayload)
 	alien := *p
 	alien.Sums = p.Sums + strings.Repeat("\x00", sumLen)
-	if out, ds := target.HandleFrag(1, &alien); len(out) != 0 || len(ds) != 0 || target.Instances() != 0 {
+	if out, ds := target.AppendHandleFrag(nil, 1, &alien); len(out) != 0 || len(ds) != 0 || target.Instances() != 0 {
 		t.Fatal("wrong-shape fragment produced output or state")
 	}
 }
@@ -280,7 +280,7 @@ func TestCodedDuplicateFragmentsCountOnce(t *testing.T) {
 		t.Fatal("no fragment for index 2")
 	}
 	for i := 0; i < 3; i++ {
-		target.HandleFrag(3, frag3)
+		target.AppendHandleFrag(nil, 3, frag3)
 	}
 	id := types.InstanceID{Sender: 1, Tag: types.Tag{Seq: 1}}
 	ci := codedAt(target, id)
@@ -294,7 +294,7 @@ func TestCodedDuplicateFragmentsCountOnce(t *testing.T) {
 		t.Fatalf("stored %d fragments, want 1", got)
 	}
 	// p4 echoing p3's fragment (an index not its own): no vote, no storage.
-	target.HandleFrag(4, frag3)
+	target.AppendHandleFrag(nil, 4, frag3)
 	if tallies := target.instances[id].tallies; tallies[0].echoes != 1 {
 		t.Fatalf("foreign-index echo voted: %+v", tallies)
 	}
@@ -321,13 +321,13 @@ func TestCodedCompactedAndDroppedSilence(t *testing.T) {
 		if m.To != 2 {
 			continue
 		}
-		out, ds := target.HandleFrag(m.From, m.Payload.(*types.RBCFragPayload))
+		out, ds := target.AppendHandleFrag(nil, m.From, m.Payload.(*types.RBCFragPayload))
 		if len(out) != 0 || len(ds) != 0 {
 			t.Fatalf("compacted instance answered a fragment: %v %v", out, ds)
 		}
 	}
 	sum := strings.Repeat("s", sumLen)
-	if out, ds := target.HandleSum(3, &types.RBCSumPayload{ID: id, Sum: sum}); len(out) != 0 || len(ds) != 0 {
+	if out, ds := target.AppendHandleSum(nil, 3, &types.RBCSumPayload{ID: id, Sum: sum}); len(out) != 0 || len(ds) != 0 {
 		t.Fatal("compacted instance answered a checksum ready")
 	}
 	if !target.Delivered(id) {
@@ -337,14 +337,14 @@ func TestCodedCompactedAndDroppedSilence(t *testing.T) {
 	// Dropped watermark: state gone entirely, traffic below it silent.
 	dropID := types.InstanceID{Sender: 1, Tag: types.Tag{Seq: 3}}
 	target.DropSeqBelow(6)
-	if out, ds := target.HandleSum(3, &types.RBCSumPayload{ID: dropID, Sum: sum}); len(out) != 0 || len(ds) != 0 {
+	if out, ds := target.AppendHandleSum(nil, 3, &types.RBCSumPayload{ID: dropID, Sum: sum}); len(out) != 0 || len(ds) != 0 {
 		t.Fatal("dropped instance answered")
 	}
 	for _, m := range c.correct[1].Broadcast(types.Tag{Seq: 3}, "below-watermark") {
 		if m.To != 2 {
 			continue
 		}
-		out, ds := target.HandleFrag(m.From, m.Payload.(*types.RBCFragPayload))
+		out, ds := target.AppendHandleFrag(nil, m.From, m.Payload.(*types.RBCFragPayload))
 		if len(out) != 0 || len(ds) != 0 {
 			t.Fatal("dropped instance answered a fragment")
 		}
@@ -403,7 +403,7 @@ func TestCodedPoisonedKeyNeverDelivers(t *testing.T) {
 	// Force the decode path directly: give p1 the evil parity fragment as
 	// p4's echo, then readies from everyone. Still no delivery, ever.
 	target := c.correct[1]
-	target.HandleFrag(4, frags[3])
+	target.AppendHandleFrag(nil, 4, frags[3])
 	id := types.InstanceID{Sender: 4, Tag: types.Tag{Seq: 1}}
 	ci := codedAt(target, id)
 	if ci == nil {
@@ -411,7 +411,7 @@ func TestCodedPoisonedKeyNeverDelivers(t *testing.T) {
 	}
 	key := target.internKey(ci, frags[0].TotalLen, poisonedSums)
 	for _, from := range peers {
-		if out, ds := target.HandleSum(from, &types.RBCSumPayload{ID: id, Sum: key}); len(ds) != 0 {
+		if out, ds := target.AppendHandleSum(nil, from, &types.RBCSumPayload{ID: id, Sum: key}); len(ds) != 0 {
 			t.Fatalf("poisoned key delivered: %v %v", out, ds)
 		}
 	}
@@ -470,13 +470,13 @@ func TestCodedDecodeVerdictIndependentOfHeldSet(t *testing.T) {
 		target := NewCoded(types.ProcessID(n), peers, spec)
 		var got []Delivery
 		for _, i := range held {
-			_, ds := target.HandleFrag(peers[i], frags[i])
+			_, ds := target.AppendHandleFrag(nil, peers[i], frags[i])
 			got = append(got, ds...)
 		}
 		ci := codedAt(target, id)
 		key := target.internKey(ci, frags[0].TotalLen, frags[0].Sums)
 		for _, from := range peers[:spec.Decide()] {
-			_, ds := target.HandleSum(from, &types.RBCSumPayload{ID: id, Sum: key})
+			_, ds := target.AppendHandleSum(nil, from, &types.RBCSumPayload{ID: id, Sum: key})
 			got = append(got, ds...)
 		}
 		return got, ci.sets[key]
@@ -554,13 +554,13 @@ func TestCodedDecodeBufferReuse(t *testing.T) {
 	feed := func(frags []*types.RBCFragPayload, held []int) ([]Delivery, *fragSet) {
 		var got []Delivery
 		for _, i := range held {
-			_, ds := target.HandleFrag(peers[i], frags[i])
+			_, ds := target.AppendHandleFrag(nil, peers[i], frags[i])
 			got = append(got, ds...)
 		}
 		id := frags[0].ID
 		key := target.internKey(codedAt(target, id), frags[0].TotalLen, frags[0].Sums)
 		for _, from := range peers[:spec.Decide()] {
-			_, ds := target.HandleSum(from, &types.RBCSumPayload{ID: id, Sum: key})
+			_, ds := target.AppendHandleSum(nil, from, &types.RBCSumPayload{ID: id, Sum: key})
 			got = append(got, ds...)
 		}
 		return got, codedAt(target, id).sets[key]
@@ -615,10 +615,10 @@ func TestCodedMixedModeSilence(t *testing.T) {
 	d := sha256.Sum256([]byte(frag))
 	sums := strings.Repeat(string(d[:]), n)
 	fp := &types.RBCFragPayload{ID: id, Index: 0, TotalLen: 4, Sums: sums, Frag: frag}
-	if out, ds := plain.HandleFrag(3, fp); len(out) != 0 || len(ds) != 0 {
+	if out, ds := plain.AppendHandleFrag(nil, 3, fp); len(out) != 0 || len(ds) != 0 {
 		t.Fatal("plain broadcaster answered a fragment")
 	}
-	if out, ds := plain.HandleSum(3, &types.RBCSumPayload{ID: id, Sum: string(d[:])}); len(out) != 0 || len(ds) != 0 {
+	if out, ds := plain.AppendHandleSum(nil, 3, &types.RBCSumPayload{ID: id, Sum: string(d[:])}); len(out) != 0 || len(ds) != 0 {
 		t.Fatal("plain broadcaster answered a checksum ready")
 	}
 	if plain.Instances() != 0 {
@@ -652,12 +652,12 @@ func TestCodedReadyAmplificationTotality(t *testing.T) {
 	// f+1 readies: the straggler must emit its own ready despite zero echoes.
 	var out []types.Message
 	for _, from := range []types.ProcessID{2, 3} {
-		out, _ = straggler.HandleSum(from, &types.RBCSumPayload{ID: id, Sum: key})
+		out, _ = straggler.AppendHandleSum(nil, from, &types.RBCSumPayload{ID: id, Sum: key})
 		if len(out) != 0 {
 			t.Fatal("ready too early")
 		}
 	}
-	out, _ = straggler.HandleSum(4, &types.RBCSumPayload{ID: id, Sum: key})
+	out, _ = straggler.AppendHandleSum(nil, 4, &types.RBCSumPayload{ID: id, Sum: key})
 	sawReady := false
 	for _, m := range out {
 		if p, ok := m.Payload.(*types.RBCSumPayload); ok && p.Sum == key {
@@ -668,8 +668,8 @@ func TestCodedReadyAmplificationTotality(t *testing.T) {
 		t.Fatal("f+1 readies did not amplify")
 	}
 	// 2f+1 readies, but fragments still missing: no delivery yet.
-	_, ds := straggler.HandleSum(5, &types.RBCSumPayload{ID: id, Sum: key})
-	_, ds2 := straggler.HandleSum(6, &types.RBCSumPayload{ID: id, Sum: key})
+	_, ds := straggler.AppendHandleSum(nil, 5, &types.RBCSumPayload{ID: id, Sum: key})
+	_, ds2 := straggler.AppendHandleSum(nil, 6, &types.RBCSumPayload{ID: id, Sum: key})
 	if len(ds) != 0 || len(ds2) != 0 {
 		t.Fatal("delivered without fragments")
 	}
@@ -678,7 +678,7 @@ func TestCodedReadyAmplificationTotality(t *testing.T) {
 	k := CodedDataShards(spec)
 	var got []Delivery
 	for i := 0; i < k; i++ {
-		_, ds := straggler.HandleFrag(types.ProcessID(i+2), frags[i+1])
+		_, ds := straggler.AppendHandleFrag(nil, types.ProcessID(i+2), frags[i+1])
 		got = append(got, ds...)
 	}
 	if len(got) != 1 || got[0].Body != body {
@@ -708,11 +708,11 @@ func TestCodedFirstDispersalWins(t *testing.T) {
 			fragSecond = m.Payload.(*types.RBCFragPayload)
 		}
 	}
-	out, _ := target.HandleFrag(1, fragFirst)
+	out, _ := target.AppendHandleFrag(nil, 1, fragFirst)
 	if len(out) != n {
 		t.Fatalf("first dispersal echoed %d messages, want %d", len(out), n)
 	}
-	out, _ = target.HandleFrag(1, fragSecond)
+	out, _ = target.AppendHandleFrag(nil, 1, fragSecond)
 	// The second dispersal still casts the sender's echo vote for its own
 	// slot if the index matches the sender — but index here is target's, so
 	// nothing at all may be emitted.
@@ -748,7 +748,7 @@ func TestCodedTableOperations(t *testing.T) {
 		t.Helper()
 		for _, m := range NewCoded(3, peers, spec).Broadcast(tag, "half") {
 			if p := m.Payload.(*types.RBCFragPayload); p.Index == 3 {
-				if out, ds := b.HandleFrag(4, p); len(out) != 0 || len(ds) != 0 {
+				if out, ds := b.AppendHandleFrag(nil, 4, p); len(out) != 0 || len(ds) != 0 {
 					t.Fatalf("one echo vote emitted %d messages, %d deliveries", len(out), len(ds))
 				}
 				return p.ID
@@ -809,7 +809,7 @@ func TestCodedTableOperations(t *testing.T) {
 	half(types.Tag{Seq: 2})
 	for _, m := range c.correct[1].Broadcast(s4, "late") {
 		if m.To == 2 {
-			b.HandleFrag(1, m.Payload.(*types.RBCFragPayload))
+			b.AppendHandleFrag(nil, 1, m.Payload.(*types.RBCFragPayload))
 		}
 	}
 	check("late traffic", 1, 2, []types.InstanceID{id(r1), id(r2)}, []types.InstanceID{id(s3), id(s4), h1, h2})

@@ -178,14 +178,14 @@ func (s *codedScript) check(id types.InstanceID, before int, out []types.Message
 func (s *codedScript) frag(from types.ProcessID, p *types.RBCFragPayload) {
 	s.t.Helper()
 	before := s.b.Instances()
-	out, ds := s.b.HandleFrag(from, p)
+	out, ds := s.b.AppendHandleFrag(nil, from, p)
 	s.check(p.ID, before, out, ds)
 }
 
 func (s *codedScript) sum(from types.ProcessID, p *types.RBCSumPayload) {
 	s.t.Helper()
 	before := s.b.Instances()
-	out, ds := s.b.HandleSum(from, p)
+	out, ds := s.b.AppendHandleSum(nil, from, p)
 	s.check(p.ID, before, out, ds)
 }
 

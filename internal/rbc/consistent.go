@@ -102,9 +102,3 @@ func (c *Consistent) Handle(from types.ProcessID, p *types.RBCPayload) ([]types.
 		return nil, nil
 	}
 }
-
-// Delivered reports whether the instance delivered at this process.
-func (c *Consistent) Delivered(id types.InstanceID) bool {
-	in, ok := c.instances[id]
-	return ok && in.delivered
-}

@@ -34,8 +34,8 @@
 // terminal instance provably emits nothing again, so compaction replaces
 // its tallies and payloads with a bare delivered record and handles its
 // late messages as a silent no-op: byte-for-byte what the full state would
-// have sent, which the golden replay hashes pin. Delivered(id) stays true;
-// the delivered body lives with the owner that consumed it. A straggler
+// have sent, which the golden replay hashes pin. The instance stays
+// delivered; the delivered body lives with the owner that consumed it. A straggler
 // still delivers: every correct process sent its READY before its instance
 // became terminal, so the 2f+1 it needs are on the wire, not in the pruned
 // state. Non-terminal instances (a crashed sender's half-finished
@@ -516,17 +516,6 @@ func (b *Broadcaster) maybeReadyAndDeliver(out []types.Message, in *instance, id
 		deliveries = append(deliveries, Delivery{ID: id, Body: body})
 	}
 	return out, deliveries
-}
-
-// Delivered reports whether the given instance has delivered at this
-// process. Compaction preserves the answer: a pruned instance was delivered
-// by definition.
-func (b *Broadcaster) Delivered(id types.InstanceID) bool {
-	if in, _ := b.lookup(id); in != nil && in.delivered {
-		return true
-	}
-	_, done := b.compacted[id]
-	return done
 }
 
 // Compact releases one instance's tallies and payloads if it is terminal

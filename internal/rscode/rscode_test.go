@@ -76,12 +76,12 @@ func TestRoundTripAllKSubsets(t *testing.T) {
 }
 
 // TestShardsArePolynomialEvaluations cross-checks the encoder against an
-// independent Pow-based reference: for every byte column, shard i must be
+// independent power-based reference: for every byte column, shard i must be
 // the value at x = i+1 of the polynomial whose coefficients come from
 // interpreting the data column as evaluations — equivalently, the column of
-// shards must lie on a single degree-(k−1) polynomial. We verify via
-// gf256.Pow by explicitly building the coefficient vector from the data
-// points and evaluating Σ c_m·Pow(x, m) at every shard's point.
+// shards must lie on a single degree-(k−1) polynomial. We verify by
+// explicitly building the coefficient vector from the data points and
+// evaluating Σ c_m·x^m at every shard's point.
 func TestShardsArePolynomialEvaluations(t *testing.T) {
 	const n, k = 9, 4
 	c := mustCode(t, n, k)
@@ -98,7 +98,7 @@ func TestShardsArePolynomialEvaluations(t *testing.T) {
 			x := point(i)
 			var want byte
 			for m, cm := range coeffs {
-				want = gf256.Add(want, gf256.Mul(cm, gf256.Pow(x, m)))
+				want = gf256.Add(want, gf256.Mul(cm, pow(x, m)))
 			}
 			if shards[i][col] != want {
 				t.Fatalf("col %d shard %d: %#x off-polynomial (want %#x)", col, i, shards[i][col], want)
@@ -109,7 +109,7 @@ func TestShardsArePolynomialEvaluations(t *testing.T) {
 
 // solveVandermonde returns the coefficients of the degree-(k−1) polynomial
 // with p(point(d)) = y(d), via row reduction of the Vandermonde system built
-// with gf256.Pow (independent of the encoder's Lagrange machinery).
+// with pow (independent of the encoder's Lagrange machinery).
 func solveVandermonde(t *testing.T, k int, y func(int) byte) []byte {
 	t.Helper()
 	// Augmented matrix rows: [x^0 x^1 ... x^(k-1) | y].
@@ -117,7 +117,7 @@ func solveVandermonde(t *testing.T, k int, y func(int) byte) []byte {
 	for d := 0; d < k; d++ {
 		row := make([]byte, k+1)
 		for m := 0; m < k; m++ {
-			row[m] = gf256.Pow(point(d), m)
+			row[m] = pow(point(d), m)
 		}
 		row[k] = y(d)
 		rows[d] = row
@@ -134,7 +134,7 @@ func solveVandermonde(t *testing.T, k int, y func(int) byte) []byte {
 			t.Fatal("singular Vandermonde system")
 		}
 		rows[col], rows[pivot] = rows[pivot], rows[col]
-		inv := gf256.Inv(rows[col][col])
+		inv := gf256.Div(1, rows[col][col])
 		for m := col; m <= k; m++ {
 			rows[col][m] = gf256.Mul(rows[col][m], inv)
 		}
@@ -153,6 +153,15 @@ func solveVandermonde(t *testing.T, k int, y func(int) byte) []byte {
 		coeffs[d] = rows[d][k]
 	}
 	return coeffs
+}
+
+// pow returns x^m by repeated multiplication; x^0 = 1, including 0^0.
+func pow(x byte, m int) byte {
+	acc := byte(1)
+	for range m {
+		acc = gf256.Mul(acc, x)
+	}
+	return acc
 }
 
 // TestRoundTripProperty: any k-subset in any order reconstructs the body.

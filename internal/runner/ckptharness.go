@@ -1,9 +1,6 @@
 package runner
 
-import (
-	"repro/internal/adversary"
-	"repro/internal/quorum"
-)
+import "repro/internal/adversary"
 
 // This file is the checkpoint-adversary scenario registry: the robustness
 // battery of the checkpoint and state-transfer subsystem, kept separate from
@@ -62,33 +59,4 @@ func CkptScenarios() []CkptScenario {
 		// and the fallback loop completes the catch-up.
 		{Name: "corrupt-responder/split-heal", Attack: adversary.CkptCorruptResponder, Sched: SchedSplitHeal, Restart: true},
 	}
-}
-
-// Spec builds the scenario's SMR workload config at a given scale and seed.
-func (s CkptScenario) Spec(n, slots, every int, seed int64) SMRConfig {
-	cfg := SMRConfig{
-		N: n, F: quorum.MaxByzantine(n),
-		Slots:           slots,
-		Commands:        4,
-		CheckpointEvery: every,
-		Coin:            CoinLocal,
-		Seed:            seed,
-		Attack:          s.Attack,
-		Byzantine:       1,
-		Sched:           s.Sched,
-		MaxPendingCuts:  s.MaxPendingCuts,
-	}
-	if s.Restart {
-		cfg.Restart = &SMRRestart{CrashAfter: 80 * n, ReviveAfter: 160 * n}
-	}
-	return cfg
-}
-
-// Control builds the attack-free control run: identical config minus the
-// attacker, whose digests the attack run must reproduce bitwise.
-func (s CkptScenario) Control(n, slots, every int, seed int64) SMRConfig {
-	cfg := s.Spec(n, slots, every, seed)
-	cfg.Attack = 0
-	cfg.Byzantine = 0
-	return cfg
 }

@@ -183,22 +183,18 @@ type PropertySpec struct {
 	Progress   func(done, total int64)
 }
 
-// deliveryBudget scales the simulator budget to the system size: several
+// DeliveryBudget scales the simulator budget to the system size: several
 // common-coin rounds of ~2n³ deliveries each, floored at the simulator
 // default. Exhausting it surfaces as a termination violation, which is
-// exactly what the harness is listening for.
-func deliveryBudget(n int) int {
+// exactly what the harness is listening for (and what internal/search
+// scores searched points by).
+func DeliveryBudget(n int) int {
 	b := 16 * n * n * n
 	if b < sim.DefaultMaxDeliveries {
 		b = sim.DefaultMaxDeliveries
 	}
 	return b
 }
-
-// DeliveryBudget exposes the size-scaled per-run delivery budget to other
-// packages (internal/search uses it to give searched points a budget whose
-// exhaustion is a signal rather than a pathology).
-func DeliveryBudget(n int) int { return deliveryBudget(n) }
 
 // SweepSpec expands the property spec into the checkpointable sweep it runs.
 func (p PropertySpec) SweepSpec() (SweepSpec, error) {
@@ -233,7 +229,7 @@ func (p PropertySpec) SweepSpec() (SweepSpec, error) {
 	}
 	budget := p.MaxDeliveries
 	if budget == 0 {
-		budget = deliveryBudget(p.N)
+		budget = DeliveryBudget(p.N)
 		if sc.BudgetScale > 1 {
 			budget *= sc.BudgetScale
 		}

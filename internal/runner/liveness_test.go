@@ -31,7 +31,7 @@ func TestSchedulerFamiliesLiveness(t *testing.T) {
 					Scheduler:     sched,
 					Inputs:        InputSplit,
 					Seed:          seed,
-					MaxDeliveries: deliveryBudget(n) * 4,
+					MaxDeliveries: DeliveryBudget(n) * 4,
 				}
 				res, err := Run(cfg)
 				if err != nil {
@@ -70,7 +70,7 @@ func TestAdaptiveAdversarySlower(t *testing.T) {
 				Scheduler:     sched,
 				Inputs:        InputRandom,
 				Seed:          seed,
-				MaxDeliveries: deliveryBudget(n) * 8,
+				MaxDeliveries: DeliveryBudget(n) * 8,
 			}
 			res, err := Run(cfg)
 			if err != nil {

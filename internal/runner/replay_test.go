@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/acs"
@@ -145,6 +146,17 @@ func replayConfigs() map[string]Config {
 	}
 }
 
+// dumpTrace renders rec's stored events one per line, the bytes the replay
+// and sweep hashes cover.
+func dumpTrace(rec *trace.Recorder) string {
+	var b strings.Builder
+	for _, e := range rec.Events() {
+		b.WriteString(e.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // traceHash runs cfg with tracing enabled and digests the full event
 // sequence plus the run's summary numbers. Two runs with the same hash
 // delivered the same messages in the same order and reached the same
@@ -157,7 +169,7 @@ func traceHash(t *testing.T, cfg Config) string {
 		t.Fatalf("Run(%+v): %v", cfg, err)
 	}
 	h := sha256.New()
-	io.WriteString(h, res.Recorder.Dump())
+	io.WriteString(h, dumpTrace(res.Recorder))
 	fmt.Fprintf(h, "msgs=%d deliveries=%d end=%d exhausted=%v\n",
 		res.Messages, res.Deliveries, res.EndTime, res.Exhausted)
 	for _, p := range sortedProcs(res.Decisions) {
@@ -364,12 +376,12 @@ func stackTraceHash(t *testing.T, cfg stackConfig) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.WriteString(h, rec.Dump())
+		io.WriteString(h, dumpTrace(rec))
 		fmt.Fprintf(h, "msgs=%d deliveries=%d end=%d exhausted=%v\n",
 			stats.Sent, stats.Delivered, stats.End, stats.Exhausted)
 		for _, rep := range replicas {
 			fmt.Fprintf(h, "log %v:", rep.ID())
-			for _, e := range rep.Log() {
+			for _, e := range rep.LogSince(0) {
 				fmt.Fprintf(h, " %d/%v/%q", e.Slot, e.Proposer, e.Command)
 			}
 			fmt.Fprintln(h)
@@ -422,7 +434,7 @@ func stackTraceHash(t *testing.T, cfg stackConfig) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.WriteString(h, rec.Dump())
+		io.WriteString(h, dumpTrace(rec))
 		fmt.Fprintf(h, "msgs=%d deliveries=%d end=%d exhausted=%v\n",
 			stats.Sent, stats.Delivered, stats.End, stats.Exhausted)
 		for _, nd := range nodes {

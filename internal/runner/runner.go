@@ -120,12 +120,12 @@ func (a Adversary) String() string { return Adversaries.String(a) }
 // Inputs selects the proposal pattern of the correct processes.
 type Inputs int
 
-// Input patterns.
+// Input patterns. The first, "unanimous-0", needs no name: proposalFor
+// gives it the zero value's all-zero inputs.
 const (
-	InputUnanimous0 Inputs = iota + 1
-	InputUnanimous1
-	InputSplit  // alternating 0, 1, 0, 1, ...
-	InputRandom // seeded random bits
+	InputUnanimous1 Inputs = iota + 2
+	InputSplit             // alternating 0, 1, 0, 1, ...
+	InputRandom            // seeded random bits
 )
 
 // InputPatterns names the input patterns, in declaration order.
@@ -416,7 +416,7 @@ func proposalFor(cfg Config, i int, p types.ProcessID) types.Value {
 		return types.Value(i % 2)
 	case InputRandom:
 		return types.Value(mixBits(cfg.Seed, int64(p)) & 1)
-	default: // InputUnanimous0 and zero value
+	default: // unanimous-0 and the zero value
 		return types.Zero
 	}
 }

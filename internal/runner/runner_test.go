@@ -257,7 +257,7 @@ func TestResultMetricsPopulated(t *testing.T) {
 	if res.MeanRounds < 1 {
 		t.Errorf("MeanRounds = %v", res.MeanRounds)
 	}
-	if res.Recorder == nil || res.Recorder.Len() == 0 {
+	if res.Recorder == nil || len(res.Recorder.Events()) == 0 {
 		t.Error("trace requested but empty")
 	}
 	if len(res.Rounds) != 4 {

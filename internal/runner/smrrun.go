@@ -30,7 +30,7 @@ import (
 //
 // Replicas run unbounded (MaxSlots 0) and the harness stops the network
 // once every live replica's frontier reached Slots (and, in restart runs,
-// the revived victim has committed MinCommits entries itself) — the
+// the revived victim has committed victimMinCommits entries itself) — the
 // non-halting formulation, so peers keep serving state transfer while the
 // victim catches up.
 
@@ -122,11 +122,12 @@ type SMRRestart struct {
 	// ReviveAfter is how many further deliveries evaporate before a fresh
 	// replica (empty log, empty state) takes over.
 	ReviveAfter int
-	// MinCommits is how many entries the revived victim must commit itself
-	// before the run may stop (0 = 3): "catches up and commits subsequent
-	// slots", made a stop condition.
-	MinCommits int
 }
+
+// victimMinCommits is how many entries the revived victim must commit itself
+// before a restart run may stop: "catches up and commits subsequent slots",
+// made a stop condition.
+const victimMinCommits = 3
 
 // SMRResult is what one replicated-log run produced.
 type SMRResult struct {
@@ -401,10 +402,7 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 
 	minCommits := 0
 	if cfg.Restart != nil {
-		minCommits = cfg.Restart.MinCommits
-		if minCommits <= 0 {
-			minCommits = 3
-		}
+		minCommits = victimMinCommits
 	}
 	stop := func() bool {
 		return r.audit.arrived == len(pl.live) && r.audit.victimCommitted >= minCommits

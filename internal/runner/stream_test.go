@@ -104,7 +104,7 @@ func TestSweepStreamConstantMemory(t *testing.T) {
 		c.Seed = int64(i + 1)
 		return Run(c)
 	}, func(i int, res *Result) error {
-		if res.Recorder == nil || res.Recorder.Len() == 0 {
+		if res.Recorder == nil || len(res.Recorder.Events()) == 0 {
 			return fmt.Errorf("run %d: missing trace", i)
 		}
 		emitted++

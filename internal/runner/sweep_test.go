@@ -119,7 +119,7 @@ func TestSweepTraceIndependence(t *testing.T) {
 		}
 		out := make([]string, len(results))
 		for i, res := range results {
-			out[i] = fmt.Sprintf("%x", res.Recorder.Dump())
+			out[i] = fmt.Sprintf("%x", dumpTrace(res.Recorder))
 		}
 		return out
 	}

@@ -1,13 +1,17 @@
 package search
 
+// passesPerAxis bounds Descend at 2×len(Axes) passes over the axes, enough
+// for convergence on every lattice tried so far.
+const passesPerAxis = 2
+
 // Descend runs deterministic coordinate ascent toward the worst point: from
 // each axis's lattice midpoint it repeatedly sweeps the axes in order,
 // evaluating every value on the current axis with the others held fixed and
 // moving to the strictly worst one under the Worse order (a strict total
-// order, so the walk is a pure function of the scores). It stops
-// after a full pass with no move, or after MaxPasses passes. Points visited
-// twice are served from the frontier cache, so convergence costs nothing
-// beyond the frontier of new evaluations. The returned outcome ranks every
+// order, so the walk is a pure function of the scores). It stops after a
+// full pass with no move, or after 2×len(Axes) passes (passesPerAxis).
+// Points visited twice are served from the frontier cache, so convergence
+// costs nothing beyond the frontier of new evaluations. The returned outcome ranks every
 // visited point worst-first; on ErrStopped it holds the prefix completed.
 //
 // Descend trades Grid's exhaustiveness for cost: it evaluates
@@ -21,10 +25,7 @@ func Descend(spec Spec) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	passes := spec.MaxPasses
-	if passes <= 0 {
-		passes = 2 * len(spec.Axes)
-	}
+	passes := passesPerAxis * len(spec.Axes)
 	cur := make(point, len(spec.Axes))
 	for i, ax := range spec.Axes {
 		cur[i] = len(ax.Values) / 2

@@ -35,14 +35,21 @@
 // Resume loads the manifest (which must match Base/Axes/Seeds exactly) and
 // reuses every recorded point instead of re-running it; since evaluation is
 // pure, a resumed search's output is byte-identical to an uninterrupted one.
+// Because a reused point is never re-run, each one must be a point the spec
+// could have produced (its own key on the axes, its parameters, possible
+// counts for the seed block, the score those counts give), or the resume
+// fails with ErrBadFrontier.
 package search
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/ckpt"
@@ -84,10 +91,6 @@ type Spec struct {
 	Frontier string
 	// Resume loads Frontier and reuses its recorded points.
 	Resume bool
-	// MaxPasses bounds Descend's passes over the axes (0 = 2×len(Axes),
-	// enough for convergence on every lattice tried so far). Grid ignores
-	// it.
-	MaxPasses int
 	// Stop, when non-nil, is polled between points; returning true saves
 	// the frontier and aborts with ErrStopped.
 	Stop func() bool
@@ -154,6 +157,11 @@ var (
 	// ErrFrontierMismatch reports a resume against a frontier recorded for
 	// different parameters.
 	ErrFrontierMismatch = errors.New("search: frontier does not match spec")
+	// ErrBadFrontier reports a frontier point the spec could not have
+	// produced: a key that is not its own or not on the axes, parameters
+	// other than the point's, impossible counts, or a score its counts do
+	// not give.
+	ErrBadFrontier = errors.New("search: frontier holds an inconsistent point")
 	// ErrBadSpec reports an unusable spec.
 	ErrBadSpec = errors.New("search: invalid spec")
 )
@@ -180,6 +188,23 @@ func (s *Spec) key(pt point) string {
 		fmt.Fprintf(&b, "%s=%d", ax.Name, ax.Values[pt[i]])
 	}
 	return b.String()
+}
+
+// parseKey parses a key rendered by key, reporting false for any string that
+// is not the key of a lattice point.
+func (s *Spec) parseKey(k string) (point, bool) {
+	fields := strings.Split(k, ",")
+	if len(fields) != len(s.Axes) {
+		return nil, false
+	}
+	pt := make(point, len(s.Axes))
+	for i, ax := range s.Axes {
+		v, err := strconv.ParseInt(strings.TrimPrefix(fields[i], ax.Name+"="), 10, 64)
+		if pt[i] = slices.Index(ax.Values, v); err != nil || pt[i] < 0 {
+			return nil, false
+		}
+	}
+	return pt, s.key(pt) == k
 }
 
 // params materializes the lattice position over the base parameters.
@@ -248,15 +273,39 @@ func newSearcher(spec *Spec) (*searcher, error) {
 		if err := f.matches(spec); err != nil {
 			return nil, err
 		}
-		// order-free: keys sorted below
-		for k, p := range f.Points {
-			s.points[k] = p
-			s.order = append(s.order, k)
-		}
 		// Restored points precede anything new in a deterministic order.
-		sort.Strings(s.order)
+		s.order = slices.Sorted(maps.Keys(f.Points))
+		for _, k := range s.order {
+			if err := spec.check(k, f.Points[k]); err != nil {
+				return nil, fmt.Errorf("search: frontier %s: %w", spec.Frontier, err)
+			}
+			s.points[k] = f.Points[k]
+		}
 	}
 	return s, nil
+}
+
+// check rejects a loaded frontier point this spec could not have produced,
+// so a resumed search never ranks a point it did not score.
+func (s *Spec) check(k string, p PointResult) error {
+	pt, onAxes := s.parseKey(k)
+	switch {
+	case p.Key != k:
+		return fmt.Errorf("%w: point %q stored under %q", ErrBadFrontier, p.Key, k)
+	case !onAxes:
+		return fmt.Errorf("%w: %q is not a point of the axes", ErrBadFrontier, k)
+	case p.Runs != s.Seeds.Len() || p.Decided < 0 || p.Decided > p.Runs ||
+		p.Exhausted < 0 || p.Exhausted > p.Runs || p.Violations < 0:
+		return fmt.Errorf("%w: point %s counts %d runs of %d seeds, %d decided, %d exhausted, %d violations",
+			ErrBadFrontier, k, p.Runs, s.Seeds.Len(), p.Decided, p.Exhausted, p.Violations)
+	}
+	if params, err := s.params(pt); err != nil || params != p.Params {
+		return fmt.Errorf("%w: point %s has parameters %+v, not its own", ErrBadFrontier, k, p.Params)
+	}
+	if want := score(p.Runs, p.Decided, p.MeanRounds); p.Score != want {
+		return fmt.Errorf("%w: point %s scores %v, its counts give %v", ErrBadFrontier, k, p.Score, want)
+	}
+	return nil
 }
 
 // visit returns the point's result, evaluating it if the frontier does not
@@ -308,7 +357,7 @@ func (s *searcher) evaluate(key string, pt point) (PointResult, error) {
 
 // scorePoint reduces a point's sweep aggregate to its liveness cost.
 func scorePoint(key string, params runner.SchedParams, agg *runner.Aggregate) PointResult {
-	res := PointResult{
+	return PointResult{
 		Key:        key,
 		Params:     params,
 		Runs:       agg.Runs,
@@ -317,15 +366,20 @@ func scorePoint(key string, params runner.SchedParams, agg *runner.Aggregate) Po
 		Violations: agg.Checks.Violations,
 		MeanRounds: agg.Rounds.Mean,
 		MeanTime:   agg.SimTime.Mean,
+		Score:      score(agg.Runs, agg.Decided, agg.Rounds.Mean),
 	}
-	if agg.Runs > 0 {
-		// Decided runs cost their mean decision round; undecided runs the
-		// flat penalty. Rounds only aggregates decided runs, so its sum is
-		// exactly the decided side of the numerator.
-		sum := agg.Rounds.Mean*float64(agg.Decided) + ExhaustPenaltyRounds*float64(agg.Runs-agg.Decided)
-		res.Score = sum / float64(agg.Runs)
+}
+
+// score is a seed block's liveness cost, averaged over its runs: decided
+// runs cost their mean decision round, meanRounds, and undecided runs the
+// flat penalty. Rounds only aggregates decided runs, so meanRounds×decided
+// is exactly the decided side of the numerator.
+func score(runs, decided int64, meanRounds float64) float64 {
+	if runs <= 0 {
+		return 0
 	}
-	return res
+	sum := meanRounds*float64(decided) + ExhaustPenaltyRounds*float64(runs-decided)
+	return sum / float64(runs)
 }
 
 // save writes the frontier when one is configured.

@@ -3,15 +3,18 @@ package search
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/runner"
+	"repro/internal/sim"
 )
 
 // testSpec is a small, fast lattice: 2 axes over the lossy family at n=5.
-func testSpec(t *testing.T) Spec {
+func testSpec(t testing.TB) Spec {
 	t.Helper()
 	spec, err := FamilySpec("lossy", 5, -1, runner.SeedRange{From: 1, To: 4})
 	if err != nil {
@@ -235,4 +238,145 @@ func mustGrid(t *testing.T, spec Spec) *Outcome {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// savedFrontier runs testSpec's grid with a frontier and returns the bytes
+// it saved.
+func savedFrontier(t testing.TB) []byte {
+	t.Helper()
+	spec := testSpec(t)
+	spec.Frontier = filepath.Join(t.TempDir(), "frontier.json")
+	if _, err := Grid(spec); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(spec.Frontier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// resumeFrom writes buf as testSpec's frontier and resumes from it.
+func resumeFrom(t testing.TB, buf []byte) (*searcher, error) {
+	t.Helper()
+	spec := testSpec(t)
+	spec.Frontier = filepath.Join(t.TempDir(), "frontier.json")
+	spec.Resume = true
+	if err := os.WriteFile(spec.Frontier, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return newSearcher(&spec)
+}
+
+// TestFrontierInconsistentPoint: a resumed search re-evaluates nothing it
+// restores, so a frontier point the spec could not have produced is
+// rejected, one table case per shape of inconsistency.
+func TestFrontierInconsistentPoint(t *testing.T) {
+	saved := savedFrontier(t)
+	const k = "loss-pct=30,retransmit-lag=40"
+	for name, mutate := range map[string]func(points map[string]PointResult){
+		"key not its own": func(ps map[string]PointResult) {
+			p := ps[k]
+			p.Key = "loss-pct=10,retransmit-lag=40"
+			ps[k] = p
+		},
+		"key off the axes": func(ps map[string]PointResult) {
+			p := ps[k]
+			p.Key = "loss-pct=31,retransmit-lag=40"
+			ps[p.Key] = p
+		},
+		"key not canonical": func(ps map[string]PointResult) {
+			p := ps[k]
+			p.Key = "loss-pct=030,retransmit-lag=40"
+			ps[p.Key] = p
+		},
+		"params not the point's": func(ps map[string]PointResult) {
+			p := ps[k]
+			p.Params.LossPct = 31
+			ps[k] = p
+		},
+		"negative count": func(ps map[string]PointResult) {
+			p := ps[k]
+			p.Violations = -1
+			ps[k] = p
+		},
+		"decided above runs": func(ps map[string]PointResult) {
+			p := ps[k]
+			p.Decided = p.Runs + 1
+			ps[k] = p
+		},
+		"exhausted above runs": func(ps map[string]PointResult) {
+			p := ps[k]
+			p.Exhausted = p.Runs + 1
+			ps[k] = p
+		},
+		"runs not the seed block": func(ps map[string]PointResult) {
+			p := ps[k]
+			p.Runs++
+			ps[k] = p
+		},
+		"score not its counts": func(ps map[string]PointResult) {
+			p := ps[k]
+			p.Score++
+			ps[k] = p
+		},
+	} {
+		var f frontier
+		if err := json.Unmarshal(saved, &f); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := f.Points[k]; !ok {
+			t.Fatalf("saved frontier lacks %s", k)
+		}
+		mutate(f.Points)
+		buf, err := json.Marshal(&f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := resumeFrom(t, buf); !errors.Is(err, ErrBadFrontier) {
+			t.Errorf("%s: err = %v, want ErrBadFrontier", name, err)
+		}
+	}
+	if _, err := resumeFrom(t, saved); err != nil {
+		t.Errorf("unmodified frontier: %v", err)
+	}
+}
+
+// FuzzLoadFrontier feeds arbitrary bytes to a resume of testSpec's search,
+// seeded with a frontier a real grid run saved. A resume must never panic,
+// and every point it accepts must be one the spec could have produced.
+func FuzzLoadFrontier(f *testing.F) {
+	f.Add(savedFrontier(f))
+	spec := testSpec(f)
+	lattice := map[string]runner.SchedParams{}
+	for _, loss := range spec.Axes[0].Values {
+		for _, lag := range spec.Axes[1].Values {
+			p := spec.Base.Sched
+			p.LossPct, p.RetransmitLag = int(loss), sim.Time(lag)
+			lattice[fmt.Sprintf("loss-pct=%d,retransmit-lag=%d", loss, lag)] = p
+		}
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		s, err := resumeFrom(t, buf)
+		if err != nil {
+			return
+		}
+		// order-free: each point is checked on its own.
+		for k, p := range s.points {
+			params, onLattice := lattice[k]
+			switch {
+			case p.Key != k || !onLattice:
+				t.Fatalf("accepted point %q under key %q", p.Key, k)
+			case p.Params != params:
+				t.Fatalf("accepted point %s with parameters %+v, want %+v", k, p.Params, params)
+			case p.Runs != spec.Seeds.Len() || p.Decided < 0 || p.Decided > p.Runs ||
+				p.Exhausted < 0 || p.Exhausted > p.Runs || p.Violations < 0:
+				t.Fatalf("accepted point %s with impossible counts %+v", k, p)
+			}
+			want := (p.MeanRounds*float64(p.Decided) + ExhaustPenaltyRounds*float64(p.Runs-p.Decided)) / float64(p.Runs)
+			if p.Score != want {
+				t.Fatalf("accepted point %s scoring %v, its counts give %v", k, p.Score, want)
+			}
+		}
+	})
 }

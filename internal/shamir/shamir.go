@@ -23,13 +23,6 @@ type Share struct {
 	Y []byte
 }
 
-// Clone returns a deep copy of the share.
-func (s Share) Clone() Share {
-	y := make([]byte, len(s.Y))
-	copy(y, s.Y)
-	return Share{X: s.X, Y: y}
-}
-
 // String implements fmt.Stringer.
 func (s Share) String() string { return fmt.Sprintf("share(x=%d, %d bytes)", s.X, len(s.Y)) }
 

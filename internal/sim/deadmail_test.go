@@ -235,7 +235,7 @@ func checkDeadMail(t testing.TB, s deadMailScript) string {
 	if plain != traced {
 		t.Fatalf("recorder off and on disagree:\n off %s\n on  %s", plain, traced)
 	}
-	if drops := len(n.cfg.Recorder.ByKind(trace.KindDrop)); drops != n.stats.Dropped {
+	if drops := len(eventsOfKind(n.cfg.Recorder, trace.KindDrop)); drops != n.stats.Dropped {
 		t.Fatalf("%d DROP events, Stats.Dropped %d", drops, n.stats.Dropped)
 	}
 	return plain

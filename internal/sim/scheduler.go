@@ -179,43 +179,10 @@ func RushFrom(ps ...types.ProcessID) Rule {
 	}
 }
 
-// DropLinks returns a Rule dropping all traffic on the given links. Dropping
-// correct-to-correct traffic violates the asynchronous model's eventual
-// delivery; use only in failure-injection tests (the point is to watch the
-// checkers catch the resulting liveness loss).
-func DropLinks(links ...[2]types.ProcessID) Rule {
-	set := make(map[link]bool, len(links))
-	for _, l := range links {
-		set[link{from: l[0], to: l[1]}] = true
-	}
-	return func(m types.Message, at, _ Time) Time {
-		if set[link{from: m.From, to: m.To}] {
-			return Drop
-		}
-		return at
-	}
-}
-
-// DropFrom returns a Rule dropping every message sent by the given processes
-// (simulates a crash of those senders at time zero when applied from the
-// start).
-func DropFrom(ps ...types.ProcessID) Rule {
-	set := make(map[types.ProcessID]bool, len(ps))
-	for _, p := range ps {
-		set[p] = true
-	}
-	return func(m types.Message, at, _ Time) Time {
-		if set[m.From] {
-			return Drop
-		}
-		return at
-	}
-}
-
 // HoldUntil returns a Rule that holds every message addressed to the given
 // processes until at least time t — the crash-then-rejoin scenario: the
 // victims are unreachable for a prefix of the run and then receive everything
-// at once (a crash-restart with redelivery). Unlike DropFrom this stays
+// at once (a crash-restart with redelivery). Unlike a dropping rule this stays
 // inside the asynchronous model: every message is still eventually delivered,
 // so liveness must survive the rejoin flood.
 func HoldUntil(t Time, ps ...types.ProcessID) Rule {

@@ -258,10 +258,6 @@ func (n *Network) lookup(id types.ProcessID) Node {
 	return n.nodes[id]
 }
 
-// Rand exposes the run's RNG so co-operating components (adversarial
-// schedulers) share the same deterministic randomness stream.
-func (n *Network) Rand() *rand.Rand { return n.rng }
-
 // Run pumps the event loop until quiescence (empty queue), until stop
 // returns true (checked after every delivery; nil means never), or until the
 // delivery budget is exhausted. It returns the run's statistics and may be

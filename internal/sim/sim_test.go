@@ -25,7 +25,7 @@ func (p *pingNode) ID() types.ProcessID { return p.id }
 
 func (p *pingNode) Start() []types.Message {
 	msgs := types.Broadcast(p.id, p.peers, &types.DecidePayload{V: types.One})
-	if p.spoofAs != types.NoProcess {
+	if p.spoofAs != 0 {
 		msgs = append(msgs, types.Message{From: p.spoofAs, To: p.peers[0], Payload: &types.DecidePayload{}})
 	}
 	return msgs
@@ -135,7 +135,7 @@ func TestSpoofedSenderRejected(t *testing.T) {
 	if len(b.got) != 1 { // only the genuine message
 		t.Errorf("b received %d messages, want 1", len(b.got))
 	}
-	drops := rec.ByKind(trace.KindDrop)
+	drops := eventsOfKind(rec, trace.KindDrop)
 	if len(drops) != 1 || drops[0].Note != "spoofed sender" {
 		t.Errorf("drop events = %v", drops)
 	}
@@ -538,4 +538,15 @@ func TestSchedulerCannotReachThePast(t *testing.T) {
 			last = e.Time
 		}
 	}
+}
+
+// eventsOfKind returns rec's stored events of kind k, in record order.
+func eventsOfKind(rec *trace.Recorder, k trace.Kind) []trace.Event {
+	var out []trace.Event
+	for _, e := range rec.Events() {
+		if e.Kind == k {
+			out = append(out, e)
+		}
+	}
+	return out
 }

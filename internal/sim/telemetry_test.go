@@ -26,7 +26,7 @@ func (r *relayNode) Start() []types.Message {
 }
 func (r *relayNode) Deliver(m types.Message) []types.Message {
 	out := append(r.Take(), types.Message{From: r.id, To: r.to, Payload: m.Payload})
-	if r.dead != types.NoProcess {
+	if r.dead != 0 {
 		out = append(out, types.Message{From: r.id, To: r.dead, Payload: m.Payload})
 	}
 	return out
@@ -139,13 +139,13 @@ func TestCausalParentStamping(t *testing.T) {
 		t.Fatal(err)
 	}
 	deliverSeq := make(map[uint64]bool)
-	for _, e := range rec.ByKind(trace.KindDeliver) {
+	for _, e := range eventsOfKind(rec, trace.KindDeliver) {
 		if e.Seq == 0 {
 			t.Fatalf("DELIVER without seq: %v", e)
 		}
 		deliverSeq[e.Seq] = true
 	}
-	sends := rec.ByKind(trace.KindSend)
+	sends := eventsOfKind(rec, trace.KindSend)
 	var rootSends, chained int
 	for _, e := range sends {
 		if e.Seq == 0 {

@@ -34,8 +34,8 @@ func TestSMRSubmitBounds(t *testing.T) {
 	if rep.Submit("set c 3") {
 		t.Fatal("submission beyond QueueLimit accepted")
 	}
-	if rep.Dropped() != 1 || rep.QueueLen() != 2 {
-		t.Fatalf("dropped=%d queue=%d, want 1 and 2", rep.Dropped(), rep.QueueLen())
+	if rep.Dropped() != 1 || len(rep.queue) != 2 {
+		t.Fatalf("dropped=%d queue=%d, want 1 and 2", rep.Dropped(), len(rep.queue))
 	}
 
 	// A Done replica will never propose again: accepting would leak forever.
@@ -125,10 +125,10 @@ func buildBatchedSMR(t *testing.T, n, f, maxSlots, batch, depth, per int, seed i
 func TestSMRBatchedClusterAgrees(t *testing.T) {
 	const n, slots, batch, depth, per = 4, 8, 3, 2, 6
 	replicas, machines := buildBatchedSMR(t, n, 1, slots, batch, depth, per, 5)
-	first := replicas[0].Log()
+	first := replicas[0].LogSince(0)
 	for _, rep := range replicas[1:] {
-		if !reflect.DeepEqual(rep.Log(), first) {
-			t.Fatalf("batched log divergence:\n%v\nvs\n%v", rep.Log(), first)
+		if !reflect.DeepEqual(rep.LogSince(0), first) {
+			t.Fatalf("batched log divergence:\n%v\nvs\n%v", rep.LogSince(0), first)
 		}
 	}
 	for _, m := range machines[1:] {

@@ -2,6 +2,7 @@ package smr
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/coin"
@@ -106,10 +107,9 @@ func TestCheckpointLogSinceServesTailAcrossTruncation(t *testing.T) {
 	if got := rep.LogSince(rep.Slot()); got != nil {
 		t.Fatalf("LogSince(frontier) = %v", got)
 	}
-	// Log() equals the retained tail.
-	full := rep.Log()
-	if len(full) != len(tail) || full[0] != tail[0] {
-		t.Fatal("Log() and LogSince(0) disagree about the retained tail")
+	// LogSince(0) is a copy of the whole retained log.
+	if !reflect.DeepEqual(tail, rep.log) || &tail[0] == &rep.log[0] {
+		t.Fatal("LogSince(0) is not a copy of the retained tail")
 	}
 }
 
@@ -157,17 +157,17 @@ func TestKVMachineSnapshotRoundTrip(t *testing.T) {
 	if restored.Snapshot() != snap {
 		t.Fatal("snapshot round trip not idempotent")
 	}
-	if restored.Get("a") != "3" || restored.Get("b") != "2" || restored.Get("z/9") != "ok" {
+	if restored.state["a"] != "3" || restored.state["b"] != "2" || restored.state["z/9"] != "ok" {
 		t.Fatal("restored state wrong")
 	}
 	// Keys containing '=' must survive the round trip distinctly: the
 	// encoding is space-separated precisely because {"a=b": "c"} and
 	// {"a": "b=c"} would collide under an '='-separated one.
-	if restored.Get("a=b") != "c" || restored.Get("a") != "3" {
-		t.Fatalf("'='-bearing key collapsed: a=b→%q a→%q", restored.Get("a=b"), restored.Get("a"))
+	if restored.state["a=b"] != "c" || restored.state["a"] != "3" {
+		t.Fatalf("'='-bearing key collapsed: a=b→%q a→%q", restored.state["a=b"], restored.state["a"])
 	}
-	if restored.Applied() != len(cmds) {
-		t.Fatalf("restored applied = %d, want %d", restored.Applied(), len(cmds))
+	if restored.applied != len(cmds) {
+		t.Fatalf("restored applied = %d, want %d", restored.applied, len(cmds))
 	}
 	if err := restored.Restore("no-header"); err == nil {
 		t.Error("malformed snapshot accepted")

@@ -37,7 +37,7 @@ func fingerprint(rep *Replica) ckptStateFingerprint {
 		stateDigest:  sd,
 		certifiedCut: rep.CertifiedCut(),
 		pendingCuts:  rep.PendingCuts(),
-		log:          rep.Log(),
+		log:          rep.LogSince(0),
 	}
 }
 

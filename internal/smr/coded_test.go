@@ -73,10 +73,10 @@ func TestSMRCodedClusterAgrees(t *testing.T) {
 	coded, codedMachines := buildCodedSMR(t, n, f, slots, batch, depth, per, seed)
 	uncoded, _ := buildBatchedSMR(t, n, f, slots, batch, depth, per, seed)
 
-	first := coded[0].Log()
+	first := coded[0].LogSince(0)
 	for _, rep := range coded[1:] {
-		if !reflect.DeepEqual(rep.Log(), first) {
-			t.Fatalf("coded log divergence:\n%v\nvs\n%v", rep.Log(), first)
+		if !reflect.DeepEqual(rep.LogSince(0), first) {
+			t.Fatalf("coded log divergence:\n%v\nvs\n%v", rep.LogSince(0), first)
 		}
 	}
 	for _, m := range codedMachines[1:] {
@@ -84,8 +84,8 @@ func TestSMRCodedClusterAgrees(t *testing.T) {
 			t.Fatalf("coded apply-order divergence")
 		}
 	}
-	if !reflect.DeepEqual(first, uncoded[0].Log()) {
-		t.Fatalf("coded log differs from uncoded control:\n%v\nvs\n%v", first, uncoded[0].Log())
+	if !reflect.DeepEqual(first, uncoded[0].LogSince(0)) {
+		t.Fatalf("coded log differs from uncoded control:\n%v\nvs\n%v", first, uncoded[0].LogSince(0))
 	}
 	if coded[0].LogDigest() != uncoded[0].LogDigest() {
 		t.Fatalf("coded digest %x, uncoded %x", coded[0].LogDigest(), uncoded[0].LogDigest())
@@ -97,7 +97,7 @@ func TestSMRCodedClusterAgrees(t *testing.T) {
 func TestSMRCodedSmallCluster(t *testing.T) {
 	// n=1 f=0 (k=1): the degenerate single-replica cluster still works coded.
 	replicas, _ := buildCodedSMR(t, 1, 0, 2, 1, 1, 2, 3)
-	if got := len(replicas[0].Log()); got != 2 {
+	if got := len(replicas[0].LogSince(0)); got != 2 {
 		t.Fatalf("singleton coded cluster committed %d entries, want 2", got)
 	}
 }

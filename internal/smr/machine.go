@@ -130,14 +130,6 @@ func spaceAt(s string, i int) (space bool, width int) {
 // '\t', '\n', '\v', '\f', '\r' and ' '.
 const asciiSpace uint64 = 1<<'\t' | 1<<'\n' | 1<<'\v' | 1<<'\f' | 1<<'\r' | 1<<' '
 
-// Get returns a key's value ("" if unset).
-func (m *KVMachine) Get(key string) string { return m.state[key] }
-
-// Applied returns how many commands have been applied (including malformed
-// ones, which count but mutate nothing — every replica rejects them
-// identically).
-func (m *KVMachine) Applied() int { return m.applied }
-
 // Snapshot implements Snapshotter: the applied count followed by the state
 // as sorted "key value" lines. Sorting makes the encoding a pure function
 // of the state, whatever map iteration order the runtime picks; the space

@@ -62,8 +62,8 @@ func FuzzKVApply(f *testing.F) {
 			if err := m.Apply(cmd); (err == nil) != ok {
 				t.Fatalf("Apply(%q) = %v, parse ok = %v", cmd, err, ok)
 			}
-			if ok && m.Get(key) != value {
-				t.Fatalf("after %q: Get(%q) = %q", cmd, key, m.Get(key))
+			if ok && m.state[key] != value {
+				t.Fatalf("after %q: Get(%q) = %q", cmd, key, m.state[key])
 			}
 		}
 		snap := m.Snapshot()

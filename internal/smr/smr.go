@@ -267,7 +267,6 @@ type Replica struct {
 var (
 	ErrNoCoinFactory = errors.New("smr: config requires NewCoin")
 	ErrNoMachine     = errors.New("smr: config requires a state machine")
-	ErrBadPeers      = quorum.ErrBadPeers
 	ErrNoSnapshotter = errors.New("smr: checkpointing requires a Snapshotter machine")
 	ErrNoCkptSecret  = errors.New("smr: checkpointing requires a cluster secret")
 	ErrStoreNoCkpt   = errors.New("smr: a durable store requires checkpointing")
@@ -464,16 +463,6 @@ func (r *Replica) queueLimit() int {
 // bound, the batch wire bounds, or submission after Done.
 func (r *Replica) Dropped() int { return r.dropped }
 
-// QueueLen returns how many accepted commands await a proposing turn.
-func (r *Replica) QueueLen() int { return len(r.queue) }
-
-// Log returns the retained committed entries (copy) — the full log without
-// checkpointing, the suffix above the last certified cut with it. It copies
-// the whole retained log on every call and exists for test assertions only;
-// every non-test caller polls through LogLen (O(1) probe) and LogSince
-// (O(new entries) tail reads).
-func (r *Replica) Log() []Entry { return append([]Entry(nil), r.log...) }
-
 // LogLen returns how many committed entries the replica retains, without
 // copying anything — the O(1) "did anything commit since I looked" probe
 // for per-delivery polling.
@@ -481,7 +470,7 @@ func (r *Replica) LogLen() int { return len(r.log) }
 
 // LogSince returns a copy of the retained entries with Slot >= slot. A
 // poller that tracks the next slot it has not seen pays O(new entries) per
-// call instead of Log's O(committed slots). Entries below the retention
+// call instead of copying the whole retained log. Entries below the retention
 // base (truncated at a certified cut) are gone; LogSince silently starts at
 // the base, which Base() exposes so callers can detect the gap.
 func (r *Replica) LogSince(slot int) []Entry {

@@ -85,13 +85,13 @@ func buildSMR(t *testing.T, n, f, crashed, maxSlots int, seed int64) ([]*Replica
 
 func TestSMRIdenticalLogsAndStates(t *testing.T) {
 	replicas, machines := buildSMR(t, 4, 1, 1, 6, 3)
-	first := replicas[0].Log()
+	first := replicas[0].LogSince(0)
 	if len(first) != 6 {
 		t.Fatalf("log has %d entries, want 6", len(first))
 	}
 	for _, rep := range replicas[1:] {
-		if !reflect.DeepEqual(rep.Log(), first) {
-			t.Fatalf("log divergence:\n%v\nvs\n%v", rep.Log(), first)
+		if !reflect.DeepEqual(rep.LogSince(0), first) {
+			t.Fatalf("log divergence:\n%v\nvs\n%v", rep.LogSince(0), first)
 		}
 	}
 	for _, m := range machines[1:] {
@@ -113,7 +113,7 @@ func TestSMRIdenticalLogsAndStates(t *testing.T) {
 func TestSMRSubmittedCommandsCommitInOrder(t *testing.T) {
 	replicas, machines := buildSMR(t, 4, 1, 1, 6, 9)
 	// p1 proposes slots 0 and 3; its two commands must land there, in order.
-	log := replicas[0].Log()
+	log := replicas[0].LogSince(0)
 	if log[0].Command != "set key0 val0" {
 		t.Errorf("slot 0 = %q", log[0].Command)
 	}
@@ -156,7 +156,7 @@ func TestSMRNoopWhenQueueEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, rep := range replicas {
-		log := rep.Log()
+		log := rep.LogSince(0)
 		if len(log) != 3 {
 			t.Fatalf("replica %d log has %d entries", i, len(log))
 		}
@@ -184,8 +184,8 @@ func TestSMRConfigValidation(t *testing.T) {
 	}{
 		{"no coin", func(c *Config) { c.NewCoin = nil }, ErrNoCoinFactory},
 		{"no machine", func(c *Config) { c.Machine = nil }, ErrNoMachine},
-		{"bad peers", func(c *Config) { c.Peers = peers[:1] }, ErrBadPeers},
-		{"me absent", func(c *Config) { c.Me = 99 }, ErrBadPeers},
+		{"bad peers", func(c *Config) { c.Peers = peers[:1] }, quorum.ErrBadPeers},
+		{"me absent", func(c *Config) { c.Me = 99 }, quorum.ErrBadPeers},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -339,9 +339,9 @@ func TestSMRManySeeds(t *testing.T) {
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		replicas, _ := buildSMR(t, 4, 1, 1, 4, seed)
-		first := replicas[0].Log()
+		first := replicas[0].LogSince(0)
 		for _, rep := range replicas[1:] {
-			if !reflect.DeepEqual(rep.Log(), first) {
+			if !reflect.DeepEqual(rep.LogSince(0), first) {
 				t.Fatalf("seed %d: log divergence", seed)
 			}
 		}

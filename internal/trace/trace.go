@@ -112,7 +112,6 @@ type Recorder struct {
 	mu      sync.Mutex
 	enabled bool
 	limit   int
-	dropped int
 	// parent is the causal context: the wire seq of the delivery whose
 	// handler is currently running (see SetParent). Stamped onto every
 	// recorded event whose Parent is unset.
@@ -124,7 +123,7 @@ type Recorder struct {
 const DefaultLimit = 1 << 20
 
 // New returns an enabled Recorder holding at most limit events (DefaultLimit
-// if limit ≤ 0); further events are counted but not stored.
+// if limit ≤ 0); further events are discarded.
 func New(limit int) *Recorder {
 	if limit <= 0 {
 		limit = DefaultLimit
@@ -148,7 +147,6 @@ func (r *Recorder) Record(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.events) >= r.limit {
-		r.dropped++
 		return
 	}
 	if e.Parent == 0 {
@@ -180,55 +178,4 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, len(r.events))
 	copy(out, r.events)
 	return out
-}
-
-// Dropped returns how many events exceeded the limit.
-func (r *Recorder) Dropped() int {
-	if !r.Enabled() {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Len returns the number of stored events.
-func (r *Recorder) Len() int {
-	if !r.Enabled() {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
-// Filter returns the stored events matching pred, in order.
-func (r *Recorder) Filter(pred func(Event) bool) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if pred(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// ByKind returns the stored events of the given kind.
-func (r *Recorder) ByKind(k Kind) []Event {
-	return r.Filter(func(e Event) bool { return e.Kind == k })
-}
-
-// ByProcess returns the stored events for the given process.
-func (r *Recorder) ByProcess(p types.ProcessID) []Event {
-	return r.Filter(func(e Event) bool { return e.P == p })
-}
-
-// Dump renders all stored events, one per line.
-func (r *Recorder) Dump() string {
-	var b strings.Builder
-	for _, e := range r.Events() {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -11,7 +11,7 @@ import (
 func TestZeroRecorderDisabled(t *testing.T) {
 	var r Recorder
 	r.Record(Event{Kind: KindNote})
-	if r.Enabled() || r.Len() != 0 || r.Events() != nil || r.Dropped() != 0 {
+	if r.Enabled() || r.Events() != nil {
 		t.Error("zero Recorder must be inert")
 	}
 	var nilR *Recorder
@@ -19,7 +19,7 @@ func TestZeroRecorderDisabled(t *testing.T) {
 		t.Error("nil Recorder must report disabled")
 	}
 	nilR.Record(Event{}) // must not panic
-	if nilR.Len() != 0 || nilR.Dropped() != 0 {
+	if nilR.Events() != nil {
 		t.Error("nil Recorder must be inert")
 	}
 }
@@ -29,14 +29,14 @@ func TestRecordAndQuery(t *testing.T) {
 	r.Record(Event{Time: 1, Kind: KindSend, P: 1})
 	r.Record(Event{Time: 2, Kind: KindDeliver, P: 2})
 	r.Record(Event{Time: 3, Kind: KindDecide, P: 1, V: types.One, Round: 2})
-	if r.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", r.Len())
+	if got := len(r.Events()); got != 3 {
+		t.Fatalf("%d events, want 3", got)
 	}
-	if got := r.ByKind(KindDecide); len(got) != 1 || got[0].V != types.One {
-		t.Errorf("ByKind(KindDecide) = %v", got)
+	if got := r.Filter(func(e Event) bool { return e.Kind == KindDecide }); len(got) != 1 || got[0].V != types.One {
+		t.Errorf("Filter(KindDecide) = %v", got)
 	}
-	if got := r.ByProcess(1); len(got) != 2 {
-		t.Errorf("ByProcess(1) returned %d events, want 2", len(got))
+	if got := r.Filter(func(e Event) bool { return e.P == 1 }); len(got) != 2 {
+		t.Errorf("Filter(P = 1) returned %d events, want 2", len(got))
 	}
 	if got := r.Filter(func(e Event) bool { return e.Time > 1 }); len(got) != 2 {
 		t.Errorf("Filter returned %d events, want 2", len(got))
@@ -48,11 +48,8 @@ func TestLimit(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Record(Event{Time: int64(i), Kind: KindNote})
 	}
-	if r.Len() != 2 {
-		t.Errorf("Len = %d, want 2", r.Len())
-	}
-	if r.Dropped() != 3 {
-		t.Errorf("Dropped = %d, want 3", r.Dropped())
+	if got := r.Events(); len(got) != 2 || got[1].Time != 1 {
+		t.Errorf("events = %v, want the first 2", got)
 	}
 }
 
@@ -79,8 +76,8 @@ func TestConcurrentRecord(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if r.Len() != 800 {
-		t.Errorf("Len = %d, want 800", r.Len())
+	if got := len(r.Events()); got != 800 {
+		t.Errorf("%d events, want 800", got)
 	}
 }
 

@@ -17,10 +17,6 @@ import (
 // 1..n; the zero value is reserved and never a valid process.
 type ProcessID int
 
-// NoProcess is the zero ProcessID, used to mean "no process" (for example as
-// the destination of a broadcast before fan-out).
-const NoProcess ProcessID = 0
-
 // String implements fmt.Stringer.
 func (p ProcessID) String() string { return "p" + strconv.Itoa(int(p)) }
 
@@ -115,9 +111,6 @@ func (k Kind) String() string {
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
-
-// Valid reports whether k is a known payload kind.
-func (k Kind) Valid() bool { return k >= KindRBCSend && k <= KindRBCSum }
 
 // Payload is implemented by every protocol message payload.
 type Payload interface {

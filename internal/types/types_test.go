@@ -12,7 +12,7 @@ func TestProcessID(t *testing.T) {
 		valid bool
 		str   string
 	}{
-		{name: "zero is invalid", id: NoProcess, valid: false, str: "p0"},
+		{name: "zero is invalid", id: 0, valid: false, str: "p0"},
 		{name: "one is valid", id: 1, valid: true, str: "p1"},
 		{name: "large is valid", id: 1024, valid: true, str: "p1024"},
 		{name: "negative is invalid", id: -3, valid: false, str: "p-3"},

@@ -78,8 +78,6 @@ type Validator struct {
 	// contract in the package doc).
 	floor int
 
-	talliedCount int
-
 	// keyScratch and foldScratch are reused across drain calls so the
 	// steady-state Record path (empty or tiny pending set) allocates
 	// nothing. foldScratch backs Record's return value, which is therefore
@@ -158,24 +156,6 @@ func (v *Validator) Record(sender types.ProcessID, m types.StepMessage) []Accept
 	v.pending[k] = m
 	return v.drain()
 }
-
-// Justified reports whether m could have been sent by a correct process,
-// judged against the currently justified tallies. It is monotone: once true
-// for a message, it stays true.
-func (v *Validator) Justified(m types.StepMessage) bool {
-	if !wellFormed(m) {
-		return false
-	}
-	return v.justified(m)
-}
-
-// Tallied returns how many messages have been folded into the justified
-// tallies (diagnostics).
-func (v *Validator) Tallied() int { return v.talliedCount }
-
-// Pending returns how many recorded messages are still unjustified
-// (diagnostics; for correct traffic this returns to 0 as rounds complete).
-func (v *Validator) Pending() int { return len(v.pending) }
 
 // SeenRetained returns how many per-sender dedup entries the validator
 // currently holds — the retainer PruneBelow releases.
@@ -271,7 +251,6 @@ func (v *Validator) fold(m types.StepMessage) {
 	default:
 		t.step3Plain[m.V]++
 	}
-	v.talliedCount++
 }
 
 // tally returns round's justification digest, creating it on first touch

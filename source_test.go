@@ -1,3 +1,18 @@
+// Source rules: checks made on the type-checked source of the non-test code
+// under internal/, where the replay goldens and tests can only sample paths.
+//
+//   - TestMapRangesAnnotated, TestGoStatementsConfined, TestImportsConfined
+//     and TestNoGlobalRandCalls hold the determinism contract: a run is a
+//     pure function of (config, seed), on one goroutine.
+//   - TestExportsHaveCallers holds production code to what production
+//     calls. An exported name in internal/ must be used by non-test code in
+//     internal/, cmd/bench or perf/, or be a method an interface needs. The
+//     CLI and the wall-clock benchmark count as callers because they are the
+//     programs internal/ exists for; both are type-checked from source with
+//     the same importer, since they import only the standard library and
+//     repro/internal/... A name only tests reach goes to its package's
+//     export_test.go, or its tests go to the production path.
+
 package repro
 
 import (
@@ -22,14 +37,23 @@ const orderFreeNote = "// order-free: "
 
 // sourceTree type-checks the module's non-test code under internal/ from
 // source, one package at a time in import order; the standard library comes
-// from the toolchain's export data.
+// from the toolchain's export data. The callers (callerDirs) are checked
+// into the same Info but are not among files: only TestExportsHaveCallers
+// reads them, as uses.
 type sourceTree struct {
-	fset  *token.FileSet
-	std   types.Importer
-	info  *types.Info
-	pkgs  map[string]*types.Package
-	files map[string][]*ast.File // by import path
+	fset    *token.FileSet
+	std     types.Importer
+	info    *types.Info
+	pkgs    map[string]*types.Package
+	files   map[string][]*ast.File // by import path, internal/ only
+	callers []*types.Package
 }
+
+// callerDirs are the programs outside internal/ whose calls count as
+// production calls: the CLI, and the wall-clock benchmark (its own module,
+// which replaces repro with this tree). Both import only the standard
+// library and repro/internal/..., so the tree's importer checks them.
+var callerDirs = []string{"cmd/bench", "perf"}
 
 // Import implements types.Importer.
 func (st *sourceTree) Import(path string) (*types.Package, error) {
@@ -40,25 +64,31 @@ func (st *sourceTree) Import(path string) (*types.Package, error) {
 	if !ok {
 		return st.std.Import(path)
 	}
-	bp, err := build.ImportDir(dir, 0)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		f, err := parser.ParseFile(st.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	conf := types.Config{Importer: st}
-	pkg, err := conf.Check(path, st.fset, files, st.info)
+	pkg, files, err := st.check(path, dir)
 	if err != nil {
 		return nil, err
 	}
 	st.pkgs[path], st.files[path] = pkg, files
 	return pkg, nil
+}
+
+// check parses the non-test Go files of dir and type-checks them as path.
+func (st *sourceTree) check(path, dir string) (*types.Package, []*ast.File, error) {
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(st.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, nil, err
+		}
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: st}
+	pkg, err := conf.Check(path, st.fset, files, st.info)
+	return pkg, files, err
 }
 
 // internalSource type-checks every package under internal/ once per test
@@ -96,6 +126,13 @@ func internalSource(t *testing.T) *sourceTree {
 	}
 	if len(st.files) < 20 {
 		t.Fatalf("type-checked only %d packages under internal/", len(st.files))
+	}
+	for _, dir := range callerDirs {
+		pkg, _, err := st.check("repro/"+dir, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.callers = append(st.callers, pkg)
 	}
 	loadedSource = st
 	return st
@@ -232,4 +269,107 @@ func TestNoGlobalRandCalls(t *testing.T) {
 			return true
 		})
 	})
+}
+
+// TestExportsHaveCallers: production code is what production calls. Every
+// package-level exported name in non-test internal/ code, and every exported
+// method of a named type declared there, must either be used from non-test
+// code in internal/ or callerDirs, or be a method its type (as a value or a
+// pointer) needs to satisfy an interface that has it: one declared in the
+// tree, one of a standard-library package the tree imports, or error. A name
+// only tests reach belongs in its package's export_test.go, or its tests
+// belong on the production path.
+func TestExportsHaveCallers(t *testing.T) {
+	st := internalSource(t)
+	used := map[types.Object]bool{}
+	// order-free: fills a set.
+	for _, obj := range st.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		used[obj] = true
+	}
+	ifaces := st.interfaces()
+	viaInterface := func(named *types.Named, m *types.Func) bool {
+		if named.TypeParams().Len() > 0 {
+			return false // Implements is unspecified for an uninstantiated type
+		}
+		for _, iface := range ifaces {
+			if obj, _, _ := types.LookupFieldOrMethod(iface, false, m.Pkg(), m.Name()); obj == nil {
+				continue
+			}
+			if types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface) {
+				return true
+			}
+		}
+		return false
+	}
+	uncalled := 0
+	report := func(obj types.Object, name string) {
+		uncalled++
+		t.Errorf("%s: exported %s has no production caller", st.fset.Position(obj.Pos()), name)
+	}
+	for _, path := range slices.Sorted(maps.Keys(st.files)) {
+		pkg := st.pkgs[path]
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if obj.Exported() && !used[obj] {
+				report(obj, pkg.Name()+"."+name)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			if types.IsInterface(named) {
+				continue
+			}
+			for m := range named.Methods() {
+				if m.Exported() && !used[m] && !viaInterface(named, m) {
+					report(m, pkg.Name()+"."+name+"."+m.Name())
+				}
+			}
+		}
+	}
+	if uncalled > 0 {
+		t.Logf("%d exported names with no production caller", uncalled)
+	}
+}
+
+// interfaces returns every interface a method may be called through: error,
+// the named interfaces of the tree's packages and of the packages they
+// import, and the interface literals the tree writes.
+func (st *sourceTree) interfaces() []*types.Interface {
+	var out []*types.Interface
+	add := func(typ types.Type) {
+		if named, ok := typ.(*types.Named); ok && named.TypeParams().Len() > 0 {
+			return // Implements is unspecified for an uninstantiated type
+		}
+		if iface, ok := typ.Underlying().(*types.Interface); ok && iface.IsMethodSet() {
+			out = append(out, iface)
+		}
+	}
+	add(types.Universe.Lookup("error").Type())
+	seen := map[*types.Package]bool{}
+	// order-free: the rule asks only whether any interface matches.
+	for _, pkg := range slices.Concat(slices.Collect(maps.Values(st.pkgs)), st.callers) {
+		for _, p := range slices.Concat(pkg.Imports(), []*types.Package{pkg}) {
+			if seen[p] {
+				continue
+			}
+			seen[p] = true
+			for _, name := range p.Scope().Names() {
+				if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+					add(tn.Type())
+				}
+			}
+		}
+	}
+	// order-free: the rule asks only whether any interface matches.
+	for _, tv := range st.info.Types {
+		if tv.IsType() {
+			add(tv.Type)
+		}
+	}
+	return out
 }
