@@ -410,17 +410,13 @@ func runThroughput(args []string, out io.Writer) error {
 	}
 	f := faultBound(*n, *fFlag)
 	start := time.Now()
-	points, err := runner.RunThroughput(runner.ThroughputConfig{
+	points, err := runner.RunThroughput(runner.SMRConfig{
 		N: *n, F: f,
-		Entries:         *entries,
-		Batches:         batches,
-		Depths:          depths,
 		CheckpointEvery: *ckptEvery,
 		Coin:            runner.CoinCommon,
 		Coded:           *coded,
 		Seed:            *seed,
-		Workers:         *workers,
-	})
+	}, *entries, batches, depths, *workers)
 	if err != nil {
 		return err
 	}
@@ -428,11 +424,11 @@ func runThroughput(args []string, out io.Writer) error {
 	total := 0
 	for _, p := range points {
 		if p.Exhausted {
-			return fmt.Errorf("throughput point batch=%d depth=%d exhausted its delivery budget", p.Batch, p.Depth)
+			return fmt.Errorf("throughput point batch=%d depth=%d exhausted its delivery budget", p.Config.Batch, p.Config.Depth)
 		}
 		if p.Mismatches > 0 || p.SubmitDropped > 0 || p.DuplicateCommands > 0 {
 			return fmt.Errorf("throughput point batch=%d depth=%d unhealthy: mismatches=%d dropped=%d duplicates=%d",
-				p.Batch, p.Depth, p.Mismatches, p.SubmitDropped, p.DuplicateCommands)
+				p.Config.Batch, p.Config.Depth, p.Mismatches, p.SubmitDropped, p.DuplicateCommands)
 		}
 		total += p.Entries
 	}
@@ -455,7 +451,7 @@ func runThroughput(args []string, out io.Writer) error {
 		rows := make([]pointJSON, 0, len(points))
 		for _, p := range points {
 			rows = append(rows, pointJSON{
-				p.Batch, p.Depth, p.Slots, p.Entries, p.Deliveries, p.Messages,
+				p.Config.Batch, p.Config.Depth, p.Config.Slots, p.Entries, p.Deliveries, p.Messages,
 				int64(p.EndTime), p.WireBytes, fmt.Sprintf("%.3f", p.EntriesPerKDeliveries()),
 				fmt.Sprintf("%016x", p.LogDigest), fmt.Sprintf("%016x", p.StateDigest),
 			})
@@ -475,7 +471,7 @@ func runThroughput(args []string, out io.Writer) error {
 		"batch", "depth", "slots", "entries", "deliveries", "ent/kdeliv", "virtual-time", "wire-bytes", "log digest")
 	for _, p := range points {
 		fmt.Fprintf(out, "%-6d %-6d %-7d %-8d %-11d %-14.3f %-13d %-12d %016x\n",
-			p.Batch, p.Depth, p.Slots, p.Entries, p.Deliveries,
+			p.Config.Batch, p.Config.Depth, p.Config.Slots, p.Entries, p.Deliveries,
 			p.EntriesPerKDeliveries(), int64(p.EndTime), p.WireBytes, p.LogDigest)
 	}
 	return nil
@@ -548,20 +544,22 @@ func runSweep(args []string, out io.Writer) error {
 			peakHeap = m.HeapAlloc
 		}
 	}
-	spec := runner.PropertySpec{
-		N: *n, F: f, Scenario: sc, Seeds: seeds,
-		Workers: *workers, Checkpoint: *checkpoint,
-		Every: *every, Resume: *resume, Stop: stop,
-		Progress: func(done, total int64) {
-			if done%256 == 0 {
-				sampleHeap()
-			}
-			if done%1000 == 0 {
-				fmt.Fprintf(os.Stderr, "bench: sweep %s n=%d: %d/%d\n", sc.Name, *n, done, total)
-			}
-		},
+	spec, err := sc.SweepSpec(*n, f, seeds)
+	if err != nil {
+		return err
 	}
-	agg, err := runner.PropertySweep(spec)
+	spec.Workers = *workers
+	spec.Checkpoint, spec.Every, spec.Resume = *checkpoint, *every, *resume
+	spec.Stop = stop
+	spec.Progress = func(done, total int64) {
+		if done%256 == 0 {
+			sampleHeap()
+		}
+		if done%1000 == 0 {
+			fmt.Fprintf(os.Stderr, "bench: sweep %s n=%d: %d/%d\n", sc.Name, *n, done, total)
+		}
+	}
+	agg, err := runner.SweepSeedRange(spec)
 	sampleHeap()
 	heapLine := fmt.Sprintf("peak heap: %.2f MiB (runtime.ReadMemStats, sampled)", float64(peakHeap)/(1<<20))
 	stopped := errors.Is(err, runner.ErrStopped)

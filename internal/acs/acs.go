@@ -33,7 +33,6 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/rbc"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/types"
 )
 
@@ -66,13 +65,6 @@ type Config struct {
 	// smaller than a fragment's checksum vector. The agreed subset is
 	// byte-identical either way.
 	Coded bool
-	// Recorder, when enabled, receives protocol events.
-	Recorder *trace.Recorder
-	// Telemetry, when non-nil, is forwarded to the input-dissemination
-	// broadcaster and every binary instance, so RBC quorum marks and
-	// round→decide marks flow from all n+1 multiplexed protocols into one
-	// sink (see sim.Telemetry).
-	Telemetry *sim.Telemetry
 }
 
 // Node is one ACS participant. Deterministic state machine (sim.Node); not
@@ -131,12 +123,10 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Coded {
 		newRBC = rbc.NewCoded
 	}
-	values := newRBC(cfg.Me, cfg.Peers, cfg.Spec)
-	values.SetTelemetry(cfg.Telemetry)
 	return &Node{
 		cfg:      cfg,
 		spec:     cfg.Spec,
-		values:   values,
+		values:   newRBC(cfg.Me, cfg.Peers, cfg.Spec),
 		bins:     make([]*core.Node, n+1),
 		pending:  make([][]types.Message, n+1),
 		inputs:   make([]string, n+1),
@@ -262,14 +252,12 @@ func (n *Node) vote(out []types.Message, idx int, v types.Value) []types.Message
 	}
 	n.voted[idx] = true
 	bin, err := core.New(core.Config{
-		Me:        n.cfg.Me,
-		Peers:     n.cfg.Peers,
-		Spec:      n.spec,
-		Coin:      n.cfg.NewCoin(idx),
-		Proposal:  v,
-		Instance:  idx,
-		Recorder:  n.cfg.Recorder,
-		Telemetry: n.cfg.Telemetry,
+		Me:       n.cfg.Me,
+		Peers:    n.cfg.Peers,
+		Spec:     n.spec,
+		Coin:     n.cfg.NewCoin(idx),
+		Proposal: v,
+		Instance: idx,
 	})
 	if err != nil {
 		// Config is derived from our own validated Config; this cannot
@@ -299,10 +287,6 @@ func (n *Node) harvest(out []types.Message) []types.Message {
 			n.resolves++
 			if v == types.One {
 				n.ones++
-			}
-			if n.cfg.Recorder.Enabled() {
-				n.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: n.cfg.Me, Round: idx,
-					Note: fmt.Sprintf("BA_%d decided %v", idx, v)})
 			}
 		}
 	}

@@ -15,7 +15,8 @@ import (
 func Example() {
 	spec := quorum.MustNew(4, 1)
 	peers := types.Processes(4)
-	net, err := sim.New(sim.Config{Scheduler: sim.Immediate{}, Seed: 1})
+	// A zero-width UniformDelay delivers everything at once, in send order.
+	net, err := sim.New(sim.Config{Scheduler: sim.UniformDelay{}, Seed: 1})
 	if err != nil {
 		fmt.Println(err)
 		return

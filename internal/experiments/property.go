@@ -39,11 +39,12 @@ func E10PropertyHarness(o Options) (*metrics.Table, error) {
 					seeds = min(seeds, 8)
 				}
 			}
-			agg, err := runner.PropertySweep(runner.PropertySpec{
-				N: n, F: -1, Scenario: sc,
-				Seeds:   runner.SeedRange{From: o.Seed, To: o.Seed + seeds},
-				Workers: o.Workers,
-			})
+			spec, err := sc.SweepSpec(n, -1, runner.SeedRange{From: o.Seed, To: o.Seed + seeds})
+			if err != nil {
+				return nil, fmt.Errorf("scenario %s n=%d: %w", sc.Name, n, err)
+			}
+			spec.Workers = o.Workers
+			agg, err := runner.SweepSeedRange(spec)
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s n=%d: %w", sc.Name, n, err)
 			}

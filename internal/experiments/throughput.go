@@ -55,24 +55,18 @@ func E13BatchedThroughput(o Options) (*metrics.Table, error) {
 	depths := []int{1, 2}
 	for _, s := range sizes {
 		f := (s.n - 1) / 3
-		points, err := runner.RunThroughput(runner.ThroughputConfig{
-			N: s.n, F: f,
-			Entries: s.entries,
-			Batches: batches,
-			Depths:  depths,
-			Coin:    runner.CoinCommon,
-			Seed:    o.Seed,
-			Workers: o.Workers,
-		})
+		points, err := runner.RunThroughput(runner.SMRConfig{
+			N: s.n, F: f, Coin: runner.CoinCommon, Seed: o.Seed,
+		}, s.entries, batches, depths, o.Workers)
 		if err != nil {
 			return nil, err
 		}
 		for _, p := range points {
 			if p.Mismatches != 0 || p.SubmitDropped != 0 || p.DuplicateCommands != 0 || p.Exhausted {
 				return nil, fmt.Errorf("experiments: unhealthy throughput point n=%d batch=%d depth=%d: %+v",
-					s.n, p.Batch, p.Depth, p)
+					s.n, p.Config.Batch, p.Config.Depth, p)
 			}
-			t.AddRowf(s.n, f, p.Batch, p.Depth, p.Slots, p.Entries, p.Deliveries,
+			t.AddRowf(s.n, f, p.Config.Batch, p.Config.Depth, p.Config.Slots, p.Entries, p.Deliveries,
 				fmt.Sprintf("%.2f", p.EntriesPerKDeliveries()), int(p.EndTime),
 				fmt.Sprintf("%016x", p.LogDigest))
 		}

@@ -4,7 +4,7 @@ import "repro/internal/adversary"
 
 // This file is the checkpoint-adversary scenario registry: the robustness
 // battery of the checkpoint and state-transfer subsystem, kept separate from
-// Scenarios() (whose entries are consensus-shaped PropertySpecs; these are
+// Scenarios() (whose entries expand to consensus or RBC sweeps; these are
 // SMR workload configs). Each scenario composes one checkpoint-plane
 // attacker (adversary.CkptByzantine) with a hostile delivery schedule and,
 // for the transfer-facing attacks, the restart-catchup victim — the replica

@@ -157,32 +157,6 @@ func ScenarioByName(name string) (Scenario, error) {
 	return Scenario{}, fmt.Errorf("runner: unknown scenario %q", name)
 }
 
-// PropertySpec configures one property sweep: a scenario at a system size,
-// across a seed range, with optional checkpointing (all SweepSpec knobs pass
-// through).
-type PropertySpec struct {
-	// N is the system size; F the fault bound (negative = ⌊(n−1)/3⌋, the
-	// paper's optimal resilience; 0 is honoured as a genuinely fault-free
-	// sweep).
-	N int
-	F int
-	// Scenario selects the attack.
-	Scenario Scenario
-	// Seeds is the half-open seed range.
-	Seeds SeedRange
-	// MaxDeliveries overrides the per-run delivery budget (0 = scaled to
-	// the system size; consensus traffic grows ~n³ per round).
-	MaxDeliveries int
-
-	// Pass-through sweep knobs (see SweepSpec).
-	Workers    int
-	Checkpoint string
-	Every      int
-	Resume     bool
-	Stop       func() bool
-	Progress   func(done, total int64)
-}
-
 // DeliveryBudget scales the simulator budget to the system size: several
 // common-coin rounds of ~2n³ deliveries each, floored at the simulator
 // default. Exhausting it surfaces as a termination violation, which is
@@ -196,29 +170,25 @@ func DeliveryBudget(n int) int {
 	return b
 }
 
-// SweepSpec expands the property spec into the checkpointable sweep it runs.
-func (p PropertySpec) SweepSpec() (SweepSpec, error) {
-	f := p.F
+// SweepSpec expands the scenario at system size n into the checkpointable
+// sweep that runs it across seeds (f < 0 = ⌊(n−1)/3⌋, the paper's optimal
+// resilience; 0 is honoured as a genuinely fault-free sweep). The caller
+// sets the pass-through knobs (Workers, Checkpoint, Resume, …) and hands it
+// to SweepSeedRange, which does not judge the result: callers assert
+// Aggregate.Checks.Clean() (and, for consensus, Decided == Runs) — the
+// harness's definition of "the property held".
+func (sc Scenario) SweepSpec(n, f int, seeds SeedRange) (SweepSpec, error) {
 	if f < 0 {
-		f = quorum.MaxByzantine(p.N)
+		f = quorum.MaxByzantine(n)
 	}
-	spec := SweepSpec{
-		Seeds:      p.Seeds,
-		Workers:    p.Workers,
-		Checkpoint: p.Checkpoint,
-		Every:      p.Every,
-		Resume:     p.Resume,
-		Stop:       p.Stop,
-		Progress:   p.Progress,
-	}
-	sc := p.Scenario
+	spec := SweepSpec{Seeds: seeds}
 	if sc.RBC {
 		byz := f
 		if !sc.SenderEquivocates && !sc.SenderPartial {
 			byz = 0 // honest-sender scenario: all processes correct
 		}
 		spec.RBC = &RBCConfig{
-			N: p.N, F: f, Byzantine: byz,
+			N: n, F: f, Byzantine: byz,
 			SenderEquivocates: sc.SenderEquivocates,
 			SenderPartial:     sc.SenderPartial,
 		}
@@ -227,22 +197,13 @@ func (p PropertySpec) SweepSpec() (SweepSpec, error) {
 	if sc.Adversary == 0 || sc.Scheduler == 0 {
 		return SweepSpec{}, fmt.Errorf("runner: scenario %q is not runnable (zero adversary or scheduler)", sc.Name)
 	}
-	budget := p.MaxDeliveries
-	if budget == 0 {
-		budget = DeliveryBudget(p.N)
-		if sc.BudgetScale > 1 {
-			budget *= sc.BudgetScale
-		}
-	}
+	budget := DeliveryBudget(n) * max(sc.BudgetScale, 1)
 	byzantine := -1 // = f
 	if sc.SpareFault {
-		byzantine = f - 1
-		if byzantine < 0 {
-			byzantine = 0
-		}
+		byzantine = max(f-1, 0)
 	}
 	spec.Cfg = Config{
-		N: p.N, F: f, Byzantine: byzantine,
+		N: n, F: f, Byzantine: byzantine,
 		Protocol:            ProtocolBracha,
 		Coin:                sc.Coin,
 		Adversary:           sc.Adversary,
@@ -253,16 +214,4 @@ func (p PropertySpec) SweepSpec() (SweepSpec, error) {
 		DisableDecideGadget: sc.NoHalt,
 	}
 	return spec, nil
-}
-
-// PropertySweep runs the scenario across the seed range and returns the
-// aggregate. It does not judge the result: callers assert
-// Aggregate.Checks.Clean() (and, for consensus, Decided == Runs) — the
-// harness's definition of "the property held".
-func PropertySweep(p PropertySpec) (*Aggregate, error) {
-	spec, err := p.SweepSpec()
-	if err != nil {
-		return nil, err
-	}
-	return SweepSeedRange(spec)
 }

@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// sweepScenario runs scenario sc at size n, optimal resilience, across
+// seeds on a pool of workers (0 = GOMAXPROCS).
+func sweepScenario(sc Scenario, n int, seeds SeedRange, workers int) (*Aggregate, error) {
+	spec, err := sc.SweepSpec(n, -1, seeds)
+	if err != nil {
+		return nil, err
+	}
+	spec.Workers = workers
+	return SweepSeedRange(spec)
+}
+
 // assertClean fails the test if a property sweep observed any violation,
 // undecided run, or exhausted budget.
 func assertClean(t *testing.T, label string, sc Scenario, agg *Aggregate) {
@@ -51,7 +62,7 @@ func TestStragglerScenarioExercisesPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := PropertySpec{N: 8, F: -1, Scenario: sc, Seeds: SeedRange{From: 1, To: 9}}.SweepSpec()
+	spec, err := sc.SweepSpec(8, -1, SeedRange{From: 1, To: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +93,7 @@ func TestScenariosHoldSmall(t *testing.T) {
 	}
 	for _, sc := range Scenarios() {
 		for _, n := range []int{8, 13} {
-			agg, err := PropertySweep(PropertySpec{
-				N: n, F: -1, Scenario: sc, Seeds: seeds, Workers: 4,
-			})
+			agg, err := sweepScenario(sc, n, seeds, 4)
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", sc.Name, n, err)
 			}
@@ -109,9 +118,7 @@ func TestHarnessFrontier(t *testing.T) {
 		}
 		for _, n := range []int{64, 128} {
 			seeds := SeedRange{From: 1, To: 41}
-			agg, err := PropertySweep(PropertySpec{
-				N: n, F: -1, Scenario: sc, Seeds: seeds, Workers: 0,
-			})
+			agg, err := sweepScenario(sc, n, seeds, 0)
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", sc.Name, n, err)
 			}
@@ -123,9 +130,7 @@ func TestHarnessFrontier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg, err := PropertySweep(PropertySpec{
-			N: 64, F: -1, Scenario: sc, Seeds: SeedRange{From: 1, To: 3}, Workers: 0,
-		})
+		agg, err := sweepScenario(sc, 64, SeedRange{From: 1, To: 3}, 0)
 		if err != nil {
 			t.Fatalf("%s n=64: %v", name, err)
 		}
@@ -146,14 +151,16 @@ func TestHarnessFullScale(t *testing.T) {
 	seeds := SeedRange{From: 1, To: 1001}
 	for _, sc := range Scenarios() {
 		for _, n := range []int{64, 128} {
-			agg, err := PropertySweep(PropertySpec{
-				N: n, F: -1, Scenario: sc, Seeds: seeds, Workers: 0,
-				Progress: func(done, total int64) {
-					if done%100 == 0 {
-						t.Logf("%s n=%d: %d/%d", sc.Name, n, done, total)
-					}
-				},
-			})
+			spec, err := sc.SweepSpec(n, -1, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Progress = func(done, total int64) {
+				if done%100 == 0 {
+					t.Logf("%s n=%d: %d/%d", sc.Name, n, done, total)
+				}
+			}
+			agg, err := SweepSeedRange(spec)
 			if err != nil {
 				t.Fatalf("%s n=%d: %v", sc.Name, n, err)
 			}

@@ -111,7 +111,7 @@ func TestAdaptiveCliffSlowerThanReorder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg, err := PropertySweep(PropertySpec{N: n, F: -1, Scenario: sc, Seeds: seeds})
+		agg, err := sweepScenario(sc, n, seeds, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -19,7 +19,7 @@ func TestStragglerCatchUpAfterRBCPrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := PropertySpec{N: 8, F: -1, Scenario: sc, Seeds: SeedRange{From: 1, To: 9}}.SweepSpec()
+	spec, err := sc.SweepSpec(8, -1, SeedRange{From: 1, To: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDealerLowWatermarkBoundsRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := PropertySpec{N: 8, F: -1, Scenario: sc, Seeds: SeedRange{From: 2, To: 3}}.SweepSpec()
+	spec, err := sc.SweepSpec(8, -1, SeedRange{From: 2, To: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

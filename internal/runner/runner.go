@@ -13,8 +13,8 @@
 //   - SweepStream/SweepSeedRange stream results through a constant-memory
 //     reducer with periodic resumable checkpoints — the engine for
 //     million-run sweeps (format and determinism contract: checkpoint.go).
-//   - PropertySweep drives the adversarial property-test scenario battery
-//     (harness.go) through the streaming engine.
+//   - Scenario.SweepSpec expands one entry of the adversarial property-test
+//     battery (harness.go) into the SweepSpec the streaming engine runs.
 package runner
 
 import (

@@ -298,8 +298,8 @@ func TestConfigValidation(t *testing.T) {
 	smr := func(cfg SMRConfig) func() error {
 		return func() error { _, err := RunSMR(cfg); return err }
 	}
-	throughput := func(cfg ThroughputConfig) func() error {
-		return func() error { _, err := RunThroughput(cfg); return err }
+	throughput := func(cfg SMRConfig) func() error {
+		return func() error { _, err := RunThroughput(cfg, 4, nil, nil, 0); return err }
 	}
 	restart := &SMRRestart{CrashAfter: 1, ReviveAfter: 1}
 	tests := []struct {
@@ -329,9 +329,9 @@ func TestConfigValidation(t *testing.T) {
 		{"RunSMR: negative attackers", smr(SMRConfig{N: 4, F: 1, Slots: 8, CheckpointEvery: 4,
 			Attack: adversary.CkptStaleResponder, Byzantine: -3, Sched: SchedStraggler})},
 
-		{"RunThroughput: n = 0", throughput(ThroughputConfig{N: 0, F: 0, Entries: 4})},
-		{"RunThroughput: f above (n-1)/3", throughput(ThroughputConfig{N: 4, F: 2, Entries: 4})},
-		{"RunThroughput: negative checkpoint cadence", throughput(ThroughputConfig{N: 4, F: 1, Entries: 4, CheckpointEvery: -4})},
+		{"RunThroughput: n = 0", throughput(SMRConfig{N: 0, F: 0})},
+		{"RunThroughput: f above (n-1)/3", throughput(SMRConfig{N: 4, F: 2})},
+		{"RunThroughput: negative checkpoint cadence", throughput(SMRConfig{N: 4, F: 1, CheckpointEvery: -4})},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -10,20 +10,13 @@ import (
 // identical whatever the worker count — points are keyed by grid index, and
 // each point is a pure function of (config, seed).
 func TestThroughputWorkerIndependence(t *testing.T) {
-	cfg := ThroughputConfig{
-		N: 4, F: 1,
-		Entries: 24,
-		Batches: []int{1, 4},
-		Depths:  []int{1, 2},
-		Seed:    7,
-	}
-	cfg.Workers = 1
-	serial, err := RunThroughput(cfg)
+	base := SMRConfig{N: 4, F: 1, Seed: 7}
+	batches, depths := []int{1, 4}, []int{1, 2}
+	serial, err := RunThroughput(base, 24, batches, depths, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
-	parallel, err := RunThroughput(cfg)
+	parallel, err := RunThroughput(base, 24, batches, depths, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,12 +30,7 @@ func TestThroughputWorkerIndependence(t *testing.T) {
 // (no mismatches, drops, duplicates, or budget exhaustion) and meet its
 // entry target.
 func TestThroughputBatchScaling(t *testing.T) {
-	points, err := RunThroughput(ThroughputConfig{
-		N: 4, F: 1,
-		Entries: 48,
-		Batches: []int{1, 8},
-		Seed:    11,
-	})
+	points, err := RunThroughput(SMRConfig{N: 4, F: 1, Seed: 11}, 48, []int{1, 8}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +39,7 @@ func TestThroughputBatchScaling(t *testing.T) {
 			t.Fatalf("unhealthy point %+v", p)
 		}
 		if p.Entries < 48 {
-			t.Fatalf("batch=%d committed %d entries, want >= 48", p.Batch, p.Entries)
+			t.Fatalf("batch=%d committed %d entries, want >= 48", p.Config.Batch, p.Entries)
 		}
 	}
 	base, batched := points[0], points[1]
@@ -65,15 +53,8 @@ func TestThroughputBatchScaling(t *testing.T) {
 // not depend on the checkpoint cadence, batched or not — checkpointing
 // retires residue, it never moves what commits.
 func TestThroughputCheckpointIndependence(t *testing.T) {
-	run := func(every int) []*ThroughputPoint {
-		points, err := RunThroughput(ThroughputConfig{
-			N: 4, F: 1,
-			Entries:         32,
-			Batches:         []int{4},
-			Depths:          []int{2},
-			CheckpointEvery: every,
-			Seed:            5,
-		})
+	run := func(every int) []*SMRResult {
+		points, err := RunThroughput(SMRConfig{N: 4, F: 1, CheckpointEvery: every, Seed: 5}, 32, []int{4}, []int{2}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,12 +103,7 @@ func TestThroughputFrontier(t *testing.T) {
 	if os.Getenv("REPRO_HARNESS_FULL") == "" {
 		t.Skip("set REPRO_HARNESS_FULL=1 for frontier-size (n=64) throughput runs")
 	}
-	points, err := RunThroughput(ThroughputConfig{
-		N: 64, F: 21,
-		Entries: 32,
-		Batches: []int{1, 16},
-		Seed:    3,
-	})
+	points, err := RunThroughput(SMRConfig{N: 64, F: 21, Seed: 3}, 32, []int{1, 16}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,17 @@
 package sim
 
-import "repro/internal/types"
+import (
+	"math/rand"
+
+	"repro/internal/types"
+)
+
+// Immediate delivers everything with zero delay in send order — useful for
+// unit tests that want synchronous, predictable executions.
+type Immediate struct{}
+
+// Deliver implements Scheduler.
+func (Immediate) Deliver(_ types.Message, now Time, _ uint64, _ *rand.Rand) Time { return now }
 
 // DropLinks returns a Rule dropping all traffic on the given links. Dropping
 // correct-to-correct traffic violates the asynchronous model's eventual

@@ -243,13 +243,6 @@ func (s ReorderDelay) Deliver(_ types.Message, now Time, seq uint64, _ *rand.Ran
 	return now + span - Time(seq%uint64(span))
 }
 
-// Immediate delivers everything with zero delay in send order — useful for
-// unit tests that want synchronous, predictable executions.
-type Immediate struct{}
-
-// Deliver implements Scheduler.
-func (Immediate) Deliver(_ types.Message, now Time, _ uint64, _ *rand.Rand) Time { return now }
-
 // LossyDelay models lossy, duplicating, jittery links under ARQ: each send
 // is retransmitted until a copy gets through — every lost attempt (LossPct%
 // each, independently) adds RetransmitLag to the delivery delay — and with

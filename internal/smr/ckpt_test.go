@@ -169,10 +169,40 @@ func TestKVMachineSnapshotRoundTrip(t *testing.T) {
 	if restored.applied != len(cmds) {
 		t.Fatalf("restored applied = %d, want %d", restored.applied, len(cmds))
 	}
-	if err := restored.Restore("no-header"); err == nil {
-		t.Error("malformed snapshot accepted")
+	// Restore accepts only Snapshot's own encoding of a reachable state; a
+	// rejected snapshot leaves the machine as it was.
+	for name, bad := range nonCanonicalSnapshots {
+		if err := restored.Restore(bad); err == nil {
+			t.Errorf("%s: Restore(%q) accepted a snapshot Snapshot never writes", name, bad)
+		}
+		if restored.Snapshot() != snap {
+			t.Errorf("%s: rejected Restore(%q) changed the machine", name, bad)
+		}
 	}
-	if err := restored.Restore("#3\nbroken-line\n"); err == nil {
-		t.Error("malformed snapshot line accepted")
-	}
+}
+
+// nonCanonicalSnapshots are inputs KVMachine.Restore must reject: each parses
+// under a lax reader, but none is Snapshot's encoding of a state Apply can
+// reach. They seed FuzzKVRestore too.
+var nonCanonicalSnapshots = map[string]string{
+	"no-header":        "no-header",
+	"broken-line":      "#3\nbroken-line\n",
+	"empty":            "",
+	"header-only":      "#1",
+	"unsorted":         "#2\nb 2\na 1\n",
+	"duplicate-key":    "#2\na 1\na 2\n",
+	"plus-count":       "#+1\na 1\n",
+	"zero-padded":      "#01\na 1\n",
+	"negative-count":   "#-4\n",
+	"minus-zero":       "#-0\n",
+	"blank-line":       "#2\na 1\n\nb 2\n",
+	"leading-blank":    "#1\n\na 1\n",
+	"no-final-newline": "#1\na 1",
+	"space-in-value":   "#1\na 1 2\n",
+	"tab-in-key":       "#1\na\tb 1\n",
+	"unicode-space":    "#1\na 1\u30002\n",
+	"empty-key":        "#1\n 1\n",
+	"empty-value":      "#1\na \n",
+	"more-keys":        "#1\na 1\nb 2\n",
+	"crlf":             "#1\r\na 1\r\n",
 }

@@ -156,26 +156,34 @@ func (m *KVMachine) Snapshot() string {
 	return b.String()
 }
 
-// Restore implements Snapshotter.
+// Restore implements Snapshotter. It accepts exactly Snapshot's encoding of
+// a state Apply can reach — the applied count in canonical decimal, then one
+// "key value" line per key in strictly ascending key order, where neither
+// key nor value is empty or holds a unicode.IsSpace rune, and no more keys
+// than applied commands — so a snapshot it accepts is what Snapshot returns
+// afterwards, byte for byte. Anything else is an error and leaves the
+// machine unchanged.
 func (m *KVMachine) Restore(snapshot string) error {
-	lines := strings.Split(snapshot, "\n")
-	if len(lines) == 0 || !strings.HasPrefix(lines[0], "#") {
-		return fmt.Errorf("smr: malformed snapshot header")
+	header, body, ok := strings.Cut(snapshot, "\n")
+	count, hash := strings.CutPrefix(header, "#")
+	applied, err := strconv.Atoi(count)
+	if !ok || !hash || err != nil || applied < 0 || strconv.Itoa(applied) != count {
+		return fmt.Errorf("smr: malformed snapshot header %q", header)
 	}
-	applied, err := strconv.Atoi(lines[0][1:])
-	if err != nil {
-		return fmt.Errorf("smr: malformed snapshot header: %v", err)
-	}
-	state := make(map[string]string, len(lines))
-	for _, line := range lines[1:] {
-		if line == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(line, " ")
-		if !ok {
+	state := make(map[string]string)
+	prev := ""
+	for body != "" {
+		line, rest, ok := strings.Cut(body, "\n")
+		k, v, sep := strings.Cut(line, " ")
+		if !ok || !sep || k <= prev || v == "" ||
+			strings.ContainsFunc(k, unicode.IsSpace) || strings.ContainsFunc(v, unicode.IsSpace) {
 			return fmt.Errorf("smr: malformed snapshot line %q", line)
 		}
 		state[k] = v
+		prev, body = k, rest
+	}
+	if len(state) > applied {
+		return fmt.Errorf("smr: snapshot holds %d keys after %d commands", len(state), applied)
 	}
 	m.state = state
 	m.applied = applied

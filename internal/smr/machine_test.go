@@ -1,6 +1,10 @@
 package smr
 
 import (
+	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -73,6 +77,65 @@ func FuzzKVApply(f *testing.F) {
 		}
 		if again := restored.Snapshot(); again != snap {
 			t.Fatalf("snapshot round trip: %q became %q", snap, again)
+		}
+	})
+}
+
+// kvRestoreSeeds is FuzzKVRestore's checked-in seed corpus: the snapshots
+// Restore must reject, and canonical ones it must accept.
+func kvRestoreSeeds() map[string]string {
+	seeds := maps.Clone(nonCanonicalSnapshots)
+	seeds["canonical-empty"] = "#0\n"
+	seeds["canonical-sorted"] = "#4\na 3\nb 2\nz/9 ok\n"
+	seeds["canonical-equals-key"] = "#2\na 3\na=b c\n"
+	seeds["canonical-non-ascii"] = "#3\nk\u00e9 v\u00b7w\nk\xffv x\n"
+	return seeds
+}
+
+// TestKVRestoreCorpusCurrent: the checked-in seed corpus is kvRestoreSeeds,
+// one file per name, and Restore accepts exactly its canonical seeds.
+func TestKVRestoreCorpusCurrent(t *testing.T) {
+	for _, name := range slices.Sorted(maps.Keys(kvRestoreSeeds())) {
+		if err := NewKVMachine().Restore(kvRestoreSeeds()[name]); (err == nil) != strings.HasPrefix(name, "canonical-") {
+			t.Errorf("%s: Restore error = %v", name, err)
+		}
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzKVRestore", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("go test fuzz v1\nstring(%q)\n", kvRestoreSeeds()[name]); string(raw) != want {
+			t.Errorf("corpus file %s is stale; rewrite it as\n%s", name, want)
+		}
+	}
+}
+
+// FuzzKVRestore holds Restore to Snapshot's encoding from both sides. Any
+// input Restore accepts is what Snapshot returns afterwards, and a rejected
+// one leaves the machine as it was. Read as a script, each line L of the
+// input applied as the command "set L", the input builds a state whose
+// snapshot Restore must accept.
+func FuzzKVRestore(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		m := NewKVMachine()
+		m.Apply("set x y") //nolint:errcheck — well-formed
+		before := m.Snapshot()
+		if err := m.Restore(in); err != nil {
+			if after := m.Snapshot(); after != before {
+				t.Fatalf("rejected Restore(%q) moved the state from %q to %q", in, before, after)
+			}
+		} else if got := m.Snapshot(); got != in {
+			t.Fatalf("Restore accepted %q, which snapshots as %q", in, got)
+		}
+		built := NewKVMachine()
+		for _, line := range strings.Split(in, "\n") {
+			built.Apply("set " + line) //nolint:errcheck — most lines are not commands
+		}
+		snap := built.Snapshot()
+		if err := m.Restore(snap); err != nil {
+			t.Fatalf("Restore(%q) of an Apply-built state: %v", snap, err)
+		}
+		if got := m.Snapshot(); got != snap {
+			t.Fatalf("snapshot round trip: %q became %q", snap, got)
 		}
 	})
 }

@@ -81,7 +81,6 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/rbc"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -193,8 +192,6 @@ type Config struct {
 	// the cut. Cuts installed by state transfer fire it too (with the
 	// installed cut; the log was already empty).
 	OnCertified func(cut int)
-	// Recorder, when enabled, receives protocol events.
-	Recorder *trace.Recorder
 	// Telemetry, when set, receives checkpoint-plane phase marks
 	// (vote→certify, request→install) and is forwarded to the
 	// dissemination broadcaster and each slot's binary instance. Nil
@@ -351,22 +348,16 @@ func (r *Replica) restoreFromStore() {
 	if err != nil {
 		if !errors.Is(err, ckpt.ErrNoRecord) {
 			r.storeErrors++
-			r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
-				Note: fmt.Sprintf("ckpt store load rejected: %v", err)})
 		}
 		return
 	}
 	cert, ok := r.tracker.VerifyCertPayload(&rec.Cert)
 	if !ok || cert.Slot <= 0 {
 		r.storeErrors++
-		r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
-			Note: "ckpt store record failed certificate verification"})
 		return
 	}
 	if err := r.snap.Restore(rec.Cert.Snapshot); err != nil {
 		r.storeErrors++
-		r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
-			Note: fmt.Sprintf("ckpt store restore failed: %v", err)})
 		return
 	}
 	r.slot = cert.Slot
@@ -928,8 +919,6 @@ func (r *Replica) afterCertified(out []types.Message, cert ckpt.Certificate) []t
 	r.truncateLog(floor)
 	r.values.DropSeqBelow(dissemNS + floor)
 	r.persist()
-	r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
-		Note: fmt.Sprintf("ckpt certified cut %d (floor %d)", cert.Slot, floor)})
 	return out
 }
 
@@ -956,8 +945,6 @@ func (r *Replica) persist() {
 	}
 	if err := r.store.Save(rec); err != nil {
 		r.storeErrors++
-		r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
-			Note: fmt.Sprintf("ckpt store save failed: %v", err)})
 	}
 }
 
@@ -979,8 +966,6 @@ func (r *Replica) install(out []types.Message, cert ckpt.Certificate, snapshot s
 		// VerifyCertPayload checked the digest, so only a machine that
 		// cannot parse its own snapshot format ends here; installing
 		// nothing is the safe outcome.
-		r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
-			Note: fmt.Sprintf("ckpt install at %d failed: %v", cert.Slot, err)})
 		return out
 	}
 	r.transfers++
@@ -1024,8 +1009,6 @@ func (r *Replica) install(out []types.Message, cert ckpt.Certificate, snapshot s
 	if r.cfg.OnCertified != nil {
 		r.cfg.OnCertified(r.slot)
 	}
-	r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
-		Note: fmt.Sprintf("ckpt installed cut %d via state transfer", cert.Slot)})
 	// It may be our turn at the cut, and buffered candidates/decides for
 	// the slots above it resume in step().
 	return r.propose(out)
@@ -1075,7 +1058,6 @@ func (r *Replica) step(out []types.Message) []types.Message {
 				Coin:      r.cfg.NewCoin(r.slot),
 				Proposal:  types.One, // candidate in hand
 				Instance:  r.slot + 1,
-				Recorder:  r.cfg.Recorder,
 				Telemetry: r.cfg.Telemetry,
 			})
 			if err != nil {
@@ -1144,10 +1126,11 @@ func (r *Replica) step(out []types.Message) []types.Message {
 // chained log digest, and checks it against the durable restore suffix.
 func (r *Replica) commitEntry(e Entry, apply bool) {
 	if apply && e.Command != Noop {
-		if err := r.cfg.Machine.Apply(e.Command); err != nil {
-			r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
-				Note: fmt.Sprintf("apply slot %d: %v", e.Slot, err)})
-		}
+		// A rejected command still commits; its error is dropped on
+		// purpose. Apply is deterministic, so every replica rejects the
+		// same command and leaves its state alike — agreement holds
+		// (TestRejectedCommandCommitsEverywhere).
+		_ = r.cfg.Machine.Apply(e.Command)
 	}
 	r.log = append(r.log, e)
 	r.logDigest = ckpt.FoldEntry(r.logDigest, e.Slot, e.Proposer, e.Command)
@@ -1161,8 +1144,6 @@ func (r *Replica) commitEntry(e Entry, apply bool) {
 	if want, ok := r.restoreSuffix[k]; ok {
 		if want.Proposer != e.Proposer || want.Command != e.Command {
 			r.suffixDivergence++
-			r.cfg.Recorder.Record(trace.Event{Kind: trace.KindNote, P: r.cfg.Me,
-				Note: fmt.Sprintf("ckpt suffix divergence at slot %d entry %d", e.Slot, e.Index)})
 		}
 		delete(r.restoreSuffix, k)
 		if len(r.restoreSuffix) == 0 {

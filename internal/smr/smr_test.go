@@ -129,7 +129,8 @@ func TestSMRNoopWhenQueueEmpty(t *testing.T) {
 	// No submissions: every slot commits a noop and machines stay empty.
 	spec := quorum.MustNew(4, 1)
 	peers := types.Processes(4)
-	net, err := sim.New(sim.Config{Scheduler: sim.Immediate{}, Seed: 1})
+	// A zero-width UniformDelay delivers everything at once, in send order.
+	net, err := sim.New(sim.Config{Scheduler: sim.UniformDelay{}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,5 +346,69 @@ func TestSMRManySeeds(t *testing.T) {
 				t.Fatalf("seed %d: log divergence", seed)
 			}
 		}
+	}
+}
+
+// TestRejectedCommandCommitsEverywhere: a command the machine rejects still
+// commits at every replica, and commitEntry drops Apply's error on purpose.
+// Apply is deterministic, so every replica rejects the command alike and
+// ends with the same state and applied count.
+func TestRejectedCommandCommitsEverywhere(t *testing.T) {
+	const bad = "garbage"
+	if err := NewKVMachine().Apply(bad); err == nil {
+		t.Fatalf("KVMachine accepted %q; the test needs a rejected command", bad)
+	}
+	spec := quorum.MustNew(4, 1)
+	peers := types.Processes(4)
+	net, err := sim.New(sim.Config{Scheduler: sim.UniformDelay{Min: 1, Max: 25}, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicas := make([]*Replica, 0, len(peers))
+	machines := make([]*KVMachine, 0, len(peers))
+	for _, p := range peers {
+		m := NewKVMachine()
+		rep, err := New(Config{
+			Me: p, Peers: peers, Spec: spec,
+			NewCoin:  func(slot int) coin.Coin { return coin.NewLocal(5 + int64(p)*1000 + int64(slot)) },
+			Machine:  m,
+			MaxSlots: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicas = append(replicas, rep)
+		machines = append(machines, m)
+		if err := net.Add(rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replicas[0].Submit("set a 1")
+	replicas[1].Submit(bad) // p2 proposes slot 1
+	replicas[2].Submit("set b 2")
+	if _, err := net.Run(func() bool {
+		for _, rep := range replicas {
+			if !rep.Done() {
+				return false
+			}
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := replicas[0].StateDigest()
+	for i, rep := range replicas {
+		if log := rep.LogSince(0); len(log) < 2 || log[1].Command != bad {
+			t.Fatalf("%v: slot 1 did not commit %q: %v", rep.ID(), bad, log)
+		}
+		if got, _ := rep.StateDigest(); got != want {
+			t.Errorf("%v: state digest %x, %v has %x", rep.ID(), got, replicas[0].ID(), want)
+		}
+		if got := machines[i].applied; got != 3 {
+			t.Errorf("%v: applied %d commands, want 3 (two sets and the rejected one)", rep.ID(), got)
+		}
+	}
+	if got := machines[0].state; len(got) != 2 || got["a"] != "1" || got["b"] != "2" {
+		t.Errorf("state = %v, want a=1 b=2", got)
 	}
 }
