@@ -178,7 +178,10 @@ func NewLiar(cfg core.Config) (*Liar, error) {
 	return &Liar{inner: n}, nil
 }
 
-var _ sim.Node = (*Liar)(nil)
+var (
+	_ sim.Node     = (*Liar)(nil)
+	_ sim.Recycler = (*Liar)(nil)
+)
 
 // ID implements sim.Node.
 func (l *Liar) ID() types.ProcessID { return l.inner.ID() }
@@ -191,6 +194,10 @@ func (l *Liar) Deliver(m types.Message) []types.Message { return l.corrupt(l.inn
 
 // Done implements sim.Node: a liar never halts voluntarily.
 func (l *Liar) Done() bool { return false }
+
+// Recycle implements sim.Recycler by handing buffers back to the inner node:
+// corrupt rewrites the inner node's slice in place and keeps no reference.
+func (l *Liar) Recycle(msgs []types.Message) { l.inner.Recycle(msgs) }
 
 // corrupt flips the value inside this process's own SEND bodies.
 func (l *Liar) corrupt(msgs []types.Message) []types.Message {

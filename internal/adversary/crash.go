@@ -30,7 +30,10 @@ func NewCrashAfter(cfg core.Config, deliveries int) (*CrashAfter, error) {
 	return &CrashAfter{inner: n, budget: deliveries}, nil
 }
 
-var _ sim.Node = (*CrashAfter)(nil)
+var (
+	_ sim.Node     = (*CrashAfter)(nil)
+	_ sim.Recycler = (*CrashAfter)(nil)
+)
 
 // ID implements sim.Node.
 func (c *CrashAfter) ID() types.ProcessID { return c.inner.ID() }
@@ -65,3 +68,7 @@ func (c *CrashAfter) Deliver(m types.Message) []types.Message {
 // Done implements sim.Node: a crashed process is not "done" (done nodes
 // have finished successfully); it is simply unresponsive.
 func (c *CrashAfter) Done() bool { return false }
+
+// Recycle implements sim.Recycler by handing buffers back to the inner node:
+// the crash only truncates the inner node's slice and keeps no reference.
+func (c *CrashAfter) Recycle(msgs []types.Message) { c.inner.Recycle(msgs) }

@@ -18,6 +18,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 
 	"repro/internal/types"
 )
@@ -58,22 +59,35 @@ func DeriveKey(master []byte, label string, parts ...int) []byte {
 type Keyring struct {
 	owner  types.ProcessID
 	master []byte
+	// links holds the link keys of the peers named at construction, derived
+	// once; a link to any other process is derived on use.
+	links map[types.ProcessID][]byte
 }
 
 // NewKeyring returns the keyring of process owner under the given system
 // master secret. All processes of a deployment must share the same master.
-func NewKeyring(master []byte, owner types.ProcessID) *Keyring {
+// The link keys to peers are derived here, once, instead of on every Sign
+// and Check.
+func NewKeyring(master []byte, owner types.ProcessID, peers ...types.ProcessID) *Keyring {
 	m := make([]byte, len(master))
 	copy(m, master)
-	return &Keyring{owner: owner, master: m}
+	k := &Keyring{owner: owner, master: m, links: make(map[types.ProcessID][]byte, len(peers))}
+	for _, p := range peers {
+		k.links[p] = k.linkKey(p)
+	}
+	return k
 }
 
 // Owner returns the process this keyring belongs to.
 func (k *Keyring) Owner() types.ProcessID { return k.owner }
 
-// linkKey returns the symmetric key for the link between a and b.
-func (k *Keyring) linkKey(a, b types.ProcessID) []byte {
-	lo, hi := a, b
+// linkKey returns the symmetric key for the link between the owner and
+// peer.
+func (k *Keyring) linkKey(peer types.ProcessID) []byte {
+	if key, ok := k.links[peer]; ok {
+		return key
+	}
+	lo, hi := k.owner, peer
 	if lo > hi {
 		lo, hi = hi, lo
 	}
@@ -82,12 +96,12 @@ func (k *Keyring) linkKey(a, b types.ProcessID) []byte {
 
 // Sign MACs a frame sent from the keyring owner to peer.
 func (k *Keyring) Sign(peer types.ProcessID, frame []byte) []byte {
-	return MAC(k.linkKey(k.owner, peer), frame)
+	return MAC(k.linkKey(peer), frame)
 }
 
 // Check verifies a frame claimed to come from peer to the keyring owner.
 func (k *Keyring) Check(peer types.ProcessID, frame, mac []byte) error {
-	if !Verify(k.linkKey(k.owner, peer), frame, mac) {
+	if !Verify(k.linkKey(peer), frame, mac) {
 		return fmt.Errorf("auth: bad MAC on frame from %v to %v", peer, k.owner)
 	}
 	return nil
@@ -100,34 +114,40 @@ func (k *Keyring) Check(peer types.ProcessID, frame, mac []byte) error {
 // binds (process, round, share bytes), so they can only replay their own
 // genuine shares — they cannot attribute a fabricated share to another
 // process or another round.
+//
+// The share key is derived once, and every MAC reuses one keyed HMAC state,
+// message buffer and sum, so verifying a share allocates nothing. That
+// state makes DealerKeys unsafe for concurrent use: callers serialize.
 type DealerKeys struct {
-	secret []byte
+	mac hash.Hash // HMAC-SHA256 keyed with DeriveKey(secret, "share")
+	msg []byte
+	sum [MACSize]byte
 }
 
 // NewDealerKeys returns share-authentication keys bound to a dealer secret.
+// The secret is not retained.
 func NewDealerKeys(secret []byte) *DealerKeys {
-	s := make([]byte, len(secret))
-	copy(s, secret)
-	return &DealerKeys{secret: s}
+	return &DealerKeys{mac: hmac.New(sha256.New, DeriveKey(secret, "share"))}
 }
 
-func (d *DealerKeys) shareMsg(p types.ProcessID, round int, share []byte) []byte {
-	msg := make([]byte, 0, 16+len(share))
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], uint64(int64(p)))
-	msg = append(msg, b[:]...)
-	binary.BigEndian.PutUint64(b[:], uint64(int64(round)))
-	msg = append(msg, b[:]...)
-	return append(msg, share...)
+// shareMAC computes the MAC binding share to (p, round) into d.sum and
+// returns it; the result is overwritten by the next call.
+func (d *DealerKeys) shareMAC(p types.ProcessID, round int, share string) []byte {
+	d.msg = binary.BigEndian.AppendUint64(d.msg[:0], uint64(int64(p)))
+	d.msg = binary.BigEndian.AppendUint64(d.msg, uint64(int64(round)))
+	d.msg = append(d.msg, share...)
+	d.mac.Reset()
+	d.mac.Write(d.msg)
+	return d.mac.Sum(d.sum[:0])
 }
 
 // SignShare MACs the share dealt to process p for the given round.
-func (d *DealerKeys) SignShare(p types.ProcessID, round int, share []byte) []byte {
-	return MAC(DeriveKey(d.secret, "share"), d.shareMsg(p, round, share))
+func (d *DealerKeys) SignShare(p types.ProcessID, round int, share string) string {
+	return string(d.shareMAC(p, round, share))
 }
 
 // VerifyShare reports whether mac authenticates share as dealt to p for
 // round.
-func (d *DealerKeys) VerifyShare(p types.ProcessID, round int, share, mac []byte) bool {
-	return Verify(DeriveKey(d.secret, "share"), d.shareMsg(p, round, share), mac)
+func (d *DealerKeys) VerifyShare(p types.ProcessID, round int, share, mac string) bool {
+	return hmac.Equal(d.shareMAC(p, round, share), []byte(mac))
 }

@@ -66,6 +66,24 @@ func TestKeyringSymmetry(t *testing.T) {
 	}
 }
 
+// TestKeyringPeerKeysMatchDerived: link keys derived at construction sign
+// and check exactly as keys derived on use do, for peers named and not.
+func TestKeyringPeerKeysMatchDerived(t *testing.T) {
+	master := []byte("sys")
+	cached := NewKeyring(master, 2, 1, 2, 3)
+	plain := NewKeyring(master, 2)
+	frame := []byte("vote")
+	for _, peer := range []types.ProcessID{1, 2, 3, 9} {
+		mac := cached.Sign(peer, frame)
+		if !bytes.Equal(mac, plain.Sign(peer, frame)) {
+			t.Errorf("Sign to %v differs between a named peer and a derived key", peer)
+		}
+		if err := NewKeyring(master, peer, 2).Check(2, frame, mac); err != nil {
+			t.Errorf("peer %v rejected a frame signed with a cached key: %v", peer, err)
+		}
+	}
+}
+
 func TestKeyringRejectsForgery(t *testing.T) {
 	master := []byte("sys")
 	k1 := NewKeyring(master, 1)
@@ -106,21 +124,21 @@ func TestKeyringIsolatesMaster(t *testing.T) {
 
 func TestDealerKeys(t *testing.T) {
 	d := NewDealerKeys([]byte("dealer"))
-	share := []byte{1, 2, 3}
+	share := "\x01\x02\x03"
 	mac := d.SignShare(4, 7, share)
 
 	tests := []struct {
 		name  string
 		p     types.ProcessID
 		round int
-		share []byte
-		mac   []byte
+		share string
+		mac   string
 		want  bool
 	}{
 		{"genuine", 4, 7, share, mac, true},
 		{"wrong process", 5, 7, share, mac, false},
 		{"wrong round", 4, 8, share, mac, false},
-		{"wrong share", 4, 7, []byte{9, 9, 9}, mac, false},
+		{"wrong share", 4, 7, "\x09\x09\x09", mac, false},
 		{"truncated mac", 4, 7, share, mac[:10], false},
 	}
 	for _, tt := range tests {
@@ -137,7 +155,7 @@ func TestDealerKeysIsolateSecret(t *testing.T) {
 	d := NewDealerKeys(secret)
 	secret[0] = 'x'
 	d2 := NewDealerKeys([]byte("s"))
-	if !bytes.Equal(d.SignShare(1, 1, []byte{1}), d2.SignShare(1, 1, []byte{1})) {
+	if d.SignShare(1, 1, "\x01") != d2.SignShare(1, 1, "\x01") {
 		t.Error("DealerKeys did not copy the secret at construction")
 	}
 }

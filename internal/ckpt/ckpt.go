@@ -137,7 +137,7 @@ type Authority struct {
 // only its own links' keys).
 func NewAuthority(secret []byte, me types.ProcessID, peers []types.ProcessID) *Authority {
 	a := &Authority{
-		keyring: auth.NewKeyring(auth.DeriveKey(secret, "ckpt-vote"), me),
+		keyring: auth.NewKeyring(auth.DeriveKey(secret, "ckpt-vote"), me, peers...),
 		peers:   append([]types.ProcessID(nil), peers...),
 		index:   make(map[types.ProcessID]int, len(peers)),
 	}

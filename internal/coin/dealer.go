@@ -36,9 +36,11 @@ import (
 // round-independent), so a straggler's old share still verifies.
 type Dealer struct {
 	spec quorum.Spec
-	keys *auth.DealerKeys
 
+	// mu guards the dealing state and keys, whose MAC state is reused by
+	// every SignShare and VerifyShare.
 	mu     sync.Mutex
+	keys   *auth.DealerKeys
 	rng    *rand.Rand
 	rounds map[int][]shamir.Share
 	// floor is the cluster low-watermark: rounds below it are pruned and
@@ -62,12 +64,11 @@ func seedKey(seed int64) []byte {
 	return []byte(fmt.Sprintf("coin-dealer-%d", seed))
 }
 
-// deal lazily creates the sharing for a round. Rounds below the low-
-// watermark are never dealt: their original sharing is gone, and a re-deal
-// would draw fresh randomness and contradict shares already distributed.
+// deal lazily creates the sharing for a round; the caller holds mu. Rounds
+// below the low-watermark are never dealt: their original sharing is gone,
+// and a re-deal would draw fresh randomness and contradict shares already
+// distributed.
 func (d *Dealer) deal(round int) []shamir.Share {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if round < d.floor {
 		return nil
 	}
@@ -90,18 +91,22 @@ func (d *Dealer) deal(round int) []shamir.Share {
 // ShareFor returns process p's authenticated share for a round — the
 // predistribution lookup. It returns wire-ready opaque strings.
 func (d *Dealer) ShareFor(p types.ProcessID, round int) (share, mac string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	ss := d.deal(round)
 	idx := int(p) - 1
 	if idx < 0 || idx >= len(ss) {
 		return "", ""
 	}
 	raw := encodeShare(ss[idx])
-	return raw, string(d.keys.SignShare(p, round, []byte(raw)))
+	return raw, d.keys.SignShare(p, round, raw)
 }
 
 // VerifyShare checks that a received share is the one dealt to p for round.
 func (d *Dealer) VerifyShare(p types.ProcessID, round int, share, mac string) bool {
-	return d.keys.VerifyShare(p, round, []byte(share), []byte(mac))
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.keys.VerifyShare(p, round, share, mac)
 }
 
 // Prune releases the memoized sharings of every round below the
@@ -157,7 +162,7 @@ type Common struct {
 	dealer *Dealer
 
 	released map[int]bool
-	shares   map[int]map[types.ProcessID]shamir.Share
+	shares   map[int]map[types.ProcessID]string
 	values   map[int]types.Value
 	// floor is the pruning watermark: per-round state below it has been
 	// released and late shares for those rounds are dropped on arrival.
@@ -175,7 +180,7 @@ func NewCommon(me types.ProcessID, peers []types.ProcessID, dealer *Dealer) *Com
 		spec:     dealer.Spec(),
 		dealer:   dealer,
 		released: make(map[int]bool),
-		shares:   make(map[int]map[types.ProcessID]shamir.Share),
+		shares:   make(map[int]map[types.ProcessID]string),
 		values:   make(map[int]types.Value),
 	}
 }
@@ -210,24 +215,26 @@ func (c *Common) HandleShare(from types.ProcessID, p *types.CoinSharePayload) {
 	if !c.dealer.VerifyShare(from, p.Round, p.Share, p.MAC) {
 		return // forged or corrupted share
 	}
-	s, ok := decodeShare(p.Share)
-	if !ok || s.X != byte(from) {
+	if len(p.Share) < 2 || p.Share[0] != byte(from) {
 		return // a genuine MAC binds X to the sender, but stay defensive
 	}
 	byRound := c.shares[p.Round]
 	if byRound == nil {
-		byRound = make(map[types.ProcessID]shamir.Share)
+		byRound = make(map[types.ProcessID]string)
 		c.shares[p.Round] = byRound
 	}
-	byRound[from] = s
+	// The share is kept as it arrived and decoded only for reconstruction,
+	// so storing one allocates nothing.
+	byRound[from] = p.Share
 	threshold := c.spec.F() + 1
 	if len(byRound) < threshold {
 		return
 	}
 	ss := make([]shamir.Share, 0, len(byRound))
 	// order-free: collects the shares, sorted below before reconstruction
-	for _, sh := range byRound {
-		ss = append(ss, sh)
+	for _, raw := range byRound {
+		s, _ := decodeShare(raw) // stored shares passed the length check
+		ss = append(ss, s)
 	}
 	// Deterministic reconstruction order (any f+1 valid shares agree, but
 	// determinism keeps replays byte-identical).
@@ -260,7 +267,7 @@ func (c *Common) Prune(below int) {
 	}
 	c.floor = below
 	maps.DeleteFunc(c.released, func(r int, _ bool) bool { return r < below })
-	maps.DeleteFunc(c.shares, func(r int, _ map[types.ProcessID]shamir.Share) bool { return r < below })
+	maps.DeleteFunc(c.shares, func(r int, _ map[types.ProcessID]string) bool { return r < below })
 	maps.DeleteFunc(c.values, func(r int, _ types.Value) bool { return r < below })
 }
 

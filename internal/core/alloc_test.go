@@ -2,7 +2,10 @@ package core
 
 // Allocation-regression and pruning tests for the zero-allocation delivery
 // spine. BenchmarkCoreDelivery is the honest end-to-end number (run with
-// -benchmem: expect 0 allocs/op); the AllocsPerRun tests pin the strict
+// -benchmem: expect 0 allocs/op). That allocs/op is an integer floor, so
+// per-round costs and a path that allocates on a fraction of deliveries
+// both read 0; internal/runner's TestRunAllocationsPerDelivery counts whole
+// runs per thousand deliveries instead. The AllocsPerRun tests pin the strict
 // steady-state paths at exactly zero so a future change cannot silently
 // reintroduce per-delivery garbage; the pruning tests pin the invariant
 // that state for round r is released once round r+1 decides, and that late

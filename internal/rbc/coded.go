@@ -238,7 +238,8 @@ func (b *Broadcaster) internKey(cs *codedState, totalLen int, sums string) strin
 // AppendHandleFrag processes a coded dispersal or fragment echo. Fragments
 // failing verification, fragments for compacted or dropped instances, and
 // any fragment arriving at an uncoded broadcaster are byte-identical
-// silence, mirroring AppendHandle's contract.
+// silence, mirroring AppendHandle's contract; the deliveries are valid
+// until the next handler call, as Handle's are.
 func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID, p *types.RBCFragPayload) ([]types.Message, []Delivery) {
 	if p == nil || b.code == nil {
 		return out, nil
@@ -285,7 +286,8 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 }
 
 // AppendHandleSum processes a coded ready message (the 32-byte tally key).
-// The same silence contract as AppendHandleFrag applies.
+// The same silence and delivery-lifetime contract as AppendHandleFrag
+// applies.
 func (b *Broadcaster) AppendHandleSum(out []types.Message, from types.ProcessID, p *types.RBCSumPayload) ([]types.Message, []Delivery) {
 	if p == nil || b.code == nil || len(p.Sum) != sumLen {
 		return out, nil

@@ -121,6 +121,11 @@ type Broadcaster struct {
 	peerDense []int32
 	peerIdx   map[types.ProcessID]int32
 	words     int
+	// bits is the unused rest of the chunk every tally's seen bitset is
+	// carved from (see newSeen); deliv backs the one delivery a handler call
+	// can yield (see AppendHandle).
+	bits  []uint64
+	deliv [1]Delivery
 	// seqFloor is the protocol-level drop watermark (see DropSeqBelow):
 	// instances below it hold no state at all, not even a delivered record,
 	// and all their traffic is a silent no-op.
@@ -240,7 +245,11 @@ type instance struct {
 	echoPayload  types.RBCPayload
 	readyPayload types.RBCPayload
 
+	// tallies starts out backed by first, so a correct sender's one body
+	// costs no allocation beyond the instance; a second (equivocated) body
+	// moves the tallies to the heap.
 	tallies []tally
+	first   [1]tally
 	coded   *codedState
 }
 
@@ -309,6 +318,7 @@ func (b *Broadcaster) live(id types.InstanceID) (in *instance, c **instance, ok 
 // overflow map when c is nil; in coded mode it carries coded state.
 func (b *Broadcaster) newInstance(id types.InstanceID, c **instance) *instance {
 	in := &instance{t0: b.tele.Now()}
+	in.tallies = in.first[:0]
 	if b.code != nil {
 		in.coded = &codedState{keys: make(map[sumKey]string), sets: make(map[string]*fragSet)}
 	}
@@ -355,7 +365,7 @@ func (b *Broadcaster) vote(in *instance, body string, pi int32, ready bool) (ech
 		}
 	}
 	if t == nil {
-		in.tallies = append(in.tallies, tally{body: body, seen: make([]uint64, 2*b.words)})
+		in.tallies = append(in.tallies, tally{body: body, seen: b.newSeen()})
 		t = &in.tallies[len(in.tallies)-1]
 	}
 	w, bit, count := int(pi>>6), uint64(1)<<(pi&63), &t.echoes
@@ -367,6 +377,20 @@ func (b *Broadcaster) vote(in *instance, body string, pi int32, ready bool) (ech
 		*count++
 	}
 	return t.echoes, t.readies
+}
+
+// newSeen returns a zeroed tally bitset of 2·words words, carved from a
+// chunk that holds a round's worth of window instances (3·n tallies). The
+// three-index slice caps each bitset at its own words, so no two tallies
+// share one.
+func (b *Broadcaster) newSeen() []uint64 {
+	w := 2 * b.words
+	if len(b.bits) < w {
+		b.bits = make([]uint64, 3*len(b.peers)*w)
+	}
+	seen := b.bits[:w:w]
+	b.bits = b.bits[w:]
+	return seen
 }
 
 // Broadcast starts an instance with this process as sender: it emits the
@@ -402,6 +426,11 @@ func (b *Broadcaster) AppendBroadcast(out []types.Message, tag types.Tag, body s
 // Handle processes one incoming RBC payload from `from` and returns the
 // protocol messages plus any deliveries it triggers. Malformed payloads
 // (wrong phase kinds, SENDs not from the claimed sender) are ignored.
+//
+// A handler call yields at most one delivery, and the returned slice is
+// the broadcaster's own: it is valid only until the next handler call on
+// the same broadcaster (Handle, AppendHandle, AppendHandleFrag,
+// AppendHandleSum, AppendHandlePayload), so callers consume it at once.
 func (b *Broadcaster) Handle(from types.ProcessID, p *types.RBCPayload) ([]types.Message, []Delivery) {
 	return b.AppendHandle(nil, from, p)
 }
@@ -409,7 +438,8 @@ func (b *Broadcaster) Handle(from types.ProcessID, p *types.RBCPayload) ([]types
 // AppendHandlePayload hands a broadcast payload of any of the three kinds
 // (see types.BroadcastID) to its handler: AppendHandle, AppendHandleFrag or
 // AppendHandleSum. For any other payload it reports ok = false and returns
-// out untouched.
+// out untouched. The deliveries are valid until the next handler call, as
+// Handle's are.
 func (b *Broadcaster) AppendHandlePayload(out []types.Message, from types.ProcessID, p types.Payload) (_ []types.Message, _ []Delivery, ok bool) {
 	var ds []Delivery
 	switch p := p.(type) {
@@ -427,6 +457,7 @@ func (b *Broadcaster) AppendHandlePayload(out []types.Message, from types.Proces
 
 // AppendHandle is Handle appending protocol messages into a caller-provided
 // slice — the allocation-free path for nodes that reuse an output buffer.
+// The deliveries are valid until the next handler call, as Handle's are.
 func (b *Broadcaster) AppendHandle(out []types.Message, from types.ProcessID, p *types.RBCPayload) ([]types.Message, []Delivery) {
 	if p == nil || b.code != nil {
 		// A coded broadcaster is silent to plain RBC phases: its quorums count
@@ -499,7 +530,6 @@ func (b *Broadcaster) maybeReadyAndDeliver(out []types.Message, in *instance, id
 		}
 		out = types.AppendBroadcast(out, b.me, b.peers, ready)
 	}
-	var deliveries []Delivery
 	if !in.readyQuorum && readies >= b.spec.Decide() {
 		in.readyQuorum = true
 		b.tele.Observe(sim.PhaseRBCReadyQuorum, in.t0)
@@ -513,9 +543,10 @@ func (b *Broadcaster) maybeReadyAndDeliver(out []types.Message, in *instance, id
 		}
 		in.delivered = true
 		b.tele.Observe(sim.PhaseRBCDeliver, in.t0)
-		deliveries = append(deliveries, Delivery{ID: id, Body: body})
+		b.deliv[0] = Delivery{ID: id, Body: body}
+		return out, b.deliv[:1:1]
 	}
-	return out, deliveries
+	return out, nil
 }
 
 // Compact releases one instance's tallies and payloads if it is terminal

@@ -369,12 +369,14 @@ func TestFanoutPayloadReuse(t *testing.T) {
 // it. Only handling is measured — the broadcaster is built outside the
 // measured function, so whether New inlines into it cannot move the count
 // (New has its own pin below). Embedding the echo/ready fan-out payloads in
-// the instance removed four allocations, and one tally per body carrying
-// both the echo and the ready bitset two more; a regression above the
-// budget means a fresh per-fan-out or per-message allocation crept back in.
+// the instance removed four allocations, one tally per body carrying both
+// the echo and the ready bitset two more, and the inline first tally, the
+// chunked bitsets and the reused delivery the last three; a regression above
+// the budget means a fresh per-fan-out or per-message allocation crept back
+// in.
 func TestInstanceLifecycleAllocations(t *testing.T) {
 	const n = 7
-	const budget = 4 // measured 4: instance, the tally and its bitset, the delivery
+	const budget = 1 // measured 1: the instance (a bitset chunk every 3·n tallies rounds to 0)
 	spec := quorum.MustNew(n, quorum.MaxByzantine(n))
 	peers := types.Processes(n)
 	b := New(2, peers, spec)

@@ -265,8 +265,9 @@ func (cfg *SMRConfig) normalize() (quorum.Spec, error) {
 // budget is the run's delivery budget: MaxDeliveries, or a Slots- and
 // n-scaled default.
 //
-// Each slot runs a full ACS — n parallel broadcasts of O(n²) deliveries each
-// — so a healthy run costs ~n³ deliveries per slot (measured ~7·n³ at
+// Each slot runs one candidate broadcast and one binary agreement, whose
+// every step message is itself a broadcast — n per step, O(n²) deliveries
+// each — so a healthy run costs ~n³ deliveries per slot (measured ~7·n³ at
 // n=16..64). Budget roughly twice that, floored at the sim default so
 // small-n runs keep generous headroom; a run that exhausts it has genuinely
 // lost liveness.
