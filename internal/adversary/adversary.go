@@ -199,27 +199,41 @@ func (l *Liar) Done() bool { return false }
 // corrupt rewrites the inner node's slice in place and keeps no reference.
 func (l *Liar) Recycle(msgs []types.Message) { l.inner.Recycle(msgs) }
 
-// corrupt flips the value inside this process's own SEND bodies.
+// corrupt flips the value inside this process's own SEND bodies. The n
+// messages of one broadcast share one payload, so each broadcast is flipped
+// once and its recipients share the flipped copy.
 func (l *Liar) corrupt(msgs []types.Message) []types.Message {
+	var src, flipped *types.RBCPayload
 	for i, m := range msgs {
 		p, ok := m.Payload.(*types.RBCPayload)
 		if !ok || p.Phase != types.KindRBCSend || p.ID.Sender != l.inner.ID() {
 			continue
 		}
-		sm, err := wire.DecodeStep(p.Body)
-		if err != nil {
-			continue
+		if p != src {
+			src, flipped = p, flip(p)
 		}
-		sm.V = sm.V.Not()
-		body, err := wire.EncodeStep(sm)
-		if err != nil {
-			continue
+		if flipped != nil {
+			msgs[i].Payload = flipped
 		}
-		flipped := *p
-		flipped.Body = body
-		msgs[i].Payload = &flipped
 	}
 	return msgs
+}
+
+// flip returns a copy of p whose step body carries the other value, or nil
+// if the body does not decode as a step message.
+func flip(p *types.RBCPayload) *types.RBCPayload {
+	sm, err := wire.DecodeStep(p.Body)
+	if err != nil {
+		return nil
+	}
+	sm.V = sm.V.Not()
+	body, err := wire.EncodeStep(sm)
+	if err != nil {
+		return nil
+	}
+	flipped := *p
+	flipped.Body = body
+	return &flipped
 }
 
 // SplitBrain shows each of two partitions of the correct processes an

@@ -127,6 +127,40 @@ func TestLiarFlipsOwnSends(t *testing.T) {
 	}
 }
 
+// TestLiarFlipsEachBroadcastOnce: the n copies of one SEND share one
+// payload, and the liar hands all n recipients one flipped copy instead of
+// decoding and re-encoding the body once per recipient.
+func TestLiarFlipsEachBroadcastOnce(t *testing.T) {
+	peers := types.Processes(7)
+	liar, err := NewLiar(core.Config{
+		Me: 7, Peers: peers, Spec: quorum.MustNew(7, 2),
+		Coin:     coin.NewIdeal(1),
+		Proposal: types.One,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := liar.Start()
+	if len(msgs) != len(peers) {
+		t.Fatalf("start sent %d messages, want %d", len(msgs), len(peers))
+	}
+	first, ok := msgs[0].Payload.(*types.RBCPayload)
+	if !ok {
+		t.Fatalf("unexpected payload %v", msgs[0])
+	}
+	if sm, err := wire.DecodeStep(first.Body); err != nil || sm.V != types.Zero {
+		t.Fatalf("liar sent %v (%v), want the flipped value 0", sm, err)
+	}
+	for i, m := range msgs {
+		if m.To != peers[i] {
+			t.Errorf("message %d goes to %v, want %v", i, m.To, peers[i])
+		}
+		if p, _ := m.Payload.(*types.RBCPayload); p != first {
+			t.Errorf("message %d to %v carries its own flipped payload %p, want the shared %p", i, m.To, p, first)
+		}
+	}
+}
+
 func TestSplitBrainIsolatesWorlds(t *testing.T) {
 	peers := types.Processes(4)
 	spec := quorum.MustNew(4, 1)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -32,8 +34,11 @@ type DecideGadget struct {
 	decidedRound int
 	relayed      bool // this process broadcast its DECIDE
 	halted       bool
-	voters       map[types.ProcessID]struct{}
-	votes        [2]int // first votes per value
+	// voted is the peer-indexed bitset of senders whose vote counted;
+	// outsiders holds the senders outside peers, nil until one votes.
+	voted     []uint64
+	outsiders map[types.ProcessID]struct{}
+	votes     [2]int // first votes per value
 }
 
 // NewDecideGadget returns the gadget for process me of peers, counting
@@ -44,7 +49,7 @@ func NewDecideGadget(me types.ProcessID, peers []types.ProcessID, spec quorum.Sp
 	off bool, rec *trace.Recorder, tele *sim.Telemetry) DecideGadget {
 	return DecideGadget{
 		me: me, peers: peers, q: spec, instance: instance, off: off, rec: rec, tele: tele,
-		voters: make(map[types.ProcessID]struct{}),
+		voted: make([]uint64, (len(peers)+63)/64),
 	}
 }
 
@@ -78,10 +83,9 @@ func (g *DecideGadget) Vote(out []types.Message, from types.ProcessID, p *types.
 	if p == nil || !p.V.Valid() || p.Instance != g.instance {
 		return out
 	}
-	if _, dup := g.voters[from]; dup {
+	if !g.firstVote(from) {
 		return out
 	}
-	g.voters[from] = struct{}{}
 	g.votes[p.V]++
 	if g.votes[p.V] >= g.q.Adopt() && !g.relayed && !g.off {
 		out = g.relay(out, p.V)
@@ -92,6 +96,35 @@ func (g *DecideGadget) Vote(out []types.Message, from types.ProcessID, p *types.
 		g.rec.Record(trace.Event{Kind: trace.KindHalt, P: g.me, Round: round})
 	}
 	return out
+}
+
+// firstVote records that from voted and reports whether it had not before.
+func (g *DecideGadget) firstVote(from types.ProcessID) bool {
+	if i := g.peerIndex(from); i >= 0 {
+		w, bit := i/64, uint64(1)<<(i%64)
+		if g.voted[w]&bit != 0 {
+			return false
+		}
+		g.voted[w] |= bit
+		return true
+	}
+	if _, dup := g.outsiders[from]; dup {
+		return false
+	}
+	if g.outsiders == nil {
+		g.outsiders = make(map[types.ProcessID]struct{})
+	}
+	g.outsiders[from] = struct{}{}
+	return true
+}
+
+// peerIndex returns from's index in peers, or −1 if from is not a peer.
+// Peers are usually 1..n in order, which makes the index from−1.
+func (g *DecideGadget) peerIndex(from types.ProcessID) int {
+	if i := int(from) - 1; i >= 0 && i < len(g.peers) && g.peers[i] == from {
+		return i
+	}
+	return slices.Index(g.peers, from)
 }
 
 func (g *DecideGadget) decide(v types.Value, round int, since sim.Time) {

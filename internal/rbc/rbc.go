@@ -101,7 +101,7 @@ type Broadcaster struct {
 	// windowRounds; winLive counts the non-nil cells. win stays nil until
 	// this process's first round-tagged broadcast fixes winSeq, and in coded
 	// mode. instances is the overflow map for every live instance the window
-	// cannot hold.
+	// cannot hold; it stays nil until its first instance.
 	win       []*instance
 	winSeq    int
 	winBase   int
@@ -111,7 +111,7 @@ type Broadcaster struct {
 	// the pruning contract in the package doc): a map key instead of
 	// tallies and payloads. Handling a message for a compacted instance is a
 	// silent no-op, identical to what the retained terminal state would have
-	// done.
+	// done. nil until the first record.
 	compacted map[types.InstanceID]struct{}
 	// peerDense[id] is 1 + the peer's bitset index (0 for a non-peer) for
 	// IDs up to maxDensePeer; peerIdx holds only the peers outside that range
@@ -174,8 +174,6 @@ func New(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Broadca
 		peers:     append([]types.ProcessID(nil), peers...),
 		spec:      spec,
 		winBase:   1,
-		instances: make(map[types.InstanceID]*instance),
-		compacted: make(map[types.InstanceID]struct{}),
 		peerDense: make([]int32, maxID+1),
 		words:     (len(peers) + 63) / 64,
 	}
@@ -326,15 +324,33 @@ func (b *Broadcaster) newInstance(id types.InstanceID, c **instance) *instance {
 		*c = in
 		b.winLive++
 	} else {
-		b.instances[id] = in
+		b.addOverflow(id, in)
 	}
 	return in
+}
+
+// addOverflow puts the live instance id in the overflow map, which stays
+// nil until its first instance.
+func (b *Broadcaster) addOverflow(id types.InstanceID, in *instance) {
+	if b.instances == nil {
+		b.instances = make(map[types.InstanceID]*instance)
+	}
+	b.instances[id] = in
+}
+
+// markCompacted records id as a delivered record; the set stays nil until
+// its first record.
+func (b *Broadcaster) markCompacted(id types.InstanceID) {
+	if b.compacted == nil {
+		b.compacted = make(map[types.InstanceID]struct{})
+	}
+	b.compacted[id] = struct{}{}
 }
 
 // release turns the live instance id (in window cell c, or in the overflow
 // map when c is nil) into a delivered record.
 func (b *Broadcaster) release(id types.InstanceID, c **instance) {
-	b.compacted[id] = struct{}{}
+	b.markCompacted(id)
 	if c != nil {
 		*c = nil
 		b.winLive--
@@ -616,10 +632,10 @@ func (b *Broadcaster) slide(round int) int {
 				b.winLive--
 				id := types.InstanceID{Sender: b.peers[pi], Tag: types.Tag{Round: r, Step: s, Seq: b.winSeq}}
 				if in.terminal() {
-					b.compacted[id] = struct{}{}
+					b.markCompacted(id)
 					released++
 				} else {
-					b.instances[id] = in
+					b.addOverflow(id, in)
 				}
 			}
 		}

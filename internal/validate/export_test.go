@@ -13,10 +13,20 @@ func (v *Validator) Justified(m types.StepMessage) bool {
 // tallies, which are never pruned.
 func (v *Validator) Tallied() int {
 	n := 0
-	for _, t := range v.rounds {
-		for _, c := range [][2]int{t.step1, t.step2, t.step3Plain, t.step3D} {
-			n += c[0] + c[1]
-		}
+	for i := range v.rounds {
+		n += v.rounds[i].count()
+	}
+	for _, t := range v.roundsOver {
+		n += t.count()
+	}
+	return n
+}
+
+// count returns how many messages t holds.
+func (t *tally) count() int {
+	n := 0
+	for _, c := range [][2]int{t.step1, t.step2, t.step3Plain, t.step3D} {
+		n += c[0] + c[1]
 	}
 	return n
 }

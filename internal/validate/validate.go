@@ -45,10 +45,31 @@
 // replays. Duplicate suppression below the floor is left to reliable
 // broadcast's integrity (one delivery per slot, ever). Pending messages are
 // never pruned, so late folds still happen.
+//
+// # State layout
+//
+// Every reliably delivered step message passes through Record, and every
+// log slot builds a fresh Validator, so the state is dense where correct
+// traffic lands and spends nothing per message there:
+//
+//   - the seen set is a ring of seenSpan rounds starting at the floor, one
+//     bitset row per (round, step) indexed by sender ID 0..N;
+//   - the pending set is a slice kept sorted in fold-visit order, which
+//     drain compacts in place;
+//   - the justification digests are a slice indexed from round 1 that
+//     grows at most roundsAhead rounds past its end.
+//
+// What the dense forms cannot hold — a sender outside 0..N, a seen key past
+// the ring, a digest past the slice's reach — goes to an overflow map that
+// stays nil until used. A Byzantine sender can put any round number in a
+// well-formed message, and such a message costs one overflow entry, never
+// storage proportional to the round number.
 package validate
 
 import (
-	"maps"
+	"math/bits"
+	"slices"
+
 	"repro/internal/quorum"
 	"repro/internal/types"
 )
@@ -60,33 +81,51 @@ type Validator struct {
 	spec quorum.Spec
 	lax  bool // ablation A1: accept every well-formed message
 
-	seen    map[slotKey]bool
-	pending map[slotKey]types.StepMessage
+	// seen is the per-sender dedup set for rounds at or above the floor:
+	// seenSpan rows of 3·seenWords words, round r's at (r mod seenSpan), for
+	// max(floor, 1) <= r < max(floor, 1)+seenSpan; bit s of a (round, step)
+	// row is sender s. seenOver holds the keys the ring cannot (a sender
+	// outside 0..N, a round past the ring); nil until used.
+	seen      []uint64
+	seenWords int
+	seenOver  map[slotKey]struct{}
 
-	// rounds[r] is round r's justification digest: counts of justified
-	// messages by (step, value). Retained for the whole execution — 64
-	// bytes per touched round, the summary every justification query reads
-	// — where the seen set (per-sender, the dominant per-round retainer)
-	// is pruned below the floor. Deliberately a map, not a dense array:
-	// a Byzantine sender can put any round number in a well-formed message,
-	// and a map spends one entry on it where a round-indexed array would
-	// spend the round number.
-	rounds map[int]*tally
+	// pending holds the recorded, not yet justified messages, sorted by
+	// keyLess — the order drain visits them in.
+	pending []pendingMsg
+
+	// rounds[r−1] is round r's justification digest: counts of justified
+	// messages by (step, value). Retained for the whole execution — the
+	// summary every justification query reads — where the seen set (the
+	// dominant per-round retainer) is pruned below the floor. roundsOver
+	// holds the digests of rounds more than roundsAhead past the slice's
+	// end, nil until used; a round moves into the slice when the slice
+	// grows to reach it.
+	rounds     []tally
+	roundsOver map[int]*tally
 
 	// floor is the seen-set watermark: dedup entries for rounds below it
 	// have been released and are no longer recorded (see the pruning
 	// contract in the package doc).
 	floor int
 
-	// keyScratch and foldScratch are reused across drain calls so the
-	// steady-state Record path (empty or tiny pending set) allocates
-	// nothing. foldScratch backs Record's return value, which is therefore
-	// only valid until the next Record call — callers consume it
+	// foldScratch is reused across drain calls so the steady-state Record
+	// path allocates nothing. It backs Record's return value, which is
+	// therefore only valid until the next Record call — callers consume it
 	// immediately (the consensus core folds each Accepted into its
 	// quorum-wait counts before returning).
-	keyScratch  []slotKey
 	foldScratch []Accepted
 }
+
+// seenSpan is the round span of the seen ring. The consensus core sets the
+// floor to r−1 on entering round r, so the ring holds the previous round,
+// the current one and two ahead — the span of reliable broadcast's
+// instance window.
+const seenSpan = 4
+
+// roundsAhead is how far past its end the digest slice grows to take a
+// round; a round further out goes to the overflow map.
+const roundsAhead = 4
 
 // slotKey identifies the one message a sender may contribute per (round,
 // step) slot — reliable broadcast guarantees uniqueness for correct
@@ -97,22 +136,31 @@ type slotKey struct {
 	step   types.Step
 }
 
+// pendingMsg is one recorded message waiting for its justification.
+type pendingMsg struct {
+	key slotKey
+	m   types.StepMessage
+}
+
 // tally holds per-round counts of justified messages, by step and value.
-// Counts are of distinct senders (guaranteed by slotKey dedup).
+// Counts are of distinct senders (guaranteed by slotKey dedup). touched
+// marks a round some fold or justification query has read, the rounds
+// JustificationsRetained counts.
 type tally struct {
 	step1      [2]int
 	step2      [2]int
 	step3Plain [2]int
 	step3D     [2]int
+	touched    bool
 }
 
 // New creates a Validator for the given system spec.
 func New(spec quorum.Spec) *Validator {
+	words := (spec.N() + 1 + 63) / 64 // sender IDs 0..N
 	return &Validator{
-		spec:    spec,
-		seen:    make(map[slotKey]bool),
-		pending: make(map[slotKey]types.StepMessage),
-		rounds:  make(map[int]*tally),
+		spec:      spec,
+		seen:      make([]uint64, seenSpan*3*words),
+		seenWords: words,
 	}
 }
 
@@ -144,29 +192,84 @@ func (v *Validator) Record(sender types.ProcessID, m types.StepMessage) []Accept
 		return nil
 	}
 	k := slotKey{sender: sender, round: m.Round, step: m.Step}
-	if v.seen[k] {
-		return nil
-	}
 	// Dedup entries are kept only for rounds at or above the floor;
 	// below it, uniqueness per slot is the caller's contract (RBC integrity)
 	// and recording the key would regrow released state.
-	if m.Round >= v.floor {
-		v.seen[k] = true
+	if m.Round >= v.floor && !v.markSeen(k) {
+		return nil
 	}
-	v.pending[k] = m
+	v.addPending(k, m)
 	return v.drain()
+}
+
+// seenBit returns k's word index and bit in the ring, or ok = false if the
+// ring cannot hold k. k.round must be at or above the floor.
+func (v *Validator) seenBit(k slotKey) (word int, bit uint64, ok bool) {
+	if uint(k.sender) > uint(v.spec.N()) || k.round-max(v.floor, 1) >= seenSpan {
+		return 0, 0, false
+	}
+	row := (k.round%seenSpan)*3 + int(k.step) - 1
+	return row*v.seenWords + int(k.sender)/64, 1 << (uint(k.sender) % 64), true
+}
+
+// markSeen records k in the seen set and reports whether it was new.
+func (v *Validator) markSeen(k slotKey) bool {
+	if w, bit, ok := v.seenBit(k); ok {
+		if v.seen[w]&bit != 0 {
+			return false
+		}
+		v.seen[w] |= bit
+		return true
+	}
+	if _, dup := v.seenOver[k]; dup {
+		return false
+	}
+	if v.seenOver == nil {
+		v.seenOver = make(map[slotKey]struct{})
+	}
+	v.seenOver[k] = struct{}{}
+	return true
+}
+
+// addPending inserts m at k's place in the sorted pending set. A key already
+// pending (possible only below the floor, where nothing is deduplicated)
+// takes the newer message, as a keyed assignment would.
+func (v *Validator) addPending(k slotKey, m types.StepMessage) {
+	i := len(v.pending)
+	for i > 0 && keyLess(k, v.pending[i-1].key) {
+		i--
+	}
+	if i > 0 && v.pending[i-1].key == k {
+		v.pending[i-1].m = m
+		return
+	}
+	v.pending = slices.Insert(v.pending, i, pendingMsg{key: k, m: m})
 }
 
 // SeenRetained returns how many per-sender dedup entries the validator
 // currently holds — the retainer PruneBelow releases.
-func (v *Validator) SeenRetained() int { return len(v.seen) }
+func (v *Validator) SeenRetained() int {
+	n := len(v.seenOver)
+	for _, w := range v.seen {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // JustificationsRetained returns how many per-round justification digests
 // the validator holds — the residue PruneBelow deliberately keeps for the
-// validator's lifetime (64 bytes per touched round). Owners bound it by
-// lifetime instead: the replicated log drops each slot's instance, validator
+// validator's lifetime (one per touched round). Owners bound it by lifetime
+// instead: the replicated log drops each slot's instance, validator
 // included, at commit (experiment E12).
-func (v *Validator) JustificationsRetained() int { return len(v.rounds) }
+func (v *Validator) JustificationsRetained() int {
+	n := len(v.roundsOver)
+	for i := range v.rounds {
+		if v.rounds[i].touched {
+			n++
+		}
+	}
+	return n
+}
 
 // PruneBelow releases the per-sender dedup entries of every round below r
 // and stops recording new ones there. The justification digests (per-round
@@ -177,54 +280,51 @@ func (v *Validator) PruneBelow(r int) {
 	if r <= v.floor {
 		return
 	}
+	// Clear the ring rows of the released rounds: those below r, at most
+	// the whole span. r > floor >= 0, so neither difference overflows.
+	lo := max(v.floor, 1)
+	for d := 0; d < seenSpan && d < r-lo; d++ {
+		row := (lo + d) % seenSpan * 3 * v.seenWords
+		clear(v.seen[row : row+3*v.seenWords])
+	}
 	v.floor = r
-	maps.DeleteFunc(v.seen, func(k slotKey, _ bool) bool { return k.round < r })
+	// order-free: each key is deleted or moved to its own ring bit
+	for k := range v.seenOver {
+		if k.round < r {
+			delete(v.seenOver, k)
+		} else if w, bit, ok := v.seenBit(k); ok {
+			v.seen[w] |= bit
+			delete(v.seenOver, k)
+		}
+	}
 }
 
 // drain runs the fixpoint: move pending messages whose predicate fires into
 // the tallies, repeating until nothing moves (each move can enable others).
 // Within one pass, candidates are visited in a deterministic order (by
-// sender, then round, then step) so executions replay identically.
+// round, then step, then sender) so executions replay identically; the
+// pass compacts the messages it keeps to the front of pending.
 func (v *Validator) drain() []Accepted {
 	folded := v.foldScratch[:0]
 	for moved := true; moved; {
 		moved = false
-		for _, k := range v.pendingKeys() {
-			m := v.pending[k]
-			if !v.justified(m) {
+		kept := v.pending[:0]
+		for _, p := range v.pending {
+			if !v.justified(p.m) {
+				kept = append(kept, p)
 				continue
 			}
-			delete(v.pending, k)
-			v.fold(m)
-			folded = append(folded, Accepted{Sender: k.sender, Msg: m})
+			v.fold(p.m)
+			folded = append(folded, Accepted{Sender: p.key.sender, Msg: p.m})
 			moved = true
 		}
+		v.pending = kept
 	}
 	v.foldScratch = folded
 	if len(folded) == 0 {
 		return nil
 	}
 	return folded
-}
-
-// pendingKeys returns the pending slot keys in a deterministic order. The
-// slice is scratch, overwritten by the next call.
-func (v *Validator) pendingKeys() []slotKey {
-	keys := v.keyScratch[:0]
-	// order-free: keys sorted below
-	for k := range v.pending {
-		keys = append(keys, k)
-	}
-	v.keyScratch = keys
-	// Insertion sort: the pending set is tiny (usually empty or a handful
-	// of not-yet-justified messages), and unlike sort.Slice this never
-	// allocates — the hot Record path must stay garbage-free.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keyLess(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }
 
 // keyLess orders slot keys by round, step, then sender.
@@ -253,15 +353,30 @@ func (v *Validator) fold(m types.StepMessage) {
 	}
 }
 
-// tally returns round's justification digest, creating it on first touch
-// (one 64-byte entry per touched round, whatever the round number; the
-// steady-state Record path only reads existing entries).
+// tally returns round's justification digest (round >= 1), marking it
+// touched. The pointer is valid until the next call.
 func (v *Validator) tally(round int) *tally {
-	t, ok := v.rounds[round]
-	if !ok {
-		t = &tally{}
-		v.rounds[round] = t
+	if round-len(v.rounds) > roundsAhead {
+		t, ok := v.roundsOver[round]
+		if !ok {
+			if v.roundsOver == nil {
+				v.roundsOver = make(map[int]*tally)
+			}
+			t = &tally{touched: true}
+			v.roundsOver[round] = t
+		}
+		return t
 	}
+	for len(v.rounds) < round {
+		t := tally{}
+		if over, ok := v.roundsOver[len(v.rounds)+1]; ok {
+			t = *over
+			delete(v.roundsOver, len(v.rounds)+1)
+		}
+		v.rounds = append(v.rounds, t)
+	}
+	t := &v.rounds[round-1]
+	t.touched = true
 	return t
 }
 
