@@ -59,12 +59,6 @@ type Config struct {
 	NewCoin func(instance int) coin.Coin
 	// Input is this process's contribution.
 	Input string
-	// Coded switches input dissemination — the one plane carrying large
-	// bodies — to erasure-coded reliable broadcast (see internal/rbc). The
-	// binary instances stay uncoded: their bodies are single step messages,
-	// smaller than a fragment's checksum vector. The agreed subset is
-	// byte-identical either way.
-	Coded bool
 }
 
 // Node is one ACS participant. Deterministic state machine (sim.Node); not
@@ -119,14 +113,10 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("%w: %d peers overflow the instance namespace", ErrBadPeers, len(cfg.Peers))
 	}
 	n := cfg.Spec.N()
-	newRBC := rbc.New
-	if cfg.Coded {
-		newRBC = rbc.NewCoded
-	}
 	return &Node{
 		cfg:      cfg,
 		spec:     cfg.Spec,
-		values:   newRBC(cfg.Me, cfg.Peers, cfg.Spec),
+		values:   rbc.New(cfg.Me, cfg.Peers, cfg.Spec),
 		bins:     make([]*core.Node, n+1),
 		pending:  make([][]types.Message, n+1),
 		inputs:   make([]string, n+1),

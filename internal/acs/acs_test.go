@@ -15,10 +15,6 @@ import (
 // buildACS wires n ACS nodes (the last `silentByz` ones absent) into a
 // simulated network and runs to completion.
 func buildACS(t *testing.T, n, f, silentByz int, ck string, seed int64) []*Node {
-	return buildACSMode(t, n, f, silentByz, ck, seed, false)
-}
-
-func buildACSMode(t *testing.T, n, f, silentByz int, ck string, seed int64, coded bool) []*Node {
 	t.Helper()
 	spec := quorum.MustNew(n, f)
 	peers := types.Processes(n)
@@ -55,7 +51,6 @@ func buildACSMode(t *testing.T, n, f, silentByz int, ck string, seed int64, code
 			Me: p, Peers: peers, Spec: spec,
 			NewCoin: newCoin(p),
 			Input:   fmt.Sprintf("input-of-%v-#%d", p, i),
-			Coded:   coded,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -106,35 +101,6 @@ func TestACSAllCorrectAgreeOnSubset(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestACSCodedAgreesOnSubset(t *testing.T) {
-	// Input dissemination over erasure-coded RBC: the agreement and output
-	// contracts are unchanged — same-subset at every node, every included
-	// value genuine.
-	nodes := buildACSMode(t, 7, 2, 0, "common", 5, true)
-	first, ok := nodes[0].Output()
-	if !ok {
-		t.Fatal("no output")
-	}
-	if len(first) < 5 {
-		t.Fatalf("subset too small: %d < n-f = 5", len(first))
-	}
-	for _, nd := range nodes[1:] {
-		got, ok := nd.Output()
-		if !ok {
-			t.Fatalf("%v has no output", nd.ID())
-		}
-		if !reflect.DeepEqual(got, first) {
-			t.Fatalf("subset mismatch:\n%v\nvs\n%v", got, first)
-		}
-	}
-	for _, p := range first {
-		want := fmt.Sprintf("input-of-%v-#%d", p.Proposer, int(p.Proposer)-1)
-		if p.Value != want {
-			t.Errorf("proposer %v value %q, want %q", p.Proposer, p.Value, want)
-		}
 	}
 }
 

@@ -72,12 +72,6 @@ type Config struct {
 	// (share MACs are bound to a dealer secret, so foreign shares are
 	// rejected, but reusing one dealer would reuse the same coin values).
 	Instance int
-	// Coded switches step dissemination to erasure-coded reliable broadcast
-	// (AVID-style, see internal/rbc: per-peer fragments plus a SHA-256
-	// cross-checksum instead of full-body echoes). Delivered bodies — and
-	// therefore every decision, digest, and trace event above the transport —
-	// are identical to the uncoded mode; only the wire format changes.
-	Coded bool
 	// DisableValidation turns off message justification (ablation A1).
 	DisableValidation bool
 	// DisableDecideGadget turns off DECIDE amplification (ablation A2):
@@ -233,11 +227,7 @@ func New(cfg Config) (*Node, error) {
 	if cfg.DisableValidation {
 		newVal = validate.NewLax
 	}
-	newRBC := rbc.New
-	if cfg.Coded {
-		newRBC = rbc.NewCoded
-	}
-	bcast := newRBC(cfg.Me, cfg.Peers, cfg.Spec)
+	bcast := rbc.New(cfg.Me, cfg.Peers, cfg.Spec)
 	bcast.SetTelemetry(cfg.Telemetry)
 	return &Node{
 		cfg:      cfg,

@@ -722,7 +722,8 @@ func TestCodedFirstDispersalWins(t *testing.T) {
 }
 
 // TestCodedTableOperations pins PruneBelow, Compact and DropSeqBelow on a
-// coded broadcaster, built as the consensus core's Coded mode builds it:
+// coded broadcaster, the table operations it shares with the plain one
+// (smr's coded dissemination plane compacts and drops by sequence):
 // PruneBelow releases terminal round-tagged instances below the floor and
 // leaves roundless ones to their per-slot owners, Compact refuses a
 // non-terminal instance, and DropSeqBelow counts live instances — terminal

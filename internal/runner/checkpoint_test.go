@@ -377,6 +377,38 @@ func manifestCases(t testing.TB) map[string][]byte {
 	}
 }
 
+// TestCheckpointAcceptsDroppedCodedKey: a v2 manifest written while
+// Config still had its Coded field (always false in a sweep) still loads and
+// resumes, since decoding ignores the unknown key and the resume match
+// re-encodes both configs from today's struct.
+func TestCheckpointAcceptsDroppedCodedKey(t *testing.T) {
+	genuine := manifestCases(t)["genuine-v2"]
+	old := []byte(`"DisableDecideGadget": false`)
+	legacy := bytes.Replace(genuine, old, append(old, ",\n    \"Coded\": false"...), 1)
+	if bytes.Equal(legacy, genuine) {
+		t.Fatal("manifest has no DisableDecideGadget key to extend")
+	}
+	path := filepath.Join(t.TempDir(), "ck.json")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCheckpoint(path); err != nil {
+		t.Fatalf("LoadCheckpoint: %v", err)
+	}
+	seeds := SeedRange{From: 1, To: 5}
+	agg, err := SweepSeedRange(SweepSpec{Cfg: ckConfig(), Seeds: seeds, Checkpoint: path, Resume: true})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	fresh, err := SweepSeedRange(SweepSpec{Cfg: ckConfig(), Seeds: seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aggJSON(t, agg) != aggJSON(t, fresh) {
+		t.Error("resumed aggregate differs from a fresh sweep")
+	}
+}
+
 // TestCheckpointCorpusCurrent: the checked-in seed corpus holds the
 // generated manifests as they are today, and LoadCheckpoint accepts only the
 // genuine one.

@@ -1,10 +1,6 @@
 package runner
 
-import (
-	"testing"
-
-	"repro/internal/types"
-)
+import "testing"
 
 // This file is the coded-dissemination equivalence battery: erasure-coded
 // reliable broadcast replaces the dissemination wire format and nothing
@@ -12,40 +8,6 @@ import (
 // coding — through hostile schedules, checkpoint-plane attacks, and the
 // restart/state-transfer path — while WireBytes is the one number allowed
 // (required) to move.
-
-// TestCodedBrachaClean: the consensus harness with coded step dissemination
-// holds the full property set; under unanimous inputs validity pins the
-// decision value in both modes.
-func TestCodedBrachaClean(t *testing.T) {
-	for _, n := range []int{4, 7} {
-		for seed := int64(0); seed < 3; seed++ {
-			res := mustRun(t, Config{
-				N: n, F: 1, Byzantine: 0,
-				Protocol: ProtocolBracha, Coin: CoinCommon,
-				Adversary: AdvNone, Scheduler: SchedUniform,
-				Inputs: InputUnanimous0, Seed: seed,
-				Coded: true,
-			})
-			requireClean(t, res)
-			for p, v := range res.Decisions {
-				if v != types.Zero {
-					t.Fatalf("n=%d seed %d: %v decided %v under unanimous-0", n, seed, p, v)
-				}
-			}
-			if res.WireBytes == 0 {
-				t.Fatalf("n=%d seed %d: wire meter never ran", n, seed)
-			}
-		}
-	}
-	// Coded + Ben-Or is a config error, not a silent fallback.
-	if _, err := Run(Config{
-		N: 4, F: 1, Protocol: ProtocolBenOr, Coin: CoinLocal,
-		Adversary: AdvNone, Scheduler: SchedUniform, Inputs: InputSplit,
-		Coded: true,
-	}); err == nil {
-		t.Fatal("coded Ben-Or accepted")
-	}
-}
 
 // TestCodedSMRMatchesUncodedAcrossSchedules: the committed log is a pure
 // function of (config minus Coded, seed) — reorder, straggler, and
@@ -58,7 +20,7 @@ func TestCodedSMRMatchesUncodedAcrossSchedules(t *testing.T) {
 					N: 8, F: 2,
 					Slots: 12, Commands: 4, Batch: 3, Depth: 2,
 					CheckpointEvery: 4,
-					Sched:           sched,
+					sched:           sched,
 					Seed:            seed,
 				}
 				uncoded, err := RunSMR(base)

@@ -17,8 +17,8 @@ func (s CkptScenario) Spec(n, slots, every int, seed int64) SMRConfig {
 		Seed:            seed,
 		Attack:          s.Attack,
 		Byzantine:       1,
-		Sched:           s.Sched,
-		MaxPendingCuts:  s.MaxPendingCuts,
+		sched:           s.Sched,
+		maxPendingCuts:  s.MaxPendingCuts,
 	}
 	if s.Restart {
 		cfg.Restart = &SMRRestart{CrashAfter: 80 * n, ReviveAfter: 160 * n}

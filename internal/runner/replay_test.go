@@ -13,7 +13,6 @@ import (
 	"repro/internal/coin"
 	"repro/internal/quorum"
 	"repro/internal/sim"
-	"repro/internal/smr"
 	"repro/internal/trace"
 	"repro/internal/types"
 )
@@ -249,28 +248,27 @@ func TestGoldenHashesPrint(t *testing.T) {
 	}
 }
 
-// ---- ACS and SMR replay equality ---------------------------------------
+// ---- ACS replay equality -------------------------------------------------
 //
-// The ACS and SMR layers multiplex many core instances over one network, so
-// their executions exercise every delivery path of the stack at once. These
+// The ACS layer multiplexes many core instances over one network, so its
+// executions exercise every delivery path of the stack at once (the SMR
+// layer's, which does the same, are pinned in internal/smr). These
 // golden hashes were recorded from the pre-zero-allocation implementation
 // (fresh slices per delivery, map-backed accepted lists, no pruning); the
 // refactored delivery spine must reproduce them bitwise.
 
-// stackConfig describes one ACS or SMR replay run.
+// stackConfig describes one ACS replay run.
 type stackConfig struct {
-	smr       bool // false = ACS, true = SMR
 	n, f      int
 	absent    int    // trailing processes that never start (silent faults)
-	coin      string // "local", "common" (ACS), "ideal" (SMR per-slot)
+	coin      string // "local" or "common"
 	scheduler string // "uniform", "fifo", "reorder"
-	maxSlots  int    // SMR only
 	seed      int64
 }
 
-// stackReplayConfigs is the ACS/SMR golden matrix: both layers, all three
-// coin constructions they use, three scheduler kinds, with and without
-// silent faults.
+// stackReplayConfigs is the ACS golden matrix: both coin constructions,
+// three scheduler kinds, with and without silent faults. Its SMR rows are
+// internal/smr's replay goldens.
 func stackReplayConfigs() map[string]stackConfig {
 	return map[string]stackConfig{
 		"acs/local/uniform": {
@@ -281,18 +279,6 @@ func stackReplayConfigs() map[string]stackConfig {
 		},
 		"acs/common/reorder": {
 			n: 7, f: 2, absent: 2, coin: "common", scheduler: "reorder", seed: 9,
-		},
-		"smr/local/uniform": {
-			smr: true, n: 4, f: 1, absent: 1, coin: "local", scheduler: "uniform",
-			maxSlots: 4, seed: 10,
-		},
-		"smr/ideal/fifo": {
-			smr: true, n: 4, f: 1, absent: 0, coin: "ideal", scheduler: "fifo",
-			maxSlots: 3, seed: 11,
-		},
-		"smr/local/reorder": {
-			smr: true, n: 7, f: 2, absent: 0, coin: "local", scheduler: "reorder",
-			maxSlots: 3, seed: 12,
 		},
 	}
 }
@@ -312,10 +298,10 @@ func stackScheduler(t *testing.T, kind string) sim.Scheduler {
 	}
 }
 
-// stackTraceHash runs one ACS or SMR configuration with network-level
-// tracing and digests the complete event sequence plus every node's output
-// (the agreed subset, or the committed log). Identical hashes mean identical
-// executions: same messages, same order, same results.
+// stackTraceHash runs one ACS configuration with network-level tracing and
+// digests the complete event sequence plus every node's agreed subset.
+// Identical hashes mean identical executions: same messages, same order,
+// same results.
 func stackTraceHash(t *testing.T, cfg stackConfig) string {
 	t.Helper()
 	spec := quorum.MustNew(cfg.n, cfg.f)
@@ -332,130 +318,68 @@ func stackTraceHash(t *testing.T, cfg stackConfig) string {
 	}
 
 	h := sha256.New()
-	if cfg.smr {
-		replicas := make([]*smr.Replica, 0, len(live))
-		for _, p := range live {
-			p := p
-			var newCoin func(int) coin.Coin
-			switch cfg.coin {
-			case "local":
-				newCoin = func(slot int) coin.Coin {
-					return coin.NewLocal(cfg.seed + int64(p)*1000 + int64(slot))
-				}
-			case "ideal":
-				newCoin = func(slot int) coin.Coin {
-					return coin.NewIdeal(cfg.seed + int64(slot))
-				}
-			default:
-				t.Fatalf("unknown SMR coin %q", cfg.coin)
-			}
-			rep, err := smr.New(smr.Config{
-				Me: p, Peers: peers, Spec: spec,
-				NewCoin:  newCoin,
-				Rotation: live,
-				Machine:  discardMachine{},
-				MaxSlots: cfg.maxSlots,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep.Submit(fmt.Sprintf("set k%d v%d", p, p))
-			replicas = append(replicas, rep)
-			if err := net.Add(rep); err != nil {
-				t.Fatal(err)
-			}
+	var dealers []*coin.Dealer
+	if cfg.coin == "common" {
+		dealers = make([]*coin.Dealer, cfg.n+1)
+		for i := 1; i <= cfg.n; i++ {
+			dealers[i] = coin.NewDealer(spec, cfg.seed+int64(i)*77)
 		}
-		stats, err := net.Run(func() bool {
-			for _, rep := range replicas {
-				if !rep.Done() {
-					return false
-				}
+	}
+	nodes := make([]*acs.Node, 0, len(live))
+	for _, p := range live {
+		p := p
+		var newCoin func(int) coin.Coin
+		switch cfg.coin {
+		case "local":
+			newCoin = func(inst int) coin.Coin {
+				return coin.NewLocal(cfg.seed + int64(p)*1000 + int64(inst))
 			}
-			return true
+		case "common":
+			newCoin = func(inst int) coin.Coin {
+				return coin.NewCommon(p, peers, dealers[inst])
+			}
+		default:
+			t.Fatalf("unknown ACS coin %q", cfg.coin)
+		}
+		nd, err := acs.New(acs.Config{
+			Me: p, Peers: peers, Spec: spec,
+			NewCoin: newCoin,
+			Input:   fmt.Sprintf("input-%v", p),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.WriteString(h, dumpTrace(rec))
-		fmt.Fprintf(h, "msgs=%d deliveries=%d end=%d exhausted=%v\n",
-			stats.Sent, stats.Delivered, stats.End, stats.Exhausted)
-		for _, rep := range replicas {
-			fmt.Fprintf(h, "log %v:", rep.ID())
-			for _, e := range rep.LogSince(0) {
-				fmt.Fprintf(h, " %d/%v/%q", e.Slot, e.Proposer, e.Command)
-			}
-			fmt.Fprintln(h)
-		}
-	} else {
-		var dealers []*coin.Dealer
-		if cfg.coin == "common" {
-			dealers = make([]*coin.Dealer, cfg.n+1)
-			for i := 1; i <= cfg.n; i++ {
-				dealers[i] = coin.NewDealer(spec, cfg.seed+int64(i)*77)
-			}
-		}
-		nodes := make([]*acs.Node, 0, len(live))
-		for _, p := range live {
-			p := p
-			var newCoin func(int) coin.Coin
-			switch cfg.coin {
-			case "local":
-				newCoin = func(inst int) coin.Coin {
-					return coin.NewLocal(cfg.seed + int64(p)*1000 + int64(inst))
-				}
-			case "common":
-				newCoin = func(inst int) coin.Coin {
-					return coin.NewCommon(p, peers, dealers[inst])
-				}
-			default:
-				t.Fatalf("unknown ACS coin %q", cfg.coin)
-			}
-			nd, err := acs.New(acs.Config{
-				Me: p, Peers: peers, Spec: spec,
-				NewCoin: newCoin,
-				Input:   fmt.Sprintf("input-%v", p),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			nodes = append(nodes, nd)
-			if err := net.Add(nd); err != nil {
-				t.Fatal(err)
-			}
-		}
-		stats, err := net.Run(func() bool {
-			for _, nd := range nodes {
-				if _, ok := nd.Output(); !ok {
-					return false
-				}
-			}
-			return true
-		})
-		if err != nil {
+		nodes = append(nodes, nd)
+		if err := net.Add(nd); err != nil {
 			t.Fatal(err)
 		}
-		io.WriteString(h, dumpTrace(rec))
-		fmt.Fprintf(h, "msgs=%d deliveries=%d end=%d exhausted=%v\n",
-			stats.Sent, stats.Delivered, stats.End, stats.Exhausted)
+	}
+	stats, err := net.Run(func() bool {
 		for _, nd := range nodes {
-			out, ok := nd.Output()
-			fmt.Fprintf(h, "output %v ok=%v:", nd.ID(), ok)
-			for _, pr := range out {
-				fmt.Fprintf(h, " %v=%q", pr.Proposer, pr.Value)
+			if _, ok := nd.Output(); !ok {
+				return false
 			}
-			fmt.Fprintln(h)
 		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(h, dumpTrace(rec))
+	fmt.Fprintf(h, "msgs=%d deliveries=%d end=%d exhausted=%v\n",
+		stats.Sent, stats.Delivered, stats.End, stats.Exhausted)
+	for _, nd := range nodes {
+		out, ok := nd.Output()
+		fmt.Fprintf(h, "output %v ok=%v:", nd.ID(), ok)
+		for _, pr := range out {
+			fmt.Fprintf(h, " %v=%q", pr.Proposer, pr.Value)
+		}
+		fmt.Fprintln(h)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// discardMachine is a no-op state machine for replay hashing (the committed
-// log itself is hashed; applying it adds nothing).
-type discardMachine struct{}
-
-func (discardMachine) Apply(string) error { return nil }
-
-// goldenStackHashes pins the ACS and SMR executions of the pre-refactor
+// goldenStackHashes pins the ACS executions of the pre-refactor
 // implementation (fresh output slices per delivery, map-backed accepted
 // lists, no per-round pruning). Recorded before the zero-allocation delivery
 // spine landed — after first verifying the old implementation reproduced
@@ -466,12 +390,9 @@ var goldenStackHashes = map[string]string{
 	"acs/local/uniform":  "e1c4937aaeaa41ec8b841cd9aeb028910888f987bce8fb5f18506476eff6cfbb",
 	"acs/common/fifo":    "8ee151f07d51bd76e53eb4fefe43a815cb833a9ed7f6c1e49fef58b81c6ff7e8",
 	"acs/common/reorder": "cbe5da48a6c02bae02828c8f250242c9ccef3fff7b9c41af88a4189d3f6abb9e",
-	"smr/local/uniform":  "a8f9eaabc163021292f8b0f6827d98a45a736cf8028e98d386297284b867be78",
-	"smr/ideal/fifo":     "581aa8bf23d3c8872f1f7fc67a65fa9ab1e1bf0865ed7f2fb325354155b39fa6",
-	"smr/local/reorder":  "6c25dd3ec593474c37543cd038bd566437d86c91d149b732857caa943f2ddbd0",
 }
 
-// TestStackReplayEqualityGolden proves the ACS/SMR zero-allocation rewrite
+// TestStackReplayEqualityGolden proves the ACS zero-allocation rewrite
 // preserved every execution byte for byte.
 func TestStackReplayEqualityGolden(t *testing.T) {
 	for name, cfg := range stackReplayConfigs() {
@@ -488,8 +409,7 @@ func TestStackReplayEqualityGolden(t *testing.T) {
 	}
 }
 
-// TestStackReplaySameSeedTwice checks pure determinism of the ACS/SMR
-// layers: the identical (config, seed) run twice in one process produces
+// TestStackReplaySameSeedTwice checks pure determinism of the ACS layer: the identical (config, seed) run twice in one process produces
 // identical traces. The pre-refactor ACS fanned coin shares over a Go map
 // range; that was verified order-insensitive (only the instance whose coin
 // state changed emits, all other iteration-order effects cancel) and
@@ -506,7 +426,7 @@ func TestStackReplaySameSeedTwice(t *testing.T) {
 	}
 }
 
-// TestStackGoldenHashesPrint regenerates the ACS/SMR golden table with
+// TestStackGoldenHashesPrint regenerates the ACS golden table with
 // -run TestStackGoldenHashesPrint -v; it never fails.
 func TestStackGoldenHashesPrint(t *testing.T) {
 	for name, cfg := range stackReplayConfigs() {

@@ -165,13 +165,6 @@ type Config struct {
 
 	DisableValidation   bool // ablation A1 (Bracha only)
 	DisableDecideGadget bool // ablation A2
-	// Coded disseminates step messages over erasure-coded reliable broadcast
-	// (Bracha only; Ben-Or has no RBC plane). Decisions and rounds are
-	// identical to the uncoded mode; Result.WireBytes shows the cost side —
-	// for step-sized bodies coding is a bandwidth *loss* (the checksum vector
-	// dwarfs the body), which is exactly what experiment E14 quantifies
-	// against the batch-sized bodies of the SMR plane.
-	Coded bool
 }
 
 // DealerScanEvery is the delivery cadence of the common-coin dealer's
@@ -251,9 +244,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Protocol == ProtocolBenOr && cfg.DisableValidation {
 		return nil, fmt.Errorf("%w: Ben-Or has no validation to disable", ErrBadConfig)
-	}
-	if cfg.Protocol == ProtocolBenOr && cfg.Coded {
-		return nil, fmt.Errorf("%w: Ben-Or has no broadcast plane to code", ErrBadConfig)
 	}
 	if cfg.MaxRounds < 0 || cfg.MaxDeliveries < 0 {
 		return nil, fmt.Errorf("%w: negative round (%d) or delivery (%d) budget", ErrBadConfig, cfg.MaxRounds, cfg.MaxDeliveries)
@@ -446,7 +436,6 @@ func buildCorrect(cfg Config, spec quorum.Spec, p types.ProcessID, peers []types
 			Me: p, Peers: peers, Spec: spec, Coin: c, Proposal: proposal,
 			Recorder:            cl.rec,
 			Telemetry:           cl.tele,
-			Coded:               cfg.Coded,
 			DisableValidation:   cfg.DisableValidation,
 			DisableDecideGadget: cfg.DisableDecideGadget,
 			MaxRounds:           cfg.MaxRounds,

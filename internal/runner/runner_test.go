@@ -320,14 +320,13 @@ func TestConfigValidation(t *testing.T) {
 		{"RunSMR: Slots = 0", smr(SMRConfig{N: 4, F: 1})},
 		{"RunSMR: restart without checkpointing", smr(SMRConfig{N: 4, F: 1, Slots: 8, Restart: restart})},
 		{"RunSMR: empty system", smr(SMRConfig{N: 0, F: 0, Slots: 8})},
-		{"RunSMR: single live replica", smr(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: 3})},
-		{"RunSMR: crashed < 0", smr(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: -1})},
-		{"RunSMR: crashed > n", smr(SMRConfig{N: 4, F: 1, Slots: 8, Crashed: 5})},
+		{"RunSMR: single live replica", smr(SMRConfig{N: 4, F: 1, Slots: 8, crashed: 3})},
+		{"RunSMR: crashed < 0", smr(SMRConfig{N: 4, F: 1, Slots: 8, crashed: -1})},
+		{"RunSMR: crashed > n", smr(SMRConfig{N: 4, F: 1, Slots: 8, crashed: 5})},
 		{"RunSMR: f above (n-1)/3", smr(SMRConfig{N: 4, F: 2, Slots: 8})},
 		{"RunSMR: negative checkpoint cadence", smr(SMRConfig{N: 4, F: 1, Slots: 8, CheckpointEvery: -4})},
-		{"RunSMR: negative delivery budget", smr(SMRConfig{N: 4, F: 1, Slots: 8, MaxDeliveries: -1})},
 		{"RunSMR: negative attackers", smr(SMRConfig{N: 4, F: 1, Slots: 8, CheckpointEvery: 4,
-			Attack: adversary.CkptStaleResponder, Byzantine: -3, Sched: SchedStraggler})},
+			Attack: adversary.CkptStaleResponder, Byzantine: -3, sched: SchedStraggler})},
 
 		{"RunThroughput: n = 0", throughput(SMRConfig{N: 0, F: 0})},
 		{"RunThroughput: f above (n-1)/3", throughput(SMRConfig{N: 4, F: 2})},

@@ -42,7 +42,7 @@ func smrGoldenConfigs() map[string]SMRConfig {
 	cfgs := map[string]SMRConfig{
 		"common/ckpt4/crashed1": {
 			N: 4, F: 1, Slots: 16, Commands: 4, CheckpointEvery: 4,
-			Coin: CoinCommon, Crashed: 1, Seed: 21,
+			Coin: CoinCommon, crashed: 1, Seed: 21,
 		},
 		"n7/coded/batch4/depth2": {
 			N: 7, F: 2, Slots: 12, Commands: 8, CommandBytes: 512,

@@ -28,7 +28,7 @@ import (
 // to it for the cross-replica agreement check, the reference digests and the
 // stop test.
 //
-// Replicas run unbounded (MaxSlots 0) and the harness stops the network
+// Replicas run unbounded (no commit bound) and the harness stops the network
 // once every live replica's frontier reached Slots (and, in restart runs,
 // the revived victim has committed victimMinCommits entries itself) — the
 // non-halting formulation, so peers keep serving state transfer while the
@@ -69,17 +69,10 @@ type SMRConfig struct {
 	Coin CoinKind
 	// Seed drives the run; everything is a pure function of (config, seed).
 	Seed int64
-	// Crashed trailing processes are absent for the whole run (silent).
-	Crashed int
 	// Restart, when set, wraps the last live replica in a deterministic
 	// kill/revive (requires checkpointing: a restarted replica's in-flight
 	// messages are gone, so only state transfer can bring it back).
 	Restart *SMRRestart
-	// SpareRotation excludes the last live replica from the proposer
-	// rotation without restarting it — the control configuration for the
-	// kill/restart determinism property, whose committed log must be
-	// comparable (same proposers, same commands) to a Restart run's.
-	SpareRotation bool
 	// Attack, when nonzero, turns Byzantine live replicas into
 	// checkpoint-plane attackers of the given kind (adversary.CkptByzantine;
 	// requires CheckpointEvery > 0). Attackers run genuine replicas
@@ -92,26 +85,34 @@ type SMRConfig struct {
 	// reference replica, early in every catching-up replica's responder
 	// rotation — so transfer requests actually reach them.
 	Byzantine int
-	// Sched selects the delivery schedule — any SchedulerKind (0 =
-	// SchedUniform) — over the log's topology and parameters (smrTopology,
-	// smrSchedParams).
-	Sched SchedulerKind
 	// CkptDir, when set, gives every honest replica a durable snapshot
 	// store at <dir>/replica-<id>.ckpt (requires CheckpointEvery > 0):
 	// replicas persist their latest certified checkpoint and, on a later
 	// run over the same directory, boot from it — the whole-cluster
 	// power-cycle recovery path.
 	CkptDir string
-	// MaxPendingCuts overrides the checkpoint tracker's pending-cut cap
-	// (0 = ckpt.DefaultMaxPendingCuts).
-	MaxPendingCuts int
-	// MaxDeliveries bounds the run (0 = a Slots- and n-scaled default).
-	MaxDeliveries int
 	// Telemetry attaches the deterministic telemetry plane (shared by every
 	// replica): per-kind wire counters and latency histograms plus the
 	// checkpoint-plane phase histograms (vote→certify, request→install),
 	// surfaced as SMRResult.Telemetry.
 	Telemetry bool
+
+	// Harness knobs, set only by this package's tests.
+
+	// crashed trailing processes are absent for the whole run (silent).
+	crashed int
+	// spareRotation excludes the last live replica from the proposer
+	// rotation without restarting it — the control configuration for the
+	// kill/restart determinism property, whose committed log must be
+	// comparable (same proposers, same commands) to a Restart run's.
+	spareRotation bool
+	// sched selects the delivery schedule — any SchedulerKind (0 =
+	// SchedUniform) — over the log's topology and parameters (topology,
+	// smrSchedParams).
+	sched SchedulerKind
+	// maxPendingCuts overrides the checkpoint tracker's pending-cut cap
+	// (0 = ckpt.DefaultMaxPendingCuts).
+	maxPendingCuts int
 }
 
 // SMRRestart is the deterministic kill/revive schedule of the victim (the
@@ -216,7 +217,7 @@ type SMRResult struct {
 // normalize validates the config and resolves its defaults, returning the
 // quorum arithmetic.
 func (cfg *SMRConfig) normalize() (quorum.Spec, error) {
-	spec, err := validate(cfg.N, cfg.F, cfg.Crashed)
+	spec, err := validate(cfg.N, cfg.F, cfg.crashed)
 	if err != nil {
 		return spec, err
 	}
@@ -234,9 +235,6 @@ func (cfg *SMRConfig) normalize() (quorum.Spec, error) {
 	}
 	if cfg.CheckpointEvery < 0 {
 		return spec, fmt.Errorf("%w: negative checkpoint cadence %d", ErrBadConfig, cfg.CheckpointEvery)
-	}
-	if cfg.MaxDeliveries < 0 {
-		return spec, fmt.Errorf("%w: negative delivery budget %d", ErrBadConfig, cfg.MaxDeliveries)
 	}
 	if cfg.CommandBytes < 0 || cfg.CommandBytes > wire.MaxBatchBytes {
 		return spec, fmt.Errorf("%w: CommandBytes %d outside [0, %d]", ErrBadConfig, cfg.CommandBytes, wire.MaxBatchBytes)
@@ -262,8 +260,7 @@ func (cfg *SMRConfig) normalize() (quorum.Spec, error) {
 	return spec, nil
 }
 
-// budget is the run's delivery budget: MaxDeliveries, or a Slots- and
-// n-scaled default.
+// budget is the run's delivery budget, scaled by Slots and n.
 //
 // Each slot runs one candidate broadcast and one binary agreement, whose
 // every step message is itself a broadcast — n per step, O(n²) deliveries
@@ -280,9 +277,6 @@ func (cfg *SMRConfig) normalize() (quorum.Spec, error) {
 // dissemination is in flight when slot Slots decides — so those slots get
 // headroom.
 func (cfg SMRConfig) budget() int {
-	if cfg.MaxDeliveries > 0 {
-		return cfg.MaxDeliveries
-	}
 	slots := cfg.Slots
 	if cfg.Depth > 1 {
 		slots += cfg.Depth - 1
@@ -293,7 +287,7 @@ func (cfg SMRConfig) budget() int {
 // smrPlacement is who runs where in one SMR run.
 type smrPlacement struct {
 	peers    []types.ProcessID
-	live     []types.ProcessID // peers minus the Crashed trailing ones; live[0] is the reference
+	live     []types.ProcessID // peers minus the crashed trailing ones; live[0] is the reference
 	rotation []types.ProcessID // the proposers: live, minus the victim or spare
 	victim   types.ProcessID   // the restarted replica (last live), 0 without Restart
 	attacker []bool            // per live index
@@ -308,13 +302,13 @@ type smrPlacement struct {
 // being rescued by honest peers first.
 func (cfg SMRConfig) place() (smrPlacement, error) {
 	peers := types.Processes(cfg.N)
-	pl := smrPlacement{peers: peers, live: peers[:cfg.N-cfg.Crashed]}
+	pl := smrPlacement{peers: peers, live: peers[:cfg.N-cfg.crashed]}
 	if len(pl.live) < 2 {
 		return pl, fmt.Errorf("%w: %d live replicas", ErrBadConfig, len(pl.live))
 	}
 	eligible := len(pl.live) // the reference plus the replicas attackers may be: all but a victim or spare
 	pl.rotation = pl.live
-	if cfg.Restart != nil || cfg.SpareRotation {
+	if cfg.Restart != nil || cfg.spareRotation {
 		eligible--
 		pl.rotation = pl.live[:eligible] // the victim must not hold up slots
 	}
@@ -382,7 +376,7 @@ func RunSMR(cfg SMRConfig) (*SMRResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := newCluster(newScheduler(cfg.Sched, smrSchedParams, pl.topology(cfg)),
+	cl, err := newCluster(newScheduler(cfg.sched, smrSchedParams, pl.topology(cfg)),
 		cfg.Seed, cfg.budget(), false, cfg.Telemetry)
 	if err != nil {
 		return nil, err
@@ -457,7 +451,7 @@ func (r *smrRun) replicaConfig(i int, p types.ProcessID) smr.Config {
 	if cfg.CheckpointEvery > 0 {
 		rcfg.CheckpointEvery = cfg.CheckpointEvery
 		rcfg.CheckpointSecret = r.secret
-		rcfg.MaxPendingCuts = cfg.MaxPendingCuts
+		rcfg.MaxPendingCuts = cfg.maxPendingCuts
 		if cfg.CkptDir != "" {
 			rcfg.Store = ckpt.NewStore(filepath.Join(cfg.CkptDir, fmt.Sprintf("replica-%d.ckpt", p)))
 		}

@@ -118,7 +118,7 @@ func TestRestartDeterminismProperty(t *testing.T) {
 			// run with the same rotation, stopped there.
 			control := cfg
 			control.Restart = nil
-			control.SpareRotation = true
+			control.spareRotation = true
 			control.Slots = restarted.VictimSlot
 			uninterrupted, err := RunSMR(control)
 			if err != nil {

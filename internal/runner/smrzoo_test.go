@@ -25,12 +25,12 @@ func TestSMRUnderWholeZoo(t *testing.T) {
 		for _, n := range sizes {
 			base := SMRConfig{
 				N: n, F: quorum.MaxByzantine(n), Slots: slots, Commands: 4,
-				Batch: 2, Depth: 2, Coin: CoinCommon, Sched: kind, Seed: int64(n),
+				Batch: 2, Depth: 2, Coin: CoinCommon, sched: kind, Seed: int64(n),
 			}
 			ckpt := base
 			ckpt.CheckpointEvery = 4
 			restart := RestartCatchupSpec(n, slots, 4, int64(n))
-			restart.Sched = kind
+			restart.sched = kind
 			for name, cfg := range map[string]SMRConfig{"plain": base, "ckpt": ckpt, "restart": restart} {
 				t.Run(fmt.Sprintf("%v/n%d/%s", kind, n, name), func(t *testing.T) {
 					res, err := RunSMR(cfg)

@@ -88,7 +88,7 @@ func buildBatchedSMR(t *testing.T, n, f, maxSlots, batch, depth, per int, seed i
 				return coin.NewLocal(seed + int64(p)*1000 + int64(slot))
 			},
 			Machine:  m,
-			MaxSlots: maxSlots,
+			maxSlots: maxSlots,
 			Batch:    batch,
 			Depth:    depth,
 		})
@@ -181,7 +181,7 @@ func TestSMRBatchedCheckpointTruncation(t *testing.T) {
 				return coin.NewLocal(7 + int64(p)*1000 + int64(slot))
 			},
 			Machine:          NewKVMachine(),
-			MaxSlots:         slots,
+			maxSlots:         slots,
 			Batch:            batch,
 			CheckpointEvery:  every,
 			CheckpointSecret: []byte("test-cluster"),

@@ -1,0 +1,116 @@
+package smr
+
+import (
+	"testing"
+
+	"repro/internal/coin"
+	"repro/internal/quorum"
+	"repro/internal/types"
+)
+
+// This file pins the catch-up path's retry rules: a transfer response that
+// cannot help (stale or unverifiable) marks its responder for the rest of
+// the catch-up epoch and re-requests from the next peer at once, and once
+// every peer is marked the marks reset so the fallback stays live.
+
+// catchUpRig is a four-replica cluster that committed 8 slots under a
+// 4-slot checkpoint cadence, plus a fresh replica restarted in place of its
+// last member and told of the certified cut by a bare certificate: lagging,
+// with nothing installed.
+type catchUpRig struct {
+	victim *Replica
+	honest *types.CkptCertPayload // a genuine full transfer response
+	bad    *types.CkptCertPayload // the same with a snapshot that fails its digest
+}
+
+func newCatchUpRig(t *testing.T) catchUpRig {
+	t.Helper()
+	const n, every = 4, 4
+	cluster := buildCkptSMR(t, n, 1, 8, every, 17)
+	honest, ok := cluster[0].TransferPayload(true)
+	if !ok || honest.Slot < every {
+		t.Fatalf("cluster certified no cut to transfer (ok=%v)", ok)
+	}
+	bad := *honest
+	bad.Snapshot += " "
+	bare, _ := cluster[0].TransferPayload(false)
+
+	peers := types.Processes(n)
+	victim, err := New(Config{
+		Me: peers[n-1], Peers: peers, Spec: quorum.MustNew(n, 1),
+		NewCoin:          func(slot int) coin.Coin { return coin.NewLocal(int64(slot)) },
+		Machine:          NewKVMachine(),
+		CheckpointEvery:  every,
+		CheckpointSecret: []byte("test-cluster"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim.Start()
+	victim.Deliver(types.Message{From: peers[0], To: victim.ID(), Payload: bare})
+	if !victim.lagging() || victim.Transfers() != 0 {
+		t.Fatalf("victim not left lagging: slot %d, transfers %d", victim.Slot(), victim.Transfers())
+	}
+	return catchUpRig{victim: victim, honest: honest, bad: &bad}
+}
+
+// answer delivers a transfer response from peer and returns the replica's
+// requests among its output.
+func (rig catchUpRig) answer(from types.ProcessID, p *types.CkptCertPayload) []types.Message {
+	var reqs []types.Message
+	for _, m := range rig.victim.Deliver(types.Message{From: from, To: rig.victim.ID(), Payload: p}) {
+		if _, ok := m.Payload.(*types.CkptRequestPayload); ok {
+			reqs = append(reqs, m)
+		}
+	}
+	return reqs
+}
+
+// TestByzantineResponderRetriedOncePerEpoch: a responder that answers every
+// request badly earns one reactive re-request per catch-up epoch, however
+// often it answers.
+func TestByzantineResponderRetriedOncePerEpoch(t *testing.T) {
+	rig := newCatchUpRig(t)
+	const byz = types.ProcessID(2)
+	reqs := 0
+	for range 6 {
+		reqs += len(rig.answer(byz, rig.bad))
+	}
+	if got := rig.victim.TransferRetries(); got != 1 || reqs != 1 {
+		t.Errorf("6 bad answers from one responder: %d retries, %d requests; want 1 and 1", got, reqs)
+	}
+	if got := rig.victim.UnverifiableResponses(); got != 6 {
+		t.Errorf("counted %d unverifiable responses, want 6", got)
+	}
+}
+
+// TestAllBadRespondersResetAndInstall: after every peer has answered badly
+// (the requests those answers prompted are lost), one more bad answer still
+// prompts a request, and the honest peer it reaches brings the replica to
+// the certified cut.
+func TestAllBadRespondersResetAndInstall(t *testing.T) {
+	rig := newCatchUpRig(t)
+	const byz = types.ProcessID(2)
+	for _, p := range rig.victim.others {
+		rig.answer(p, rig.bad)
+	}
+	if got := rig.victim.TransferRetries(); got != len(rig.victim.others) {
+		t.Fatalf("%d retries after one bad answer from each peer, want %d", got, len(rig.victim.others))
+	}
+	// Route requests until none is left: the Byzantine peer answers badly,
+	// the others honestly.
+	reqs := rig.answer(byz, rig.bad)
+	for steps := 0; len(reqs) > 0 && steps < 10; steps++ {
+		to := reqs[0].To
+		reqs = reqs[1:]
+		if to == byz {
+			reqs = append(reqs, rig.answer(to, rig.bad)...)
+		} else {
+			reqs = append(reqs, rig.answer(to, rig.honest)...)
+		}
+	}
+	if rig.victim.Transfers() != 1 || rig.victim.Slot() != rig.honest.Slot {
+		t.Errorf("victim at slot %d with %d transfers, want slot %d after one transfer",
+			rig.victim.Slot(), rig.victim.Transfers(), rig.honest.Slot)
+	}
+}

@@ -30,7 +30,7 @@ func buildCkptSMR(t *testing.T, n, f, maxSlots, every int, seed int64) []*Replic
 				return coin.NewLocal(seed + int64(p)*1000 + int64(slot))
 			},
 			Machine:          NewKVMachine(),
-			MaxSlots:         maxSlots,
+			maxSlots:         maxSlots,
 			CheckpointEvery:  every,
 			CheckpointSecret: []byte("test-cluster"),
 		})

@@ -31,7 +31,7 @@ func buildCodedSMR(t *testing.T, n, f, maxSlots, batch, depth, per int, seed int
 				return coin.NewLocal(seed + int64(p)*1000 + int64(slot))
 			},
 			Machine:  m,
-			MaxSlots: maxSlots,
+			maxSlots: maxSlots,
 			Batch:    batch,
 			Depth:    depth,
 			Coded:    true,

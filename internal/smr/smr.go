@@ -132,8 +132,9 @@ type Config struct {
 	Rotation []types.ProcessID
 	// Machine receives committed commands. Required.
 	Machine StateMachine
-	// MaxSlots stops the replica after that many commits (0 = unbounded).
-	MaxSlots int
+	// maxSlots stops the replica after that many commits (0 = unbounded):
+	// a bound only this package's tests set, to end a cluster run.
+	maxSlots int
 	// Batch caps how many queued commands one proposing turn bundles into a
 	// single dissemination body (0 or 1 = one raw command per slot: the
 	// pre-batching behavior and wire format, bitwise). With Batch > 1 the
@@ -388,9 +389,9 @@ var (
 // ID implements sim.Node.
 func (r *Replica) ID() types.ProcessID { return r.cfg.Me }
 
-// Done implements sim.Node: true once MaxSlots commits happened.
+// Done implements sim.Node: true once maxSlots commits happened.
 func (r *Replica) Done() bool {
-	return r.cfg.MaxSlots > 0 && r.slot >= r.cfg.MaxSlots
+	return r.cfg.maxSlots > 0 && r.slot >= r.cfg.maxSlots
 }
 
 // Start implements sim.Node. A replica restored from its durable store also
@@ -619,8 +620,8 @@ func (r *Replica) propose(out []types.Message) []types.Message {
 		return out
 	}
 	horizon := r.slot + r.depth()
-	if r.cfg.MaxSlots > 0 && horizon > r.cfg.MaxSlots {
-		horizon = r.cfg.MaxSlots
+	if r.cfg.maxSlots > 0 && horizon > r.cfg.maxSlots {
+		horizon = r.cfg.maxSlots
 	}
 	for s := r.slot; s < horizon; s++ {
 		if r.proposer(s) != r.cfg.Me || r.waiting[s] {

@@ -54,7 +54,7 @@ func buildSMR(t *testing.T, n, f, crashed, maxSlots int, seed int64) ([]*Replica
 			},
 			Rotation: live,
 			Machine:  m,
-			MaxSlots: maxSlots,
+			maxSlots: maxSlots,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +142,7 @@ func TestSMRNoopWhenQueueEmpty(t *testing.T) {
 			Me: p, Peers: peers, Spec: spec,
 			NewCoin:  func(slot int) coin.Coin { return coin.NewIdeal(int64(slot)) },
 			Machine:  m,
-			MaxSlots: 3,
+			maxSlots: 3,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -206,7 +206,7 @@ func TestSMRBasics(t *testing.T) {
 		Me: 2, Peers: peers, Spec: spec,
 		NewCoin:  func(int) coin.Coin { return coin.NewIdeal(1) },
 		Machine:  newKV(),
-		MaxSlots: 1,
+		maxSlots: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestSMRBasics(t *testing.T) {
 		Me: 1, Peers: peers, Spec: spec,
 		NewCoin:  func(int) coin.Coin { return coin.NewIdeal(1) },
 		Machine:  newKV(),
-		MaxSlots: 1,
+		maxSlots: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +242,7 @@ func TestSMRBasics(t *testing.T) {
 // BenchmarkSMRDelivery measures the full per-delivery cost of the
 // replicated log on the simulator: candidate dissemination, one binary
 // consensus instance per slot, commit, and the next proposal — the
-// workload a replicated-log deployment actually runs, forever (MaxSlots
+// workload a replicated-log deployment actually runs, forever (maxSlots
 // 0 never stops, so all b.N deliveries are steady state). Per-slot setup
 // (the consensus instance and its coin) amortizes across the slot's
 // thousands of deliveries. Run with -benchmem: expect 0 allocs/op.
@@ -372,7 +372,7 @@ func TestRejectedCommandCommitsEverywhere(t *testing.T) {
 			Me: p, Peers: peers, Spec: spec,
 			NewCoin:  func(slot int) coin.Coin { return coin.NewLocal(5 + int64(p)*1000 + int64(slot)) },
 			Machine:  m,
-			MaxSlots: 4,
+			maxSlots: 4,
 		})
 		if err != nil {
 			t.Fatal(err)

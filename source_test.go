@@ -12,6 +12,10 @@
 //     the same importer, since they import only the standard library and
 //     repro/internal/... A name only tests reach goes to its package's
 //     export_test.go, or its tests go to the production path.
+//   - TestFieldsHaveWriters holds config to what production sets. An
+//     exported field of an exported struct in internal/ must be written by
+//     non-test code in internal/, cmd/bench or perf/; a knob only tests set
+//     is unexported, and the tests in its package set it.
 
 package repro
 
@@ -39,14 +43,15 @@ const orderFreeNote = "// order-free: "
 // source, one package at a time in import order; the standard library comes
 // from the toolchain's export data. The callers (callerDirs) are checked
 // into the same Info but are not among files: only TestExportsHaveCallers
-// reads them, as uses.
+// and TestFieldsHaveWriters read them, as uses and writes.
 type sourceTree struct {
-	fset    *token.FileSet
-	std     types.Importer
-	info    *types.Info
-	pkgs    map[string]*types.Package
-	files   map[string][]*ast.File // by import path, internal/ only
-	callers []*types.Package
+	fset        *token.FileSet
+	std         types.Importer
+	info        *types.Info
+	pkgs        map[string]*types.Package
+	files       map[string][]*ast.File // by import path, internal/ only
+	callers     []*types.Package
+	callerFiles []*ast.File
 }
 
 // callerDirs are the programs outside internal/ whose calls count as
@@ -99,9 +104,10 @@ func internalSource(t *testing.T) *sourceTree {
 		return loadedSource
 	}
 	st := &sourceTree{
-		fset:  token.NewFileSet(),
-		std:   importer.Default(),
-		info:  &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}},
+		fset: token.NewFileSet(),
+		std:  importer.Default(),
+		info: &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{}},
 		pkgs:  map[string]*types.Package{},
 		files: map[string][]*ast.File{},
 	}
@@ -128,11 +134,12 @@ func internalSource(t *testing.T) *sourceTree {
 		t.Fatalf("type-checked only %d packages under internal/", len(st.files))
 	}
 	for _, dir := range callerDirs {
-		pkg, _, err := st.check("repro/"+dir, dir)
+		pkg, files, err := st.check("repro/"+dir, dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.callers = append(st.callers, pkg)
+		st.callerFiles = append(st.callerFiles, files...)
 	}
 	loadedSource = st
 	return st
@@ -351,6 +358,127 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 	if uncalled > 0 {
 		t.Logf("%d exported names with no production caller", uncalled)
+	}
+}
+
+// TestFieldsHaveWriters: a config knob is something production sets. Every
+// exported field of an exported struct type in non-test internal/ code must
+// be written by non-test code in internal/ or callerDirs. A write is an
+// assignment, ++ or --, &x.F, a keyed or positional composite-literal
+// element, or the receiver of a pointer method (called or taken as a
+// value, both of which take its address), reached through any chain of
+// selectors and index expressions: a.Checks.Observe(v) and
+// tele.Kinds[k].Dropped++ write every field on the chain. A field only
+// tests set is unexported, and its tests set it from inside the package.
+func TestFieldsHaveWriters(t *testing.T) {
+	st := internalSource(t)
+	written := map[*types.Var]bool{}
+	// markPath marks the fields a selection steps through: the embedded
+	// ones it passes implicitly and, for a field selection, the field.
+	markPath := func(sel *types.Selection) {
+		path := sel.Index()
+		if sel.Kind() == types.MethodVal {
+			path = path[:len(path)-1] // the last index is the method's
+		}
+		typ := sel.Recv()
+		for _, i := range path {
+			if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+				typ = ptr.Elem()
+			}
+			field := typ.Underlying().(*types.Struct).Field(i)
+			written[field.Origin()] = true
+			typ = field.Type()
+		}
+	}
+	// markChain marks every field on the selector and index chain of e.
+	markChain := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				if sel := st.info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal {
+					markPath(sel)
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	var files []*ast.File
+	st.eachFile(func(_ string, f *ast.File) { files = append(files, f) })
+	for _, f := range append(files, st.callerFiles...) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					markChain(lhs)
+				}
+			case *ast.IncDecStmt:
+				markChain(x.X)
+			case *ast.UnaryExpr:
+				if x.Op == token.AND {
+					markChain(x.X)
+				}
+			case *ast.CompositeLit:
+				typ := st.info.Types[x].Type
+				if ptr, ok := typ.Underlying().(*types.Pointer); ok {
+					typ = ptr.Elem()
+				}
+				fields, ok := typ.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, elt := range x.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if v, ok := st.info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+							written[v.Origin()] = true
+						}
+					} else {
+						written[fields.Field(i).Origin()] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				sel := st.info.Selections[x]
+				if sel == nil || sel.Kind() != types.MethodVal {
+					break
+				}
+				if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+					markPath(sel)
+					markChain(x.X)
+				}
+			}
+			return true
+		})
+	}
+	unwritten := 0
+	for _, path := range slices.Sorted(maps.Keys(st.files)) {
+		pkg := st.pkgs[path]
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() {
+				continue
+			}
+			fields, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for field := range fields.Fields() {
+				if field.Exported() && !written[field] {
+					unwritten++
+					t.Errorf("%s: exported field %s.%s.%s has no production writer",
+						st.fset.Position(field.Pos()), pkg.Name(), name, field.Name())
+				}
+			}
+		}
+	}
+	if unwritten > 0 {
+		t.Logf("%d exported fields with no production writer", unwritten)
 	}
 }
 
