@@ -255,9 +255,8 @@ func runSMR(args []string, out io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	if *slots <= 0 {
-		return fmt.Errorf("smr wants a positive -slots, got %d", *slots)
-	}
+	// RunSMR's config check is the one validator: it refuses a non-positive
+	// -slots, and -restart, -ckpt-dir or -ckpt-attack without -ckpt-every.
 	f := faultBound(*n, *fFlag)
 	cfg := runner.SMRConfig{
 		N: *n, F: f,
@@ -270,24 +269,14 @@ func runSMR(args []string, out io.Writer) error {
 		Coded:           *coded,
 	}
 	if *restart {
-		if *ckptEvery <= 0 {
-			return fmt.Errorf("-restart requires -ckpt-every (a restarted replica can only catch up via state transfer)")
-		}
 		cfg.Restart = &runner.SMRRestart{CrashAfter: 80 * *n, ReviveAfter: 160 * *n}
 	}
-	if *ckptDir != "" && *ckptEvery <= 0 {
-		return fmt.Errorf("-ckpt-dir requires -ckpt-every (there is nothing to persist without checkpoints)")
-	}
 	if *ckptAttack != "" {
-		if *ckptEvery <= 0 {
-			return fmt.Errorf("-ckpt-attack requires -ckpt-every (the attacks target the checkpoint plane)")
-		}
 		attack, err := adversary.ParseCkptAttack(*ckptAttack)
 		if err != nil {
 			return err
 		}
 		cfg.Attack = attack
-		cfg.Byzantine = 1
 	}
 	res, err := runner.RunSMR(cfg)
 	if err != nil {
@@ -358,8 +347,8 @@ func runSMR(args []string, out io.Writer) error {
 	return nil
 }
 
-// parseIntList parses a comma-separated list of positive integers (the
-// -batch and -pipeline grid axes).
+// parseIntList parses a comma-separated list of integers (the -batch and
+// -pipeline grid axes; RunThroughput refuses a non-positive one).
 func parseIntList(name, s string) ([]int, error) {
 	parts := strings.Split(s, ",")
 	vals := make([]int, 0, len(parts))
@@ -367,9 +356,6 @@ func parseIntList(name, s string) ([]int, error) {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		if v <= 0 {
-			return nil, fmt.Errorf("%s wants positive values, got %d", name, v)
 		}
 		vals = append(vals, v)
 	}
@@ -397,9 +383,7 @@ func runThroughput(args []string, out io.Writer) error {
 	if err := parse(fs, args); err != nil {
 		return err
 	}
-	if *entries <= 0 {
-		return fmt.Errorf("throughput wants a positive -entries, got %d", *entries)
-	}
+	// RunThroughput's config check refuses a non-positive -entries.
 	batches, err := parseIntList("-batch", *batchList)
 	if err != nil {
 		return err

@@ -143,8 +143,8 @@ func (n *Node) Done() bool { return false }
 
 // Start implements sim.Node: disseminate this process's input.
 func (n *Node) Start() []types.Message {
-	idx := n.indexOf(n.cfg.Me)
-	return n.values.AppendBroadcast(n.Take(), types.Tag{Seq: valueNS + idx}, n.cfg.Input)
+	i, _ := n.spec.Index(n.cfg.Me)
+	return n.values.AppendBroadcast(n.Take(), types.Tag{Seq: valueNS + i + 1}, n.cfg.Input)
 }
 
 // Deliver implements sim.Node.
@@ -156,7 +156,7 @@ func (n *Node) Deliver(m types.Message) []types.Message {
 		out, deliveries, _ = n.values.AppendHandlePayload(out, m.From, m.Payload)
 		for _, d := range deliveries {
 			idx := d.ID.Tag.Seq - valueNS
-			if idx < 1 || idx > n.spec.N() || idx != n.indexOf(d.ID.Sender) {
+			if i, ok := n.spec.Index(d.ID.Sender); !ok || idx != i+1 {
 				continue // input instances are bound to their proposer
 			}
 			if n.hasInput[idx] {
@@ -313,14 +313,4 @@ func (n *Node) harvest(out []types.Message) []types.Message {
 		})
 	}
 	return out
-}
-
-// indexOf returns the 1-based index of p in the peer list (0 if absent).
-func (n *Node) indexOf(p types.ProcessID) int {
-	for i, q := range n.cfg.Peers {
-		if q == p {
-			return i + 1
-		}
-	}
-	return 0
 }

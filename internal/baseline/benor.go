@@ -71,12 +71,6 @@ type Node struct {
 	// arrival order. No reliable broadcast: equivocation shows up as
 	// different processes holding different firsts.
 	got map[slot]*slotState
-	// peerIdx maps a peer to its dense bitset index; words is the bitset
-	// length, as in internal/rbc. First-message-per-sender dedup is a bit
-	// test instead of a map insert, keeping the delivery path allocation
-	// free.
-	peerIdx map[types.ProcessID]int32
-	words   int
 
 	waitingCoin bool
 	stalled     bool
@@ -94,9 +88,11 @@ type slot struct {
 	phase types.Step
 }
 
-// slotState is the per-slot message window: a bitset marking which senders
-// already contributed plus their first messages in arrival order. msgs is
-// allocated with capacity n once per slot, so appends never reallocate.
+// slotState is the per-slot message window: a bitset over peer indices
+// (quorum.Spec.Index) marking which senders already contributed, so
+// first-message-per-sender dedup is a bit test, plus their first messages in
+// arrival order. msgs is allocated with capacity n once per slot, so appends
+// never reallocate.
 type slotState struct {
 	seen []uint64
 	msgs []*types.PlainPayload
@@ -119,19 +115,11 @@ func New(cfg Config) (*Node, error) {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
-	idx := make(map[types.ProcessID]int32, len(cfg.Peers))
-	for i, p := range cfg.Peers {
-		if _, dup := idx[p]; !dup {
-			idx[p] = int32(i)
-		}
-	}
 	return &Node{
-		cfg:     cfg,
-		spec:    cfg.Spec,
-		value:   cfg.Proposal,
-		got:     make(map[slot]*slotState),
-		peerIdx: idx,
-		words:   (len(cfg.Peers) + 63) / 64,
+		cfg:   cfg,
+		spec:  cfg.Spec,
+		value: cfg.Proposal,
+		got:   make(map[slot]*slotState),
 		// Instance 0, and no telemetry sink: the round entry time handed to
 		// Decide and Vote is never read.
 		DecideGadget: core.NewDecideGadget(cfg.Me, cfg.Peers, cfg.Spec, 0, cfg.DisableDecideGadget, cfg.Recorder, nil),
@@ -177,7 +165,7 @@ func (n *Node) Proposal() types.Value { return n.cfg.Proposal }
 // onPlain records the first message per (sender, slot). Values are checked
 // for well-formedness only — Ben-Or has no validation, which is the point.
 func (n *Node) onPlain(from types.ProcessID, p *types.PlainPayload) {
-	pi, ok := n.peerIdx[from]
+	pi, ok := n.spec.Index(from)
 	if !ok {
 		return // only peers hold votes
 	}
@@ -197,7 +185,7 @@ func (n *Node) onPlain(from types.ProcessID, p *types.PlainPayload) {
 	st := n.got[s]
 	if st == nil {
 		st = &slotState{
-			seen: make([]uint64, n.words),
+			seen: make([]uint64, (n.spec.N()+63)/64),
 			msgs: make([]*types.PlainPayload, 0, len(n.cfg.Peers)),
 		}
 		n.got[s] = st

@@ -129,24 +129,23 @@ func FoldEntry(prev uint64, slot int, proposer types.ProcessID, command string) 
 type Authority struct {
 	keyring *auth.Keyring
 	peers   []types.ProcessID
-	index   map[types.ProcessID]int
+	// members slots the vector: entry i belongs to the peer whose
+	// quorum.Spec.Index is i. Peers are 1..n, so only n matters to it.
+	members quorum.Spec
 }
 
-// NewAuthority builds the vote authenticator of process me among peers,
-// from the cluster checkpoint secret (trusted setup: each process receives
-// only its own links' keys).
+// NewAuthority builds the vote authenticator of process me among peers
+// (1..n, as quorum.Spec.CheckPeers requires), from the cluster checkpoint
+// secret (trusted setup: each process receives only its own links' keys).
 func NewAuthority(secret []byte, me types.ProcessID, peers []types.ProcessID) *Authority {
-	a := &Authority{
+	// With no peers New fails and members stays the zero Spec, whose Index
+	// accepts nobody, so every entry is refused.
+	members, _ := quorum.New(len(peers), 0)
+	return &Authority{
 		keyring: auth.NewKeyring(auth.DeriveKey(secret, "ckpt-vote"), me, peers...),
 		peers:   append([]types.ProcessID(nil), peers...),
-		index:   make(map[types.ProcessID]int, len(peers)),
+		members: members,
 	}
-	for i, p := range peers {
-		if _, dup := a.index[p]; !dup {
-			a.index[p] = i
-		}
-	}
-	return a
 }
 
 // voteMsg is the byte string every entry of a vote's MAC vector covers:
@@ -175,7 +174,7 @@ func (a *Authority) SignVector(c Checkpoint) []string {
 // VerifyEntry reports whether this replica's entry of a vote's MAC vector
 // authenticates voter's vote for c.
 func (a *Authority) VerifyEntry(voter types.ProcessID, c Checkpoint, macs []string) bool {
-	me, ok := a.index[a.keyring.Owner()]
+	me, ok := a.members.Index(a.keyring.Owner())
 	if !ok || len(macs) != len(a.peers) {
 		return false
 	}

@@ -94,9 +94,9 @@ func (d *Dealer) ShareFor(p types.ProcessID, round int) (share, mac string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	ss := d.deal(round)
-	idx := int(p) - 1
-	if idx < 0 || idx >= len(ss) {
-		return "", ""
+	idx, ok := d.spec.Index(p)
+	if !ok || ss == nil {
+		return "", "" // not a peer, or a pruned round
 	}
 	raw := encodeShare(ss[idx])
 	return raw, d.keys.SignShare(p, round, raw)

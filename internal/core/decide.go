@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -14,10 +12,11 @@ import (
 // process broadcasts DECIDE(v); any process relays DECIDE(v) once it holds
 // f+1 matching votes (at least one from a correct process) and decides and
 // halts at 2f+1 (so every correct process will see f+1 and relay). One vote
-// per sender counts, so at most f Byzantine senders can never reach f+1
-// alone. It is the paper's READY amplification applied to decisions, and
-// both engines halt through it: Node holds one and the Ben-Or baseline
-// embeds one, so their halting latencies compare like for like.
+// per peer counts, and only peers vote (quorum.Spec.Index), so at most f
+// Byzantine senders can never reach f+1 alone. It is the paper's READY
+// amplification applied to decisions, and both engines halt through it: Node
+// holds one and the Ben-Or baseline embeds one, so their halting latencies
+// compare like for like.
 //
 // Not safe for concurrent use; the owning node drives it.
 type DecideGadget struct {
@@ -34,11 +33,8 @@ type DecideGadget struct {
 	decidedRound int
 	relayed      bool // this process broadcast its DECIDE
 	halted       bool
-	// voted is the peer-indexed bitset of senders whose vote counted;
-	// outsiders holds the senders outside peers, nil until one votes.
-	voted     []uint64
-	outsiders map[types.ProcessID]struct{}
-	votes     [2]int // first votes per value
+	voted        []uint64 // the peer-indexed bitset of senders whose vote counted
+	votes        [2]int   // first votes per value
 }
 
 // NewDecideGadget returns the gadget for process me of peers, counting
@@ -98,33 +94,19 @@ func (g *DecideGadget) Vote(out []types.Message, from types.ProcessID, p *types.
 	return out
 }
 
-// firstVote records that from voted and reports whether it had not before.
+// firstVote records that from voted and reports whether it is a peer that
+// had not voted before.
 func (g *DecideGadget) firstVote(from types.ProcessID) bool {
-	if i := g.peerIndex(from); i >= 0 {
-		w, bit := i/64, uint64(1)<<(i%64)
-		if g.voted[w]&bit != 0 {
-			return false
-		}
-		g.voted[w] |= bit
-		return true
-	}
-	if _, dup := g.outsiders[from]; dup {
+	i, ok := g.q.Index(from)
+	if !ok {
 		return false
 	}
-	if g.outsiders == nil {
-		g.outsiders = make(map[types.ProcessID]struct{})
+	w, bit := i/64, uint64(1)<<(i%64)
+	if g.voted[w]&bit != 0 {
+		return false
 	}
-	g.outsiders[from] = struct{}{}
+	g.voted[w] |= bit
 	return true
-}
-
-// peerIndex returns from's index in peers, or −1 if from is not a peer.
-// Peers are usually 1..n in order, which makes the index from−1.
-func (g *DecideGadget) peerIndex(from types.ProcessID) int {
-	if i := int(from) - 1; i >= 0 && i < len(g.peers) && g.peers[i] == from {
-		return i
-	}
-	return slices.Index(g.peers, from)
 }
 
 func (g *DecideGadget) decide(v types.Value, round int, since sim.Time) {

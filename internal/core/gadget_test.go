@@ -38,8 +38,9 @@ type decideVote struct {
 // Bracha node and a started Ben-Or node (n=7, f=2: relay at 3 matching
 // votes, halt at 5) and compares every emission and the final decision
 // state. The rule is the paper's READY amplification applied to decisions:
-// one vote per sender, counted per value, relay once at f+1, decide and
-// halt at 2f+1, and with the gadget off, halt but never relay.
+// one vote per peer, counted per value, relay once at f+1, decide and halt
+// at 2f+1, and with the gadget off, halt but never relay. A sender outside
+// the peers 1..n holds no vote.
 func TestDecideGadget(t *testing.T) {
 	const me = 1
 	spec := quorum.MustNew(7, 2)
@@ -78,6 +79,8 @@ func TestDecideGadget(t *testing.T) {
 				{from: 4, v: types.One, foreign: true}, {from: 5, v: types.One, foreign: true},
 				{from: 6, v: types.One, foreign: true}},
 			relayAt(votes(types.One, 2, 3, 4), 2)...)},
+		{name: "non-peer votes ignored", script: relayAt(append(votes(types.One, 8, 0, -1, 99, 1<<20),
+			votes(types.One, 2, 3, 4, 5, 6)...), 7), decided: true, v: types.One},
 		{name: "gadget off halts without relaying", off: true, script: votes(types.One, 7, 6, 5, 4, 3, 2),
 			decided: true, v: types.One},
 	}

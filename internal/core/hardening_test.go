@@ -67,6 +67,24 @@ func TestGarbageBodyIgnored(t *testing.T) {
 	}
 }
 
+// TestNonPeerStepIgnored: a step message that a sender outside the peers
+// 1..n got rbc-delivered (its SEND echoed by the peers) holds no vote.
+func TestNonPeerStepIgnored(t *testing.T) {
+	nd := newTestNode(t, 1, 0)
+	nd.Start()
+	body, err := wire.EncodeStep(types.StepMessage{Round: 1, Step: types.Step1, V: types.One})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := nd.val.SeenRetained()
+	for _, sender := range []types.ProcessID{5, 99, 0, -1} {
+		deliverRBCBody(nd, sender, types.Tag{Round: 1, Step: types.Step1}, body)
+	}
+	if got := nd.val.SeenRetained(); got != before {
+		t.Errorf("non-peer step messages were recorded (%d -> %d)", before, got)
+	}
+}
+
 func TestForeignInstanceIgnored(t *testing.T) {
 	nd := newTestNode(t, 1, 7) // this node is instance 7
 	nd.Start()

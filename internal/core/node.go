@@ -345,8 +345,12 @@ func (n *Node) onDeliveries(out []types.Message, deliveries []rbc.Delivery) []ty
 		}
 		// The RBC instance tag must match the body's slot, or a Byzantine
 		// sender could use one broadcast to occupy another slot; foreign
-		// consensus instances (different Seq) are not ours to count.
+		// consensus instances (different Seq) are not ours to count, and
+		// only peers vote (quorum.Spec.Index).
 		if sm.Round != d.ID.Tag.Round || sm.Step != d.ID.Tag.Step || d.ID.Tag.Seq != n.cfg.Instance {
+			continue
+		}
+		if _, ok := n.spec.Index(d.ID.Sender); !ok {
 			continue
 		}
 		if n.cfg.Recorder.Enabled() {

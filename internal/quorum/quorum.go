@@ -3,12 +3,22 @@
 // f+1 adoption/amplification thresholds, >n/2 supermajorities, and the
 // reliable-broadcast echo threshold ⌈(n+f+1)/2⌉ — lives here, so protocol
 // code states intent (`q.Decide()`) instead of arithmetic.
+//
+// # Membership
+//
+// The n processes of a Spec are 1..n (types.Processes(n)), a fixed set known
+// to all. CheckPeers accepts exactly that list, in that order, and every
+// node constructor of the suite runs it. Index maps a process to its slot
+// p−1 among the peers, and it is the only such map: every per-peer table
+// (rbc's tallies and instance window, the DECIDE gadget, Ben-Or's step
+// tallies, ACS's proposer slots, checkpoint MAC vectors, coin shares) uses
+// it. Only peers vote: a sender that Index rejects counts toward none of
+// the thresholds below.
 package quorum
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/types"
 )
@@ -17,9 +27,9 @@ import (
 var (
 	// ErrInvalid is returned by New for nonsensical (n, f) combinations.
 	ErrInvalid = errors.New("quorum: invalid system size")
-	// ErrBadPeers is returned by CheckPeers for a peer list that does not
-	// fit the spec.
-	ErrBadPeers = errors.New("quorum: peers must include me and match spec size")
+	// ErrBadPeers is returned by CheckPeers for a peer list that is not
+	// 1..n with me among them.
+	ErrBadPeers = errors.New("quorum: peers must be 1..n and include me")
 )
 
 // Spec captures the failure assumption of a run: n processes of which at most
@@ -94,17 +104,32 @@ func (s Spec) Echo() int { return (s.n + s.f + 2) / 2 }
 // threshold (strictly more than (n+f)/2 matching values).
 func (s Spec) HonestSuperMajority() int { return (s.n+s.f)/2 + 1 }
 
-// CheckPeers reports, wrapping ErrBadPeers, a peer list that does not have
-// exactly N() entries or does not contain me — the membership every node
-// constructor of the suite requires.
+// CheckPeers reports, wrapping ErrBadPeers, a peer list that is not exactly
+// 1..N() in order, or a me outside it — the membership every node
+// constructor of the suite requires (see "Membership" in the package doc).
 func (s Spec) CheckPeers(me types.ProcessID, peers []types.ProcessID) error {
 	if len(peers) != s.n {
 		return fmt.Errorf("%w: %d peers for %v", ErrBadPeers, len(peers), s)
 	}
-	if !slices.Contains(peers, me) {
+	for i, p := range peers {
+		if p != types.ProcessID(i+1) {
+			return fmt.Errorf("%w: peer %d is %v", ErrBadPeers, i, p)
+		}
+	}
+	if _, ok := s.Index(me); !ok {
 		return fmt.Errorf("%w: %v not in peers", ErrBadPeers, me)
 	}
 	return nil
+}
+
+// Index returns p's slot p−1 among the peers 1..N(), and ok = false (with
+// slot −1) for a process outside them. It is the one peer index every
+// per-peer table uses.
+func (s Spec) Index(p types.ProcessID) (int, bool) {
+	if p < 1 || int(p) > s.n {
+		return -1, false
+	}
+	return int(p) - 1, true
 }
 
 // String implements fmt.Stringer.

@@ -2,8 +2,11 @@ package quorum
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/types"
 )
 
 func TestNewRejectsInvalid(t *testing.T) {
@@ -241,4 +244,47 @@ func TestMustNewPanics(t *testing.T) {
 		}
 	}()
 	MustNew(0, 0)
+}
+
+// TestMembership: the peers are exactly 1..n in order with me among them,
+// and Index is p−1 on that range and refuses everything else.
+func TestMembership(t *testing.T) {
+	s := MustNew(4, 1)
+	peers := types.Processes(4)
+	for _, tc := range []struct {
+		name  string
+		me    types.ProcessID
+		peers []types.ProcessID
+		ok    bool
+	}{
+		{"canonical", 3, peers, true},
+		{"canonical first", 1, peers, true},
+		{"canonical last", 4, peers, true},
+		{"duplicated", 1, []types.ProcessID{1, 2, 2, 3}, false},
+		{"sparse", 3, []types.ProcessID{3, 9, 70000, 5}, false},
+		{"reordered", 1, []types.ProcessID{2, 1, 3, 4}, false},
+		{"short", 1, peers[:3], false},
+		{"long", 1, types.Processes(5), false},
+		{"me zero", 0, peers, false},
+		{"me past n", 5, peers, false},
+		{"me negative", -1, peers, false},
+	} {
+		err := s.CheckPeers(tc.me, tc.peers)
+		if (err == nil) != tc.ok || (err != nil && !errors.Is(err, ErrBadPeers)) {
+			t.Errorf("%s: CheckPeers(%v, %v) = %v, want ok=%v", tc.name, tc.me, tc.peers, err, tc.ok)
+		}
+	}
+	for _, tc := range []struct {
+		p    types.ProcessID
+		slot int
+		ok   bool
+	}{
+		{1, 0, true}, {2, 1, true}, {4, 3, true},
+		{0, -1, false}, {-1, -1, false}, {5, -1, false},
+		{math.MinInt, -1, false}, {math.MaxInt, -1, false},
+	} {
+		if slot, ok := s.Index(tc.p); slot != tc.slot || ok != tc.ok {
+			t.Errorf("Index(%d) = (%d, %v), want (%d, %v)", tc.p, slot, ok, tc.slot, tc.ok)
+		}
+	}
 }

@@ -256,7 +256,7 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 
 	// Disperse rule: the instance's sender handed me my fragment — adopt it
 	// (first dispersal wins, like the first SEND) and echo it to everyone.
-	if myIdx := b.peerIndex(b.me); myIdx >= 0 && from == p.ID.Sender && p.Index == int(myIdx) && !in.echoed {
+	if myIdx, _ := b.spec.Index(b.me); from == p.ID.Sender && p.Index == myIdx && !in.echoed {
 		in.echoed = true
 		cs.echoPayload = types.RBCFragPayload{
 			ID: p.ID, Index: p.Index, TotalLen: p.TotalLen, Sums: p.Sums, Frag: p.Frag,
@@ -268,8 +268,8 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 	// verified fragment toward decoding and count the vote toward the echo
 	// quorum for this key. (A fragment relayed under someone else's index
 	// was already useful above if it was my dispersal; it casts no vote.)
-	pi := b.peerIndex(from)
-	if pi < 0 || p.Index != int(pi) {
+	pi, ok := b.spec.Index(from)
+	if !ok || p.Index != pi {
 		return out, nil
 	}
 	set := cs.sets[key]
@@ -293,8 +293,8 @@ func (b *Broadcaster) AppendHandleSum(out []types.Message, from types.ProcessID,
 		return out, nil
 	}
 	in, c, ok := b.live(p.ID)
-	pi := b.peerIndex(from)
-	if !ok || pi < 0 {
+	pi, peer := b.spec.Index(from)
+	if !ok || !peer {
 		return out, nil
 	}
 	if in == nil {

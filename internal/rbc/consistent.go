@@ -86,6 +86,9 @@ func (c *Consistent) Handle(from types.ProcessID, p *types.RBCPayload) ([]types.
 		echo := &types.RBCPayload{Phase: types.KindRBCEcho, ID: p.ID, Body: body}
 		return types.Broadcast(c.me, c.peers, echo), nil
 	case types.KindRBCEcho:
+		if _, ok := c.spec.Index(from); !ok {
+			return nil, nil // only peers hold votes toward the echo quorum
+		}
 		in := c.inst(p.ID)
 		set := in.echoes[p.Body]
 		if set == nil {

@@ -171,3 +171,16 @@ func TestConsistentSingleDelivery(t *testing.T) {
 		t.Fatalf("delivered %d times, want exactly 1", deliveries)
 	}
 }
+
+// TestConsistentNonPeerEchoesIgnored: echoes from senders outside the peers
+// 1..n count toward no quorum, however many arrive.
+func TestConsistentNonPeerEchoesIgnored(t *testing.T) {
+	c := newCCluster(t, 4, 1, types.Processes(4)[:1])
+	b := c.correct[1]
+	id := types.InstanceID{Sender: 2, Tag: types.Tag{Seq: 9}}
+	for _, from := range []types.ProcessID{0, -1, 5, 99, 1 << 20, 2} {
+		if _, ds := b.Handle(from, &types.RBCPayload{Phase: types.KindRBCEcho, ID: id, Body: "m"}); ds != nil {
+			t.Fatalf("delivered on an echo from %v with only one peer echoing", from)
+		}
+	}
+}

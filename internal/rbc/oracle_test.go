@@ -189,20 +189,17 @@ const (
 	opKinds
 )
 
-// scriptPeerSets: plain clusters, a peer listed twice, sparse IDs with one
-// far above any dense-table bound, and a cluster wider than one 64-bit
-// bitset word.
+// scriptPeerSets: two small clusters and one wider than a 64-bit bitset
+// word. Peers are 1..n (quorum.Spec.CheckPeers), so a size names the set.
 var scriptPeerSets = [][]types.ProcessID{
 	types.Processes(4),
 	types.Processes(7),
-	{1, 2, 2, 3, 4},
-	{3, 9, 70000, 5},
 	types.Processes(70),
 }
 
 // scriptOutsiders extend a peer set's sender palette with processes that are
 // not peers: an ordinary ID, the zero and a negative ID, and one far above
-// any dense bound.
+// any peer set.
 var scriptOutsiders = []types.ProcessID{99, 0, -1, 1 << 20}
 
 // Rounds are absolute so a script reads the same whatever the floor: 0..15
@@ -299,11 +296,7 @@ func runScript(t *testing.T, name string, data []byte) {
 	t.Helper()
 	r := &scriptReader{data: data}
 	peers := scriptPeerSets[r.next(len(scriptPeerSets))]
-	meIdx := r.next(len(peers) + 1)
-	me := scriptOutsiders[0]
-	if meIdx < len(peers) {
-		me = peers[meIdx]
-	}
+	me := peers[r.next(len(peers))]
 	spec := quorum.MustNew(len(peers), quorum.MaxByzantine(len(peers)))
 	s := &scriptRun{
 		t: t, name: name,
@@ -391,11 +384,7 @@ func paletteIndex[T comparable](palette []T, v T) byte {
 func newScript(peerSet int, me types.ProcessID) *scriptWriter {
 	peers := scriptPeerSets[peerSet]
 	b := &scriptWriter{senders: append(append([]types.ProcessID(nil), peers...), scriptOutsiders...)}
-	meIdx := byte(len(peers))
-	if me != scriptOutsiders[0] {
-		meIdx = paletteIndex(peers, me)
-	}
-	b.data = []byte{byte(peerSet), meIdx}
+	b.data = []byte{byte(peerSet), paletteIndex(peers, me)}
 	return b
 }
 
@@ -527,19 +516,39 @@ func oracleCases() map[string][]byte {
 	b.prune(3).compact(rid(2, 2, types.Step1, 6)).prune(5).delivered(rid(2, 2, types.Step1, 0))
 	cases["foreign-seq"] = b.data
 
-	// A peer listed twice votes once; a non-peer sender's instance and a
-	// peer far above the dense bound both work through the peer index.
-	b = newScript(2, 2).broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: own}, "a")
-	b.full(rid(2, 1, types.Step1, own), 5).full(rid(99, 1, types.Step1, own), 5).
+	// Senders that are not peers hold no votes: their echoes and readies for
+	// a peer's instance count toward no quorum, while their own instances,
+	// driven by the peers, live in the overflow map and deliver.
+	b = newScript(0, 2).broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: own}, "a")
+	for _, x := range scriptOutsiders {
+		b.handle(x, types.KindRBCEcho, rid(3, 1, types.Step2, own), "a").
+			handle(x, types.KindRBCReady, rid(3, 1, types.Step2, own), "a").
+			handle(x, types.KindRBCSend, rid(x, 1, types.Step1, own), "b").
+			full(rid(x, 1, types.Step1, own), 4)
+	}
+	b.run(rid(3, 1, types.Step2, own), true, 2, 1, "a").delivered(rid(3, 1, types.Step2, own)).
+		run(rid(3, 1, types.Step2, own), false, 0, 3, "a").prune(2).prune(3).
+		delivered(rid(1<<20, 1, types.Step1, own))
+	cases["non-peer-senders"] = b.data
+
+	// A peer's repeated READY votes once and a non-peer's READY not at all,
+	// while the non-peer's own instance, driven by the peers, delivers.
+	b = newScript(0, 2).broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: own}, "a")
+	b.full(rid(2, 1, types.Step1, own), 4).full(rid(99, 1, types.Step1, own), 4).
 		run(rid(4, 2, types.Step1, own), true, 0, 0, "a").
 		handle(2, types.KindRBCReady, rid(4, 2, types.Step1, own), "a").
 		handle(2, types.KindRBCReady, rid(4, 2, types.Step1, own), "a").
 		handle(99, types.KindRBCReady, rid(4, 2, types.Step1, own), "a").
 		handle(3, types.KindRBCReady, rid(4, 2, types.Step1, own), "a").prune(3)
 	cases["duplicate-and-non-peer"] = b.data
-	b = newScript(3, 9).broadcast(types.Tag{Round: 2, Step: types.Step1, Seq: own}, "a")
-	b.full(rid(70000, 2, types.Step1, own), 4).full(rid(1<<20, 2, types.Step1, own), 4).
-		full(rid(3, 2, types.Step2, own), 4).prune(3).delivered(rid(70000, 2, types.Step1, own))
+
+	// The peer index at its edges: the highest peer (n) broadcasting beside
+	// senders far above n and below 1, whose instances deliver through the
+	// overflow path.
+	b = newScript(1, 7).broadcast(types.Tag{Round: 2, Step: types.Step1, Seq: own}, "a")
+	b.full(rid(7, 2, types.Step1, own), 7).full(rid(1<<20, 2, types.Step1, own), 7).
+		full(rid(-1, 2, types.Step1, own), 7).full(rid(3, 2, types.Step2, own), 7).
+		prune(3).delivered(rid(7, 2, types.Step1, own)).delivered(rid(1<<20, 2, types.Step1, own))
 	cases["sparse-peers"] = b.data
 
 	// Totality below the floor: a half-finished instance slides out of the
@@ -593,7 +602,7 @@ func oracleCases() map[string][]byte {
 	cases["compact-in-window"] = b.data
 
 	// Votes from peers past the first bitset word count once each.
-	b = newScript(4, 66).broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: own}, "a").
+	b = newScript(2, 66).broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: own}, "a").
 		full(rid(66, 1, types.Step1, own), 70).run(rid(70, 1, types.Step2, own), true, 70, 20, "b").
 		handle(70, types.KindRBCReady, rid(70, 1, types.Step2, own), "b").
 		handle(70, types.KindRBCReady, rid(70, 1, types.Step2, own), "b").prune(2)

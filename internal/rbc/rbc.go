@@ -113,14 +113,10 @@ type Broadcaster struct {
 	// silent no-op, identical to what the retained terminal state would have
 	// done. nil until the first record.
 	compacted map[types.InstanceID]struct{}
-	// peerDense[id] is 1 + the peer's bitset index (0 for a non-peer) for
-	// IDs up to maxDensePeer; peerIdx holds only the peers outside that range
-	// (see peerIndex). words is the bitset length every tally uses. Together
-	// they turn the per-(body, sender) bookkeeping of the counting path into
-	// a bit test.
-	peerDense []int32
-	peerIdx   map[types.ProcessID]int32
-	words     int
+	// words is the bitset length every tally uses: a vote is one bit at its
+	// sender's peer index (quorum.Spec.Index), so the per-(body, sender)
+	// bookkeeping of the counting path is a bit test.
+	words int
 	// bits is the unused rest of the chunk every tally's seen bitset is
 	// carved from (see newSeen); deliv backs the one delivery a handler call
 	// can yield (see AppendHandle).
@@ -155,56 +151,21 @@ func (b *Broadcaster) SetTelemetry(t *sim.Telemetry) { b.tele = t }
 // round, the current one and two rounds of faster peers' traffic.
 const windowRounds = 4
 
-// maxDensePeer bounds the dense peer index, as sim's maxDenseID bounds its
-// node table: a peer ID above it (or not positive) is looked up in a map, so
-// an odd peer list cannot force a giant allocation.
-const maxDensePeer = 1 << 16
-
 // New creates a Broadcaster for process me among peers (which must include
-// me, matching the paper's "send to all" that includes the sender).
+// me, matching the paper's "send to all" that includes the sender). It
+// panics unless peers is 1..n with me among them (quorum.Spec.CheckPeers),
+// the membership every caller builds with types.Processes.
 func New(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Broadcaster {
-	maxID := 0
-	for _, p := range peers {
-		if i := int(p); i <= maxDensePeer && i > maxID {
-			maxID = i
-		}
+	if err := spec.CheckPeers(me, peers); err != nil {
+		panic(fmt.Sprintf("rbc: %v", err))
 	}
-	b := &Broadcaster{
-		me:        me,
-		peers:     append([]types.ProcessID(nil), peers...),
-		spec:      spec,
-		winBase:   1,
-		peerDense: make([]int32, maxID+1),
-		words:     (len(peers) + 63) / 64,
+	return &Broadcaster{
+		me:      me,
+		peers:   append([]types.ProcessID(nil), peers...),
+		spec:    spec,
+		winBase: 1,
+		words:   (len(peers) + 63) / 64,
 	}
-	for i, p := range peers {
-		if b.peerIndex(p) >= 0 {
-			continue // a repeated peer keeps its first index
-		}
-		if id := int(p); id > 0 && id <= maxDensePeer {
-			b.peerDense[id] = int32(i) + 1
-		} else {
-			if b.peerIdx == nil {
-				b.peerIdx = make(map[types.ProcessID]int32)
-			}
-			b.peerIdx[p] = int32(i)
-		}
-	}
-	return b
-}
-
-// peerIndex returns p's bitset index, or −1 if p is not a peer.
-func (b *Broadcaster) peerIndex(p types.ProcessID) int32 {
-	if id := int(p); id > 0 && id <= maxDensePeer {
-		if id < len(b.peerDense) {
-			return b.peerDense[id] - 1
-		}
-		return -1
-	}
-	if pi, ok := b.peerIdx[p]; ok {
-		return pi
-	}
-	return -1
 }
 
 // tally counts the distinct peers supporting one body of one instance, as an
@@ -265,11 +226,11 @@ func (b *Broadcaster) cell(id types.InstanceID) **instance {
 	if b.win == nil || id.Tag.Seq != b.winSeq || r < b.winBase || r-b.winBase >= windowRounds || !s.Valid() {
 		return nil
 	}
-	pi := b.peerIndex(id.Sender)
-	if pi < 0 {
+	pi, ok := b.spec.Index(id.Sender)
+	if !ok {
 		return nil
 	}
-	return &b.win[b.windowCell(r, s, int(pi))]
+	return &b.win[b.windowCell(r, s, pi)]
 }
 
 // windowCell is the index of (round, step, peer index) in win: rows of
@@ -372,7 +333,7 @@ func (b *Broadcaster) enter(id types.InstanceID, in *instance) {
 // vote records peer index pi as supporting body in in's tallies — as a
 // READY if ready, else as an ECHO — and returns body's updated echo and
 // ready supporter counts.
-func (b *Broadcaster) vote(in *instance, body string, pi int32, ready bool) (echoes, readies int) {
+func (b *Broadcaster) vote(in *instance, body string, pi int, ready bool) (echoes, readies int) {
 	var t *tally
 	for i := range in.tallies {
 		if in.tallies[i].body == body {
@@ -384,7 +345,7 @@ func (b *Broadcaster) vote(in *instance, body string, pi int32, ready bool) (ech
 		in.tallies = append(in.tallies, tally{body: body, seen: b.newSeen()})
 		t = &in.tallies[len(in.tallies)-1]
 	}
-	w, bit, count := int(pi>>6), uint64(1)<<(pi&63), &t.echoes
+	w, bit, count := pi>>6, uint64(1)<<(pi&63), &t.echoes
 	if ready {
 		w, count = w+b.words, &t.readies
 	}
@@ -497,8 +458,8 @@ func (b *Broadcaster) AppendHandle(out []types.Message, from types.ProcessID, p 
 		}
 		return b.onSend(out, in, p), nil
 	case types.KindRBCEcho, types.KindRBCReady:
-		pi := b.peerIndex(from)
-		if pi < 0 {
+		pi, ok := b.spec.Index(from)
+		if !ok {
 			return out, nil // only peers hold votes toward the quorums
 		}
 		if in == nil {

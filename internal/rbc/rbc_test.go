@@ -207,6 +207,29 @@ func TestDuplicateEchoesCountOnce(t *testing.T) {
 	}
 }
 
+// TestNewRefusesNonCanonicalPeers: the peers are 1..n with me among them,
+// or New panics rather than build per-peer tables over another list.
+func TestNewRefusesNonCanonicalPeers(t *testing.T) {
+	spec := quorum.MustNew(4, 1)
+	for _, tc := range []struct {
+		name  string
+		me    types.ProcessID
+		peers []types.ProcessID
+	}{
+		{"duplicated", 1, []types.ProcessID{1, 2, 2, 3}},
+		{"me outside", 5, types.Processes(4)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: New(%v, %v) did not panic", tc.name, tc.me, tc.peers)
+				}
+			}()
+			New(tc.me, tc.peers, spec)
+		}()
+	}
+}
+
 func TestReadyAmplificationTotality(t *testing.T) {
 	// A process that saw no SEND and no ECHO must still deliver from READYs
 	// alone: f+1 READYs make it send its own READY; 2f+1 make it deliver.

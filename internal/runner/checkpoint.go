@@ -26,7 +26,9 @@
 // tally. A version 1 manifest (percentile sketches, no histogram) is refused.
 // LoadCheckpoint checks the aggregate against its run counts: the rounds
 // summary and the histogram count the decided runs, the others every run,
-// and the histogram's buckets are non-negative and sum to its count.
+// and the histogram's buckets are non-negative and sum to its count. It also
+// refuses a key this build's structs have no field for (a removed config
+// option, say) unless its value is the JSON zero value (see CheckDroppedKeys).
 //
 // Because runs are reduced in strict seed order, the completed work is always
 // a single prefix [a, c) of the range: resuming means restoring the aggregate
@@ -51,7 +53,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/check"
 	"repro/internal/ckpt"
@@ -216,6 +222,9 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if ck.Version != checkpointVersion {
 		return nil, fmt.Errorf("runner: checkpoint %s has version %d, want %d", path, ck.Version, checkpointVersion)
 	}
+	if err := CheckDroppedKeys(buf, &ck); err != nil {
+		return nil, fmt.Errorf("runner: checkpoint %s: %w", path, err)
+	}
 	agg := ck.Aggregate
 	if agg == nil {
 		return nil, fmt.Errorf("runner: checkpoint %s has no aggregate", path)
@@ -232,6 +241,75 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("runner: checkpoint %s: %w", path, err)
 	}
 	return &ck, nil
+}
+
+// CheckDroppedKeys reports a key of the JSON object file that decoded, the
+// value json.Unmarshal decoded from file, does not encode back, unless the
+// key's value is a JSON zero value (null, false, 0, "", [], or an object of
+// zero values). json.Unmarshal drops a key the struct has no field for, so a
+// manifest recorded under a config option this build no longer has would
+// otherwise resume as if the option were off; a zero value is what the
+// option's absence means anyway. Nested objects are checked the same way.
+// Both resume loaders, the sweep manifest's and search's frontier's, run it.
+func CheckDroppedKeys(file []byte, decoded any) error {
+	enc, err := json.Marshal(decoded)
+	if err != nil {
+		return err
+	}
+	if key := droppedKey(file, enc); key != "" {
+		return fmt.Errorf("key %s is set, but this build has no such option", key)
+	}
+	return nil
+}
+
+// droppedKey returns the path of the first key, in sorted order, of the
+// object raw whose value is not zero and that the object enc lacks, or ""
+// if there is none. Keys match exactly or, as json.Unmarshal matches them,
+// case-insensitively.
+func droppedKey(raw, enc json.RawMessage) string {
+	var got, known map[string]json.RawMessage
+	if json.Unmarshal(raw, &got) != nil || json.Unmarshal(enc, &known) != nil {
+		return ""
+	}
+	for _, key := range slices.Sorted(maps.Keys(got)) {
+		match, ok := known[key]
+		// order-free: struct field names differ under case folding
+		for k, v := range known {
+			if !ok && strings.EqualFold(k, key) {
+				match, ok = v, true
+			}
+		}
+		if !ok {
+			if !jsonZero(got[key]) {
+				return strconv.Quote(key)
+			}
+		} else if inner := droppedKey(got[key], match); inner != "" {
+			return strconv.Quote(key) + "." + inner
+		}
+	}
+	return ""
+}
+
+// jsonZero reports whether raw is a JSON zero value.
+func jsonZero(raw json.RawMessage) bool {
+	var v any
+	return json.Unmarshal(raw, &v) == nil && zero(v)
+}
+
+func zero(v any) bool {
+	switch v := v.(type) {
+	case []any:
+		return len(v) == 0
+	case map[string]any:
+		// order-free: all must be zero
+		for _, e := range v {
+			if !zero(e) {
+				return false
+			}
+		}
+		return true
+	}
+	return v == nil || v == false || v == 0.0 || v == ""
 }
 
 // check holds a decoded aggregate's summaries to its run counts: the rounds

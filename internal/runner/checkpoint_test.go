@@ -341,9 +341,10 @@ func TestCheckpointRejectsCorruptManifest(t *testing.T) {
 }
 
 // manifestCases are FuzzLoadCheckpoint's generated seeds, keyed by corpus
-// file name: a genuine manifest of a 4-seed sweep and three hostile edits of
-// it. The corpus also holds version-1, a manifest the previous format wrote
-// for the same sweep (P² sketches, no last-round histogram).
+// file name: a genuine manifest of a 4-seed sweep, three hostile edits of
+// it, and two that add the removed Config key Coded, false (accepted) and
+// true (refused). The corpus also holds version-1, a manifest the previous
+// format wrote for the same sweep (P² sketches, no last-round histogram).
 func manifestCases(t testing.TB) map[string][]byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ck.json")
@@ -374,6 +375,53 @@ func manifestCases(t testing.TB) map[string][]byte {
 			h.Buckets[1]++
 		}),
 		"bucket-sum-mismatch": edit(func(h *metrics.Hist) { h.Buckets[1]++ }),
+		"coded-false":         withConfigKey(t, genuine, `"Coded": false`),
+		"coded-true":          withConfigKey(t, genuine, `"Coded": true`),
+	}
+}
+
+// withConfigKey returns manifest with kv added to its config object, after
+// the DisableDecideGadget key.
+func withConfigKey(t testing.TB, manifest []byte, kv string) []byte {
+	t.Helper()
+	after := []byte(`"DisableDecideGadget": false`)
+	edited := bytes.Replace(manifest, after, append(after, ",\n    "+kv...), 1)
+	if bytes.Equal(edited, manifest) {
+		t.Fatal("manifest has no DisableDecideGadget key to extend")
+	}
+	return edited
+}
+
+// TestCheckpointRefusesDroppedOption: a config key this build has no field
+// for loads only with a JSON zero value, at the top level and inside a
+// nested struct, so a manifest recorded with an option switched on cannot
+// resume as if it were off.
+func TestCheckpointRefusesDroppedOption(t *testing.T) {
+	genuine := manifestCases(t)["genuine-v2"]
+	for _, tc := range []struct {
+		kv string
+		ok bool
+	}{
+		{`"Coded": true`, false},
+		{`"Coded": 3`, false},
+		{`"Coded": "on"`, false},
+		{`"Coded": [0]`, false},
+		{`"Sched": {"oldLag": 5}`, false},
+		{`"Coded": false`, true},
+		{`"Coded": 0`, true},
+		{`"Coded": null`, true},
+		{`"Coded": ""`, true},
+		{`"Coded": {}`, true},
+		{`"Sched": {"oldLag": 0}`, true},
+		{`"disabledecidegadget": false`, true}, // a known field, matched as json.Unmarshal does
+	} {
+		path := filepath.Join(t.TempDir(), "ck.json")
+		if err := os.WriteFile(path, withConfigKey(t, genuine, tc.kv), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(path); (err == nil) != tc.ok {
+			t.Errorf("%s: LoadCheckpoint error %v, want ok=%v", tc.kv, err, tc.ok)
+		}
 	}
 }
 
@@ -411,7 +459,7 @@ func TestCheckpointAcceptsDroppedCodedKey(t *testing.T) {
 
 // TestCheckpointCorpusCurrent: the checked-in seed corpus holds the
 // generated manifests as they are today, and LoadCheckpoint accepts only the
-// genuine one.
+// genuine one and the one with a false Coded key.
 func TestCheckpointCorpusCurrent(t *testing.T) {
 	cases := manifestCases(t)
 	dir := filepath.Join("testdata", "fuzz", "FuzzLoadCheckpoint")
@@ -444,7 +492,7 @@ func TestCheckpointCorpusCurrent(t *testing.T) {
 		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadCheckpoint(path); (err == nil) != (name == "genuine-v2") {
+		if _, err := LoadCheckpoint(path); (err == nil) != (name == "genuine-v2" || name == "coded-false") {
 			t.Errorf("%s: LoadCheckpoint error %v", name, err)
 		}
 	}

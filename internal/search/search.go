@@ -32,8 +32,9 @@
 //	  "points": {"<key>": {point result}, ...}
 //	}
 //
-// Resume loads the manifest (which must match Base/Axes/Seeds exactly) and
-// reuses every recorded point instead of re-running it; since evaluation is
+// Resume loads the manifest (which must match Base/Axes/Seeds exactly, and
+// which may carry a key today's structs lack, such as a removed
+// runner.Config option, only with a zero value; see runner.CheckDroppedKeys) and reuses every recorded point instead of re-running it; since evaluation is
 // pure, a resumed search's output is byte-identical to an uninterrupted one.
 // Because a reused point is never re-run, each one must be a point the spec
 // could have produced (its own key on the axes, its parameters, possible
@@ -438,6 +439,9 @@ func loadFrontier(path string) (*frontier, error) {
 	}
 	if f.Version != frontierVersion {
 		return nil, fmt.Errorf("search: frontier %s has version %d, want %d", path, f.Version, frontierVersion)
+	}
+	if err := runner.CheckDroppedKeys(buf, &f); err != nil {
+		return nil, fmt.Errorf("search: frontier %s: %w", path, err)
 	}
 	if f.Points == nil {
 		f.Points = make(map[string]PointResult)

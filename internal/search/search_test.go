@@ -1,6 +1,7 @@
 package search
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -342,11 +343,40 @@ func TestFrontierInconsistentPoint(t *testing.T) {
 	}
 }
 
+// withCodedKey returns frontier with the removed Config key Coded set to v
+// in its config object.
+func withCodedKey(t testing.TB, frontier []byte, v string) []byte {
+	t.Helper()
+	after := []byte(`"DisableDecideGadget": false`)
+	edited := bytes.Replace(frontier, after, append(after, ",\n    \"Coded\": "+v...), 1)
+	if bytes.Equal(edited, frontier) {
+		t.Fatal("frontier has no DisableDecideGadget key to extend")
+	}
+	return edited
+}
+
+// TestFrontierRefusesDroppedOption: a frontier recorded with the removed
+// Config option Coded on is refused, so its points are not reused as if the
+// option were off; with the option off it resumes.
+func TestFrontierRefusesDroppedOption(t *testing.T) {
+	saved := savedFrontier(t)
+	if _, err := resumeFrom(t, withCodedKey(t, saved, "true")); err == nil {
+		t.Error(`frontier with "Coded": true resumed`)
+	}
+	if _, err := resumeFrom(t, withCodedKey(t, saved, "false")); err != nil {
+		t.Errorf(`frontier with "Coded": false: %v`, err)
+	}
+}
+
 // FuzzLoadFrontier feeds arbitrary bytes to a resume of testSpec's search,
-// seeded with a frontier a real grid run saved. A resume must never panic,
-// and every point it accepts must be one the spec could have produced.
+// seeded with a frontier a real grid run saved and the same frontier with
+// the removed Config key Coded, off and on. A resume must never panic, and
+// every point it accepts must be one the spec could have produced.
 func FuzzLoadFrontier(f *testing.F) {
-	f.Add(savedFrontier(f))
+	saved := savedFrontier(f)
+	f.Add(saved)
+	f.Add(withCodedKey(f, saved, "false"))
+	f.Add(withCodedKey(f, saved, "true"))
 	spec := testSpec(f)
 	lattice := map[string]runner.SchedParams{}
 	for _, loss := range spec.Axes[0].Values {
