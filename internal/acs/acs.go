@@ -26,7 +26,6 @@ package acs
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/coin"
 	"repro/internal/core"
@@ -308,9 +307,6 @@ func (n *Node) harvest(out []types.Message) []types.Message {
 				})
 			}
 		}
-		sort.Slice(n.output, func(i, j int) bool {
-			return n.output[i].Proposer < n.output[j].Proposer
-		})
 	}
 	return out
 }

@@ -128,7 +128,6 @@ func FoldEntry(prev uint64, slot int, proposer types.ProcessID, command string) 
 // pairs.
 type Authority struct {
 	keyring *auth.Keyring
-	peers   []types.ProcessID
 	// members slots the vector: entry i belongs to the peer whose
 	// quorum.Spec.Index is i. Peers are 1..n, so only n matters to it.
 	members quorum.Spec
@@ -143,7 +142,6 @@ func NewAuthority(secret []byte, me types.ProcessID, peers []types.ProcessID) *A
 	members, _ := quorum.New(len(peers), 0)
 	return &Authority{
 		keyring: auth.NewKeyring(auth.DeriveKey(secret, "ckpt-vote"), me, peers...),
-		peers:   append([]types.ProcessID(nil), peers...),
 		members: members,
 	}
 }
@@ -164,18 +162,20 @@ func voteMsg(voter types.ProcessID, c Checkpoint) []byte {
 // order.
 func (a *Authority) SignVector(c Checkpoint) []string {
 	msg := voteMsg(a.keyring.Owner(), c)
-	macs := make([]string, len(a.peers))
-	for i, p := range a.peers {
-		macs[i] = string(a.keyring.Sign(p, msg))
+	macs := make([]string, a.members.N())
+	for i := range macs {
+		macs[i] = string(a.keyring.Sign(types.ProcessID(i+1), msg)) // the peer at index i
 	}
 	return macs
 }
 
 // VerifyEntry reports whether this replica's entry of a vote's MAC vector
-// authenticates voter's vote for c.
+// authenticates voter's vote for c. Only peers vote: a non-peer's vector is
+// refused, though a process outside 1..n keyed from the cluster secret
+// signs a well-formed one.
 func (a *Authority) VerifyEntry(voter types.ProcessID, c Checkpoint, macs []string) bool {
 	me, ok := a.members.Index(a.keyring.Owner())
-	if !ok || len(macs) != len(a.peers) {
+	if _, peer := a.members.Index(voter); !ok || !peer || len(macs) != a.members.N() {
 		return false
 	}
 	// The uniform path covers relayed copies of this replica's own votes
@@ -193,13 +193,14 @@ func (a *Authority) VerifyCert(cert Certificate, spec quorum.Spec) bool {
 	if len(cert.Voters) != len(cert.VoteMACs) || len(cert.Voters) < spec.Decide() {
 		return false
 	}
-	seen := make(map[types.ProcessID]bool, len(cert.Voters))
+	seen := make([]bool, a.members.N())
 	valid := 0
 	for i, voter := range cert.Voters {
-		if !voter.Valid() || seen[voter] {
-			return false
+		j, ok := a.members.Index(voter)
+		if !ok || seen[j] {
+			return false // a non-peer or a repeated voter
 		}
-		seen[voter] = true
+		seen[j] = true
 		if a.VerifyEntry(voter, cert.Checkpoint, cert.VoteMACs[i]) {
 			valid++
 		}
@@ -258,11 +259,14 @@ type serveRec struct {
 }
 
 // cutVotes accumulates one cut's votes: first vote per voter wins, counted
-// per (state, log) digest pair.
+// per (state, log) digest pair. voters holds one slot per peer, at its
+// quorum.Spec.Index, so a scan visits voters in ascending order.
 type cutVotes struct {
-	voters map[types.ProcessID]voteRec
+	voters []voteRec
 }
 
+// voteRec is one voter's vote; a slot with nil macs holds none (a verified
+// vector has an entry per peer).
 type voteRec struct {
 	c    Checkpoint
 	macs []string // the vote's full MAC vector, retained for relaying
@@ -340,7 +344,8 @@ func (t *Tracker) NoteVote(from types.ProcessID, p *types.CkptVotePayload) (cert
 }
 
 func (t *Tracker) noteVote(from types.ProcessID, c Checkpoint, macs []string) (Certificate, bool) {
-	if c.Slot <= t.floor() || c.Slot%t.interval != 0 {
+	i, ok := t.spec.Index(from)
+	if !ok || c.Slot <= t.floor() || c.Slot%t.interval != 0 {
 		return Certificate{}, false
 	}
 	cv := t.votes[c.Slot]
@@ -348,17 +353,16 @@ func (t *Tracker) noteVote(from types.ProcessID, c Checkpoint, macs []string) (C
 		if len(t.votes) >= t.maxPending && !t.evictFor(c.Slot) {
 			return Certificate{}, false
 		}
-		cv = &cutVotes{voters: make(map[types.ProcessID]voteRec)}
+		cv = &cutVotes{voters: make([]voteRec, t.spec.N())}
 		t.votes[c.Slot] = cv
 	}
-	if _, dup := cv.voters[from]; dup {
+	if cv.voters[i].macs != nil {
 		return Certificate{}, false // one vote per voter per cut, first wins
 	}
-	cv.voters[from] = voteRec{c: c, macs: macs}
+	cv.voters[i] = voteRec{c: c, macs: macs}
 	matching := 0
-	// order-free: a count
 	for _, rec := range cv.voters {
-		if rec.c == c {
+		if rec.macs != nil && rec.c == c {
 			matching++
 		}
 	}
@@ -368,18 +372,13 @@ func (t *Tracker) noteVote(from types.ProcessID, c Checkpoint, macs []string) (C
 	// Every matching voter goes into the certificate, not a bare quorum: a
 	// Byzantine voter's vector may fail to verify at other receivers, and
 	// the extra correct votes are what keep the certificate installable
-	// there anyway.
+	// there anyway. Slot order is peer order, so Voters come out ascending.
 	cert := Certificate{Checkpoint: c}
-	// order-free: voters sorted below
-	for voter, rec := range cv.voters {
-		if rec.c == c {
-			cert.Voters = append(cert.Voters, voter)
+	for j, rec := range cv.voters {
+		if rec.macs != nil && rec.c == c {
+			cert.Voters = append(cert.Voters, types.ProcessID(j+1)) // peers are 1..n
+			cert.VoteMACs = append(cert.VoteMACs, rec.macs)
 		}
-	}
-	sortVoters(cert.Voters)
-	cert.VoteMACs = make([][]string, len(cert.Voters))
-	for i, voter := range cert.Voters {
-		cert.VoteMACs[i] = cv.voters[voter].macs
 	}
 	t.adopt(cert)
 	return cert, true
@@ -519,12 +518,3 @@ func (t *Tracker) floor() int {
 // PendingCuts returns how many uncertified cuts hold votes (diagnostics;
 // bounded by the pending-cut cap).
 func (t *Tracker) PendingCuts() int { return len(t.votes) }
-
-// sortVoters orders process IDs ascending (insertion sort; quorum-sized).
-func sortVoters(ps []types.ProcessID) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && ps[j] < ps[j-1]; j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}

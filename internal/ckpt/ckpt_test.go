@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/quorum"
@@ -107,6 +108,76 @@ func TestForgedAndDuplicateVotesIgnored(t *testing.T) {
 	tr.NoteVote(2, vote(2, c))
 	if _, adv, _ := tr.NoteVote(3, vote(3, c)); adv {
 		t.Fatal("duplicate votes reached quorum")
+	}
+}
+
+// TestCheckpointNonPeerVoterRefused: only peers vote. A process outside
+// 1..n keyed from the cluster secret signs a well-formed vector, but its
+// vote verifies nowhere and counts toward no quorum, and a certificate
+// naming it is refused even when the peers in it would make 2f+1 with it.
+func TestCheckpointNonPeerVoterRefused(t *testing.T) {
+	c := Checkpoint{Slot: 8, StateDigest: 5, LogDigest: 6}
+	outsider := types.ProcessID(len(testPeers) + 1)
+	outsiderVote := &types.CkptVotePayload{
+		Slot: c.Slot, StateDigest: c.StateDigest, LogDigest: c.LogDigest,
+		MACs: NewAuthority([]byte(testSecret), outsider, testPeers).SignVector(c),
+	}
+	tr := newTestTracker(t, 1)
+	noteVote(t, tr, 2, c)
+	noteVote(t, tr, 3, c)
+	if _, adv, verified := tr.NoteVote(outsider, outsiderVote); adv || verified {
+		t.Fatalf("non-peer %v's vote: advanced %v, verified %v", outsider, adv, verified)
+	}
+	if _, ok := tr.Latest(); ok {
+		t.Fatal("two peers and a non-peer certified the cut")
+	}
+
+	cert := Certificate{
+		Checkpoint: c,
+		Voters:     []types.ProcessID{2, 3, outsider},
+		VoteMACs:   [][]string{authorityOf(2).SignVector(c), authorityOf(3).SignVector(c), outsiderVote.MACs},
+	}
+	spec := quorum.MustNew(4, 1)
+	for _, p := range testPeers {
+		if authorityOf(p).VerifyCert(cert, spec) {
+			t.Fatalf("certificate with non-peer voter %v verified at %v", outsider, p)
+		}
+	}
+	// The same certificate with a third peer in the outsider's place verifies.
+	cert.Voters[2], cert.VoteMACs[2] = 4, authorityOf(4).SignVector(c)
+	if !authorityOf(1).VerifyCert(cert, spec) {
+		t.Fatal("three peers' certificate refused")
+	}
+}
+
+// TestCertVotersAscending: votes folded in descending peer order certify
+// with Voters ascending, and each VoteMACs[i] is Voters[i]'s own vector.
+func TestCertVotersAscending(t *testing.T) {
+	spec := quorum.MustNew(7, 2)
+	peers := types.Processes(7)
+	auth := func(p types.ProcessID) *Authority { return NewAuthority([]byte(testSecret), p, peers) }
+	tr, err := NewTracker(1, spec, auth(1), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Checkpoint{Slot: 8, StateDigest: 7, LogDigest: 8}
+	var cert Certificate
+	for p := types.ProcessID(7); p >= 3; p-- {
+		var verified bool
+		cert, _, verified = tr.NoteVote(p, &types.CkptVotePayload{
+			Slot: c.Slot, StateDigest: c.StateDigest, LogDigest: c.LogDigest, MACs: auth(p).SignVector(c),
+		})
+		if !verified {
+			t.Fatalf("genuine vote by %v did not verify", p)
+		}
+	}
+	if want := []types.ProcessID{3, 4, 5, 6, 7}; !slices.Equal(cert.Voters, want) {
+		t.Fatalf("Voters = %v, want %v", cert.Voters, want)
+	}
+	for i, voter := range cert.Voters {
+		if !slices.Equal(cert.VoteMACs[i], auth(voter).SignVector(c)) {
+			t.Errorf("VoteMACs[%d] is not voter %v's vector", i, voter)
+		}
 	}
 }
 
@@ -216,7 +287,9 @@ func TestCertPayloadRoundTripAndSnapshotVerification(t *testing.T) {
 		t.Fatal("sub-quorum certificate accepted")
 	}
 	bad = *full
+	// Each entry is its voter's genuine vector, so only the dedup refuses it.
 	bad.Voters = []types.ProcessID{bad.Voters[0], bad.Voters[0], bad.Voters[1]}
+	bad.VoteMACs = [][]string{bad.VoteMACs[0], bad.VoteMACs[0], bad.VoteMACs[1]}
 	if _, ok := receiving.VerifyCertPayload(&bad); ok {
 		t.Fatal("duplicate-voter certificate accepted")
 	}

@@ -135,9 +135,6 @@ func (d *Dealer) RoundsRetained() int {
 	return len(d.rounds)
 }
 
-// Spec returns the system spec the dealer was set up for.
-func (d *Dealer) Spec() quorum.Spec { return d.spec }
-
 // encodeShare flattens a share to an opaque string: X followed by Y.
 func encodeShare(s shamir.Share) string {
 	buf := make([]byte, 0, 1+len(s.Y))
@@ -158,42 +155,59 @@ func decodeShare(raw string) (shamir.Share, bool) {
 type Common struct {
 	me     types.ProcessID
 	peers  []types.ProcessID
-	spec   quorum.Spec
 	dealer *Dealer
-
-	released map[int]bool
-	shares   map[int]map[types.ProcessID]string
-	values   map[int]types.Value
+	rounds map[int]*commonRound
 	// floor is the pruning watermark: per-round state below it has been
 	// released and late shares for those rounds are dropped on arrival.
 	floor int
+}
+
+// commonRound is one round's state at one endpoint. shares holds the
+// verified shares at their senders' peer indexes (quorum.Spec.Index), as
+// the strings they arrived in, so slot order is X order; it goes once the
+// value is reconstructed.
+type commonRound struct {
+	released, decided bool
+	value             types.Value
+	shares            []string
+	filled            int
 }
 
 // NewCommon returns the coin endpoint for process me. All processes of a run
 // share the same dealer (their slice of the predistributed table) and the
 // same peer list.
 func NewCommon(me types.ProcessID, peers []types.ProcessID, dealer *Dealer) *Common {
-	ps := append([]types.ProcessID(nil), peers...)
 	return &Common{
-		me:       me,
-		peers:    ps,
-		spec:     dealer.Spec(),
-		dealer:   dealer,
-		released: make(map[int]bool),
-		shares:   make(map[int]map[types.ProcessID]string),
-		values:   make(map[int]types.Value),
+		me:     me,
+		peers:  append([]types.ProcessID(nil), peers...),
+		dealer: dealer,
+		rounds: make(map[int]*commonRound),
 	}
 }
 
 var _ Coin = (*Common)(nil)
 
+// round returns round r's state, creating it; nil below the floor.
+func (c *Common) round(r int) *commonRound {
+	if r < c.floor {
+		return nil
+	}
+	cr := c.rounds[r]
+	if cr == nil {
+		cr = &commonRound{}
+		c.rounds[r] = cr
+	}
+	return cr
+}
+
 // Release implements Coin: broadcast this process's share for the round
 // (including to itself, so its own share is counted on delivery).
 func (c *Common) Release(round int) []types.Message {
-	if round < c.floor || c.released[round] {
+	cr := c.round(round)
+	if cr == nil || cr.released {
 		return nil
 	}
-	c.released[round] = true
+	cr.released = true
 	share, mac := c.dealer.ShareFor(c.me, round)
 	if share == "" {
 		return nil
@@ -209,56 +223,61 @@ func (c *Common) HandleShare(from types.ProcessID, p *types.CoinSharePayload) {
 	if p == nil || p.Round < c.floor {
 		return
 	}
-	if _, done := c.values[p.Round]; done {
+	if cr := c.rounds[p.Round]; cr != nil && cr.decided {
 		return
 	}
-	if !c.dealer.VerifyShare(from, p.Round, p.Share, p.MAC) {
-		return // forged or corrupted share
+	i, ok := c.dealer.spec.Index(from)
+	if !ok || !c.dealer.VerifyShare(from, p.Round, p.Share, p.MAC) {
+		return // a non-peer (dealt no share), or a forged or corrupted share
 	}
 	if len(p.Share) < 2 || p.Share[0] != byte(from) {
 		return // a genuine MAC binds X to the sender, but stay defensive
 	}
-	byRound := c.shares[p.Round]
-	if byRound == nil {
-		byRound = make(map[types.ProcessID]string)
-		c.shares[p.Round] = byRound
+	cr := c.round(p.Round)
+	if cr.shares == nil {
+		cr.shares = make([]string, c.dealer.spec.N())
+	}
+	if cr.shares[i] == "" {
+		cr.filled++
 	}
 	// The share is kept as it arrived and decoded only for reconstruction,
 	// so storing one allocates nothing.
-	byRound[from] = p.Share
-	threshold := c.spec.F() + 1
-	if len(byRound) < threshold {
+	cr.shares[i] = p.Share
+	threshold := c.dealer.spec.F() + 1
+	if cr.filled < threshold {
 		return
 	}
-	ss := make([]shamir.Share, 0, len(byRound))
-	// order-free: collects the shares, sorted below before reconstruction
-	for _, raw := range byRound {
-		s, _ := decodeShare(raw) // stored shares passed the length check
-		ss = append(ss, s)
+	// The first f+1 filled slots, in X order: any f+1 valid shares agree,
+	// but a fixed choice keeps replays byte-identical.
+	ss := make([]shamir.Share, 0, threshold)
+	for _, raw := range cr.shares {
+		if raw != "" && len(ss) < threshold {
+			s, _ := decodeShare(raw) // stored shares passed the length check
+			ss = append(ss, s)
+		}
 	}
-	// Deterministic reconstruction order (any f+1 valid shares agree, but
-	// determinism keeps replays byte-identical).
-	sortShares(ss)
-	secret, err := shamir.Reconstruct(ss[:threshold], threshold)
+	secret, err := shamir.Reconstruct(ss, threshold)
 	if err != nil {
 		return
 	}
-	c.values[p.Round] = types.Value(secret[0] & 1)
-	delete(c.shares, p.Round) // no longer needed
+	cr.decided, cr.value = true, types.Value(secret[0]&1)
+	cr.shares = nil // no longer needed
 }
 
 // Value implements Coin.
 func (c *Common) Value(round int) (types.Value, bool) {
-	v, ok := c.values[round]
-	return v, ok
+	if cr := c.rounds[round]; cr != nil && cr.decided {
+		return cr.value, true
+	}
+	return types.Zero, false
 }
 
 var _ Pruner = (*Common)(nil)
 
-// Prune implements Pruner: release the release-flags, unreconstructed share
-// sets (the share+MAC strings are the dominant per-round retention), and
-// memoized values of every round below the floor. The maps stay bounded by
-// the retained rounds, so arbitrarily long executions keep a constant coin
+// Prune implements Pruner: release the state of every round below the floor
+// — release flag, unreconstructed shares (the share strings are the
+// dominant per-round retention) and value. The map stays bounded by the
+// retained rounds, so arbitrarily long executions keep a constant coin
 // footprint. Message behaviour is untouched: pruned rounds were already
 // released, and their values are never queried again.
 func (c *Common) Prune(below int) {
@@ -266,16 +285,5 @@ func (c *Common) Prune(below int) {
 		return
 	}
 	c.floor = below
-	maps.DeleteFunc(c.released, func(r int, _ bool) bool { return r < below })
-	maps.DeleteFunc(c.shares, func(r int, _ map[types.ProcessID]string) bool { return r < below })
-	maps.DeleteFunc(c.values, func(r int, _ types.Value) bool { return r < below })
-}
-
-// sortShares orders shares by X (insertion sort; at most f+1 ≤ 255 items).
-func sortShares(ss []shamir.Share) {
-	for i := 1; i < len(ss); i++ {
-		for j := i; j > 0 && ss[j].X < ss[j-1].X; j-- {
-			ss[j], ss[j-1] = ss[j-1], ss[j]
-		}
-	}
+	maps.DeleteFunc(c.rounds, func(r int, _ *commonRound) bool { return r < below })
 }

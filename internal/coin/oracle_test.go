@@ -42,7 +42,7 @@ func newMapCommon(me types.ProcessID, peers []types.ProcessID, dealer *Dealer) *
 	return &mapCommon{
 		me:       me,
 		peers:    append([]types.ProcessID(nil), peers...),
-		spec:     dealer.Spec(),
+		spec:     dealer.spec,
 		dealer:   dealer,
 		released: make(map[int]bool),
 		shares:   make(map[int]map[types.ProcessID]string),
@@ -254,7 +254,7 @@ func (s *commonRun) payload(sender types.ProcessID, round, kind int) *types.Coin
 	case shareNil:
 		return nil
 	case shareRelayed:
-		owner = types.ProcessID(int(sender)%s.dealer.Spec().N() + 1)
+		owner = types.ProcessID(int(sender)%s.dealer.spec.N() + 1)
 	case shareOtherRnd:
 		dealt = round + 1
 	}
@@ -393,7 +393,7 @@ func (w *coinScript) dealerPrune(x byte) *coinScript {
 // seed corpus.
 func commonCases() map[string][]byte {
 	cases := map[string][]byte{}
-	const n4, n7, n16 = 0, 1, 2                   // coinSpecs indices
+	const n4, n7, n16 = 0, 1, 2                     // coinSpecs indices
 	outsider := func(n, i int) int { return n + i } // palette index of coinOutsiders(n)[i]
 	peer := func(p int) int { return p - 1 }        // palette index of peer p
 

@@ -1,6 +1,8 @@
 package rbc
 
 import (
+	"slices"
+
 	"repro/internal/quorum"
 	"repro/internal/types"
 )
@@ -33,10 +35,14 @@ type Consistent struct {
 	instances map[types.InstanceID]*cInstance
 }
 
+// cInstance is one instance's state. echoes counts the distinct peers
+// echoing each body in the reliable broadcaster's tally type, with the echo
+// half only: a bitset over peer indexes (quorum.Spec.Index) and its
+// popcount.
 type cInstance struct {
-	echoedBody *string
-	delivered  bool
-	echoes     map[string]map[types.ProcessID]bool
+	echoed    bool
+	delivered bool
+	echoes    []tally
 }
 
 // NewConsistent creates a consistent-broadcast endpoint for process me.
@@ -52,7 +58,7 @@ func NewConsistent(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec
 func (c *Consistent) inst(id types.InstanceID) *cInstance {
 	in, ok := c.instances[id]
 	if !ok {
-		in = &cInstance{echoes: make(map[string]map[types.ProcessID]bool)}
+		in = &cInstance{}
 		c.instances[id] = in
 	}
 	return in
@@ -78,25 +84,29 @@ func (c *Consistent) Handle(from types.ProcessID, p *types.RBCPayload) ([]types.
 			return nil, nil
 		}
 		in := c.inst(p.ID)
-		if in.echoedBody != nil {
+		if in.echoed {
 			return nil, nil
 		}
-		body := p.Body
-		in.echoedBody = &body
-		echo := &types.RBCPayload{Phase: types.KindRBCEcho, ID: p.ID, Body: body}
+		in.echoed = true
+		echo := &types.RBCPayload{Phase: types.KindRBCEcho, ID: p.ID, Body: p.Body}
 		return types.Broadcast(c.me, c.peers, echo), nil
 	case types.KindRBCEcho:
-		if _, ok := c.spec.Index(from); !ok {
+		pi, ok := c.spec.Index(from)
+		if !ok {
 			return nil, nil // only peers hold votes toward the echo quorum
 		}
 		in := c.inst(p.ID)
-		set := in.echoes[p.Body]
-		if set == nil {
-			set = make(map[types.ProcessID]bool)
-			in.echoes[p.Body] = set
+		i := slices.IndexFunc(in.echoes, func(t tally) bool { return t.body == p.Body })
+		if i < 0 {
+			i = len(in.echoes)
+			in.echoes = append(in.echoes, tally{body: p.Body, seen: make([]uint64, (c.spec.N()+63)/64)})
 		}
-		set[from] = true
-		if !in.delivered && len(set) >= c.spec.Echo() {
+		t := &in.echoes[i]
+		if w, bit := pi>>6, uint64(1)<<(pi&63); t.seen[w]&bit == 0 {
+			t.seen[w] |= bit
+			t.echoes++
+		}
+		if !in.delivered && t.echoes >= c.spec.Echo() {
 			in.delivered = true
 			return nil, []Delivery{{ID: p.ID, Body: p.Body}}
 		}

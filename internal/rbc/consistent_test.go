@@ -184,3 +184,43 @@ func TestConsistentNonPeerEchoesIgnored(t *testing.T) {
 		}
 	}
 }
+
+// TestConsistentEchoesCountDistinctPeersPerBody: an echo counts once per
+// peer and only toward its own body. At n=4 (quorum 3) repeated echoes from
+// two peers and a split between bodies deliver nothing; at n=65 (quorum 44)
+// the peers on both sides of a bitset word boundary each count once.
+func TestConsistentEchoesCountDistinctPeersPerBody(t *testing.T) {
+	echo := func(b *Consistent, from types.ProcessID, id types.InstanceID, body string) []Delivery {
+		_, ds := b.Handle(from, &types.RBCPayload{Phase: types.KindRBCEcho, ID: id, Body: body})
+		return ds
+	}
+	b := newCCluster(t, 4, 1, types.Processes(4)[:1]).correct[1]
+	id := types.InstanceID{Sender: 2, Tag: types.Tag{Seq: 4}}
+	for _, e := range []struct {
+		from types.ProcessID
+		body string
+	}{{1, "A"}, {2, "A"}, {1, "A"}, {2, "A"}, {3, "B"}, {4, "B"}, {3, "B"}} {
+		if ds := echo(b, e.from, id, e.body); ds != nil {
+			t.Fatalf("delivered %v with two echoes per body", ds)
+		}
+	}
+	if ds := echo(b, 3, id, "A"); len(ds) != 1 || ds[0].Body != "A" {
+		t.Fatalf("third peer echoing A delivered %v, want A", ds)
+	}
+
+	spec := quorum.MustNew(65, 21)
+	b = NewConsistent(1, types.Processes(65), spec)
+	var delivered int
+	for round := range 2 {
+		for p := types.ProcessID(65); p > 65-types.ProcessID(spec.Echo()); p-- {
+			ds := echo(b, p, id, "m")
+			delivered += len(ds)
+			if last := round == 0 && p == 66-types.ProcessID(spec.Echo()); (len(ds) == 1) != last {
+				t.Fatalf("round %d: echo from %v delivered %v", round, p, ds)
+			}
+		}
+	}
+	if delivered != 1 {
+		t.Fatalf("delivered %d times, want 1", delivered)
+	}
+}

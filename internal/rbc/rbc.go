@@ -172,7 +172,8 @@ func New(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Broadca
 // echo and as a ready: seen is two bitsets over peer indices, the echo
 // words then the ready words, and echoes/readies are their popcounts.
 // Counting a vote is a bit test, not a map operation. In coded mode the body
-// is the dispersal's tally key (see coded.go).
+// is the dispersal's tally key (see coded.go); consistent broadcast's
+// tallies hold the echo words only (see consistent.go).
 type tally struct {
 	body            string
 	seen            []uint64

@@ -239,11 +239,11 @@ type Replica struct {
 	// time, rotating deterministically by nonce), and a response that comes
 	// back stale or unverifiable immediately re-requests from the next peer
 	// — bounded per catch-up epoch by the per-responder dedup in reqBad.
-	reqNonce       int                      // strictly increasing request counter (the wire nonce)
-	reqBad         map[types.ProcessID]bool // responders that answered badly this epoch
-	retries        int                      // reactive re-requests sent after a bad response
-	staleResponses int                      // full responses at or below our own frontier
-	badResponses   int                      // responses that failed certificate/snapshot verification
+	reqNonce       int    // strictly increasing request counter (the wire nonce)
+	reqBad         []bool // by peer index: responders that answered badly this epoch
+	retries        int    // reactive re-requests sent after a bad response
+	staleResponses int    // full responses at or below our own frontier
+	badResponses   int    // responses that failed certificate/snapshot verification
 
 	// Durable-store state (nil/zero without Config.Store).
 	store            *ckpt.Store
@@ -319,6 +319,7 @@ func New(cfg Config) (*Replica, error) {
 		}
 		r.snap = snap
 		r.tracker = tracker
+		r.reqBad = make([]bool, cfg.Spec.N())
 		for _, p := range cfg.Peers {
 			if p != cfg.Me {
 				r.others = append(r.others, p)
@@ -805,7 +806,7 @@ func (r *Replica) nextResponder() (types.ProcessID, bool) {
 	start := r.reqNonce % len(r.others)
 	for i := 0; i < len(r.others); i++ {
 		p := r.others[(start+i)%len(r.others)]
-		if !r.reqBad[p] {
+		if pi, _ := r.spec.Index(p); !r.reqBad[pi] {
 			return p, true
 		}
 	}
@@ -818,20 +819,19 @@ func (r *Replica) nextResponder() (types.ProcessID, bool) {
 // votes or a poisoned snapshot). While lagging, the responder is marked and
 // the request falls over to the next peer immediately; the per-responder
 // mark bounds reactive retries to one per peer per catch-up epoch (the
-// marks clear when a transfer installs).
+// marks clear when a transfer installs). A non-peer is never marked and
+// draws no re-request.
 func (r *Replica) noteBadResponse(out []types.Message, from types.ProcessID, stale bool) []types.Message {
 	if stale {
 		r.staleResponses++
 	} else {
 		r.badResponses++
 	}
-	if !r.lagging() || r.reqBad[from] {
+	i, peer := r.spec.Index(from)
+	if !r.lagging() || !peer || r.reqBad[i] {
 		return out
 	}
-	if r.reqBad == nil {
-		r.reqBad = make(map[types.ProcessID]bool, len(r.others))
-	}
-	r.reqBad[from] = true
+	r.reqBad[i] = true
 	r.retries++
 	return r.sendRequest(out)
 }

@@ -20,9 +20,6 @@ type ProcessID int
 // String implements fmt.Stringer.
 func (p ProcessID) String() string { return "p" + strconv.Itoa(int(p)) }
 
-// Valid reports whether p is a plausible process identifier (positive).
-func (p ProcessID) Valid() bool { return p > 0 }
-
 // Value is a binary consensus value, 0 or 1. Bracha's PODC-84 protocol is a
 // binary consensus protocol; multi-valued consensus is built on top of it by
 // applications (see internal/acs and internal/smr).

@@ -7,21 +7,17 @@ import (
 
 func TestProcessID(t *testing.T) {
 	tests := []struct {
-		name  string
-		id    ProcessID
-		valid bool
-		str   string
+		name string
+		id   ProcessID
+		str  string
 	}{
-		{name: "zero is invalid", id: 0, valid: false, str: "p0"},
-		{name: "one is valid", id: 1, valid: true, str: "p1"},
-		{name: "large is valid", id: 1024, valid: true, str: "p1024"},
-		{name: "negative is invalid", id: -3, valid: false, str: "p-3"},
+		{name: "zero is invalid", id: 0, str: "p0"},
+		{name: "one is valid", id: 1, str: "p1"},
+		{name: "large is valid", id: 1024, str: "p1024"},
+		{name: "negative is invalid", id: -3, str: "p-3"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.id.Valid(); got != tt.valid {
-				t.Errorf("Valid() = %v, want %v", got, tt.valid)
-			}
 			if got := tt.id.String(); got != tt.str {
 				t.Errorf("String() = %q, want %q", got, tt.str)
 			}

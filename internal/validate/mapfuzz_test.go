@@ -5,9 +5,9 @@ package validate
 // every call the two must agree on what Record folded (and in which order),
 // on SeenRetained, JustificationsRetained, Pending and Tallied, and on every
 // Justified answer. Scripts reach what the dense layout treats specially:
-// senders 0, N+1 and huge IDs, rounds below the floor, past the seen ring
-// and near 1<<30, floors that jump past the ring, duplicates and malformed
-// messages.
+// non-peer senders (0, N+1, huge and negative IDs), peers on both sides of a
+// bitset word boundary, rounds below the floor, past the seen ring and near
+// 1<<30, floors that jump past the ring, duplicates and malformed messages.
 
 import (
 	"fmt"
@@ -21,9 +21,10 @@ import (
 	"repro/internal/types"
 )
 
-// scriptSpecs are the system sizes a script picks from; at n=64 the sender
-// IDs 0..64 span two bitset words.
-var scriptSpecs = []struct{ n, f int }{{4, 1}, {7, 2}, {16, 5}, {64, 21}}
+// scriptSpecs are the system sizes a script picks from; a row holds one bit
+// per peer, so n=64 fills one bitset word exactly and n=65's last peer is
+// alone in a second.
+var scriptSpecs = []struct{ n, f int }{{4, 1}, {7, 2}, {16, 5}, {64, 21}, {65, 21}}
 
 // scriptOutsiders follow the peers 1..N in a script's sender palette.
 func scriptOutsiders(n int) []types.ProcessID {
@@ -279,7 +280,7 @@ func (w *scriptWriter) justified(r int, step types.Step, v types.Value, d bool) 
 // FuzzValidatorMatchesMap's seed corpus.
 func validatorCases() map[string][]byte {
 	cases := map[string][]byte{}
-	const n4, n7, n16, n64 = 0, 1, 2, 3             // scriptSpecs indices
+	const n4, n7, n16, n65 = 0, 1, 2, 4             // scriptSpecs indices
 	outsider := func(n, i int) int { return n + i } // palette index of scriptOutsiders(n)[i]
 	peer := func(p int) int { return p - 1 }        // palette index of peer p
 
@@ -314,15 +315,15 @@ func validatorCases() map[string][]byte {
 		round(1, 0, 4).round(2, 0, 4)
 	cases["duplicates"] = w.data
 
-	// Senders 0, N+1, N+2, huge and negative at n=64 (two bitset words):
-	// they overflow by ID, then the floor moves past them.
-	w = newValidatorScript(n64, false)
+	// Senders 0, N+1, N+2, huge and negative at n=65 (two bitset words):
+	// they overflow as non-peers, then the floor moves past them.
+	w = newValidatorScript(n65, false)
 	for i := range 6 {
-		w.record(outsider(64, i), 1, types.Step1, types.One, false).
-			record(outsider(64, i), 3, types.Step2, types.Zero, false)
+		w.record(outsider(65, i), 1, types.Step1, types.One, false).
+			record(outsider(65, i), 3, types.Step2, types.Zero, false)
 	}
-	w.record(peer(64), 1, types.Step1, types.Zero, false).record(peer(63), 1, types.Step1, types.Zero, false).
-		flood(1, types.Step1, false, 0, 64).flood(1, types.Step2, false, 0, 64).
+	w.record(peer(65), 1, types.Step1, types.Zero, false).record(peer(64), 1, types.Step1, types.Zero, false).
+		flood(1, types.Step1, false, 0, 65).flood(1, types.Step2, false, 0, 65).
 		pruneTo(2).pruneTo(4).prune(170)
 	cases["outsider-senders"] = w.data
 

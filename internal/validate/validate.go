@@ -53,17 +53,17 @@
 // traffic lands and spends nothing per message there:
 //
 //   - the seen set is a ring of seenSpan rounds starting at the floor, one
-//     bitset row per (round, step) indexed by sender ID 0..N;
+//     n-bit row per (round, step), a peer's bit at its quorum.Spec.Index;
 //   - the pending set is a slice kept sorted in fold-visit order, which
 //     drain compacts in place;
 //   - the justification digests are a slice indexed from round 1 that
 //     grows at most roundsAhead rounds past its end.
 //
-// What the dense forms cannot hold — a sender outside 0..N, a seen key past
-// the ring, a digest past the slice's reach — goes to an overflow map that
-// stays nil until used. A Byzantine sender can put any round number in a
-// well-formed message, and such a message costs one overflow entry, never
-// storage proportional to the round number.
+// What the dense forms cannot hold — a sender that is not a peer, a seen
+// key past the ring, a digest past the slice's reach — goes to an overflow
+// map that stays nil until used. A Byzantine sender can put any round
+// number in a well-formed message, and such a message costs one overflow
+// entry, never storage proportional to the round number.
 package validate
 
 import (
@@ -83,9 +83,9 @@ type Validator struct {
 
 	// seen is the per-sender dedup set for rounds at or above the floor:
 	// seenSpan rows of 3·seenWords words, round r's at (r mod seenSpan), for
-	// max(floor, 1) <= r < max(floor, 1)+seenSpan; bit s of a (round, step)
-	// row is sender s. seenOver holds the keys the ring cannot (a sender
-	// outside 0..N, a round past the ring); nil until used.
+	// max(floor, 1) <= r < max(floor, 1)+seenSpan; bit i of a (round, step)
+	// row is the peer at quorum.Spec.Index i. seenOver holds the keys the
+	// ring cannot (a non-peer sender, a round past the ring); nil until used.
 	seen      []uint64
 	seenWords int
 	seenOver  map[slotKey]struct{}
@@ -156,7 +156,7 @@ type tally struct {
 
 // New creates a Validator for the given system spec.
 func New(spec quorum.Spec) *Validator {
-	words := (spec.N() + 1 + 63) / 64 // sender IDs 0..N
+	words := (spec.N() + 63) / 64 // one bit per peer
 	return &Validator{
 		spec:      spec,
 		seen:      make([]uint64, seenSpan*3*words),
@@ -205,11 +205,12 @@ func (v *Validator) Record(sender types.ProcessID, m types.StepMessage) []Accept
 // seenBit returns k's word index and bit in the ring, or ok = false if the
 // ring cannot hold k. k.round must be at or above the floor.
 func (v *Validator) seenBit(k slotKey) (word int, bit uint64, ok bool) {
-	if uint(k.sender) > uint(v.spec.N()) || k.round-max(v.floor, 1) >= seenSpan {
+	i, peer := v.spec.Index(k.sender)
+	if !peer || k.round-max(v.floor, 1) >= seenSpan {
 		return 0, 0, false
 	}
 	row := (k.round%seenSpan)*3 + int(k.step) - 1
-	return row*v.seenWords + int(k.sender)/64, 1 << (uint(k.sender) % 64), true
+	return row*v.seenWords + i>>6, 1 << (i & 63), true
 }
 
 // markSeen records k in the seen set and reports whether it was new.
