@@ -7,6 +7,7 @@ package rbc
 // emit.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -213,5 +214,113 @@ func TestWindowFloodStaysInOverflow(t *testing.T) {
 	b.PruneBelow(math.MaxInt)
 	if b.winLive != 3 || len(b.instances) != flood-3 {
 		t.Fatalf("at floor MaxInt: %d live in the window, %d in the map; want 3 and %d", b.winLive, len(b.instances), flood-3)
+	}
+}
+
+// TestReleasedCopiesKeepTheirBodies: the SEND, ECHO and READY copies of an
+// instance stay intact after the instance is released while they are still
+// in flight. Process 1 broadcasts, echoes, readies and delivers one
+// instance, and releases it — by Compact, or by PruneBelow sliding the
+// window past it — with every copy undelivered. It then creates a dozen
+// instances with other bodies, enough to hand out every slot of any block
+// of instance or payload storage the released one shared. Only then are the
+// held copies checked field by field and delivered to process 2, which must
+// echo, ready and deliver the original body; 2's quorums need process 1's
+// held ECHO and READY, so a rewritten copy stalls them. Storage that handed
+// a released instance out again would rewrite the copies' payloads.
+func TestReleasedCopiesKeepTheirBodies(t *testing.T) {
+	for _, release := range []string{"compact", "prune"} {
+		t.Run(release, func(t *testing.T) {
+			spec := quorum.MustNew(4, 1)
+			peers := types.Processes(4)
+			b1, b2 := New(1, peers, spec), New(2, peers, spec)
+			tag := types.Tag{Round: 1, Step: types.Step2, Seq: 7}
+			id := types.InstanceID{Sender: 1, Tag: tag}
+			const body = "original"
+
+			// to2 picks the copy addressed to process 2 out of a fan-out.
+			to2 := func(out []types.Message) types.Message {
+				t.Helper()
+				for _, m := range out {
+					if m.To == 2 {
+						return m
+					}
+				}
+				t.Fatalf("no copy for process 2 among %v", out)
+				return types.Message{}
+			}
+			drive := func(id types.InstanceID, body string) (send, echo, ready types.Message) {
+				t.Helper()
+				send = to2(b1.Broadcast(id.Tag, body))
+				out, _ := b1.Handle(1, send.Payload.(*types.RBCPayload))
+				echo = to2(out)
+				var delivered bool
+				for _, from := range peers {
+					out, _ := b1.Handle(from, &types.RBCPayload{Phase: types.KindRBCEcho, ID: id, Body: body})
+					if len(out) > 0 {
+						ready = to2(out)
+					}
+				}
+				for _, from := range peers {
+					_, ds := b1.Handle(from, &types.RBCPayload{Phase: types.KindRBCReady, ID: id, Body: body})
+					delivered = delivered || len(ds) == 1
+				}
+				if ready.Payload == nil || !delivered {
+					t.Fatalf("%v did not ready and deliver at process 1", id)
+				}
+				return send, echo, ready
+			}
+			send, echo, ready := drive(id, body)
+
+			switch release {
+			case "compact":
+				if !b1.Compact(id) {
+					t.Fatal("Compact refused a terminal instance")
+				}
+			case "prune":
+				if got := b1.PruneBelow(2); got != 1 {
+					t.Fatalf("PruneBelow(2) released %d instances, want 1", got)
+				}
+			}
+			for i := 0; i < 12; i++ {
+				other := types.InstanceID{Sender: 1, Tag: types.Tag{Round: 2 + i%2, Step: types.Step(1 + i%3), Seq: 7 + i/6}}
+				drive(other, fmt.Sprintf("other-%d", i))
+			}
+
+			for _, tt := range []struct {
+				m     types.Message
+				phase types.Kind
+			}{{send, types.KindRBCSend}, {echo, types.KindRBCEcho}, {ready, types.KindRBCReady}} {
+				want := types.RBCPayload{Phase: tt.phase, ID: id, Body: body}
+				if p := tt.m.Payload.(*types.RBCPayload); *p != want {
+					t.Fatalf("held %v copy now reads %v, want %v", tt.phase, *p, want)
+				}
+			}
+			out, _ := b2.Handle(1, send.Payload.(*types.RBCPayload))
+			if len(out) != len(peers) || *out[0].Payload.(*types.RBCPayload) != (types.RBCPayload{Phase: types.KindRBCEcho, ID: id, Body: body}) {
+				t.Fatalf("held SEND made process 2 emit %v", out)
+			}
+			readied, delivered := false, false
+			for _, m := range []types.Message{
+				echo,
+				{From: 3, To: 2, Payload: &types.RBCPayload{Phase: types.KindRBCEcho, ID: id, Body: body}},
+				{From: 4, To: 2, Payload: &types.RBCPayload{Phase: types.KindRBCEcho, ID: id, Body: body}},
+				ready,
+				{From: 3, To: 2, Payload: &types.RBCPayload{Phase: types.KindRBCReady, ID: id, Body: body}},
+				{From: 4, To: 2, Payload: &types.RBCPayload{Phase: types.KindRBCReady, ID: id, Body: body}},
+			} {
+				out, ds := b2.Handle(m.From, m.Payload.(*types.RBCPayload))
+				readied = readied || len(out) > 0
+				for _, d := range ds {
+					if d != (Delivery{ID: id, Body: body}) {
+						t.Fatalf("process 2 delivered %v", d)
+					}
+					delivered = true
+				}
+			}
+			if !readied || !delivered {
+				t.Fatalf("process 2 readied %v, delivered %v from the held copies; want both", readied, delivered)
+			}
+		})
 	}
 }

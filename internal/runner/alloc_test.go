@@ -5,14 +5,16 @@ import (
 	"testing"
 )
 
-// TestRunAllocationsPerDelivery holds whole consensus runs — construction,
-// the delivery loop, a Byzantine process's traffic and the common coin — to
-// an allocation budget per thousand deliveries. The benchmem gate's
-// allocs/op is an integer, so a path that allocates on a fraction of its
-// deliveries reads 0 there; this test counts every allocation of a block of
-// runs and divides by the deliveries they made. The first row is the
-// benchmark's sweep_n7 config; the second swaps the liar for a crash
-// mid-protocol. Each bound is the measured value × 1.15.
+// TestRunAllocationsPerDelivery holds whole runs — construction, the
+// delivery loop, a Byzantine process's traffic and the common coin — to an
+// allocation budget per thousand deliveries. The benchmem gate's allocs/op
+// is an integer, so a path that allocates on a fraction of its deliveries
+// reads 0 there; this test counts every allocation of a block of runs and
+// divides by the deliveries they made. The first row is the benchmark's
+// sweep_n7 config; the second swaps the liar for a crash mid-protocol; the
+// third is a small plain n=16 RunSMR shaped like the benchmark's
+// smr_plain_n16, the replicated log's agreement path. Each bound is the
+// measured value × 1.15.
 func TestRunAllocationsPerDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-run allocation count; skipped under -short")
@@ -25,32 +27,53 @@ func TestRunAllocationsPerDelivery(t *testing.T) {
 	}
 	crash := base
 	crash.Adversary = AdvCrashMidway
+	consensus := func(cfg Config) func(seed int64) (int, error) {
+		return func(seed int64) (int, error) {
+			cfg.Seed = seed
+			res, err := Run(cfg)
+			if err != nil {
+				return 0, err
+			}
+			return res.Deliveries, nil
+		}
+	}
+	smrPlain := func(seed int64) (int, error) {
+		const n, slots, batch, depth = 16, 32, 16, 2
+		res, err := RunSMR(SMRConfig{
+			N: n, F: 5, Slots: slots, Batch: batch, Depth: depth,
+			Commands: ((slots+n-1)/n + depth) * batch,
+			Coin:     CoinLocal, Seed: seed,
+		})
+		if err != nil {
+			return 0, err
+		}
+		return res.Deliveries, nil
+	}
 	for _, tt := range []struct {
 		name  string
-		cfg   Config
+		run   func(seed int64) (deliveries int, err error)
+		seeds int64
 		bound float64 // measured × 1.15
 	}{
-		{"liar", base, 215 * 1.15},
-		{"crash-midway", crash, 315 * 1.15},
+		{"liar", consensus(base), 64, 215 * 1.15},
+		{"crash-midway", consensus(crash), 64, 315 * 1.15},
+		{"smr-plain-n16", smrPlain, 3, 61.3 * 1.15},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
-			const seeds = 64
 			var before, after runtime.MemStats
 			deliveries := 0
 			runtime.GC()
 			runtime.ReadMemStats(&before)
-			for seed := int64(1); seed <= seeds; seed++ {
-				cfg := tt.cfg
-				cfg.Seed = seed
-				res, err := Run(cfg)
+			for seed := int64(1); seed <= tt.seeds; seed++ {
+				d, err := tt.run(seed)
 				if err != nil {
 					t.Fatal(err)
 				}
-				deliveries += res.Deliveries
+				deliveries += d
 			}
 			runtime.ReadMemStats(&after)
 			perK := float64(after.Mallocs-before.Mallocs) * 1000 / float64(deliveries)
-			t.Logf("%.1f allocs per k-delivery over %d runs (%d deliveries)", perK, seeds, deliveries)
+			t.Logf("%.1f allocs per k-delivery over %d runs (%d deliveries)", perK, tt.seeds, deliveries)
 			if perK > tt.bound {
 				t.Errorf("%.1f allocs per k-delivery, bound %.0f", perK, tt.bound)
 			}
