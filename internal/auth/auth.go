@@ -33,12 +33,6 @@ func MAC(key, msg []byte) []byte {
 	return h.Sum(nil)
 }
 
-// Verify reports whether mac is a valid HMAC-SHA256 of msg under key, in
-// constant time.
-func Verify(key, msg, mac []byte) bool {
-	return hmac.Equal(MAC(key, msg), mac)
-}
-
 // DeriveKey derives a purpose-specific subkey from a master secret. The
 // label namespaces uses (link keys vs dealer keys vs tests) so keys never
 // collide across purposes.
@@ -56,12 +50,22 @@ func DeriveKey(master []byte, label string, parts ...int) []byte {
 // Keyring holds the pairwise link keys of one process. Construct one per
 // process with NewKeyring from the same master secret; the key for the link
 // (a, b) is symmetric and order-independent.
+//
+// Every link to a peer named at construction keeps one keyed HMAC state,
+// and every MAC reuses one message buffer and one sum, as DealerKeys does,
+// so Sign and Check on those links allocate nothing. That state makes a
+// Keyring single-goroutine: each belongs to one replica's checkpoint
+// authority, which its run drives from one goroutine (the only go
+// statements are the sweep workers of runner/stream.go, each running whole
+// runs; TestGoStatementsConfined keeps it so).
 type Keyring struct {
 	owner  types.ProcessID
 	master []byte
-	// links holds the link keys of the peers named at construction, derived
-	// once; a link to any other process is derived on use.
-	links map[types.ProcessID][]byte
+	// links holds the keyed MAC state of every peer named at construction,
+	// derived once; a link to any other process is derived on use.
+	links map[types.ProcessID]hash.Hash
+	msg   []byte
+	sum   [MACSize]byte
 }
 
 // NewKeyring returns the keyring of process owner under the given system
@@ -71,9 +75,9 @@ type Keyring struct {
 func NewKeyring(master []byte, owner types.ProcessID, peers ...types.ProcessID) *Keyring {
 	m := make([]byte, len(master))
 	copy(m, master)
-	k := &Keyring{owner: owner, master: m, links: make(map[types.ProcessID][]byte, len(peers))}
+	k := &Keyring{owner: owner, master: m, links: make(map[types.ProcessID]hash.Hash, len(peers))}
 	for _, p := range peers {
-		k.links[p] = k.linkKey(p)
+		k.links[p] = hmac.New(sha256.New, k.linkKey(p))
 	}
 	return k
 }
@@ -81,12 +85,9 @@ func NewKeyring(master []byte, owner types.ProcessID, peers ...types.ProcessID) 
 // Owner returns the process this keyring belongs to.
 func (k *Keyring) Owner() types.ProcessID { return k.owner }
 
-// linkKey returns the symmetric key for the link between the owner and
+// linkKey derives the symmetric key for the link between the owner and
 // peer.
 func (k *Keyring) linkKey(peer types.ProcessID) []byte {
-	if key, ok := k.links[peer]; ok {
-		return key
-	}
 	lo, hi := k.owner, peer
 	if lo > hi {
 		lo, hi = hi, lo
@@ -94,14 +95,29 @@ func (k *Keyring) linkKey(peer types.ProcessID) []byte {
 	return DeriveKey(k.master, "link", int(lo), int(hi))
 }
 
-// Sign MACs a frame sent from the keyring owner to peer.
+// linkMAC computes the MAC of frame on the link to peer into k.sum and
+// returns it; the result is overwritten by the next call. The frame is
+// copied into k.msg first, so it never escapes through the hash.
+func (k *Keyring) linkMAC(peer types.ProcessID, frame []byte) []byte {
+	k.msg = append(k.msg[:0], frame...)
+	h, ok := k.links[peer]
+	if !ok {
+		return MAC(k.linkKey(peer), k.msg)
+	}
+	h.Reset()
+	h.Write(k.msg)
+	return h.Sum(k.sum[:0])
+}
+
+// Sign MACs a frame sent from the keyring owner to peer. The MAC is valid
+// until the keyring's next Sign or Check; a caller that keeps it copies it.
 func (k *Keyring) Sign(peer types.ProcessID, frame []byte) []byte {
-	return MAC(k.linkKey(peer), frame)
+	return k.linkMAC(peer, frame)
 }
 
 // Check verifies a frame claimed to come from peer to the keyring owner.
 func (k *Keyring) Check(peer types.ProcessID, frame, mac []byte) error {
-	if !Verify(k.linkKey(peer), frame, mac) {
+	if !hmac.Equal(k.linkMAC(peer, frame), mac) {
 		return fmt.Errorf("auth: bad MAC on frame from %v to %v", peer, k.owner)
 	}
 	return nil

@@ -473,3 +473,22 @@ func TestPendingCutCapConfigurable(t *testing.T) {
 		t.Fatal("spam displaced the honest cut under a tight cap")
 	}
 }
+
+// TestAuthorityAllocations: signing a vote allocates only the vector and its
+// n MAC strings, and verifying an entry allocates nothing — the keyring's
+// link MACs reuse their keyed states.
+func TestAuthorityAllocations(t *testing.T) {
+	c := Checkpoint{Slot: 8, StateDigest: 0xabc, LogDigest: 0xdef}
+	signer, verifier := authorityOf(2), authorityOf(3)
+	macs := signer.SignVector(c)
+	if allocs, want := testing.AllocsPerRun(100, func() { signer.SignVector(c) }), float64(len(testPeers)+1); allocs != want {
+		t.Errorf("SignVector cost %.1f allocs, want %.0f", allocs, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !verifier.VerifyEntry(2, c, macs) {
+			t.Fatal("genuine vote refused")
+		}
+	}); allocs != 0 {
+		t.Errorf("VerifyEntry cost %.1f allocs, want 0", allocs)
+	}
+}

@@ -95,18 +95,27 @@ func Analyze(events []trace.Event) Report {
 		}
 	}
 
-	var report Report
-	decided := make(map[types.ProcessID]bool)
-	for _, e := range events {
-		if e.Kind != trace.KindDecide || decided[e.P] {
+	// first[p] is 1 + the index of process p's first DECIDE event (0: none
+	// yet). Processes are 1..n (quorum.Spec.CheckPeers), so walking first
+	// in index order yields the decisions in process order.
+	var first []int
+	for i, e := range events {
+		if e.Kind != trace.KindDecide || e.P < 1 {
 			continue
 		}
-		decided[e.P] = true
-		report.Decisions = append(report.Decisions, walk(e, events, sendBySeq, deliverBySeq))
+		if p := int(e.P); p >= len(first) {
+			first = append(first, make([]int, p+1-len(first))...)
+		}
+		if first[e.P] == 0 {
+			first[e.P] = i + 1
+		}
 	}
-	sort.SliceStable(report.Decisions, func(i, j int) bool {
-		return report.Decisions[i].P < report.Decisions[j].P
-	})
+	var report Report
+	for _, i := range first {
+		if i > 0 {
+			report.Decisions = append(report.Decisions, walk(events[i-1], events, sendBySeq, deliverBySeq))
+		}
+	}
 	return report
 }
 

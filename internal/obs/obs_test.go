@@ -70,6 +70,31 @@ func TestAnalyzeTruncatedChain(t *testing.T) {
 	}
 }
 
+// TestAnalyzeFirstDecisionPerProcessInOrder: decisions come out one per
+// process, in process order, each from that process's first DECIDE event,
+// whatever order the events arrive in.
+func TestAnalyzeFirstDecisionPerProcessInOrder(t *testing.T) {
+	events := []trace.Event{
+		{Time: 4, Kind: trace.KindDecide, P: 3, V: types.One, Round: 2},
+		{Time: 5, Kind: trace.KindDecide, P: 1, V: types.Zero, Round: 1},
+		{Time: 6, Kind: trace.KindDecide, P: 3, V: types.Zero, Round: 3},
+		{Time: 7, Kind: trace.KindDecide, P: 2, V: types.One, Round: 4},
+	}
+	r := obs.Analyze(events)
+	want := []struct {
+		p     types.ProcessID
+		round int
+	}{{1, 1}, {2, 4}, {3, 2}}
+	if len(r.Decisions) != len(want) {
+		t.Fatalf("decisions = %+v, want %d", r.Decisions, len(want))
+	}
+	for i, w := range want {
+		if d := r.Decisions[i]; d.P != w.p || d.Round != w.round {
+			t.Errorf("decision %d is p%d round %d, want p%d round %d", i, d.P, d.Round, w.p, w.round)
+		}
+	}
+}
+
 // TestAnalyzeRealRun: every decision of a traced Bracha run reconstructs to
 // a non-trivial chain satisfying the wire+think identity, ending at a
 // Start-emitted root.

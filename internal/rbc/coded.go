@@ -56,10 +56,13 @@
 // shards, where rscode.AppendSplit lays out a dispersal's n shards and a
 // decode's re-encoding; gather, the k held fragments a decode copies back to
 // back for rscode.AppendReconstruct; and body, what AppendReconstruct
-// writes. Reuse is safe because nothing keeps a reference into them:
-// fragments are stored as the payload strings they arrived in, every field
-// sent is a string copied out, and the delivered body is a new string, so
-// the next encode or decode may overwrite all three.
+// writes. Each buffer, and the scratch bytes below, is allocated at the
+// full size of its use and replaced only when a longer shard needs more
+// (room), not regrown through an append's doubling steps. Reuse is safe
+// because nothing keeps a reference into them: fragments are stored as the
+// payload strings they arrived in, every field sent is a string copied out,
+// and the delivered body is a new string, so the next encode or decode may
+// overwrite all three.
 package rbc
 
 import (
@@ -120,6 +123,16 @@ type coder struct {
 	frags                [][]byte
 }
 
+// room returns buf emptied, with room for size bytes: a buffer too small for
+// a use is replaced once by one of the use's full size, where appending
+// would regrow it step by step.
+func room(buf []byte, size int) []byte {
+	if cap(buf) < size {
+		return make([]byte, 0, size)
+	}
+	return buf[:0]
+}
+
 // shard returns shard i of the last AppendSplit into shards.
 func (c *coder) shard(i, shardLen int) []byte {
 	return c.shards[i*shardLen : (i+1)*shardLen]
@@ -169,9 +182,9 @@ type codedState struct {
 func (b *Broadcaster) appendDisperse(out []types.Message, tag types.Tag, body string) []types.Message {
 	id := types.InstanceID{Sender: b.me, Tag: tag}
 	c := b.code
-	c.scratch = append(c.scratch[:0], body...)
-	c.shards = c.AppendSplit(c.shards[:0], c.scratch)
 	shardLen := c.ShardLen(len(body))
+	c.scratch = append(room(c.scratch, max(len(body), len(b.peers)*sumLen)), body...)
+	c.shards = c.AppendSplit(room(c.shards, len(b.peers)*shardLen), c.scratch)
 	c.scratch = c.scratch[:0]
 	for i := range b.peers {
 		d := sha256.Sum256(c.shard(i, shardLen))
@@ -208,7 +221,7 @@ func (b *Broadcaster) fragValid(p *types.RBCFragPayload) bool {
 	if p.TotalLen < 0 || len(p.Frag) != b.code.ShardLen(p.TotalLen) {
 		return false
 	}
-	b.code.scratch = append(b.code.scratch[:0], p.Frag...)
+	b.code.scratch = append(room(b.code.scratch, len(p.Frag)), p.Frag...)
 	d := sha256.Sum256(b.code.scratch)
 	off := p.Index * sumLen
 	for i := 0; i < sumLen; i++ {
@@ -227,7 +240,7 @@ func (b *Broadcaster) internKey(cs *codedState, totalLen int, sums string) strin
 		return k
 	}
 	c := b.code
-	c.scratch = binary.AppendUvarint(c.scratch[:0], uint64(totalLen))
+	c.scratch = binary.AppendUvarint(room(c.scratch, binary.MaxVarintLen64+len(sums)), uint64(totalLen))
 	c.scratch = append(c.scratch, sums...)
 	d := sha256.Sum256(c.scratch)
 	k := string(d[:])
@@ -245,7 +258,10 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 		return out, nil
 	}
 	in, c, ok := b.live(p.ID)
-	if !ok || !b.fragValid(p) {
+	// This process's own echo coming back is the payload it adopted after
+	// checking it (see the disperse rule below), immutable since: checking
+	// it again would hash the same bytes to the same verdict.
+	if !ok || (in == nil || p != &in.coded.echoPayload) && !b.fragValid(p) {
 		return out, nil
 	}
 	if in == nil {
@@ -324,7 +340,7 @@ func (b *Broadcaster) tryDecode(cs *codedState, key string) (string, bool) {
 	}
 	// Every held fragment has the one length fragValid admits for totalLen.
 	shardLen := c.ShardLen(set.totalLen)
-	c.idxs, c.gather, c.frags = c.idxs[:0], c.gather[:0], c.frags[:0]
+	c.idxs, c.gather, c.frags = c.idxs[:0], room(c.gather, k*shardLen), c.frags[:0]
 	for i, f := range set.frags {
 		if f == "" {
 			continue
@@ -338,7 +354,7 @@ func (b *Broadcaster) tryDecode(cs *codedState, key string) (string, bool) {
 	for j := range c.idxs {
 		c.frags = append(c.frags, c.gather[j*shardLen:(j+1)*shardLen])
 	}
-	body, err := c.AppendReconstruct(c.body[:0], c.idxs, c.frags, set.totalLen)
+	body, err := c.AppendReconstruct(room(c.body, set.totalLen), c.idxs, c.frags, set.totalLen)
 	c.body = body
 	if err != nil {
 		set.poisoned = true
@@ -352,7 +368,7 @@ func (b *Broadcaster) tryDecode(cs *codedState, key string) (string, bool) {
 	// this same Sums entry, so a re-encoded shard byte-equal to it has that
 	// digest; only the other shards are hashed, and the verdict is the one
 	// hashing all n would give.
-	c.shards = c.AppendSplit(c.shards[:0], body)
+	c.shards = c.AppendSplit(room(c.shards, c.N()*shardLen), body)
 	for i := range set.frags {
 		s := c.shard(i, shardLen)
 		if f := set.frags[i]; f != "" && f == string(s) {

@@ -9,8 +9,7 @@ func (b *Broadcaster) Delivered(id types.InstanceID) bool {
 	if in, _ := b.lookup(id); in != nil && in.delivered {
 		return true
 	}
-	_, done := b.compacted[id]
-	return done
+	return b.recorded(id)
 }
 
 // Delivered reports whether the instance delivered at this process.

@@ -394,12 +394,13 @@ func TestFanoutPayloadReuse(t *testing.T) {
 // (New has its own pin below). Embedding the echo/ready fan-out payloads in
 // the instance removed four allocations, one tally per body carrying both
 // the echo and the ready bitset two more, and the inline first tally, the
-// chunked bitsets and the reused delivery the last three; a regression above
-// the budget means a fresh per-fan-out or per-message allocation crept back
-// in.
+// chunked bitsets and the reused delivery the last three, and blocks of
+// four instances with delivered records as bits the instance itself; a
+// regression above the budget means a fresh per-fan-out or per-message
+// allocation crept back in.
 func TestInstanceLifecycleAllocations(t *testing.T) {
 	const n = 7
-	const budget = 1 // measured 1: the instance (a bitset chunk every 3·n tallies rounds to 0)
+	const budget = 1 // measured 0 (1 under -race): a block every four instances, a bitset chunk every 3·n tallies and the record rows' growth round to 0
 	spec := quorum.MustNew(n, quorum.MaxByzantine(n))
 	peers := types.Processes(n)
 	b := New(2, peers, spec)

@@ -55,9 +55,9 @@ func TestRunAllocationsPerDelivery(t *testing.T) {
 		seeds int64
 		bound float64 // measured × 1.15
 	}{
-		{"liar", consensus(base), 64, 215 * 1.15},
-		{"crash-midway", consensus(crash), 64, 315 * 1.15},
-		{"smr-plain-n16", smrPlain, 3, 61.3 * 1.15},
+		{"liar", consensus(base), 64, 140 * 1.15},
+		{"crash-midway", consensus(crash), 64, 233 * 1.15},
+		{"smr-plain-n16", smrPlain, 3, 33 * 1.15},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			var before, after runtime.MemStats

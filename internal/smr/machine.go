@@ -145,8 +145,18 @@ func (m *KVMachine) Snapshot() string {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	// Sized once: the header, then one "key value\n" line per key.
+	var num [20]byte
+	applied := strconv.AppendInt(num[:0], int64(m.applied), 10)
+	size := 1 + len(applied) + 1
+	for _, k := range keys {
+		size += len(k) + 1 + len(m.state[k]) + 1
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "#%d\n", m.applied)
+	b.Grow(size)
+	b.WriteByte('#')
+	b.Write(applied)
+	b.WriteByte('\n')
 	for _, k := range keys {
 		b.WriteString(k)
 		b.WriteByte(' ')

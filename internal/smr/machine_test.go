@@ -159,3 +159,22 @@ func BenchmarkKVApply(b *testing.B) {
 		})
 	}
 }
+
+// TestSnapshotSizedOnce: Snapshot allocates its sorted key list and one
+// buffer of exactly the snapshot's length, however many keys and bytes the
+// state holds; the encoding is the documented one.
+func TestSnapshotSizedOnce(t *testing.T) {
+	m := NewKVMachine()
+	for i := 0; i < 500; i++ {
+		if err := m.Apply(fmt.Sprintf("set k%03d %s", i, strings.Repeat("v", i%40+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := m.Snapshot()
+	if !strings.HasPrefix(snap, "#500\nk000 v\nk001 vv\n") || !strings.HasSuffix(snap, "\nk499 "+strings.Repeat("v", 20)+"\n") {
+		t.Fatalf("snapshot encoding changed: %.40q…", snap)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { m.Snapshot() }); allocs != 2 {
+		t.Errorf("Snapshot cost %.0f allocs, want 2 (the key list and the output)", allocs)
+	}
+}
