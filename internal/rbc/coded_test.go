@@ -258,6 +258,79 @@ func TestCodedWrongChecksumFragmentsIgnored(t *testing.T) {
 	}
 }
 
+// TestCodedLiveInstanceStillChecksFragments: once an instance exists, only
+// this process's own echo payload — the one it built from a dispersal it
+// had checked — skips the fragment check. A tampered fragment, an index
+// past the code and a tampered copy of the own echo all stay silent and
+// store nothing; the own echo itself is stored, and the dispersal still
+// delivers its body.
+func TestCodedLiveInstanceStillChecksFragments(t *testing.T) {
+	n, f := 4, 1
+	c := newCodedCluster(t, n, f, types.Processes(n))
+	id := types.InstanceID{Sender: 1, Tag: types.Tag{Seq: 1}}
+	const body = "live-instance-check-body"
+	msgs := c.correct[1].Broadcast(id.Tag, body)
+	target := c.correct[2]
+	frag := func(to types.ProcessID) *types.RBCFragPayload {
+		for _, m := range msgs {
+			if m.To == to {
+				return m.Payload.(*types.RBCFragPayload)
+			}
+		}
+		t.Fatalf("no dispersal to %v", to)
+		return nil
+	}
+	echo, _ := target.AppendHandleFrag(nil, 1, frag(2))
+	if len(echo) != n {
+		t.Fatalf("dispersal to p2 produced %d echoes, want %d", len(echo), n)
+	}
+	own := echo[0].Payload.(*types.RBCFragPayload)
+	set := func() *fragSet {
+		for _, s := range codedAt(target, id).sets {
+			return s
+		}
+		return nil
+	}
+
+	tampered := *frag(3)
+	tampered.Frag = strings.Repeat("!", len(tampered.Frag))
+	outside := *frag(3)
+	outside.Index = n + 5
+	ownCopy := *own
+	ownCopy.Frag = strings.Repeat("?", len(own.Frag))
+	for _, tt := range []struct {
+		name string
+		from types.ProcessID
+		p    *types.RBCFragPayload
+	}{
+		{"tampered peer fragment", 3, &tampered},
+		{"index past the code", 3, &outside},
+		{"tampered copy of the own echo", 2, &ownCopy},
+	} {
+		if out, ds := target.AppendHandleFrag(nil, tt.from, tt.p); len(out) != 0 || len(ds) != 0 {
+			t.Fatalf("%s produced %d messages, %d deliveries", tt.name, len(out), len(ds))
+		}
+		if s := set(); s != nil && s.have != 0 {
+			t.Fatalf("%s was stored: %d fragments held", tt.name, s.have)
+		}
+	}
+	target.AppendHandleFrag(nil, 2, own)
+	if s := set(); s == nil || s.have != 1 || s.frags[1] != own.Frag {
+		t.Fatal("p2's own echo coming back was not stored")
+	}
+
+	c.enqueue(msgs)
+	c.pumpAll()
+	if len(c.delivered) != n {
+		t.Fatalf("%d processes delivered, want %d", len(c.delivered), n)
+	}
+	for p, ds := range c.delivered {
+		if len(ds) != 1 || ds[0].Body != body {
+			t.Errorf("p%v delivered %v, want one %q", p, ds, body)
+		}
+	}
+}
+
 // TestCodedDuplicateFragmentsCountOnce: one peer repeating its fragment echo
 // casts one vote; a peer echoing under someone else's index casts none.
 func TestCodedDuplicateFragmentsCountOnce(t *testing.T) {

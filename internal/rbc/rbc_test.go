@@ -394,10 +394,10 @@ func TestFanoutPayloadReuse(t *testing.T) {
 // (New has its own pin below). Embedding the echo/ready fan-out payloads in
 // the instance removed four allocations, one tally per body carrying both
 // the echo and the ready bitset two more, and the inline first tally, the
-// chunked bitsets and the reused delivery the last three, and blocks of
-// four instances with delivered records as bits the instance itself; a
-// regression above the budget means a fresh per-fan-out or per-message
-// allocation crept back in.
+// chunked bitsets and the reused delivery three more. Blocks of four
+// instances, with delivered records as bits, took the instance itself down
+// to a quarter; a regression above the budget means a fresh per-fan-out or
+// per-message allocation crept back in.
 func TestInstanceLifecycleAllocations(t *testing.T) {
 	const n = 7
 	const budget = 1 // measured 0 (1 under -race): a block every four instances, a bitset chunk every 3·n tallies and the record rows' growth round to 0

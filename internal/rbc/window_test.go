@@ -324,3 +324,63 @@ func TestReleasedCopiesKeepTheirBodies(t *testing.T) {
 		})
 	}
 }
+
+// TestWindowRecordsAreRowBits: the delivered records of the window's
+// consensus instance are bits of one row per round, grown to the highest
+// round recorded, and take no map entry; a record the rows may not hold —
+// a round past what the window has slid through, after a floor jump — is a
+// map key, as is a round the window reached by that jump. Both answer
+// Delivered and silence late traffic, and both count.
+func TestWindowRecordsAreRowBits(t *testing.T) {
+	spec := quorum.MustNew(4, 1)
+	peers := types.Processes(4)
+	b := New(2, peers, spec)
+	b.Broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: 5}, "own")
+	terminal := func(id types.InstanceID) {
+		t.Helper()
+		b.Handle(id.Sender, &types.RBCPayload{Phase: types.KindRBCSend, ID: id, Body: "m"})
+		for _, phase := range []types.Kind{types.KindRBCEcho, types.KindRBCReady} {
+			for _, from := range peers {
+				b.Handle(from, &types.RBCPayload{Phase: phase, ID: id, Body: "m"})
+			}
+		}
+	}
+	id := func(round int, s types.Step) types.InstanceID {
+		return types.InstanceID{Sender: 1, Tag: types.Tag{Round: round, Step: s, Seq: 5}}
+	}
+	for r := 1; r <= 8; r++ {
+		for s := types.Step1; s <= types.Step3; s++ {
+			terminal(id(r, s))
+		}
+		b.PruneBelow(r)
+	}
+	if b.Compacted() != 3*7 || len(b.compacted) != 0 || len(b.rows) != 7*b.rowWords {
+		t.Fatalf("after rounds 1..7: %d records, %d map keys, %d row words; want 21, 0, %d",
+			b.Compacted(), len(b.compacted), len(b.rows), 7*b.rowWords)
+	}
+	// The floor jumps from 8 to 1000: round 8 leaves the window as a row
+	// bit, round 20 (overflow, never in a window) becomes a map key.
+	terminal(id(20, types.Step2))
+	b.PruneBelow(1000)
+	if b.Compacted() != 3*8+1 || len(b.compacted) != 1 || len(b.rows) != 8*b.rowWords {
+		t.Fatalf("after the jump: %d records, %d map keys, %d row words; want 25, 1, %d",
+			b.Compacted(), len(b.compacted), len(b.rows), 8*b.rowWords)
+	}
+	// The window now starts at 1000, but the rows' bound rises by at most
+	// the window's span per slide: round 1000's record is a map key too,
+	// and the rows stay 8 rounds long.
+	terminal(id(1000, types.Step1))
+	b.PruneBelow(1001)
+	if b.Compacted() != 3*8+2 || len(b.compacted) != 2 || len(b.rows) != 8*b.rowWords {
+		t.Fatalf("after sliding past round 1000: %d records, %d map keys, %d row words; want 26, 2, %d",
+			b.Compacted(), len(b.compacted), len(b.rows), 8*b.rowWords)
+	}
+	for _, rec := range []types.InstanceID{id(1, types.Step1), id(8, types.Step3), id(20, types.Step2), id(1000, types.Step1)} {
+		if !b.Delivered(rec) {
+			t.Errorf("%v: Delivered lost by compaction", rec)
+		}
+		if out, ds := b.Handle(3, &types.RBCPayload{Phase: types.KindRBCEcho, ID: rec, Body: "x"}); len(out)+len(ds) != 0 || b.Instances() != 0 {
+			t.Errorf("%v: late ECHO emitted %d messages and %d deliveries, %d live instances", rec, len(out), len(ds), b.Instances())
+		}
+	}
+}
