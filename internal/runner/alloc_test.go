@@ -83,10 +83,10 @@ func TestRunAllocationsPerDelivery(t *testing.T) {
 		seeds int64
 		bound float64 // measured × 1.15
 	}{
-		{"liar", consensus(base), 64, 140 * 1.15},
-		{"crash-midway", consensus(crash), 64, 233 * 1.15},
-		{"smr-plain-n16", smrShape(32, 0, false), 3, 33 * 1.15},
-		{"smr-coded-n16", smrShape(16, 2048, true), 2, 45.7 * 1.15},
+		{"liar", consensus(base), 64, 132 * 1.15},
+		{"crash-midway", consensus(crash), 64, 217 * 1.15},
+		{"smr-plain-n16", smrShape(32, 0, false), 3, 24.2 * 1.15},
+		{"smr-coded-n16", smrShape(16, 2048, true), 2, 36.9 * 1.15},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			perK, _ := perKDelivery(t, tt.run, tt.seeds)
@@ -115,7 +115,7 @@ func TestRunSMRBytesPerDelivery(t *testing.T) {
 		bound float64 // KiB, measured × 1.15
 	}{
 		{"smr-plain-n16", smrShape(32, 0, false), 3, 14.25 * 1.15},
-		{"smr-coded-n16", smrShape(16, 2048, true), 2, 78.3 * 1.15},
+		{"smr-coded-n16", smrShape(16, 2048, true), 2, 61 * 1.15},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			_, kib := perKDelivery(t, tt.run, tt.seeds)

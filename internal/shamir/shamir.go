@@ -86,7 +86,9 @@ func Reconstruct(shares []Share, threshold int) ([]byte, error) {
 	}
 	// Candidate widths in order of first appearance: a single wrong-width
 	// share cannot dictate the width and veto a valid majority behind it.
-	var widths []int
+	// Honest dealings have one width, so a few slots on the stack suffice.
+	var widthBuf [4]int
+	widths := widthBuf[:0]
 	for _, s := range shares {
 		if len(s.Y) == 0 {
 			continue
@@ -102,13 +104,15 @@ func Reconstruct(shares []Share, threshold int) ([]byte, error) {
 			widths = append(widths, len(s.Y))
 		}
 	}
-	var use []Share
-	var xs []byte
+	// Distinct non-zero X values number at most 255, so the selection
+	// (indices into shares) and its evaluation points fit on the stack.
+	var useBuf [255]int
+	var xsBuf [255]byte
+	use, xs := useBuf[:0], xsBuf[:0]
 	for _, width := range widths {
-		use = use[:0]
-		xs = xs[:0]
-		seen := make(map[byte]bool, threshold)
-		for _, s := range shares {
+		use, xs = use[:0], xs[:0]
+		var seen [256]bool
+		for i, s := range shares {
 			if len(use) == threshold {
 				break
 			}
@@ -116,7 +120,7 @@ func Reconstruct(shares []Share, threshold int) ([]byte, error) {
 				continue
 			}
 			seen[s.X] = true
-			use = append(use, s)
+			use = append(use, i)
 			xs = append(xs, s.X)
 		}
 		if len(use) == threshold {
@@ -127,7 +131,7 @@ func Reconstruct(shares []Share, threshold int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: only %d of %d shares usable (need %d)",
 			ErrBadShares, len(use), len(shares), threshold)
 	}
-	width := len(use[0].Y)
+	width := len(shares[use[0]].Y)
 	// Precompute the Lagrange basis at 0 once; it is shared by all bytes.
 	basis, err := lagrangeBasisAtZero(xs)
 	if err != nil {
@@ -136,8 +140,8 @@ func Reconstruct(shares []Share, threshold int) ([]byte, error) {
 	secret := make([]byte, width)
 	for b := 0; b < width; b++ {
 		var acc byte
-		for i := range use {
-			acc = gfAdd(acc, gfMul(use[i].Y[b], basis[i]))
+		for i, at := range use {
+			acc = gfAdd(acc, gfMul(shares[at].Y[b], basis[i]))
 		}
 		secret[b] = acc
 	}

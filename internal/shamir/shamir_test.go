@@ -307,3 +307,24 @@ func TestShareString(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+// TestReconstructAllocations pins Reconstruct at two allocations, the
+// Lagrange basis and the secret, at the coin thresholds of n=7 (f+1 = 3) and
+// n=64 (f+1 = 22): the share selection, its points, the candidate widths
+// and the per-width seen set all stay on the stack.
+func TestReconstructAllocations(t *testing.T) {
+	for _, threshold := range []int{3, 22} {
+		n := 3*threshold - 2
+		shares, err := Split([]byte{0xAB}, n, threshold, rng(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := Reconstruct(shares, threshold); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 2 {
+			t.Errorf("threshold %d: Reconstruct made %v allocs, want 2", threshold, got)
+		}
+	}
+}

@@ -1,9 +1,12 @@
 package smr
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/ckpt"
 	"repro/internal/coin"
@@ -159,6 +162,63 @@ func TestSMRBatchedClusterAgrees(t *testing.T) {
 	tail := replicas[0].LogSince(slots - 2)
 	if len(tail) != 2*batch || tail[0].Slot != slots-2 || tail[0].Index != 0 {
 		t.Fatalf("LogSince(%d) returned %d entries starting (%d,%d)", slots-2, len(tail), tail[0].Slot, tail[0].Index)
+	}
+}
+
+// TestBatchEntriesShareOneBody: a committed batch is not copied command by
+// command. Every entry of a slot is a substring of one string whose bytes
+// are the slot's canonical batch body, and the machine's value for each
+// command's key points into that same body. It holds for the broadcast body
+// itself (plain) and for the body each replica decodes (coded).
+func TestBatchEntriesShareOneBody(t *testing.T) {
+	const n, slots, batch, depth, per = 4, 8, 3, 2, 6
+	for _, coded := range []bool{false, true} {
+		build := buildBatchedSMR
+		if coded {
+			build = buildCodedSMR
+		}
+		replicas, machines := build(t, n, 1, slots, batch, depth, per, 5)
+		for i, rep := range replicas {
+			bySlot := map[int][]string{}
+			for _, e := range rep.LogSince(0) {
+				if e.Command != Noop {
+					bySlot[e.Slot] = append(bySlot[e.Slot], e.Command)
+				}
+			}
+			// order-free: each slot is checked on its own
+			for slot, cmds := range bySlot {
+				body, err := wire.EncodeBatch(cmds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The body each command would sit in starts at its address
+				// less its offset in the canonical encoding.
+				var base uintptr
+				first := 0
+				off := 1 + len(binary.AppendUvarint(nil, uint64(len(cmds))))
+				for j, c := range cmds {
+					off += len(binary.AppendUvarint(nil, uint64(len(c))))
+					at := uintptr(unsafe.Pointer(unsafe.StringData(c))) - uintptr(off)
+					if j == 0 {
+						base, first = at, off
+					} else if at != base {
+						t.Fatalf("coded=%v replica %d slot %d: command %d is not in command 0's body", coded, i, slot, j)
+					}
+					off += len(c)
+				}
+				start := unsafe.Add(unsafe.Pointer(unsafe.StringData(cmds[0])), -first)
+				if got := unsafe.String((*byte)(start), len(body)); got != body {
+					t.Fatalf("coded=%v replica %d slot %d: commands sit in %q, not the batch body %q", coded, i, slot, got, body)
+				}
+				for _, c := range cmds {
+					f := strings.Fields(c)
+					v := uintptr(unsafe.Pointer(unsafe.StringData(machines[i].state[f[1]])))
+					if v < base || v >= base+uintptr(len(body)) {
+						t.Fatalf("coded=%v replica %d slot %d: value of %s is outside the batch body", coded, i, slot, f[1])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/coin"
@@ -113,4 +114,40 @@ func TestAllBadRespondersResetAndInstall(t *testing.T) {
 		t.Errorf("victim at slot %d with %d transfers, want slot %d after one transfer",
 			rig.victim.Slot(), rig.victim.Transfers(), rig.honest.Slot)
 	}
+}
+
+// TestDroppedLogEntriesCleared: truncation at a certified cut and a state
+// transfer's install both zero the log's backing array past its new length.
+// A stale entry left there would keep its batch body alive (an entry's
+// command is a substring of the body) until an append overwrote it.
+func TestDroppedLogEntriesCleared(t *testing.T) {
+	rig := newCatchUpRig(t)
+	r := rig.victim
+	fill := func(from, to int) {
+		r.log = r.log[:0]
+		for s := from; s < to; s++ {
+			for i := range 2 {
+				r.log = append(r.log, Entry{Slot: s, Index: i, Proposer: 1, Command: fmt.Sprintf("set k%d-%d v", s, i)})
+			}
+		}
+	}
+	stale := func(after string) {
+		for i, e := range r.log[len(r.log):cap(r.log)] {
+			if e != (Entry{}) {
+				t.Errorf("after %s: log[%d], past length %d, still holds %+v", after, len(r.log)+i, len(r.log), e)
+			}
+		}
+	}
+	fill(0, 4)
+	r.truncateLog(2)
+	if len(r.log) != 4 || r.log[0].Slot != 2 {
+		t.Fatalf("truncateLog(2) kept %d entries from slot %d, want 4 from slot 2", len(r.log), r.log[0].Slot)
+	}
+	stale("truncateLog")
+	fill(2, 6)
+	rig.answer(types.ProcessID(1), rig.honest)
+	if r.Transfers() != 1 || len(r.log) != 0 {
+		t.Fatalf("install: %d transfers, %d log entries; want 1 and 0", r.Transfers(), len(r.log))
+	}
+	stale("install")
 }

@@ -34,6 +34,13 @@ type Snapshotter interface {
 // runs (Unicode spaces such as U+0085 and U+3000 included) as separators and
 // any invalid UTF-8 byte counting as a non-space. Apply implements it in one
 // pass over the command (see nextField); the test oracle is strings.Fields.
+//
+// Keys and values are never copies. Apply takes them as substrings of the
+// command, which under a Replica is a substring of the batch body it
+// delivered (wire.DecodeBatch); Restore takes them as substrings of the
+// snapshot. So a live value keeps its whole body or snapshot alive, and a
+// batch body holds at most wire.MaxBatchBytes of commands plus their
+// framing.
 type KVMachine struct {
 	state   map[string]string
 	applied int

@@ -108,7 +108,10 @@ type StateMachine interface {
 
 // Entry is one committed log position. A slot commits one entry without
 // batching; with Config.Batch > 1 a decided batch body unbatches into one
-// entry per bundled command, ordered by Index within the slot.
+// entry per bundled command, ordered by Index within the slot. Command is
+// never a copy: it is the body this replica delivered for the slot, or for a
+// batch a substring of it (wire.DecodeBatch), so the entries of one batch
+// share one body, and the log, which truncates by slot, drops them together.
 type Entry struct {
 	Slot int
 	// Index is the entry's position within its slot's batch (0 for the
@@ -950,13 +953,17 @@ func (r *Replica) persist() {
 }
 
 // truncateLog drops committed entries below the floor; logDigest keeps
-// covering them (the certificate pinned the prefix digest).
+// covering them (the certificate pinned the prefix digest). The slots past
+// the new length are zeroed: a stale entry left there would keep its batch
+// body alive until an append overwrote it.
 func (r *Replica) truncateLog(floor int) {
 	if floor <= r.base {
 		return
 	}
 	k := sort.Search(len(r.log), func(i int) bool { return r.log[i].Slot >= floor })
-	r.log = r.log[:copy(r.log, r.log[k:])]
+	n := copy(r.log, r.log[k:])
+	clear(r.log[n:])
+	r.log = r.log[:n]
 	r.base = floor
 }
 
@@ -995,6 +1002,7 @@ func (r *Replica) install(out []types.Message, cert ckpt.Certificate, snapshot s
 	r.bin = nil
 	r.slot = cert.Slot
 	r.base = cert.Slot
+	clear(r.log) // as in truncateLog: no stale entry keeps a body alive
 	r.log = r.log[:0]
 	r.logDigest = cert.LogDigest
 	maps.DeleteFunc(r.cands, func(s int, _ string) bool { return s < r.slot })
@@ -1087,7 +1095,8 @@ func (r *Replica) step(out []types.Message) []types.Message {
 			// suffix re-commit) holds with batching on. A body that is not
 			// a canonical batch (a Byzantine proposer can disseminate any
 			// bytes) commits as a single raw entry — the same deterministic
-			// rule at every replica.
+			// rule at every replica. The commands are substrings of body,
+			// so the batch's entries share the one copy delivered here.
 			if cmds, err := wire.DecodeBatch(body); err == nil {
 				for i, cmd := range cmds {
 					r.commitEntry(Entry{Slot: r.slot, Index: i, Proposer: proposer, Command: cmd}, true)

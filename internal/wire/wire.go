@@ -15,16 +15,13 @@
 // return zero values and the reader keeps that first error, so a decoder
 // reads a whole payload as one struct literal and checks the error once.
 // Decoded strings are substrings of the input, so a decoded payload shares a
-// single copy of the bytes it came from. DecodeBatch is the exception: its
-// commands become log entries and machine state that outlive the batch body,
-// so it clones each one rather than let every entry pin the whole body.
+// single copy of the bytes it came from.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 
 	"repro/internal/types"
@@ -455,8 +452,9 @@ func checkBatch(cmds []string) error {
 // bodies, so the count and total size are bounded, and — as with DecodeStep —
 // only the exact bytes EncodeBatch produces are accepted: varints admit
 // padded encodings of the same value, which would let two distinct body
-// strings disseminate the same logical batch. The commands are clones, not
-// substrings of body (see the package comment).
+// strings disseminate the same logical batch. The commands are substrings of
+// body, so the command slice is the only allocation, and any one command
+// that is kept keeps the whole body alive.
 func DecodeBatch(body string) ([]string, error) {
 	if body == "" || types.Kind(body[0]) != types.KindBatch {
 		return nil, fmt.Errorf("%w: not a batch body", ErrBadValue)
@@ -479,9 +477,6 @@ func DecodeBatch(body string) ([]string, error) {
 	}
 	if err := checkBatch(cmds); err != nil {
 		return nil, err
-	}
-	for i, c := range cmds {
-		cmds[i] = strings.Clone(c)
 	}
 	return cmds, nil
 }
