@@ -1095,8 +1095,7 @@ func (r *Replica) step(out []types.Message) []types.Message {
 			// suffix re-commit) holds with batching on. A body that is not
 			// a canonical batch (a Byzantine proposer can disseminate any
 			// bytes) commits as a single raw entry — the same deterministic
-			// rule at every replica. The commands are substrings of body,
-			// so the batch's entries share the one copy delivered here.
+			// rule at every replica.
 			if cmds, err := wire.DecodeBatch(body); err == nil {
 				for i, cmd := range cmds {
 					r.commitEntry(Entry{Slot: r.slot, Index: i, Proposer: proposer, Command: cmd}, true)
