@@ -13,10 +13,14 @@ package rbc
 // answers for exactly the deliveries not dropped.
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,6 +91,9 @@ type codedScript struct {
 	dropped   map[types.InstanceID]bool
 	compacted map[types.InstanceID]bool
 	seqFloor  int
+
+	// tr, when non-nil, receives the script's transcript (see record).
+	tr io.Writer
 }
 
 func (s *codedScript) fail(format string, args ...any) {
@@ -137,12 +144,41 @@ func (s *codedScript) fragments(sender, tag, body int) []*types.RBCFragPayload {
 		src = NewCoded(p, s.peers, s.spec)
 		s.senders[p] = src
 	}
-	for _, m := range src.Broadcast(codedTags[tag], codedBodies[body]) {
+	msgs := src.Broadcast(codedTags[tag], codedBodies[body])
+	s.record("disperse", msgs, nil)
+	for _, m := range msgs {
 		fp := m.Payload.(*types.RBCFragPayload)
 		fs[fp.Index] = fp
 	}
 	s.frags[k] = fs
 	return fs
+}
+
+// record writes one call's outcome to the transcript, if the script keeps
+// one: every message by field, never by pointer, every delivery, and the
+// broadcaster's instance and record counts after the call.
+func (s *codedScript) record(what string, out []types.Message, ds []Delivery) {
+	if s.tr == nil {
+		return
+	}
+	id := func(id types.InstanceID) string {
+		return fmt.Sprintf("%d/%d/%d/%d", id.Sender, id.Tag.Round, id.Tag.Step, id.Tag.Seq)
+	}
+	fmt.Fprintf(s.tr, "op %d %s: %d msgs %d delivs %d live %d records\n",
+		s.op, what, len(out), len(ds), s.b.Instances(), s.b.Compacted())
+	for _, m := range out {
+		switch p := m.Payload.(type) {
+		case *types.RBCFragPayload:
+			fmt.Fprintf(s.tr, "%d>%d frag %s %d %d %x %x\n", m.From, m.To, id(p.ID), p.Index, p.TotalLen, p.Sums, p.Frag)
+		case *types.RBCSumPayload:
+			fmt.Fprintf(s.tr, "%d>%d sum %s %x\n", m.From, m.To, id(p.ID), p.Sum)
+		default:
+			fmt.Fprintf(s.tr, "%d>%d %T\n", m.From, m.To, p)
+		}
+	}
+	for _, d := range ds {
+		fmt.Fprintf(s.tr, "deliver %s %x\n", id(d.ID), d.Body)
+	}
 }
 
 // below reports whether id is under the drop watermark.
@@ -179,6 +215,7 @@ func (s *codedScript) frag(from types.ProcessID, p *types.RBCFragPayload) {
 	s.t.Helper()
 	before := s.b.Instances()
 	out, ds := s.b.AppendHandleFrag(nil, from, p)
+	s.record(fmt.Sprintf("frag from %d", from), out, ds)
 	s.check(p.ID, before, out, ds)
 }
 
@@ -186,18 +223,22 @@ func (s *codedScript) sum(from types.ProcessID, p *types.RBCSumPayload) {
 	s.t.Helper()
 	before := s.b.Instances()
 	out, ds := s.b.AppendHandleSum(nil, from, p)
+	s.record(fmt.Sprintf("sum from %d", from), out, ds)
 	s.check(p.ID, before, out, ds)
 }
 
 func (s *codedScript) checkDelivered(id types.InstanceID) {
 	s.t.Helper()
-	if g, w := s.b.Delivered(id), s.delivered[id] && !s.dropped[id]; g != w {
+	g, w := s.b.Delivered(id), s.delivered[id] && !s.dropped[id]
+	s.record(fmt.Sprintf("delivered %v", g), nil, nil)
+	if g != w {
 		s.fail("Delivered(%v) = %v, want %v", id, g, w)
 	}
 }
 
-// runCodedScript decodes data and runs it against a fresh coded broadcaster.
-func runCodedScript(t *testing.T, name string, data []byte) {
+// runCodedScript decodes data and runs it against a fresh coded broadcaster,
+// writing its transcript to tr if tr is non-nil.
+func runCodedScript(t *testing.T, name string, data []byte, tr io.Writer) {
 	t.Helper()
 	r := &scriptReader{data: data}
 	peers := codedPeerSets[r.next(len(codedPeerSets))]
@@ -212,6 +253,7 @@ func runCodedScript(t *testing.T, name string, data []byte) {
 		delivered: map[types.InstanceID]bool{},
 		dropped:   map[types.InstanceID]bool{},
 		compacted: map[types.InstanceID]bool{},
+		tr:        tr,
 	}
 	from := append(append([]types.ProcessID(nil), peers...), codedOutsider)
 	readID := func() (int, int, types.InstanceID) {
@@ -278,20 +320,24 @@ func runCodedScript(t *testing.T, name string, data []byte) {
 			}
 		case cfCompact:
 			_, _, id := readID()
-			if s.b.Compact(id) {
+			compacted := s.b.Compact(id)
+			s.record(fmt.Sprintf("compact %v", compacted), nil, nil)
+			if compacted {
 				if !s.delivered[id] {
 					s.fail("Compact(%v) released an undelivered instance", id)
 				}
 				s.compacted[id] = true
 			}
 		case cfPrune:
-			s.b.PruneBelow(codedRounds[r.next(len(codedRounds))])
+			released := s.b.PruneBelow(codedRounds[r.next(len(codedRounds))])
+			s.record(fmt.Sprintf("prune %d", released), nil, nil)
 		case cfDrop:
 			seq := codedSeqs[r.next(len(codedSeqs))]
 			if seq > s.seqFloor {
 				s.seqFloor = seq
 			}
-			s.b.DropSeqBelow(seq)
+			dropped := s.b.DropSeqBelow(seq)
+			s.record(fmt.Sprintf("drop %d", dropped), nil, nil)
 			for id := range s.delivered {
 				s.dropped[id] = s.below(id)
 			}
@@ -300,7 +346,12 @@ func runCodedScript(t *testing.T, name string, data []byte) {
 			s.checkDelivered(id)
 		}
 	}
-	for id := range s.dispersed {
+	// In a fixed order, so the transcript is a function of the script.
+	ids := slices.SortedFunc(maps.Keys(s.dispersed), func(a, b types.InstanceID) int {
+		return cmp.Or(cmp.Compare(a.Sender, b.Sender), cmp.Compare(a.Tag.Round, b.Tag.Round),
+			cmp.Compare(a.Tag.Step, b.Tag.Step), cmp.Compare(a.Tag.Seq, b.Tag.Seq))
+	})
+	for _, id := range ids {
 		s.checkDelivered(id)
 	}
 }
@@ -414,13 +465,13 @@ func codedCases() map[string][]byte {
 
 func TestCodedBroadcasterScripts(t *testing.T) {
 	for name, data := range codedCases() {
-		runCodedScript(t, name, data)
+		runCodedScript(t, name, data, nil)
 	}
 	rng := rand.New(rand.NewSource(36))
 	for trial := 0; trial < 200; trial++ {
 		data := make([]byte, 2+rng.Intn(600))
 		rng.Read(data)
-		runCodedScript(t, fmt.Sprintf("random-%d", trial), data)
+		runCodedScript(t, fmt.Sprintf("random-%d", trial), data, nil)
 	}
 }
 
@@ -430,6 +481,37 @@ func TestCodedCorpusCurrent(t *testing.T) {
 
 func FuzzCodedBroadcaster(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		runCodedScript(t, "fuzz", data)
+		runCodedScript(t, "fuzz", data, nil)
 	})
+}
+
+// TestCodedScriptTranscripts pins what the coded handlers emit, not only the
+// properties the scripts assert: one SHA-256 over the transcripts (see
+// record) of the named scripts and 500 seeded random ones, each run at both
+// cluster sizes. Any change to a message field, a delivery, or when
+// instances are created and released moves the digest.
+func TestCodedScriptTranscripts(t *testing.T) {
+	const want = "f47a9a8e467034a2ba3bee04a2ea3bff76647ee3bbd2fd677675418ec04ea687"
+	cases := codedCases()
+	names := slices.Sorted(maps.Keys(cases))
+	rng := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 500; trial++ {
+		data := make([]byte, 2+rng.Intn(600))
+		rng.Read(data)
+		name := fmt.Sprintf("random-%d", trial)
+		cases[name] = data
+		names = append(names, name)
+	}
+	h := sha256.New()
+	for _, name := range names {
+		for size := range codedPeerSets {
+			data := slices.Clone(cases[name])
+			data[0] = byte(size)
+			fmt.Fprintf(h, "script %s size %d\n", name, size)
+			runCodedScript(t, name, data, h)
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("coded script transcripts hash to %s, want %s", got, want)
+	}
 }
