@@ -115,12 +115,19 @@ func NewCoded(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Br
 // hash, a split or a string: a fragment under digest check, a tally-key
 // preimage, a dispersed body, then its Sums vector. idxs and frags are
 // gather's view as AppendReconstruct takes it.
+//
+// states and tables are the unused rest of the blocks coded instances take
+// their state from: newInstance hands out the next codedState of a block of
+// blockLen, and a fragment set the next n-slot table of a chunk of blockLen
+// tables (see fragTable). Like instance blocks, neither is ever reused.
 type coder struct {
 	*rscode.Code
 	scratch              []byte
 	shards, gather, body []byte
 	idxs                 []int
 	frags                [][]byte
+	states               []codedState
+	tables               []string
 }
 
 // room returns buf emptied, with room for size bytes: a buffer too small for
@@ -146,9 +153,25 @@ type sumKey struct {
 	total int
 }
 
+// fragTable returns an empty n-slot fragment table carved from a chunk of
+// blockLen tables. The three-index slice caps it at its own n slots, so no
+// two sets share one.
+func (c *coder) fragTable() []string {
+	n := c.N()
+	if len(c.tables) < n {
+		c.tables = make([]string, blockLen*n)
+	}
+	t := c.tables[:n:n]
+	c.tables = c.tables[n:]
+	return t
+}
+
 // fragSet accumulates the digest-verified fragments supporting one tally
-// key. frags is indexed by shard index; empty string = not yet seen.
+// key, the interned SHA-256 of (totalLen, sums). frags is indexed by shard
+// index; empty string = not yet seen. It is nil until the first fragment
+// under the key is stored.
 type fragSet struct {
+	key      string
 	totalLen int
 	sums     string
 	frags    []string
@@ -168,17 +191,48 @@ type fragSet struct {
 // peer for its own fragment): the fragment and checksum fan-out payloads,
 // shared by every outgoing copy as in the plain instance, the interned tally
 // keys, and the fragment set of every key.
+//
+// An honest sender's instance sees one (totalLen, Sums) pair, so the first
+// pair interned, its key and its fragment set are held inline in first. The
+// keys and sets maps hold every later pair and stay nil until a second
+// distinct pair arrives — an equivocating or poisoning sender's.
 type codedState struct {
 	echoPayload  types.RBCFragPayload
 	readyPayload types.RBCSumPayload
 
-	keys map[sumKey]string
-	sets map[string]*fragSet
+	first fragSet
+	keys  map[sumKey]string
+	sets  map[string]*fragSet
+}
+
+// set returns key's fragment set, or nil if no fragment was stored under it.
+func (cs *codedState) set(key string) *fragSet {
+	if cs.first.frags != nil && cs.first.key == key {
+		return &cs.first
+	}
+	return cs.sets[key]
+}
+
+// retire drops a released instance's fragments and decoded body. Its
+// fragment tables are carved from chunks that live instances share, and its
+// state from a block that in-flight copies of its payloads keep alive, so
+// without this a released instance could hold its fragments alive through
+// either.
+func (cs *codedState) retire() {
+	clear(cs.first.frags)
+	cs.first.body = ""
+	// order-free: each set is cleared on its own
+	for _, set := range cs.sets {
+		clear(set.frags)
+		set.body = ""
+	}
 }
 
 // appendDisperse is the coded sender path: split the body, digest every
-// shard, and send each peer its fragment with the full cross-checksum. The
-// Sums string is shared by all n payloads.
+// shard, and send each peer its fragment with the full cross-checksum. A
+// dispersal is three allocations: the n payloads are one slice, the n
+// fragments substrings of one string, and the Sums string is shared by all
+// n payloads.
 func (b *Broadcaster) appendDisperse(out []types.Message, tag types.Tag, body string) []types.Message {
 	id := types.InstanceID{Sender: b.me, Tag: tag}
 	c := b.code
@@ -191,15 +245,17 @@ func (b *Broadcaster) appendDisperse(out []types.Message, tag types.Tag, body st
 		c.scratch = append(c.scratch, d[:]...)
 	}
 	sumsStr := string(c.scratch)
+	frags := string(c.shards)
+	ps := make([]types.RBCFragPayload, len(b.peers))
 	for i, peer := range b.peers {
-		p := &types.RBCFragPayload{
+		ps[i] = types.RBCFragPayload{
 			ID:       id,
 			Index:    i,
 			TotalLen: len(body),
 			Sums:     sumsStr,
-			Frag:     string(c.shard(i, shardLen)),
+			Frag:     frags[i*shardLen : (i+1)*shardLen],
 		}
-		out = append(out, types.Message{From: b.me, To: peer, Payload: p})
+		out = append(out, types.Message{From: b.me, To: peer, Payload: &ps[i]})
 	}
 	return out
 }
@@ -233,8 +289,13 @@ func (b *Broadcaster) fragValid(p *types.RBCFragPayload) bool {
 }
 
 // internKey returns the 32-byte tally key SHA-256(uvarint(totalLen) ‖ sums),
-// computed once per (totalLen, sums) pair per instance.
+// computed once per (totalLen, sums) pair per instance: the first pair is
+// interned inline, later ones in the keys map.
 func (b *Broadcaster) internKey(cs *codedState, totalLen int, sums string) string {
+	f := &cs.first
+	if f.key != "" && f.totalLen == totalLen && f.sums == sums {
+		return f.key
+	}
 	sk := sumKey{sums: sums, total: totalLen}
 	if k, ok := cs.keys[sk]; ok {
 		return k
@@ -244,8 +305,30 @@ func (b *Broadcaster) internKey(cs *codedState, totalLen int, sums string) strin
 	c.scratch = append(c.scratch, sums...)
 	d := sha256.Sum256(c.scratch)
 	k := string(d[:])
-	cs.keys[sk] = k
+	switch {
+	case f.key == "":
+		f.key, f.totalLen, f.sums = k, totalLen, sums
+	case cs.keys == nil:
+		cs.keys = map[sumKey]string{sk: k}
+	default:
+		cs.keys[sk] = k
+	}
 	return k
+}
+
+// addSet creates the fragment set of key, interned from (totalLen, sums):
+// inline if key is the first key, else in the sets map.
+func (b *Broadcaster) addSet(cs *codedState, key string, totalLen int, sums string) *fragSet {
+	if key == cs.first.key {
+		cs.first.frags = b.code.fragTable()
+		return &cs.first
+	}
+	set := &fragSet{key: key, totalLen: totalLen, sums: sums, frags: b.code.fragTable()}
+	if cs.sets == nil {
+		cs.sets = make(map[string]*fragSet)
+	}
+	cs.sets[key] = set
+	return set
 }
 
 // AppendHandleFrag processes a coded dispersal or fragment echo. Fragments
@@ -288,10 +371,9 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 	if !ok || p.Index != pi {
 		return out, nil
 	}
-	set := cs.sets[key]
+	set := cs.set(key)
 	if set == nil {
-		set = &fragSet{totalLen: p.TotalLen, sums: p.Sums, frags: make([]string, b.code.N())}
-		cs.sets[key] = set
+		set = b.addSet(cs, key, p.TotalLen, p.Sums)
 	}
 	if set.frags[p.Index] == "" {
 		set.frags[p.Index] = p.Frag
@@ -326,7 +408,7 @@ func (b *Broadcaster) AppendHandleSum(out []types.Message, from types.ProcessID,
 // poisons the key permanently — both verdicts are functions of the digest
 // vector alone, so every correct process reaches the same one.
 func (b *Broadcaster) tryDecode(cs *codedState, key string) (string, bool) {
-	set := cs.sets[key]
+	set := cs.set(key)
 	if set == nil || set.poisoned {
 		return "", false
 	}

@@ -285,12 +285,7 @@ func TestCodedLiveInstanceStillChecksFragments(t *testing.T) {
 		t.Fatalf("dispersal to p2 produced %d echoes, want %d", len(echo), n)
 	}
 	own := echo[0].Payload.(*types.RBCFragPayload)
-	set := func() *fragSet {
-		for _, s := range codedAt(target, id).sets {
-			return s
-		}
-		return nil
-	}
+	set := func() *fragSet { return codedAt(target, id).set(dispersalKey(own)) }
 
 	tampered := *frag(3)
 	tampered.Frag = strings.Repeat("!", len(tampered.Frag))
@@ -363,7 +358,7 @@ func TestCodedDuplicateFragmentsCountOnce(t *testing.T) {
 	if tallies := target.instances[id].tallies; len(tallies) != 1 || tallies[0].echoes != 1 {
 		t.Fatalf("duplicate echoes counted: %+v", tallies)
 	}
-	if got := ci.sets[target.internKey(ci, frag3.TotalLen, frag3.Sums)].have; got != 1 {
+	if got := ci.set(target.internKey(ci, frag3.TotalLen, frag3.Sums)).have; got != 1 {
 		t.Fatalf("stored %d fragments, want 1", got)
 	}
 	// p4 echoing p3's fragment (an index not its own): no vote, no storage.
@@ -488,7 +483,7 @@ func TestCodedPoisonedKeyNeverDelivers(t *testing.T) {
 			t.Fatalf("poisoned key delivered: %v %v", out, ds)
 		}
 	}
-	set := ci.sets[key]
+	set := ci.set(key)
 	if set == nil || !set.poisoned {
 		t.Fatalf("decode verdict not poisoned: %+v", set)
 	}
@@ -552,7 +547,7 @@ func TestCodedDecodeVerdictIndependentOfHeldSet(t *testing.T) {
 			_, ds := target.AppendHandleSum(nil, from, &types.RBCSumPayload{ID: id, Sum: key})
 			got = append(got, ds...)
 		}
-		return got, ci.sets[key]
+		return got, ci.set(key)
 	}
 
 	for _, tc := range []struct {
@@ -636,7 +631,7 @@ func TestCodedDecodeBufferReuse(t *testing.T) {
 			_, ds := target.AppendHandleSum(nil, from, &types.RBCSumPayload{ID: id, Sum: key})
 			got = append(got, ds...)
 		}
-		return got, codedAt(target, id).sets[key]
+		return got, codedAt(target, id).set(key)
 	}
 
 	long := make([]byte, 32<<10)

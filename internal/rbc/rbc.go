@@ -339,7 +339,7 @@ func (b *Broadcaster) newInstance(id types.InstanceID, c **instance) *instance {
 	in.t0 = b.tele.Now()
 	in.tallies = in.first[:0]
 	if b.code != nil {
-		in.coded = &codedState{keys: make(map[sumKey]string), sets: make(map[string]*fragSet)}
+		in.coded = next(&b.code.states)
 	}
 	if c != nil {
 		*c = in
@@ -406,10 +406,13 @@ func (b *Broadcaster) markCompacted(id types.InstanceID) {
 	b.compacted[id] = struct{}{}
 }
 
-// release turns the live instance id (in window cell c, or in the overflow
-// map when c is nil) into a delivered record.
-func (b *Broadcaster) release(id types.InstanceID, c **instance) {
+// release turns the live instance id, in (in window cell c, or in the
+// overflow map when c is nil), into a delivered record.
+func (b *Broadcaster) release(id types.InstanceID, in *instance, c **instance) {
 	b.markCompacted(id)
+	if in.coded != nil {
+		in.coded.retire()
+	}
 	if c != nil {
 		*c = nil
 		b.winLive--
@@ -631,7 +634,7 @@ func (b *Broadcaster) maybeReadyAndDeliver(out []types.Message, in *instance, id
 // (the SMR log, ACS input dissemination) call this when a slot commits.
 func (b *Broadcaster) Compact(id types.InstanceID) bool {
 	if in, c := b.lookup(id); in != nil && in.terminal() {
-		b.release(id, c)
+		b.release(id, in, c)
 		return true
 	}
 	return false
@@ -658,7 +661,7 @@ func (b *Broadcaster) PruneBelow(round int) int {
 			b.enter(id, in)
 			continue
 		}
-		b.release(id, nil)
+		b.release(id, in, nil)
 		released++
 	}
 	return released
@@ -751,7 +754,15 @@ func (b *Broadcaster) DropSeqBelow(seq int) int {
 	// The window and rows hold only round-tagged instances, which no drop
 	// covers.
 	before := len(b.instances) + len(b.compacted)
-	maps.DeleteFunc(b.instances, func(id types.InstanceID, _ *instance) bool { return b.belowSeqFloor(id) })
+	maps.DeleteFunc(b.instances, func(id types.InstanceID, in *instance) bool {
+		if !b.belowSeqFloor(id) {
+			return false
+		}
+		if in.coded != nil {
+			in.coded.retire()
+		}
+		return true
+	})
 	maps.DeleteFunc(b.compacted, func(id types.InstanceID, _ struct{}) bool { return b.belowSeqFloor(id) })
 	return before - len(b.instances) - len(b.compacted)
 }
