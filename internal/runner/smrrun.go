@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/adversary"
@@ -476,16 +477,42 @@ func (r *smrRun) certified(i, cut int) {
 	}
 }
 
-// commandsFor is the workload replica p preloads.
+// commandsFor is the workload replica p preloads: command c is "set
+// k<p>-<c> v<p>-<c>", padded with x to CommandBytes. The padding is
+// deterministic filler in the value field: the command still parses as a KV
+// set, just with a body-sized value. The commands are substrings of one
+// string built at its exact size, so a replica's workload is two
+// allocations, not one or three per command.
 func (r *smrRun) commandsFor(p types.ProcessID) []string {
+	var buf [64]byte
+	head := func(c int) []byte {
+		b := append(buf[:0], "set k"...)
+		b = strconv.AppendInt(b, int64(p), 10)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, int64(c), 10)
+		b = append(b, " v"...)
+		b = strconv.AppendInt(b, int64(p), 10)
+		b = append(b, '-')
+		return strconv.AppendInt(b, int64(c), 10)
+	}
+	size := func(c int) int { return max(len(head(c)), r.cfg.CommandBytes) }
+	total := 0
+	for c := range r.cfg.Commands {
+		total += size(c)
+	}
+	var all strings.Builder
+	all.Grow(total)
+	for c := range r.cfg.Commands {
+		h := head(c)
+		all.Write(h)
+		for range r.cfg.CommandBytes - len(h) {
+			all.WriteByte('x')
+		}
+	}
+	rest := all.String()
 	cmds := make([]string, r.cfg.Commands)
 	for c := range cmds {
-		cmds[c] = fmt.Sprintf("set k%d-%d v%d-%d", p, c, p, c)
-		if pad := r.cfg.CommandBytes - len(cmds[c]); pad > 0 {
-			// Deterministic filler in the value field: the command still
-			// parses as a KV set, just with a body-sized value.
-			cmds[c] += strings.Repeat("x", pad)
-		}
+		cmds[c], rest = rest[:size(c)], rest[size(c):]
 	}
 	return cmds
 }

@@ -1,7 +1,11 @@
 package runner
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+
+	"repro/internal/types"
 )
 
 // seedsUnderTest returns the scenario seed battery (shrunk under -short).
@@ -213,5 +217,42 @@ func TestSMRCheckpointBoundsResidue(t *testing.T) {
 	// And the run is still the same run.
 	if with.LogDigest != without.LogDigest || with.StateDigest != without.StateDigest {
 		t.Error("residue workload digests diverged between checkpointed and not")
+	}
+}
+
+// TestCommandsForMatchesSprintf holds the preloaded workload to the
+// commands the fmt.Sprintf-and-strings.Repeat form built, byte for byte,
+// unpadded and padded (including lengths the padding does not reach and
+// process and command numbers of several digits), and holds one replica's
+// commands to two allocations, the slice and the one string they are
+// substrings of, whatever their count.
+func TestCommandsForMatchesSprintf(t *testing.T) {
+	for _, tt := range []struct {
+		p                      types.ProcessID
+		commands, commandBytes int
+	}{
+		{1, 0, 0}, {1, 3, 0}, {7, 12, 0}, {16, 120, 0},
+		{2, 5, 10}, {3, 11, 14}, {16, 130, 2048}, {123, 1001, 40},
+	} {
+		r := &smrRun{cfg: SMRConfig{Commands: tt.commands, CommandBytes: tt.commandBytes}}
+		got := r.commandsFor(tt.p)
+		if len(got) != tt.commands {
+			t.Fatalf("p%d: %d commands, want %d", tt.p, len(got), tt.commands)
+		}
+		for c, cmd := range got {
+			want := fmt.Sprintf("set k%d-%d v%d-%d", tt.p, c, tt.p, c)
+			if pad := tt.commandBytes - len(want); pad > 0 {
+				want += strings.Repeat("x", pad)
+			}
+			if cmd != want {
+				t.Fatalf("p%d command %d of %d bytes = %q, want %q", tt.p, c, tt.commandBytes, cmd, want)
+			}
+		}
+		if tt.commands == 0 {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, func() { r.commandsFor(tt.p) }); allocs != 2 {
+			t.Errorf("p%d, %d commands of %d bytes: %.0f allocations, want 2", tt.p, tt.commands, tt.commandBytes, allocs)
+		}
 	}
 }
