@@ -100,11 +100,24 @@ const InitialLogDigest uint64 = types.FNV1aInit
 
 // Digest fingerprints a snapshot for certification and state-transfer
 // verification: the first eight bytes of SHA-256 (see the discussion at
-// InitialLogDigest for why this one digest must be cryptographic).
+// InitialLogDigest for why this one digest must be cryptographic). The
+// snapshot streams through a fixed buffer into one hash state, so hashing
+// it costs no copy of its size.
 func Digest(s string) uint64 {
-	sum := sha256.Sum256([]byte(s))
-	return binary.BigEndian.Uint64(sum[:8])
+	h := sha256.New()
+	var buf [digestChunk]byte
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		h.Write(buf[:n])
+		s = s[n:]
+	}
+	var sum [sha256.Size]byte
+	return binary.BigEndian.Uint64(h.Sum(sum[:0])[:8])
 }
+
+// digestChunk is the buffer Digest streams a snapshot through: a whole
+// number of SHA-256 blocks.
+const digestChunk = 4096
 
 // FoldEntry extends a chained log digest by one committed entry. The chain
 // starts at InitialLogDigest; after folding entries 0..s-1 in slot order the

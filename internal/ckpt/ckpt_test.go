@@ -1,6 +1,8 @@
 package ckpt
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"testing"
@@ -490,5 +492,26 @@ func TestAuthorityAllocations(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("VerifyEntry cost %.1f allocs, want 0", allocs)
+	}
+}
+
+// TestDigestStreams holds Digest to the first eight bytes of SHA-256 over
+// the whole snapshot at lengths around its streaming buffer (empty, one
+// byte, one short of a chunk, a chunk, one past, many chunks plus a tail),
+// and to no allocation: the snapshot is hashed where it lies, never copied.
+func TestDigestStreams(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, digestChunk - 1, digestChunk, digestChunk + 1, 300*digestChunk + 17} {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(i*131 + i>>8)
+		}
+		s := string(b)
+		sum := sha256.Sum256(b)
+		if got, want := Digest(s), binary.BigEndian.Uint64(sum[:8]); got != want {
+			t.Fatalf("Digest of %d bytes = %#x, want %#x", n, got, want)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { Digest(s) }); allocs != 0 {
+			t.Errorf("Digest of %d bytes: %.0f allocations, want 0", n, allocs)
+		}
 	}
 }
