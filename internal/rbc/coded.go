@@ -50,8 +50,19 @@
 // threshold rules above with only the READY payload and the decode gate
 // depending on the mode.
 //
-// The coded path allocates only what it hands out: a dispersal's fragment
-// and Sums strings, and the delivered body. Its byte work runs in three
+// The coded path allocates only what it hands out. A dispersal is three
+// allocations: its n payloads are one slice, its n fragments substrings of
+// one string, and its Sums string is shared by all n. An instance takes its
+// coded state from a block of blockLen and its n-slot fragment table from a
+// chunk of blockLen tables, both kept in coder so a plain broadcaster holds
+// neither; like instance blocks they are never reused, because in-flight
+// FRAG and SUM copies point at a state's echoPayload and readyPayload. An
+// honest sender's one (TotalLen, Sums) pair, its tally key and its fragment
+// set live inline in the state, so an honest instance allocates only its
+// 32-byte key and its delivered body besides; the keys and sets maps are made
+// only for a second distinct pair. A released or dropped instance clears its
+// fragment tables and body (retire), so neither a shared chunk nor a block
+// kept alive by in-flight copies holds fragments. Its byte work runs in three
 // buffers the broadcaster keeps next to its code (coder) and reuses —
 // shards, where rscode.AppendSplit lays out a dispersal's n shards and a
 // decode's re-encoding; gather, the k held fragments a decode copies back to
@@ -168,7 +179,7 @@ func (c *coder) fragTable() []string {
 
 // fragSet accumulates the digest-verified fragments supporting one tally
 // key, the interned SHA-256 of (totalLen, sums). frags is indexed by shard
-// index; empty string = not yet seen. It is nil until the first fragment
+// index; empty string = not yet seen. frags is nil until the first fragment
 // under the key is stored.
 type fragSet struct {
 	key      string

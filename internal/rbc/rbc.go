@@ -80,23 +80,24 @@
 //
 // # Allocation
 //
-// A plain instance lives from its first message to its release, and its
-// ECHO and READY fan-out payloads are fields of it, shared by every copy of
-// the fan-out; the SEND of this process's own broadcast is one payload shared
-// by its n copies. Neither is built per message: newInstance and
-// AppendBroadcast hand out the next slot of a block of blockLen instances or
-// SEND payloads, allocated when the last block is used up. A slot is handed
-// out exactly once. A released instance is never reused: the garbage
-// collector frees a block once no window cell, overflow entry, in-flight
-// ECHO, READY or SEND copy, or the broadcaster's own unused rest of it
-// points into any of its slots. So a copy still on the wire when its
-// instance is compacted keeps reading its original body, and every payload
-// stays immutable. Four is measured, not tuned: four 216-byte instances fill
-// the 896-byte size class, 224 bytes each as one alone costs, so what a
-// block can waste is its unused rest when its broadcaster is dropped — and
-// the replicated log drops a broadcaster per slot and replica. Against
-// blocks of four, blocks of 8 allocated 0.2–1.6 % more bytes across the
-// benchmark's workloads and blocks of 16 2.5–13 % more.
+// A plain instance lives from its first message to its release, and its ECHO
+// and READY fan-out payloads are fields of it, shared by every copy of the
+// fan-out; the SEND of this process's own broadcast is one payload shared by
+// its n copies. Neither is built per message: newInstance and AppendBroadcast
+// hand out the next slot of a block of blockLen instances or SEND payloads,
+// allocated when the last block is used up (a coded instance's state and
+// fragment table come from blocks of their own under the same rules; see
+// coded.go). A slot is handed out exactly once. A released instance is never
+// reused: the garbage collector frees a block once no window cell, overflow
+// entry, in-flight ECHO, READY or SEND copy, or the broadcaster's own unused
+// rest of it points into any of its slots. So a copy still on the wire when
+// its instance is compacted keeps reading its original body, and every
+// payload stays immutable. Four is measured, not tuned: four 216-byte
+// instances fill the 896-byte size class, 224 bytes each as one alone costs,
+// so what a block can waste is its unused rest when its broadcaster is
+// dropped — and the replicated log drops a broadcaster per slot and replica.
+// Against blocks of four, blocks of 8 allocated 0.2–1.6 % more bytes across
+// the benchmark's workloads and blocks of 16 2.5–13 % more.
 package rbc
 
 import (

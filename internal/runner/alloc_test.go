@@ -85,8 +85,8 @@ func TestRunAllocationsPerDelivery(t *testing.T) {
 	}{
 		{"liar", consensus(base), 64, 132 * 1.15},
 		{"crash-midway", consensus(crash), 64, 217 * 1.15},
-		{"smr-plain-n16", smrShape(32, 0, false), 3, 24.2 * 1.15},
-		{"smr-coded-n16", smrShape(16, 2048, true), 2, 36.9 * 1.15},
+		{"smr-plain-n16", smrShape(32, 0, false), 3, 23.1 * 1.15},
+		{"smr-coded-n16", smrShape(16, 2048, true), 2, 27.0 * 1.15},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			perK, _ := perKDelivery(t, tt.run, tt.seeds)
@@ -114,8 +114,8 @@ func TestRunSMRBytesPerDelivery(t *testing.T) {
 		seeds int64
 		bound float64 // KiB, measured × 1.15
 	}{
-		{"smr-plain-n16", smrShape(32, 0, false), 3, 14.25 * 1.15},
-		{"smr-coded-n16", smrShape(16, 2048, true), 2, 61 * 1.15},
+		{"smr-plain-n16", smrShape(32, 0, false), 3, 14.12 * 1.15},
+		{"smr-coded-n16", smrShape(16, 2048, true), 2, 55.5 * 1.15},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			_, kib := perKDelivery(t, tt.run, tt.seeds)

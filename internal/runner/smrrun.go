@@ -477,6 +477,9 @@ func (r *smrRun) certified(i, cut int) {
 	}
 }
 
+// xPad is the filler commandsFor pads commands with, a run at a time.
+var xPad = strings.Repeat("x", 256)
+
 // commandsFor is the workload replica p preloads: command c is "set
 // k<p>-<c> v<p>-<c>", padded with x to CommandBytes. The padding is
 // deterministic filler in the value field: the command still parses as a KV
@@ -505,14 +508,15 @@ func (r *smrRun) commandsFor(p types.ProcessID) []string {
 	for c := range r.cfg.Commands {
 		h := head(c)
 		all.Write(h)
-		for range r.cfg.CommandBytes - len(h) {
-			all.WriteByte('x')
+		for pad := r.cfg.CommandBytes - len(h); pad > 0; pad -= len(xPad) {
+			all.WriteString(xPad[:min(pad, len(xPad))])
 		}
 	}
 	rest := all.String()
 	cmds := make([]string, r.cfg.Commands)
 	for c := range cmds {
-		cmds[c], rest = rest[:size(c)], rest[size(c):]
+		n := size(c)
+		cmds[c], rest = rest[:n], rest[n:]
 	}
 	return cmds
 }
