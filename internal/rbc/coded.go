@@ -117,7 +117,8 @@ func NewCoded(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Br
 	if err != nil {
 		panic(fmt.Sprintf("rbc: coded mode unavailable for %d peers: %v", len(peers), err))
 	}
-	b.code = &coder{Code: code}
+	k := code.K()
+	b.code = &coder{Code: code, idxs: make([]int, 0, k), frags: make([][]byte, 0, k)}
 	return b
 }
 
@@ -125,7 +126,8 @@ func NewCoded(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Br
 // reuse (see the file comment). scratch holds bytes on their way into a
 // hash, a split or a string: a fragment under digest check, a tally-key
 // preimage, a dispersed body, then its Sums vector. idxs and frags are
-// gather's view as AppendReconstruct takes it.
+// gather's view as AppendReconstruct takes it, k entries each, made at
+// that size.
 //
 // states and tables are the unused rest of the blocks coded instances take
 // their state from: newInstance hands out the next codedState of a block of

@@ -86,7 +86,7 @@ func TestRunAllocationsPerDelivery(t *testing.T) {
 		{"liar", consensus(base), 64, 132 * 1.15},
 		{"crash-midway", consensus(crash), 64, 217 * 1.15},
 		{"smr-plain-n16", smrShape(32, 0, false), 3, 23.1 * 1.15},
-		{"smr-coded-n16", smrShape(16, 2048, true), 2, 27.0 * 1.15},
+		{"smr-coded-n16", smrShape(16, 2048, true), 2, 26.8 * 1.15},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			perK, _ := perKDelivery(t, tt.run, tt.seeds)
