@@ -38,7 +38,7 @@ func TestCodedInstanceAllocations(t *testing.T) {
 		seq := 0
 		run := func() {
 			seq++
-			c.run(1, types.Tag{Seq: seq}, body, body)
+			c.run(types.Tag{Seq: seq}, body)
 			c.drop(seq + 1)
 		}
 		for range codedCycle {
@@ -56,7 +56,7 @@ func TestCodedInstanceAllocations(t *testing.T) {
 
 		seq++
 		id := types.InstanceID{Sender: 1, Tag: types.Tag{Seq: seq}}
-		c.run(1, id.Tag, body, body)
+		c.run(id.Tag, body)
 		b := c.procs[2]
 		cs := codedAt(b, id)
 		if cs == nil {
@@ -73,7 +73,7 @@ func TestCodedInstanceAllocations(t *testing.T) {
 		if !b.Compact(id) {
 			t.Fatal("a delivered honest instance did not compact")
 		}
-		if held := slicesNonEmpty(frags); held != 0 || cs.first.body != "" {
+		if held := heldFragments(frags); held != 0 || cs.first.body != "" {
 			t.Fatalf("a compacted instance still holds %d fragments and a %d-byte body", held, len(cs.first.body))
 		}
 	})
@@ -169,7 +169,7 @@ func TestCodedInstanceAllocations(t *testing.T) {
 		if !target.Compact(e.id) {
 			t.Fatal("the delivered equivocated instance did not compact")
 		}
-		if held := slicesNonEmpty(first) + slicesNonEmpty(other); held != 0 || cs.first.body != "" {
+		if held := heldFragments(first) + heldFragments(other); held != 0 || cs.first.body != "" {
 			t.Fatalf("a compacted instance still holds %d fragments and a %d-byte body", held, len(cs.first.body))
 		}
 	})
@@ -187,8 +187,8 @@ func mallocs(f func()) float64 {
 	return float64(after.Mallocs - before.Mallocs)
 }
 
-// slicesNonEmpty counts the held slots of a fragment table.
-func slicesNonEmpty(frags []string) int {
+// heldFragments counts the held slots of a fragment table.
+func heldFragments(frags []string) int {
 	held := 0
 	for _, f := range frags {
 		if f != "" {
@@ -218,17 +218,17 @@ func newAllocCluster(n, f int) *allocCluster {
 	return c
 }
 
-// run disperses body from sender under tag and delivers every message in
-// order; every process must deliver want once.
-func (c *allocCluster) run(sender types.ProcessID, tag types.Tag, body, want string) {
-	c.queue = c.procs[sender].AppendBroadcast(c.queue[:0], tag, body)
+// run disperses body from p1 under tag and delivers every message in
+// order; every process must deliver body once.
+func (c *allocCluster) run(tag types.Tag, body string) {
+	c.queue = c.procs[1].AppendBroadcast(c.queue[:0], tag, body)
 	delivered := 0
 	for i := 0; i < len(c.queue); i++ {
 		m := c.queue[i]
 		var ds []Delivery
 		c.out, ds, _ = c.procs[m.To].AppendHandlePayload(c.out[:0], m.From, m.Payload)
 		for _, d := range ds {
-			if d.Body != want {
+			if d.Body != body {
 				panic("coded instance delivered the wrong body")
 			}
 			delivered++

@@ -145,7 +145,7 @@ func (s *codedScript) fragments(sender, tag, body int) []*types.RBCFragPayload {
 		s.senders[p] = src
 	}
 	msgs := src.Broadcast(codedTags[tag], codedBodies[body])
-	s.record("disperse", msgs, nil)
+	s.record("disperse", nil, msgs, nil)
 	for _, m := range msgs {
 		fp := m.Payload.(*types.RBCFragPayload)
 		fs[fp.Index] = fp
@@ -155,14 +155,18 @@ func (s *codedScript) fragments(sender, tag, body int) []*types.RBCFragPayload {
 }
 
 // record writes one call's outcome to the transcript, if the script keeps
-// one: every message by field, never by pointer, every delivery, and the
-// broadcaster's instance and record counts after the call.
-func (s *codedScript) record(what string, out []types.Message, ds []Delivery) {
+// one: the call and its result or operand v (if any), every message by
+// field, never by pointer, every delivery, and the broadcaster's instance
+// and record counts after the call.
+func (s *codedScript) record(what string, v any, out []types.Message, ds []Delivery) {
 	if s.tr == nil {
 		return
 	}
 	id := func(id types.InstanceID) string {
 		return fmt.Sprintf("%d/%d/%d/%d", id.Sender, id.Tag.Round, id.Tag.Step, id.Tag.Seq)
+	}
+	if v != nil {
+		what = fmt.Sprintf("%s %v", what, v)
 	}
 	fmt.Fprintf(s.tr, "op %d %s: %d msgs %d delivs %d live %d records\n",
 		s.op, what, len(out), len(ds), s.b.Instances(), s.b.Compacted())
@@ -215,7 +219,7 @@ func (s *codedScript) frag(from types.ProcessID, p *types.RBCFragPayload) {
 	s.t.Helper()
 	before := s.b.Instances()
 	out, ds := s.b.AppendHandleFrag(nil, from, p)
-	s.record(fmt.Sprintf("frag from %d", from), out, ds)
+	s.record("frag from", int(from), out, ds)
 	s.check(p.ID, before, out, ds)
 }
 
@@ -223,14 +227,14 @@ func (s *codedScript) sum(from types.ProcessID, p *types.RBCSumPayload) {
 	s.t.Helper()
 	before := s.b.Instances()
 	out, ds := s.b.AppendHandleSum(nil, from, p)
-	s.record(fmt.Sprintf("sum from %d", from), out, ds)
+	s.record("sum from", int(from), out, ds)
 	s.check(p.ID, before, out, ds)
 }
 
 func (s *codedScript) checkDelivered(id types.InstanceID) {
 	s.t.Helper()
 	g, w := s.b.Delivered(id), s.delivered[id] && !s.dropped[id]
-	s.record(fmt.Sprintf("delivered %v", g), nil, nil)
+	s.record("delivered", g, nil, nil)
 	if g != w {
 		s.fail("Delivered(%v) = %v, want %v", id, g, w)
 	}
@@ -321,7 +325,7 @@ func runCodedScript(t *testing.T, name string, data []byte, tr io.Writer) {
 		case cfCompact:
 			_, _, id := readID()
 			compacted := s.b.Compact(id)
-			s.record(fmt.Sprintf("compact %v", compacted), nil, nil)
+			s.record("compact", compacted, nil, nil)
 			if compacted {
 				if !s.delivered[id] {
 					s.fail("Compact(%v) released an undelivered instance", id)
@@ -330,14 +334,14 @@ func runCodedScript(t *testing.T, name string, data []byte, tr io.Writer) {
 			}
 		case cfPrune:
 			released := s.b.PruneBelow(codedRounds[r.next(len(codedRounds))])
-			s.record(fmt.Sprintf("prune %d", released), nil, nil)
+			s.record("prune", released, nil, nil)
 		case cfDrop:
 			seq := codedSeqs[r.next(len(codedSeqs))]
 			if seq > s.seqFloor {
 				s.seqFloor = seq
 			}
 			dropped := s.b.DropSeqBelow(seq)
-			s.record(fmt.Sprintf("drop %d", dropped), nil, nil)
+			s.record("drop", dropped, nil, nil)
 			for id := range s.delivered {
 				s.dropped[id] = s.below(id)
 			}
