@@ -43,9 +43,22 @@ type DecideGadget struct {
 // non-nil, receives the round→decide latency.
 func NewDecideGadget(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec, instance int,
 	off bool, rec *trace.Recorder, tele *sim.Telemetry) DecideGadget {
-	return DecideGadget{
-		me: me, peers: peers, q: spec, instance: instance, off: off, rec: rec, tele: tele,
+	g := DecideGadget{
+		me: me, peers: peers, q: spec, off: off, rec: rec, tele: tele,
 		voted: make([]uint64, (len(peers)+63)/64),
+	}
+	g.reset(instance)
+	return g
+}
+
+// reset re-arms the gadget for instance: undecided, not relayed, not
+// halted, no vote counted, with its voted bitset cleared in place.
+// NewDecideGadget reaches its state through it.
+func (g *DecideGadget) reset(instance int) {
+	clear(g.voted)
+	*g = DecideGadget{
+		me: g.me, peers: g.peers, q: g.q, instance: instance, off: g.off, rec: g.rec, tele: g.tele,
+		voted: g.voted,
 	}
 }
 

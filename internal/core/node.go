@@ -229,16 +229,52 @@ func New(cfg Config) (*Node, error) {
 	}
 	bcast := rbc.New(cfg.Me, cfg.Peers, cfg.Spec)
 	bcast.SetTelemetry(cfg.Telemetry)
-	return &Node{
-		cfg:      cfg,
-		spec:     cfg.Spec,
-		bcast:    bcast,
-		val:      newVal(cfg.Spec),
-		value:    cfg.Proposal,
-		accepted: acceptedTable{base: 1},
+	n := &Node{
+		cfg:   cfg,
+		spec:  cfg.Spec,
+		bcast: bcast,
+		val:   newVal(cfg.Spec),
 		gadget: NewDecideGadget(cfg.Me, cfg.Peers, cfg.Spec, cfg.Instance,
 			cfg.DisableDecideGadget, cfg.Recorder, cfg.Telemetry),
-	}, nil
+	}
+	n.rearm(cfg.Instance, cfg.Coin)
+	return n, nil
+}
+
+// Reset re-arms the node for consensus instance `instance` with coin c: it
+// returns to the state New produces for its config with Instance and Coin
+// replaced, and New reaches that state through the same path. The node's
+// broadcaster, validator and DECIDE gadget are re-armed in place
+// (rbc.Broadcaster.Reset, validate.Validator.Reset), keeping their tables
+// and blocks, so a host that runs one instance after another — the
+// replicated log, one per slot — builds its engine once. Traffic of the
+// previous instance must not reach the re-armed node; as after New, the host
+// calls Start (or AppendStart) next.
+func (n *Node) Reset(instance int, c coin.Coin) error {
+	if c == nil {
+		return ErrNoCoin
+	}
+	n.rearm(instance, c)
+	return nil
+}
+
+// rearm is Reset without the coin check, which New has made already.
+func (n *Node) rearm(instance int, c coin.Coin) {
+	cfg := n.cfg
+	cfg.Instance, cfg.Coin = instance, c
+	n.bcast.Reset()
+	n.val.Reset()
+	n.gadget.reset(instance)
+	*n = Node{
+		cfg:       cfg,
+		spec:      n.spec,
+		bcast:     n.bcast,
+		val:       n.val,
+		value:     cfg.Proposal,
+		accepted:  acceptedTable{base: 1, rounds: n.accepted.rounds[:0]},
+		gadget:    n.gadget,
+		OutBuffer: n.OutBuffer,
+	}
 }
 
 var (

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -25,7 +26,9 @@ import (
 // predicates), and each step waits for the first n−f justified messages of
 // its (round, step). Scripts of step-message deliveries and DECIDE votes
 // drive both nodes; after every delivery their emissions, decisions, rounds
-// and first-(n−f) counts must agree.
+// and first-(n−f) counts must agree. In the re-armed mode a node that ran one
+// script is reset for the next instance and runs a second, which must also
+// match a freshly built node message by message.
 
 // oracleKey is the one message a sender may contribute per (round, step).
 type oracleKey struct {
@@ -364,18 +367,23 @@ var (
 	coreScriptOffsets   = []int{0, 0, 1, -1, 2, -2, 3}
 )
 
-// coreScriptInstance is the consensus instance both nodes run.
+// coreScriptInstance is the consensus instance both nodes run; a re-armed
+// node runs the next one.
 const coreScriptInstance = 2
 
 // maxCoreScriptOps bounds one script's length, keeping fuzz iterations fast.
 const maxCoreScriptOps = 3000
 
+// coreScriptRun holds the nodes a script drives. fresh is set when got is a
+// re-armed node: a newly built one whose every emitted message (by field)
+// and observable got must match as well.
 type coreScriptRun struct {
-	t    *testing.T
-	name string
-	op   int
-	got  *Node
-	want *oracleNode
+	t     *testing.T
+	name  string
+	op    int
+	got   *Node
+	want  *oracleNode
+	fresh *Node
 }
 
 func (s *coreScriptRun) fail(format string, args ...any) {
@@ -399,7 +407,7 @@ func (s *coreScriptRun) emissions(out []types.Message) []string {
 				continue
 			}
 			sm, err := wire.DecodeStep(p.Body)
-			if err != nil || p.ID.Tag != (types.Tag{Round: sm.Round, Step: sm.Step, Seq: coreScriptInstance}) {
+			if err != nil || p.ID.Tag != (types.Tag{Round: sm.Round, Step: sm.Step, Seq: s.want.instance}) {
 				s.fail("broadcast %v carries %q", p.ID, p.Body)
 			}
 			got = append(got, "step "+sm.String())
@@ -408,6 +416,40 @@ func (s *coreScriptRun) emissions(out []types.Message) []string {
 		}
 	}
 	return got
+}
+
+// checkFresh fails unless a re-armed node emitted what the fresh node did,
+// message by message and field by field, and reads the same through every
+// observer.
+func (s *coreScriptRun) checkFresh(what string, out, fresh []types.Message) {
+	s.t.Helper()
+	if s.fresh == nil {
+		return
+	}
+	if len(out) != len(fresh) {
+		s.fail("%s: %d messages, fresh node %d", what, len(out), len(fresh))
+	}
+	for i := range out {
+		if !reflect.DeepEqual(out[i], fresh[i]) {
+			s.fail("%s: message %d is %v, fresh node %v", what, i, out[i], fresh[i])
+		}
+	}
+	type observed struct {
+		decision                           types.Value
+		decided, done                      bool
+		decidedRound, round                int
+		stats                              Stats
+		accepted, live, compacted, seen, j int
+	}
+	observe := func(nd *Node) observed {
+		v, ok := nd.Decided()
+		return observed{v, ok, nd.Done(), nd.DecidedRound(), nd.Round(), nd.Stats(),
+			nd.AcceptedRetained(), nd.RBCLiveInstances(), nd.RBCCompacted(),
+			nd.ValidatorSeenRetained(), nd.JustificationsRetained()}
+	}
+	if g, f := observe(s.got), observe(s.fresh); g != f {
+		s.fail("%s: re-armed node reads %+v, fresh node %+v", what, g, f)
+	}
 }
 
 func (s *coreScriptRun) check(what string, out []types.Message, want []string) {
@@ -456,20 +498,30 @@ func (s *coreScriptRun) deliverStep(sender types.ProcessID, m types.StepMessage)
 	if err != nil {
 		s.fail("encoding %v: %v", m, err)
 	}
-	id := types.InstanceID{Sender: sender, Tag: types.Tag{Round: m.Round, Step: m.Step, Seq: coreScriptInstance}}
-	var out []types.Message
+	id := types.InstanceID{Sender: sender, Tag: types.Tag{Round: m.Round, Step: m.Step, Seq: s.want.instance}}
+	var out, fresh []types.Message
 	for _, p := range s.want.peers[:2*s.want.f+1] {
-		out = append(out, s.got.Deliver(types.Message{From: p, To: s.want.me,
-			Payload: &types.RBCPayload{Phase: types.KindRBCReady, ID: id, Body: body}})...)
+		msg := types.Message{From: p, To: s.want.me,
+			Payload: &types.RBCPayload{Phase: types.KindRBCReady, ID: id, Body: body}}
+		out = append(out, s.got.Deliver(msg)...)
+		if s.fresh != nil {
+			fresh = append(fresh, s.fresh.Deliver(msg)...)
+		}
 	}
-	s.check(fmt.Sprintf("%v from %v", m, sender), out, s.want.deliverStep(sender, m))
+	what := fmt.Sprintf("%v from %v", m, sender)
+	s.check(what, out, s.want.deliverStep(sender, m))
+	s.checkFresh(what, out, fresh)
 }
 
 func (s *coreScriptRun) deliverDecide(from types.ProcessID, v types.Value, instance int) {
 	s.t.Helper()
-	out := s.got.Deliver(types.Message{From: from, To: s.want.me,
-		Payload: &types.DecidePayload{V: v, Instance: instance}})
-	s.check(fmt.Sprintf("DECIDE %v/%d from %v", v, instance, from), out, s.want.deliverDecide(from, v, instance))
+	msg := types.Message{From: from, To: s.want.me, Payload: &types.DecidePayload{V: v, Instance: instance}}
+	out := s.got.Deliver(msg)
+	what := fmt.Sprintf("DECIDE %v/%d from %v", v, instance, from)
+	s.check(what, out, s.want.deliverDecide(from, v, instance))
+	if s.fresh != nil {
+		s.checkFresh(what, out, s.fresh.Deliver(msg))
+	}
 }
 
 // plausible returns the i-th (cyclically) message for (round, step) that a
@@ -515,9 +567,35 @@ func readStep(r *scriptReader, round int, step types.Step) types.StepMessage {
 }
 
 // runCoreScript decodes data and runs it against a fresh Node and oracle.
-// The header picks the system size, this process, its proposal, the
-// gadget ablation and MaxRounds.
 func runCoreScript(t *testing.T, name string, data []byte) {
+	t.Helper()
+	driveCoreScript(t, name, data, nil)
+}
+
+// coreScriptHeader is how many bytes of a script make its header.
+const coreScriptHeader = 5
+
+// runRearmedCoreScript runs data's operations in two halves under its
+// header: the first half on a new node for coreScriptInstance, which is then
+// re-armed (Reset) for the next instance and runs the second half against
+// the oracle and a freshly built node. A re-armed node keeps the rest of its
+// config, so both halves share the header.
+func runRearmedCoreScript(t *testing.T, name string, data []byte) {
+	t.Helper()
+	if len(data) < coreScriptHeader {
+		return
+	}
+	mid := coreScriptHeader + (len(data)-coreScriptHeader)/2
+	nd := driveCoreScript(t, name+"/first", data[:mid], nil)
+	driveCoreScript(t, name+"/rearmed", append(data[:coreScriptHeader:coreScriptHeader], data[mid:]...), nd)
+}
+
+// driveCoreScript decodes data and runs it against the oracle and a Node: a
+// new one for coreScriptInstance when nd is nil, else nd re-armed for the
+// instance after its own, which must then also match a freshly built node.
+// The header picks the system size, this process, its proposal, the gadget
+// ablation and MaxRounds. It returns the node it drove.
+func driveCoreScript(t *testing.T, name string, data []byte, nd *Node) *Node {
 	t.Helper()
 	r := &scriptReader{data: data}
 	spec := coreScriptSizes[r.next(len(coreScriptSizes))]
@@ -529,13 +607,27 @@ func runCoreScript(t *testing.T, name string, data []byte) {
 		Instance: coreScriptInstance, DisableDecideGadget: r.next(4) == 0,
 		MaxRounds: coreScriptMaxRounds[r.next(len(coreScriptMaxRounds))],
 	}
-	nd, err := New(cfg)
+	if nd != nil {
+		cfg.Instance = nd.cfg.Instance + 1
+	}
+	fresh, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := &coreScriptRun{t: t, name: name, got: fresh}
+	if nd != nil {
+		if err := nd.Reset(cfg.Instance, coin.NewIdeal(int64(len(data)))); err != nil {
+			t.Fatal(err)
+		}
+		s.got, s.fresh = nd, fresh
+	}
 	cfg.Coin = coin.NewIdeal(int64(len(data)))
-	s := &coreScriptRun{t: t, name: name, got: nd, want: newOracleNode(cfg)}
-	s.check("Start", nd.Start(), s.want.start())
+	s.want = newOracleNode(cfg)
+	out := s.got.Start()
+	s.check("Start", out, s.want.start())
+	if s.fresh != nil {
+		s.checkFresh("Start", out, s.fresh.Start())
+	}
 	for s.op = 1; !r.done() && s.op <= maxCoreScriptOps; s.op++ {
 		o := s.want
 		switch coreScriptOps[r.next(len(coreScriptOps))] {
@@ -557,13 +649,14 @@ func runCoreScript(t *testing.T, name string, data []byte) {
 		case opDecide:
 			from := peers[r.next(len(peers))]
 			v := types.Value(r.next(2))
-			instance := coreScriptInstance
+			instance := o.instance
 			if r.next(4) == 0 {
 				instance++
 			}
 			s.deliverDecide(from, v, instance)
 		}
 	}
+	return s.got
 }
 
 // scriptReader reads one operand per byte, modulo its range; past the end
@@ -714,6 +807,29 @@ func TestCoreMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestRearmedCoreMatchesFresh re-arms a node that ran one script for the
+// next instance and drives a second: every emitted message (by field),
+// decision, round, count and retainer must equal a freshly built node's, and
+// the oracle's. The pairs are every named case after every named case (the
+// second under the first's header), then 300 random scripts split in two.
+func TestRearmedCoreMatchesFresh(t *testing.T) {
+	cases := coreOracleCases()
+	names := slices.Sorted(maps.Keys(cases))
+	for _, a := range names {
+		for _, b := range names {
+			first, second := cases[a], cases[b]
+			nd := driveCoreScript(t, a, first, nil)
+			driveCoreScript(t, a+"/then/"+b, append(first[:coreScriptHeader:coreScriptHeader], second[coreScriptHeader:]...), nd)
+		}
+	}
+	rng := rand.New(rand.NewSource(54))
+	for trial := 0; trial < 300; trial++ {
+		data := make([]byte, 5+rng.Intn(1500))
+		rng.Read(data)
+		runRearmedCoreScript(t, fmt.Sprintf("random-%d", trial), data)
+	}
+}
+
 // TestCoreOracleCorpusCurrent: the checked-in seed corpus is the named
 // cases' bytes, so an edited case cannot leave a stale seed behind.
 func TestCoreOracleCorpusCurrent(t *testing.T) {
@@ -728,8 +844,11 @@ func TestCoreOracleCorpusCurrent(t *testing.T) {
 	}
 }
 
+// FuzzCoreMatchesOracle runs each input as one script on a new node, then
+// split in two halves across a re-arm.
 func FuzzCoreMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runCoreScript(t, "fuzz", data)
+		runRearmedCoreScript(t, "fuzz", data)
 	})
 }

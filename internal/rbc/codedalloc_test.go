@@ -24,7 +24,8 @@ const codedCycle = 48
 // and leaves the keys and sets maps nil; only a second distinct key (here an
 // equivocating sender's) creates them. Compact clears a released instance's
 // fragment table and body, which share chunks and blocks with live
-// instances. The counts are exact; a race-detector build only logs them.
+// instances, and Reset a dropped one's. The counts are exact; a
+// race-detector build only logs them.
 func TestCodedInstanceAllocations(t *testing.T) {
 	t.Run("honest-n16", func(t *testing.T) {
 		// Per cycle of 48 instances: 3 allocations per dispersal; at each of
@@ -75,6 +76,19 @@ func TestCodedInstanceAllocations(t *testing.T) {
 		}
 		if held := heldFragments(frags); held != 0 || cs.first.body != "" {
 			t.Fatalf("a compacted instance still holds %d fragments and a %d-byte body", held, len(cs.first.body))
+		}
+
+		// Reset drops a live instance as Compact releases one: its
+		// fragments and body are cleared, not left to in-flight copies.
+		seq++
+		id = types.InstanceID{Sender: 1, Tag: types.Tag{Seq: seq}}
+		c.run(id.Tag, body)
+		cs = codedAt(b, id)
+		frags = cs.first.frags
+		b.Reset()
+		if held := heldFragments(frags); held != 0 || cs.first.body != "" || b.Instances() != 0 {
+			t.Fatalf("after Reset a dropped instance holds %d fragments and a %d-byte body, %d instances live",
+				held, len(cs.first.body), b.Instances())
 		}
 	})
 

@@ -4,14 +4,18 @@ package rbc
 // instance in one map keyed by InstanceID, every delivered record in another,
 // peer indices in a third. Scripts of SEND/ECHO/READY, own broadcasts,
 // PruneBelow, Compact, DropSeqBelow and Delivered run through both, and every
-// emitted message, delivery and counter must agree.
+// emitted message, delivery and counter must agree. In the re-armed mode a
+// broadcaster that ran one script is reset and runs a second, which must
+// also match a freshly built broadcaster call by call.
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/quorum"
@@ -229,13 +233,15 @@ func (r *scriptReader) next(mod int) int {
 	return int(b) % mod
 }
 
-// scriptRun holds the two broadcasters a script drives and the context its
-// failure messages need.
+// scriptRun holds the broadcasters a script drives and the context its
+// failure messages need. fresh is set when got is a re-armed broadcaster:
+// a newly built one that every call and counter of got must match as well.
 type scriptRun struct {
 	t       *testing.T
 	name    string
 	got     *Broadcaster
 	want    *mapBroadcaster
+	fresh   *Broadcaster
 	senders []types.ProcessID
 	op      int
 }
@@ -276,10 +282,31 @@ func (s *scriptRun) handle(from types.ProcessID, p *types.RBCPayload) {
 	if len(ds) != len(wds) || (len(ds) == 1 && ds[0] != wds[0]) {
 		s.fail("%s: deliveries %v, oracle %v", what, ds, wds)
 	}
+	if s.fresh != nil {
+		fout, fds := s.fresh.Handle(from, p)
+		s.checkMsgs(what+" (fresh)", out, fout)
+		if !slices.Equal(ds, fds) {
+			s.fail("%s: deliveries %v, fresh broadcaster %v", what, ds, fds)
+		}
+	}
+}
+
+// checkFresh fails unless a re-armed run's call answered as a fresh
+// broadcaster's did.
+func (s *scriptRun) checkFresh(what string, got, fresh any) {
+	s.t.Helper()
+	if s.fresh != nil && got != fresh {
+		s.fail("%s = %v, fresh broadcaster %v", what, got, fresh)
+	}
 }
 
 func (s *scriptRun) checkCounters() {
 	s.t.Helper()
+	if s.fresh != nil {
+		s.checkFresh("Instances()", s.got.Instances(), s.fresh.Instances())
+		s.checkFresh("Compacted()", s.got.Compacted(), s.fresh.Compacted())
+		s.checkFresh("DigestBytes()", s.got.DigestBytes(), s.fresh.DigestBytes())
+	}
 	if g, w := s.got.Instances(), len(s.want.instances); g != w {
 		s.fail("Instances() = %d, oracle %d", g, w)
 	}
@@ -294,6 +321,33 @@ func (s *scriptRun) checkCounters() {
 // runScript decodes data and runs it against a fresh Broadcaster and oracle.
 func runScript(t *testing.T, name string, data []byte) {
 	t.Helper()
+	driveScript(t, name, data, nil)
+}
+
+// scriptHeader is how many bytes of a script pick its peer set and process.
+const scriptHeader = 2
+
+// runRearmedScript runs data's operations in two halves under its header:
+// the first half on a new broadcaster, which is then re-armed (Reset) and
+// runs the second half against the oracle and a freshly built broadcaster.
+// A re-armed broadcaster keeps its process and peers, so both halves share
+// the header.
+func runRearmedScript(t *testing.T, name string, data []byte) {
+	t.Helper()
+	if len(data) < scriptHeader {
+		return
+	}
+	mid := scriptHeader + (len(data)-scriptHeader)/2
+	b := driveScript(t, name+"/first", data[:mid], nil)
+	driveScript(t, name+"/rearmed", append(data[:scriptHeader:scriptHeader], data[mid:]...), b)
+}
+
+// driveScript decodes data and runs it against the oracle and a
+// Broadcaster: a new one when b is nil, else b re-armed, which must then
+// also match a freshly built broadcaster call by call. It returns the
+// broadcaster it drove.
+func driveScript(t *testing.T, name string, data []byte, b *Broadcaster) *Broadcaster {
+	t.Helper()
 	r := &scriptReader{data: data}
 	peers := scriptPeerSets[r.next(len(scriptPeerSets))]
 	me := peers[r.next(len(peers))]
@@ -303,6 +357,10 @@ func runScript(t *testing.T, name string, data []byte) {
 		got:     New(me, peers, spec),
 		want:    newMapBroadcaster(me, peers, spec),
 		senders: append(append([]types.ProcessID(nil), peers...), scriptOutsiders...),
+	}
+	if b != nil {
+		b.Reset()
+		s.got, s.fresh = b, s.got
 	}
 	seen := map[types.InstanceID]bool{}
 	for ; !r.done() && s.op < maxScriptOps; s.op++ {
@@ -335,21 +393,38 @@ func runScript(t *testing.T, name string, data []byte) {
 				Seq:   scriptSeqs[r.next(len(scriptSeqs))],
 			}
 			body := scriptBodies[r.next(len(scriptBodies))]
-			s.checkMsgs(fmt.Sprintf("broadcast %v", tag), s.got.Broadcast(tag, body), s.want.broadcast(tag, body))
+			what := fmt.Sprintf("broadcast %v", tag)
+			out := s.got.Broadcast(tag, body)
+			s.checkMsgs(what, out, s.want.broadcast(tag, body))
+			if s.fresh != nil {
+				s.checkMsgs(what+" (fresh)", out, s.fresh.Broadcast(tag, body))
+			}
 		case opPrune:
 			round := scriptRounds[r.next(len(scriptRounds))]
-			if g, w := s.got.PruneBelow(round), s.want.pruneBelow(round); g != w {
+			g, w := s.got.PruneBelow(round), s.want.pruneBelow(round)
+			if g != w {
 				s.fail("PruneBelow(%d) released %d, oracle %d", round, g, w)
+			}
+			if s.fresh != nil {
+				s.checkFresh(fmt.Sprintf("PruneBelow(%d)", round), g, s.fresh.PruneBelow(round))
 			}
 		case opCompact:
 			id := s.readID(r)
-			if g, w := s.got.Compact(id), s.want.compact(id); g != w {
+			g, w := s.got.Compact(id), s.want.compact(id)
+			if g != w {
 				s.fail("Compact(%v) = %v, oracle %v", id, g, w)
+			}
+			if s.fresh != nil {
+				s.checkFresh(fmt.Sprintf("Compact(%v)", id), g, s.fresh.Compact(id))
 			}
 		case opDropSeq:
 			seq := scriptSeqs[r.next(len(scriptSeqs))]
-			if g, w := s.got.DropSeqBelow(seq), s.want.dropSeqBelow(seq); g != w {
+			g, w := s.got.DropSeqBelow(seq), s.want.dropSeqBelow(seq)
+			if g != w {
 				s.fail("DropSeqBelow(%d) dropped %d, oracle %d", seq, g, w)
+			}
+			if s.fresh != nil {
+				s.checkFresh(fmt.Sprintf("DropSeqBelow(%d)", seq), g, s.fresh.DropSeqBelow(seq))
 			}
 		case opDelivered:
 			id := s.readID(r)
@@ -364,6 +439,7 @@ func runScript(t *testing.T, name string, data []byte) {
 			s.fail("final Delivered(%v) = %v, oracle %v", id, g, w)
 		}
 	}
+	return s.got
 }
 
 // scriptWriter writes scripts by value; each operand must be in its palette.
@@ -649,6 +725,29 @@ func TestBroadcasterMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestRearmedBroadcasterMatchesFresh re-arms a broadcaster that ran one
+// script and drives a second: every message (by field), delivery, answer
+// and counter must equal a freshly built broadcaster's and the oracle's.
+// The pairs are every named case after every named case (the second under
+// the first's header), then 300 random scripts split in two.
+func TestRearmedBroadcasterMatchesFresh(t *testing.T) {
+	cases := oracleCases()
+	names := slices.Sorted(maps.Keys(cases))
+	for _, a := range names {
+		for _, b := range names {
+			first, second := cases[a], cases[b]
+			b0 := driveScript(t, a, first, nil)
+			driveScript(t, a+"/then/"+b, append(first[:scriptHeader:scriptHeader], second[scriptHeader:]...), b0)
+		}
+	}
+	rng := rand.New(rand.NewSource(54))
+	for trial := 0; trial < 300; trial++ {
+		data := make([]byte, 2+rng.Intn(2400))
+		rng.Read(data)
+		runRearmedScript(t, fmt.Sprintf("random-%d", trial), data)
+	}
+}
+
 // TestOracleCorpusCurrent: the checked-in seed corpus is the named cases'
 // bytes, so an edited case cannot leave a stale seed behind.
 func TestOracleCorpusCurrent(t *testing.T) {
@@ -670,8 +769,11 @@ func checkCorpus(t *testing.T, fuzz string, cases map[string][]byte) {
 	}
 }
 
+// FuzzBroadcasterMatchesOracle runs each input as one script on a new
+// broadcaster, then split in two halves across a re-arm.
 func FuzzBroadcasterMatchesOracle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runScript(t, "fuzz", data)
+		runRearmedScript(t, "fuzz", data)
 	})
 }

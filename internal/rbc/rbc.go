@@ -84,7 +84,7 @@
 // and READY fan-out payloads are fields of it, shared by every copy of the
 // fan-out; the SEND of this process's own broadcast is one payload shared by
 // its n copies. Neither is built per message: newInstance and AppendBroadcast
-// hand out the next slot of a block of blockLen instances or SEND payloads,
+// hand out the next slot of a block of instances or SEND payloads,
 // allocated when the last block is used up (a coded instance's state and
 // fragment table come from blocks of their own under the same rules; see
 // coded.go). A slot is handed out exactly once. A released instance is never
@@ -92,12 +92,29 @@
 // entry, in-flight ECHO, READY or SEND copy, or the broadcaster's own unused
 // rest of it points into any of its slots. So a copy still on the wire when
 // its instance is compacted keeps reading its original body, and every
-// payload stays immutable. Four is measured, not tuned: four 216-byte
-// instances fill the 896-byte size class, 224 bytes each as one alone costs,
-// so what a block can waste is its unused rest when its broadcaster is
-// dropped — and the replicated log drops a broadcaster per slot and replica.
-// Against blocks of four, blocks of 8 allocated 0.2–1.6 % more bytes across
-// the benchmark's workloads and blocks of 16 2.5–13 % more.
+// payload stays immutable.
+//
+// A broadcaster lives as long as its owner's engine. A one-shot consensus
+// node builds one and drops it with the run; the replicated log keeps one
+// per replica and re-arms it at every slot (Reset), which forgets every
+// instance and record but keeps the window table, the record rows and the
+// unused rest of every block and tally chunk. Until
+// it is first re-armed a broadcaster hands out blocks of blockLen instances
+// and tally chunks of 3·n tallies. A re-arm sizes both from the arm before
+// it: the next instance block holds as many instances as that arm handed
+// out, and the next tally chunk as many tallies, never fewer than blockLen
+// instances or 3·n tallies and never more than the window's 4·3·n cells, so
+// an arm that a Byzantine flood filled with overflow instances does not
+// make the next arm allocate one block of that size. The size is read from
+// the traffic, not configured: a slot of the log uses about as many instances as the one
+// before it, so a warm replica allocates about one instance block and one
+// tally chunk per slot, and a one-shot node keeps blocks of four. SEND
+// payloads always come in blocks of blockLen, since a slot's engine
+// broadcasts about four step messages. Four is measured, not tuned: four
+// 216-byte instances fill the 896-byte size class, 224 bytes each as one
+// alone costs. When the log still dropped a broadcaster per slot and
+// replica, blocks of 8 allocated 0.2–1.6 % more bytes than blocks of four
+// across the benchmark's workloads, and blocks of 16 2.5–13 % more.
 package rbc
 
 import (
@@ -129,7 +146,7 @@ type Broadcaster struct {
 	// win is the instance window (see "Instance table" in the package doc):
 	// the live instance of (round, step, sender) of consensus instance
 	// winSeq sits at cell windowCell, for winBase <= round < winBase +
-	// windowRounds; winLive counts the non-nil cells. win stays nil until
+	// windowRounds; winLive counts the non-nil cells. win stays empty until
 	// this process's first round-tagged broadcast fixes winSeq, and in coded
 	// mode. instances is the overflow map for every live instance the window
 	// cannot hold; it stays nil until its first instance.
@@ -162,9 +179,13 @@ type Broadcaster struct {
 	deliv [1]Delivery
 	// spare and sends are the unused rest of the blocks newInstance and
 	// AppendBroadcast hand instances and SEND payloads out of (see
-	// "Allocation" in the package doc).
-	spare []instance
-	sends []types.RBCPayload
+	// "Allocation" in the package doc). made counts the instances handed
+	// out since the last Reset, and instBlock is the length of the next
+	// instance block, which Reset sets from it, at most the window's cells.
+	spare     []instance
+	sends     []types.RBCPayload
+	made      int
+	instBlock int
 	// seqFloor is the protocol-level drop watermark (see DropSeqBelow):
 	// instances below it hold no state at all, not even a delivered record,
 	// and all their traffic is a silent no-op.
@@ -202,25 +223,57 @@ func New(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec) *Broadca
 	if err := spec.CheckPeers(me, peers); err != nil {
 		panic(fmt.Sprintf("rbc: %v", err))
 	}
-	return &Broadcaster{
+	b := &Broadcaster{
 		me:       me,
 		peers:    append([]types.ProcessID(nil), peers...),
 		spec:     spec,
-		winBase:  1,
 		words:    (len(peers) + 63) / 64,
 		rowWords: (3*len(peers) + 63) / 64,
 	}
+	b.Reset()
+	return b
 }
 
-// blockLen is how many instances, or SEND payloads, one allocation holds
+// Reset re-arms the broadcaster for a new consensus instance: it returns to
+// the state New produces, with no live instance, no delivered record, no
+// window and no drop watermark, and New reaches that state through it. What
+// it allocated stays: the window table and the record rows are cleared in
+// place, and the unused rest of its instance, SEND and tally blocks is kept,
+// since no slot of it was ever handed out. The overflow and record maps are
+// dropped, nil until used as New leaves them: correct traffic rarely fills
+// them, and one a flood filled would otherwise keep its size. Handed-out
+// instances are dropped, never reused (in-flight ECHO, READY and SEND copies
+// point into them); the next instance block and tally chunk are sized from
+// how many this arm handed out (see "Allocation" in the package doc). The
+// telemetry sink and coded mode stay.
+func (b *Broadcaster) Reset() {
+	if b.code != nil {
+		// order-free: each live instance is retired on its own
+		for _, in := range b.instances {
+			in.coded.retire()
+		}
+	}
+	clear(b.win)
+	*b = Broadcaster{
+		me: b.me, peers: b.peers, spec: b.spec,
+		win: b.win[:0], winBase: 1,
+		rows: b.rows[:0], rowWords: b.rowWords,
+		words: b.words, bits: b.bits,
+		spare: b.spare, sends: b.sends,
+		instBlock: min(max(blockLen, b.made), windowRounds*3*len(b.peers)),
+		code:      b.code, tele: b.tele,
+	}
+}
+
+// blockLen is the fewest instances, or SEND payloads, one allocation holds
 // (see "Allocation" in the package doc).
 const blockLen = 4
 
-// next hands out the first unused slot of *block, allocating a fresh block
-// once the last is used up; no slot is handed out twice.
-func next[T any](block *[]T) *T {
+// next hands out the first unused slot of *block, allocating a fresh block of
+// n slots once the last is used up; no slot is handed out twice.
+func next[T any](block *[]T, n int) *T {
 	if len(*block) == 0 {
-		*block = make([]T, blockLen)
+		*block = make([]T, n)
 	}
 	p := &(*block)[0]
 	*block = (*block)[1:]
@@ -283,7 +336,7 @@ func (in *instance) terminal() bool { return in.echoed && in.readied && in.deliv
 // not one of the three, or a sender that is not a peer.
 func (b *Broadcaster) cell(id types.InstanceID) **instance {
 	r, s := id.Tag.Round, id.Tag.Step
-	if b.win == nil || id.Tag.Seq != b.winSeq || r < b.winBase || r-b.winBase >= windowRounds || !s.Valid() {
+	if len(b.win) == 0 || id.Tag.Seq != b.winSeq || r < b.winBase || r-b.winBase >= windowRounds || !s.Valid() {
 		return nil
 	}
 	pi, ok := b.spec.Index(id.Sender)
@@ -336,11 +389,12 @@ func (b *Broadcaster) live(id types.InstanceID) (in *instance, c **instance, ok 
 // newInstance creates id's live instance in window cell c, or in the
 // overflow map when c is nil; in coded mode it carries coded state.
 func (b *Broadcaster) newInstance(id types.InstanceID, c **instance) *instance {
-	in := next(&b.spare)
+	in := next(&b.spare, b.instBlock)
+	b.made++
 	in.t0 = b.tele.Now()
 	in.tallies = in.first[:0]
 	if b.code != nil {
-		in.coded = next(&b.code.states)
+		in.coded = next(&b.code.states, blockLen)
 	}
 	if c != nil {
 		*c = in
@@ -366,7 +420,7 @@ func (b *Broadcaster) addOverflow(id types.InstanceID, in *instance) {
 // The word may lie past the rows grown so far.
 func (b *Broadcaster) rowBit(id types.InstanceID) (w int, bit uint64, ok bool) {
 	r, s := id.Tag.Round, id.Tag.Step
-	if b.win == nil || id.Tag.Seq != b.winSeq || r < 1 || r > b.rowTop || !s.Valid() {
+	if len(b.win) == 0 || id.Tag.Seq != b.winSeq || r < 1 || r > b.rowTop || !s.Valid() {
 		return 0, 0, false
 	}
 	pi, ok := b.spec.Index(id.Sender)
@@ -459,13 +513,14 @@ func (b *Broadcaster) vote(in *instance, body string, pi int, ready bool) (echoe
 }
 
 // newSeen returns a zeroed tally bitset of 2·words words, carved from a
-// chunk that holds a round's worth of window instances (3·n tallies). The
-// three-index slice caps each bitset at its own words, so no two tallies
-// share one.
+// chunk that holds a round's worth of window instances (3·n tallies), or as
+// many tallies as the next instance block holds instances if that is more
+// (see "Allocation" in the package doc). The three-index slice caps each
+// bitset at its own words, so no two tallies share one.
 func (b *Broadcaster) newSeen() []uint64 {
 	w := 2 * b.words
 	if len(b.bits) < w {
-		b.bits = make([]uint64, 3*len(b.peers)*w)
+		b.bits = make([]uint64, max(3*len(b.peers), b.instBlock)*w)
 	}
 	seen := b.bits[:w:w]
 	b.bits = b.bits[w:]
@@ -486,18 +541,18 @@ func (b *Broadcaster) AppendBroadcast(out []types.Message, tag types.Tag, body s
 	if b.code != nil {
 		return b.appendDisperse(out, tag, body)
 	}
-	if b.win == nil && tag.Round > 0 {
+	if len(b.win) == 0 && tag.Round > 0 {
 		// This process's first round-tagged broadcast names the consensus
 		// instance the window serves; instances of it that arrived earlier
-		// move in.
-		b.win = make([]*instance, windowRounds*3*len(b.peers))
+		// move in. A re-armed broadcaster reopens the table it cleared.
+		b.win = append(b.win[:0], make([]*instance, windowRounds*3*len(b.peers))...)
 		b.winSeq = tag.Seq
 		// order-free: each instance moves to its own window cell
 		for id, in := range b.instances {
 			b.enter(id, in)
 		}
 	}
-	p := next(&b.sends)
+	p := next(&b.sends, blockLen)
 	*p = types.RBCPayload{Phase: types.KindRBCSend, ID: types.InstanceID{Sender: b.me, Tag: tag}, Body: body}
 	return types.AppendBroadcast(out, b.me, b.peers, p)
 }
@@ -674,7 +729,7 @@ func (b *Broadcaster) PruneBelow(round int) int {
 func (b *Broadcaster) slide(round int) int {
 	old := b.winBase
 	b.winBase = round
-	if b.win == nil {
+	if len(b.win) == 0 {
 		return 0
 	}
 	// round > old >= 1, so neither the difference nor old+rows overflows.

@@ -171,7 +171,8 @@ func TestPruneBelowWindowsByRound(t *testing.T) {
 // overflow-map entry and never touch the window, whose size is fixed when it
 // opens. Rounds the window cannot index — math.MinInt, 0, negative, and
 // math.MaxInt while the floor is low — land in the map too: the bounds are
-// checked before round − floor is formed, so nothing wraps into a cell.
+// checked before round − floor is formed, so nothing wraps into a cell. A
+// Reset after the flood sizes the next instance block at the window's cells.
 func TestWindowFloodStaysInOverflow(t *testing.T) {
 	spec := quorum.MustNew(4, 1)
 	peers := types.Processes(4)
@@ -214,6 +215,13 @@ func TestWindowFloodStaysInOverflow(t *testing.T) {
 	b.PruneBelow(math.MaxInt)
 	if b.winLive != 3 || len(b.instances) != flood-3 {
 		t.Fatalf("at floor MaxInt: %d live in the window, %d in the map; want 3 and %d", b.winLive, len(b.instances), flood-3)
+	}
+	// Re-armed after the flood, the broadcaster sizes its next instance
+	// block at the window's cells, not at the flood's instances.
+	b.Reset()
+	if b.instBlock != cells || b.Instances() != 0 {
+		t.Fatalf("after a %d-instance flood and Reset: next block %d instances, %d live; want %d and 0",
+			flood, b.instBlock, b.Instances(), cells)
 	}
 }
 

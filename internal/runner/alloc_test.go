@@ -24,6 +24,24 @@ func smrShape(slots, commandBytes int, coded bool) func(seed int64) (int, error)
 	}
 }
 
+// restartShape runs an n=16 RestartCatchupSpec shaped like the benchmark's
+// smr_ckpt_restart_n16 (common coin, batches of 4, a checkpoint every 8
+// slots, one replica killed and revived empty), and reports the deliveries
+// it made.
+func restartShape(slots int) func(seed int64) (int, error) {
+	return func(seed int64) (int, error) {
+		cfg := RestartCatchupSpec(16, slots, 8, seed)
+		cfg.Coin = CoinCommon
+		cfg.Batch = 4
+		cfg.Commands = 64
+		res, err := RunSMR(cfg)
+		if err != nil {
+			return 0, err
+		}
+		return res.Deliveries, nil
+	}
+}
+
 // perKDelivery runs seeds 1..seeds of run and returns the allocations and
 // the bytes allocated per thousand deliveries over all of them.
 func perKDelivery(t *testing.T, run func(seed int64) (int, error), seeds int64) (allocs, kib float64) {
@@ -53,8 +71,9 @@ func perKDelivery(t *testing.T, run func(seed int64) (int, error), seeds int64) 
 // sweep_n7 config; the second swaps the liar for a crash mid-protocol; the
 // third and fourth are small n=16 RunSMRs shaped like smr_plain_n16 (the
 // replicated log's agreement path) and smr_coded_n16 (its coded
-// dissemination and the commit of 2 KiB commands). Each bound is the
-// measured value × 1.15.
+// dissemination and the commit of 2 KiB commands); the fifth is a small
+// smr_ckpt_restart_n16 (checkpoints, the common coin's dealers and a state
+// transfer). Each bound is the measured value × 1.15.
 func TestRunAllocationsPerDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-run allocation count; skipped under -short")
@@ -85,8 +104,9 @@ func TestRunAllocationsPerDelivery(t *testing.T) {
 	}{
 		{"liar", consensus(base), 64, 132 * 1.15},
 		{"crash-midway", consensus(crash), 64, 217 * 1.15},
-		{"smr-plain-n16", smrShape(32, 0, false), 3, 23.1 * 1.15},
-		{"smr-coded-n16", smrShape(16, 2048, true), 2, 26.8 * 1.15},
+		{"smr-plain-n16", smrShape(32, 0, false), 3, 7.6 * 1.15},
+		{"smr-coded-n16", smrShape(16, 2048, true), 2, 11.7 * 1.15},
+		{"smr-restart-n16", restartShape(32), 2, 26.2 * 1.15},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			perK, _ := perKDelivery(t, tt.run, tt.seeds)
@@ -99,11 +119,12 @@ func TestRunAllocationsPerDelivery(t *testing.T) {
 }
 
 // TestRunSMRBytesPerDelivery holds the replicated log to a budget of bytes
-// allocated per thousand deliveries, on the two RunSMR shapes of
-// TestRunAllocationsPerDelivery: the plain one is the per-slot consensus
-// instance, its validator and broadcaster, and every message they handle;
-// the coded one adds the fragments, the decoded bodies and the committed
-// commands. Each bound is the measured value × 1.15.
+// allocated per thousand deliveries, on the three RunSMR shapes of
+// TestRunAllocationsPerDelivery: the plain one is each replica's re-armed
+// consensus engine and every message it handles; the coded one adds the
+// fragments, the decoded bodies and the committed commands; the restart one
+// adds checkpoints, coin shares and a state transfer. Each bound is the
+// measured value × 1.15.
 func TestRunSMRBytesPerDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-run allocation count; skipped under -short")
@@ -114,8 +135,9 @@ func TestRunSMRBytesPerDelivery(t *testing.T) {
 		seeds int64
 		bound float64 // KiB, measured × 1.15
 	}{
-		{"smr-plain-n16", smrShape(32, 0, false), 3, 14.12 * 1.15},
-		{"smr-coded-n16", smrShape(16, 2048, true), 2, 55.5 * 1.15},
+		{"smr-plain-n16", smrShape(32, 0, false), 3, 11.88 * 1.15},
+		{"smr-coded-n16", smrShape(16, 2048, true), 2, 53.41 * 1.15},
+		{"smr-restart-n16", restartShape(32), 2, 12.44 * 1.15},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			_, kib := perKDelivery(t, tt.run, tt.seeds)

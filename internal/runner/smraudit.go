@@ -9,8 +9,8 @@ import (
 
 // This file is the log auditor of an SMR run: it tails a replica's log after
 // every delivery to that replica (nothing else can make it commit) — O(1)
-// while its frontier stands still, one LogSince of the new entries when it
-// moved — and owns the things the tail feeds —
+// while its frontier stands still, one AppendLogSince of the new entries
+// into a reused buffer when it moved — and owns the things the tail feeds —
 //
 //   - a canonical entry per log position (first observer wins) against which
 //     every other replica's entries are checked: mismatches counts
@@ -70,6 +70,10 @@ type logAuditor struct {
 	digestAt, stateAt uint64
 
 	victimCommitted int // entries the revived victim committed itself
+
+	// tail is the buffer every drain reads a replica's new entries into;
+	// it is cleared after each drain so no entry keeps a body alive.
+	tail []smr.Entry
 }
 
 func newLogAuditor(slots, replicas int) *logAuditor {
@@ -168,7 +172,15 @@ func (a *logAuditor) drain(i int) {
 	if rep.Slot() == o.next {
 		return // nothing committed, nothing installed
 	}
-	ents := rep.LogSince(o.next)
+	a.tail = rep.AppendLogSince(a.tail[:0], o.next)
+	a.observe(i, rep, a.tail)
+	clear(a.tail)
+}
+
+// observe is drain's second half: ents are replica i's entries from its
+// observer's cursor on, possibly none (the replica installed a cut).
+func (a *logAuditor) observe(i int, rep *smr.Replica, ents []smr.Entry) {
+	o := a.observers[i]
 	if len(ents) == 0 {
 		if b := rep.Base(); b > o.next {
 			// The replica jumped past slots this observer never saw (state

@@ -14,6 +14,14 @@
 // slots. Proposers with nothing to say propose an explicit no-op so the log
 // always advances.
 //
+// Each replica runs these binary instances on one agreement engine, a
+// core.Node with its broadcaster, validator and DECIDE gadget, built at the
+// first slot that starts and re-armed (core.Node.Reset) for instance s+1 at
+// every later slot and after a state-transfer install. A re-armed engine
+// holds nothing of the slot before — no instance, record, pending message
+// or vote — but keeps its tables and the unused rest of its blocks, so a
+// slot costs the instances it handles, not an engine.
+//
 // Liveness requires every proposer in the rotation to be live: a purely
 // asynchronous system cannot distinguish a crashed proposer from a slow one
 // (that is FLP talking), so skipping dead proposers' slots needs either
@@ -211,10 +219,18 @@ type Replica struct {
 
 	values *rbc.Broadcaster
 
-	slot    int
+	slot int
+	// bin is the replica's agreement engine, built at the first slot that
+	// starts and re-armed (core.Node.Reset) at every later one; armed
+	// reports whether it is running the current slot's instance. pending
+	// buffers binary traffic for slots not yet started, and spare is the
+	// emptied buffer of the last slot that started, handed to the next slot
+	// that buffers traffic.
 	bin     *core.Node
+	armed   bool
 	cands   map[int]string
 	pending map[int][]types.Message
+	spare   []types.Message
 	queue   []string
 	dropped int          // submissions rejected by the queue bound or after Done
 	waiting map[int]bool // slots whose proposal we already disseminated
@@ -259,8 +275,8 @@ type Replica struct {
 	// with the append-style RBC path and the inner consensus node appending
 	// its emissions straight into it (core.Node.AppendDeliver), a
 	// steady-state SMR delivery allocates nothing; per-slot setup (the
-	// consensus instance, its coin) amortizes across the slot's thousands
-	// of deliveries.
+	// engine's re-arm, the slot's coin) amortizes across the slot's
+	// thousands of deliveries.
 	sim.OutBuffer
 }
 
@@ -469,14 +485,16 @@ func (r *Replica) LogLen() int { return len(r.log) }
 // call instead of copying the whole retained log. Entries below the retention
 // base (truncated at a certified cut) are gone; LogSince silently starts at
 // the base, which Base() exposes so callers can detect the gap.
-func (r *Replica) LogSince(slot int) []Entry {
+func (r *Replica) LogSince(slot int) []Entry { return r.AppendLogSince(nil, slot) }
+
+// AppendLogSince is LogSince appending the entries to dst, for a poller that
+// reads every tail into one reused buffer; dst is returned unchanged when no
+// retained entry has Slot >= slot.
+func (r *Replica) AppendLogSince(dst []Entry, slot int) []Entry {
 	// Entries are ordered by slot but a slot may hold a whole batch, so the
 	// first retained entry of a slot is found by search, not arithmetic.
 	idx := sort.Search(len(r.log), func(i int) bool { return r.log[i].Slot >= slot })
-	if idx >= len(r.log) {
-		return nil
-	}
-	return append([]Entry(nil), r.log[idx:]...)
+	return append(dst, r.log[idx:]...)
 }
 
 // Base returns the first retained slot: 0 without checkpointing, the last
@@ -718,13 +736,17 @@ func (r *Replica) Deliver(m types.Message) []types.Message {
 	case trafficBinary:
 		r.noteFrontier(inst - 1)
 		switch {
-		case inst == r.slot+1 && r.bin != nil:
+		case inst == r.slot+1 && r.armed:
 			out = r.bin.AppendDeliver(out, m)
 		case inst > r.slot && inst <= r.slot+1_000_000:
-			r.pending[inst] = append(r.pending[inst], m)
+			buf, ok := r.pending[inst]
+			if !ok {
+				buf, r.spare = r.spare, nil
+			}
+			r.pending[inst] = append(buf, m)
 		}
 	case trafficCoin:
-		if r.bin != nil {
+		if r.armed {
 			out = r.bin.AppendDeliver(out, m)
 		}
 	case trafficCkpt:
@@ -999,7 +1021,7 @@ func (r *Replica) install(out []types.Message, cert ckpt.Certificate, snapshot s
 		}
 		r.queue = r.queue[k:]
 	}
-	r.bin = nil
+	r.armed = false
 	r.slot = cert.Slot
 	r.base = cert.Slot
 	clear(r.log) // as in truncateLog: no stale entry keeps a body alive
@@ -1058,26 +1080,20 @@ func classify(m types.Message) (int, trafficKind) {
 // finalizes slots as they decide, appending all emissions to out.
 func (r *Replica) step(out []types.Message) []types.Message {
 	for !r.Done() {
-		if r.bin == nil {
+		if !r.armed {
 			if _, ok := r.cands[r.slot]; !ok {
 				return out
 			}
-			bin, err := core.New(core.Config{
-				Me: r.cfg.Me, Peers: r.cfg.Peers, Spec: r.spec,
-				Coin:      r.cfg.NewCoin(r.slot),
-				Proposal:  types.One, // candidate in hand
-				Instance:  r.slot + 1,
-				Telemetry: r.cfg.Telemetry,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("smr: starting slot %d: %v", r.slot, err))
+			r.arm()
+			out = r.bin.AppendStart(out)
+			if buf, ok := r.pending[r.slot+1]; ok {
+				for _, m := range buf {
+					out = r.bin.AppendDeliver(out, m)
+				}
+				delete(r.pending, r.slot+1)
+				clear(buf) // no buffered message keeps its payload alive
+				r.spare = buf[:0]
 			}
-			r.bin = bin
-			out = bin.AppendStart(out)
-			for _, m := range r.pending[r.slot+1] {
-				out = bin.AppendDeliver(out, m)
-			}
-			delete(r.pending, r.slot+1)
 		}
 		v, decided := r.bin.Decided()
 		if !decided || !r.bin.Done() {
@@ -1121,13 +1137,36 @@ func (r *Replica) step(out []types.Message) []types.Message {
 		delete(r.cands, r.slot)
 		delete(r.waiting, r.slot)
 		r.slot++
-		r.bin = nil
+		r.armed = false
 		if r.tracker != nil && r.slot%r.cfg.CheckpointEvery == 0 {
 			out = r.voteCheckpoint(out)
 		}
 		out = r.propose(out)
 	}
 	return out
+}
+
+// arm starts the current slot's agreement instance (slot+1) on the
+// replica's one engine: built at the first slot, re-armed at every later
+// one, so its tables and blocks outlive the slot (see core.Node.Reset).
+func (r *Replica) arm() {
+	c := r.cfg.NewCoin(r.slot)
+	var err error
+	if r.bin == nil {
+		r.bin, err = core.New(core.Config{
+			Me: r.cfg.Me, Peers: r.cfg.Peers, Spec: r.spec,
+			Coin:      c,
+			Proposal:  types.One, // candidate in hand
+			Instance:  r.slot + 1,
+			Telemetry: r.cfg.Telemetry,
+		})
+	} else {
+		err = r.bin.Reset(r.slot+1, c)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("smr: starting slot %d: %v", r.slot, err))
+	}
+	r.armed = true
 }
 
 // commitEntry appends one committed entry: applies it (when the slot

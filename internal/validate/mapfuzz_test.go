@@ -8,9 +8,12 @@ package validate
 // non-peer senders (0, N+1, huge and negative IDs), peers on both sides of a
 // bitset word boundary, rounds below the floor, past the seen ring and near
 // 1<<30, floors that jump past the ring, duplicates and malformed messages.
+// In the re-armed mode a validator that ran one script is reset and runs a
+// second, which must also match a freshly built validator call by call.
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -103,13 +106,16 @@ func (r *scriptReader) next(mod int) int {
 	return int(b) % mod
 }
 
-// validatorRun holds the two validators a script drives.
+// validatorRun holds the validators a script drives. fresh is set when got
+// is a re-armed validator: a newly built one that every call and counter of
+// got must match as well.
 type validatorRun struct {
-	t    *testing.T
-	name string
-	got  *Validator
-	want *mapValidator
-	op   int
+	t     *testing.T
+	name  string
+	got   *Validator
+	want  *mapValidator
+	fresh *Validator
+	op    int
 }
 
 func (s *validatorRun) fail(format string, args ...any) {
@@ -122,6 +128,21 @@ func (s *validatorRun) record(from types.ProcessID, m types.StepMessage) {
 	got, want := s.got.Record(from, m), s.want.Record(from, m)
 	if !slices.Equal(got, want) {
 		s.fail("Record(%v, %v) folded %v, map validator %v", from, m, got, want)
+	}
+	if s.fresh != nil {
+		if fresh := s.fresh.Record(from, m); !slices.Equal(got, fresh) {
+			s.fail("Record(%v, %v) folded %v, fresh validator %v", from, m, got, fresh)
+		}
+	}
+	s.compare()
+}
+
+// prune applies PruneBelow(floor) to every validator of the run.
+func (s *validatorRun) prune(floor int) {
+	s.got.PruneBelow(floor)
+	s.want.PruneBelow(floor)
+	if s.fresh != nil {
+		s.fresh.PruneBelow(floor)
 	}
 	s.compare()
 }
@@ -141,12 +162,51 @@ func (s *validatorRun) compare() {
 			s.fail("%s = %d, map validator %d", c.what, c.got, c.want)
 		}
 	}
+	if f := s.fresh; f != nil {
+		for _, c := range []struct {
+			what       string
+			got, fresh int
+		}{
+			{"SeenRetained", s.got.SeenRetained(), f.SeenRetained()},
+			{"JustificationsRetained", s.got.JustificationsRetained(), f.JustificationsRetained()},
+			{"Pending", s.got.Pending(), f.Pending()},
+			{"Tallied", s.got.Tallied(), f.Tallied()},
+		} {
+			if c.got != c.fresh {
+				s.fail("%s = %d, fresh validator %d", c.what, c.got, c.fresh)
+			}
+		}
+	}
 }
 
 // runValidatorScript decodes data — a spec byte (its size and whether the
 // validators are lax), then operations — and runs it against both
 // validators.
 func runValidatorScript(t *testing.T, name string, data []byte) {
+	t.Helper()
+	driveValidatorScript(t, name, data, nil)
+}
+
+// runRearmedValidatorScript runs data's operations in two halves under its
+// spec byte: the first half on a new validator, which is then re-armed
+// (Reset) and runs the second half against the map validator and a freshly
+// built validator. A re-armed validator keeps its spec and laxness, so both
+// halves share the spec byte.
+func runRearmedValidatorScript(t *testing.T, name string, data []byte) {
+	t.Helper()
+	if len(data) == 0 {
+		return
+	}
+	mid := 1 + (len(data)-1)/2
+	v := driveValidatorScript(t, name+"/first", data[:mid], nil)
+	driveValidatorScript(t, name+"/rearmed", append(data[:1:1], data[mid:]...), v)
+}
+
+// driveValidatorScript runs data against the map validator and a
+// Validator: a new one when v is nil, else v re-armed, which must then also
+// match a freshly built validator call by call. It returns the validator it
+// drove.
+func driveValidatorScript(t *testing.T, name string, data []byte, v *Validator) *Validator {
 	t.Helper()
 	r := &scriptReader{data: data}
 	sel := r.next(2 * len(scriptSpecs))
@@ -155,6 +215,10 @@ func runValidatorScript(t *testing.T, name string, data []byte) {
 	s := &validatorRun{t: t, name: name, got: New(spec), want: newMapValidator(spec)}
 	if sel >= len(scriptSpecs) {
 		s.got, s.want = NewLax(spec), newLaxMapValidator(spec)
+	}
+	if v != nil {
+		v.Reset()
+		s.got, s.fresh = v, s.got
 	}
 	senders := make([]types.ProcessID, 0, sys.n+6)
 	for p := 1; p <= sys.n; p++ {
@@ -178,18 +242,22 @@ func runValidatorScript(t *testing.T, name string, data []byte) {
 				s.record(types.ProcessID(p), m)
 			}
 		case opPrune:
-			floor := scriptPrune(s.want.floor, r.next(256))
-			s.got.PruneBelow(floor)
-			s.want.PruneBelow(floor)
-			s.compare()
+			s.prune(scriptPrune(s.want.floor, r.next(256)))
 		case opJustified:
 			m := scriptMsg(scriptRound(s.want.floor, r.next(256)), r.next(256))
-			if got, want := s.got.Justified(m), s.want.Justified(m); got != want {
+			got, want := s.got.Justified(m), s.want.Justified(m)
+			if got != want {
 				s.fail("Justified(%v) = %v, map validator %v", m, got, want)
+			}
+			if s.fresh != nil {
+				if fresh := s.fresh.Justified(m); got != fresh {
+					s.fail("Justified(%v) = %v, fresh validator %v", m, got, fresh)
+				}
 			}
 			s.compare()
 		}
 	}
+	return s.got
 }
 
 // scriptWriter builds a named script, tracking the floor the way
@@ -389,6 +457,29 @@ func TestValidatorMatchesMap(t *testing.T) {
 	}
 }
 
+// TestRearmedValidatorMatchesFresh re-arms a validator that ran one script
+// and drives a second: every fold (in order), answer and counter must equal
+// a freshly built validator's and the map validator's. The pairs are every
+// named case after every named case (the second under the first's spec
+// byte), then 300 random scripts split in two.
+func TestRearmedValidatorMatchesFresh(t *testing.T) {
+	cases := validatorCases()
+	names := slices.Sorted(maps.Keys(cases))
+	for _, a := range names {
+		for _, b := range names {
+			first, second := cases[a], cases[b]
+			v := driveValidatorScript(t, a, first, nil)
+			driveValidatorScript(t, a+"/then/"+b, append(first[:1:1], second[1:]...), v)
+		}
+	}
+	rng := rand.New(rand.NewSource(54))
+	for trial := 0; trial < 300; trial++ {
+		data := make([]byte, 1+rng.Intn(400))
+		rng.Read(data)
+		runRearmedValidatorScript(t, fmt.Sprintf("random-%d", trial), data)
+	}
+}
+
 // TestValidatorCorpusCurrent: the checked-in seed corpus is the named cases'
 // bytes, so an edited case cannot leave a stale seed behind.
 func TestValidatorCorpusCurrent(t *testing.T) {
@@ -403,8 +494,11 @@ func TestValidatorCorpusCurrent(t *testing.T) {
 	}
 }
 
+// FuzzValidatorMatchesMap runs each input as one script on a new
+// validator, then split in two halves across a re-arm.
 func FuzzValidatorMatchesMap(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		runValidatorScript(t, "fuzz", data)
+		runRearmedValidatorScript(t, "fuzz", data)
 	})
 }

@@ -48,9 +48,10 @@
 //
 // # State layout
 //
-// Every reliably delivered step message passes through Record, and every
-// log slot builds a fresh Validator, so the state is dense where correct
-// traffic lands and spends nothing per message there:
+// Every reliably delivered step message passes through Record, and the
+// replicated log re-arms one Validator per replica at every slot (Reset), so
+// the state is dense where correct traffic lands, spends nothing per message
+// there, and is cleared in place rather than rebuilt:
 //
 //   - the seen set is a ring of seenSpan rounds starting at the floor, one
 //     n-bit row per (round, step), a peer's bit at its quorum.Spec.Index;
@@ -157,10 +158,28 @@ type tally struct {
 // New creates a Validator for the given system spec.
 func New(spec quorum.Spec) *Validator {
 	words := (spec.N() + 63) / 64 // one bit per peer
-	return &Validator{
+	v := &Validator{
 		spec:      spec,
 		seen:      make([]uint64, seenSpan*3*words),
 		seenWords: words,
+	}
+	v.Reset()
+	return v
+}
+
+// Reset re-arms the validator for a new consensus instance: it returns to
+// the state New (or NewLax) produces, and New reaches that state through it.
+// Nothing recorded stays — no seen key, pending message, digest or floor —
+// but the seen ring and the pending, digest and fold slices keep their
+// storage. The overflow maps are dropped, nil until used as New leaves them.
+func (v *Validator) Reset() {
+	clear(v.seen)
+	*v = Validator{
+		spec: v.spec, lax: v.lax,
+		seen: v.seen, seenWords: v.seenWords,
+		pending:     v.pending[:0],
+		rounds:      v.rounds[:0],
+		foldScratch: v.foldScratch[:0],
 	}
 }
 
@@ -258,10 +277,10 @@ func (v *Validator) SeenRetained() int {
 }
 
 // JustificationsRetained returns how many per-round justification digests
-// the validator holds — the residue PruneBelow deliberately keeps for the
-// validator's lifetime (one per touched round). Owners bound it by lifetime
-// instead: the replicated log drops each slot's instance, validator
-// included, at commit (experiment E12).
+// the validator holds — the residue PruneBelow deliberately keeps until the
+// next Reset (one per touched round). Owners bound it by instance instead:
+// the replicated log re-arms each replica's validator at every slot
+// (experiment E12).
 func (v *Validator) JustificationsRetained() int {
 	n := len(v.roundsOver)
 	for i := range v.rounds {
