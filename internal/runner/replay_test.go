@@ -259,16 +259,17 @@ func TestGoldenHashesPrint(t *testing.T) {
 
 // stackConfig describes one ACS replay run.
 type stackConfig struct {
-	n, f      int
-	absent    int    // trailing processes that never start (silent faults)
-	coin      string // "local" or "common"
-	scheduler string // "uniform", "fifo", "reorder"
-	seed      int64
+	n, f       int
+	absent     int    // trailing processes that never start (silent faults)
+	equivocate bool   // process n sends its input with two bodies (equivocator)
+	coin       string // "local" or "common"
+	scheduler  string // "uniform", "fifo", "reorder"
+	seed       int64
 }
 
 // stackReplayConfigs is the ACS golden matrix: both coin constructions,
-// three scheduler kinds, with and without silent faults. Its SMR rows are
-// internal/smr's replay goldens.
+// three scheduler kinds, with and without silent faults, and one active
+// Byzantine proposer. Its SMR rows are internal/smr's replay goldens.
 func stackReplayConfigs() map[string]stackConfig {
 	return map[string]stackConfig{
 		"acs/local/uniform": {
@@ -279,6 +280,9 @@ func stackReplayConfigs() map[string]stackConfig {
 		},
 		"acs/common/reorder": {
 			n: 7, f: 2, absent: 2, coin: "common", scheduler: "reorder", seed: 9,
+		},
+		"acs/common/equivocating-proposer": {
+			n: 7, f: 2, equivocate: true, coin: "common", scheduler: "uniform", seed: 10,
 		},
 	}
 }
@@ -350,7 +354,11 @@ func stackTraceHash(t *testing.T, cfg stackConfig) string {
 			t.Fatal(err)
 		}
 		nodes = append(nodes, nd)
-		if err := net.Add(nd); err != nil {
+		var member sim.Node = nd
+		if cfg.equivocate && p == peers[cfg.n-1] {
+			member = equivocator{nd}
+		}
+		if err := net.Add(member); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,6 +387,23 @@ func stackTraceHash(t *testing.T, cfg stackConfig) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// equivocator is a Byzantine ACS proposer: it sends its input SEND with
+// its own body to the first half of the peers and with another body to the
+// rest, and otherwise runs the genuine node.
+type equivocator struct{ *acs.Node }
+
+func (e equivocator) Start() []types.Message {
+	out := e.Node.Start()
+	for i := len(out) / 2; i < len(out); i++ {
+		if p, ok := out[i].Payload.(*types.RBCPayload); ok && p.Phase == types.KindRBCSend {
+			forked := *p
+			forked.Body += "/forked"
+			out[i].Payload = &forked
+		}
+	}
+	return out
+}
+
 // goldenStackHashes pins the ACS executions of the pre-refactor
 // implementation (fresh output slices per delivery, map-backed accepted
 // lists, no per-round pruning). Recorded before the zero-allocation delivery
@@ -390,6 +415,9 @@ var goldenStackHashes = map[string]string{
 	"acs/local/uniform":  "e1c4937aaeaa41ec8b841cd9aeb028910888f987bce8fb5f18506476eff6cfbb",
 	"acs/common/fifo":    "8ee151f07d51bd76e53eb4fefe43a815cb833a9ed7f6c1e49fef58b81c6ff7e8",
 	"acs/common/reorder": "cbe5da48a6c02bae02828c8f250242c9ccef3fff7b9c41af88a4189d3f6abb9e",
+	// Recorded from the node with per-proposer tables indexed from 1, before
+	// they became one record slice indexed by quorum.Spec.Index.
+	"acs/common/equivocating-proposer": "834bb105c5e4bdbc3d4da8ee8bf2c945b07bee12fb5c000666b1517ebf83cb75",
 }
 
 // TestStackReplayEqualityGolden proves the ACS zero-allocation rewrite
