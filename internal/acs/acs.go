@@ -52,9 +52,10 @@ type Config struct {
 	Peers []types.ProcessID
 	// Spec is the failure assumption.
 	Spec quorum.Spec
-	// NewCoin builds the coin for one binary instance. Instances must not
-	// share coin state; for the common coin give every instance its own
-	// dealer. Required.
+	// NewCoin builds the coin for one binary instance. Its argument is the
+	// instance's wire number: the proposer's peer index + 1, so 1..n.
+	// Instances must not share coin state; for the common coin give every
+	// instance its own dealer. Required.
 	NewCoin func(instance int) coin.Coin
 	// Input is this process's contribution.
 	Input string
@@ -63,28 +64,19 @@ type Config struct {
 // Node is one ACS participant. Deterministic state machine (sim.Node); not
 // safe for concurrent use.
 //
-// All per-instance state lives in dense tables indexed by proposer index
-// (1..n): instance lookup on the delivery path is an array index, and
-// iteration order (coin fan-out, decision harvest, output assembly) is the
-// peer order — deterministic by construction, where the seed's map ranges
-// relied on emissions being order-insensitive.
+// Per-proposer state is one record per peer, indexed by quorum.Spec.Index:
+// instance lookup on the delivery path is an array index, and iteration
+// order (coin fan-out, decision harvest, output assembly) is the peer order
+// — deterministic by construction.
 type Node struct {
 	cfg  Config
 	spec quorum.Spec
 
 	values *rbc.Broadcaster // input dissemination
 
-	bins     []*core.Node      // binary instance per proposer index (1-based)
-	pending  [][]types.Message // traffic for instances not yet started
-	inputs   []string          // rbc-delivered inputs by proposer index
-	hasInput []bool
-	decided  []types.Value // binary decisions by proposer index
-	resolved []bool        // decided[idx] is set
-	voted    []bool        // instances this node has an opinion in
-	ones     int           // instances decided 1
-	resolves int           // instances decided (either way)
-	output   []Proposal
-	done     bool
+	proposers []proposer // by peer index
+	output    []Proposal
+	done      bool
 
 	// The embedded recycled output buffer (see sim.OutBuffer): the
 	// simulator hands consumed slices back and every delivery appends into
@@ -94,11 +86,33 @@ type Node struct {
 	sim.OutBuffer
 }
 
-// Config errors.
-var (
-	ErrNoCoinFactory = errors.New("acs: config requires NewCoin")
-	ErrBadPeers      = quorum.ErrBadPeers
+// proposer is what a node knows of one proposer j: its input and BA_j.
+type proposer struct {
+	bin      *core.Node      // BA_j; nil until this node votes in it
+	pending  []types.Message // BA_j traffic that arrived before bin
+	input    string          // the rbc-delivered input, once hasInput
+	hasInput bool
+	verdict  verdict
+}
+
+// verdict is BA_j's decision as harvested.
+type verdict uint8
+
+const (
+	undecided verdict = iota
+	excluded          // BA_j decided 0
+	included          // BA_j decided 1
 )
+
+// instance is peer index i's number on the wire: its binary instance, its
+// input's dissemination tag past valueNS, and Config.NewCoin's argument all
+// number proposers from 1. index is its inverse. Records and wire numbers
+// meet only here.
+func instance(i int) int { return i + 1 }
+func index(inst int) int { return inst - 1 }
+
+// ErrNoCoinFactory is the config validation error for a missing NewCoin.
+var ErrNoCoinFactory = errors.New("acs: config requires NewCoin")
 
 // New creates an ACS node.
 func New(cfg Config) (*Node, error) {
@@ -109,20 +123,13 @@ func New(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	if len(cfg.Peers) >= valueNS {
-		return nil, fmt.Errorf("%w: %d peers overflow the instance namespace", ErrBadPeers, len(cfg.Peers))
+		return nil, fmt.Errorf("%w: %d peers overflow the instance namespace", quorum.ErrBadPeers, len(cfg.Peers))
 	}
-	n := cfg.Spec.N()
 	return &Node{
-		cfg:      cfg,
-		spec:     cfg.Spec,
-		values:   rbc.New(cfg.Me, cfg.Peers, cfg.Spec),
-		bins:     make([]*core.Node, n+1),
-		pending:  make([][]types.Message, n+1),
-		inputs:   make([]string, n+1),
-		hasInput: make([]bool, n+1),
-		decided:  make([]types.Value, n+1),
-		resolved: make([]bool, n+1),
-		voted:    make([]bool, n+1),
+		cfg:       cfg,
+		spec:      cfg.Spec,
+		values:    rbc.New(cfg.Me, cfg.Peers, cfg.Spec),
+		proposers: make([]proposer, cfg.Spec.N()),
 	}, nil
 }
 
@@ -143,7 +150,7 @@ func (n *Node) Done() bool { return false }
 // Start implements sim.Node: disseminate this process's input.
 func (n *Node) Start() []types.Message {
 	i, _ := n.spec.Index(n.cfg.Me)
-	return n.values.AppendBroadcast(n.Take(), types.Tag{Seq: valueNS + i + 1}, n.cfg.Input)
+	return n.values.AppendBroadcast(n.Take(), types.Tag{Seq: valueNS + instance(i)}, n.cfg.Input)
 }
 
 // Deliver implements sim.Node.
@@ -154,43 +161,43 @@ func (n *Node) Deliver(m types.Message) []types.Message {
 		var deliveries []rbc.Delivery
 		out, deliveries, _ = n.values.AppendHandlePayload(out, m.From, m.Payload)
 		for _, d := range deliveries {
-			idx := d.ID.Tag.Seq - valueNS
-			if i, ok := n.spec.Index(d.ID.Sender); !ok || idx != i+1 {
+			i, ok := n.spec.Index(d.ID.Sender)
+			if !ok || d.ID.Tag.Seq != valueNS+instance(i) {
 				continue // input instances are bound to their proposer
 			}
-			if n.hasInput[idx] {
+			pr := &n.proposers[i]
+			if pr.hasInput {
 				continue
 			}
-			n.hasInput[idx] = true
-			n.inputs[idx] = d.Body
+			pr.input, pr.hasInput = d.Body, true
 			// The input is stored; if the dissemination instance is already
 			// terminal its tallies are dead weight — compact it to a digest
 			// record (a no-op if echoes are still owed; see internal/rbc's
 			// pruning contract).
 			n.values.Compact(d.ID)
 			// Seeing j's input is the trigger to vote 1 in BA_j.
-			out = n.vote(out, idx, types.One)
+			out = n.vote(out, i, types.One)
 		}
 	case trafficCoin:
 		// Coin shares carry a round but no instance; with per-instance
 		// dealers the MACs bind each share to its dealer, so fan them to
 		// every open instance — the right one accepts, the rest reject.
-		for idx := 1; idx <= n.spec.N(); idx++ {
-			if bin := n.bins[idx]; bin != nil {
+		for i := range n.proposers {
+			if bin := n.proposers[i].bin; bin != nil {
 				out = bin.AppendDeliver(out, m)
 			}
 		}
 	case trafficBinary:
-		switch {
-		case inst < 1 || inst > n.spec.N():
+		switch i := index(inst); {
+		case i < 0 || i >= len(n.proposers):
 			// Not a plausible instance; ignore.
-		case n.bins[inst] != nil:
-			out = n.bins[inst].AppendDeliver(out, m)
-		case !n.voted[inst]:
+		case n.proposers[i].bin != nil:
+			out = n.proposers[i].bin.AppendDeliver(out, m)
+		default:
 			// Traffic for an instance this node has no opinion in yet:
 			// buffer until an input arrives (vote 1) or the 0-voting phase
 			// starts.
-			n.pending[inst] = append(n.pending[inst], m)
+			n.proposers[i].pending = append(n.proposers[i].pending, m)
 		}
 	}
 	return n.harvest(out)
@@ -232,80 +239,81 @@ func (n *Node) classify(m types.Message) (int, trafficKind) {
 	}
 }
 
-// vote starts binary instance idx with the given proposal, if this node has
-// not voted there yet, and replays buffered traffic into it, appending all
-// emissions to out.
-func (n *Node) vote(out []types.Message, idx int, v types.Value) []types.Message {
-	if n.voted[idx] {
+// vote starts BA_j for peer index i with the given proposal, if this node
+// has not voted there yet, and replays buffered traffic into it, appending
+// all emissions to out.
+func (n *Node) vote(out []types.Message, i int, v types.Value) []types.Message {
+	pr := &n.proposers[i]
+	if pr.bin != nil {
 		return out
 	}
-	n.voted[idx] = true
+	inst := instance(i)
 	bin, err := core.New(core.Config{
 		Me:       n.cfg.Me,
 		Peers:    n.cfg.Peers,
 		Spec:     n.spec,
-		Coin:     n.cfg.NewCoin(idx),
+		Coin:     n.cfg.NewCoin(inst),
 		Proposal: v,
-		Instance: idx,
+		Instance: inst,
 	})
 	if err != nil {
 		// Config is derived from our own validated Config; this cannot
 		// fail for valid binary values.
-		panic(fmt.Sprintf("acs: starting BA_%d: %v", idx, err))
+		panic(fmt.Sprintf("acs: starting BA_%d: %v", inst, err))
 	}
-	n.bins[idx] = bin
+	pr.bin = bin
 	out = bin.AppendStart(out)
-	for _, m := range n.pending[idx] {
+	for _, m := range pr.pending {
 		out = bin.AppendDeliver(out, m)
 	}
-	n.pending[idx] = nil
+	pr.pending = nil
 	return out
 }
 
 // harvest collects freshly decided instances, triggers the 0-voting phase,
 // and assembles the final output, appending all emissions to out.
 func (n *Node) harvest(out []types.Message) []types.Message {
-	for idx := 1; idx <= n.spec.N(); idx++ {
-		bin := n.bins[idx]
-		if bin == nil || n.resolved[idx] {
-			continue
-		}
-		if v, ok := bin.Decided(); ok {
-			n.resolved[idx] = true
-			n.decided[idx] = v
-			n.resolves++
-			if v == types.One {
-				n.ones++
+	ones, decided := 0, 0
+	for i := range n.proposers {
+		pr := &n.proposers[i]
+		if pr.verdict == undecided && pr.bin != nil {
+			if v, ok := pr.bin.Decided(); ok {
+				pr.verdict = excluded
+				if v == types.One {
+					pr.verdict = included
+				}
 			}
+		}
+		if pr.verdict != undecided {
+			decided++
+		}
+		if pr.verdict == included {
+			ones++
 		}
 	}
 	// Phase 3: n−f inclusions reached — vote 0 everywhere else.
-	if n.ones >= n.spec.Quorum() {
-		for idx := 1; idx <= n.spec.N(); idx++ {
-			out = n.vote(out, idx, types.Zero)
+	if ones >= n.spec.Quorum() {
+		for i := range n.proposers {
+			out = n.vote(out, i, types.Zero)
 		}
 	}
 	// Completion: all instances decided and all included inputs delivered.
-	if !n.done && n.resolves == n.spec.N() {
-		for idx := 1; idx <= n.spec.N(); idx++ {
-			if n.decided[idx] == types.One && !n.hasInput[idx] {
-				return out // an included input is still in flight
-			}
+	if n.done || decided < len(n.proposers) {
+		return out
+	}
+	for _, pr := range n.proposers {
+		if pr.verdict == included && !pr.hasInput {
+			return out // an included input is still in flight
 		}
-		n.done = true
-		for idx := 1; idx <= n.spec.N(); idx++ {
-			// Output is assembled; any dissemination instance that became
-			// terminal after its input landed can compact now.
-			n.values.Compact(types.InstanceID{
-				Sender: n.cfg.Peers[idx-1],
-				Tag:    types.Tag{Seq: valueNS + idx},
-			})
-			if n.decided[idx] == types.One {
-				n.output = append(n.output, Proposal{
-					Proposer: n.cfg.Peers[idx-1],
-					Value:    n.inputs[idx],
-				})
-			}
+	}
+	n.done = true
+	for i, pr := range n.proposers {
+		// Output is assembled; any dissemination instance that became
+		// terminal after its input landed can compact now.
+		j := n.cfg.Peers[i]
+		n.values.Compact(types.InstanceID{Sender: j, Tag: types.Tag{Seq: valueNS + instance(i)}})
+		if pr.verdict == included {
+			n.output = append(n.output, Proposal{Proposer: j, Value: pr.input})
 		}
 	}
 	return out

@@ -153,8 +153,8 @@ func TestACSConfigValidation(t *testing.T) {
 		want   error
 	}{
 		{"missing factory", func(c *Config) { c.NewCoin = nil }, ErrNoCoinFactory},
-		{"wrong peers", func(c *Config) { c.Peers = peers[:2] }, ErrBadPeers},
-		{"me absent", func(c *Config) { c.Me = 9 }, ErrBadPeers},
+		{"wrong peers", func(c *Config) { c.Peers = peers[:2] }, quorum.ErrBadPeers},
+		{"me absent", func(c *Config) { c.Me = 9 }, quorum.ErrBadPeers},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
