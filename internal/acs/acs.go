@@ -156,8 +156,8 @@ func (n *Node) Start() []types.Message {
 // Deliver implements sim.Node.
 func (n *Node) Deliver(m types.Message) []types.Message {
 	out := n.Take()
-	switch inst, kind := n.classify(m); kind {
-	case trafficValues:
+	switch inst, plane := types.Route(m.Payload, valueNS); plane {
+	case types.PlaneValues:
 		var deliveries []rbc.Delivery
 		out, deliveries, _ = n.values.AppendHandlePayload(out, m.From, m.Payload)
 		for _, d := range deliveries {
@@ -178,7 +178,7 @@ func (n *Node) Deliver(m types.Message) []types.Message {
 			// Seeing j's input is the trigger to vote 1 in BA_j.
 			out = n.vote(out, i, types.One)
 		}
-	case trafficCoin:
+	case types.PlaneCoin:
 		// Coin shares carry a round but no instance; with per-instance
 		// dealers the MACs bind each share to its dealer, so fan them to
 		// every open instance — the right one accepts, the rest reject.
@@ -187,7 +187,7 @@ func (n *Node) Deliver(m types.Message) []types.Message {
 				out = bin.AppendDeliver(out, m)
 			}
 		}
-	case trafficBinary:
+	case types.PlaneBinary:
 		switch i := index(inst); {
 		case i < 0 || i >= len(n.proposers):
 			// Not a plausible instance; ignore.
@@ -210,33 +210,6 @@ func (n *Node) Output() ([]Proposal, bool) {
 		return nil, false
 	}
 	return append([]Proposal(nil), n.output...), true
-}
-
-type trafficKind int
-
-const (
-	trafficValues trafficKind = iota + 1
-	trafficBinary
-	trafficCoin
-)
-
-// classify maps a message to the value-dissemination plane, a binary
-// instance, or the coin plane.
-func (n *Node) classify(m types.Message) (int, trafficKind) {
-	if id, ok := types.BroadcastID(m.Payload); ok {
-		if id.Tag.Seq >= valueNS {
-			return 0, trafficValues
-		}
-		return id.Tag.Seq, trafficBinary
-	}
-	switch p := m.Payload.(type) {
-	case *types.DecidePayload:
-		return p.Instance, trafficBinary
-	case *types.CoinSharePayload:
-		return 0, trafficCoin
-	default:
-		return 0, trafficBinary
-	}
 }
 
 // vote starts BA_j for peer index i with the given proposal, if this node

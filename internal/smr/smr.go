@@ -719,8 +719,8 @@ func (r *Replica) Deliver(m types.Message) []types.Message {
 		return nil
 	}
 	out := r.Take()
-	switch inst, kind := classify(m); kind {
-	case trafficValues:
+	switch inst, plane := types.Route(m.Payload, dissemNS); plane {
+	case types.PlaneValues:
 		r.noteFrontier(inst)
 		var deliveries []rbc.Delivery
 		out, deliveries, _ = r.values.AppendHandlePayload(out, m.From, m.Payload)
@@ -733,7 +733,7 @@ func (r *Replica) Deliver(m types.Message) []types.Message {
 				r.cands[slot] = d.Body
 			}
 		}
-	case trafficBinary:
+	case types.PlaneBinary:
 		r.noteFrontier(inst - 1)
 		switch {
 		case inst == r.slot+1 && r.armed:
@@ -745,11 +745,11 @@ func (r *Replica) Deliver(m types.Message) []types.Message {
 			}
 			r.pending[inst] = append(buf, m)
 		}
-	case trafficCoin:
+	case types.PlaneCoin:
 		if r.armed {
 			out = r.bin.AppendDeliver(out, m)
 		}
-	case trafficCkpt:
+	case types.PlaneCkpt:
 		if r.tracker != nil {
 			out = r.onCkpt(out, m)
 		}
@@ -1043,37 +1043,6 @@ func (r *Replica) install(out []types.Message, cert ckpt.Certificate, snapshot s
 	// It may be our turn at the cut, and buffered candidates/decides for
 	// the slots above it resume in step().
 	return r.propose(out)
-}
-
-type trafficKind int
-
-const (
-	trafficValues trafficKind = iota + 1
-	trafficBinary
-	trafficCoin
-	trafficCkpt
-)
-
-// classify maps a message to its plane and the instance it names: the slot
-// for dissemination traffic, the agreement instance (slot+1) for binary
-// traffic.
-func classify(m types.Message) (int, trafficKind) {
-	if id, ok := types.BroadcastID(m.Payload); ok {
-		if id.Tag.Seq >= dissemNS {
-			return id.Tag.Seq - dissemNS, trafficValues
-		}
-		return id.Tag.Seq, trafficBinary
-	}
-	switch p := m.Payload.(type) {
-	case *types.DecidePayload:
-		return p.Instance, trafficBinary
-	case *types.CoinSharePayload:
-		return 0, trafficCoin
-	case *types.CkptVotePayload, *types.CkptRequestPayload, *types.CkptCertPayload:
-		return 0, trafficCkpt
-	default:
-		return 0, trafficBinary
-	}
 }
 
 // step starts the current slot's consensus once its candidate arrived and

@@ -204,8 +204,9 @@ func (p *RBCSumPayload) String() string {
 
 // BroadcastID returns the reliable-broadcast instance p belongs to when p
 // is one of the three broadcast payloads (RBCPayload, RBCFragPayload,
-// RBCSumPayload). Layers that route traffic classify it here; handing it
-// to the broadcaster is rbc.Broadcaster.AppendHandlePayload's job.
+// RBCSumPayload). Route and sim's adaptive scheduler classify traffic by
+// it; handing it to the broadcaster is rbc.Broadcaster.AppendHandlePayload's
+// job.
 func BroadcastID(p Payload) (InstanceID, bool) {
 	switch p := p.(type) {
 	case *RBCPayload:
@@ -216,6 +217,43 @@ func BroadcastID(p Payload) (InstanceID, bool) {
 		return p.ID, true
 	}
 	return InstanceID{}, false
+}
+
+// Plane is the traffic plane a payload travels on in a stack that
+// multiplexes input dissemination, binary agreement and its coin (and
+// checkpointing) over one network. The zero Plane is no plane: a payload
+// such a stack drops.
+type Plane uint8
+
+// The planes Route maps payloads to.
+const (
+	PlaneValues Plane = iota + 1 // reliable broadcasts tagged in the dissemination namespace
+	PlaneBinary                  // binary-agreement broadcasts and DECIDE votes
+	PlaneCoin                    // common-coin shares
+	PlaneCkpt                    // checkpoint votes, transfer requests and certificates
+)
+
+// Route maps a payload to its plane and the instance it names, for a stack
+// whose dissemination tags start at Seq ns: a reliable broadcast tagged at
+// or past ns is on PlaneValues at instance Seq−ns, one tagged below ns on
+// PlaneBinary at instance Seq, and a DECIDE on PlaneBinary at its Instance.
+// Coin and checkpoint payloads name no instance.
+func Route(p Payload, ns int) (int, Plane) {
+	if id, ok := BroadcastID(p); ok {
+		if id.Tag.Seq >= ns {
+			return id.Tag.Seq - ns, PlaneValues
+		}
+		return id.Tag.Seq, PlaneBinary
+	}
+	switch p := p.(type) {
+	case *DecidePayload:
+		return p.Instance, PlaneBinary
+	case *CoinSharePayload:
+		return 0, PlaneCoin
+	case *CkptVotePayload, *CkptRequestPayload, *CkptCertPayload:
+		return 0, PlaneCkpt
+	}
+	return 0, 0
 }
 
 func min(a, b int) int {

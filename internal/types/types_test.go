@@ -202,3 +202,31 @@ func TestPayloadStrings(t *testing.T) {
 		}
 	}
 }
+
+func TestRoute(t *testing.T) {
+	const ns = 100
+	id := func(seq int) InstanceID { return InstanceID{Sender: 2, Tag: Tag{Seq: seq}} }
+	tests := []struct {
+		p     Payload
+		inst  int
+		plane Plane
+	}{
+		{&RBCPayload{ID: id(ns + 3)}, 3, PlaneValues},
+		{&RBCFragPayload{ID: id(ns)}, 0, PlaneValues},
+		{&RBCSumPayload{ID: id(ns - 1)}, ns - 1, PlaneBinary},
+		{&RBCPayload{ID: id(-4)}, -4, PlaneBinary},
+		{&DecidePayload{V: One, Instance: 7}, 7, PlaneBinary},
+		{&DecidePayload{Instance: -1}, -1, PlaneBinary},
+		{&CoinSharePayload{Round: 2}, 0, PlaneCoin},
+		{&CkptVotePayload{Slot: 8}, 0, PlaneCkpt},
+		{&CkptRequestPayload{Slot: 8}, 0, PlaneCkpt},
+		{&CkptCertPayload{}, 0, PlaneCkpt},
+		{&PlainPayload{Round: 1}, 0, 0},
+		{nil, 0, 0},
+	}
+	for _, tt := range tests {
+		if inst, plane := Route(tt.p, ns); inst != tt.inst || plane != tt.plane {
+			t.Errorf("Route(%v) = %d/%d, want %d/%d", tt.p, inst, plane, tt.inst, tt.plane)
+		}
+	}
+}
