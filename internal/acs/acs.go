@@ -156,7 +156,13 @@ func (n *Node) Start() []types.Message {
 // Deliver implements sim.Node.
 func (n *Node) Deliver(m types.Message) []types.Message {
 	out := n.Take()
-	switch inst, plane := types.Route(m.Payload, valueNS); plane {
+	inst, plane := types.Route(m.Payload, valueNS)
+	if _, peer := n.spec.Index(m.From); !peer {
+		// Only peers take part: what others send is dropped here, before
+		// any plane echoes or buffers it.
+		plane = 0
+	}
+	switch plane {
 	case types.PlaneValues:
 		var deliveries []rbc.Delivery
 		out, deliveries, _ = n.values.AppendHandlePayload(out, m.From, m.Payload)

@@ -201,6 +201,44 @@ func TestACSNodeBasics(t *testing.T) {
 	}
 }
 
+// TestACSDropsNonPeerTraffic: traffic from senders outside the peer set
+// is dropped at the door. None of 1 000 such messages for an instance that
+// has not opened is buffered, and none is echoed, while one peer message
+// for that instance waits for it.
+func TestACSDropsNonPeerTraffic(t *testing.T) {
+	nd, err := New(Config{
+		Me: 1, Peers: types.Processes(4), Spec: quorum.MustNew(4, 1),
+		NewCoin: func(int) coin.Coin { return coin.NewIdeal(1) },
+		Input:   "x",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Start()
+	outsiders := []types.ProcessID{0, 5, 99, -1}
+	for k := 0; k < 1000; k++ {
+		from := outsiders[k%len(outsiders)]
+		step := types.InstanceID{Sender: from, Tag: types.Tag{Round: 1, Step: types.Step1, Seq: 2}}
+		payloads := []types.Payload{
+			&types.RBCPayload{Phase: types.KindRBCSend, ID: step, Body: "step"},
+			&types.RBCPayload{Phase: types.KindRBCReady, ID: step, Body: "step"},
+			&types.DecidePayload{V: types.One, Instance: 2},
+			&types.RBCPayload{Phase: types.KindRBCSend, ID: types.InstanceID{Sender: from, Tag: types.Tag{Seq: valueNS + 2}}, Body: "input"},
+		}
+		m := types.Message{From: from, To: 1, Payload: payloads[k%len(payloads)]}
+		if out := nd.Deliver(m); len(out) != 0 {
+			t.Fatalf("%v answered with %v", m, out)
+		}
+	}
+	if got := nd.Buffered(); got != 0 {
+		t.Fatalf("%d non-peer messages buffered, want 0", got)
+	}
+	nd.Deliver(types.Message{From: 2, To: 1, Payload: &types.DecidePayload{V: types.One, Instance: 2}})
+	if got := nd.Buffered(); got != 1 {
+		t.Errorf("a peer's message for an unopened instance: %d buffered, want 1", got)
+	}
+}
+
 // BenchmarkACSDelivery measures the full per-delivery cost of the ACS
 // stack on the simulator: the value-dissemination RBC plane, up to n
 // multiplexed binary consensus instances, and the decision harvest, all

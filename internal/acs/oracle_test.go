@@ -2,7 +2,9 @@ package acs
 
 // This file checks Node against oracleNode, a test-only copy of the node
 // that keeps its per-proposer state in seven parallel tables indexed by
-// proposer from 1 (slot 0 unused) and classifies payloads itself. Scripts
+// proposer from 1 (slot 0 unused) and classifies payloads itself; the copy
+// differs from the node it was taken from only in dropping non-peer
+// traffic at its door. Scripts
 // drive both with one sequence of deliveries: traffic recorded from real
 // n=4 and n=7 clusters under the local and the common coin (in recorded
 // order, picked out of order, repeated, flushed one plane and instance at a
@@ -81,6 +83,12 @@ func (n *oracleNode) Start() []types.Message {
 
 func (n *oracleNode) Deliver(m types.Message) []types.Message {
 	out := n.Take()
+	if _, peer := n.spec.Index(m.From); !peer {
+		// The one rule added to the copy: traffic from outside the peer
+		// set is dropped before any plane sees it (core would echo a
+		// non-peer's SEND of its own instance, buffered or not).
+		return n.harvest(out)
+	}
 	switch inst, kind := n.classify(m); kind {
 	case oracleValues:
 		var deliveries []rbc.Delivery
