@@ -715,7 +715,9 @@ func (r *Replica) takeProposal() string {
 
 // Deliver implements sim.Node.
 func (r *Replica) Deliver(m types.Message) []types.Message {
-	if r.Done() {
+	if _, peer := r.spec.Index(m.From); !peer || r.Done() {
+		// Only peers take part: what others send is dropped here, before
+		// any plane echoes, buffers or answers it.
 		return nil
 	}
 	out := r.Take()
