@@ -37,8 +37,8 @@ func TestSMRSubmitBounds(t *testing.T) {
 	if rep.Submit("set c 3") {
 		t.Fatal("submission beyond QueueLimit accepted")
 	}
-	if rep.Dropped() != 1 || len(rep.queue) != 2 {
-		t.Fatalf("dropped=%d queue=%d, want 1 and 2", rep.Dropped(), len(rep.queue))
+	if rep.Dropped() != 1 || len(rep.ord.queue) != 2 {
+		t.Fatalf("dropped=%d queue=%d, want 1 and 2", rep.Dropped(), len(rep.ord.queue))
 	}
 
 	// A Done replica will never propose again: accepting would leak forever.
@@ -395,12 +395,12 @@ func TestInstallJumpQueueConsume(t *testing.T) {
 						// Nothing unconsumed dropped: the queue is exactly the
 						// unconsumed suffix, in order.
 						want := cmds[pos:]
-						if len(rep.queue) != len(want) {
-							t.Fatalf("queue after install = %q, want suffix %q", rep.queue, want)
+						if len(rep.ord.queue) != len(want) {
+							t.Fatalf("queue after install = %q, want suffix %q", rep.ord.queue, want)
 						}
 						for i := range want {
-							if rep.queue[i] != want[i] {
-								t.Fatalf("queue after install = %q, want suffix %q", rep.queue, want)
+							if rep.ord.queue[i] != want[i] {
+								t.Fatalf("queue after install = %q, want suffix %q", rep.ord.queue, want)
 							}
 						}
 						// Nothing consumed re-proposed: each disseminated turn

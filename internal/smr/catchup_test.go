@@ -49,7 +49,7 @@ func newCatchUpRig(t *testing.T) catchUpRig {
 	}
 	victim.Start()
 	victim.Deliver(types.Message{From: peers[0], To: victim.ID(), Payload: bare})
-	if !victim.lagging() || victim.Transfers() != 0 {
+	if !victim.cp.lagging(victim.Slot()) || victim.Transfers() != 0 {
 		t.Fatalf("victim not left lagging: slot %d, transfers %d", victim.Slot(), victim.Transfers())
 	}
 	return catchUpRig{victim: victim, honest: honest, bad: &bad}
@@ -92,11 +92,11 @@ func TestByzantineResponderRetriedOncePerEpoch(t *testing.T) {
 func TestAllBadRespondersResetAndInstall(t *testing.T) {
 	rig := newCatchUpRig(t)
 	const byz = types.ProcessID(2)
-	for _, p := range rig.victim.others {
+	for _, p := range rig.victim.cp.others {
 		rig.answer(p, rig.bad)
 	}
-	if got := rig.victim.TransferRetries(); got != len(rig.victim.others) {
-		t.Fatalf("%d retries after one bad answer from each peer, want %d", got, len(rig.victim.others))
+	if got := rig.victim.TransferRetries(); got != len(rig.victim.cp.others) {
+		t.Fatalf("%d retries after one bad answer from each peer, want %d", got, len(rig.victim.cp.others))
 	}
 	// Route requests until none is left: the Byzantine peer answers badly,
 	// the others honestly.
@@ -124,30 +124,30 @@ func TestDroppedLogEntriesCleared(t *testing.T) {
 	rig := newCatchUpRig(t)
 	r := rig.victim
 	fill := func(from, to int) {
-		r.log = r.log[:0]
+		r.log.entries = r.log.entries[:0]
 		for s := from; s < to; s++ {
 			for i := range 2 {
-				r.log = append(r.log, Entry{Slot: s, Index: i, Proposer: 1, Command: fmt.Sprintf("set k%d-%d v", s, i)})
+				r.log.entries = append(r.log.entries, Entry{Slot: s, Index: i, Proposer: 1, Command: fmt.Sprintf("set k%d-%d v", s, i)})
 			}
 		}
 	}
 	stale := func(after string) {
-		for i, e := range r.log[len(r.log):cap(r.log)] {
+		for i, e := range r.log.entries[len(r.log.entries):cap(r.log.entries)] {
 			if e != (Entry{}) {
-				t.Errorf("after %s: log[%d], past length %d, still holds %+v", after, len(r.log)+i, len(r.log), e)
+				t.Errorf("after %s: log[%d], past length %d, still holds %+v", after, len(r.log.entries)+i, len(r.log.entries), e)
 			}
 		}
 	}
 	fill(0, 4)
-	r.truncateLog(2)
-	if len(r.log) != 4 || r.log[0].Slot != 2 {
-		t.Fatalf("truncateLog(2) kept %d entries from slot %d, want 4 from slot 2", len(r.log), r.log[0].Slot)
+	r.log.truncate(2)
+	if len(r.log.entries) != 4 || r.log.entries[0].Slot != 2 {
+		t.Fatalf("truncateLog(2) kept %d entries from slot %d, want 4 from slot 2", len(r.log.entries), r.log.entries[0].Slot)
 	}
 	stale("truncateLog")
 	fill(2, 6)
 	rig.answer(types.ProcessID(1), rig.honest)
-	if r.Transfers() != 1 || len(r.log) != 0 {
-		t.Fatalf("install: %d transfers, %d log entries; want 1 and 0", r.Transfers(), len(r.log))
+	if r.Transfers() != 1 || len(r.log.entries) != 0 {
+		t.Fatalf("install: %d transfers, %d log entries; want 1 and 0", r.Transfers(), len(r.log.entries))
 	}
 	stale("install")
 }

@@ -108,7 +108,7 @@ func TestCheckpointLogSinceServesTailAcrossTruncation(t *testing.T) {
 		t.Fatalf("LogSince(frontier) = %v", got)
 	}
 	// LogSince(0) is a copy of the whole retained log.
-	if !reflect.DeepEqual(tail, rep.log) || &tail[0] == &rep.log[0] {
+	if !reflect.DeepEqual(tail, rep.log.entries) || &tail[0] == &rep.log.entries[0] {
 		t.Fatal("LogSince(0) is not a copy of the retained tail")
 	}
 }

@@ -26,7 +26,7 @@ func TestNonPeerTrafficDropped(t *testing.T) {
 	for inst := 5; inst <= 1004; inst++ {
 		rep.Deliver(types.Message{From: stranger, To: 1, Payload: &types.DecidePayload{V: types.One, Instance: inst}})
 	}
-	if got := len(rep.pending); got != 0 {
+	if got := len(rep.ord.pending); got != 0 {
 		t.Errorf("a non-peer's DECIDEs left %d instances buffered, want none", got)
 	}
 	send := &types.RBCPayload{

@@ -43,7 +43,7 @@ func (p *startProbe) Prune(floor int) {
 	if p.slot > 0 {
 		checkRearmed(rig.t, r, rig.engines[p.i])
 	}
-	rig.engines[p.i] = r.bin
+	rig.engines[p.i] = r.ord.bin
 }
 
 // field reads the unexported field path of v, following pointers; the
@@ -68,9 +68,9 @@ func field(t *testing.T, v reflect.Value, path ...string) reflect.Value {
 // decision, and the replica buffers no traffic of a started slot.
 func checkRearmed(t *testing.T, r *Replica, prev *core.Node) {
 	t.Helper()
-	bin := r.bin
+	bin := r.ord.bin
 	if bin != prev {
-		t.Fatalf("%v slot %d: engine rebuilt, want the previous slot's re-armed", r.cfg.Me, r.slot)
+		t.Fatalf("%v slot %d: engine rebuilt, want the previous slot's re-armed", r.cfg.Me, r.ord.slot)
 	}
 	v, decided := bin.Decided()
 	for _, c := range []struct {
@@ -88,22 +88,22 @@ func checkRearmed(t *testing.T, r *Replica, prev *core.Node) {
 		{"decided round", bin.DecidedRound()},
 	} {
 		if c.got != 0 {
-			t.Fatalf("%v slot %d: re-armed engine holds %d %s", r.cfg.Me, r.slot, c.got, c.what)
+			t.Fatalf("%v slot %d: re-armed engine holds %d %s", r.cfg.Me, r.ord.slot, c.got, c.what)
 		}
 	}
 	voted := field(t, reflect.ValueOf(bin), "gadget", "voted")
 	for i := 0; i < voted.Len(); i++ {
 		if voted.Index(i).Uint() != 0 {
-			t.Fatalf("%v slot %d: re-armed engine keeps DECIDE voters %#x", r.cfg.Me, r.slot, voted.Index(i).Uint())
+			t.Fatalf("%v slot %d: re-armed engine keeps DECIDE voters %#x", r.cfg.Me, r.ord.slot, voted.Index(i).Uint())
 		}
 	}
 	if decided || bin.Done() {
-		t.Fatalf("%v slot %d: re-armed engine decided %v, done %v", r.cfg.Me, r.slot, v, bin.Done())
+		t.Fatalf("%v slot %d: re-armed engine decided %v, done %v", r.cfg.Me, r.ord.slot, v, bin.Done())
 	}
 	// order-free: a check per key
-	for inst := range r.pending {
-		if inst <= r.slot {
-			t.Fatalf("%v slot %d: traffic of instance %d still buffered", r.cfg.Me, r.slot, inst)
+	for inst := range r.ord.pending {
+		if inst <= r.ord.slot {
+			t.Fatalf("%v slot %d: traffic of instance %d still buffered", r.cfg.Me, r.ord.slot, inst)
 		}
 	}
 }

@@ -350,7 +350,7 @@ func TestSMRManySeeds(t *testing.T) {
 }
 
 // TestRejectedCommandCommitsEverywhere: a command the machine rejects still
-// commits at every replica, and commitEntry drops Apply's error on purpose.
+// commits at every replica, and Replica.commit drops Apply's error on purpose.
 // Apply is deterministic, so every replica rejects the command alike and
 // ends with the same state and applied count.
 func TestRejectedCommandCommitsEverywhere(t *testing.T) {
