@@ -225,7 +225,10 @@ func TestGoStatementsConfined(t *testing.T) {
 // clock. sync/atomic: the sweep pool. sync: the sweep pool, wire's
 // process-wide buffer pool, gf256's table Once, coin's dealer and dealer
 // set, and trace's recorder. os: the checkpoint store, sweep and search
-// manifests, and the two REPRO_HARNESS_FULL switches in experiments.
+// manifests, and the two REPRO_HARNESS_FULL switches in experiments. core,
+// the paper's agreement engine: the stacks built on it, the adversaries
+// and harnesses that drive it, and within smr only the ordering plane, so
+// a new engine under the log replaces one file.
 var importSites = map[string][]string{
 	"time":        nil,
 	"sync/atomic": {"internal/runner/"},
@@ -233,10 +236,12 @@ var importSites = map[string][]string{
 		"internal/coin/dealer.go", "internal/coin/dealerset.go", "internal/trace/"},
 	"os": {"internal/ckpt/store.go", "internal/runner/checkpoint.go", "internal/search/search.go",
 		"internal/experiments/throughput.go", "internal/experiments/dissemination.go"},
+	"repro/internal/core": {"internal/acs/", "internal/adversary/", "internal/runner/", "internal/baseline/",
+		"internal/experiments/memory.go", "internal/smr/ordering.go"},
 }
 
-// TestImportsConfined: clocks, atomics, locks and the operating system are
-// reached only from the sites importSites names.
+// TestImportsConfined: clocks, atomics, locks, the operating system and the
+// agreement engine are reached only from the sites importSites names.
 func TestImportsConfined(t *testing.T) {
 	st := internalSource(t)
 	st.eachFile(func(path string, f *ast.File) {
