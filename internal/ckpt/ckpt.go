@@ -439,10 +439,15 @@ func (t *Tracker) VerifyCertPayload(p *types.CkptCertPayload) (Certificate, bool
 }
 
 // Adopt installs an externally received certificate (with the snapshot that
-// came with it) as the latest, if it is ahead of the current one. The caller
-// must have verified both via VerifyCertPayload.
+// came with it) as the latest, if it is ahead of the current one. A snapshot
+// for the latest cut, certified bare, is kept so that the cut can be served
+// and persisted, though that is no advance. The caller must have verified
+// both via VerifyCertPayload.
 func (t *Tracker) Adopt(cert Certificate, snapshot string) bool {
 	if t.certified && cert.Slot <= t.latest.Slot {
+		if _, held := t.snapshots[cert.Slot]; snapshot != "" && !held && cert.Checkpoint == t.latest.Checkpoint {
+			t.snapshots[cert.Slot] = snapshot
+		}
 		return false
 	}
 	if snapshot != "" {

@@ -129,10 +129,12 @@ func (s *Store) Save(rec *Record) error {
 }
 
 // WriteFileAtomic replaces the file at path with data: it writes a temp file
-// beside path, syncs and closes it, then renames it over path. A crash or
-// power loss at any instant leaves either the old file or the new one, and a
-// failed write removes the temp file. The durable store, the sweep manifest
-// and the search frontier all save through it.
+// beside path, syncs and closes it, renames it over path, then syncs the
+// directory so that the rename itself is on disk. A crash at any instant
+// leaves either the old file (none, on a first save) or the new one, and
+// once it returns nil the new one survives a power loss; a failed write
+// removes the temp file. The durable store, the sweep manifest and the
+// search frontier all save through it.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -151,6 +153,15 @@ func WriteFileAtomic(path string, data []byte) error {
 	}
 	if err != nil {
 		os.Remove(tmp)
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -360,11 +360,6 @@ func (n *Node) RBCCompacted() int { return n.bcast.Compacted() }
 // node's validator currently holds — the current and previous rounds only.
 func (n *Node) ValidatorSeenRetained() int { return n.val.SeenRetained() }
 
-// RBCDigestBytes returns the bytes this node's broadcaster retains in
-// compact delivered records — the residue pruning keeps for the node's
-// lifetime, one record per terminal instance (see rbc.Broadcaster.DigestBytes).
-func (n *Node) RBCDigestBytes() int { return n.bcast.DigestBytes() }
-
 // JustificationsRetained returns how many per-round justification digests
 // this node's validator retains — the other lifetime residue of pruning,
 // one 64-byte digest per touched round.

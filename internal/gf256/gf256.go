@@ -149,3 +149,22 @@ func EvalPoly(coeffs []byte, x byte) byte {
 	}
 	return y
 }
+
+// AppendLagrange appends to dst the Lagrange coefficients at x of the points
+// xs, which must be distinct: coefficient i is ∏(x−xs[j])/∏(xs[i]−xs[j])
+// over j ≠ i, so the polynomial of degree below len(xs) taking the value y_i
+// at xs[i] takes Σ y_i·coefficient_i at x.
+func AppendLagrange(dst []byte, x byte, xs []byte) []byte {
+	for i, xi := range xs {
+		num, den := byte(1), byte(1)
+		for j, xj := range xs {
+			if j == i {
+				continue
+			}
+			num = Mul(num, Sub(x, xj))
+			den = Mul(den, Sub(xi, xj))
+		}
+		dst = append(dst, Div(num, den))
+	}
+	return dst
+}

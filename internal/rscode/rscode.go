@@ -61,9 +61,14 @@ func New(n, k int) (*Code, error) {
 	}
 	c := &Code{n: n, k: k}
 	if n > k {
+		var xsBuf [255]byte
+		xs := xsBuf[:k]
+		for d := range xs {
+			xs[d] = point(d)
+		}
 		c.parityBasis = make([][]byte, n-k)
 		for p := range c.parityBasis {
-			c.parityBasis[p] = basisAt(point(k+p), k)
+			c.parityBasis[p] = gf256.AppendLagrange(make([]byte, 0, k), point(k+p), xs)
 		}
 	}
 	return c, nil
@@ -77,25 +82,6 @@ func (c *Code) K() int { return c.k }
 
 // point maps shard index i (0-based) to its field evaluation point.
 func point(i int) byte { return byte(i + 1) }
-
-// basisAt returns, for the evaluation point x, the k Lagrange coefficients
-// l_d(x) of the basis polynomials through the data points 1..k: the value of
-// any column polynomial at x is Σ_d data[d]·l_d(x).
-func basisAt(x byte, k int) []byte {
-	basis := make([]byte, k)
-	for d := 0; d < k; d++ {
-		num, den := byte(1), byte(1)
-		for j := 0; j < k; j++ {
-			if j == d {
-				continue
-			}
-			num = gf256.Mul(num, gf256.Sub(x, point(j)))
-			den = gf256.Mul(den, gf256.Sub(point(d), point(j)))
-		}
-		basis[d] = gf256.Div(num, den)
-	}
-	return basis
-}
 
 // ShardLen returns the per-shard byte length for a body of bodyLen bytes:
 // ⌈bodyLen/k⌉, and 1 for an empty body so every shard is non-empty on the
@@ -159,17 +145,18 @@ func (c *Code) AppendReconstruct(dst []byte, indices []int, shards [][]byte, bod
 	}
 	// Select the first k distinct valid shards (mirrors shamir.Reconstruct's
 	// scan: a malformed entry is skipped, not fatal). The selection lives on
-	// the stack up to maxStackShards; seen is a bitset over the ≤ 255 indices.
+	// the stack up to maxStackShards as the shards' evaluation points and
+	// bodies; seen is a bitset over the ≤ 255 indices.
 	var (
 		seen     [4]uint64
-		idxArr   [maxStackShards]int
+		xArr     [maxStackShards]byte
 		shardArr [maxStackShards][]byte
 		coefArr  [maxStackShards]byte
 	)
-	useIdx, useShard := idxArr[:0], shardArr[:0]
+	useX, useShard := xArr[:0], shardArr[:0]
 	shardLen := 0
 	for i, idx := range indices {
-		if len(useIdx) == c.k {
+		if len(useX) == c.k {
 			break
 		}
 		if idx < 0 || idx >= c.n || seen[idx/64]&(1<<(idx%64)) != 0 || len(shards[i]) == 0 {
@@ -181,12 +168,12 @@ func (c *Code) AppendReconstruct(dst []byte, indices []int, shards [][]byte, bod
 			continue
 		}
 		seen[idx/64] |= 1 << (idx % 64)
-		useIdx = append(useIdx, idx)
+		useX = append(useX, point(idx))
 		useShard = append(useShard, shards[i])
 	}
-	if len(useIdx) < c.k {
+	if len(useX) < c.k {
 		return dst, fmt.Errorf("%w: only %d of %d shards usable (need %d)",
-			ErrTooFewShards, len(useIdx), len(shards), c.k)
+			ErrTooFewShards, len(useX), len(shards), c.k)
 	}
 	if bodyLen < 0 || bodyLen > c.k*shardLen {
 		return dst, fmt.Errorf("%w: bodyLen %d exceeds %d×%d", ErrBadShards, bodyLen, c.k, shardLen)
@@ -196,9 +183,9 @@ func (c *Code) AppendReconstruct(dst []byte, indices []int, shards [][]byte, bod
 	body := dst[base:]
 	// Every held data shard is its stretch of the body verbatim (the code is
 	// systematic); when all the needed ones are held, that is the decode.
-	for i, idx := range useIdx {
-		if lo := idx * shardLen; idx < c.k && lo < bodyLen {
-			copy(body[lo:min(lo+shardLen, bodyLen)], useShard[i])
+	for i, x := range useX {
+		if d := int(x) - 1; d < c.k && d*shardLen < bodyLen {
+			copy(body[d*shardLen:min((d+1)*shardLen, bodyLen)], useShard[i])
 		}
 	}
 	// Each missing data shard d is the column polynomials interpolated at
@@ -210,7 +197,7 @@ func (c *Code) AppendReconstruct(dst []byte, indices []int, shards [][]byte, bod
 		}
 		out := body[d*shardLen : min((d+1)*shardLen, bodyLen)]
 		clear(out)
-		for i, coef := range appendLagrange(coefArr[:0], point(d), useIdx) {
+		for i, coef := range gf256.AppendLagrange(coefArr[:0], point(d), useX) {
 			gf256.MulAddSlice(coef, useShard[i][:len(out)], out)
 		}
 	}
@@ -225,20 +212,3 @@ func (c *Code) Reconstruct(indices []int, shards [][]byte, bodyLen int) ([]byte,
 // maxStackShards bounds the shard selection AppendReconstruct keeps in stack
 // arrays; a code with more data shards spills it to the heap.
 const maxStackShards = 16
-
-// appendLagrange appends the Lagrange coefficients evaluating at x the
-// unique degree-(len(idxs)−1) polynomial through the points point(idxs[i]).
-func appendLagrange(dst []byte, x byte, idxs []int) []byte {
-	for i, xi := range idxs {
-		num, den := byte(1), byte(1)
-		for j, xj := range idxs {
-			if j == i {
-				continue
-			}
-			num = gf256.Mul(num, gf256.Sub(x, point(xj)))
-			den = gf256.Mul(den, gf256.Sub(point(xi), point(xj)))
-		}
-		dst = append(dst, gf256.Div(num, den))
-	}
-	return dst
-}

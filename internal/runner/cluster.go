@@ -23,9 +23,10 @@ type SimStats struct {
 	// WireBytes is the wire.MessageSize total over every sent message — the
 	// run's bandwidth under the real codec, measured without encoding.
 	WireBytes int64
-	// Dropped counts messages the scheduler dropped or that expired when
-	// their destination finished; Spoofed counts sends rejected for a forged
-	// From (see sim.Stats).
+	// Dropped counts messages the scheduler dropped, those to a process that
+	// never ran (silent from the start; counted when sent) and those that
+	// expired when their destination finished; Spoofed counts sends rejected
+	// for a forged From (see sim.Stats).
 	Dropped int
 	Spoofed int
 	// Telemetry holds the telemetry sink when the config's Telemetry was set.

@@ -197,10 +197,6 @@ type Result struct {
 	// RBCCompacted sums, over the correct Bracha nodes, the terminal RBC
 	// instances released to compact delivered records by per-round pruning.
 	RBCCompacted int
-	// RBCDigestBytes sums the bytes the correct Bracha nodes retain in
-	// compact delivered records at the end of the run — the residue pruning
-	// keeps for a node's lifetime (experiment E12).
-	RBCDigestBytes int
 	// JustificationsRetained sums the per-round justification digests the
 	// correct Bracha nodes' validators retain at the end of the run — the
 	// other lifetime residue of pruning.
@@ -375,7 +371,6 @@ func (res *Result) observe(nodes []node) {
 		if cn, ok := nd.(*core.Node); ok {
 			res.PrunedLate += cn.Stats().PrunedLate
 			res.RBCCompacted += cn.RBCCompacted()
-			res.RBCDigestBytes += cn.RBCDigestBytes()
 			res.JustificationsRetained += cn.JustificationsRetained()
 		}
 		if v, ok := nd.Decided(); ok {

@@ -30,7 +30,7 @@ func TestConsensusN64Pinned(t *testing.T) {
 	}
 	got := fmt.Sprintf("msgs=%d deliveries=%d dropped=%d end=%d wire=%d exhausted=%v",
 		res.Messages, res.Deliveries, res.Dropped, res.EndTime, res.WireBytes, res.Exhausted)
-	const want = "msgs=836800 deliveries=489626 dropped=240130 end=378 wire=10112467 exhausted=false"
+	const want = "msgs=836800 deliveries=489626 dropped=275279 end=378 wire=10112467 exhausted=false"
 	if got != want {
 		t.Errorf("run summary:\n got %s\nwant %s", got, want)
 	}

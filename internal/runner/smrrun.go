@@ -201,7 +201,6 @@ type SMRResult struct {
 	// memory the checkpoint subsystem exists to bound (E12).
 	RBCDigestBytes int // dissemination digest-record bytes
 	RBCRecords     int // dissemination digest records
-	RBCLive        int // live dissemination instances
 	LogRetained    int // committed entries still held
 	DealerSlots    int // per-slot dealers retained (CoinCommon)
 	DealerRounds   int // dealt rounds retained across them (CoinCommon)
@@ -622,7 +621,6 @@ func (r *smrRun) harvest(res *SMRResult) {
 		res.SubmitDropped += rep.Dropped()
 		res.RBCDigestBytes += rep.RBCDigestBytes()
 		res.RBCRecords += rep.RBCCompacted()
-		res.RBCLive += rep.RBCLiveInstances()
 		res.LogRetained += rep.LogLen()
 		res.TotalInstalls += rep.Transfers()
 		res.TransferRetries += rep.TransferRetries()

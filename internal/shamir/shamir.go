@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+
+	"repro/internal/gf256"
 )
 
 // Share is one participant's fragment of a shared secret. X is the non-zero
@@ -60,7 +62,7 @@ func Split(secret []byte, n, threshold int, rng *rand.Rand) ([]Share, error) {
 			coeffs[c] = byte(rng.Intn(256))
 		}
 		for i := range shares {
-			shares[i].Y[b] = evalPoly(coeffs, shares[i].X)
+			shares[i].Y[b] = gf256.EvalPoly(coeffs, shares[i].X)
 		}
 	}
 	return shares, nil
@@ -133,36 +135,15 @@ func Reconstruct(shares []Share, threshold int) ([]byte, error) {
 	}
 	width := len(shares[use[0]].Y)
 	// Precompute the Lagrange basis at 0 once; it is shared by all bytes.
-	basis, err := lagrangeBasisAtZero(xs)
-	if err != nil {
-		return nil, err
-	}
+	var basisBuf [255]byte
+	basis := gf256.AppendLagrange(basisBuf[:0], 0, xs)
 	secret := make([]byte, width)
 	for b := 0; b < width; b++ {
 		var acc byte
 		for i, at := range use {
-			acc = gfAdd(acc, gfMul(shares[at].Y[b], basis[i]))
+			acc = gf256.Add(acc, gf256.Mul(shares[at].Y[b], basis[i]))
 		}
 		secret[b] = acc
 	}
 	return secret, nil
-}
-
-func lagrangeBasisAtZero(xs []byte) ([]byte, error) {
-	basis := make([]byte, len(xs))
-	for i := range xs {
-		num, den := byte(1), byte(1)
-		for j := range xs {
-			if j == i {
-				continue
-			}
-			num = gfMul(num, xs[j])
-			den = gfMul(den, gfAdd(xs[j], xs[i]))
-		}
-		if den == 0 {
-			return nil, ErrBadShares
-		}
-		basis[i] = gfDiv(num, den)
-	}
-	return basis, nil
 }

@@ -1,13 +1,12 @@
 package sim
 
 // Dead-mail accounting: mail addressed to a process that was never
-// registered can never be delivered, and a run must count it in
-// Stats.Dropped and the per-kind Dropped exactly as if every copy had been
-// queued and popped in (time, seq) order — all of it when the queue drains,
-// and only what sorts before the last delivery when a stop or the delivery
-// budget ends the run. A run with an enabled recorder is the reference: the
-// named cases pin the counts, and the fuzz target holds every script equal
-// with the recorder on and off.
+// registered can never be delivered, and a run counts every copy in
+// Stats.Dropped and the per-kind Dropped when it is sent, whether or not the
+// run gets as far as its delivery time; such mail alone never makes a run
+// exhausted. A run with an enabled recorder still queues it for its drop
+// event: the named cases pin the counts, and the fuzz target holds every
+// script equal with the recorder on and off.
 
 import (
 	"fmt"
@@ -226,8 +225,8 @@ func runDeadMail(t testing.TB, s deadMailScript, traced bool) (string, *Network)
 }
 
 // checkDeadMail runs a script with the recorder on and off: the summaries
-// must match, and the traced run's DROP events must be exactly what its
-// Stats.Dropped counts.
+// must match, and the traced run's DROP events plus the dead letters it
+// left queued must be exactly what its Stats.Dropped counts.
 func checkDeadMail(t testing.TB, s deadMailScript) string {
 	t.Helper()
 	plain, _ := runDeadMail(t, s, false)
@@ -235,8 +234,8 @@ func checkDeadMail(t testing.TB, s deadMailScript) string {
 	if plain != traced {
 		t.Fatalf("recorder off and on disagree:\n off %s\n on  %s", plain, traced)
 	}
-	if drops := len(eventsOfKind(n.cfg.Recorder, trace.KindDrop)); drops != n.stats.Dropped {
-		t.Fatalf("%d DROP events, Stats.Dropped %d", drops, n.stats.Dropped)
+	if drops := len(eventsOfKind(n.cfg.Recorder, trace.KindDrop)); drops+n.dead != n.stats.Dropped {
+		t.Fatalf("%d DROP events and %d dead letters queued, Stats.Dropped %d", drops, n.dead, n.stats.Dropped)
 	}
 	return plain
 }
@@ -259,65 +258,65 @@ func deadMailCases() map[string]struct {
 	return map[string]c{
 		// Processes 1 and 2 each send to 2, 3, 1, 3 at Start, all due at
 		// tick 2: seqs 1..8 alternate live and dead. The stop fires after
-		// the second delivery (seq 3), so seq 2 counts and seqs 4, 6, 8 —
-		// same tick, later seq — do not.
+		// the second delivery (seq 3); all four dead letters count, seqs
+		// 4, 6, 8 too, though they sort after it.
 		"stop-mid-tick": {deadMailScript{
 			live: 0b011, start: 4, budget: 100, stopAfter: 2,
 			sends: []mailSend{{2, 2}, {3, 2}, {1, 2}, {3, 2}},
-		}, "sent=8 delivered=2 dropped=1 spoofed=0 bytes=26 end=2 exhausted=false k4=2/1/0/6/1,2,2,2 k5=3/0/1/11/0,0,0,0 k6=3/1/0/9/1,2,2,2"},
+		}, "sent=8 delivered=2 dropped=4 spoofed=0 bytes=26 end=2 exhausted=false k4=2/1/1/6/1,2,2,2 k5=3/0/2/11/0,0,0,0 k6=3/1/1/9/1,2,2,2"},
 		// Processes 1..3 each send four messages at Start, all due at
 		// tick 2, to live and halting processes and to dead process 4. A
 		// node halts after its first delivery. The budget of three
-		// deliveries ends the run after seq 6: dead seq 2 and 5 and the
-		// halted drop of seq 3 count, and dead seq 8 and 11 do not.
+		// deliveries ends the run after seq 6: the halted drop of seq 3
+		// counts, and so do all four dead letters (seqs 2, 5, 8 and 11).
 		"budget-mid-tick": {deadMailScript{
 			live: 0b111, start: 4, rounds: 1, halt: true, budget: 3,
 			sends: []mailSend{{2, 2}, {4, 2}, {2, 2}, {3, 2}, {4, 2}, {1, 2}},
-		}, "sent=12 delivered=3 dropped=3 spoofed=0 bytes=44 end=2 exhausted=true k4=4/1/1/10/1,2,2,2 k5=4/0/2/20/0,0,0,0 k6=4/2/0/14/2,4,2,2"},
+		}, "sent=12 delivered=3 dropped=5 spoofed=0 bytes=44 end=2 exhausted=true k4=4/1/1/10/1,2,2,2 k5=4/0/4/20/0,0,0,0 k6=4/2/0/14/2,4,2,2"},
 		// Process 1 mails itself (tick 1) and dead process 2 (tick 5). The
 		// budget of one delivery is reached with only the dead letter
-		// queued: the run is exhausted and counts no drop.
+		// queued: it counts as a drop, and the run is not exhausted.
 		"budget-with-only-dead-mail-queued": {deadMailScript{
 			live: 0b001, start: 2, budget: 1,
 			sends: []mailSend{{1, 1}, {2, 5}},
-		}, "sent=2 delivered=1 dropped=0 spoofed=0 bytes=5 end=1 exhausted=true k5=1/0/0/3/0,0,0,0 k6=1/1/0/2/1,1,1,1"},
+		}, "sent=2 delivered=1 dropped=1 spoofed=0 bytes=5 end=1 exhausted=false k5=1/0/1/3/0,0,0,0 k6=1/1/0/2/1,1,1,1"},
 		// Process 1 mails dead process 2 and then itself, both at tick 0.
 		// The one delivery spends the budget and empties the queue; the
-		// dead letter sorted before it, so it counts and the run is not
-		// exhausted.
+		// dead letter counts and the run is not exhausted.
 		"budget-on-last-delivery": {deadMailScript{
 			live: 0b001, start: 2, budget: 1,
 			sends: []mailSend{{2, 0}, {1, 0}},
 		}, "sent=2 delivered=1 dropped=1 spoofed=0 bytes=5 end=0 exhausted=false k5=1/1/0/2/1,0,0,0 k6=1/0/1/3/0,0,0,0"},
 		// Dead letters 300, 1000, 256 and 260 ticks ahead among live hops
 		// of 1..5 and 400 ticks. The stop at tick 812 comes after eleven
-		// of them and before five (due at ticks 1000..1418).
+		// of them and before five (due at ticks 1000..1418); all sixteen
+		// count.
 		"dead-mail-far-ahead": {deadMailScript{
 			live: 0b011, start: 2, fan: 2, rounds: 10, budget: 1000, stopAfter: 14,
 			sends: farAhead,
-		}, "sent=32 delivered=14 dropped=11 spoofed=0 bytes=112 end=812 exhausted=false k4=10/4/3/35/4,409,1,400 k5=11/5/4/38/5,412,1,400 k6=11/5/4/39/5,414,1,400"},
-		// The same traffic left to drain: every far dead letter counts.
+		}, "sent=32 delivered=14 dropped=16 spoofed=0 bytes=112 end=812 exhausted=false k4=10/4/5/35/4,409,1,400 k5=11/5/5/38/5,412,1,400 k6=11/5/6/39/5,414,1,400"},
+		// The same traffic left to drain: the same sixteen count.
 		"dead-mail-far-ahead-drained": {deadMailScript{
 			live: 0b011, start: 2, fan: 2, rounds: 10, budget: 1000,
 			sends: farAhead,
 		}, "sent=32 delivered=16 dropped=16 spoofed=0 bytes=112 end=823 exhausted=false k4=10/5/5/35/5,809,1,400 k5=11/6/5/38/6,413,1,400 k6=11/5/6/39/5,414,1,400"},
 		// Every send is duplicated three ticks later, dead mail included;
-		// the stop falls between some primaries and their duplicates.
+		// the stop falls between some primaries and their duplicates, and
+		// every dead copy counts.
 		"duplicated-dead-mail": {deadMailScript{
 			live: 0b0011, start: 3, fan: 2, rounds: 6, budget: 1000, stopAfter: 9, jitter: 1,
 			dupEvery: 1, dupCode: 2,
 			sends: []mailSend{{3, 2}, {2, 1}, {4, 4}, {1, 2}, {3, 0}, {1, 1}},
-		}, "sent=48 delivered=9 dropped=7 spoofed=0 bytes=160 end=5 exhausted=false k4=16/3/1/56/3,9,2,5 k5=16/3/3/56/3,8,1,5 k6=16/3/3/48/3,10,2,5"},
+		}, "sent=48 delivered=9 dropped=24 spoofed=0 bytes=160 end=5 exhausted=false k4=16/3/8/56/3,9,2,5 k5=16/3/8/56/3,8,1,5 k6=16/3/8/48/3,10,2,5"},
 		// A dead letter at tick 1, then a 200-tick relay with no dead mail
 		// for 800 ticks (its second message each hop is a scheduler Drop).
 		// At tick 801 a dead letter for tick 806 goes out beside a live one
 		// for 802, whose delivery sends a dead letter for 803; the stop
-		// there leaves both due. A clock that did not move during the gap
-		// would meet tick 806's ring slot on its way to 802.
+		// there leaves both in flight, and all three dead letters count.
 		"gap-then-dead-mail": {deadMailScript{
 			live: 0b011, start: 1, fan: 2, rounds: 15, budget: 1000, stopAfter: 6,
 			sends: []mailSend{{3, 1}, {2, 1}, {1, 225}, {1, 255}, {2, 225}, {1, 255}, {1, 225}, {1, 255}, {2, 225}, {1, 255}, {3, 5}, {1, 1}},
-		}, "sent=14 delivered=6 dropped=5 spoofed=0 bytes=38 end=802 exhausted=false k4=4/3/1/9/3,401,1,200 k5=5/2/1/15/2,201,1,200 k6=5/1/3/14/1,200,200,200"},
+		}, "sent=14 delivered=6 dropped=7 spoofed=0 bytes=38 end=802 exhausted=false k4=4/3/1/9/3,401,1,200 k5=5/2/2/15/2,201,1,200 k6=5/1/4/14/1,200,200,200"},
 	}
 }
 
@@ -377,9 +376,9 @@ func FuzzDeadMail(f *testing.F) {
 }
 
 // BenchmarkSimDeadMailDelivery is BenchmarkSimDisabledDelivery's relay loop
-// with every relay also mailing process 3, which never runs. Counting that
-// mail must keep the loop at 0 allocs/op once the dead-mail chunks have
-// reached their high water (CI gates it with the other Delivery benchmarks).
+// with every relay also mailing process 3, which never runs. That mail is
+// counted when sent and never queued, so the loop stays at 0 allocs/op (CI
+// gates it with the other Delivery benchmarks).
 func BenchmarkSimDeadMailDelivery(b *testing.B) {
 	n, err := New(Config{
 		Scheduler:     UniformDelay{Min: 1, Max: 20},

@@ -16,11 +16,12 @@
 // are started in registration order, and the only randomness is the run's
 // seeded RNG. The order is the contract, not the structure that produces it:
 // the queue is a ring of per-tick buckets with a heap for far-future events
-// (queue.go argues why it pops what a heap pops). Mail to a process that was
-// never registered is not queued at all, since it can never be delivered: it
-// is counted as dropped in that same order, up to the point where the run
-// stops, exactly as if it had been popped (deadmail.go). With an enabled
-// recorder it is queued, so that its drop events appear in the trace.
+// (queue.go argues why it pops what a heap pops). The node set is fixed once
+// Run starts, so mail to a process that was never registered can never be
+// delivered: it is counted as dropped when it is sent and is not queued at
+// all. With an enabled recorder it is queued, so that its drop event keeps
+// its place in the trace, but popping it counts nothing, and it never makes
+// a run exhausted: both counts are the same with the recorder on or off.
 // Nothing in a Network reads clocks, goroutine identity, or global state.
 // This contract is what makes executions replayable byte for byte,
 // and it is what runner.Sweep relies on to fan independent runs across
@@ -140,7 +141,8 @@ type Config struct {
 	// Recorder, when enabled, receives SEND/DELIVER/DROP events. An
 	// enabled recorder also has mail to processes never registered queued
 	// like any other, so that its drop event keeps the message and its
-	// place in the trace; without one that mail is only counted.
+	// place in the trace; that mail is counted as dropped when sent either
+	// way.
 	Recorder *trace.Recorder
 	// Sizer, when non-nil, is charged once per sent message (after spoof
 	// rejection, before scheduling — scheduler-dropped messages still hit
@@ -165,14 +167,17 @@ type Stats struct {
 	Sent      int // messages handed to the network
 	Delivered int // messages delivered to nodes
 	// Dropped counts messages dropped: by a scheduler Drop, by spoof
-	// rejection, or for a destination that is done or was never
-	// registered. Mail to such a destination counts in (time, seq) order
-	// up to the point where the run stopped, as if popped from the queue.
-	Dropped   int
-	Spoofed   int   // messages rejected because From != emitting node
-	Bytes     int64 // total Config.Sizer bytes over sent messages (0 without a Sizer)
-	End       Time  // time of the last delivery
-	Exhausted bool  // the delivery budget ran out before quiescence
+	// rejection, for a destination that was never registered (counted when
+	// sent, so it includes such mail still in flight when the run stops),
+	// or for a destination that is done (counted when popped).
+	Dropped int
+	Spoofed int   // messages rejected because From != emitting node
+	Bytes   int64 // total Config.Sizer bytes over sent messages (0 without a Sizer)
+	End     Time  // time of the last delivery
+	// Exhausted reports that the delivery budget ran out while a message
+	// to a registered process was still pending; undeliverable mail to
+	// processes never registered does not count.
+	Exhausted bool
 }
 
 // maxDenseID bounds the dense node table. Process IDs at or below it are
@@ -192,7 +197,7 @@ type Network struct {
 	order []types.ProcessID        // Start order (insertion order, for determinism)
 
 	queue eventQueue
-	dead  *deadMail // mail to processes never registered (nil until the first)
+	dead  int // queued letters to processes never registered (recorder only)
 	seq   uint64
 	now   Time
 	stats Stats
@@ -275,20 +280,13 @@ func (n *Network) Run(stop func() bool) (Stats, error) {
 		node := n.nodes[id]
 		n.dispatch(node, node.Start())
 	}
-	var (
-		last    uint64 // the seq of the last popped event
-		stopped bool
-	)
 	for n.queue.Len() > 0 {
 		if n.stats.Delivered >= n.cfg.MaxDeliveries {
-			n.stats.Exhausted = true
+			n.stats.Exhausted = n.queue.Len() > n.dead
 			break
 		}
 		ev := n.queue.pop()
-		n.now, last = ev.at, ev.seq
-		if d := n.dead; d != nil && d.settled != n.now {
-			d.settle(n.now)
-		}
+		n.now = ev.at
 		tele := n.cfg.Telemetry
 		if tele != nil {
 			tele.now = n.now
@@ -296,9 +294,14 @@ func (n *Network) Run(stop func() bool) (Stats, error) {
 		dst := n.lookup(ev.msg.To)
 		if dst == nil || dst.Done() {
 			// Unknown destination or halted node: the message evaporates.
-			n.stats.Dropped++
-			if tele != nil {
-				tele.Kinds[kindIndex(ev.msg)].Dropped++
+			// Mail to an unknown one was counted when sent.
+			if dst == nil {
+				n.dead--
+			} else {
+				n.stats.Dropped++
+				if tele != nil {
+					tele.Kinds[kindIndex(ev.msg)].Dropped++
+				}
 			}
 			if rec.Enabled() {
 				rec.Record(trace.Event{Time: int64(n.now), Kind: trace.KindDrop, P: ev.msg.To, Msg: ev.msg, Seq: ev.seq, Note: "destination done or unknown"})
@@ -325,25 +328,8 @@ func (n *Network) Run(stop func() bool) (Stats, error) {
 			rec.SetParent(0)
 		}
 		if stop != nil && stop() {
-			stopped = true
 			break
 		}
-	}
-	if d := n.dead; d != nil {
-		// Count the dead letters the loop would have popped had they been
-		// queued: all of them when the queue drained with budget left,
-		// else those that sort before the last popped event. When the
-		// budget ran out with dead letters still due, the run is exhausted
-		// as it would have been with them queued.
-		if !stopped && n.stats.Delivered < n.cfg.MaxDeliveries {
-			d.settle(endOfTime)
-			last = ^uint64(0)
-		}
-		d.cut(last)
-		if !stopped && d.n > 0 {
-			n.stats.Exhausted = true
-		}
-		d.fold(&n.stats, n.cfg.Telemetry)
 	}
 	return n.stats, nil
 }
@@ -411,10 +397,7 @@ func (n *Network) send(node Node, msgs []types.Message) {
 			}
 			at = n.now // schedulers cannot deliver into the past
 		}
-		// Mail to a process that was never registered can never be
-		// delivered (Add refuses once Run has started), so it is only
-		// counted, unless a recorder needs its drop event.
-		dead := n.lookup(m.To) == nil && !rec.Enabled()
+		dead := n.lookup(m.To) == nil
 		if dead {
 			n.mailDead(at, m)
 		} else {
@@ -446,11 +429,17 @@ func (n *Network) send(node Node, msgs []types.Message) {
 	}
 }
 
-// mailDead hands the letter just numbered n.seq to the dead-mail count,
-// which is allocated with the first letter: most runs send none.
+// mailDead counts the letter just numbered n.seq as dropped: its
+// destination was never registered, and Add refuses once Run has started, so
+// it can never be delivered. It is queued only so that an enabled recorder
+// sees its drop event in place.
 func (n *Network) mailDead(at Time, m types.Message) {
-	if n.dead == nil {
-		n.dead = &deadMail{settled: n.now}
+	n.stats.Dropped++
+	if tele := n.cfg.Telemetry; tele != nil {
+		tele.Kinds[kindIndex(m)].Dropped++
 	}
-	n.dead.push(at, n.seq, kindIndex(m))
+	if n.cfg.Recorder.Enabled() {
+		n.dead++
+		n.queue.push(at, n.seq, m)
+	}
 }

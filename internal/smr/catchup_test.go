@@ -116,6 +116,21 @@ func TestAllBadRespondersResetAndInstall(t *testing.T) {
 	}
 }
 
+// TestBareCutKeepsTransferredSnapshot: a replica that certified the cut
+// from a bare certificate and then installs the honest transfer of the same
+// cut holds its snapshot, so it can serve the cut in turn.
+func TestBareCutKeepsTransferredSnapshot(t *testing.T) {
+	rig := newCatchUpRig(t)
+	rig.answer(types.ProcessID(1), rig.honest)
+	if rig.victim.Transfers() != 1 {
+		t.Fatalf("%d transfers, want 1", rig.victim.Transfers())
+	}
+	p, ok := rig.victim.TransferPayload(true)
+	if !ok || p.Slot != rig.honest.Slot || p.Snapshot != rig.honest.Snapshot {
+		t.Errorf("after installing cut %d: transfer payload ok=%v, want the installed snapshot", rig.honest.Slot, ok)
+	}
+}
+
 // TestDroppedLogEntriesCleared: truncation at a certified cut and a state
 // transfer's install both zero the log's backing array past its new length.
 // A stale entry left there would keep its batch body alive (an entry's

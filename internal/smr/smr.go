@@ -601,11 +601,6 @@ func (r *Replica) StateDigest() (uint64, bool) {
 // retires (see rbc.Broadcaster.DigestBytes).
 func (r *Replica) RBCDigestBytes() int { return r.ord.values.DigestBytes() }
 
-// RBCLiveInstances and RBCCompacted expose the dissemination layer's
-// pruning state: full-fidelity instances retained vs slots released to
-// compact delivered records (diagnostics for the pruning tests).
-func (r *Replica) RBCLiveInstances() int { return r.ord.values.Instances() }
-
 // RBCCompacted returns how many dissemination instances have been released
 // to compact delivered records.
 func (r *Replica) RBCCompacted() int { return r.ord.values.Compacted() }
