@@ -746,33 +746,17 @@ func runTelemetry(args []string, out io.Writer) error {
 	f := faultBound(*n, *fFlag)
 	var records []familyRecord
 	for _, fam := range experiments.TelemetryFamilies() {
-		cfgs := make([]runner.Config, *runs)
-		for i := range cfgs {
-			cfgs[i] = experiments.TelemetryConfig(fam, *n, *seed+int64(i))
-			cfgs[i].F = f
-		}
-		results, err := runner.Sweep(cfgs, *workers, runner.Run)
+		sum, meanRounds, err := experiments.SweepTelemetry(fam, *n, f, *runs, *seed, *workers)
 		if err != nil {
-			return fmt.Errorf("telemetry family %s: %w", fam.Name, err)
+			return err
 		}
-		merged := sim.NewTelemetry()
-		rec := familyRecord{Family: fam.Name, N: *n, F: f, Runs: *runs, Seed: *seed}
-		var roundSum float64
-		for _, r := range results {
-			if len(r.Violations) > 0 {
-				return fmt.Errorf("telemetry family %s seed %d: %d property violations", fam.Name, r.Config.Seed, len(r.Violations))
-			}
-			merged.Merge(r.Telemetry)
-			roundSum += r.MeanRounds
-			rec.Messages += r.Messages
-			rec.Deliveries += r.Deliveries
-			rec.Dropped += r.Dropped
-			rec.Spoofed += r.Spoofed
-			rec.WireBytes += r.WireBytes
-		}
-		rec.MeanRounds = roundSum / float64(len(results))
-		rec.Telemetry = merged.Report()
-		records = append(records, rec)
+		records = append(records, familyRecord{
+			Family: fam.Name, N: *n, F: f, Runs: *runs, Seed: *seed,
+			MeanRounds: meanRounds,
+			Messages:   sum.Messages, Deliveries: sum.Deliveries, Dropped: sum.Dropped,
+			Spoofed: sum.Spoofed, WireBytes: sum.WireBytes,
+			Telemetry: sum.Telemetry.Report(),
+		})
 	}
 	if *jsonOut {
 		return writeJSON(out, records)

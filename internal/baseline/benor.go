@@ -23,9 +23,7 @@ package baseline
 
 import (
 	"errors"
-	"fmt"
 
-	"repro/internal/coin"
 	"repro/internal/core"
 	"repro/internal/quorum"
 	"repro/internal/sim"
@@ -33,39 +31,18 @@ import (
 	"repro/internal/types"
 )
 
-// DefaultMaxRounds bounds round progression, as in core.
-const DefaultMaxRounds = 1 << 16
-
-// Config configures a Ben-Or node.
-type Config struct {
-	// Me is this process; Peers lists all processes including Me.
-	Me    types.ProcessID
-	Peers []types.ProcessID
-	// Spec is the failure assumption. Ben-Or is only safe for n > 5f; the
-	// constructor does not enforce that, because experiment E6 runs it
-	// beyond its resilience on purpose.
-	Spec quorum.Spec
-	// Coin supplies phase-2 randomness.
-	Coin coin.Coin
-	// Proposal is this process's input bit.
-	Proposal types.Value
-	// Recorder, when enabled, receives ROUND/COIN/DECIDE/HALT events.
-	Recorder *trace.Recorder
-	// DisableDecideGadget turns off DECIDE amplification.
-	DisableDecideGadget bool
-	// MaxRounds bounds round progression (0 = DefaultMaxRounds).
-	MaxRounds int
-}
-
 // Node is one Ben-Or process. Deterministic state machine; not safe for
 // concurrent use.
 type Node struct {
-	cfg  Config
+	cfg  core.Config
 	spec quorum.Spec
 
 	round int
 	phase types.Step // Step1 or Step2
 	value types.Value
+	// roundEnteredAt marks when the current round began (telemetry clock;
+	// meaningless without a sink), charged to the gadget on a decision.
+	roundEnteredAt sim.Time
 
 	// got[slot] holds the first message from each sender for that slot, in
 	// arrival order. No reliable broadcast: equivocation shows up as
@@ -98,31 +75,27 @@ type slotState struct {
 	msgs []*types.PlainPayload
 }
 
-// ErrNoCoin is the config validation error for a missing coin.
-var ErrNoCoin = errors.New("baseline: config requires a coin")
+// errUnsupported refuses the two core.Config fields Ben-Or cannot honour.
+var errUnsupported = errors.New("baseline: Ben-Or has no validation to disable and no instance tag")
 
-// New creates a Ben-Or node.
-func New(cfg Config) (*Node, error) {
-	if cfg.Coin == nil {
-		return nil, ErrNoCoin
-	}
-	if err := cfg.Spec.CheckPeers(cfg.Me, cfg.Peers); err != nil {
+// New creates a Ben-Or node. It takes the Bracha engine's config: Spec is
+// the failure assumption, which Ben-Or is only safe under for n > 5f — New
+// does not enforce that, because experiment E6 runs it beyond its resilience
+// on purpose. DisableValidation and a non-zero Instance are refused: Ben-Or
+// has no validation, and its plain phase messages carry no instance tag.
+func New(cfg core.Config) (*Node, error) {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
-	if !cfg.Proposal.Valid() {
-		return nil, fmt.Errorf("baseline: invalid proposal %d", cfg.Proposal)
-	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = DefaultMaxRounds
+	if cfg.DisableValidation || cfg.Instance != 0 {
+		return nil, errUnsupported
 	}
 	return &Node{
-		cfg:   cfg,
-		spec:  cfg.Spec,
-		value: cfg.Proposal,
-		got:   make(map[slot]*slotState),
-		// Instance 0, and no telemetry sink: the round entry time handed to
-		// Decide and Vote is never read.
-		DecideGadget: core.NewDecideGadget(cfg.Me, cfg.Peers, cfg.Spec, 0, cfg.DisableDecideGadget, cfg.Recorder, nil),
+		cfg:          cfg,
+		spec:         cfg.Spec,
+		value:        cfg.Proposal,
+		got:          make(map[slot]*slotState),
+		DecideGadget: core.NewDecideGadget(cfg),
 	}, nil
 }
 
@@ -150,7 +123,7 @@ func (n *Node) Deliver(m types.Message) []types.Message {
 		n.cfg.Coin.HandleShare(m.From, p)
 		return n.advance(n.Take())
 	case *types.DecidePayload:
-		return n.Vote(n.Take(), m.From, p, n.round, 0)
+		return n.Vote(n.Take(), m.From, p, n.round, n.roundEnteredAt)
 	default:
 		return nil
 	}
@@ -264,7 +237,7 @@ func (n *Node) finishPhase2(out []types.Message, window []*types.PlainPayload) [
 	out = append(out, n.cfg.Coin.Release(n.round)...)
 	switch {
 	case dCount[v] >= n.spec.HonestSuperMajority():
-		out = n.Decide(out, v, n.round, 0)
+		out = n.Decide(out, v, n.round, n.roundEnteredAt)
 		n.value = v
 		out = n.enterRound(out, n.round+1)
 	case dCount[v] >= n.spec.Adopt():
@@ -283,6 +256,7 @@ func (n *Node) enterRound(out []types.Message, r int) []types.Message {
 	}
 	n.round = r
 	n.phase = types.Step1
+	n.roundEnteredAt = n.cfg.Telemetry.Now()
 	n.cfg.Recorder.Record(trace.Event{Kind: trace.KindRound, P: n.cfg.Me, Round: r})
 	msg := &types.PlainPayload{Round: r, Step: types.Step1, V: n.value}
 	return types.AppendBroadcast(out, n.cfg.Me, n.cfg.Peers, msg)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/coin"
+	"repro/internal/core"
 	"repro/internal/quorum"
 	"repro/internal/sim"
 	"repro/internal/types"
@@ -21,7 +22,7 @@ func runBenOr(t *testing.T, n, f int, proposals []types.Value, seed int64) []*No
 	}
 	nodes := make([]*Node, n)
 	for i, p := range peers {
-		nodes[i], err = New(Config{
+		nodes[i], err = New(core.Config{
 			Me: p, Peers: peers, Spec: spec,
 			Coin:     coin.NewLocal(seed + int64(p)*31),
 			Proposal: proposals[i],
@@ -106,16 +107,18 @@ func TestBenOrStats(t *testing.T) {
 func TestBenOrConfigValidation(t *testing.T) {
 	spec := quorum.MustNew(6, 1)
 	peers := types.Processes(6)
-	good := Config{Me: 1, Peers: peers, Spec: spec, Coin: coin.NewIdeal(1), Proposal: types.One}
+	good := core.Config{Me: 1, Peers: peers, Spec: spec, Coin: coin.NewIdeal(1), Proposal: types.One}
 
 	tests := []struct {
 		name   string
-		mutate func(*Config)
+		mutate func(*core.Config)
 		want   error
 	}{
-		{"missing coin", func(c *Config) { c.Coin = nil }, ErrNoCoin},
-		{"wrong peer count", func(c *Config) { c.Peers = peers[:3] }, quorum.ErrBadPeers},
-		{"me not in peers", func(c *Config) { c.Me = 9 }, quorum.ErrBadPeers},
+		{"missing coin", func(c *core.Config) { c.Coin = nil }, core.ErrNoCoin},
+		{"wrong peer count", func(c *core.Config) { c.Peers = peers[:3] }, quorum.ErrBadPeers},
+		{"me not in peers", func(c *core.Config) { c.Me = 9 }, quorum.ErrBadPeers},
+		{"validation ablation", func(c *core.Config) { c.DisableValidation = true }, errUnsupported},
+		{"instance tag", func(c *core.Config) { c.Instance = 2 }, errUnsupported},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -138,7 +141,7 @@ func TestBenOrConfigValidation(t *testing.T) {
 func TestBenOrIgnoresMalformedPlain(t *testing.T) {
 	spec := quorum.MustNew(6, 1)
 	peers := types.Processes(6)
-	nd, err := New(Config{Me: 1, Peers: peers, Spec: spec, Coin: coin.NewIdeal(1), Proposal: types.One})
+	nd, err := New(core.Config{Me: 1, Peers: peers, Spec: spec, Coin: coin.NewIdeal(1), Proposal: types.One})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestBenOrIgnoresMalformedPlain(t *testing.T) {
 func TestBenOrDuplicateSenderCountsOnce(t *testing.T) {
 	spec := quorum.MustNew(6, 1)
 	peers := types.Processes(6)
-	nd, err := New(Config{Me: 1, Peers: peers, Spec: spec, Coin: coin.NewIdeal(1), Proposal: types.One})
+	nd, err := New(core.Config{Me: 1, Peers: peers, Spec: spec, Coin: coin.NewIdeal(1), Proposal: types.One})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +211,7 @@ func BenchmarkBenOrDelivery(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i, p := range peers {
-		nd, err := New(Config{
+		nd, err := New(core.Config{
 			Me: p, Peers: peers, Spec: spec,
 			Coin:                coin.NewLocal(int64(p) * 1000),
 			Proposal:            types.Value(i % 2),

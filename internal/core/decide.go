@@ -37,17 +37,18 @@ type DecideGadget struct {
 	votes        [2]int   // first votes per value
 }
 
-// NewDecideGadget returns the gadget for process me of peers, counting
-// DECIDE votes tagged with instance. off disables amplification (the process
-// then never broadcasts DECIDE). Decision events go to rec; tele, when
-// non-nil, receives the round→decide latency.
-func NewDecideGadget(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec, instance int,
-	off bool, rec *trace.Recorder, tele *sim.Telemetry) DecideGadget {
+// NewDecideGadget returns the gadget for process cfg.Me of cfg.Peers,
+// counting DECIDE votes tagged with cfg.Instance. DisableDecideGadget turns
+// amplification off (the process then never broadcasts DECIDE). Decision
+// events go to the Recorder; the Telemetry sink, when non-nil, receives the
+// round→decide latency.
+func NewDecideGadget(cfg Config) DecideGadget {
 	g := DecideGadget{
-		me: me, peers: peers, q: spec, off: off, rec: rec, tele: tele,
-		voted: make([]uint64, (len(peers)+63)/64),
+		me: cfg.Me, peers: cfg.Peers, q: cfg.Spec, off: cfg.DisableDecideGadget,
+		rec: cfg.Recorder, tele: cfg.Telemetry,
+		voted: make([]uint64, (len(cfg.Peers)+63)/64),
 	}
-	g.reset(instance)
+	g.reset(cfg.Instance)
 	return g
 }
 

@@ -94,7 +94,7 @@ func TestDecideGadget(t *testing.T) {
 				Instance: 3, DisableDecideGadget: off})
 		}},
 		{"benor", 0, func(off bool) (gadgetHost, error) {
-			return baseline.New(baseline.Config{Me: me, Peers: peers, Spec: spec, Coin: coin.NewLocal(1),
+			return baseline.New(core.Config{Me: me, Peers: peers, Spec: spec, Coin: coin.NewLocal(1),
 				DisableDecideGadget: off})
 		}},
 	}

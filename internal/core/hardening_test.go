@@ -85,6 +85,39 @@ func TestNonPeerStepIgnored(t *testing.T) {
 	}
 }
 
+// TestNonPeerReachesNoBroadcaster: only peers reach the node's broadcaster.
+// 1 000 SENDs from p9, each its own instance (a distinct Seq), make a fresh
+// n=4 node echo nothing and open no instance, where a broadcaster without
+// the door sends 4 000 ECHOs and keeps 1 000 live instances. An ECHO from a
+// peer naming a non-peer's instance opens none either.
+func TestNonPeerReachesNoBroadcaster(t *testing.T) {
+	nd := newTestNode(t, 1, 0)
+	body, err := wire.EncodeStep(types.StepMessage{Round: 1, Step: types.Step1, V: types.One})
+	if err != nil {
+		t.Fatal(err)
+	}
+	echoes := 0
+	for seq := range 1000 {
+		id := types.InstanceID{Sender: 9, Tag: types.Tag{Round: 1, Step: types.Step1, Seq: seq}}
+		out := nd.Deliver(types.Message{From: 9, To: 1,
+			Payload: &types.RBCPayload{Phase: types.KindRBCSend, ID: id, Body: body}})
+		for _, m := range out {
+			if p, ok := m.Payload.(*types.RBCPayload); ok && p.Phase == types.KindRBCEcho {
+				echoes++
+			}
+		}
+	}
+	if live := nd.RBCLiveInstances(); echoes != 0 || live != 0 {
+		t.Errorf("1000 SENDs from p9: %d ECHOs sent, %d live rbc instances; want 0 and 0", echoes, live)
+	}
+	before := nd.RBCLiveInstances()
+	id := types.InstanceID{Sender: 9, Tag: types.Tag{Round: 1, Step: types.Step1, Seq: 1000}}
+	nd.Deliver(types.Message{From: 2, To: 1, Payload: &types.RBCPayload{Phase: types.KindRBCEcho, ID: id, Body: body}})
+	if opened := nd.RBCLiveInstances() - before; opened != 0 {
+		t.Errorf("an ECHO from p2 for p9's instance opened %d rbc instances, want 0", opened)
+	}
+}
+
 func TestForeignInstanceIgnored(t *testing.T) {
 	nd := newTestNode(t, 1, 7) // this node is instance 7
 	nd.Start()

@@ -51,7 +51,8 @@ import (
 // delivery budget is the usual backstop long before this).
 const DefaultMaxRounds = 1 << 16
 
-// Config configures a consensus node.
+// Config configures an agreement engine: this package's Node, and the
+// Ben-Or baseline, which refuses DisableValidation and a non-zero Instance.
 type Config struct {
 	// Me is this process; Peers lists all processes including Me.
 	Me    types.ProcessID
@@ -208,20 +209,30 @@ func (t *acceptedTable) retained() int {
 // ErrNoCoin is the config validation error for a missing coin.
 var ErrNoCoin = errors.New("core: config requires a coin")
 
-// New creates a consensus node. Peers must contain Me and have exactly
-// Spec.N() entries.
+// Check validates the config for any agreement engine built from it — a
+// coin is present, Peers holds Me and exactly Spec.N() entries, the proposal
+// is a bit — and sets MaxRounds to DefaultMaxRounds when it is not positive.
+// New and the Ben-Or baseline both call it first.
+func (c *Config) Check() error {
+	if c.Coin == nil {
+		return ErrNoCoin
+	}
+	if err := c.Spec.CheckPeers(c.Me, c.Peers); err != nil {
+		return err
+	}
+	if !c.Proposal.Valid() {
+		return fmt.Errorf("core: invalid proposal %d", c.Proposal)
+	}
+	if c.MaxRounds <= 0 {
+		c.MaxRounds = DefaultMaxRounds
+	}
+	return nil
+}
+
+// New creates a consensus node from a config that passes Check.
 func New(cfg Config) (*Node, error) {
-	if cfg.Coin == nil {
-		return nil, ErrNoCoin
-	}
-	if err := cfg.Spec.CheckPeers(cfg.Me, cfg.Peers); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
-	}
-	if !cfg.Proposal.Valid() {
-		return nil, fmt.Errorf("core: invalid proposal %d", cfg.Proposal)
-	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = DefaultMaxRounds
 	}
 	newVal := validate.New
 	if cfg.DisableValidation {
@@ -230,12 +241,11 @@ func New(cfg Config) (*Node, error) {
 	bcast := rbc.New(cfg.Me, cfg.Peers, cfg.Spec)
 	bcast.SetTelemetry(cfg.Telemetry)
 	n := &Node{
-		cfg:   cfg,
-		spec:  cfg.Spec,
-		bcast: bcast,
-		val:   newVal(cfg.Spec),
-		gadget: NewDecideGadget(cfg.Me, cfg.Peers, cfg.Spec, cfg.Instance,
-			cfg.DisableDecideGadget, cfg.Recorder, cfg.Telemetry),
+		cfg:    cfg,
+		spec:   cfg.Spec,
+		bcast:  bcast,
+		val:    newVal(cfg.Spec),
+		gadget: NewDecideGadget(cfg),
 	}
 	n.rearm(cfg.Instance, cfg.Coin)
 	return n, nil
@@ -376,12 +386,9 @@ func (n *Node) onDeliveries(out []types.Message, deliveries []rbc.Delivery) []ty
 		}
 		// The RBC instance tag must match the body's slot, or a Byzantine
 		// sender could use one broadcast to occupy another slot; foreign
-		// consensus instances (different Seq) are not ours to count, and
-		// only peers vote (quorum.Spec.Index).
+		// consensus instances (different Seq) are not ours to count. Only
+		// peers vote: the broadcaster delivers no non-peer's instance.
 		if sm.Round != d.ID.Tag.Round || sm.Step != d.ID.Tag.Step || d.ID.Tag.Seq != n.cfg.Instance {
-			continue
-		}
-		if _, ok := n.spec.Index(d.ID.Sender); !ok {
 			continue
 		}
 		if n.cfg.Recorder.Enabled() {

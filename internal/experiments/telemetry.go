@@ -21,22 +21,25 @@ type TelemetryFamily struct {
 
 // TelemetryFamilies returns the three schedules E16 (and `bench telemetry`)
 // compares: fair uniform delays, adversarial newest-first reordering, and
-// the searched adaptive-cliff summit (the liveness cliff pinned by the
-// adaptive-cliff harness scenario; see internal/search).
+// the searched adaptive-cliff summit, read from the adaptive-cliff harness
+// scenario that pins the liveness cliff (see internal/search).
 func TelemetryFamilies() []TelemetryFamily {
+	cliff, err := runner.ScenarioByName("adaptive-cliff")
+	if err != nil {
+		panic(err) // a fixed entry of runner's scenario table
+	}
 	return []TelemetryFamily{
 		{Name: "uniform", Scheduler: runner.SchedUniform},
 		{Name: "reorder", Scheduler: runner.SchedReorder},
-		{Name: "adaptive-cliff", Scheduler: runner.SchedAdaptiveRush,
-			Sched: runner.SchedParams{TargetLag: 480}},
+		{Name: cliff.Name, Scheduler: cliff.Scheduler, Sched: cliff.Sched},
 	}
 }
 
-// TelemetryConfig builds the family's run config: Bracha with a liar
+// telemetryConfig builds the family's run config: Bracha with a liar
 // adversary at optimal resilience, common coin, random inputs — the same
 // setup as the reorder and adaptive-cliff harness scenarios, so the only
 // independent variable across families is the schedule.
-func TelemetryConfig(fam TelemetryFamily, n int, seed int64) runner.Config {
+func telemetryConfig(fam TelemetryFamily, n int, seed int64) runner.Config {
 	return runner.Config{
 		N: n, F: quorum.MaxByzantine(n),
 		Protocol:      runner.ProtocolBracha,
@@ -51,14 +54,48 @@ func TelemetryConfig(fam TelemetryFamily, n int, seed int64) runner.Config {
 	}
 }
 
+// SweepTelemetry runs family fam at n processes and f assumed faults over
+// the seeds seed, seed+1, … (runs of them, on workers workers) with the
+// telemetry plane attached, and refuses a run with a property violation (an
+// undecided process is one: a termination violation). It returns the runs'
+// counters summed, EndTime apart, with Telemetry the per-run sinks merged
+// in index order — bitwise worker-count independent, since the integer
+// merge is exactly associative and commutative — and the mean over runs of
+// each run's mean decision round.
+func SweepTelemetry(fam TelemetryFamily, n, f, runs int, seed int64, workers int) (sum runner.SimStats, meanRounds float64, err error) {
+	cfgs := make([]runner.Config, runs)
+	for i := range cfgs {
+		cfgs[i] = telemetryConfig(fam, n, seed+int64(i))
+		cfgs[i].F = f
+	}
+	results, err := runner.Sweep(cfgs, workers, runner.Run)
+	if err != nil {
+		return sum, 0, fmt.Errorf("experiments: telemetry family %s: %w", fam.Name, err)
+	}
+	sum.Telemetry = sim.NewTelemetry()
+	var roundSum float64
+	for _, r := range results {
+		if len(r.Violations) > 0 {
+			return sum, 0, fmt.Errorf("experiments: telemetry family %s seed %d: %d property violations",
+				fam.Name, r.Config.Seed, len(r.Violations))
+		}
+		sum.Telemetry.Merge(r.Telemetry)
+		roundSum += r.MeanRounds
+		sum.Messages += r.Messages
+		sum.Deliveries += r.Deliveries
+		sum.Dropped += r.Dropped
+		sum.Spoofed += r.Spoofed
+		sum.WireBytes += r.WireBytes
+	}
+	return sum, roundSum / float64(len(results)), nil
+}
+
 // E16Telemetry regenerates Table 12: where the time and bandwidth of a run
 // actually go, per scheduler family. Each family sweeps the same seeds with
 // the telemetry plane attached (per-kind wire counters and latency
-// histograms, protocol phase histograms), merges the per-run sinks in index
-// order — bitwise worker-count independent, since the integer merge is
-// exactly associative and commutative — and adds one traced run whose
-// decision critical paths (internal/obs) attribute decision time to wire
-// versus handler ("think") hops.
+// histograms, protocol phase histograms; see SweepTelemetry) and adds one
+// traced run whose decision critical paths (internal/obs) attribute
+// decision time to wire versus handler ("think") hops.
 //
 // The shape to verify: "reorder" and "adaptive-cliff" run the identical
 // adversary, coin, and inputs, yet the cliff costs strictly more rounds.
@@ -94,26 +131,11 @@ func E16Telemetry(o Options) (*metrics.Table, error) {
 		n = 8
 	}
 	for _, fam := range TelemetryFamilies() {
-		cfg := TelemetryConfig(fam, n, 0)
-		results, err := o.sweepSeeds(cfg)
+		sum, meanRounds, err := SweepTelemetry(fam, n, quorum.MaxByzantine(n), o.Runs, o.Seed, o.Workers)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: E16 %s: %w", fam.Name, err)
+			return nil, err
 		}
-		merged := sim.NewTelemetry()
-		var roundSum float64
-		var msgs, dropped int
-		var wireBytes int64
-		for _, r := range results {
-			if len(r.Violations) > 0 || !r.AllDecided {
-				return nil, fmt.Errorf("experiments: E16 %s seed %d: violations=%d allDecided=%v",
-					fam.Name, r.Config.Seed, len(r.Violations), r.AllDecided)
-			}
-			merged.Merge(r.Telemetry)
-			roundSum += r.MeanRounds
-			msgs += r.Messages
-			dropped += r.Dropped
-			wireBytes += r.WireBytes
-		}
+		merged := sum.Telemetry
 		// Queue-to-delivery latency across every kind: merge the per-kind
 		// histograms (exact — integer buckets).
 		var wireLat metrics.Hist
@@ -127,7 +149,7 @@ func E16Telemetry(o Options) (*metrics.Table, error) {
 		decide := &merged.Phases[sim.PhaseRoundDecide]
 
 		// One traced run attributes decision time to wire vs think hops.
-		tcfg := TelemetryConfig(fam, n, o.Seed)
+		tcfg := telemetryConfig(fam, n, o.Seed)
 		tcfg.Telemetry = false
 		tcfg.Trace = true
 		traced, err := runner.Run(tcfg)
@@ -144,9 +166,9 @@ func E16Telemetry(o Options) (*metrics.Table, error) {
 			meanHops = float64(hops) / float64(len(report.Decisions))
 		}
 
-		t.AddRowf(fam.Name, n, len(results),
-			fmt.Sprintf("%.2f", roundSum/float64(len(results))),
-			msgs, dropped, wireBytes, topKind,
+		t.AddRowf(fam.Name, n, o.Runs,
+			fmt.Sprintf("%.2f", meanRounds),
+			sum.Messages, sum.Dropped, sum.WireBytes, topKind,
 			decide.Quantile(0.50), decide.Quantile(0.99),
 			wireLat.Quantile(0.99),
 			fmt.Sprintf("%.1f", meanHops),

@@ -353,7 +353,7 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 	if p == nil || b.code == nil {
 		return out, nil
 	}
-	in, c, ok := b.live(p.ID)
+	in, c, pi, ok := b.live(from, p.ID)
 	// This process's own echo coming back is the payload it adopted after
 	// checking it (see the disperse rule below), immutable since: checking
 	// it again would hash the same bytes to the same verdict.
@@ -380,8 +380,7 @@ func (b *Broadcaster) AppendHandleFrag(out []types.Message, from types.ProcessID
 	// verified fragment toward decoding and count the vote toward the echo
 	// quorum for this key. (A fragment relayed under someone else's index
 	// was already useful above if it was my dispersal; it casts no vote.)
-	pi, ok := b.spec.Index(from)
-	if !ok || p.Index != pi {
+	if p.Index != pi {
 		return out, nil
 	}
 	set := cs.set(key)
@@ -403,9 +402,8 @@ func (b *Broadcaster) AppendHandleSum(out []types.Message, from types.ProcessID,
 	if p == nil || b.code == nil || len(p.Sum) != sumLen {
 		return out, nil
 	}
-	in, c, ok := b.live(p.ID)
-	pi, peer := b.spec.Index(from)
-	if !ok || !peer {
+	in, c, pi, ok := b.live(from, p.ID)
+	if !ok {
 		return out, nil
 	}
 	if in == nil {

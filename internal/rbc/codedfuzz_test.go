@@ -495,7 +495,7 @@ func FuzzCodedBroadcaster(f *testing.F) {
 // cluster sizes. Any change to a message field, a delivery, or when
 // instances are created and released moves the digest.
 func TestCodedScriptTranscripts(t *testing.T) {
-	const want = "f47a9a8e467034a2ba3bee04a2ea3bff76647ee3bbd2fd677675418ec04ea687"
+	const want = "00be07bd6a16b496ff7c9b4db73cd0602bef7f9a646050f6b9cf823dc788f129"
 	cases := codedCases()
 	names := slices.Sorted(maps.Keys(cases))
 	rng := rand.New(rand.NewSource(53))

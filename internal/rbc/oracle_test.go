@@ -24,8 +24,8 @@ import (
 
 // mapBroadcaster is the reference: the plain Bracha state machine with all
 // state in maps. Tallies count distinct peer indices per body, so a peer
-// listed twice votes once, under its first index, and a non-peer never
-// votes.
+// listed twice votes once, under its first index. Traffic from a non-peer,
+// or for a non-peer's instance, is dropped before anything else.
 type mapBroadcaster struct {
 	me        types.ProcessID
 	peers     []types.ProcessID
@@ -84,6 +84,10 @@ func (o *mapBroadcaster) inst(id types.InstanceID) *mapInstance {
 }
 
 func (o *mapBroadcaster) handle(from types.ProcessID, p *types.RBCPayload) ([]types.Message, []Delivery) {
+	pi, ok := o.peerIdx[from]
+	if _, peer := o.peerIdx[p.ID.Sender]; !ok || !peer {
+		return nil, nil // only peers reach a broadcaster
+	}
 	if _, done := o.compacted[p.ID]; done || o.belowSeqFloor(p.ID) {
 		return nil, nil
 	}
@@ -100,10 +104,6 @@ func (o *mapBroadcaster) handle(from types.ProcessID, p *types.RBCPayload) ([]ty
 		in.echoed = true
 		return o.fanout(types.KindRBCEcho, p.ID, p.Body), nil
 	case types.KindRBCEcho, types.KindRBCReady:
-		pi, ok := o.peerIdx[from]
-		if !ok {
-			return nil, nil
-		}
 		in := o.inst(p.ID)
 		list := in.echoes
 		if p.Phase == types.KindRBCReady {
@@ -592,9 +592,9 @@ func oracleCases() map[string][]byte {
 	b.prune(3).compact(rid(2, 2, types.Step1, 6)).prune(5).delivered(rid(2, 2, types.Step1, 0))
 	cases["foreign-seq"] = b.data
 
-	// Senders that are not peers hold no votes: their echoes and readies for
-	// a peer's instance count toward no quorum, while their own instances,
-	// driven by the peers, live in the overflow map and deliver.
+	// Senders that are not peers reach nothing: their echoes and readies for
+	// a peer's instance count toward no quorum, and their own instances,
+	// even driven by the peers, are never opened and never deliver.
 	b = newScript(0, 2).broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: own}, "a")
 	for _, x := range scriptOutsiders {
 		b.handle(x, types.KindRBCEcho, rid(3, 1, types.Step2, own), "a").
@@ -608,7 +608,7 @@ func oracleCases() map[string][]byte {
 	cases["non-peer-senders"] = b.data
 
 	// A peer's repeated READY votes once and a non-peer's READY not at all,
-	// while the non-peer's own instance, driven by the peers, delivers.
+	// while the non-peer's own instance, driven by the peers, is never opened.
 	b = newScript(0, 2).broadcast(types.Tag{Round: 1, Step: types.Step1, Seq: own}, "a")
 	b.full(rid(2, 1, types.Step1, own), 4).full(rid(99, 1, types.Step1, own), 4).
 		run(rid(4, 2, types.Step1, own), true, 0, 0, "a").
@@ -619,8 +619,8 @@ func oracleCases() map[string][]byte {
 	cases["duplicate-and-non-peer"] = b.data
 
 	// The peer index at its edges: the highest peer (n) broadcasting beside
-	// senders far above n and below 1, whose instances deliver through the
-	// overflow path.
+	// senders far above n and below 1, whose instances the peers' traffic
+	// never opens.
 	b = newScript(1, 7).broadcast(types.Tag{Round: 2, Step: types.Step1, Seq: own}, "a")
 	b.full(rid(7, 2, types.Step1, own), 7).full(rid(1<<20, 2, types.Step1, own), 7).
 		full(rid(-1, 2, types.Step1, own), 7).full(rid(3, 2, types.Step2, own), 7).

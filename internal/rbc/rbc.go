@@ -59,9 +59,10 @@
 // the PruneBelow floor. Which consensus instance the window serves is fixed
 // by this process's own first round-tagged broadcast, never by received
 // traffic; a coded broadcaster never opens one. Everything else — other
-// instances' Seqs, senders that are not peers, rounds past the window, the
-// roundless namespace, every coded instance — lives in an overflow map
-// keyed by InstanceID.
+// instances' Seqs, rounds past the window, the roundless namespace, every
+// coded instance — lives in an overflow map keyed by InstanceID. Only peers
+// reach either: every handler drops a payload sent by a non-peer, or naming
+// a non-peer's instance, before it touches the table (live).
 // PruneBelow slides the window: a terminal instance below the new floor
 // becomes a delivered record, as above; a non-terminal one moves to the
 // overflow map and stays live there; overflow instances the new span covers
@@ -73,8 +74,8 @@
 // index), in rows that grow to the highest round recorded. Only rounds the
 // window has slid past qualify, up to a bound each slide raises by at most
 // windowRounds, so however far a floor jumps the rows grow by a few rounds
-// per PruneBelow. Every other record — roundless, another Seq, a sender that
-// is not a peer, a round past the bound — is a key of the compacted map.
+// per PruneBelow. Every other record — roundless, another Seq, a round past
+// the bound — is a key of the compacted map.
 // Both count as records of compactedRecordBytes each (Compacted,
 // DigestBytes).
 //
@@ -362,28 +363,37 @@ func (b *Broadcaster) lookup(id types.InstanceID) (*instance, **instance) {
 	return b.instances[id], nil
 }
 
-// live is the preamble of every handler: it returns id's live instance (nil
-// if none yet) and window cell, or ok = false if traffic for id must be
-// silent. The live instance comes first — a window hit is one slice index.
-// Only on a miss can the instance be compacted, and compacted instances
-// answer every late message with silence, exactly what their retained
-// terminal state would have produced (see the pruning contract): no echo
-// (echoed), no READY (readied), no delivery (delivered). No allocation, no
-// regrowth. The same silence covers instances below the drop watermark,
-// whose records are gone entirely.
-func (b *Broadcaster) live(id types.InstanceID) (in *instance, c **instance, ok bool) {
+// live is the preamble of every handler, and the broadcaster's door: it
+// returns from's peer index and id's live instance (nil if none yet) and
+// window cell, or ok = false if traffic for id must be silent. Only peers
+// reach a broadcaster: a payload from a non-peer, or for a non-peer's
+// instance, is dropped before it can echo, vote or open an instance, so an
+// outsider costs no state at all. The live instance comes next — a window
+// hit is one slice index. Only on a miss can the instance be compacted, and
+// compacted instances answer every late message with silence, exactly what
+// their retained terminal state would have produced (see the pruning
+// contract): no echo (echoed), no READY (readied), no delivery (delivered).
+// No allocation, no regrowth. The same silence covers instances below the
+// drop watermark, whose records are gone entirely.
+func (b *Broadcaster) live(from types.ProcessID, id types.InstanceID) (in *instance, c **instance, pi int, ok bool) {
+	if pi, ok = b.spec.Index(from); !ok {
+		return nil, nil, 0, false
+	}
+	if _, ok = b.spec.Index(id.Sender); !ok {
+		return nil, nil, 0, false
+	}
 	if c = b.cell(id); c != nil {
 		in = *c
 	}
 	if in == nil {
 		if b.recorded(id) || b.belowSeqFloor(id) {
-			return nil, nil, false
+			return nil, nil, 0, false
 		}
 		if c == nil {
 			in = b.instances[id]
 		}
 	}
-	return in, c, true
+	return in, c, pi, true
 }
 
 // newInstance creates id's live instance in window cell c, or in the
@@ -559,7 +569,8 @@ func (b *Broadcaster) AppendBroadcast(out []types.Message, tag types.Tag, body s
 
 // Handle processes one incoming RBC payload from `from` and returns the
 // protocol messages plus any deliveries it triggers. Malformed payloads
-// (wrong phase kinds, SENDs not from the claimed sender) are ignored.
+// (wrong phase kinds, SENDs not from the claimed sender) and payloads from
+// or for a non-peer are ignored.
 //
 // A handler call yields at most one delivery, and the returned slice is
 // the broadcaster's own: it is valid only until the next handler call on
@@ -599,7 +610,7 @@ func (b *Broadcaster) AppendHandle(out []types.Message, from types.ProcessID, p 
 		// AppendHandleSum), so a mixed-mode peer cannot vote here.
 		return out, nil
 	}
-	in, c, ok := b.live(p.ID)
+	in, c, pi, ok := b.live(from, p.ID)
 	if !ok {
 		return out, nil
 	}
@@ -615,10 +626,6 @@ func (b *Broadcaster) AppendHandle(out []types.Message, from types.ProcessID, p 
 		}
 		return b.onSend(out, in, p), nil
 	case types.KindRBCEcho, types.KindRBCReady:
-		pi, ok := b.spec.Index(from)
-		if !ok {
-			return out, nil // only peers hold votes toward the quorums
-		}
 		if in == nil {
 			in = b.newInstance(p.ID, c)
 		}

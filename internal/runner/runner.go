@@ -238,9 +238,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Byzantine == 0 {
 		cfg.Adversary = AdvNone
 	}
-	if cfg.Protocol == ProtocolBenOr && cfg.DisableValidation {
-		return nil, fmt.Errorf("%w: Ben-Or has no validation to disable", ErrBadConfig)
-	}
 	if cfg.MaxRounds < 0 || cfg.MaxDeliveries < 0 {
 		return nil, fmt.Errorf("%w: negative round (%d) or delivery (%d) budget", ErrBadConfig, cfg.MaxRounds, cfg.MaxDeliveries)
 	}
@@ -422,29 +419,33 @@ func splitGroups(correct []types.ProcessID) (a, b []types.ProcessID) {
 	return correct[:half], correct[half:]
 }
 
+// engines holds each protocol's constructor. All of them take the one
+// agreement-engine config, core.Config, and refuse the fields they cannot
+// honour, so a new engine joins as one row.
+var engines = map[Protocol]func(core.Config) (node, error){
+	ProtocolBracha: func(c core.Config) (node, error) { return core.New(c) },
+	ProtocolBenOr:  func(c core.Config) (node, error) { return baseline.New(c) },
+}
+
 // buildCorrect constructs a correct node of the configured protocol.
 func buildCorrect(cfg Config, spec quorum.Spec, p types.ProcessID, peers []types.ProcessID,
 	c coin.Coin, proposal types.Value, cl *cluster) (node, error) {
-	switch cfg.Protocol {
-	case ProtocolBracha:
-		return core.New(core.Config{
-			Me: p, Peers: peers, Spec: spec, Coin: c, Proposal: proposal,
-			Recorder:            cl.rec,
-			Telemetry:           cl.tele,
-			DisableValidation:   cfg.DisableValidation,
-			DisableDecideGadget: cfg.DisableDecideGadget,
-			MaxRounds:           cfg.MaxRounds,
-		})
-	case ProtocolBenOr:
-		return baseline.New(baseline.Config{
-			Me: p, Peers: peers, Spec: spec, Coin: c, Proposal: proposal,
-			Recorder:            cl.rec,
-			DisableDecideGadget: cfg.DisableDecideGadget,
-			MaxRounds:           cfg.MaxRounds,
-		})
-	default:
+	engine, ok := engines[cfg.Protocol]
+	if !ok {
 		return nil, fmt.Errorf("%w: protocol %v", ErrBadConfig, cfg.Protocol)
 	}
+	nd, err := engine(core.Config{
+		Me: p, Peers: peers, Spec: spec, Coin: c, Proposal: proposal,
+		Recorder:            cl.rec,
+		Telemetry:           cl.tele,
+		DisableValidation:   cfg.DisableValidation,
+		DisableDecideGadget: cfg.DisableDecideGadget,
+		MaxRounds:           cfg.MaxRounds,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v: %w", ErrBadConfig, cfg.Protocol, err)
+	}
+	return nd, nil
 }
 
 // buildAdversary constructs one Byzantine node (nil for silent: absence is

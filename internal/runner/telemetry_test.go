@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // telemetryConfigs builds a small cross-family config block, every run with
@@ -234,5 +235,52 @@ func TestSMRTelemetryPhases(t *testing.T) {
 	}
 	if c := rres.Telemetry.Phases[sim.PhaseCkptInstall].Count; c == 0 {
 		t.Error("victim installed a transfer but request→install phase is empty")
+	}
+}
+
+// TestRoundDecideMarks: with the telemetry plane attached, each engine of
+// the protocol table charges one mark per decision, and each mark is the
+// time from the entry of the deciding round to the decision, as the trace
+// of the same run records them. Split inputs make some processes decide
+// past round 1, whose entry is not time zero.
+func TestRoundDecideMarks(t *testing.T) {
+	for _, p := range []runner.Protocol{runner.ProtocolBracha, runner.ProtocolBenOr} {
+		res, err := runner.Run(runner.Config{
+			N: 6, F: 1,
+			Protocol:  p,
+			Coin:      runner.CoinLocal,
+			Adversary: runner.AdvNone,
+			Scheduler: runner.SchedUniform,
+			Inputs:    runner.InputSplit,
+			Seed:      1,
+			Trace:     true,
+			Telemetry: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.AllDecided || res.MaxRound < 2 {
+			t.Fatalf("%v: all decided %v by round %d; want every process decided, one past round 1",
+				p, res.AllDecided, res.MaxRound)
+		}
+		// A node's own events carry no time; they happen at the delivery
+		// that triggered them, the last one recorded before them.
+		entered := map[[2]int]int64{} // (process, round) → entry time
+		var now, sum int64
+		for _, e := range res.Recorder.Events() {
+			switch e.Kind {
+			case trace.KindDeliver:
+				now = e.Time
+			case trace.KindRound:
+				entered[[2]int{int(e.P), e.Round}] = now
+			case trace.KindDecide:
+				sum += now - entered[[2]int{int(e.P), e.Round}]
+			}
+		}
+		marks := res.Telemetry.Phases[sim.PhaseRoundDecide]
+		if marks.Count != int64(len(res.Decisions)) || marks.Sum != sum {
+			t.Errorf("%v: %d round-decide marks summing to %d ticks; want %d marks summing to %d",
+				p, marks.Count, marks.Sum, len(res.Decisions), sum)
+		}
 	}
 }

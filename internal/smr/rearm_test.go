@@ -115,7 +115,9 @@ func checkRearmed(t *testing.T, r *Replica, prev *core.Node) {
 // costs no engine, broadcaster, validator or table, and about one block of
 // instances, SEND payloads and tallies. At every slot start past the first
 // it checks the re-armed engine is the previous slot's and holds nothing of
-// it (checkRearmed). The bound is the measured value × 1.15.
+// it (checkRearmed). The bound is the measured value × 1.15. Under -race the
+// count is only logged: the race runtime allocates on its own, so there it
+// measures the detector, not the code.
 func TestEngineRearmAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-cluster allocation count; skipped under -short")
@@ -181,7 +183,7 @@ func TestEngineRearmAllocations(t *testing.T) {
 	}
 	perSlot := float64(after.Mallocs-before.Mallocs) / (n * measured)
 	t.Logf("%.1f allocations per replica per slot over %d warm slots", perSlot, measured)
-	if perSlot > bound {
+	if !raceEnabled && perSlot > bound {
 		t.Errorf("%.1f allocations per replica per slot, bound %.1f", perSlot, bound)
 	}
 }
