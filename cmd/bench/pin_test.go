@@ -28,8 +28,16 @@ func TestCLIOutputsPinned(t *testing.T) {
 			"e12e79c5aa382e5db2cd6d7c34d478fcd599cada5f0c6f12b459d1d7fb172bf3"},
 		{[]string{"search", "-family", "lossy", "-n", "4", "-seeds", "1:3", "-json"},
 			"2244bc62c7e16dcd8047a3a4784287572fb8ba63881c3f41a2639925eb84ad0a"},
-		{[]string{"search", "-family", "adaptive", "-n", "4", "-seeds", "1:3", "-descend", "-json"},
-			"5c1e5d2107a1015b8af42f3740b654ec0b6e8f4666eb101059b81fecd5590729"},
+		{[]string{"search", "-family", "adaptive", "-n", "8", "-seeds", "1:4", "-json"},
+			"1abb02a73a04c3f1e2b2cd1ee5485f057be597b105fe337e3db5f01c5d1baf4b"},
+		{[]string{"search", "-family", "lossy", "-n", "8", "-seeds", "1:4", "-json"},
+			"0b800238537ab253bb9cb35ee520b2e5ab682256384440310890dd5406fc1bfe"},
+		{[]string{"search", "-family", "reorder", "-n", "8", "-seeds", "1:4", "-json"},
+			"36ff7ae65926e413ab5464937f9a2098dcf52d52f9c20ee937904b0f9ae87b3a"},
+		{[]string{"search", "-family", "straggler", "-n", "8", "-seeds", "1:4", "-json"},
+			"3a889ed10610d2d6ca40d9a731c9f01f0d146af187007f9f45243a8bb270bcd3"},
+		{[]string{"search", "-family", "topology", "-n", "8", "-seeds", "1:4", "-json"},
+			"8a44ef04fefc2b66d0969ac9810b032c1fc455b5ab9509cdcf905f9a1d293dec"},
 		{[]string{"telemetry", "-n", "4", "-runs", "2", "-json"},
 			"1098f452660fe1f73b3fa4ccc546b2818931008f24cb471b11988388f69df271"},
 		{[]string{"run", "-n", "8", "-adversary", "none", "-inputs", "random", "-trace", "FILE"},
