@@ -18,7 +18,7 @@
 //	bench exp -experiment E6 -runs 100 -csv
 //	bench sweep -seeds 1:10001 -n 64 -scenario equivocation-rush -checkpoint ck.json
 //	bench sweep -seeds 1:10001 -n 64 -scenario equivocation-rush -checkpoint ck.json -resume
-//	bench search -family adaptive -n 16 -seeds 1:9 -descend
+//	bench search -family adaptive -n 16 -seeds 1:9
 //	bench smr -slots 64 -n 16 -ckpt-every 8 -coded   # same digests, fewer wire bytes
 //	bench throughput -entries 64 -n 16 -batch 1,8 -pipeline 2
 //	bench telemetry -n 16 -runs 5 -json > telemetry.json
@@ -55,7 +55,7 @@ var commands = []struct {
 	name, doc string
 	run       func(args []string, out io.Writer) error
 }{
-	{"exp", "the experiment tables E1–E16 and the ablations A1–A4", runExp},
+	{"exp", "the experiment tables E1–E14, E16 and the ablations A1–A4", runExp},
 	{"scenarios", "list the property scenarios and the checkpoint attacks", runScenarios},
 	{"sweep", "one property scenario across a seed range", runSweep},
 	{"search", "scheduler-parameter search for liveness cliffs", runSearch},
@@ -152,7 +152,7 @@ func stopper(stopAfter int64, checkpoint string) (stop func() bool, release func
 func runExp(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bench exp", flag.ContinueOnError)
 	var (
-		id      = fs.String("experiment", "", "run a single experiment (E1..E16, A1..A4); empty = all")
+		id      = fs.String("experiment", "", "run a single experiment (E1..E14, E16, A1..A4); empty = all")
 		runs    = fs.Int("runs", 0, "repetitions per configuration (0 = default)")
 		seed    = fs.Int64("seed", 1, "base seed")
 		quick   = fs.Bool("quick", false, "shrink sweeps for a fast smoke run")
@@ -601,7 +601,6 @@ func runSearch(args []string, out io.Writer) error {
 	var (
 		family    = fs.String("family", "", "schedule family whose parameter lattice to walk: "+strings.Join(search.Families(), ", "))
 		seedsStr  = fs.String("seeds", "1:9", "seed block seedA:seedB (half-open) every point is scored over")
-		descend   = fs.Bool("descend", false, "coordinate descent instead of the exhaustive grid")
 		workers   = workersFlag(fs)
 		frontier  = fs.String("checkpoint", "", "frontier file path (periodic + final saves)")
 		resume    = fs.Bool("resume", false, "resume from -checkpoint")
@@ -633,13 +632,7 @@ func runSearch(args []string, out io.Writer) error {
 		fmt.Fprintf(os.Stderr, "bench: search %s n=%d: point %d/%d\n", *family, *n, done, total)
 	}
 
-	walk := search.Grid
-	mode := "grid"
-	if *descend {
-		walk = search.Descend
-		mode = "descend"
-	}
-	res, err := walk(spec)
+	res, err := search.Grid(spec)
 	stopped := errors.Is(err, search.ErrStopped)
 	if err != nil && !stopped {
 		return err
@@ -662,12 +655,12 @@ func runSearch(args []string, out io.Writer) error {
 			Stopped bool                 `json:"stopped,omitempty"`
 			Points  []search.PointResult `json:"points"`
 			Best    search.PointResult   `json:"best"`
-		}{*family, mode, *n, f, seeds, stopped, res.Points, res.Best}); err != nil {
+		}{*family, "grid", *n, f, seeds, stopped, res.Points, res.Best}); err != nil {
 			return err
 		}
 	} else {
-		fmt.Fprintf(out, "search %s (%s): n=%d f=%d seeds %v — %s\n",
-			*family, mode, *n, f, seeds, search.FamilyDoc(*family))
+		fmt.Fprintf(out, "search %s (grid): n=%d f=%d seeds %v — %s\n",
+			*family, *n, f, seeds, search.FamilyDoc(*family))
 		if stopped {
 			fmt.Fprintf(out, "stopped after %d points; frontier saved to %s — rerun with -resume to continue\n",
 				len(res.Points), *frontier)

@@ -12,7 +12,7 @@ import (
 // BENCH_seed.json. Every column of every experiment table is a pure function
 // of the code — except E11's retained-heap, peak-heap and allocs columns,
 // which are runtime telemetry and are masked on both sides. It is the only
-// pin on the schedules behind E10, E15 and E16.
+// pin on the schedules behind E10 and E16.
 func TestBenchSeedSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full quick experiment suite")

@@ -30,7 +30,6 @@ func All() []Experiment {
 		{ID: "E12", Title: "Table 8 — checkpoint & state-transfer residue", Run: E12ResidueCheckpointing},
 		{ID: "E13", Title: "Table 9 — batched, pipelined log throughput", Run: E13BatchedThroughput},
 		{ID: "E14", Title: "Table 10 — erasure-coded dissemination bandwidth", Run: E14CodedDissemination},
-		{ID: "E15", Title: "Table 11 — scheduler-parameter search: liveness cliffs", Run: E15SearchCliffs},
 		{ID: "E16", Title: "Table 12 — telemetry plane: wire costs, phases, critical paths", Run: E16Telemetry},
 		{ID: "A1", Title: "Ablation — message validation", Run: A1Validation},
 		{ID: "A2", Title: "Ablation — decide gadget", Run: A2Gadget},

@@ -73,9 +73,17 @@ func (c *Consistent) Broadcast(tag types.Tag, body string) []types.Message {
 
 // Handle processes one incoming payload (SEND or ECHO; READY is not part of
 // this primitive and is ignored) and returns protocol messages plus any
-// delivery.
+// delivery. Traffic from a non-peer, or for a non-peer's instance, is
+// dropped before it can open an instance or draw an echo.
 func (c *Consistent) Handle(from types.ProcessID, p *types.RBCPayload) ([]types.Message, []Delivery) {
 	if p == nil {
+		return nil, nil
+	}
+	pi, ok := c.spec.Index(from)
+	if !ok {
+		return nil, nil
+	}
+	if _, ok := c.spec.Index(p.ID.Sender); !ok {
 		return nil, nil
 	}
 	switch p.Phase {
@@ -91,10 +99,6 @@ func (c *Consistent) Handle(from types.ProcessID, p *types.RBCPayload) ([]types.
 		echo := &types.RBCPayload{Phase: types.KindRBCEcho, ID: p.ID, Body: p.Body}
 		return types.Broadcast(c.me, c.peers, echo), nil
 	case types.KindRBCEcho:
-		pi, ok := c.spec.Index(from)
-		if !ok {
-			return nil, nil // only peers hold votes toward the echo quorum
-		}
 		in := c.inst(p.ID)
 		i := slices.IndexFunc(in.echoes, func(t tally) bool { return t.body == p.Body })
 		if i < 0 {

@@ -224,3 +224,27 @@ func TestConsistentEchoesCountDistinctPeersPerBody(t *testing.T) {
 		t.Fatalf("delivered %d times, want 1", delivered)
 	}
 }
+
+// TestConsistentNonPeerOpensNothing: only peers reach a Consistent endpoint.
+// 1 000 SENDs from p9, each its own instance (a distinct Seq), make a fresh
+// n=4 endpoint echo nothing and open no instance, where an endpoint without
+// the door sends 4 000 ECHOs and keeps 1 000 instances. An ECHO from a peer
+// naming a non-peer's instance opens none either.
+func TestConsistentNonPeerOpensNothing(t *testing.T) {
+	b := NewConsistent(1, types.Processes(4), quorum.MustNew(4, 1))
+	echoes := 0
+	for seq := range 1000 {
+		id := types.InstanceID{Sender: 9, Tag: types.Tag{Seq: seq}}
+		out, _ := b.Handle(9, &types.RBCPayload{Phase: types.KindRBCSend, ID: id, Body: "m"})
+		echoes += len(out)
+	}
+	if echoes != 0 || len(b.instances) != 0 {
+		t.Errorf("1000 SENDs from p9: %d ECHOs sent, %d instances; want 0 and 0", echoes, len(b.instances))
+	}
+	before := len(b.instances)
+	id := types.InstanceID{Sender: 9, Tag: types.Tag{Seq: 1000}}
+	b.Handle(2, &types.RBCPayload{Phase: types.KindRBCEcho, ID: id, Body: "m"})
+	if opened := len(b.instances) - before; opened != 0 {
+		t.Errorf("an ECHO from p2 for p9's instance opened %d instances, want 0", opened)
+	}
+}

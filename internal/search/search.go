@@ -3,9 +3,8 @@
 // The protocol's liveness argument is probabilistic over schedules, so its
 // hardest inputs are specific parameter settings of the adversarial
 // schedules — reorder spans, loss rates, relay lags — that hand-written
-// scenarios never hit. This package walks runner.SchedParams space with two
-// deterministic strategies (exhaustive Grid and coordinate Descend), scores
-// every point by rounds-to-decide and budget-exhaustion rate across a fixed
+// scenarios never hit. This package walks runner.SchedParams space
+// exhaustively (Grid), scores every point by rounds-to-decide and budget-exhaustion rate across a fixed
 // seed block, and reports the worst points found. A cliff, once found, is
 // pinned back into runner.Scenarios() as a named regression scenario.
 //
@@ -80,7 +79,7 @@ type Spec struct {
 	// few times, not the simulator default).
 	Base runner.Config
 	// Axes are the searched coordinates, in significance order: Grid
-	// iterates the last axis fastest, Descend walks them in order.
+	// iterates the last axis fastest.
 	Axes []Axis
 	// Seeds is the half-open seed block every point is scored over.
 	Seeds runner.SeedRange
@@ -96,8 +95,7 @@ type Spec struct {
 	// the frontier and aborts with ErrStopped.
 	Stop func() bool
 	// Progress, when non-nil, is called after every evaluated or reused
-	// point with the count so far (total is only known for Grid; Descend
-	// reports 0).
+	// point with the count so far and the grid size.
 	Progress func(done, total int)
 }
 
@@ -138,8 +136,8 @@ type Outcome struct {
 // Worse orders points by liveness cost: higher Score first (rounds and
 // exhaustion dominate), then higher MeanTime (among equally fast deciders,
 // the schedule that stretches simulated time most is the worse one), then
-// key ascending — a strict total order, so ranking and coordinate descent
-// are pure functions of the scores.
+// key ascending — a strict total order, so the ranking is a pure function
+// of the scores.
 func Worse(a, b PointResult) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -247,15 +245,14 @@ func (s *Spec) validate() error {
 	return nil
 }
 
-// searcher carries one search's shared state: the frontier cache and
-// bookkeeping common to Grid and Descend.
+// searcher carries one search's state: the frontier cache and Grid's
+// bookkeeping.
 type searcher struct {
 	spec   *Spec
 	points map[string]PointResult // every known point, by key
-	order  []string               // keys in first-seen order (for Outcome)
 	fresh  int                    // points evaluated this invocation
 	done   int                    // points visited (evaluated or reused)
-	total  int                    // grid size, 0 when unknown
+	total  int                    // grid size
 }
 
 func newSearcher(spec *Spec) (*searcher, error) {
@@ -274,9 +271,8 @@ func newSearcher(spec *Spec) (*searcher, error) {
 		if err := f.matches(spec); err != nil {
 			return nil, err
 		}
-		// Restored points precede anything new in a deterministic order.
-		s.order = slices.Sorted(maps.Keys(f.Points))
-		for _, k := range s.order {
+		// Checked in key order, so the error names the same point every time.
+		for _, k := range slices.Sorted(maps.Keys(f.Points)) {
 			if err := spec.check(k, f.Points[k]); err != nil {
 				return nil, fmt.Errorf("search: frontier %s: %w", spec.Frontier, err)
 			}
@@ -321,7 +317,6 @@ func (s *searcher) visit(pt point) (PointResult, error) {
 			return PointResult{}, err
 		}
 		s.points[k] = res
-		s.order = append(s.order, k)
 		s.fresh++
 		if err := s.save(); err != nil {
 			return PointResult{}, err
@@ -394,8 +389,9 @@ func (s *searcher) save() error {
 // outcome ranks every known point, worst first.
 func (s *searcher) outcome() *Outcome {
 	out := &Outcome{Evaluated: s.fresh}
-	for _, k := range s.order {
-		out.Points = append(out.Points, s.points[k])
+	// order-free: Worse is a strict total order, so the sort below fixes it
+	for _, p := range s.points {
+		out.Points = append(out.Points, p)
 	}
 	sort.Slice(out.Points, func(i, j int) bool {
 		return Worse(out.Points[i], out.Points[j])

@@ -115,43 +115,6 @@ func TestFrontierMismatch(t *testing.T) {
 	}
 }
 
-// TestDescendFindsGridWorst pins Descend against ground truth: on the test
-// lattice, coordinate ascent must converge to the same worst point Grid
-// finds exhaustively.
-func TestDescendFindsGridWorst(t *testing.T) {
-	grid := mustGrid(t, testSpec(t))
-	desc, err := Descend(testSpec(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if desc.Best.Key != grid.Best.Key {
-		t.Errorf("Descend converged to %q (score %.1f), Grid's worst is %q (score %.1f)",
-			desc.Best.Key, desc.Best.Score, grid.Best.Key, grid.Best.Score)
-	}
-	if desc.Evaluated > len(grid.Points) {
-		t.Errorf("Descend evaluated %d points, more than the %d-point grid", desc.Evaluated, len(grid.Points))
-	}
-}
-
-// TestDescendDeterministicAcrossWorkers mirrors the grid determinism pin
-// for the coordinate walk.
-func TestDescendDeterministicAcrossWorkers(t *testing.T) {
-	var outs [][]byte
-	for _, workers := range []int{1, 3} {
-		spec := testSpec(t)
-		spec.Workers = workers
-		out, err := Descend(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf, _ := json.Marshal(out)
-		outs = append(outs, buf)
-	}
-	if string(outs[0]) != string(outs[1]) {
-		t.Errorf("descend output differs across worker counts:\n1: %s\n3: %s", outs[0], outs[1])
-	}
-}
-
 // TestOutcomeRanking pins the ranking order: score descending, key
 // ascending, Best = Points[0].
 func TestOutcomeRanking(t *testing.T) {

@@ -384,7 +384,7 @@ func validatorCases() map[string][]byte {
 	cases["duplicates"] = w.data
 
 	// Senders 0, N+1, N+2, huge and negative at n=65 (two bitset words):
-	// they overflow as non-peers, then the floor moves past them.
+	// the door drops them, then the floor moves past them.
 	w = newValidatorScript(n65, false)
 	for i := range 6 {
 		w.record(outsider(65, i), 1, types.Step1, types.One, false).

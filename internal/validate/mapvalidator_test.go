@@ -71,10 +71,11 @@ func newLaxMapValidator(spec quorum.Spec) *mapValidator {
 // Record ingests a reliably-delivered step message from sender and returns
 // every message newly folded into the justified tallies, in fold order —
 // possibly none (the new message is pending), possibly several (its arrival
-// cascaded older pending messages in). The returned slice aliases an
-// internal scratch buffer and is valid only until the next Record call.
+// cascaded older pending messages in). A sender that is not a peer is
+// dropped. The returned slice aliases an internal scratch buffer and is
+// valid only until the next Record call.
 func (v *mapValidator) Record(sender types.ProcessID, m types.StepMessage) []Accepted {
-	if !wellFormed(m) {
+	if _, peer := v.spec.Index(sender); !peer || !wellFormed(m) {
 		return nil
 	}
 	k := slotKey{sender: sender, round: m.Round, step: m.Step}

@@ -60,11 +60,12 @@
 //   - the justification digests are a slice indexed from round 1 that
 //     grows at most roundsAhead rounds past its end.
 //
-// What the dense forms cannot hold — a sender that is not a peer, a seen
-// key past the ring, a digest past the slice's reach — goes to an overflow
-// map that stays nil until used. A Byzantine sender can put any round
-// number in a well-formed message, and such a message costs one overflow
-// entry, never storage proportional to the round number.
+// What the dense forms cannot hold — a seen key past the ring, a digest
+// past the slice's reach — goes to an overflow map that stays nil until
+// used. A Byzantine sender can put any round number in a well-formed
+// message, and such a message costs one overflow entry, never storage
+// proportional to the round number. A sender that is not a peer costs
+// nothing: Record drops it.
 package validate
 
 import (
@@ -85,8 +86,8 @@ type Validator struct {
 	// seen is the per-sender dedup set for rounds at or above the floor:
 	// seenSpan rows of 3·seenWords words, round r's at (r mod seenSpan), for
 	// max(floor, 1) <= r < max(floor, 1)+seenSpan; bit i of a (round, step)
-	// row is the peer at quorum.Spec.Index i. seenOver holds the keys the
-	// ring cannot (a non-peer sender, a round past the ring); nil until used.
+	// row is the peer at quorum.Spec.Index i. seenOver holds the keys of
+	// rounds past the ring; nil until used.
 	seen      []uint64
 	seenWords int
 	seenOver  map[slotKey]struct{}
@@ -204,37 +205,40 @@ type Accepted struct {
 // Record ingests a reliably-delivered step message from sender and returns
 // every message newly folded into the justified tallies, in fold order —
 // possibly none (the new message is pending), possibly several (its arrival
-// cascaded older pending messages in). The returned slice aliases an
-// internal scratch buffer and is valid only until the next Record call.
+// cascaded older pending messages in). A sender that is not a peer is
+// dropped. The returned slice aliases an internal scratch buffer and is
+// valid only until the next Record call.
 func (v *Validator) Record(sender types.ProcessID, m types.StepMessage) []Accepted {
-	if !wellFormed(m) {
+	i, peer := v.spec.Index(sender)
+	if !peer || !wellFormed(m) {
 		return nil
 	}
 	k := slotKey{sender: sender, round: m.Round, step: m.Step}
 	// Dedup entries are kept only for rounds at or above the floor;
 	// below it, uniqueness per slot is the caller's contract (RBC integrity)
 	// and recording the key would regrow released state.
-	if m.Round >= v.floor && !v.markSeen(k) {
+	if m.Round >= v.floor && !v.markSeen(k, i) {
 		return nil
 	}
 	v.addPending(k, m)
 	return v.drain()
 }
 
-// seenBit returns k's word index and bit in the ring, or ok = false if the
-// ring cannot hold k. k.round must be at or above the floor.
-func (v *Validator) seenBit(k slotKey) (word int, bit uint64, ok bool) {
-	i, peer := v.spec.Index(k.sender)
-	if !peer || k.round-max(v.floor, 1) >= seenSpan {
+// seenBit returns the word index and bit in the ring of k, whose sender is
+// the peer at index i, or ok = false if k's round is past the ring. k.round
+// must be at or above the floor.
+func (v *Validator) seenBit(k slotKey, i int) (word int, bit uint64, ok bool) {
+	if k.round-max(v.floor, 1) >= seenSpan {
 		return 0, 0, false
 	}
 	row := (k.round%seenSpan)*3 + int(k.step) - 1
 	return row*v.seenWords + i>>6, 1 << (i & 63), true
 }
 
-// markSeen records k in the seen set and reports whether it was new.
-func (v *Validator) markSeen(k slotKey) bool {
-	if w, bit, ok := v.seenBit(k); ok {
+// markSeen records k, whose sender is the peer at index i, in the seen set
+// and reports whether it was new.
+func (v *Validator) markSeen(k slotKey, i int) bool {
+	if w, bit, ok := v.seenBit(k, i); ok {
 		if v.seen[w]&bit != 0 {
 			return false
 		}
@@ -312,7 +316,10 @@ func (v *Validator) PruneBelow(r int) {
 	for k := range v.seenOver {
 		if k.round < r {
 			delete(v.seenOver, k)
-		} else if w, bit, ok := v.seenBit(k); ok {
+			continue
+		}
+		i, _ := v.spec.Index(k.sender) // Record lets only peers in
+		if w, bit, ok := v.seenBit(k, i); ok {
 			v.seen[w] |= bit
 			delete(v.seenOver, k)
 		}

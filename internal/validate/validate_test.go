@@ -233,6 +233,30 @@ func TestDuplicateSlotRejected(t *testing.T) {
 	record(t, v, 1, sm(1, types.Step2, 1))
 }
 
+// TestNonPeerSenderDropped: only peers reach the validator. At n=4, round-1
+// step-1 messages from p9, p10 and p11 fold nothing, where a validator
+// without the door accepts all three; on a fresh validator, 1 000 step-1
+// messages from p9 for rounds 1..1000 leave no seen entry and nothing
+// pending, where one without the door keeps 1 000 seen entries and 999
+// pending.
+func TestNonPeerSenderDropped(t *testing.T) {
+	v := New(quorum.MustNew(4, 1))
+	accepted := 0
+	for _, p := range []types.ProcessID{9, 10, 11} {
+		accepted += len(v.Record(p, sm(1, types.Step1, types.One)))
+	}
+	if accepted != 0 {
+		t.Errorf("round-1 step-1 messages from p9, p10, p11: %d accepted, want 0", accepted)
+	}
+	v = New(quorum.MustNew(4, 1))
+	for r := 1; r <= 1000; r++ {
+		v.Record(9, sm(r, types.Step1, types.One))
+	}
+	if seen, pending := v.SeenRetained(), v.Pending(); seen != 0 || pending != 0 {
+		t.Errorf("1000 messages from p9: %d seen entries, %d pending; want 0 and 0", seen, pending)
+	}
+}
+
 func TestJustifiedIsMonotone(t *testing.T) {
 	// Once justified, always justified — across a long arbitrary feed.
 	v := New(quorum.MustNew(7, 2))
