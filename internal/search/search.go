@@ -4,9 +4,10 @@
 // hardest inputs are specific parameter settings of the adversarial
 // schedules — reorder spans, loss rates, relay lags — that hand-written
 // scenarios never hit. This package walks runner.SchedParams space
-// exhaustively (Grid), scores every point by rounds-to-decide and budget-exhaustion rate across a fixed
-// seed block, and reports the worst points found. A cliff, once found, is
-// pinned back into runner.Scenarios() as a named regression scenario.
+// exhaustively (Grid), scores every point by rounds-to-decide and
+// budget-exhaustion rate across a fixed seed block, and reports the worst
+// points found. A cliff, once found, is pinned back into
+// runner.Scenarios() as a named regression scenario.
 //
 // # Determinism contract
 //
