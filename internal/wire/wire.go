@@ -343,9 +343,14 @@ func DecodeMessage(buf []byte) (types.Message, error) {
 // EncodeStep canonically encodes a consensus step message for use as a
 // reliable-broadcast body. The encoding is injective, so body equality
 // (string comparison in the RBC instance) coincides with logical equality.
-// The scratch buffer is pooled: the only allocation per call is the string
-// itself, which the body must own anyway.
+// The bodies of rounds 1..internedRounds come from a table built once, so
+// encoding one allocates nothing; past it the scratch buffer is pooled, and
+// the only allocation per call is the string itself, which the body must
+// own anyway.
 func EncodeStep(s types.StepMessage) (string, error) {
+	if body, ok := internedStep(s); ok {
+		return body, nil
+	}
 	bp := GetBuffer()
 	defer PutBuffer(bp)
 	buf, err := AppendStep(*bp, s)
@@ -354,6 +359,43 @@ func EncodeStep(s types.StepMessage) (string, error) {
 	}
 	*bp = buf[:0]
 	return string(buf), nil
+}
+
+// internedRounds is how many rounds of step bodies stepBodies holds: every
+// body a run sends in its first rounds, which is where nearly every run
+// decides.
+const internedRounds = 64
+
+// stepBodies[r-1][step-1][v][d] is EncodeStep's body for round r; the d = 1
+// column is filled for step 3 only, the one step a decision proposal
+// travels in.
+var stepBodies = func() (t [internedRounds][3][2][2]string) {
+	for r := range t {
+		for st := range t[r] {
+			for v := range t[r][st] {
+				for d := range t[r][st][v] {
+					s := types.StepMessage{Round: r + 1, Step: types.Step1 + types.Step(st), V: types.Value(v), D: d == 1}
+					if b, err := AppendStep(nil, s); err == nil {
+						t[r][st][v][d] = string(b)
+					}
+				}
+			}
+		}
+	}
+	return t
+}()
+
+// internedStep returns s's body from stepBodies, or false when s is past the
+// table or invalid.
+func internedStep(s types.StepMessage) (string, bool) {
+	if s.Round < 1 || s.Round > internedRounds || !s.Step.Valid() || !s.V.Valid() || s.D && s.Step != types.Step3 {
+		return "", false
+	}
+	d := 0
+	if s.D {
+		d = 1
+	}
+	return stepBodies[s.Round-1][s.Step-types.Step1][s.V][d], true
 }
 
 // AppendStep appends EncodeStep's canonical bytes to dst; on error dst is

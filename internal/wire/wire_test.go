@@ -194,6 +194,47 @@ func TestStepRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeStepInterned: every step body of rounds 1..internedRounds comes
+// from the table, byte-equal to a fresh AppendStep encoding and with no
+// allocation; a round past the table encodes as before, into one new
+// string.
+func TestEncodeStepInterned(t *testing.T) {
+	entries := 0
+	for r := 1; r <= internedRounds+1; r++ {
+		for st := types.Step1; st <= types.Step3; st++ {
+			for v := types.Zero; v <= types.One; v++ {
+				for _, d := range []bool{false, true} {
+					s := types.StepMessage{Round: r, Step: st, V: v, D: d}
+					want, err := AppendStep(nil, s)
+					if d && st != types.Step3 {
+						if _, err := EncodeStep(s); err == nil {
+							t.Errorf("EncodeStep(%v) accepted a decision proposal outside step 3", s)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					body, err := EncodeStep(s)
+					if err != nil || body != string(want) {
+						t.Fatalf("EncodeStep(%v) = %q, %v; want %q", s, body, err, want)
+					}
+					allocs := testing.AllocsPerRun(10, func() { body, _ = EncodeStep(s) })
+					if wantAllocs := map[bool]float64{true: 0, false: 1}[r <= internedRounds]; allocs != wantAllocs {
+						t.Errorf("EncodeStep(%v): %v allocs, want %v", s, allocs, wantAllocs)
+					}
+					if r <= internedRounds {
+						entries++
+					}
+				}
+			}
+		}
+	}
+	if entries != internedRounds*8 {
+		t.Errorf("%d interned bodies, want %d", entries, internedRounds*8)
+	}
+}
+
 func TestEncodeStepRejectsInvalid(t *testing.T) {
 	tests := []struct {
 		name string
