@@ -93,10 +93,16 @@ var _ sim.Node = (*Equivocator)(nil)
 // ID implements sim.Node.
 func (e *Equivocator) ID() types.ProcessID { return e.Me }
 
-// Start implements sim.Node: open round 1 with an equivocating SEND.
+// Start implements sim.Node: open round 1 with an equivocating SEND. It
+// forgets every slot and instance of an earlier run, so an Equivocator
+// registered once runs again from nothing.
 func (e *Equivocator) Start() []types.Message {
-	e.acted = make(map[types.Tag]bool)
-	e.fed = make(map[types.InstanceID]bool)
+	if e.acted == nil {
+		e.acted = make(map[types.Tag]bool)
+		e.fed = make(map[types.InstanceID]bool)
+	}
+	clear(e.acted)
+	clear(e.fed)
 	return e.equivocateSlot(types.Tag{Round: 1, Step: types.Step1})
 }
 
@@ -178,6 +184,14 @@ func NewLiar(cfg core.Config) (*Liar, error) {
 	return &Liar{inner: n}, nil
 }
 
+// Reset re-arms the liar for cfg as core.Node.Reset re-arms its node.
+func (l *Liar) Reset(cfg core.Config) error {
+	if err := l.inner.Reset(cfg); err != nil {
+		return fmt.Errorf("adversary: liar: %w", err)
+	}
+	return nil
+}
+
 var (
 	_ sim.Node     = (*Liar)(nil)
 	_ sim.Recycler = (*Liar)(nil)
@@ -244,6 +258,8 @@ func flip(p *types.RBCPayload) *types.RBCPayload {
 // Byzantine processes) only.
 type SplitBrain struct {
 	me     types.ProcessID
+	peers  []types.ProcessID
+	spec   quorum.Spec
 	groupA map[types.ProcessID]bool
 	groupB map[types.ProcessID]bool
 	pers   [2]*core.Node
@@ -257,23 +273,42 @@ func NewSplitBrain(me types.ProcessID, peers []types.ProcessID, spec quorum.Spec
 	groupA, groupB []types.ProcessID, seed int64) (*SplitBrain, error) {
 	sb := &SplitBrain{
 		me:     me,
+		peers:  peers,
+		spec:   spec,
 		groupA: toSet(groupA),
 		groupB: toSet(groupB),
 	}
-	for i, proposal := range []types.Value{types.Zero, types.One} {
-		n, err := core.New(core.Config{
-			Me:       me,
-			Peers:    peers,
-			Spec:     spec,
-			Coin:     coin.NewIdeal(seed + int64(i)),
-			Proposal: proposal,
-		})
+	for i := range sb.pers {
+		n, err := core.New(sb.personality(i, seed))
 		if err != nil {
 			return nil, fmt.Errorf("adversary: split-brain personality %d: %w", i, err)
 		}
 		sb.pers[i] = n
 	}
 	return sb, nil
+}
+
+// personality is personality i's config: world A proposes 0, world B 1,
+// each on an ideal coin derived from seed.
+func (s *SplitBrain) personality(i int, seed int64) core.Config {
+	return core.Config{
+		Me:       s.me,
+		Peers:    s.peers,
+		Spec:     s.spec,
+		Coin:     coin.NewIdeal(seed + int64(i)),
+		Proposal: types.Value(i),
+	}
+}
+
+// Reset re-arms both personalities for a run from seed: the node
+// NewSplitBrain builds with seed, its groups unchanged.
+func (s *SplitBrain) Reset(seed int64) error {
+	for i, n := range s.pers {
+		if err := n.Reset(s.personality(i, seed)); err != nil {
+			return fmt.Errorf("adversary: split-brain personality %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 var _ sim.Node = (*SplitBrain)(nil)

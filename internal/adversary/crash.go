@@ -30,6 +30,17 @@ func NewCrashAfter(cfg core.Config, deliveries int) (*CrashAfter, error) {
 	return &CrashAfter{inner: n, budget: deliveries}, nil
 }
 
+// Reset re-arms the node for cfg (as core.Node.Reset does) to behave
+// correctly for `deliveries` incoming messages and then crash: the node
+// NewCrashAfter builds.
+func (c *CrashAfter) Reset(cfg core.Config, deliveries int) error {
+	if err := c.inner.Reset(cfg); err != nil {
+		return fmt.Errorf("adversary: crash-after: %w", err)
+	}
+	c.budget, c.dead = deliveries, false
+	return nil
+}
+
 var (
 	_ sim.Node     = (*CrashAfter)(nil)
 	_ sim.Recycler = (*CrashAfter)(nil)

@@ -33,8 +33,10 @@ func NewPlainEquivocator(me types.ProcessID, peers []types.ProcessID) *PlainEqui
 // ID implements sim.Node.
 func (e *PlainEquivocator) ID() types.ProcessID { return e.Me }
 
-// Start implements sim.Node.
+// Start implements sim.Node. It forgets every slot of an earlier run, so a
+// PlainEquivocator registered once runs again from nothing.
 func (e *PlainEquivocator) Start() []types.Message {
+	clear(e.acted)
 	return e.equivocate(plainSlot{round: 1, phase: types.Step1})
 }
 

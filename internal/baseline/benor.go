@@ -84,19 +84,56 @@ var errUnsupported = errors.New("baseline: Ben-Or has no validation to disable a
 // on purpose. DisableValidation and a non-zero Instance are refused: Ben-Or
 // has no validation, and its plain phase messages carry no instance tag.
 func New(cfg core.Config) (*Node, error) {
-	if err := cfg.Check(); err != nil {
+	if err := checkConfig(&cfg); err != nil {
 		return nil, err
 	}
-	if cfg.DisableValidation || cfg.Instance != 0 {
-		return nil, errUnsupported
+	n := &Node{got: make(map[slot]*slotState), DecideGadget: core.NewDecideGadget(cfg)}
+	n.rearm(cfg)
+	return n, nil
+}
+
+// checkConfig is New's validation, and sets MaxRounds as core's Check
+// does: core's checks, then the two refused fields.
+func checkConfig(cfg *core.Config) error {
+	if err := cfg.Check(); err != nil {
+		return err
 	}
-	return &Node{
+	if cfg.DisableValidation || cfg.Instance != 0 {
+		return errUnsupported
+	}
+	return nil
+}
+
+// errRearm refuses a Reset to another process or system.
+var errRearm = errors.New("baseline: Reset changes the process or the spec")
+
+// Reset re-arms the node for cfg, which must name the process and spec the
+// node was built for: it returns to the state New(cfg) produces, keeping its
+// slot map and DECIDE gadget, and New reaches that state through the same
+// path. As after New, the host calls Start next.
+func (n *Node) Reset(cfg core.Config) error {
+	if err := checkConfig(&cfg); err != nil {
+		return err
+	}
+	if cfg.Me != n.cfg.Me || cfg.Spec != n.spec {
+		return errRearm
+	}
+	n.rearm(cfg)
+	return nil
+}
+
+// rearm is Reset without the checks, which New has made already.
+func (n *Node) rearm(cfg core.Config) {
+	clear(n.got)
+	n.DecideGadget.Reset(cfg)
+	*n = Node{
 		cfg:          cfg,
 		spec:         cfg.Spec,
 		value:        cfg.Proposal,
-		got:          make(map[slot]*slotState),
-		DecideGadget: core.NewDecideGadget(cfg),
-	}, nil
+		got:          n.got,
+		DecideGadget: n.DecideGadget,
+		OutBuffer:    n.OutBuffer,
+	}
 }
 
 var (

@@ -52,12 +52,27 @@ type Dealer struct {
 // derived from seed. Shamir sharing over GF(2^8) limits the system to
 // n ≤ 255 processes.
 func NewDealer(spec quorum.Spec, seed int64) *Dealer {
-	return &Dealer{
-		spec:   spec,
-		keys:   auth.NewDealerKeys(auth.DeriveKey(seedKey(seed), "dealer")),
-		rng:    rand.New(rand.NewSource(seed)),
-		rounds: make(map[int][]shamir.Share),
+	d := &Dealer{spec: spec, rounds: make(map[int][]shamir.Share)}
+	d.Reset(seed)
+	return d
+}
+
+// Reset re-deals the coin from seed: the dealer returns to the state
+// NewDealer produces for its spec and seed, with the share key derived from
+// seed, the RNG re-seeded in place and no sharing or low-watermark left. A
+// cluster re-armed for a new run resets its dealer and every Common
+// endpoint holding it before any of them releases a round.
+func (d *Dealer) Reset(seed int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.keys = auth.NewDealerKeys(auth.DeriveKey(seedKey(seed), "dealer"))
+	if d.rng == nil {
+		d.rng = rand.New(rand.NewSource(seed))
+	} else {
+		d.rng.Seed(seed)
 	}
+	clear(d.rounds)
+	d.floor = 0
 }
 
 func seedKey(seed int64) []byte {
@@ -177,12 +192,22 @@ type commonRound struct {
 // share the same dealer (their slice of the predistributed table) and the
 // same peer list.
 func NewCommon(me types.ProcessID, peers []types.ProcessID, dealer *Dealer) *Common {
-	return &Common{
+	c := &Common{
 		me:     me,
 		peers:  append([]types.ProcessID(nil), peers...),
 		dealer: dealer,
 		rounds: make(map[int]*commonRound),
 	}
+	c.Reset()
+	return c
+}
+
+// Reset re-arms the endpoint for a new run on its dealer, which the caller
+// has Reset: every round's state and the pruning floor go, as NewCommon
+// leaves them.
+func (c *Common) Reset() {
+	clear(c.rounds)
+	c.floor = 0
 }
 
 var _ Coin = (*Common)(nil)

@@ -43,22 +43,21 @@ type DecideGadget struct {
 // events go to the Recorder; the Telemetry sink, when non-nil, receives the
 // round→decide latency.
 func NewDecideGadget(cfg Config) DecideGadget {
-	g := DecideGadget{
-		me: cfg.Me, peers: cfg.Peers, q: cfg.Spec, off: cfg.DisableDecideGadget,
-		rec: cfg.Recorder, tele: cfg.Telemetry,
-		voted: make([]uint64, (len(cfg.Peers)+63)/64),
-	}
-	g.reset(cfg.Instance)
+	g := DecideGadget{voted: make([]uint64, (len(cfg.Peers)+63)/64)}
+	g.Reset(cfg)
 	return g
 }
 
-// reset re-arms the gadget for instance: undecided, not relayed, not
-// halted, no vote counted, with its voted bitset cleared in place.
-// NewDecideGadget reaches its state through it.
-func (g *DecideGadget) reset(instance int) {
+// Reset re-arms the gadget for cfg, which names the process and peers it
+// was built for: undecided, not relayed, not halted, no vote counted, with
+// its voted bitset cleared in place, and the instance, the ablation switch
+// and the sinks taken from cfg. NewDecideGadget reaches its state through
+// it.
+func (g *DecideGadget) Reset(cfg Config) {
 	clear(g.voted)
 	*g = DecideGadget{
-		me: g.me, peers: g.peers, q: g.q, instance: instance, off: g.off, rec: g.rec, tele: g.tele,
+		me: cfg.Me, peers: cfg.Peers, q: cfg.Spec, instance: cfg.Instance, off: cfg.DisableDecideGadget,
+		rec: cfg.Recorder, tele: cfg.Telemetry,
 		voted: g.voted,
 	}
 }

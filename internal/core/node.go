@@ -238,43 +238,48 @@ func New(cfg Config) (*Node, error) {
 	if cfg.DisableValidation {
 		newVal = validate.NewLax
 	}
-	bcast := rbc.New(cfg.Me, cfg.Peers, cfg.Spec)
-	bcast.SetTelemetry(cfg.Telemetry)
 	n := &Node{
 		cfg:    cfg,
 		spec:   cfg.Spec,
-		bcast:  bcast,
+		bcast:  rbc.New(cfg.Me, cfg.Peers, cfg.Spec),
 		val:    newVal(cfg.Spec),
 		gadget: NewDecideGadget(cfg),
 	}
-	n.rearm(cfg.Instance, cfg.Coin)
+	n.rearm(cfg)
 	return n, nil
 }
 
-// Reset re-arms the node for consensus instance `instance` with coin c: it
-// returns to the state New produces for its config with Instance and Coin
-// replaced, and New reaches that state through the same path. The node's
-// broadcaster, validator and DECIDE gadget are re-armed in place
-// (rbc.Broadcaster.Reset, validate.Validator.Reset), keeping their tables
-// and blocks, so a host that runs one instance after another — the
-// replicated log, one per slot — builds its engine once. Traffic of the
-// previous instance must not reach the re-armed node; as after New, the host
-// calls Start (or AppendStart) next.
-func (n *Node) Reset(instance int, c coin.Coin) error {
-	if c == nil {
-		return ErrNoCoin
+// errRearm refuses a Reset to another process, system or validation mode.
+var errRearm = errors.New("core: Reset changes the process, the spec or the validation mode")
+
+// Reset re-arms the node for cfg: it returns to the state New(cfg)
+// produces, and New reaches that state through the same path. cfg must pass
+// Check and name the process and spec the node was built for, with
+// validation on or off as it was; its coin, proposal, instance, sinks, round
+// bound and gadget ablation are the new instance's. The node's broadcaster,
+// validator and DECIDE gadget are re-armed in place (rbc.Broadcaster.Reset,
+// validate.Validator.Reset, DecideGadget.Reset), keeping their tables and
+// blocks, so a host that runs one instance after another — the replicated
+// log, one per slot, or a sweep worker, one per seed — builds its engine
+// once. Traffic of the previous instance must not reach the re-armed node;
+// as after New, the host calls Start (or AppendStart) next.
+func (n *Node) Reset(cfg Config) error {
+	if err := cfg.Check(); err != nil {
+		return err
 	}
-	n.rearm(instance, c)
+	if cfg.Me != n.cfg.Me || cfg.Spec != n.spec || cfg.DisableValidation != n.cfg.DisableValidation {
+		return errRearm
+	}
+	n.rearm(cfg)
 	return nil
 }
 
-// rearm is Reset without the coin check, which New has made already.
-func (n *Node) rearm(instance int, c coin.Coin) {
-	cfg := n.cfg
-	cfg.Instance, cfg.Coin = instance, c
+// rearm is Reset without the checks, which New has made already.
+func (n *Node) rearm(cfg Config) {
 	n.bcast.Reset()
+	n.bcast.SetTelemetry(cfg.Telemetry)
 	n.val.Reset()
-	n.gadget.reset(instance)
+	n.gadget.Reset(cfg)
 	*n = Node{
 		cfg:       cfg,
 		spec:      n.spec,

@@ -575,11 +575,12 @@ func runCoreScript(t *testing.T, name string, data []byte) {
 // coreScriptHeader is how many bytes of a script make its header.
 const coreScriptHeader = 5
 
-// runRearmedCoreScript runs data's operations in two halves under its
-// header: the first half on a new node for coreScriptInstance, which is then
+// runRearmedCoreScript runs data's operations in two halves: the first half
+// under data's header on a new node for coreScriptInstance, which is then
 // re-armed (Reset) for the next instance and runs the second half against
-// the oracle and a freshly built node. A re-armed node keeps the rest of its
-// config, so both halves share the header.
+// the oracle and a freshly built node. A re-armed node keeps its process and
+// system size, so both halves share the header but for the proposal, which
+// the second half flips.
 func runRearmedCoreScript(t *testing.T, name string, data []byte) {
 	t.Helper()
 	if len(data) < coreScriptHeader {
@@ -587,7 +588,9 @@ func runRearmedCoreScript(t *testing.T, name string, data []byte) {
 	}
 	mid := coreScriptHeader + (len(data)-coreScriptHeader)/2
 	nd := driveCoreScript(t, name+"/first", data[:mid], nil)
-	driveCoreScript(t, name+"/rearmed", append(data[:coreScriptHeader:coreScriptHeader], data[mid:]...), nd)
+	head := append([]byte(nil), data[:coreScriptHeader]...)
+	head[2]++ // the proposal byte
+	driveCoreScript(t, name+"/rearmed", append(head, data[mid:]...), nd)
 }
 
 // driveCoreScript decodes data and runs it against the oracle and a Node: a
@@ -616,7 +619,9 @@ func driveCoreScript(t *testing.T, name string, data []byte, nd *Node) *Node {
 	}
 	s := &coreScriptRun{t: t, name: name, got: fresh}
 	if nd != nil {
-		if err := nd.Reset(cfg.Instance, coin.NewIdeal(int64(len(data)))); err != nil {
+		rearm := cfg
+		rearm.Coin = coin.NewIdeal(int64(len(data)))
+		if err := nd.Reset(rearm); err != nil {
 			t.Fatal(err)
 		}
 		s.got, s.fresh = nd, fresh

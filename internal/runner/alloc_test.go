@@ -96,6 +96,22 @@ func TestRunAllocationsPerDelivery(t *testing.T) {
 			return res.Deliveries, nil
 		}
 	}
+	// sweep runs SweepSeeds over the next 64 seeds at two workers, each
+	// re-arming its one cluster from seed to seed.
+	sweep := func(cfg Config) func(seed int64) (int, error) {
+		return func(call int64) (int, error) {
+			seeds := make([]int64, 64)
+			for i := range seeds {
+				seeds[i] = 64*(call-1) + int64(i) + 1
+			}
+			results, err := SweepSeeds(cfg, seeds, 2)
+			deliveries := 0
+			for _, res := range results {
+				deliveries += res.Deliveries
+			}
+			return deliveries, err
+		}
+	}
 	for _, tt := range []struct {
 		name  string
 		run   func(seed int64) (deliveries int, err error)
@@ -103,6 +119,7 @@ func TestRunAllocationsPerDelivery(t *testing.T) {
 		bound float64 // measured × 1.15
 	}{
 		{"liar", consensus(base), 64, 132 * 1.15},
+		{"liar-sweep", sweep(base), 1, 53.2 * 1.15},
 		{"crash-midway", consensus(crash), 64, 217 * 1.15},
 		{"smr-plain-n16", smrShape(32, 0, false), 3, 7.6 * 1.15},
 		{"smr-coded-n16", smrShape(16, 2048, true), 2, 11.7 * 1.15},

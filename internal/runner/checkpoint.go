@@ -386,17 +386,15 @@ func SweepSeedRange(spec SweepSpec) (*Aggregate, error) {
 	// Seed fields inside the swept config are per run; zero them before the
 	// resume match so a caller-supplied Seed can never cause a spurious
 	// checkpoint mismatch (manifests always record the zeroed form).
+	// Each worker runs its consensus seeds on one re-armed cluster, as
+	// SweepSeeds does.
 	spec.Cfg.Seed = 0
-	run := func(seed int64) (*Result, error) {
-		cfg := spec.Cfg
-		cfg.Seed = seed
-		return Run(cfg)
-	}
+	worker := func() func(seed int64) (*Result, error) { return rearming(spec.Cfg) }
 	if spec.RBC != nil {
 		rbcCfg := *spec.RBC
 		rbcCfg.Seed = 0
 		spec.RBC = &rbcCfg
-		run = func(seed int64) (*Result, error) {
+		run := func(seed int64) (*Result, error) {
 			cfg := rbcCfg
 			cfg.Seed = seed
 			res, err := RunRBC(cfg)
@@ -407,6 +405,7 @@ func SweepSeedRange(spec SweepSpec) (*Aggregate, error) {
 			// a run that reports no decision.
 			return &Result{SimStats: res.SimStats, Violations: res.Violations}, nil
 		}
+		worker = func() func(seed int64) (*Result, error) { return run }
 	}
 
 	agg := new(Aggregate)
@@ -454,8 +453,9 @@ func SweepSeedRange(spec SweepSpec) (*Aggregate, error) {
 	}
 
 	first := spec.Seeds.From + start
-	err := SweepStream(int(total-start), spec.Workers, func(i int) (*Result, error) {
-		return run(first + int64(i))
+	err := sweepWorkers(int(total-start), spec.Workers, func() func(int) (*Result, error) {
+		run := worker()
+		return func(i int) (*Result, error) { return run(first + int64(i)) }
 	}, func(i int, res *Result) error {
 		agg.Observe(first+int64(i), res)
 		return after()

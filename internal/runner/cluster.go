@@ -57,27 +57,43 @@ type cluster struct {
 // newCluster builds the simulator of one run.
 func newCluster(sched sim.Scheduler, seed int64, maxDeliveries int, traced, telemetry bool) (*cluster, error) {
 	c := &cluster{}
+	if err := c.arm(sched, seed, maxDeliveries, traced, telemetry); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// arm readies the simulator for a run with its own scheduler and its own
+// sinks: the first arm builds the network, and later ones re-arm it in place
+// (sim.Network.Reset) with the members an earlier run registered.
+func (c *cluster) arm(sched sim.Scheduler, seed int64, maxDeliveries int, traced, telemetry bool) error {
+	c.rec, c.tele = nil, nil
 	if traced {
 		c.rec = trace.New(0)
 	}
 	if telemetry {
 		c.tele = sim.NewTelemetry()
 	}
-	var err error
-	c.net, err = sim.New(sim.Config{
+	cfg := sim.Config{
 		Scheduler:     sched,
 		Seed:          seed,
 		MaxDeliveries: maxDeliveries,
 		Recorder:      c.rec,
 		Telemetry:     c.tele,
 		Sizer:         wire.MessageSize,
-	})
-	return c, err
+	}
+	if c.net != nil {
+		return c.net.Reset(cfg)
+	}
+	var err error
+	c.net, err = sim.New(cfg)
+	return err
 }
 
-// run registers the members in order (the order they start in) and pumps the
-// network until stop reports true (nil = until quiescence) or the delivery
-// budget runs out, which it reports as exhausted.
+// run registers the members in order (the order they start in; a re-armed
+// cluster has its members already and passes none) and pumps the network
+// until stop reports true (nil = until quiescence) or the delivery budget
+// runs out, which it reports as exhausted.
 func (c *cluster) run(members []sim.Node, stop func() bool) (stats SimStats, exhausted bool, err error) {
 	for _, m := range members {
 		if err := c.net.Add(m); err != nil {

@@ -209,13 +209,14 @@ type Result struct {
 	Recorder *trace.Recorder
 }
 
-// node is the common read surface of both protocol implementations.
+// node is the common surface of both protocol implementations.
 type node interface {
 	sim.Node
 	Decided() (types.Value, bool)
 	DecidedRound() int
 	Round() int
 	Proposal() types.Value
+	Reset(core.Config) error
 }
 
 // Config errors.
@@ -223,8 +224,63 @@ var (
 	ErrBadConfig = errors.New("runner: invalid config")
 )
 
-// Run executes one configured experiment.
+// Run executes one configured experiment: one arm of a freshly built
+// cluster.
 func Run(cfg Config) (*Result, error) {
+	c, err := newConsensus(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return c.run(cfg.Seed)
+}
+
+// rearming returns the run function of one goroutine sweeping cfg's seeds:
+// its first call builds the cluster and every later one re-arms it, so the
+// cluster is built once per sweep worker. A failed run leaves no cluster
+// for the next call.
+func rearming(cfg Config) func(seed int64) (*Result, error) {
+	var c *consensus
+	return func(seed int64) (*Result, error) {
+		if c == nil {
+			var err error
+			if c, err = newConsensus(cfg); err != nil {
+				return nil, err
+			}
+		}
+		res, err := c.run(seed)
+		if err != nil {
+			c = nil
+		}
+		return res, err
+	}
+}
+
+// consensus is the cluster of one configuration: its processes and
+// topology, and once armed its network, coin dealer and endpoints, correct
+// nodes and Byzantine nodes. The first arm builds them and every later arm
+// re-arms them in place for the next seed (sim.Network.Reset,
+// coin.Dealer.Reset, core.Node.Reset and the adversaries' own). Every part
+// re-arms to the state its constructor gives, so a run is the same pure
+// function of (config, seed) on a re-armed cluster as on a new one.
+type consensus struct {
+	cfg            Config // normalized; Seed is the next run's
+	spec           quorum.Spec
+	peers          []types.ProcessID
+	correct, byz   []types.ProcessID
+	groupA, groupB []types.ProcessID
+	top            schedTopology
+
+	cl      cluster
+	dealer  *coin.Dealer   // CoinCommon only
+	commons []*coin.Common // CoinCommon only: the correct nodes' endpoints
+	nodes   []node
+	advs    []sim.Node // by Byzantine index; nil for a silent process
+	built   bool       // the members are registered with cl's network
+}
+
+// newConsensus validates cfg and lays out its processes; the first run
+// builds the rest.
+func newConsensus(cfg Config) (*consensus, error) {
 	if cfg.Byzantine < 0 {
 		cfg.Byzantine = cfg.F
 	}
@@ -242,66 +298,36 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("%w: negative round (%d) or delivery (%d) budget", ErrBadConfig, cfg.MaxRounds, cfg.MaxDeliveries)
 	}
 
-	peers := types.Processes(cfg.N)
-	correct := peers[:cfg.N-cfg.Byzantine]
-	byz := peers[cfg.N-cfg.Byzantine:]
-	groupA, groupB := splitGroups(correct)
+	c := &consensus{cfg: cfg, spec: spec, peers: types.Processes(cfg.N)}
+	c.correct = c.peers[:cfg.N-cfg.Byzantine]
+	c.byz = c.peers[cfg.N-cfg.Byzantine:]
+	c.nodes = make([]node, 0, len(c.correct))
+	c.advs = make([]sim.Node, 0, len(c.byz))
+	if cfg.Coin == CoinCommon {
+		c.commons = make([]*coin.Common, 0, len(c.correct))
+	}
+	c.groupA, c.groupB = splitGroups(c.correct)
 	// The schedule's victim is the last correct process: SchedRejoin holds
 	// its inbox, SchedStraggler lags every link into it (loopback included)
 	// and none out of it — its own emissions travel normally, which is what
 	// makes them stale on arrival.
-	victim := correct[len(correct)-1]
-	top := schedTopology{n: cfg.N, rushed: byz, groupA: groupA, groupB: groupB, held: victim,
+	victim := c.correct[len(c.correct)-1]
+	c.top = schedTopology{n: cfg.N, rushed: c.byz, groupA: c.groupA, groupB: c.groupB, held: victim,
 		lagged: make([][2]types.ProcessID, 0, cfg.N)}
-	for _, p := range peers {
-		top.lagged = append(top.lagged, [2]types.ProcessID{p, victim})
+	for _, p := range c.peers {
+		c.top.lagged = append(c.top.lagged, [2]types.ProcessID{p, victim})
 	}
-	cl, err := newCluster(newScheduler(cfg.Scheduler, cfg.Sched, top), cfg.Seed, cfg.MaxDeliveries, cfg.Trace, cfg.Telemetry)
-	if err != nil {
+	return c, nil
+}
+
+// run arms the cluster for seed and runs it.
+func (c *consensus) run(seed int64) (*Result, error) {
+	cfg := c.cfg
+	cfg.Seed = seed
+	if err := c.arm(cfg); err != nil {
 		return nil, err
 	}
-
-	var dealer *coin.Dealer
-	if cfg.Coin == CoinCommon {
-		dealer = coin.NewDealer(spec, cfg.Seed+1)
-	}
-	coinFor := func(p types.ProcessID) (coin.Coin, error) {
-		switch cfg.Coin {
-		case CoinLocal:
-			return coin.NewLocal(cfg.Seed + 1000*int64(p)), nil
-		case CoinCommon:
-			return coin.NewCommon(p, peers, dealer), nil
-		case CoinIdeal:
-			return coin.NewIdeal(cfg.Seed + 2), nil
-		default:
-			return nil, fmt.Errorf("%w: coin %v", ErrBadConfig, cfg.Coin)
-		}
-	}
-
-	nodes := make([]node, 0, len(correct))
-	members := make([]sim.Node, 0, cfg.N)
-	for i, p := range correct {
-		c, err := coinFor(p)
-		if err != nil {
-			return nil, err
-		}
-		nd, err := buildCorrect(cfg, spec, p, peers, c, proposalFor(cfg, i, p), cl)
-		if err != nil {
-			return nil, err
-		}
-		nodes = append(nodes, nd)
-		members = append(members, nd)
-	}
-	for _, p := range byz {
-		adv, err := buildAdversary(cfg, spec, p, peers, groupA, groupB)
-		if err != nil {
-			return nil, err
-		}
-		if adv != nil { // silent processes need no node at all
-			members = append(members, adv)
-		}
-	}
-
+	nodes := c.nodes
 	stop := func() bool {
 		for _, nd := range nodes {
 			if cfg.DisableDecideGadget {
@@ -314,18 +340,109 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return true
 	}
-	if dealer != nil {
-		stop = pruningDealer(dealer, nodes, stop)
+	if c.dealer != nil {
+		stop = pruningDealer(c.dealer, nodes, stop)
 	}
-	res := &Result{Config: cfg, Recorder: cl.rec}
-	if res.SimStats, res.Exhausted, err = cl.run(members, stop); err != nil {
+	var members []sim.Node
+	if !c.built {
+		c.built = true
+		members = make([]sim.Node, 0, c.cfg.N)
+		for _, nd := range nodes {
+			members = append(members, nd)
+		}
+		for _, adv := range c.advs {
+			if adv != nil { // silent processes need no node at all
+				members = append(members, adv)
+			}
+		}
+	}
+	res := &Result{Config: cfg, Recorder: c.cl.rec}
+	var err error
+	if res.SimStats, res.Exhausted, err = c.cl.run(members, stop); err != nil {
 		return nil, err
 	}
 	res.observe(nodes)
-	if dealer != nil {
-		res.DealerRoundsRetained = dealer.RoundsRetained()
+	if c.dealer != nil {
+		res.DealerRoundsRetained = c.dealer.RoundsRetained()
 	}
 	return res, nil
+}
+
+// arm readies every part of the cluster for cfg's seed: the network with
+// the run's own scheduler and sinks, the dealer, each correct node with its
+// coin and proposal, and each Byzantine node. The first arm builds what
+// later arms re-arm.
+func (c *consensus) arm(cfg Config) error {
+	if err := c.cl.arm(newScheduler(cfg.Scheduler, cfg.Sched, c.top), cfg.Seed, cfg.MaxDeliveries, cfg.Trace, cfg.Telemetry); err != nil {
+		return err
+	}
+	if cfg.Coin == CoinCommon {
+		if c.dealer == nil {
+			c.dealer = coin.NewDealer(c.spec, cfg.Seed+1)
+		} else {
+			c.dealer.Reset(cfg.Seed + 1)
+		}
+	}
+	for i, p := range c.correct {
+		co, err := c.coinFor(cfg, i, p)
+		if err != nil {
+			return err
+		}
+		nc := core.Config{
+			Me: p, Peers: c.peers, Spec: c.spec, Coin: co, Proposal: proposalFor(cfg, i, p),
+			Recorder:            c.cl.rec,
+			Telemetry:           c.cl.tele,
+			DisableValidation:   cfg.DisableValidation,
+			DisableDecideGadget: cfg.DisableDecideGadget,
+			MaxRounds:           cfg.MaxRounds,
+		}
+		if i < len(c.nodes) {
+			if err := c.nodes[i].Reset(nc); err != nil {
+				return fmt.Errorf("%w: %v: %w", ErrBadConfig, cfg.Protocol, err)
+			}
+			continue
+		}
+		nd, err := buildCorrect(cfg.Protocol, nc)
+		if err != nil {
+			return err
+		}
+		c.nodes = append(c.nodes, nd)
+	}
+	for i, p := range c.byz {
+		var old sim.Node
+		if i < len(c.advs) {
+			old = c.advs[i]
+		}
+		adv, err := armAdversary(cfg, c.spec, p, c.peers, c.groupA, c.groupB, old)
+		if err != nil {
+			return err
+		}
+		if i == len(c.advs) {
+			c.advs = append(c.advs, adv)
+		}
+	}
+	return nil
+}
+
+// coinFor arms the i-th correct process's coin for cfg's seed: a Common
+// endpoint is built on the first arm and re-armed after it, on the dealer
+// arm re-dealt.
+func (c *consensus) coinFor(cfg Config, i int, p types.ProcessID) (coin.Coin, error) {
+	switch cfg.Coin {
+	case CoinLocal:
+		return coin.NewLocal(cfg.Seed + 1000*int64(p)), nil
+	case CoinCommon:
+		if i < len(c.commons) {
+			c.commons[i].Reset()
+		} else {
+			c.commons = append(c.commons, coin.NewCommon(p, c.peers, c.dealer))
+		}
+		return c.commons[i], nil
+	case CoinIdeal:
+		return coin.NewIdeal(cfg.Seed + 2), nil
+	default:
+		return nil, fmt.Errorf("%w: coin %v", ErrBadConfig, cfg.Coin)
+	}
 }
 
 // pruningDealer wraps a stop predicate with the cluster low-watermark scan.
@@ -421,31 +538,44 @@ func splitGroups(correct []types.ProcessID) (a, b []types.ProcessID) {
 
 // engines holds each protocol's constructor. All of them take the one
 // agreement-engine config, core.Config, and refuse the fields they cannot
-// honour, so a new engine joins as one row.
+// honour, so a new engine joins as one row; the node it builds re-arms with
+// its Reset.
 var engines = map[Protocol]func(core.Config) (node, error){
 	ProtocolBracha: func(c core.Config) (node, error) { return core.New(c) },
 	ProtocolBenOr:  func(c core.Config) (node, error) { return baseline.New(c) },
 }
 
-// buildCorrect constructs a correct node of the configured protocol.
-func buildCorrect(cfg Config, spec quorum.Spec, p types.ProcessID, peers []types.ProcessID,
-	c coin.Coin, proposal types.Value, cl *cluster) (node, error) {
-	engine, ok := engines[cfg.Protocol]
+// buildCorrect constructs a correct node of the protocol.
+func buildCorrect(protocol Protocol, c core.Config) (node, error) {
+	engine, ok := engines[protocol]
 	if !ok {
-		return nil, fmt.Errorf("%w: protocol %v", ErrBadConfig, cfg.Protocol)
+		return nil, fmt.Errorf("%w: protocol %v", ErrBadConfig, protocol)
 	}
-	nd, err := engine(core.Config{
-		Me: p, Peers: peers, Spec: spec, Coin: c, Proposal: proposal,
-		Recorder:            cl.rec,
-		Telemetry:           cl.tele,
-		DisableValidation:   cfg.DisableValidation,
-		DisableDecideGadget: cfg.DisableDecideGadget,
-		MaxRounds:           cfg.MaxRounds,
-	})
+	nd, err := engine(c)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v: %w", ErrBadConfig, cfg.Protocol, err)
+		return nil, fmt.Errorf("%w: %v: %w", ErrBadConfig, protocol, err)
 	}
 	return nd, nil
+}
+
+// armAdversary arms Byzantine process p for cfg's seed: it builds the node
+// when old is nil and otherwise re-arms old, the node an earlier arm of the
+// same config built. The equivocators re-arm in their own Start and the
+// forger holds no state, so they are kept as they are.
+func armAdversary(cfg Config, spec quorum.Spec, p types.ProcessID, peers []types.ProcessID,
+	groupA, groupB []types.ProcessID, old sim.Node) (sim.Node, error) {
+	switch a := old.(type) {
+	case nil:
+		return buildAdversary(cfg, spec, p, peers, groupA, groupB)
+	case *adversary.Liar:
+		return a, a.Reset(liarConfig(cfg, spec, p, peers))
+	case *adversary.CrashAfter:
+		return a, a.Reset(crashConfig(cfg, spec, p, peers), crashBudget(cfg, p))
+	case *adversary.SplitBrain:
+		return a, a.Reset(cfg.Seed + 3)
+	default:
+		return old, nil
+	}
 }
 
 // buildAdversary constructs one Byzantine node (nil for silent: absence is
@@ -464,11 +594,7 @@ func buildAdversary(cfg Config, spec quorum.Spec, p types.ProcessID, peers []typ
 		if cfg.Protocol == ProtocolBenOr {
 			return adversary.NewPlainEquivocator(p, peers), nil
 		}
-		return adversary.NewLiar(core.Config{
-			Me: p, Peers: peers, Spec: spec,
-			Coin:     coin.NewLocal(cfg.Seed + 7777*int64(p)),
-			Proposal: types.Zero,
-		})
+		return adversary.NewLiar(liarConfig(cfg, spec, p, peers))
 	case AdvDecideForger:
 		return &adversary.DecideForger{Me: p, Peers: peers, V: types.Value(int(p) % 2)}, nil
 	case AdvSplitBrain:
@@ -477,15 +603,33 @@ func buildAdversary(cfg Config, spec quorum.Spec, p types.ProcessID, peers []typ
 		if cfg.Protocol == ProtocolBenOr {
 			return nil, nil // Ben-Or baseline: model as silent
 		}
-		// Crash somewhere inside the first round's traffic, varying by
-		// seed and process so colluders die at different points.
-		budget := 10 + int((cfg.Seed+int64(p)*7)%40)
-		return adversary.NewCrashAfter(core.Config{
-			Me: p, Peers: peers, Spec: spec,
-			Coin:     coin.NewLocal(cfg.Seed + 991*int64(p)),
-			Proposal: types.Value(int(p) % 2),
-		}, budget)
+		return adversary.NewCrashAfter(crashConfig(cfg, spec, p, peers), crashBudget(cfg, p))
 	default:
 		return nil, fmt.Errorf("%w: adversary %v", ErrBadConfig, cfg.Adversary)
 	}
+}
+
+// liarConfig is the liar's engine: a genuine node proposing 0 on its own
+// local coin.
+func liarConfig(cfg Config, spec quorum.Spec, p types.ProcessID, peers []types.ProcessID) core.Config {
+	return core.Config{
+		Me: p, Peers: peers, Spec: spec,
+		Coin:     coin.NewLocal(cfg.Seed + 7777*int64(p)),
+		Proposal: types.Zero,
+	}
+}
+
+// crashConfig is the crash-midway process's engine until it crashes.
+func crashConfig(cfg Config, spec quorum.Spec, p types.ProcessID, peers []types.ProcessID) core.Config {
+	return core.Config{
+		Me: p, Peers: peers, Spec: spec,
+		Coin:     coin.NewLocal(cfg.Seed + 991*int64(p)),
+		Proposal: types.Value(int(p) % 2),
+	}
+}
+
+// crashBudget places the crash somewhere inside the first round's traffic,
+// varying by seed and process so colluders die at different points.
+func crashBudget(cfg Config, p types.ProcessID) int {
+	return 10 + int((cfg.Seed+int64(p)*7)%40)
 }

@@ -42,6 +42,17 @@ type streamItem[T any] struct {
 // semaphore bounding how many results may be in flight, and a single
 // consumer emitting in index order through a reorder buffer.
 func SweepStream[T any](n, workers int, run func(int) (T, error), emit func(int, T) error) error {
+	return sweepWorkers(n, workers, func() func(int) (T, error) { return run }, emit)
+}
+
+// sweepWorkers is SweepStream with state per worker: each worker — the one
+// loop of a serial sweep included — calls worker once, before its first
+// run, and runs every index it takes through the function it got. A run
+// function that keeps state from one call to the next (SweepSeeds' and
+// SweepSeedRange's re-armed clusters) is so never shared between
+// goroutines; what it returns must not depend on which indices it ran
+// before.
+func sweepWorkers[T any](n, workers int, worker func() func(int) (T, error), emit func(int, T) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -53,6 +64,7 @@ func SweepStream[T any](n, workers int, run func(int) (T, error), emit func(int,
 	}
 	if workers == 1 {
 		// Serial fast path — also the reference semantics of the engine.
+		run := worker()
 		for i := 0; i < n; i++ {
 			res, err := run(i)
 			if err != nil {
@@ -86,6 +98,7 @@ func SweepStream[T any](n, workers int, run func(int) (T, error), emit func(int,
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			run := worker()
 			for range tickets {
 				if stop.Load() {
 					return

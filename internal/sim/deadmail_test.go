@@ -181,9 +181,16 @@ func (r *mailRun) Duplicate(_ types.Message, at, _ Time, _ *rand.Rand) (Time, bo
 	return at + dupDelays[r.s.dupCode], true
 }
 
-// runDeadMail plays a script and summarizes its Stats and per-kind
-// telemetry; the network is returned for inspection.
+// runDeadMail plays a script on a new network and summarizes its Stats and
+// per-kind telemetry; the network is returned for inspection.
 func runDeadMail(t testing.TB, s deadMailScript, traced bool) (string, *Network) {
+	t.Helper()
+	return playDeadMail(t, nil, s, traced)
+}
+
+// playDeadMail is runDeadMail on n re-armed by Reset when n is not nil: the
+// nodes registered there join the script's run with its rounds to spend.
+func playDeadMail(t testing.TB, n *Network, s deadMailScript, traced bool) (string, *Network) {
 	t.Helper()
 	run := &mailRun{s: &s}
 	cfg := Config{
@@ -196,14 +203,24 @@ func runDeadMail(t testing.TB, s deadMailScript, traced bool) (string, *Network)
 	if traced {
 		cfg.Recorder = trace.New(0)
 	}
-	n, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := types.ProcessID(1); id <= 8; id++ {
-		if s.live&(1<<(id-1)) != 0 {
-			if err := n.Add(&mailNode{id: id, run: run, left: s.rounds}); err != nil {
-				t.Fatal(err)
+	if n != nil {
+		if err := n.Reset(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range n.order {
+			nd := n.nodes[id].(*mailNode)
+			nd.run, nd.left = run, s.rounds
+		}
+	} else {
+		var err error
+		if n, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for id := types.ProcessID(1); id <= 8; id++ {
+			if s.live&(1<<(id-1)) != 0 {
+				if err := n.Add(&mailNode{id: id, run: run, left: s.rounds}); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}

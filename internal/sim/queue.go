@@ -134,6 +134,18 @@ func (q *eventQueue) newChunk() (int32, *chunk) {
 	return i, c
 }
 
+// reset empties the queue for a new run: the clock and the last seq go back
+// to zero, every chunk handed out returns to the zero state a fresh block
+// holds (dropping the payloads of events never popped), and the blocks stay
+// for the next run to fill from the first.
+func (q *eventQueue) reset() {
+	for i := int32(1); i <= q.used; i++ {
+		*q.chunkAt(i) = chunk{}
+	}
+	clear(q.far.a)
+	*q = eventQueue{blocks: q.blocks, far: farHeap{a: q.far.a[:0]}}
+}
+
 // Len returns the number of queued events.
 func (q *eventQueue) Len() int { return q.n }
 

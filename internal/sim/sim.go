@@ -24,10 +24,11 @@
 // a run exhausted: both counts are the same with the recorder on or off.
 // Nothing in a Network reads clocks, goroutine identity, or global state.
 // This contract is what makes executions replayable byte for byte,
-// and it is what runner.Sweep relies on to fan independent runs across
-// worker goroutines: each run owns its Network outright, so runs scheduled
-// on different workers — in any order, at any parallelism — produce
-// identical results. Optimizations to this package must preserve the
+// and it is what runner's sweeps rely on to fan independent runs across
+// worker goroutines: a Network belongs to one goroutine, a sweep worker owns
+// its network and re-arms it with Reset for each run, and a re-armed network
+// runs exactly what a new one would, so runs scheduled on different workers
+// — in any order, at any parallelism — produce identical results. Optimizations to this package must preserve the
 // contract (see the replay-equality tests in internal/runner).
 package sim
 
@@ -213,19 +214,45 @@ var ErrDuplicateNode = errors.New("sim: duplicate node")
 
 // New creates an empty network.
 func New(cfg Config) (*Network, error) {
+	n := &Network{nodes: make(map[types.ProcessID]Node)}
+	if err := n.Reset(cfg); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// Reset re-arms the network for a new run under cfg: it returns to the
+// state New(cfg) produces, except that the nodes registered so far stay
+// registered, in their order. The queue drops whatever the last run left in
+// it but keeps its chunk blocks, and the RNG is re-seeded in place, so a
+// driver that runs one cluster seed after seed builds its network once. The
+// registered nodes are the driver's to re-arm; as after New, it may Add more
+// and then calls Run.
+func (n *Network) Reset(cfg Config) error {
 	if cfg.Scheduler == nil {
-		return nil, ErrNoScheduler
+		return ErrNoScheduler
 	}
 	if cfg.MaxDeliveries <= 0 {
 		cfg.MaxDeliveries = DefaultMaxDeliveries
 	}
+	rng := n.rng
+	if rng == nil {
+		rng = rand.New(rand.NewSource(cfg.Seed))
+	} else {
+		rng.Seed(cfg.Seed)
+	}
+	n.queue.reset()
 	dup, _ := cfg.Scheduler.(Duplicator)
-	return &Network{
+	*n = Network{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		rng:   rng,
 		dup:   dup,
-		nodes: make(map[types.ProcessID]Node),
-	}, nil
+		nodes: n.nodes,
+		dense: n.dense,
+		order: n.order,
+		queue: n.queue,
+	}
+	return nil
 }
 
 // Add registers a node. All nodes must be added before Run.
@@ -266,7 +293,7 @@ func (n *Network) lookup(id types.ProcessID) Node {
 // Run pumps the event loop until quiescence (empty queue), until stop
 // returns true (checked after every delivery; nil means never), or until the
 // delivery budget is exhausted. It returns the run's statistics and may be
-// called only once.
+// called only once per New or Reset.
 func (n *Network) Run(stop func() bool) (Stats, error) {
 	if n.started {
 		return Stats{}, errors.New("sim: Run called twice")

@@ -187,18 +187,18 @@ func (o *ordering) decide(out []types.Message) ([]types.Message, types.Value, st
 // replica's one engine: built at the first slot, re-armed at every later
 // one, so its tables and blocks outlive the slot (see core.Node.Reset).
 func (o *ordering) arm() {
-	c := o.cfg.NewCoin(o.slot)
+	cfg := core.Config{
+		Me: o.cfg.Me, Peers: o.cfg.Peers, Spec: o.cfg.Spec,
+		Coin:      o.cfg.NewCoin(o.slot),
+		Proposal:  types.One, // candidate in hand
+		Instance:  o.slot + 1,
+		Telemetry: o.cfg.Telemetry,
+	}
 	var err error
 	if o.bin == nil {
-		o.bin, err = core.New(core.Config{
-			Me: o.cfg.Me, Peers: o.cfg.Peers, Spec: o.cfg.Spec,
-			Coin:      c,
-			Proposal:  types.One, // candidate in hand
-			Instance:  o.slot + 1,
-			Telemetry: o.cfg.Telemetry,
-		})
+		o.bin, err = core.New(cfg)
 	} else {
-		err = o.bin.Reset(o.slot+1, c)
+		err = o.bin.Reset(cfg)
 	}
 	if err != nil {
 		panic(fmt.Sprintf("smr: starting slot %d: %v", o.slot, err))
