@@ -192,14 +192,12 @@ type commonRound struct {
 // share the same dealer (their slice of the predistributed table) and the
 // same peer list.
 func NewCommon(me types.ProcessID, peers []types.ProcessID, dealer *Dealer) *Common {
-	c := &Common{
+	return &Common{
 		me:     me,
 		peers:  append([]types.ProcessID(nil), peers...),
 		dealer: dealer,
 		rounds: make(map[int]*commonRound),
 	}
-	c.Reset()
-	return c
 }
 
 // Reset re-arms the endpoint for a new run on its dealer, which the caller

@@ -239,7 +239,6 @@ func New(cfg Config) (*Node, error) {
 		newVal = validate.NewLax
 	}
 	n := &Node{
-		cfg:    cfg,
 		spec:   cfg.Spec,
 		bcast:  rbc.New(cfg.Me, cfg.Peers, cfg.Spec),
 		val:    newVal(cfg.Spec),

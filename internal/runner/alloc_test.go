@@ -68,12 +68,14 @@ func perKDelivery(t *testing.T, run func(seed int64) (int, error), seeds int64) 
 // is an integer, so a path that allocates on a fraction of its deliveries
 // reads 0 there; this test counts every allocation of a block of runs and
 // divides by the deliveries they made. The first row is the benchmark's
-// sweep_n7 config; the second swaps the liar for a crash mid-protocol; the
-// third and fourth are small n=16 RunSMRs shaped like smr_plain_n16 (the
-// replicated log's agreement path) and smr_coded_n16 (its coded
-// dissemination and the commit of 2 KiB commands); the fifth is a small
-// smr_ckpt_restart_n16 (checkpoints, the common coin's dealers and a state
-// transfer). Each bound is the measured value × 1.15.
+// sweep_n7 config, each seed a Run of its own; the second runs those 64
+// seeds through SweepSeeds at two workers as sweep_n7 does, each worker
+// re-arming one cluster; the third swaps the liar for a crash
+// mid-protocol; the fourth and fifth are small n=16 RunSMRs shaped like
+// smr_plain_n16 (the replicated log's agreement path) and smr_coded_n16
+// (its coded dissemination and the commit of 2 KiB commands); the sixth is
+// a small smr_ckpt_restart_n16 (checkpoints, the common coin's dealers and
+// a state transfer). Each bound is the measured value × 1.15.
 func TestRunAllocationsPerDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-run allocation count; skipped under -short")
@@ -127,7 +129,7 @@ func TestRunAllocationsPerDelivery(t *testing.T) {
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			perK, _ := perKDelivery(t, tt.run, tt.seeds)
-			t.Logf("%.1f allocs per k-delivery over %d runs", perK, tt.seeds)
+			t.Logf("%.1f allocs per k-delivery over %d calls", perK, tt.seeds)
 			if perK > tt.bound {
 				t.Errorf("%.1f allocs per k-delivery, bound %.0f", perK, tt.bound)
 			}

@@ -9,7 +9,8 @@
 // Three layers build on Run:
 //
 //   - Sweep/SweepSeeds fan independent runs across a worker pool, buffering
-//     all results (fine for table-sized sweeps).
+//     all results (fine for table-sized sweeps); a SweepSeeds worker builds
+//     its cluster once and re-arms it for each seed.
 //   - SweepStream/SweepSeedRange stream results through a constant-memory
 //     reducer with periodic resumable checkpoints — the engine for
 //     million-run sweeps (format and determinism contract: checkpoint.go).
@@ -275,7 +276,6 @@ type consensus struct {
 	commons []*coin.Common // CoinCommon only: the correct nodes' endpoints
 	nodes   []node
 	advs    []sim.Node // by Byzantine index; nil for a silent process
-	built   bool       // the members are registered with cl's network
 }
 
 // newConsensus validates cfg and lays out its processes; the first run
@@ -324,7 +324,8 @@ func newConsensus(cfg Config) (*consensus, error) {
 func (c *consensus) run(seed int64) (*Result, error) {
 	cfg := c.cfg
 	cfg.Seed = seed
-	if err := c.arm(cfg); err != nil {
+	members, err := c.arm(cfg)
+	if err != nil {
 		return nil, err
 	}
 	nodes := c.nodes
@@ -343,21 +344,7 @@ func (c *consensus) run(seed int64) (*Result, error) {
 	if c.dealer != nil {
 		stop = pruningDealer(c.dealer, nodes, stop)
 	}
-	var members []sim.Node
-	if !c.built {
-		c.built = true
-		members = make([]sim.Node, 0, c.cfg.N)
-		for _, nd := range nodes {
-			members = append(members, nd)
-		}
-		for _, adv := range c.advs {
-			if adv != nil { // silent processes need no node at all
-				members = append(members, adv)
-			}
-		}
-	}
 	res := &Result{Config: cfg, Recorder: c.cl.rec}
-	var err error
 	if res.SimStats, res.Exhausted, err = c.cl.run(members, stop); err != nil {
 		return nil, err
 	}
@@ -371,10 +358,11 @@ func (c *consensus) run(seed int64) (*Result, error) {
 // arm readies every part of the cluster for cfg's seed: the network with
 // the run's own scheduler and sinks, the dealer, each correct node with its
 // coin and proposal, and each Byzantine node. The first arm builds what
-// later arms re-arm.
-func (c *consensus) arm(cfg Config) error {
+// later arms re-arm, and returns what it built for the network to register
+// in start order; a re-arm returns no node.
+func (c *consensus) arm(cfg Config) (built []sim.Node, err error) {
 	if err := c.cl.arm(newScheduler(cfg.Scheduler, cfg.Sched, c.top), cfg.Seed, cfg.MaxDeliveries, cfg.Trace, cfg.Telemetry); err != nil {
-		return err
+		return nil, err
 	}
 	if cfg.Coin == CoinCommon {
 		if c.dealer == nil {
@@ -386,7 +374,7 @@ func (c *consensus) arm(cfg Config) error {
 	for i, p := range c.correct {
 		co, err := c.coinFor(cfg, i, p)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		nc := core.Config{
 			Me: p, Peers: c.peers, Spec: c.spec, Coin: co, Proposal: proposalFor(cfg, i, p),
@@ -398,35 +386,39 @@ func (c *consensus) arm(cfg Config) error {
 		}
 		if i < len(c.nodes) {
 			if err := c.nodes[i].Reset(nc); err != nil {
-				return fmt.Errorf("%w: %v: %w", ErrBadConfig, cfg.Protocol, err)
+				return nil, fmt.Errorf("%w: %v: %w", ErrBadConfig, cfg.Protocol, err)
 			}
 			continue
 		}
 		nd, err := buildCorrect(cfg.Protocol, nc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		c.nodes = append(c.nodes, nd)
+		built = append(built, nd)
 	}
 	for i, p := range c.byz {
-		var old sim.Node
 		if i < len(c.advs) {
-			old = c.advs[i]
+			if err := rearmAdversary(cfg, c.spec, p, c.peers, c.advs[i]); err != nil {
+				return nil, err
+			}
+			continue
 		}
-		adv, err := armAdversary(cfg, c.spec, p, c.peers, c.groupA, c.groupB, old)
+		adv, err := buildAdversary(cfg, c.spec, p, c.peers, c.groupA, c.groupB)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if i == len(c.advs) {
-			c.advs = append(c.advs, adv)
+		c.advs = append(c.advs, adv)
+		if adv != nil { // silent processes need no node at all
+			built = append(built, adv)
 		}
 	}
-	return nil
+	return built, nil
 }
 
-// coinFor arms the i-th correct process's coin for cfg's seed: a Common
-// endpoint is built on the first arm and re-armed after it, on the dealer
-// arm re-dealt.
+// coinFor arms the i-th correct process's coin for cfg's seed. A Common
+// endpoint is built on the first arm and re-armed on later ones; either way
+// it draws on the dealer arm has just dealt or re-dealt.
 func (c *consensus) coinFor(cfg Config, i int, p types.ProcessID) (coin.Coin, error) {
 	switch cfg.Coin {
 	case CoinLocal:
@@ -558,23 +550,20 @@ func buildCorrect(protocol Protocol, c core.Config) (node, error) {
 	return nd, nil
 }
 
-// armAdversary arms Byzantine process p for cfg's seed: it builds the node
-// when old is nil and otherwise re-arms old, the node an earlier arm of the
-// same config built. The equivocators re-arm in their own Start and the
-// forger holds no state, so they are kept as they are.
-func armAdversary(cfg Config, spec quorum.Spec, p types.ProcessID, peers []types.ProcessID,
-	groupA, groupB []types.ProcessID, old sim.Node) (sim.Node, error) {
-	switch a := old.(type) {
-	case nil:
-		return buildAdversary(cfg, spec, p, peers, groupA, groupB)
+// rearmAdversary re-arms adv, the node buildAdversary built for Byzantine
+// process p on an earlier arm of the same config, for cfg's seed. The
+// equivocators forget their slots in their own Start and the forger holds
+// no state, so they need nothing here; a silent process has no node.
+func rearmAdversary(cfg Config, spec quorum.Spec, p types.ProcessID, peers []types.ProcessID, adv sim.Node) error {
+	switch a := adv.(type) {
 	case *adversary.Liar:
-		return a, a.Reset(liarConfig(cfg, spec, p, peers))
+		return a.Reset(liarConfig(cfg, spec, p, peers))
 	case *adversary.CrashAfter:
-		return a, a.Reset(crashConfig(cfg, spec, p, peers), crashBudget(cfg, p))
+		return a.Reset(crashConfig(cfg, spec, p, peers), crashBudget(cfg, p))
 	case *adversary.SplitBrain:
-		return a, a.Reset(cfg.Seed + 3)
+		return a.Reset(cfg.Seed + 3)
 	default:
-		return old, nil
+		return nil
 	}
 }
 

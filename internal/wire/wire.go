@@ -370,12 +370,14 @@ const internedRounds = 64
 // column is filled for step 3 only, the one step a decision proposal
 // travels in.
 var stepBodies = func() (t [internedRounds][3][2][2]string) {
+	var b []byte
 	for r := range t {
 		for st := range t[r] {
 			for v := range t[r][st] {
 				for d := range t[r][st][v] {
 					s := types.StepMessage{Round: r + 1, Step: types.Step1 + types.Step(st), V: types.Value(v), D: d == 1}
-					if b, err := AppendStep(nil, s); err == nil {
+					var err error
+					if b, err = AppendStep(b[:0], s); err == nil {
 						t[r][st][v][d] = string(b)
 					}
 				}
