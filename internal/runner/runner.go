@@ -264,7 +264,7 @@ func rearming(cfg Config) func(seed int64) (*Result, error) {
 // re-arms to the state its constructor gives, so a run is the same pure
 // function of (config, seed) on a re-armed cluster as on a new one.
 type consensus struct {
-	cfg            Config // normalized; Seed is the next run's
+	cfg            Config // normalized; each run sets its own Seed
 	spec           quorum.Spec
 	peers          []types.ProcessID
 	correct, byz   []types.ProcessID

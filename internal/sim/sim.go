@@ -28,8 +28,9 @@
 // worker goroutines: a Network belongs to one goroutine, a sweep worker owns
 // its network and re-arms it with Reset for each run, and a re-armed network
 // runs exactly what a new one would, so runs scheduled on different workers
-// — in any order, at any parallelism — produce identical results. Optimizations to this package must preserve the
-// contract (see the replay-equality tests in internal/runner).
+// — in any order, at any parallelism — produce identical results.
+// Optimizations to this package must preserve the contract (see the
+// replay-equality tests in internal/runner and TestNetworkResetMatchesNew).
 package sim
 
 import (
