@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
-	"sync"
 
 	"repro/internal/auth"
 	"repro/internal/quorum"
@@ -37,9 +36,8 @@ import (
 type Dealer struct {
 	spec quorum.Spec
 
-	// mu guards the dealing state and keys, whose MAC state is reused by
-	// every SignShare and VerifyShare.
-	mu     sync.Mutex
+	// keys' MAC state is reused by every SignShare and VerifyShare: a
+	// dealer belongs to one cluster, which one goroutine runs.
 	keys   *auth.DealerKeys
 	rng    *rand.Rand
 	rounds map[int][]shamir.Share
@@ -63,8 +61,6 @@ func NewDealer(spec quorum.Spec, seed int64) *Dealer {
 // cluster re-armed for a new run resets its dealer and every Common
 // endpoint holding it before any of them releases a round.
 func (d *Dealer) Reset(seed int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	d.keys = auth.NewDealerKeys(auth.DeriveKey(seedKey(seed), "dealer"))
 	if d.rng == nil {
 		d.rng = rand.New(rand.NewSource(seed))
@@ -79,7 +75,7 @@ func seedKey(seed int64) []byte {
 	return []byte(fmt.Sprintf("coin-dealer-%d", seed))
 }
 
-// deal lazily creates the sharing for a round; the caller holds mu. Rounds
+// deal lazily creates the sharing for a round. Rounds
 // below the low-watermark are never dealt: their original sharing is gone,
 // and a re-deal would draw fresh randomness and contradict shares already
 // distributed.
@@ -106,8 +102,6 @@ func (d *Dealer) deal(round int) []shamir.Share {
 // ShareFor returns process p's authenticated share for a round — the
 // predistribution lookup. It returns wire-ready opaque strings.
 func (d *Dealer) ShareFor(p types.ProcessID, round int) (share, mac string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	ss := d.deal(round)
 	idx, ok := d.spec.Index(p)
 	if !ok || ss == nil {
@@ -119,8 +113,6 @@ func (d *Dealer) ShareFor(p types.ProcessID, round int) (share, mac string) {
 
 // VerifyShare checks that a received share is the one dealt to p for round.
 func (d *Dealer) VerifyShare(p types.ProcessID, round int, share, mac string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.keys.VerifyShare(p, round, share, mac)
 }
 
@@ -132,8 +124,6 @@ func (d *Dealer) VerifyShare(p types.ProcessID, round int, share, mac string) bo
 // strings — so the dealing stream for live rounds is unaffected and replays
 // stay byte-identical.
 func (d *Dealer) Prune(below int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if below <= d.floor {
 		return
 	}
@@ -145,8 +135,6 @@ func (d *Dealer) Prune(below int) {
 // memoizes — bounded by the spread between the fastest process's round and
 // the low-watermark under runner-driven pruning; linear in rounds without.
 func (d *Dealer) RoundsRetained() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return len(d.rounds)
 }
 

@@ -2,7 +2,6 @@ package coin
 
 import (
 	"maps"
-	"sync"
 
 	"repro/internal/quorum"
 )
@@ -24,7 +23,6 @@ import (
 // *within* one dealer would contradict distributed shares; here the whole
 // dealer is reconstructed from its seed, not re-randomized.)
 type DealerSet struct {
-	mu      sync.Mutex
 	spec    quorum.Spec
 	seed    int64
 	dealers map[int]*Dealer
@@ -58,8 +56,6 @@ func slotSeed(seed int64, slot int) int64 {
 // straggler verifying ancient shares gets identical answers), to be released
 // again by the next ReleaseBelow.
 func (s *DealerSet) For(slot int) *Dealer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	d, ok := s.dealers[slot]
 	if !ok {
 		d = NewDealer(s.spec, slotSeed(s.seed, slot))
@@ -73,8 +69,6 @@ func (s *DealerSet) For(slot int) *Dealer {
 // released slots (see the type comment for why re-creation is nevertheless
 // safe).
 func (s *DealerSet) ReleaseBelow(cut int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if cut > s.floor {
 		s.floor = cut
 	}
@@ -87,16 +81,12 @@ func (s *DealerSet) ReleaseBelow(cut int) int {
 // — bounded by the spread between the live frontier and the certified cut
 // under checkpoint-driven release, linear in slots without it.
 func (s *DealerSet) DealersRetained() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.dealers)
 }
 
 // RoundsRetained sums the memoized per-round sharings across all retained
 // dealers (the E12 "dealer rounds" column).
 func (s *DealerSet) RoundsRetained() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	total := 0
 	// order-free: a sum
 	for _, d := range s.dealers {

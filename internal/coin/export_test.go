@@ -9,9 +9,7 @@ import (
 // sharing of it. For rounds below the low-watermark the sharing is gone and
 // the zero value is returned.
 func (d *Dealer) SecretFor(round int) types.Value {
-	d.mu.Lock()
 	ss := d.deal(round)
-	d.mu.Unlock()
 	if ss == nil {
 		return types.Zero
 	}

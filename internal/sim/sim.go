@@ -25,8 +25,10 @@
 // Nothing in a Network reads clocks, goroutine identity, or global state.
 // This contract is what makes executions replayable byte for byte,
 // and it is what runner's sweeps rely on to fan independent runs across
-// worker goroutines: a Network belongs to one goroutine, a sweep worker owns
-// its network and re-arms it with Reset for each run, and a re-armed network
+// worker goroutines. One goroutine per run, one cluster per sweep worker: a
+// Network and everything its run touches (nodes, coin dealer, recorder)
+// belong to one goroutine, so none of them locks; a sweep worker owns its
+// cluster and re-arms it with Reset for each run, and a re-armed network
 // runs exactly what a new one would, so runs scheduled on different workers
 // — in any order, at any parallelism — produce identical results.
 // Optimizations to this package must preserve the contract (see the

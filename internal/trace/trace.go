@@ -10,7 +10,6 @@ package trace
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/types"
 )
@@ -104,12 +103,10 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// Recorder collects events. It is safe for concurrent use (every method
-// holds its lock), so a recorder may be read from a goroutine other than the
-// one running its simulation. The zero value is a disabled recorder; use New
-// for an enabled one.
+// Recorder collects events. It belongs to the goroutine running its
+// simulation; read it after the run. The zero value is a disabled recorder;
+// use New for an enabled one.
 type Recorder struct {
-	mu      sync.Mutex
 	enabled bool
 	limit   int
 	// parent is the causal context: the wire seq of the delivery whose
@@ -144,8 +141,6 @@ func (r *Recorder) Record(e Event) {
 	if !r.Enabled() {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if len(r.events) >= r.limit {
 		return
 	}
@@ -157,15 +152,12 @@ func (r *Recorder) Record(e Event) {
 
 // SetParent sets (seq ≠ 0) or clears (seq = 0) the causal context stamped
 // onto subsequently recorded events. The simulator brackets every delivery
-// dispatch with it; a driver that delivers from several goroutines at once
-// should leave it unset.
+// dispatch with it.
 func (r *Recorder) SetParent(seq uint64) {
 	if !r.Enabled() {
 		return
 	}
-	r.mu.Lock()
 	r.parent = seq
-	r.mu.Unlock()
 }
 
 // Events returns a copy of all stored events in record order.
@@ -173,8 +165,6 @@ func (r *Recorder) Events() []Event {
 	if !r.Enabled() {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]Event, len(r.events))
 	copy(out, r.events)
 	return out

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/types"
@@ -60,24 +59,6 @@ func TestEventsReturnsCopy(t *testing.T) {
 	evs[0].Time = 99
 	if r.Events()[0].Time != 1 {
 		t.Error("Events must return a copy")
-	}
-}
-
-func TestConcurrentRecord(t *testing.T) {
-	r := New(0)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.Record(Event{Kind: KindNote})
-			}
-		}()
-	}
-	wg.Wait()
-	if got := len(r.Events()); got != 800 {
-		t.Errorf("%d events, want 800", got)
 	}
 }
 

@@ -223,8 +223,8 @@ func TestGoStatementsConfined(t *testing.T) {
 // importSites lists, per restricted import, the only files (or packages,
 // ending in "/") under internal/ that may import it. time: a run reads no
 // clock. sync/atomic: the sweep pool. sync: the sweep pool, wire's
-// process-wide buffer pool, gf256's table Once, coin's dealer and dealer
-// set, and trace's recorder. os: the checkpoint store, sweep and search
+// process-wide buffer pool and gf256's table Once; nothing inside a run
+// locks, since one goroutine runs it. os: the checkpoint store, sweep and search
 // manifests, and the two REPRO_HARNESS_FULL switches in experiments. core,
 // the paper's agreement engine: the stacks built on it, the adversaries
 // and harnesses that drive it, and within smr only the ordering plane, so
@@ -232,8 +232,7 @@ func TestGoStatementsConfined(t *testing.T) {
 var importSites = map[string][]string{
 	"time":        nil,
 	"sync/atomic": {"internal/runner/"},
-	"sync": {"internal/runner/", "internal/wire/wire.go", "internal/gf256/gf256.go",
-		"internal/coin/dealer.go", "internal/coin/dealerset.go", "internal/trace/"},
+	"sync":        {"internal/runner/", "internal/wire/wire.go", "internal/gf256/gf256.go"},
 	"os": {"internal/ckpt/store.go", "internal/runner/checkpoint.go", "internal/search/search.go",
 		"internal/experiments/throughput.go", "internal/experiments/dissemination.go"},
 	"repro/internal/core": {"internal/acs/", "internal/adversary/", "internal/runner/", "internal/baseline/",
