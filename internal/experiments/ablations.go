@@ -42,7 +42,7 @@ func A1Validation(o Options) (*metrics.Table, error) {
 			label = "off"
 		}
 		t.AddRowf(label, fmt.Sprintf("%d/%d", ok, o.Runs),
-			rounds.Mean, msgs.Mean)
+			mean(rounds), msgs.Mean)
 	}
 	return t, nil
 }
@@ -86,7 +86,7 @@ func A2Gadget(o Options) (*metrics.Table, error) {
 		if disable {
 			label = "off"
 		}
-		t.AddRowf(label, fmt.Sprintf("%d/%d", ok, o.Runs), rounds.Mean, halted)
+		t.AddRowf(label, fmt.Sprintf("%d/%d", ok, o.Runs), mean(rounds), halted)
 	}
 	return t, nil
 }
@@ -160,7 +160,7 @@ func A3Scheduler(o Options) (*metrics.Table, error) {
 				}
 			}
 			t.AddRowf(sched.String(), ck.String(), fmt.Sprintf("%d/%d", ok, o.Runs),
-				rounds.Mean)
+				mean(rounds))
 		}
 	}
 	return t, nil

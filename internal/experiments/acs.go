@@ -37,7 +37,7 @@ func E9ACS(o Options) (*metrics.Table, error) {
 			}
 		}
 		t.AddRowf(n, f, o.Runs, fmt.Sprintf("%d/%d", agreed, o.Runs),
-			size.Mean, msgs.Mean, simTime.Mean)
+			mean(size), mean(msgs), mean(simTime))
 	}
 	return t, nil
 }

@@ -1,5 +1,5 @@
 // Package metrics aggregates experiment measurements and renders them as the
-// aligned text tables and CSV series that cmd/bench and EXPERIMENTS.md use.
+// aligned text tables and CSV that cmd/bench and EXPERIMENTS.md use.
 // It is deliberately dependency-free statistics with one mechanism each:
 // Online, a Welford accumulator of count, mean, variance and extremes, and
 // Hist, a log2 histogram whose quantiles merge exactly.
@@ -7,8 +7,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -127,63 +125,4 @@ func (t *Table) CSV() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// Series is a named sequence of (x, y) points — one line of a figure.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Point is one figure sample.
-type Point struct {
-	X float64
-	Y float64
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{X: x, Y: y}) }
-
-// Figure renders one or more series as a table keyed by X — the textual
-// equivalent of a paper figure, one column per series.
-func Figure(title, xLabel string, series ...Series) *Table {
-	headers := append([]string{xLabel}, make([]string, len(series))...)
-	for i, s := range series {
-		headers[i+1] = s.Name
-	}
-	t := NewTable(title, headers...)
-	// Collect the union of X values in first-seen order.
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, s := range series {
-		for _, p := range s.Points {
-			if !seen[p.X] {
-				seen[p.X] = true
-				xs = append(xs, p.X)
-			}
-		}
-	}
-	sort.Float64s(xs)
-	for _, x := range xs {
-		row := make([]string, len(series)+1)
-		row[0] = trimFloat(x)
-		for i, s := range series {
-			row[i+1] = "-"
-			for _, p := range s.Points {
-				if p.X == x {
-					row[i+1] = fmt.Sprintf("%.2f", p.Y)
-					break
-				}
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
-}
-
-func trimFloat(x float64) string {
-	if x == math.Trunc(x) {
-		return fmt.Sprintf("%d", int64(x))
-	}
-	return fmt.Sprintf("%.3f", x)
 }

@@ -55,40 +55,3 @@ func TestTableCSV(t *testing.T) {
 		t.Errorf("CSV = %q, want %q", csv, want)
 	}
 }
-
-func TestFigure(t *testing.T) {
-	var a, b Series
-	a.Name = "bracha"
-	b.Name = "benor"
-	a.Add(4, 2.0)
-	a.Add(7, 2.5)
-	b.Add(4, 3.0)
-	b.Add(10, 9.0) // x=10 missing from series a
-	fig := Figure("F1", "n", a, b)
-	out := fig.Render()
-	for _, want := range []string{"bracha", "benor", "2.50", "9.00"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("figure missing %q:\n%s", want, out)
-		}
-	}
-	// Missing sample renders as "-".
-	if !strings.Contains(out, "-") {
-		t.Errorf("missing sample placeholder absent:\n%s", out)
-	}
-	// X column sorted ascending: 4 before 7 before 10.
-	i4 := strings.Index(out, "\n4")
-	i7 := strings.Index(out, "\n7")
-	i10 := strings.Index(out, "\n10")
-	if !(i4 < i7 && i7 < i10) {
-		t.Errorf("x not sorted:\n%s", out)
-	}
-}
-
-func TestTrimFloat(t *testing.T) {
-	if trimFloat(4) != "4" {
-		t.Errorf("trimFloat(4) = %q", trimFloat(4))
-	}
-	if trimFloat(0.25) != "0.250" {
-		t.Errorf("trimFloat(0.25) = %q", trimFloat(0.25))
-	}
-}
