@@ -1,9 +1,6 @@
-// Benchmarks regenerating the evaluation: one benchmark per table/figure
-// (E1–E8, matching EXPERIMENTS.md and cmd/bench) plus microbenchmarks of the
-// hot substrates. Protocol benchmarks report domain metrics (msgs/op,
-// rounds/op) alongside wall time; absolute times are simulator times, but
-// the *shapes* — quadratic RBC, cubic consensus traffic, constant rounds
-// with the common coin, the Ben-Or crossover — are the reproduction targets.
+// Benchmarks regenerating the evaluation — every registered experiment at
+// quick size, held to its claim (internal/experiments) — plus
+// microbenchmarks of the hot substrates.
 package repro_test
 
 import (
@@ -12,8 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/acs"
 	"repro/internal/coin"
+	"repro/internal/experiments"
 	"repro/internal/gf256"
 	"repro/internal/quorum"
 	"repro/internal/rbc"
@@ -24,232 +21,14 @@ import (
 	"repro/internal/wire"
 )
 
-// consensusOnce runs one consensus instance and reports domain metrics.
-func consensusOnce(b *testing.B, cfg runner.Config) {
-	b.Helper()
-	var msgs, rounds float64
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = int64(i)
-		res, err := runner.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Violations) > 0 {
-			b.Fatalf("violations: %v", res.Violations)
-		}
-		msgs += float64(res.Messages)
-		rounds += res.MeanRounds
-	}
-	b.ReportMetric(msgs/float64(b.N), "msgs/op")
-	b.ReportMetric(rounds/float64(b.N), "rounds/op")
-}
-
-// BenchmarkE1RBCMessages regenerates Table 1: reliable-broadcast cost per
-// broadcast as n grows (expected shape: n + 2n²).
-func BenchmarkE1RBCMessages(b *testing.B) {
-	for _, n := range []int{4, 7, 10, 16, 31} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var msgs float64
+// BenchmarkExperiments regenerates every registered experiment at quick
+// size, one table per op, and fails on a table that refutes its claim.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := runner.RunRBC(runner.RBCConfig{
-					N: n, F: quorum.MaxByzantine(n), Byzantine: 0, Seed: int64(i),
-				})
-				if err != nil {
+				if _, err := e.Run(experiments.Options{Quick: true, Seed: 1}); err != nil {
 					b.Fatal(err)
-				}
-				if len(res.Violations) > 0 {
-					b.Fatalf("violations: %v", res.Violations)
-				}
-				msgs += float64(res.Messages)
-			}
-			b.ReportMetric(msgs/float64(b.N), "msgs/op")
-		})
-	}
-}
-
-// BenchmarkE2Resilience regenerates Table 2's hardest cells: consensus at
-// f = ⌊(n−1)/3⌋ under the liar adversary with rushed Byzantine traffic.
-func BenchmarkE2Resilience(b *testing.B) {
-	for _, n := range []int{4, 7, 10} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			consensusOnce(b, runner.Config{
-				N: n, F: quorum.MaxByzantine(n), Byzantine: -1,
-				Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
-				Adversary: runner.AdvLiar, Scheduler: runner.SchedRushByz,
-				Inputs: runner.InputSplit,
-			})
-		})
-	}
-}
-
-// BenchmarkE3LocalCoinRounds regenerates Figure 1: rounds with private
-// coins (expected shape: cheap when unanimous, growing with n when split).
-func BenchmarkE3LocalCoinRounds(b *testing.B) {
-	for _, inputs := range []runner.Inputs{runner.InputUnanimous1, runner.InputSplit} {
-		for _, n := range []int{4, 7, 10} {
-			b.Run(fmt.Sprintf("%s/n=%d", inputs, n), func(b *testing.B) {
-				consensusOnce(b, runner.Config{
-					N: n, F: quorum.MaxByzantine(n), Byzantine: -1,
-					Protocol: runner.ProtocolBracha, Coin: runner.CoinLocal,
-					Adversary: runner.AdvSilent, Scheduler: runner.SchedUniform,
-					Inputs: inputs,
-				})
-			})
-		}
-	}
-}
-
-// BenchmarkE4CommonCoinRounds regenerates Figure 2: rounds with the common
-// coin (expected shape: small constant, flat in n).
-func BenchmarkE4CommonCoinRounds(b *testing.B) {
-	for _, n := range []int{4, 7, 10, 16} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			consensusOnce(b, runner.Config{
-				N: n, F: quorum.MaxByzantine(n), Byzantine: -1,
-				Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
-				Adversary: runner.AdvSilent, Scheduler: runner.SchedUniform,
-				Inputs: runner.InputSplit,
-			})
-		})
-	}
-}
-
-// BenchmarkE5MessageComplexity regenerates Table 3: total consensus traffic
-// versus n (expected shape: ~n³ per round, constant rounds).
-func BenchmarkE5MessageComplexity(b *testing.B) {
-	for _, n := range []int{4, 7, 10, 13, 16} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			consensusOnce(b, runner.Config{
-				N: n, F: quorum.MaxByzantine(n), Byzantine: -1,
-				Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
-				Adversary: runner.AdvSilent, Scheduler: runner.SchedUniform,
-				Inputs: runner.InputSplit,
-			})
-		})
-	}
-}
-
-// BenchmarkE6Crossover regenerates Figure 3: Bracha versus Ben-Or at a
-// fault level beyond Ben-Or's n > 5f (expected shape: Bracha clean, Ben-Or
-// slow or failing — failures are tolerated here and reported as fails/op).
-func BenchmarkE6Crossover(b *testing.B) {
-	b.Run("bracha/n=7 f=2", func(b *testing.B) {
-		consensusOnce(b, runner.Config{
-			N: 7, F: 2, Byzantine: -1,
-			Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
-			Adversary: runner.AdvEquivocator, Scheduler: runner.SchedRushByz,
-			Inputs: runner.InputSplit,
-		})
-	})
-	b.Run("benor/n=7 f=2", func(b *testing.B) {
-		var fails float64
-		for i := 0; i < b.N; i++ {
-			res, err := runner.Run(runner.Config{
-				N: 7, F: 2, Byzantine: -1,
-				Protocol: runner.ProtocolBenOr, Coin: runner.CoinLocal,
-				Adversary: runner.AdvEquivocator, Scheduler: runner.SchedRushByz,
-				Inputs: runner.InputSplit, Seed: int64(i),
-				MaxRounds: 60, MaxDeliveries: 300_000,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(res.Violations) > 0 || !res.AllDecided {
-				fails++
-			}
-		}
-		b.ReportMetric(fails/float64(b.N), "fails/op")
-	})
-}
-
-// BenchmarkE7Tightness regenerates Table 4's attack row: the split-brain
-// adversary with f+1 colluders (expected shape: ~1 violation per run).
-func BenchmarkE7Tightness(b *testing.B) {
-	var broken float64
-	for i := 0; i < b.N; i++ {
-		res, err := runner.Run(runner.Config{
-			N: 4, F: 1, Byzantine: 2,
-			Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
-			Adversary: runner.AdvSplitBrain, Scheduler: runner.SchedRushByz,
-			Inputs: runner.InputSplit, Seed: int64(i),
-			MaxRounds: 50, MaxDeliveries: 300_000,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Violations) > 0 || !res.AllDecided {
-			broken++
-		}
-	}
-	b.ReportMetric(broken/float64(b.N), "broken/op")
-}
-
-// BenchmarkE8Throughput regenerates Figure 4: one full consensus instance
-// per iteration — ns/op here is the library's real decision latency on this
-// hardware, per system size.
-func BenchmarkE8Throughput(b *testing.B) {
-	for _, n := range []int{4, 7, 10, 16} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			consensusOnce(b, runner.Config{
-				N: n, F: quorum.MaxByzantine(n), Byzantine: -1,
-				Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
-				Adversary: runner.AdvSilent, Scheduler: runner.SchedUniform,
-				Inputs: runner.InputRandom,
-			})
-		})
-	}
-}
-
-// BenchmarkE9ACS regenerates Table 5 (extension): one full Asynchronous
-// Common Subset agreement per iteration — n reliable broadcasts plus n
-// binary consensus instances multiplexed over one network.
-func BenchmarkE9ACS(b *testing.B) {
-	for _, n := range []int{4, 7} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			f := quorum.MaxByzantine(n)
-			spec := quorum.MustNew(n, f)
-			peers := types.Processes(n)
-			for i := 0; i < b.N; i++ {
-				seed := int64(i)
-				dealers := make([]*coin.Dealer, n+1)
-				for j := 1; j <= n; j++ {
-					dealers[j] = coin.NewDealer(spec, seed+int64(j)*77)
-				}
-				net, err := sim.New(sim.Config{Scheduler: sim.UniformDelay{Min: 1, Max: 20}, Seed: seed})
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes := make([]*acs.Node, 0, n-f)
-				for _, p := range peers[:n-f] {
-					p := p
-					nd, err := acs.New(acs.Config{
-						Me: p, Peers: peers, Spec: spec,
-						NewCoin: func(inst int) coin.Coin {
-							return coin.NewCommon(p, peers, dealers[inst])
-						},
-						Input: fmt.Sprintf("batch-%v", p),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodes = append(nodes, nd)
-					if err := net.Add(nd); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := net.Run(func() bool {
-					for _, nd := range nodes {
-						if _, ok := nd.Output(); !ok {
-							return false
-						}
-					}
-					return true
-				}); err != nil {
-					b.Fatal(err)
-				}
-				out, ok := nodes[0].Output()
-				if !ok || len(out) < spec.Quorum() {
-					b.Fatalf("subset too small: %d", len(out))
 				}
 			}
 		})

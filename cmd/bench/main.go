@@ -191,12 +191,16 @@ func runExp(args []string, out io.Writer) error {
 	}
 	var jsonTables []jsonTable
 
+	// A table that refutes its claim is still printed; every refutation is
+	// reported, and makes exp fail, once the tables are out.
+	var refuted []error
 	for _, e := range list {
 		start := time.Now()
 		tbl, err := e.Run(opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
+		if tbl == nil {
+			return err
 		}
+		refuted = append(refuted, err) // nil when the claim holds
 		switch {
 		case *jsonOut:
 			jsonTables = append(jsonTables, jsonTable{
@@ -210,9 +214,11 @@ func runExp(args []string, out io.Writer) error {
 		}
 	}
 	if *jsonOut {
-		return writeJSON(out, jsonTables)
+		if err := writeJSON(out, jsonTables); err != nil {
+			return err
+		}
 	}
-	return nil
+	return errors.Join(refuted...)
 }
 
 // runScenarios prints the property-scenario battery and the

@@ -11,7 +11,10 @@ import (
 // TestBenchSeedSnapshot holds `bench exp -quick -json` to the committed
 // BENCH_seed.json. Every column of every experiment table is a pure function
 // of the code — except E11's retained-heap, peak-heap and allocs columns,
-// which are runtime telemetry and are masked on both sides. It is the only
+// which are runtime telemetry and are masked on both sides. Each table's
+// claim is checked where it is folded (the registry test in
+// internal/experiments, and `bench exp`, which fails on a refuted claim);
+// this test catches any byte that moves, claimed or not, and is the only
 // pin on the schedules behind E10 and E16.
 func TestBenchSeedSnapshot(t *testing.T) {
 	if testing.Short() {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/acs"
 	"repro/internal/coin"
@@ -11,15 +12,15 @@ import (
 	"repro/internal/types"
 )
 
-// E9ACS regenerates Table 5 (extension): Asynchronous Common Subset — the
+// e9ACS regenerates Table 5 (extension): Asynchronous Common Subset — the
 // HoneyBadgerBFT core built from the paper's primitives. Expected shape:
 // ≥ n−f inputs always included, identical subsets at all correct processes,
 // cost ≈ n × (one RBC + one binary consensus) per agreement.
-func E9ACS(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+func e9ACS(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"E9 / Table 5 — Asynchronous Common Subset (extension; BKR'94 over Bracha primitives)",
 		"n", "f", "runs", "agreed subsets", "mean subset size", "mean msgs", "mean sim-time")
+	var bad refutation
 	for _, n := range o.sizes() {
 		f := quorum.MaxByzantine(n)
 		agreed := 0
@@ -38,8 +39,9 @@ func E9ACS(o Options) (*metrics.Table, error) {
 		}
 		t.AddRowf(n, f, o.Runs, fmt.Sprintf("%d/%d", agreed, o.Runs),
 			mean(size), mean(msgs), mean(simTime))
+		bad.check(agreed == o.Runs, "n=%d: %d/%d runs agreed", n, agreed, o.Runs)
 	}
-	return t, nil
+	return t, bad.err()
 }
 
 type acsResult struct {
@@ -49,7 +51,8 @@ type acsResult struct {
 	endTime    sim.Time
 }
 
-// runACS executes one ACS round with f silent Byzantine processes.
+// runACS executes one ACS round with f silent Byzantine processes. It agrees
+// when every correct process outputs the same subset of at least n−f inputs.
 func runACS(n, f int, seed int64) (*acsResult, error) {
 	spec, err := quorum.New(n, f)
 	if err != nil {
@@ -99,14 +102,8 @@ func runACS(n, f int, seed int64) (*acsResult, error) {
 		return res, nil
 	}
 	for _, nd := range nodes[1:] {
-		got, ok := nd.Output()
-		if !ok || len(got) != len(first) {
+		if got, ok := nd.Output(); !ok || !slices.Equal(got, first) {
 			return res, nil
-		}
-		for i := range got {
-			if got[i] != first[i] {
-				return res, nil
-			}
 		}
 	}
 	res.agreed = true

@@ -8,7 +8,7 @@ import (
 	"repro/internal/runner"
 )
 
-// E14CodedDissemination regenerates Table 10: what erasure-coded
+// e14CodedDissemination regenerates Table 10: what erasure-coded
 // dissemination (AVID-style coded reliable broadcast) buys on the wire.
 // Every (n, batch) cell runs the identical replicated-log workload twice —
 // plain Bracha dissemination versus the coded plane — and reports the
@@ -38,8 +38,7 @@ import (
 //
 // The n=64 frontier row is gated behind REPRO_HARNESS_FULL=1 like every
 // frontier-size workload; quick and default tables stay at CI-smoke sizes.
-func E14CodedDissemination(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+func e14CodedDissemination(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"E14 / Table 10 — erasure-coded dissemination: wire bytes, coded vs uncoded",
 		"n", "f", "batch", "body B", "slots", "uncoded B", "coded B",
@@ -56,8 +55,10 @@ func E14CodedDissemination(o Options) (*metrics.Table, error) {
 	if os.Getenv("REPRO_HARNESS_FULL") != "" {
 		sizes = append(sizes, 64)
 	}
+	var bad refutation
 	for _, n := range sizes {
 		f := (n - 1) / 3
+		prev := 0.0 // the reduction at the previous batch
 		for _, batch := range batches {
 			// Preload full batches (ceil(slots/n) proposer turns each), so
 			// every disseminated body carries batch × commandBytes of
@@ -93,12 +94,16 @@ func E14CodedDissemination(o Options) (*metrics.Table, error) {
 				return nil, fmt.Errorf("experiments: E14 digest divergence n=%d batch=%d: coded (%016x, %016x) vs uncoded (%016x, %016x)",
 					n, batch, coded.LogDigest, coded.StateDigest, uncoded.LogDigest, uncoded.StateDigest)
 			}
+			reduction := float64(uncoded.WireBytes) / float64(coded.WireBytes)
 			t.AddRowf(n, f, batch, batch*commandBytes, slots,
 				uncoded.WireBytes, coded.WireBytes,
 				coded.WireBytes/int64(slots),
-				fmt.Sprintf("%.2f×", float64(uncoded.WireBytes)/float64(coded.WireBytes)),
+				fmt.Sprintf("%.2f×", reduction),
 				fmt.Sprintf("%016x", uncoded.LogDigest))
+			bad.check(reduction > max(prev, 1), "n=%d batch %d: reduction %.2f× against %.2f× a batch before",
+				n, batch, reduction, prev)
+			prev = reduction
 		}
 	}
-	return t, nil
+	return t, bad.err()
 }

@@ -5,13 +5,19 @@
 // complexity, the Ben-Or crossover, and the tightness of the f < n/3 bound —
 // plus ablations of this implementation's design choices.
 //
-// Each experiment returns a metrics.Table whose rendered form is what
-// cmd/bench prints and EXPERIMENTS.md records; bench_test.go wraps the same
-// functions in testing.B benchmarks.
+// Each experiment is one registry row (All): an ID, a title, a one-line
+// claim and a Run that returns a metrics.Table — what cmd/bench prints and
+// EXPERIMENTS.md records — and checks the claim on the counts and means it
+// folded, never on a rendered cell. A table that refutes its claim comes
+// back with an error naming the experiment, the claim and the failing rows,
+// so `bench exp` exits non-zero. The registry test holds every row to its
+// claim at quick size; BenchmarkExperiments in bench_test.go times the same
+// rows.
 package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/quorum"
@@ -44,19 +50,94 @@ func Defaults(o Options) Options {
 	return o
 }
 
-// sweepSeeds runs cfg once per repetition with seeds Seed, Seed+1, ... —
-// the standard repetition pattern of every experiment.
-func (o Options) sweepSeeds(cfg runner.Config) ([]*runner.Result, error) {
+// tally folds one consensus sweep into what its table and claim read.
+type tally struct {
+	runs, decided, ok           int            // ok: decided with no violation
+	violations, agreement       int            // all violations; agreement ones
+	decisions                   int            // processes that decided, over every run
+	rounds                      metrics.Online // each ok run's mean decision round
+	msgs, simTime               metrics.Online // every run
+	decidedMsgs, decidedSimTime metrics.Online // decided runs
+}
+
+func (t *tally) add(r *runner.Result) {
+	t.runs++
+	t.violations += len(r.Violations)
+	for _, v := range r.Violations {
+		if v.Property == "agreement" {
+			t.agreement++
+		}
+	}
+	t.decisions += len(r.Decisions)
+	t.msgs.Add(float64(r.Messages))
+	t.simTime.Add(float64(r.EndTime))
+	if !r.AllDecided {
+		return
+	}
+	t.decided++
+	t.decidedMsgs.Add(float64(r.Messages))
+	t.decidedSimTime.Add(float64(r.EndTime))
+	if len(r.Violations) == 0 {
+		t.ok++
+		t.rounds.Add(r.MeanRounds)
+	}
+}
+
+// okRuns renders the ok-runs cell, "ok/runs".
+func (t tally) okRuns() string { return fmt.Sprintf("%d/%d", t.ok, t.runs) }
+
+// sweep runs cfg once per seed and tallies the results in seed order.
+func sweep(cfg runner.Config, seeds []int64, workers int) (tally, error) {
+	var t tally
+	results, err := runner.SweepSeeds(cfg, seeds, workers)
+	if err != nil {
+		return t, err
+	}
+	for _, r := range results {
+		t.add(r)
+	}
+	return t, nil
+}
+
+// sweep runs cfg once per repetition with seeds Seed, Seed+1, … — the
+// standard repetition pattern of every experiment.
+func (o Options) sweep(cfg runner.Config) (tally, error) {
 	seeds := make([]int64, o.Runs)
 	for i := range seeds {
 		seeds[i] = o.Seed + int64(i)
 	}
-	return runner.SweepSeeds(cfg, seeds, o.Workers)
+	return sweep(cfg, seeds, o.Workers)
 }
 
-// sweepRBC is sweep for broadcast experiments.
-func (o Options) sweepRBC(cfgs []runner.RBCConfig) ([]*runner.RBCResult, error) {
-	return runner.Sweep(cfgs, o.Workers, runner.RunRBC)
+// rbcTally folds broadcast runs.
+type rbcTally struct {
+	msgs       metrics.Online
+	violations int
+}
+
+// sweepRBC runs cfg at seeds Seed, Seed+1, … and each seed once more as
+// attack edits cfg, and tallies the plain and the attacked runs apart.
+func (o Options) sweepRBC(cfg runner.RBCConfig, attack func(*runner.RBCConfig)) (plain, attacked rbcTally, err error) {
+	cfgs := make([]runner.RBCConfig, 0, 2*o.Runs)
+	for i := 0; i < o.Runs; i++ {
+		cfg.Seed = o.Seed + int64(i)
+		a := cfg
+		attack(&a)
+		cfgs = append(cfgs, cfg, a)
+	}
+	results, err := runner.Sweep(cfgs, o.Workers, runner.RunRBC)
+	if err != nil {
+		return plain, attacked, err
+	}
+	for i, r := range results {
+		t := &plain
+		if i%2 == 1 {
+			t = &attacked
+		}
+		t.msgs.Add(float64(r.Messages))
+		t.violations += len(r.Violations)
+	}
+	return plain, attacked, nil
 }
 
 func (o Options) sizes() []int {
@@ -74,11 +155,30 @@ func mean(o metrics.Online) any {
 	return o.Mean
 }
 
-// E1RBCMessages regenerates Table 1: reliable-broadcast message complexity
+// refutation collects the rows of a table that contradict its claim.
+type refutation []string
+
+// check records the row format describes unless ok.
+func (r *refutation) check(ok bool, format string, args ...any) {
+	if !ok {
+		*r = append(*r, fmt.Sprintf(format, args...))
+	}
+}
+
+// err is nil when no row contradicts the claim.
+func (r refutation) err() error {
+	if len(r) == 0 {
+		return nil
+	}
+	return r
+}
+
+func (r refutation) Error() string { return strings.Join(r, "; ") }
+
+// e1RBCMessages regenerates Table 1: reliable-broadcast message complexity
 // versus n, with and without an equivocating Byzantine sender. The shape to
 // verify: messages per broadcast grow as n + 2n² and agreement never breaks.
-func E1RBCMessages(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+func e1RBCMessages(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"E1 / Table 1 — Bracha reliable broadcast: messages per broadcast",
 		"n", "f", "msgs(correct sender)", "n+2n² (model)", "msgs(equivocating sender)", "violations")
@@ -88,46 +188,28 @@ func E1RBCMessages(o Options) (*metrics.Table, error) {
 		// streaming sweep engine (broadcast runs stay cheap there).
 		sizes = append(sizes, 22, 31, 64, 128)
 	}
+	var bad refutation
 	for _, n := range sizes {
 		f := quorum.MaxByzantine(n)
-		var honest, attacked metrics.Online
-		violations := 0
-		var cfgs []runner.RBCConfig
-		for i := 0; i < o.Runs; i++ {
-			seed := o.Seed + int64(i)
-			cfgs = append(cfgs, runner.RBCConfig{N: n, F: f, Byzantine: 0, Seed: seed})
-			if f > 0 {
-				cfgs = append(cfgs, runner.RBCConfig{
-					N: n, F: f, Byzantine: f, SenderEquivocates: true, Seed: seed,
-				})
-			}
-		}
-		results, err := o.sweepRBC(cfgs)
+		honest, attacked, err := o.sweepRBC(runner.RBCConfig{N: n, F: f}, func(c *runner.RBCConfig) {
+			c.Byzantine, c.SenderEquivocates = f, true
+		})
 		if err != nil {
 			return nil, err
 		}
-		for i, res := range results {
-			if cfgs[i].SenderEquivocates {
-				attacked.Add(float64(res.Messages))
-			} else {
-				honest.Add(float64(res.Messages))
-			}
-			violations += len(res.Violations)
-		}
-		attackedMean := "-"
-		if attacked.Count > 0 {
-			attackedMean = fmt.Sprintf("%.0f", attacked.Mean)
-		}
-		t.AddRowf(n, f, honest.Mean, n+2*n*n, attackedMean, violations)
+		violations := honest.violations + attacked.violations
+		model := n + 2*n*n
+		t.AddRowf(n, f, honest.msgs.Mean, model, fmt.Sprintf("%.0f", attacked.msgs.Mean), violations)
+		bad.check(honest.msgs.Mean == float64(model) && violations == 0,
+			"n=%d: correct-sender msgs %.2f against %d, %d violations", n, honest.msgs.Mean, model, violations)
 	}
-	return t, nil
+	return t, bad.err()
 }
 
-// E2Resilience regenerates Table 2: consensus at optimal resilience
+// e2Resilience regenerates Table 2: consensus at optimal resilience
 // f = ⌊(n−1)/3⌋ across every adversary and scheduler. The shape to verify:
 // zero safety violations and 100% termination everywhere.
-func E2Resilience(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+func e2Resilience(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"E2 / Table 2 — consensus at f = ⌊(n−1)/3⌋: violations / runs",
 		"n", "f", "adversary", "scheduler", "runs", "terminated", "violations")
@@ -140,12 +222,12 @@ func E2Resilience(o Options) (*metrics.Table, error) {
 	if !o.Quick {
 		sizes = []int{4, 7, 10, 16}
 	}
+	var bad refutation
 	for _, n := range sizes {
 		f := quorum.MaxByzantine(n)
 		for _, adv := range adversaries {
 			for _, sched := range schedulers {
-				terminated, violations := 0, 0
-				results, err := o.sweepSeeds(runner.Config{
+				tl, err := o.sweep(runner.Config{
 					N: n, F: f, Byzantine: -1,
 					Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
 					Adversary: adv, Scheduler: sched,
@@ -154,45 +236,44 @@ func E2Resilience(o Options) (*metrics.Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				for _, res := range results {
-					if res.AllDecided {
-						terminated++
-					}
-					violations += len(res.Violations)
-				}
-				t.AddRowf(n, f, adv.String(), sched.String(), o.Runs,
-					fmt.Sprintf("%d/%d", terminated, o.Runs), violations)
+				terminated := fmt.Sprintf("%d/%d", tl.decided, tl.runs)
+				t.AddRowf(n, f, adv.String(), sched.String(), tl.runs, terminated, tl.violations)
+				bad.check(tl.decided == tl.runs && tl.violations == 0,
+					"n=%d %s %s: %s terminated, %d violations", n, adv, sched, terminated, tl.violations)
 			}
 		}
 	}
-	return t, nil
+	return t, bad.err()
 }
 
-// E3LocalCoinRounds regenerates Figure 1: expected decision rounds with the
+// e3LocalCoinRounds regenerates Figure 1: expected decision rounds with the
 // local (Ben-Or-style) coin, by input pattern. The shape to verify:
 // unanimous inputs decide in round 1 regardless of n; split inputs cost
 // more rounds, growing with n. (Whether the growth is the exponential one
 // randomization theory predicts for private coins is an open question: no
 // schedule here keeps correct processes split on purpose.)
-func E3LocalCoinRounds(o Options) (*metrics.Table, error) {
-	return coinRounds(o, runner.CoinLocal,
-		"E3 / Figure 1 — expected rounds, local coin (private flips)")
+func e3LocalCoinRounds(o Options) (*metrics.Table, error) {
+	t, _, _, err := coinRounds(o, runner.CoinLocal, "E3 / Figure 1 — expected rounds, local coin (private flips)",
+		func(smaller, larger float64) bool { return larger > smaller })
+	return t, err
 }
 
-// E4CommonCoinRounds regenerates Figure 2: expected decision rounds with the
+// e4CommonCoinRounds regenerates Figure 2: expected decision rounds with the
 // Rabin-style common coin. The shape to verify: a flat, small constant in n
 // for every input pattern — the paper's constant-expected-time claim.
-func E4CommonCoinRounds(o Options) (*metrics.Table, error) {
-	return coinRounds(o, runner.CoinCommon,
-		"E4 / Figure 2 — expected rounds, common coin (Rabin dealer)")
+func e4CommonCoinRounds(o Options) (*metrics.Table, error) {
+	t, _, _, err := coinRounds(o, runner.CoinCommon, "E4 / Figure 2 — expected rounds, common coin (Rabin dealer)",
+		func(smaller, larger float64) bool { return larger == smaller })
+	return t, err
 }
 
-// coinRounds tabulates mean decision rounds over decided runs per input
-// pattern, and how many split+liar runs did not decide. Its quick grid
+// coinRounds tabulates mean decision rounds per input pattern, and how many
+// split+liar runs did not decide; it returns the sizes and each size's
+// split+liar tally beside the table, refuted unless holds(smaller, larger)
+// for the split+liar means of each two neighbouring sizes. Its quick grid
 // skips n=7 for n=10: five runs at n=4 and n=7 are too few to order the
 // local coin's means on every seed, five at n=4 and n=10 are not.
-func coinRounds(o Options, ck runner.CoinKind, title string) (*metrics.Table, error) {
-	o = Defaults(o)
+func coinRounds(o Options, ck runner.CoinKind, title string, holds func(smaller, larger float64) bool) (*metrics.Table, []int, []tally, error) {
 	// Three workloads of increasing hostility. Benign runs converge in a
 	// round or two with any coin; the coin's quality shows on the
 	// adversarial series, where a liar keeps the system split and private
@@ -212,42 +293,39 @@ func coinRounds(o Options, ck runner.CoinKind, title string) (*metrics.Table, er
 	if o.Quick {
 		sizes = []int{4, 10}
 	}
-	for _, n := range sizes {
+	split := make([]tally, len(sizes))
+	for i, n := range sizes {
 		f := quorum.MaxByzantine(n)
 		row := []any{n}
-		undecided := 0
 		for _, w := range workloads {
-			var rounds metrics.Online
-			results, err := o.sweepSeeds(runner.Config{
+			tl, err := o.sweep(runner.Config{
 				N: n, F: f, Byzantine: -1,
 				Protocol: runner.ProtocolBracha, Coin: ck,
 				Adversary: w.adversary, Scheduler: w.scheduler,
 				Inputs: w.inputs, MaxDeliveries: 1_000_000,
 			})
 			if err != nil {
-				return nil, err
+				return nil, nil, nil, err
 			}
-			undecided = 0
-			for _, res := range results {
-				if res.AllDecided {
-					rounds.Add(res.MeanRounds)
-				} else {
-					undecided++
-				}
-			}
-			row = append(row, mean(rounds))
+			row = append(row, mean(tl.rounds))
+			split[i] = tl // the last workload's
 		}
-		t.AddRowf(append(row, undecided)...)
+		t.AddRowf(append(row, split[i].runs-split[i].decided)...)
 	}
-	return t, nil
+	var bad refutation
+	for i := 1; i < len(split); i++ {
+		smaller, larger := split[i-1].rounds.Mean, split[i].rounds.Mean
+		bad.check(holds(smaller, larger), "n=%d split+liar rounds %.2f against n=%d's %.2f",
+			sizes[i], larger, sizes[i-1], smaller)
+	}
+	return t, sizes, split, bad.err()
 }
 
-// E5MessageComplexity regenerates Table 3: messages and time per decided
+// e5MessageComplexity regenerates Table 3: messages and time per decided
 // consensus instance versus n with the common coin. The shape to verify:
 // messages grow as O(n³) per round (n reliable broadcasts of O(n²) each)
 // while rounds stay constant.
-func E5MessageComplexity(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+func e5MessageComplexity(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"E5 / Table 3 — messages per consensus (common coin, split inputs)",
 		"n", "f", "mean msgs", "mean rounds", "msgs/n³", "mean sim-time")
@@ -258,10 +336,11 @@ func E5MessageComplexity(o Options) (*metrics.Table, error) {
 		// same workload to n=128 under adversarial schedules).
 		sizes = append(sizes, 64)
 	}
-	for _, n := range sizes {
+	var bad refutation
+	var first float64
+	for i, n := range sizes {
 		f := quorum.MaxByzantine(n)
-		var msgs, rounds, simTime metrics.Online
-		results, err := o.sweepSeeds(runner.Config{
+		tl, err := o.sweep(runner.Config{
 			N: n, F: f, Byzantine: -1,
 			Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
 			Adversary: runner.AdvSilent, Scheduler: runner.SchedUniform,
@@ -270,25 +349,26 @@ func E5MessageComplexity(o Options) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, res := range results {
-			msgs.Add(float64(res.Messages))
-			simTime.Add(float64(res.EndTime))
-			if res.AllDecided {
-				rounds.Add(res.MeanRounds)
-			}
+		perCube := tl.msgs.Mean / float64(n*n*n)
+		t.AddRowf(n, f, tl.msgs.Mean, mean(tl.rounds), perCube, tl.simTime.Mean)
+		if i == 0 {
+			first = tl.rounds.Mean
 		}
-		t.AddRowf(n, f, msgs.Mean, mean(rounds), msgs.Mean/float64(n*n*n), simTime.Mean)
+		bad.check(tl.ok == tl.runs && tl.rounds.Mean == first && perCube >= 3 && perCube <= 6,
+			"n=%d: %s ok, mean rounds %.2f against n=%d's %.2f, msgs/n³ %.2f",
+			n, tl.okRuns(), tl.rounds.Mean, sizes[0], first, perCube)
 	}
-	return t, nil
+	return t, bad.err()
 }
 
-// E6Crossover regenerates Figure 3: Bracha versus Ben-Or as the fault
+// e6Crossover regenerates Figure 3: Bracha versus Ben-Or as the fault
 // fraction grows, both under their worst adversary (equivocation, rushed).
-// The shape to verify: both are clean while f < n/5; Ben-Or degrades once
-// f ≥ n/5 while Bracha stays clean to f = ⌊(n−1)/3⌋ — the crossover that
-// motivated the paper.
-func E6Crossover(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+// The shape to verify: Bracha completes every run in flat rounds to
+// f = ⌊(n−1)/3⌋, while Ben-Or degrades once f ≥ n/5 — the crossover that
+// motivated the paper. How it degrades depends on the grid: at n=11 it
+// fails runs, at n=16 (MaxRounds 80) it still completes every run but its
+// mean rounds climb (EXPERIMENTS.md, Claims).
+func e6Crossover(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"E6 / Figure 3 — fault tolerance crossover (equivocating adversary)",
 		"n", "f", "f/n", "benor ok-runs", "benor mean rounds", "bracha ok-runs", "bracha mean rounds")
@@ -298,60 +378,58 @@ func E6Crossover(o Options) (*metrics.Table, error) {
 		n = 11
 		fs = []int{0, 2, 3}
 	}
+	var bad refutation
+	var benorFell bool
+	var benorBelow, benorAbove, bracha metrics.Online // Ben-Or's rounds below and from n/5; Bracha's
 	for _, f := range fs {
 		if f >= n/2 {
 			continue
 		}
-		var benorOK, brachaOK int
-		var benorRounds, brachaRounds metrics.Online
 		adv := runner.AdvEquivocator
 		if f == 0 {
 			adv = runner.AdvNone
 		}
-		benorResults, err := o.sweepSeeds(runner.Config{
-			N: n, F: f, Byzantine: -1,
-			Protocol: runner.ProtocolBenOr, Coin: runner.CoinCommon,
-			Adversary: adv, Scheduler: runner.SchedRushByz,
-			Inputs:    runner.InputSplit,
-			MaxRounds: 80, MaxDeliveries: 400_000,
-		})
-		if err != nil {
-			return nil, err
-		}
-		brachaResults, err := o.sweepSeeds(runner.Config{
+		cfg := runner.Config{
 			N: n, F: f, Byzantine: -1,
 			Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
 			Adversary: adv, Scheduler: runner.SchedRushByz,
 			Inputs: runner.InputSplit,
-		})
+		}
+		br, err := o.sweep(cfg)
 		if err != nil {
 			return nil, err
 		}
-		for _, benor := range benorResults {
-			if len(benor.Violations) == 0 && benor.AllDecided {
-				benorOK++
-				benorRounds.Add(benor.MeanRounds)
-			}
-		}
-		for _, bracha := range brachaResults {
-			if len(bracha.Violations) == 0 && bracha.AllDecided {
-				brachaOK++
-				brachaRounds.Add(bracha.MeanRounds)
-			}
+		cfg.Protocol, cfg.MaxRounds, cfg.MaxDeliveries = runner.ProtocolBenOr, 80, 400_000
+		benor, err := o.sweep(cfg)
+		if err != nil {
+			return nil, err
 		}
 		t.AddRowf(n, f, float64(f)/float64(n),
-			fmt.Sprintf("%d/%d", benorOK, o.Runs), mean(benorRounds),
-			fmt.Sprintf("%d/%d", brachaOK, o.Runs), mean(brachaRounds))
+			benor.okRuns(), mean(benor.rounds), br.okRuns(), mean(br.rounds))
+		bad.check(br.ok == br.runs, "f=%d: Bracha %s ok", f, br.okRuns())
+		if 5*f >= n {
+			benorFell = benorFell || benor.ok < benor.runs
+			benorAbove.Add(benor.rounds.Mean)
+		} else {
+			benorBelow.Add(benor.rounds.Mean)
+		}
+		bracha.Add(br.rounds.Mean)
 	}
-	return t, nil
+	if o.Quick {
+		bad.check(benorFell, "n=%d: Ben-Or completed every run at every f ≥ n/5", n)
+	} else {
+		bad.check(benorAbove.Min > benorBelow.Max && bracha.Min == bracha.Max,
+			"n=%d: Ben-Or's least mean rounds at f ≥ n/5 %.2f against its most below %.2f; Bracha's %.2f–%.2f",
+			n, benorAbove.Min, benorBelow.Max, bracha.Min, bracha.Max)
+	}
+	return t, bad.err()
 }
 
-// E7Tightness regenerates Table 4: the resilience bound is tight. With
+// e7Tightness regenerates Table 4: the resilience bound is tight. With
 // f_actual = ⌊(n−1)/3⌋+1 split-brain colluders the protocol must break
 // (agreement violations or non-termination); with f_actual = ⌊(n−1)/3⌋ the
 // identical attack must be harmless.
-func E7Tightness(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+func e7Tightness(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"E7 / Table 4 — tightness of f < n/3 (split-brain attack)",
 		"n", "f assumed", "byzantine actual", "broken runs", "agreement violations", "non-termination")
@@ -359,11 +437,11 @@ func E7Tightness(o Options) (*metrics.Table, error) {
 	if !o.Quick {
 		sizes = []int{4, 7, 10}
 	}
+	var bad refutation
 	for _, n := range sizes {
 		f := quorum.MaxByzantine(n)
 		for _, actual := range []int{f, f + 1} {
-			broken, agreements, nonterm := 0, 0, 0
-			results, err := o.sweepSeeds(runner.Config{
+			tl, err := o.sweep(runner.Config{
 				N: n, F: f, Byzantine: actual,
 				Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
 				Adversary: runner.AdvSplitBrain, Scheduler: runner.SchedRushByz,
@@ -373,34 +451,20 @@ func E7Tightness(o Options) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, res := range results {
-				bad := false
-				for _, v := range res.Violations {
-					bad = true
-					if v.Property == "agreement" {
-						agreements++
-					}
-				}
-				if !res.AllDecided {
-					nonterm++
-					bad = true
-				}
-				if bad {
-					broken++
-				}
-			}
-			t.AddRowf(n, f, actual, fmt.Sprintf("%d/%d", broken, o.Runs), agreements, nonterm)
+			broken := tl.runs - tl.ok
+			t.AddRowf(n, f, actual, fmt.Sprintf("%d/%d", broken, tl.runs), tl.agreement, tl.runs-tl.decided)
+			bad.check((broken == 0) == (actual == f),
+				"n=%d with %d Byzantine against f=%d: %d/%d runs broken", n, actual, f, broken, tl.runs)
 		}
 	}
-	return t, nil
+	return t, bad.err()
 }
 
-// E8Throughput regenerates Figure 4: sequential consensus instances (the
+// e8Throughput regenerates Figure 4: sequential consensus instances (the
 // replicated-log workload that motivates protocols like HoneyBadger) versus
 // n. The shape to verify: per-instance message cost grows ~n³ so decisions
 // per message budget fall accordingly, while rounds per instance stay flat.
-func E8Throughput(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+func e8Throughput(o Options) (*metrics.Table, error) {
 	instances := 10
 	if o.Quick {
 		instances = 4
@@ -408,15 +472,15 @@ func E8Throughput(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		fmt.Sprintf("E8 / Figure 4 — %d sequential instances (common coin)", instances),
 		"n", "f", "instances decided", "mean msgs/instance", "mean rounds", "mean sim-time/instance")
-	for _, n := range o.sizes() {
+	seeds := make([]int64, instances)
+	for k := range seeds {
+		seeds[k] = o.Seed + int64(k)*131
+	}
+	var bad refutation
+	var first float64
+	for i, n := range o.sizes() {
 		f := quorum.MaxByzantine(n)
-		var msgs, rounds, simTime metrics.Online
-		decided := 0
-		seeds := make([]int64, instances)
-		for k := range seeds {
-			seeds[k] = o.Seed + int64(k)*131
-		}
-		results, err := runner.SweepSeeds(runner.Config{
+		tl, err := sweep(runner.Config{
 			N: n, F: f, Byzantine: -1,
 			Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
 			Adversary: runner.AdvSilent, Scheduler: runner.SchedUniform,
@@ -425,16 +489,13 @@ func E8Throughput(o Options) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, res := range results {
-			if res.AllDecided {
-				decided++
-				msgs.Add(float64(res.Messages))
-				rounds.Add(res.MeanRounds)
-				simTime.Add(float64(res.EndTime))
-			}
+		decided := fmt.Sprintf("%d/%d", tl.decided, tl.runs)
+		t.AddRowf(n, f, decided, mean(tl.decidedMsgs), mean(tl.rounds), mean(tl.decidedSimTime))
+		if i == 0 {
+			first = tl.rounds.Mean
 		}
-		t.AddRowf(n, f, fmt.Sprintf("%d/%d", decided, instances),
-			mean(msgs), mean(rounds), mean(simTime))
+		bad.check(tl.ok == tl.runs && tl.rounds.Mean == first,
+			"n=%d: %s decided, mean rounds %.2f against n=4's %.2f", n, decided, tl.rounds.Mean, first)
 	}
-	return t, nil
+	return t, bad.err()
 }

@@ -14,7 +14,7 @@ import (
 	"repro/internal/types"
 )
 
-// E11MemoryPruning regenerates Table 7: the memory effect of per-round state
+// e11MemoryPruning regenerates Table 7: the memory effect of per-round state
 // pruning (entering round r releases everything below r−1). Each row runs
 // the same non-halting consensus workload — decide gadget off, MaxRounds
 // pinned — at 6 and then 12 rounds, and measures what the cluster still
@@ -43,8 +43,7 @@ import (
 // allocations left over from other experiments' worker pools, so all three
 // are exempt from the bitwise-regeneration contract, exactly like the
 // per-table timing suffixes bench prints.
-func E11MemoryPruning(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+func e11MemoryPruning(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"E11 / Table 7 — per-round pruning: retained state by retainer as rounds double",
 		"n", "f", "rounds", "deliveries", "accepted msgs",
@@ -54,18 +53,28 @@ func E11MemoryPruning(o Options) (*metrics.Table, error) {
 	if o.Quick {
 		sizes = []int{16}
 	}
+	var bad refutation
 	for _, n := range sizes {
+		var six *memoryResult
 		for _, rounds := range []int{6, 12} {
 			res, err := runMemoryWorkload(n, rounds, o.Seed)
 			if err != nil {
 				return nil, err
 			}
+			h := res.held
 			t.AddRowf(n, quorum.MaxByzantine(n), rounds, res.deliveries,
-				res.retainedAccepted, res.rbcLive, res.rbcDigests, res.valSeen,
-				res.dealerRounds, mib(res.retainedHeap), mib(res.peakHeap), res.allocs)
+				h.accepted, h.rbcLive, res.rbcDigests, h.valSeen,
+				h.dealerRounds, mib(res.retainedHeap), mib(res.peakHeap), res.allocs)
+			if six == nil {
+				six = res
+				continue
+			}
+			bad.check(res.deliveries == 2*six.deliveries && res.rbcDigests > six.rbcDigests && h == six.held,
+				"n=%d: 6 → 12 rounds moved deliveries %d → %d, rbc digests %d → %d, retainers %+v → %+v",
+				n, six.deliveries, res.deliveries, six.rbcDigests, res.rbcDigests, six.held, h)
 		}
 	}
-	return t, nil
+	return t, bad.err()
 }
 
 // mib renders a byte count as MiB with two decimals.
@@ -74,15 +83,21 @@ func mib(b uint64) string {
 }
 
 type memoryResult struct {
-	deliveries       int
-	retainedAccepted int    // accepted messages still held (deterministic)
-	rbcLive          int    // full-fidelity RBC instances still held
-	rbcDigests       int    // compact delivered records
-	valSeen          int    // validator per-sender dedup entries still held
-	dealerRounds     int    // dealer sharings still memoized
-	retainedHeap     uint64 // live heap after run + forced GC, nodes alive
-	peakHeap         uint64 // max sampled HeapAlloc during the run
-	allocs           uint64 // Mallocs delta across the run
+	deliveries   int
+	rbcDigests   int // compact delivered records
+	held         retainers
+	retainedHeap uint64 // live heap after run + forced GC, nodes alive
+	peakHeap     uint64 // max sampled HeapAlloc during the run
+	allocs       uint64 // Mallocs delta across the run
+}
+
+// retainers are the per-round state pruning bounds: doubling the rounds
+// leaves every count unchanged.
+type retainers struct {
+	accepted     int // accepted messages still held
+	rbcLive      int // full-fidelity RBC instances still held
+	valSeen      int // validator per-sender dedup entries still held
+	dealerRounds int // dealer sharings still memoized
 }
 
 // runMemoryWorkload drives one all-correct common-coin cluster for a fixed
@@ -162,19 +177,19 @@ func runMemoryWorkload(n, rounds int, seed int64) (*memoryResult, error) {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	res := &memoryResult{
-		deliveries:   stats.Delivered,
-		peakHeap:     peak,
-		allocs:       after.Mallocs - before.Mallocs,
-		dealerRounds: dealer.RoundsRetained(),
+		deliveries: stats.Delivered,
+		peakHeap:   peak,
+		allocs:     after.Mallocs - before.Mallocs,
+		held:       retainers{dealerRounds: dealer.RoundsRetained()},
 	}
 	if after.HeapAlloc > before.HeapAlloc {
 		res.retainedHeap = after.HeapAlloc - before.HeapAlloc
 	}
 	for _, nd := range nodes {
-		res.retainedAccepted += nd.AcceptedRetained()
-		res.rbcLive += nd.RBCLiveInstances()
+		res.held.accepted += nd.AcceptedRetained()
+		res.held.rbcLive += nd.RBCLiveInstances()
 		res.rbcDigests += nd.RBCCompacted()
-		res.valSeen += nd.ValidatorSeenRetained()
+		res.held.valSeen += nd.ValidatorSeenRetained()
 	}
 	runtime.KeepAlive(net)
 	return res, nil

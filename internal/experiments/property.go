@@ -8,7 +8,7 @@ import (
 	"repro/internal/runner"
 )
 
-// E10PropertyHarness regenerates Table 6: the adversarial property harness —
+// e10PropertyHarness regenerates Table 6: the adversarial property harness —
 // every scenario of runner.Scenarios() swept across seeds through the
 // streaming engine, at the n=64/128 frontier in full mode. The shape to
 // verify: zero violations and full termination in every cell; this is the
@@ -16,8 +16,7 @@ import (
 // sizes the buffered sweeps of E2 never reached. Consensus runs at n=128
 // cost seconds each, so their seed count is capped; `bench sweep` resumes
 // the same sweeps to arbitrary depth with checkpoints.
-func E10PropertyHarness(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+func e10PropertyHarness(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"E10 / Table 6 — adversarial property harness (streaming sweeps)",
 		"scenario", "kind", "n", "f", "seeds", "violations", "undecided", "exhausted", "mean msgs", "mean rounds")
@@ -26,6 +25,7 @@ func E10PropertyHarness(o Options) (*metrics.Table, error) {
 	if o.Quick {
 		sizes = []int{16}
 	}
+	var bad refutation
 	for _, sc := range runner.Scenarios() {
 		for _, n := range sizes {
 			seeds := int64(o.Runs)
@@ -57,7 +57,10 @@ func E10PropertyHarness(o Options) (*metrics.Table, error) {
 			t.AddRowf(sc.Name, kind, n, quorum.MaxByzantine(n), fmt.Sprint(agg.Runs),
 				fmt.Sprint(agg.Checks.Violations), fmt.Sprint(undecided), fmt.Sprint(agg.Exhausted),
 				agg.Messages.Mean, agg.Rounds.Mean)
+			bad.check(agg.Checks.Violations == 0 && undecided == 0 && agg.Exhausted == 0,
+				"%s n=%d: %d violations, %d undecided, %d exhausted",
+				sc.Name, n, agg.Checks.Violations, undecided, agg.Exhausted)
 		}
 	}
-	return t, nil
+	return t, bad.err()
 }

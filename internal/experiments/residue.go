@@ -8,7 +8,7 @@ import (
 	"repro/internal/runner"
 )
 
-// E12ResidueCheckpointing regenerates Table 8: what the checkpoint &
+// e12ResidueCheckpointing regenerates Table 8: what the checkpoint &
 // state-transfer subsystem (internal/ckpt) buys on long replicated-log
 // executions. Per-round pruning (E11) bounds every per-round retainer but
 // deliberately leaves a residue that grows with slots committed: one RBC
@@ -36,8 +36,7 @@ import (
 // Determinism note: every column is a pure function of (config, seed) —
 // byte-stable across reruns, machines, and worker counts, like all
 // non-telemetry tables.
-func E12ResidueCheckpointing(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+func e12ResidueCheckpointing(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"E12 / Table 8 — checkpoint & state transfer: retained residue vs slots committed",
 		"n", "slots", "ckpt-every", "cut", "log retained", "rbc records",
@@ -48,7 +47,9 @@ func E12ResidueCheckpointing(o Options) (*metrics.Table, error) {
 	}
 	const n, f = 4, 1
 	intervals := []int{0, 64, 256}
+	var bad refutation
 	for _, slots := range slotSizes {
+		var digest uint64
 		for _, every := range intervals {
 			res, err := runner.RunSMR(runner.SMRConfig{
 				N: n, F: f,
@@ -68,7 +69,17 @@ func E12ResidueCheckpointing(o Options) (*metrics.Table, error) {
 			t.AddRowf(n, slots, label, res.CertifiedCut, res.LogRetained,
 				res.RBCRecords, res.RBCDigestBytes, res.DealerSlots,
 				res.DealerRounds, fmt.Sprintf("%016x", res.LogDigest), res.Deliveries)
+			if every == 0 {
+				digest = res.LogDigest
+				bad.check(res.LogRetained == n*slots && res.DealerSlots == slots,
+					"%d slots without checkpoints: log retained %d, dealer slots %d", slots, res.LogRetained, res.DealerSlots)
+				continue
+			}
+			bad.check(res.LogDigest == digest && res.LogRetained <= 2*n*every &&
+				res.RBCRecords <= 2*n*every && res.DealerSlots <= 2*every,
+				"%d slots, checkpoint every %d: digest %016x against %016x, log retained %d, rbc records %d, dealer slots %d",
+				slots, every, res.LogDigest, digest, res.LogRetained, res.RBCRecords, res.DealerSlots)
 		}
 	}
-	return t, nil
+	return t, bad.err()
 }

@@ -90,7 +90,7 @@ func SweepTelemetry(fam TelemetryFamily, n, f, runs int, seed int64, workers int
 	return sum, roundSum / float64(len(results)), nil
 }
 
-// E16Telemetry regenerates Table 12: where the time and bandwidth of a run
+// e16Telemetry regenerates Table 12: where the time and bandwidth of a run
 // actually go, per scheduler family. Each family sweeps the same seeds with
 // the telemetry plane attached (per-kind wire counters and latency
 // histograms, protocol phase histograms; see SweepTelemetry) and adds one
@@ -120,8 +120,7 @@ func SweepTelemetry(fam TelemetryFamily, n, f, runs int, seed int64, workers int
 //     (The wire/think decomposition the paths also carry is degenerate
 //     here by construction — handlers execute in zero sim time, so wire
 //     is 100% of every path; obs's tests pin the identity.)
-func E16Telemetry(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+func e16Telemetry(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"E16 / Table 12 — telemetry plane: per-kind wire costs, phase latencies, critical paths",
 		"family", "n", "runs", "rounds", "msgs", "dropped", "wire B",
@@ -130,11 +129,14 @@ func E16Telemetry(o Options) (*metrics.Table, error) {
 	if o.Quick {
 		n = 8
 	}
-	for _, fam := range TelemetryFamilies() {
+	fams := TelemetryFamilies()
+	rounds := make([]float64, len(fams))
+	for i, fam := range fams {
 		sum, meanRounds, err := SweepTelemetry(fam, n, quorum.MaxByzantine(n), o.Runs, o.Seed, o.Workers)
 		if err != nil {
 			return nil, err
 		}
+		rounds[i] = meanRounds
 		merged := sum.Telemetry
 		// Queue-to-delivery latency across every kind: merge the per-kind
 		// histograms (exact — integer buckets).
@@ -174,5 +176,10 @@ func E16Telemetry(o Options) (*metrics.Table, error) {
 			fmt.Sprintf("%.1f", meanHops),
 			fmt.Sprintf("%.1f", report.MeanDecisionTime()))
 	}
-	return t, nil
+	// fams is uniform, reorder, adaptive-cliff; SweepTelemetry has already
+	// refused any run with a violation.
+	var bad refutation
+	bad.check(rounds[2] > rounds[1], "%s reads %.2f mean rounds, %s %.2f",
+		fams[2].Name, rounds[2], fams[1].Name, rounds[1])
+	return t, bad.err()
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/runner"
 )
 
-// E13BatchedThroughput regenerates Table 9: what batching and pipelined
+// e13BatchedThroughput regenerates Table 9: what batching and pipelined
 // dissemination buy on the replicated log, measured in committed entries
 // per unit of simulator work. One slot of Bracha agreement costs ~7n³
 // deliveries whether its decided body carries one command or a batch, so
@@ -35,8 +35,7 @@ import (
 // CI seconds). Wall-clock entries/sec is deliberately absent: it is
 // telemetry, and cmd/bench reports it on stderr where it cannot contaminate
 // byte-stable output.
-func E13BatchedThroughput(o Options) (*metrics.Table, error) {
-	o = Defaults(o)
+func e13BatchedThroughput(o Options) (*metrics.Table, error) {
 	t := metrics.NewTable(
 		"E13 / Table 9 — batched, pipelined replicated log: committed entries per unit work",
 		"n", "f", "batch", "depth", "slots", "entries", "deliveries",
@@ -53,6 +52,7 @@ func E13BatchedThroughput(o Options) (*metrics.Table, error) {
 	}
 	batches := []int{1, 4, 16}
 	depths := []int{1, 2}
+	var bad refutation
 	for _, s := range sizes {
 		f := (s.n - 1) / 3
 		points, err := runner.RunThroughput(runner.SMRConfig{
@@ -61,7 +61,9 @@ func E13BatchedThroughput(o Options) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range points {
+		// points is batch-major: the point one batch down sits len(depths)
+		// before p, the first depth d before.
+		for i, p := range points {
 			if p.Mismatches != 0 || p.SubmitDropped != 0 || p.DuplicateCommands != 0 || p.Exhausted {
 				return nil, fmt.Errorf("experiments: unhealthy throughput point n=%d batch=%d depth=%d: %+v",
 					s.n, p.Config.Batch, p.Config.Depth, p)
@@ -69,7 +71,18 @@ func E13BatchedThroughput(o Options) (*metrics.Table, error) {
 			t.AddRowf(s.n, f, p.Config.Batch, p.Config.Depth, p.Config.Slots, p.Entries, p.Deliveries,
 				fmt.Sprintf("%.2f", p.EntriesPerKDeliveries()), int(p.EndTime),
 				fmt.Sprintf("%016x", p.LogDigest))
+			if i >= len(depths) {
+				q := points[i-len(depths)]
+				bad.check(p.EntriesPerKDeliveries() > q.EntriesPerKDeliveries(),
+					"n=%d depth %d: batch %d reads %.2f entries per kilodelivery, batch %d %.2f",
+					s.n, p.Config.Depth, p.Config.Batch, p.EntriesPerKDeliveries(), q.Config.Batch, q.EntriesPerKDeliveries())
+			}
+			if q := points[i-i%len(depths)]; q != p {
+				bad.check(p.EndTime < q.EndTime && p.LogDigest == q.LogDigest,
+					"n=%d batch %d: depth %d ends at %d with digest %016x, depth %d at %d with %016x",
+					s.n, p.Config.Batch, p.Config.Depth, p.EndTime, p.LogDigest, q.Config.Depth, q.EndTime, q.LogDigest)
+			}
 		}
 	}
-	return t, nil
+	return t, bad.err()
 }

@@ -138,10 +138,7 @@ func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
 // sequencing, and the context set by the driver links them to the delivery
 // that triggered them.
 func (r *Recorder) Record(e Event) {
-	if !r.Enabled() {
-		return
-	}
-	if len(r.events) >= r.limit {
+	if !r.Enabled() || len(r.events) >= r.limit {
 		return
 	}
 	if e.Parent == 0 {
