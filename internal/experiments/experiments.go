@@ -86,8 +86,8 @@ func (t *tally) add(r *runner.Result) {
 // okRuns renders the ok-runs cell, "ok/runs".
 func (t tally) okRuns() string { return fmt.Sprintf("%d/%d", t.ok, t.runs) }
 
-// sweep runs cfg once per seed and tallies the results in seed order.
-func sweep(cfg runner.Config, seeds []int64, workers int) (tally, error) {
+// sweepSeeds runs cfg once per seed and tallies the results in seed order.
+func sweepSeeds(cfg runner.Config, seeds []int64, workers int) (tally, error) {
 	var t tally
 	results, err := runner.SweepSeeds(cfg, seeds, workers)
 	if err != nil {
@@ -106,7 +106,7 @@ func (o Options) sweep(cfg runner.Config) (tally, error) {
 	for i := range seeds {
 		seeds[i] = o.Seed + int64(i)
 	}
-	return sweep(cfg, seeds, o.Workers)
+	return sweepSeeds(cfg, seeds, o.Workers)
 }
 
 // rbcTally folds broadcast runs.
@@ -480,7 +480,7 @@ func e8Throughput(o Options) (*metrics.Table, error) {
 	var first float64
 	for i, n := range o.sizes() {
 		f := quorum.MaxByzantine(n)
-		tl, err := sweep(runner.Config{
+		tl, err := sweepSeeds(runner.Config{
 			N: n, F: f, Byzantine: -1,
 			Protocol: runner.ProtocolBracha, Coin: runner.CoinCommon,
 			Adversary: runner.AdvSilent, Scheduler: runner.SchedUniform,
