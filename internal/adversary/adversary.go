@@ -173,7 +173,16 @@ func encodeStepFor(tag types.Tag, v types.Value) (string, error) {
 // maximally protocol-shaped.
 type Liar struct {
 	inner *core.Node
+	// flips is the unused rest of the block flipped SEND payloads are
+	// handed out of, blocks of flipBlock allocated as they run out. Copies
+	// in flight keep their payload, so no slot is handed out twice; the
+	// block survives Reset and is never reused.
+	flips []types.RBCPayload
 }
+
+// flipBlock is how many flipped payloads one allocation holds: a liar
+// lies in about three SENDs a round, so a run takes a few blocks.
+const flipBlock = 4
 
 // NewLiar builds a lying node over the real consensus implementation.
 func NewLiar(cfg core.Config) (*Liar, error) {
@@ -224,7 +233,7 @@ func (l *Liar) corrupt(msgs []types.Message) []types.Message {
 			continue
 		}
 		if p != src {
-			src, flipped = p, flip(p)
+			src, flipped = p, l.flip(p)
 		}
 		if flipped != nil {
 			msgs[i].Payload = flipped
@@ -233,9 +242,10 @@ func (l *Liar) corrupt(msgs []types.Message) []types.Message {
 	return msgs
 }
 
-// flip returns a copy of p whose step body carries the other value, or nil
-// if the body does not decode as a step message.
-func flip(p *types.RBCPayload) *types.RBCPayload {
+// flip returns a copy of p whose step body carries the other value, taken
+// from the liar's block, or nil if the body does not decode as a step
+// message.
+func (l *Liar) flip(p *types.RBCPayload) *types.RBCPayload {
 	sm, err := wire.DecodeStep(p.Body)
 	if err != nil {
 		return nil
@@ -245,9 +255,14 @@ func flip(p *types.RBCPayload) *types.RBCPayload {
 	if err != nil {
 		return nil
 	}
-	flipped := *p
+	if len(l.flips) == 0 {
+		l.flips = make([]types.RBCPayload, flipBlock)
+	}
+	flipped := &l.flips[0]
+	l.flips = l.flips[1:]
+	*flipped = *p
 	flipped.Body = body
-	return &flipped
+	return flipped
 }
 
 // SplitBrain shows each of two partitions of the correct processes an

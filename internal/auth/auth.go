@@ -157,9 +157,10 @@ func (d *DealerKeys) shareMAC(p types.ProcessID, round int, share string) []byte
 	return d.mac.Sum(d.sum[:0])
 }
 
-// SignShare MACs the share dealt to process p for the given round.
-func (d *DealerKeys) SignShare(p types.ProcessID, round int, share string) string {
-	return string(d.shareMAC(p, round, share))
+// AppendSignShare appends the MAC of the share dealt to process p for the
+// given round to dst; the dealer MACs a round's n shares into one buffer.
+func (d *DealerKeys) AppendSignShare(dst []byte, p types.ProcessID, round int, share string) []byte {
+	return append(dst, d.shareMAC(p, round, share)...)
 }
 
 // VerifyShare reports whether mac authenticates share as dealt to p for

@@ -25,12 +25,14 @@
 //
 // Per-round coin state is pruned at two levels. Each process's Common
 // endpoint implements Pruner, which the consensus core calls with floor r−1
-// on entering round r: shares, MACs, release flags and values below the
-// floor go, and a late share for a pruned round is dropped on arrival —
-// the silence an unpruned endpoint would have answered it with. The shared
-// Dealer is pruned by the cluster's minimum current round instead, because
-// a round one straggler still needs must stay dealt until it passes; see
-// Dealer for why pruned rounds are never re-dealt.
+// on entering round r: shares, release flags and values below the floor go
+// (their round records are cleared for reuse by later rounds), and a late
+// share for a pruned round is dropped on arrival — the silence an unpruned
+// endpoint would have answered it with. The shared Dealer is pruned by the
+// cluster's minimum current round instead, because a round one straggler
+// still needs must stay dealt until it passes; see Dealer for why pruned
+// rounds are never re-dealt, and why a dealt round's record is never
+// reused.
 package coin
 
 import (
@@ -42,7 +44,9 @@ import (
 type Coin interface {
 	// Release begins obtaining the coin for a round and returns any
 	// messages to send (share broadcasts for the common coin). Calling
-	// Release again for the same round is a no-op.
+	// Release again for the same round is a no-op. The returned slice may
+	// be a buffer the coin owns, valid only until its next Release: the
+	// caller copies the messages out before calling Release again.
 	Release(round int) []types.Message
 	// HandleShare processes an incoming coin-share payload. Invalid or
 	// irrelevant shares are ignored (Byzantine shares must not block or

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/quorum"
-	"repro/internal/shamir"
 	"repro/internal/types"
 )
 
@@ -288,16 +287,18 @@ func TestDealerShareForUnknownProcess(t *testing.T) {
 }
 
 func TestShareCodec(t *testing.T) {
-	s, ok := decodeShare("")
+	s, _, ok := decodeShare(nil, "")
 	if ok {
 		t.Errorf("decoded empty share: %+v", s)
 	}
-	if _, ok := decodeShare("x"); ok {
+	if _, _, ok := decodeShare(nil, "x"); ok {
 		t.Error("decoded 1-byte share")
 	}
-	orig := encodeShare(shamir.Share{X: 3, Y: []byte{9, 8}})
-	got, ok := decodeShare(orig)
-	if !ok || got.X != 3 || len(got.Y) != 2 || got.Y[0] != 9 {
+	got, ys, ok := decodeShare([]byte{7}, "\x03\x09\x08")
+	if !ok || got.X != 3 || len(got.Y) != 2 || got.Y[0] != 9 || got.Y[1] != 8 {
 		t.Errorf("round trip failed: %+v", got)
+	}
+	if string(ys) != "\x07\x09\x08" || cap(got.Y) != 2 {
+		t.Errorf("decode appended %x to ys, share Y %x with cap %d", ys, got.Y, cap(got.Y))
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
+	"strings"
 
 	"repro/internal/auth"
 	"repro/internal/quorum"
@@ -16,7 +18,9 @@ import (
 // GF(2^8), and MACs each share so a Byzantine process cannot inject
 // fabricated shares. Rounds are dealt lazily and memoized, so the coin
 // supports unbounded protocol executions; with a fixed seed the dealing is
-// reproducible.
+// reproducible. A round is dealt once, into one record holding every
+// process's share payload, which ShareFor and Common.Release read without
+// copying: four allocations a round, whatever n is.
 //
 // The trust model is exactly the paper's (via Rabin, FOCS 1983): the dealer
 // is honest and acts only before the execution; during the execution it is
@@ -36,11 +40,18 @@ import (
 type Dealer struct {
 	spec quorum.Spec
 
-	// keys' MAC state is reused by every SignShare and VerifyShare: a
+	// keys' MAC state is reused by every share MAC and VerifyShare: a
 	// dealer belongs to one cluster, which one goroutine runs.
-	keys   *auth.DealerKeys
-	rng    *rand.Rand
-	rounds map[int][]shamir.Share
+	keys *auth.DealerKeys
+	rng  *rand.Rand
+	// rounds memoizes each dealt round as one immutable record: its n share
+	// payloads in peer-index order, whose Share and MAC fields are
+	// substrings of one string (every encoded share, then every MAC).
+	// Release hands out pointers into a record and messages in flight keep
+	// it alive, so a record is never reused; Prune and Reset only drop it.
+	rounds map[int][]types.CoinSharePayload
+	// mac is the scratch each share's MAC is computed into.
+	mac [auth.MACSize]byte
 	// floor is the cluster low-watermark: rounds below it are pruned and
 	// must never be dealt (or re-dealt).
 	floor int
@@ -50,7 +61,7 @@ type Dealer struct {
 // derived from seed. Shamir sharing over GF(2^8) limits the system to
 // n ≤ 255 processes.
 func NewDealer(spec quorum.Spec, seed int64) *Dealer {
-	d := &Dealer{spec: spec, rounds: make(map[int][]shamir.Share)}
+	d := &Dealer{spec: spec, rounds: make(map[int][]types.CoinSharePayload)}
 	d.Reset(seed)
 	return d
 }
@@ -75,16 +86,16 @@ func seedKey(seed int64) []byte {
 	return []byte(fmt.Sprintf("coin-dealer-%d", seed))
 }
 
-// deal lazily creates the sharing for a round. Rounds
-// below the low-watermark are never dealt: their original sharing is gone,
-// and a re-deal would draw fresh randomness and contradict shares already
+// deal lazily creates the record of a round. Rounds below the
+// low-watermark are never dealt: their original sharing is gone, and a
+// re-deal would draw fresh randomness and contradict shares already
 // distributed.
-func (d *Dealer) deal(round int) []shamir.Share {
+func (d *Dealer) deal(round int) []types.CoinSharePayload {
 	if round < d.floor {
 		return nil
 	}
-	if ss, ok := d.rounds[round]; ok {
-		return ss
+	if rec, ok := d.rounds[round]; ok {
+		return rec
 	}
 	bit := byte(d.rng.Intn(2))
 	// One secret byte whose low bit is the coin; threshold f+1 means f
@@ -95,20 +106,54 @@ func (d *Dealer) deal(round int) []shamir.Share {
 		// invariants (n ≥ 1, 0 ≤ f < n) rule that out.
 		panic(fmt.Sprintf("coin: dealing round %d: %v", round, err))
 	}
-	d.rounds[round] = ss
-	return ss
+	// Each share is encoded as X followed by Y (see decodeShare), and every
+	// share of one dealing has the secret's width. Share i is peer i+1's
+	// (quorum.Spec.Index); its MAC binds it to that peer and is computed
+	// over the encoding already written.
+	size := 1 + len(ss[0].Y)
+	var b strings.Builder
+	b.Grow(len(ss) * (size + auth.MACSize))
+	for _, sh := range ss {
+		b.WriteByte(sh.X)
+		b.Write(sh.Y)
+	}
+	for i := range ss {
+		share := b.String()[i*size : (i+1)*size]
+		b.Write(d.keys.AppendSignShare(d.mac[:0], types.ProcessID(i+1), round, share))
+	}
+	raw := b.String()
+	macs := raw[len(ss)*size:]
+	rec := make([]types.CoinSharePayload, len(ss))
+	for i := range rec {
+		rec[i] = types.CoinSharePayload{
+			Round: round,
+			Share: raw[i*size : (i+1)*size],
+			MAC:   macs[i*auth.MACSize : (i+1)*auth.MACSize],
+		}
+	}
+	d.rounds[round] = rec
+	return rec
+}
+
+// payload returns process p's share payload for a round, a pointer into
+// the round's record (dealt first if need be); nil for a non-peer or a
+// pruned round.
+func (d *Dealer) payload(p types.ProcessID, round int) *types.CoinSharePayload {
+	rec := d.deal(round)
+	idx, ok := d.spec.Index(p)
+	if !ok || rec == nil {
+		return nil
+	}
+	return &rec[idx]
 }
 
 // ShareFor returns process p's authenticated share for a round — the
 // predistribution lookup. It returns wire-ready opaque strings.
 func (d *Dealer) ShareFor(p types.ProcessID, round int) (share, mac string) {
-	ss := d.deal(round)
-	idx, ok := d.spec.Index(p)
-	if !ok || ss == nil {
-		return "", "" // not a peer, or a pruned round
+	if pl := d.payload(p, round); pl != nil {
+		return pl.Share, pl.MAC
 	}
-	raw := encodeShare(ss[idx])
-	return raw, d.keys.SignShare(p, round, raw)
+	return "", "" // not a peer, or a pruned round
 }
 
 // VerifyShare checks that a received share is the one dealt to p for round.
@@ -128,7 +173,7 @@ func (d *Dealer) Prune(below int) {
 		return
 	}
 	d.floor = below
-	maps.DeleteFunc(d.rounds, func(r int, _ []shamir.Share) bool { return r < below })
+	maps.DeleteFunc(d.rounds, func(r int, _ []types.CoinSharePayload) bool { return r < below })
 }
 
 // RoundsRetained returns how many per-round sharings the dealer currently
@@ -138,37 +183,48 @@ func (d *Dealer) RoundsRetained() int {
 	return len(d.rounds)
 }
 
-// encodeShare flattens a share to an opaque string: X followed by Y.
-func encodeShare(s shamir.Share) string {
-	buf := make([]byte, 0, 1+len(s.Y))
-	buf = append(buf, s.X)
-	buf = append(buf, s.Y...)
-	return string(buf)
-}
-
-// decodeShare parses encodeShare output.
-func decodeShare(raw string) (shamir.Share, bool) {
+// decodeShare parses a share encoded as X followed by Y, appending Y to
+// ys; the share's Y is the window of ys it filled.
+func decodeShare(ys []byte, raw string) (shamir.Share, []byte, bool) {
 	if len(raw) < 2 {
-		return shamir.Share{}, false
+		return shamir.Share{}, ys, false
 	}
-	return shamir.Share{X: raw[0], Y: []byte(raw[1:])}, true
+	from := len(ys)
+	ys = append(ys, raw[1:]...)
+	return shamir.Share{X: raw[0], Y: ys[from:len(ys):len(ys)]}, ys, true
 }
 
 // Common is one process's endpoint of the dealer coin.
+//
+// Its round records, share slots included, are recycled: Prune and Reset
+// put the records they release on a free list the next rounds take from.
+// Release's broadcast and each reconstruction reuse scratch the endpoint
+// owns. A fresh endpoint allocates all of it lazily, on first use; once
+// warm, neither Release nor HandleShare allocates.
 type Common struct {
 	me     types.ProcessID
 	peers  []types.ProcessID
 	dealer *Dealer
-	rounds map[int]*commonRound
+	rounds map[int]*commonRound // nil until the first round is named
+	free   []*commonRound       // released records, cleared, for reuse
 	// floor is the pruning watermark: per-round state below it has been
 	// released and late shares for those rounds are dropped on arrival.
 	floor int
+
+	// out is Release's broadcast, valid until the next Release; picked,
+	// ys and secret hold a reconstruction's f+1 decoded shares, their Y
+	// bytes and the secret.
+	out    []types.Message
+	picked []shamir.Share
+	ys     []byte
+	secret []byte
 }
 
 // commonRound is one round's state at one endpoint. shares holds the
 // verified shares at their senders' peer indexes (quorum.Spec.Index), as
-// the strings they arrived in, so slot order is X order; it goes once the
-// value is reconstructed.
+// the strings they arrived in, so slot order is X order; its slots are
+// cleared once the value is reconstructed, and the slice stays with the
+// record when it is recycled.
 type commonRound struct {
 	released, decided bool
 	value             types.Value
@@ -178,53 +234,70 @@ type commonRound struct {
 
 // NewCommon returns the coin endpoint for process me. All processes of a run
 // share the same dealer (their slice of the predistributed table) and the
-// same peer list.
+// same peer list, which the endpoint holds and the caller must not change.
 func NewCommon(me types.ProcessID, peers []types.ProcessID, dealer *Dealer) *Common {
-	return &Common{
-		me:     me,
-		peers:  append([]types.ProcessID(nil), peers...),
-		dealer: dealer,
-		rounds: make(map[int]*commonRound),
-	}
+	return &Common{me: me, peers: peers, dealer: dealer}
 }
 
 // Reset re-arms the endpoint for a new run on its dealer, which the caller
 // has Reset: every round's state and the pruning floor go, as NewCommon
-// leaves them.
+// leaves them, and the round records go to the free list.
 func (c *Common) Reset() {
+	// order-free: every released record is cleared, so which is reused first does not matter
+	for _, cr := range c.rounds {
+		c.recycle(cr)
+	}
 	clear(c.rounds)
 	c.floor = 0
 }
 
 var _ Coin = (*Common)(nil)
 
-// round returns round r's state, creating it; nil below the floor.
+// round returns round r's state, creating it from the free list or, when
+// that is empty, with its n share slots; nil below the floor.
 func (c *Common) round(r int) *commonRound {
 	if r < c.floor {
 		return nil
 	}
-	cr := c.rounds[r]
-	if cr == nil {
-		cr = &commonRound{}
-		c.rounds[r] = cr
+	if cr := c.rounds[r]; cr != nil {
+		return cr
 	}
+	if c.rounds == nil {
+		c.rounds = make(map[int]*commonRound)
+	}
+	var cr *commonRound
+	if k := len(c.free); k > 0 {
+		cr, c.free = c.free[k-1], c.free[:k-1]
+	} else {
+		cr = &commonRound{shares: make([]string, c.dealer.spec.N())}
+	}
+	c.rounds[r] = cr
 	return cr
 }
 
+// recycle clears a released round's record onto the free list.
+func (c *Common) recycle(cr *commonRound) {
+	clear(cr.shares)
+	*cr = commonRound{shares: cr.shares}
+	c.free = append(c.free, cr)
+}
+
 // Release implements Coin: broadcast this process's share for the round
-// (including to itself, so its own share is counted on delivery).
+// (including to itself, so its own share is counted on delivery). The
+// payload is the dealer's, shared by every copy; the returned slice is the
+// endpoint's own and valid until its next Release.
 func (c *Common) Release(round int) []types.Message {
 	cr := c.round(round)
 	if cr == nil || cr.released {
 		return nil
 	}
 	cr.released = true
-	share, mac := c.dealer.ShareFor(c.me, round)
-	if share == "" {
+	p := c.dealer.payload(c.me, round)
+	if p == nil {
 		return nil
 	}
-	p := &types.CoinSharePayload{Round: round, Share: share, MAC: mac}
-	return types.Broadcast(c.me, c.peers, p)
+	c.out = types.AppendBroadcast(slices.Grow(c.out[:0], len(c.peers)), c.me, c.peers, p)
+	return c.out
 }
 
 // HandleShare implements Coin: verify, store, and reconstruct at f+1 valid
@@ -245,9 +318,6 @@ func (c *Common) HandleShare(from types.ProcessID, p *types.CoinSharePayload) {
 		return // a genuine MAC binds X to the sender, but stay defensive
 	}
 	cr := c.round(p.Round)
-	if cr.shares == nil {
-		cr.shares = make([]string, c.dealer.spec.N())
-	}
 	if cr.shares[i] == "" {
 		cr.filled++
 	}
@@ -259,20 +329,27 @@ func (c *Common) HandleShare(from types.ProcessID, p *types.CoinSharePayload) {
 		return
 	}
 	// The first f+1 filled slots, in X order: any f+1 valid shares agree,
-	// but a fixed choice keeps replays byte-identical.
-	ss := make([]shamir.Share, 0, threshold)
+	// but a fixed choice keeps replays byte-identical. Every genuine share
+	// of one dealing has p.Share's width.
+	c.picked = slices.Grow(c.picked[:0], threshold)
+	c.ys = slices.Grow(c.ys[:0], threshold*(len(p.Share)-1))
 	for _, raw := range cr.shares {
-		if raw != "" && len(ss) < threshold {
-			s, _ := decodeShare(raw) // stored shares passed the length check
-			ss = append(ss, s)
+		if len(c.picked) == threshold {
+			break
+		}
+		if raw != "" {
+			var s shamir.Share
+			s, c.ys, _ = decodeShare(c.ys, raw) // stored shares passed the length check
+			c.picked = append(c.picked, s)
 		}
 	}
-	secret, err := shamir.Reconstruct(ss, threshold)
+	secret, err := shamir.AppendReconstruct(c.secret[:0], c.picked, threshold)
 	if err != nil {
 		return
 	}
+	c.secret = secret
 	cr.decided, cr.value = true, types.Value(secret[0]&1)
-	cr.shares = nil // no longer needed
+	clear(cr.shares) // no longer needed
 }
 
 // Value implements Coin.
@@ -287,14 +364,20 @@ var _ Pruner = (*Common)(nil)
 
 // Prune implements Pruner: release the state of every round below the floor
 // — release flag, unreconstructed shares (the share strings are the
-// dominant per-round retention) and value. The map stays bounded by the
-// retained rounds, so arbitrarily long executions keep a constant coin
-// footprint. Message behaviour is untouched: pruned rounds were already
-// released, and their values are never queried again.
+// dominant per-round retention) and value — onto the free list. The map
+// stays bounded by the retained rounds, so arbitrarily long executions keep
+// a constant coin footprint. Message behaviour is untouched: pruned rounds
+// were already released, and their values are never queried again.
 func (c *Common) Prune(below int) {
 	if below <= c.floor {
 		return
 	}
 	c.floor = below
-	maps.DeleteFunc(c.rounds, func(r int, _ *commonRound) bool { return r < below })
+	// order-free: every released record is cleared, so which is reused first does not matter
+	for r, cr := range c.rounds {
+		if r < below {
+			c.recycle(cr)
+			delete(c.rounds, r)
+		}
+	}
 }

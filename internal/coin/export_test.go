@@ -9,9 +9,13 @@ import (
 // sharing of it. For rounds below the low-watermark the sharing is gone and
 // the zero value is returned.
 func (d *Dealer) SecretFor(round int) types.Value {
-	ss := d.deal(round)
-	if ss == nil {
+	rec := d.deal(round)
+	if rec == nil {
 		return types.Zero
+	}
+	ss := make([]shamir.Share, len(rec))
+	for i, p := range rec {
+		ss[i], _, _ = decodeShare(nil, p.Share)
 	}
 	secret, err := shamir.Reconstruct(ss, len(ss))
 	if err != nil {

@@ -38,8 +38,8 @@ func TestDealerShareMACMatchesReference(t *testing.T) {
 		{1, 1, "\x01\x00"}, // a repeat after longer messages
 	} {
 		want := refShareMAC(seed, tt.p, tt.round, tt.share)
-		if got := d.keys.SignShare(tt.p, tt.round, tt.share); got != want {
-			t.Errorf("SignShare(%v, %d, %q) = %x, want %x", tt.p, tt.round, tt.share, got, want)
+		if got := string(d.keys.AppendSignShare(nil, tt.p, tt.round, tt.share)); got != want {
+			t.Errorf("AppendSignShare(%v, %d, %q) = %x, want %x", tt.p, tt.round, tt.share, got, want)
 		}
 		if !d.VerifyShare(tt.p, tt.round, tt.share, want) {
 			t.Errorf("VerifyShare rejected the reference MAC of (%v, %d, %q)", tt.p, tt.round, tt.share)

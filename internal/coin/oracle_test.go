@@ -2,11 +2,12 @@ package coin
 
 // The production Common against mapCommon, the map-based endpoint it
 // replaced: a script of Release, HandleShare and Prune calls (and dealer
-// prunes) drives both over one dealer, and after every call the two must
-// agree on Value for every round the script has named and on what Release
-// returned. Scripts mix Release before, between and after a round's shares;
-// genuine, forged, relayed, truncated and duplicate shares; non-peer
-// senders; rounds below the floor and far ahead; and floor jumps.
+// prunes, and re-arms of the dealer and endpoint) drives both over one
+// dealer, and after every call the two must agree on Value for every round
+// the script has named and on what Release returned. Scripts mix Release
+// before, between and after a round's shares; genuine, forged, relayed,
+// truncated and duplicate shares; non-peer senders; rounds below the floor
+// and far ahead; floor jumps; and re-arms over recycled round records.
 
 import (
 	"fmt"
@@ -88,7 +89,7 @@ func (c *mapCommon) HandleShare(from types.ProcessID, p *types.CoinSharePayload)
 	}
 	ss := make([]shamir.Share, 0, len(byRound))
 	for _, raw := range byRound {
-		s, _ := decodeShare(raw)
+		s, _, _ := decodeShare(nil, raw)
 		ss = append(ss, s)
 	}
 	slices.SortFunc(ss, func(a, b shamir.Share) int { return int(a.X) - int(b.X) })
@@ -130,6 +131,7 @@ const (
 	opFlood              // round, count, order
 	opPrune              // target
 	opDealerPrune        // target
+	opReset              // seed: the dealer and both endpoints re-armed
 	opKinds
 )
 
@@ -308,6 +310,13 @@ func runCommonScript(t *testing.T, name string, data []byte) {
 		case opDealerPrune:
 			d.Prune(coinPrune(d.floor, r.next(256)))
 			s.compare()
+		case opReset:
+			// A re-armed endpoint must match a new map endpoint on the
+			// re-dealt coin, whatever rounds its recycled records held.
+			d.Reset(int64(r.next(256)))
+			s.got.Reset()
+			s.want = newMapCommon(me, peers, d)
+			s.compare()
 		}
 	}
 }
@@ -386,6 +395,13 @@ func (w *coinScript) pruneTo(r int) *coinScript {
 
 func (w *coinScript) dealerPrune(x byte) *coinScript {
 	w.data = append(w.data, opDealerPrune, x)
+	return w
+}
+
+// reset appends a re-arm of the dealer (from seed) and both endpoints.
+func (w *coinScript) reset(seed byte) *coinScript {
+	w.data = append(w.data, opReset, seed)
+	w.floor = 0
 	return w
 }
 
@@ -472,6 +488,25 @@ func commonCases() map[string][]byte {
 	}
 	w.flood(5, 5, 0, true).share(peer(1), 5, shareForged).share(peer(2), 5, shareGenuine)
 	cases["peer-order"] = w.data
+
+	// Re-arms over every state a round record can be recycled from: rounds
+	// reconstructed and pruned, then rounds holding one share each (peer
+	// 2's) and one only released, re-armed onto a new seed. The same round
+	// numbers follow on the re-dealt coin, each taking a recycled record
+	// and peer 2's share again; then shares before Release, and a re-arm
+	// while the floor sits far ahead.
+	w = newCoinScript(n7, 4)
+	for r := 1; r <= 3; r++ {
+		w.release(r).flood(r, 7, r, r == 2).pruneTo(r - 1)
+	}
+	w.share(peer(2), 4, shareGenuine).share(peer(2), 5, shareGenuine).share(peer(2), 6, shareGenuine).
+		release(7).pruneTo(4).reset(3)
+	for r := 1; r <= 5; r++ {
+		w.share(peer(2), r, shareGenuine).flood(r, 2, 4, true).release(r).share(peer(3), r, shareForged)
+	}
+	w.share(peer(7), 6, shareGenuine).release(6).pruneTo(3).reset(3).flood(1, 2, 0, false).release(1).
+		flood(1, 7, 3, false).prune(245).releaseRaw(224).reset(200).release(1).flood(1, 7, 6, true)
+	cases["reset-rearm"] = w.data
 	return cases
 }
 

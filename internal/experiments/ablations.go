@@ -46,7 +46,6 @@ func a2Gadget(o Options) (*metrics.Table, error) {
 		"A2 — decide-amplification gadget on/off (n=7, f=2, silent faults)",
 		"gadget", "ok-runs", "mean decision round", "halted processes")
 	var rows [2]tally
-	var halted [2]int
 	for i, label := range []string{"on", "off"} {
 		tl, err := o.sweep(runner.Config{
 			N: 7, F: 2, Byzantine: -1,
@@ -59,20 +58,17 @@ func a2Gadget(o Options) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Halting is observable via the run ending by done-ness; with the
-		// gadget disabled the protocol keeps running until the stop
-		// predicate fires, so "halted" counts gadget completions only.
-		if i == 0 {
-			halted[i] = tl.decisions
-		}
-		t.AddRowf(label, tl.okRuns(), mean(tl.rounds), halted[i])
+		// "halted" sums the correct processes whose Done held at the end
+		// of each run; with the gadget off nothing makes a process halt,
+		// so the run ends on the stop predicate instead.
+		t.AddRowf(label, tl.okRuns(), mean(tl.rounds), tl.halted)
 		rows[i] = tl
 	}
 	on, off := rows[0], rows[1]
 	var bad refutation
-	bad.check(on.rounds.Mean == off.rounds.Mean && halted[0] > 0 && halted[1] == 0,
+	bad.check(on.rounds.Mean == off.rounds.Mean && on.halted > 0 && off.halted == 0,
 		"gadget on: round %.2f, %d halted; off: round %.2f, %d halted",
-		on.rounds.Mean, halted[0], off.rounds.Mean, halted[1])
+		on.rounds.Mean, on.halted, off.rounds.Mean, off.halted)
 	return t, bad.err()
 }
 

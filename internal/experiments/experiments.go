@@ -55,6 +55,7 @@ type tally struct {
 	runs, decided, ok           int            // ok: decided with no violation
 	violations, agreement       int            // all violations; agreement ones
 	decisions                   int            // processes that decided, over every run
+	halted                      int            // processes that halted, over every run
 	rounds                      metrics.Online // each ok run's mean decision round
 	msgs, simTime               metrics.Online // every run
 	decidedMsgs, decidedSimTime metrics.Online // decided runs
@@ -69,6 +70,7 @@ func (t *tally) add(r *runner.Result) {
 		}
 	}
 	t.decisions += len(r.Decisions)
+	t.halted += r.Halted
 	t.msgs.Add(float64(r.Messages))
 	t.simTime.Add(float64(r.EndTime))
 	if !r.AllDecided {

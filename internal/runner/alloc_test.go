@@ -120,12 +120,12 @@ func TestRunAllocationsPerDelivery(t *testing.T) {
 		seeds int64
 		bound float64 // measured × 1.15
 	}{
-		{"liar", consensus(base), 64, 132 * 1.15},
-		{"liar-sweep", sweep(base), 1, 53.2 * 1.15},
-		{"crash-midway", consensus(crash), 64, 217 * 1.15},
-		{"smr-plain-n16", smrShape(32, 0, false), 3, 7.6 * 1.15},
-		{"smr-coded-n16", smrShape(16, 2048, true), 2, 11.7 * 1.15},
-		{"smr-restart-n16", restartShape(32), 2, 26.2 * 1.15},
+		{"liar", consensus(base), 64, 99.5 * 1.15},
+		{"liar-sweep", sweep(base), 1, 25.4 * 1.15},
+		{"crash-midway", consensus(crash), 64, 175.1 * 1.15},
+		{"smr-plain-n16", smrShape(32, 0, false), 3, 5.0 * 1.15},
+		{"smr-coded-n16", smrShape(16, 2048, true), 2, 8.9 * 1.15},
+		{"smr-restart-n16", restartShape(32), 2, 17.1 * 1.15},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
 			perK, _ := perKDelivery(t, tt.run, tt.seeds)

@@ -187,6 +187,10 @@ type Result struct {
 	MaxRound int
 	// AllDecided reports whether every correct process decided.
 	AllDecided bool
+	// Halted counts the correct processes that halted (sim.Node.Done) by
+	// the end of the run: with the DECIDE gadget on, those that saw 2f+1
+	// DECIDE votes; with it off, none.
+	Halted int
 	SimStats
 	// Exhausted reports that the delivery budget ran out before the run
 	// stopped — for a consensus run, a liveness failure.
@@ -474,6 +478,9 @@ func (res *Result) observe(nodes []node) {
 		id := nd.ID()
 		obs.Correct = append(obs.Correct, id)
 		obs.Proposals[id] = nd.Proposal()
+		if nd.Done() {
+			res.Halted++
+		}
 		if cn, ok := nd.(*core.Node); ok {
 			res.PrunedLate += cn.Stats().PrunedLate
 			res.RBCCompacted += cn.RBCCompacted()

@@ -206,16 +206,25 @@ func TestAblationValidationOffDegradesUnderLiar(t *testing.T) {
 func TestAblationGadgetOffStillDecides(t *testing.T) {
 	// A2: without the gadget, decisions still happen and agree; nodes just
 	// never halt (the runner stops once every correct process decided).
-	res := mustRun(t, Config{
+	// With it, every correct process halts.
+	cfg := Config{
 		N: 4, F: 1, Byzantine: 0,
 		Protocol: ProtocolBracha, Coin: CoinIdeal,
 		Adversary: AdvNone, Scheduler: SchedUniform,
 		Inputs: InputUnanimous1, Seed: 4,
 		DisableDecideGadget: true,
 		MaxDeliveries:       200_000,
-	})
+	}
+	res := mustRun(t, cfg)
 	if len(res.Violations) != 0 || !res.AllDecided {
 		t.Fatalf("gadget-off run failed: %v all=%v", res.Violations, res.AllDecided)
+	}
+	if res.Halted != 0 {
+		t.Errorf("gadget off: %d processes halted, want 0", res.Halted)
+	}
+	cfg.DisableDecideGadget = false
+	if res := mustRun(t, cfg); res.Halted != 4 {
+		t.Errorf("gadget on: %d processes halted, want 4", res.Halted)
 	}
 }
 

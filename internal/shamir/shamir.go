@@ -51,11 +51,16 @@ func Split(secret []byte, n, threshold int, rng *rand.Rand) ([]Share, error) {
 	case threshold < 1 || threshold > n:
 		return nil, fmt.Errorf("%w: threshold = %d with n = %d", ErrBadThreshold, threshold, n)
 	}
+	// Every Y is a capped window of one backing array, so a dealing is two
+	// allocations whatever n is; threshold ≤ 255 keeps coeffs on the stack.
+	width := len(secret)
+	ys := make([]byte, n*width)
 	shares := make([]Share, n)
 	for i := range shares {
-		shares[i] = Share{X: byte(i + 1), Y: make([]byte, len(secret))}
+		shares[i] = Share{X: byte(i + 1), Y: ys[i*width : (i+1)*width : (i+1)*width]}
 	}
-	coeffs := make([]byte, threshold)
+	var coeffBuf [255]byte
+	coeffs := coeffBuf[:threshold]
 	for b, sb := range secret {
 		coeffs[0] = sb
 		for c := 1; c < threshold; c++ {
@@ -80,11 +85,18 @@ func Split(secret []byte, n, threshold int, rng *rand.Rand) ([]Share, error) {
 // caller's job via share authentication — see internal/coin). If fewer than
 // `threshold` usable shares exist, Reconstruct reports ErrBadShares.
 func Reconstruct(shares []Share, threshold int) ([]byte, error) {
+	return AppendReconstruct(nil, shares, threshold)
+}
+
+// AppendReconstruct is Reconstruct appending the secret to dst, the
+// allocation-free form for callers that reuse a buffer (the coin endpoint
+// reconstructs every round into one). On error it returns dst unchanged.
+func AppendReconstruct(dst []byte, shares []Share, threshold int) ([]byte, error) {
 	if threshold < 1 {
-		return nil, fmt.Errorf("%w: threshold = %d", ErrBadThreshold, threshold)
+		return dst, fmt.Errorf("%w: threshold = %d", ErrBadThreshold, threshold)
 	}
 	if len(shares) < threshold {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewShares, len(shares), threshold)
+		return dst, fmt.Errorf("%w: have %d, need %d", ErrTooFewShares, len(shares), threshold)
 	}
 	// Candidate widths in order of first appearance: a single wrong-width
 	// share cannot dictate the width and veto a valid majority behind it.
@@ -130,20 +142,26 @@ func Reconstruct(shares []Share, threshold int) ([]byte, error) {
 		}
 	}
 	if len(use) < threshold {
-		return nil, fmt.Errorf("%w: only %d of %d shares usable (need %d)",
+		return dst, fmt.Errorf("%w: only %d of %d shares usable (need %d)",
 			ErrBadShares, len(use), len(shares), threshold)
 	}
 	width := len(shares[use[0]].Y)
 	// Precompute the Lagrange basis at 0 once; it is shared by all bytes.
 	var basisBuf [255]byte
 	basis := gf256.AppendLagrange(basisBuf[:0], 0, xs)
-	secret := make([]byte, width)
+	if cap(dst)-len(dst) < width {
+		// Grown by hand to one exact allocation: slices.Grow makes two
+		// under the race detector.
+		grown := make([]byte, len(dst), len(dst)+width)
+		copy(grown, dst)
+		dst = grown
+	}
 	for b := 0; b < width; b++ {
 		var acc byte
 		for i, at := range use {
 			acc = gf256.Add(acc, gf256.Mul(shares[at].Y[b], basis[i]))
 		}
-		secret[b] = acc
+		dst = append(dst, acc)
 	}
-	return secret, nil
+	return dst, nil
 }

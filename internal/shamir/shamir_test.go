@@ -3,7 +3,9 @@ package shamir
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -325,6 +327,82 @@ func TestReconstructAllocations(t *testing.T) {
 			}
 		}); got != 1 {
 			t.Errorf("threshold %d: Reconstruct made %v allocs, want 1", threshold, got)
+		}
+	}
+}
+
+// TestAppendReconstructMatchesReconstruct runs the hostile share sets of
+// TestReconstructErrors and TestReconstructPoisonedPrefix, at every position
+// of the poison, through both forms: AppendReconstruct onto a garbage-filled
+// dst keeps the prefix and appends exactly Reconstruct's secret, or returns
+// dst itself with Reconstruct's error.
+func TestAppendReconstructMatchesReconstruct(t *testing.T) {
+	shares, err := Split([]byte{0xC0, 0xFE}, 5, 3, rng(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisons := []Share{
+		{X: 0, Y: []byte{1, 2}}, shares[3].Clone(), shares[0].Clone(),
+		{X: 200, Y: []byte{1}}, {X: 201, Y: nil}, {X: 9, Y: []byte{1, 2, 3}},
+	}
+	var sets [][]Share
+	for _, poison := range poisons {
+		for at := 0; at <= 3; at++ {
+			set := slices.Insert(slices.Clone(shares[1:4]), at, poison)
+			sets = append(sets, set, set[:3], set[:2])
+		}
+	}
+	sets = append(sets, shares, shares[:1], nil,
+		[]Share{{X: 1, Y: nil}, {X: 2, Y: nil}, {X: 3, Y: nil}})
+	garbage := []byte{0xEE, 0xEE, 0xEE}
+	for i, set := range sets {
+		for _, threshold := range []int{0, 2, 3} {
+			want, werr := Reconstruct(set, threshold)
+			dst := append(make([]byte, 0, 8), garbage...)
+			got, gerr := AppendReconstruct(dst, set, threshold)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+				t.Fatalf("set %d, threshold %d: error %v, Reconstruct's %v", i, threshold, gerr, werr)
+			}
+			if !bytes.Equal(got[:len(garbage)], garbage) || !bytes.Equal(got[len(garbage):], want) {
+				t.Fatalf("set %d, threshold %d: appended %x onto %x, Reconstruct gave %x", i, threshold, got, garbage, want)
+			}
+			if gerr != nil && (len(got) != len(dst) || &got[0] != &dst[0]) {
+				t.Fatalf("set %d, threshold %d: failed append did not return dst", i, threshold)
+			}
+		}
+	}
+}
+
+// TestAppendReconstructAllocFree: with room in dst, AppendReconstruct
+// allocates nothing at the coin thresholds of n=7 and n=64.
+func TestAppendReconstructAllocFree(t *testing.T) {
+	for _, threshold := range []int{3, 22} {
+		shares, err := Split([]byte{0xAB}, 3*threshold-2, threshold, rng(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]byte, 0, 1)
+		if got := testing.AllocsPerRun(100, func() {
+			if dst, err = AppendReconstruct(dst[:0], shares, threshold); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("threshold %d: AppendReconstruct made %v allocs, want 0", threshold, got)
+		}
+	}
+}
+
+// TestSplitAllocations pins Split at two allocations, the share slice and
+// the one array every Y is a window of, at n=7 and n=64.
+func TestSplitAllocations(t *testing.T) {
+	r := rng(1)
+	for _, n := range []int{7, 64} {
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := Split([]byte{0xAB}, n, (n-1)/3+1, r); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 2 {
+			t.Errorf("n=%d: Split made %v allocs, want 2", n, got)
 		}
 	}
 }
